@@ -1,0 +1,96 @@
+//! Golden output bytes across commits.
+//!
+//! The determinism tiers compare documents *within* one binary (threads ×
+//! shards × schedule). These digests pin the documents themselves, so a
+//! kernel rewrite that changes a tie-break, a CIGAR or a path fails here
+//! even when every in-binary comparison still agrees with itself.
+//!
+//! A digest may only change in a commit whose purpose is to change output
+//! bytes; a performance change must leave this file untouched.
+
+use segram_core::{
+    gaf_record_for, sam_document, sam_record_for, EngineConfig, MapEngine, ReadOutcome,
+    SegramConfig, SegramMapper,
+};
+use segram_graph::{DnaSeq, GenomeGraph};
+use segram_io::{fnv1a64, write_gaf};
+use segram_sim::{simulate_stranded_reads, DatasetConfig, ReadConfig, SimulatedRead};
+
+/// Maps `reads` on one thread, both strands, as `segram map --both-strands`
+/// does.
+fn outcomes(
+    graph: &GenomeGraph,
+    config: SegramConfig,
+    reads: &[SimulatedRead],
+) -> (SegramMapper, Vec<DnaSeq>, Vec<ReadOutcome>) {
+    let mapper = SegramMapper::new(graph.clone(), config);
+    let seqs: Vec<DnaSeq> = reads.iter().map(|r| r.seq.clone()).collect();
+    let (outcomes, _) =
+        MapEngine::new(&mapper, EngineConfig::with_threads(1).both_strands(true)).map_batch(&seqs);
+    (mapper, seqs, outcomes)
+}
+
+fn assert_digest(what: &str, document: &str, mapped: usize, min_mapped: usize, golden: u64) {
+    assert!(
+        mapped >= min_mapped,
+        "{what}: only {mapped} reads mapped; the document pins too little"
+    );
+    let digest = fnv1a64(document.as_bytes());
+    assert_eq!(
+        digest, golden,
+        "{what}: document digest is {digest:#018x}, golden is {golden:#018x} — output bytes changed"
+    );
+}
+
+/// The short-preset both-strand SAM document (100 bp reads at 1 % error, so
+/// every region goes through the whole-read `BitAligner`).
+#[test]
+fn short_preset_sam_document_is_pinned() {
+    let mut dataset = DatasetConfig::tiny(211);
+    dataset.read_count = 0;
+    let dataset = dataset.illumina(100);
+    let reads =
+        simulate_stranded_reads(dataset.graph(), &ReadConfig::short_reads(40, 100, 212), 0.5);
+    let (mapper, seqs, outcomes) = outcomes(dataset.graph(), SegramConfig::short_reads(), &reads);
+    let records: Vec<_> = seqs
+        .iter()
+        .zip(&outcomes)
+        .enumerate()
+        .map(|(i, (seq, outcome))| sam_record_for(&format!("read{i}"), seq, outcome))
+        .collect();
+    let mapped = records.iter().filter(|r| r.is_mapped()).count();
+    let document = sam_document("graph", mapper.graph().total_chars(), &records);
+    assert_digest("short SAM", &document, mapped, 36, 0x421b_6925_44cb_8a2b);
+}
+
+/// The `long10` GAF document (500 bp reads at 10 % error: `windowed_bitalign`
+/// with the free first window and path-reachable later windows).
+#[test]
+fn long10_gaf_document_is_pinned() {
+    let mut dataset = DatasetConfig::tiny(223);
+    dataset.read_count = 6;
+    dataset.long_read_len = 500;
+    let dataset = dataset.ont_10();
+    let (mapper, seqs, outcomes) = outcomes(
+        dataset.graph(),
+        SegramConfig::long_reads(0.10),
+        &dataset.reads,
+    );
+    let records: Vec<_> = seqs
+        .iter()
+        .zip(&outcomes)
+        .enumerate()
+        .filter_map(|(i, (seq, outcome))| {
+            gaf_record_for(&format!("read{i}"), seq, mapper.graph(), outcome)
+                .expect("mapping converts to GAF")
+        })
+        .collect();
+    let document = write_gaf(&records);
+    assert_digest(
+        "long10 GAF",
+        &document,
+        records.len(),
+        4,
+        0xca2b_d664_c5ba_ea6b,
+    );
+}
