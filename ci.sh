@@ -11,38 +11,44 @@
 #   2. test             cargo test -q --locked
 #   3. fmt              cargo fmt --check
 #   4. clippy           cargo clippy --all-targets -- -D warnings
-#   5. bench-smoke      engine + sharding benches, 3 samples each,
-#                       emitting the BENCH_smoke.json artifact
-#   6. determinism      segram map output diffed across --threads 1 vs 4
-#   7. shard-determinism  segram map output diffed across --shards 1 vs 4,
+#   5. ledger-tests     the perf ledger's own unit tests. `ledger/` (the
+#                       harness behind BENCHMARK.json) is a package of its
+#                       own, so tiers 1-4 never compile it; this tier makes
+#                       a change under crates/* that breaks the API it is
+#                       written against fail here, not in the benchmark
+#   6. bench-smoke      engine + sharding + BitAlign kernel benches, 3
+#                       samples each, emitting the (gitignored)
+#                       BENCH_smoke.json artifact
+#   7. determinism      segram map output diffed across --threads 1 vs 4
+#   8. shard-determinism  segram map output diffed across --shards 1 vs 4,
 #                       crossed with --threads 1 vs 4
-#   8. elastic-shards   `--schedule elastic` (per-shard-group worker pools,
+#   9. elastic-shards   `--schedule elastic` (per-shard-group worker pools,
 #                       routed batches, live rebalancing) diffed against
 #                       the default fanout schedule across --shards 1 vs 4
 #                       crossed with --threads 1 vs 4
-#   9. backend-matrix   all four backends (segram/graphaligner/vg/hga)
+#  10. backend-matrix   all four backends (segram/graphaligner/vg/hga)
 #                       through the engine, each diffed across
 #                       --threads 1 vs 4
-#  10. overlapped-io    the framer -> worker-decode -> writer-thread path:
+#  11. overlapped-io    the framer -> worker-decode -> writer-thread path:
 #                       all four backends diffed across --threads 1 vs 8
 #                       (SAM and GAF), the high-thread-count stress of the
 #                       overlapped pipeline's ordering guarantee
-#  11. compressed-io   BGZF input end to end: the FASTQ is re-compressed
+#  12. compressed-io   BGZF input end to end: the FASTQ is re-compressed
 #                      with `segram bgzip` (the in-tree DEFLATE encoder,
 #                      both fixed and stored modes) and mapped through all
 #                      four backends x sam/gaf x --threads 1/8, each run
 #                      diffed byte-for-byte against its plain-input twin
-#  12. persistent-serve `segram index build` -> `map --index` diffed against
+#  13. persistent-serve `segram index build` -> `map --index` diffed against
 #                       `map --graph`, then a live `segram serve` daemon:
 #                       concurrent requests (one cancelled mid-payload)
 #                       diffed against one-shot output, clean shutdown
-#  13. serve-qos        QoS scheduling + hot reload under load: bulk
+#  14. serve-qos        QoS scheduling + hot reload under load: bulk
 #                       requests saturate the workers while interactive
 #                       requests overtake them (per-class queueing-delay
 #                       ordering asserted from the exit report), a RELOAD
 #                       swaps the index mid-run with zero failed requests,
 #                       and every reply byte-diffs against its one-shot
-#  14. incremental-index the versioned store lifecycle: `index build` v1 ->
+#  15. incremental-index the versioned store lifecycle: `index build` v1 ->
 #                       `index update` with a delta VCF -> payload identity
 #                       against a scratch build over the combined VCF
 #                       (inspect checksums + map byte-diff, flat and
@@ -71,6 +77,7 @@ tier build cargo build --release --locked
 tier test cargo test -q --locked
 tier fmt cargo fmt --check
 tier clippy cargo clippy --all-targets --locked -- -D warnings
+tier ledger-tests cargo test --release --locked --offline --manifest-path ledger/Cargo.toml
 
 # ---------------------------------------------------------------------------
 # Bench smoke: the benchmark binaries must still build and run. Three
@@ -85,7 +92,7 @@ bench_smoke() {
     SEGRAM_BENCH_SAMPLES=3 SEGRAM_BENCH_JSON="$jsonl" \
         cargo bench -q -p segram-bench --locked \
         --bench engine --bench sharding --bench persist_serve \
-        --bench index_update \
+        --bench index_update --bench bitalign \
         || return 1
     [ -s "$jsonl" ] || { echo "bench run emitted no JSON lines"; return 1; }
     {

@@ -8,6 +8,29 @@
 //! pattern runs out (free end). That is exactly what the mapping pipeline
 //! needs: MinSeed supplies a subgraph window guaranteed (up to the error
 //! rate) to contain the read.
+//!
+//! # The `allR` store
+//!
+//! The status bitvectors of one (subgraph, read) pair are stored
+//! **level-major**: level `d` holds `R[i][d]` for the `n` characters of
+//! the subgraph, and row `n` of every level is the *virtual sink*
+//! `ones << d` ("a pattern suffix of length `l` can be completed past the
+//! end of the subgraph with `l` insertions"). A character without
+//! successors borrows the one-element list `[n]`, so generation and
+//! traceback treat the sink like any other successor row; every other
+//! character borrows its successor list straight from the linearization.
+//!
+//! Algorithm 1 walks characters outermost and levels innermost. The
+//! dependencies allow the transposed order: `R[i][d]` reads `R[i][d-1]`,
+//! `R[s][d-1]` and `R[s][d]` for successors `s > i` only — never a level
+//! above `d`. Filling level `d` for all characters (last to first) before
+//! level `d + 1` therefore produces bit-identical vectors. The distance
+//! scan looks at levels ascending and, within a level, start characters
+//! ascending, and traceback from a hit at level `d` only ever reads levels
+//! `≤ d`, so generation *could* stop at the first level that shows a 0 MSB.
+//! It does not yet: [`BitAligner::compute`] fills all `k + 1` levels before
+//! the scan, as Algorithm 1 does (ROADMAP open item 2 has the measurements
+//! and why the stop is a change of its own).
 
 use segram_graph::{Base, DnaSeq, GraphPos, LinearizedGraph};
 
@@ -122,18 +145,9 @@ impl BitAlignConfig {
     }
 }
 
-/// Reference to a successor during traceback: a real character or the
-/// virtual sink (pattern may run past the end of the subgraph only via
-/// insertions).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Succ {
-    Char(u32),
-    Virtual,
-}
-
-/// The BitAlign aligner: owns the `allR[n][d]` bitvector store for one
-/// (subgraph, read) pair, exactly as the hardware's bitvector scratchpad
-/// does (Section 8.2).
+/// The BitAlign aligner: owns the `allR` bitvector store for one (subgraph,
+/// read) pair, exactly as the hardware's bitvector scratchpad does
+/// (Section 8.2), and fills it one edit level at a time.
 ///
 /// # Examples
 ///
@@ -161,12 +175,11 @@ pub struct BitAligner<'a> {
     k: usize,
     start: StartMode,
     preference: EditPreference,
-    /// `allR[i * (k+1) + d]`, stored for all text iterations (Algorithm 1
-    /// line 5) so traceback can regenerate the intermediate bitvectors.
-    all_r: Vec<Bitvector>,
-    /// Virtual-sink vectors `V[d] = ones << d`.
-    sink: Vec<Bitvector>,
-    computed: bool,
+    /// The level-major store (see the module docs and [`row`]): level `d`
+    /// holds `R[i][d]` and, as row `n`, the virtual sink.
+    levels: Vec<Vec<Bitvector>>,
+    /// Successor list of a character without successors: the sink row.
+    sink: [u32; 1],
 }
 
 impl<'a> BitAligner<'a> {
@@ -210,17 +223,14 @@ impl<'a> BitAligner<'a> {
         }
         let m = pattern.len();
         let k = (config.k as usize).min(m);
-        let masks = PatternBitmasks::from_bases(pattern);
-        let sink = (0..=k).map(|d| Bitvector::ones_shifted(m, d)).collect();
         Ok(Self {
             lin,
-            masks,
+            masks: PatternBitmasks::from_bases(pattern),
             k,
             start: config.start,
             preference: config.preference,
-            all_r: Vec::new(),
-            sink,
-            computed: false,
+            levels: Vec::with_capacity(k + 1),
+            sink: [lin.len() as u32],
         })
     }
 
@@ -234,98 +244,77 @@ impl<'a> BitAligner<'a> {
         self.k
     }
 
+    /// Active-low read of bit `p` of `R[i][d]` (`i == lin.len()` is the sink
+    /// row), with the implicit 0 that a shift injects below bit 0
+    /// (`p == -1`).
     #[inline]
-    fn r(&self, i: usize, d: usize) -> &Bitvector {
-        &self.all_r[i * (self.k + 1) + d]
+    fn bit_is_zero(&self, i: usize, d: usize, p: isize) -> bool {
+        p < 0 || !row(&self.levels[d], self.lin.len(), i).bit(p as usize)
     }
 
-    /// The status bitvector of a successor, routing sink references to the
-    /// virtual vectors.
-    #[inline]
-    fn succ_r(&self, s: Succ, d: usize) -> &Bitvector {
-        match s {
-            Succ::Char(j) => self.r(j as usize, d),
-            Succ::Virtual => &self.sink[d],
-        }
-    }
-
-    fn successors(&self, i: usize) -> Vec<Succ> {
-        let list = self.lin.successors(i);
-        if list.is_empty() {
-            vec![Succ::Virtual]
-        } else {
-            list.iter().map(|&j| Succ::Char(j)).collect()
-        }
-    }
-
-    /// Runs the bitvector-generation phase (Algorithm 1 lines 5–24),
-    /// filling the `allR` store. Idempotent.
-    pub fn compute(&mut self) {
-        if self.computed {
-            return;
-        }
-        let n = self.lin.len();
-        let m = self.masks.len();
-        let kk = self.k + 1;
-        self.all_r = vec![Bitvector::all_ones(m); n * kk];
-        let mut tmp = Bitvector::all_ones(m);
-        let mut acc = Bitvector::all_ones(m);
+    /// Generates the next level `d = self.levels.len()` of the store
+    /// (Algorithm 1 lines 11–14 for `d = 0`, lines 16–24 otherwise), pushing
+    /// each row as it is finished: the sink, then characters last to first.
+    fn push_level(&mut self) {
+        let (n, m, d) = (self.lin.len(), self.masks.len(), self.levels.len());
+        let ones = Bitvector::all_ones(m);
+        let mut level = Vec::with_capacity(n + 1);
+        level.push(Bitvector::ones_shifted(m, d));
+        let prev = self.levels.last();
+        let mut tmp = ones.clone();
+        let mut acc = ones.clone();
         for i in (0..n).rev() {
-            let cur_pm = self.masks.mask(self.lin.base(i)).clone();
-            let succs = self.successors(i);
-            // d = 0: exact match (lines 11-14).
-            acc.copy_from(&Bitvector::all_ones(m));
-            for &s in &succs {
-                tmp.shl1_from(self.succ_r(s, 0));
-                tmp.or_assign(&cur_pm);
-                acc.and_assign(&tmp);
-            }
-            self.all_r[i * kk].copy_from(&acc);
-            // d = 1..k (lines 16-24).
-            for d in 1..kk {
+            let pm = self.masks.mask(self.lin.base(i));
+            match prev {
+                None => acc.copy_from(&ones),
                 // Insertion: does not consume a reference character.
-                acc.shl1_from(&self.all_r[i * kk + d - 1]);
-                for &s in &succs {
+                Some(prev) => acc.shl1_from(row(prev, n, i)),
+            }
+            for &s in successor_rows(self.lin, &self.sink, i) {
+                if let Some(prev) = prev {
                     // Deletion: successor's R[d-1] unshifted.
-                    acc.and_assign(self.succ_r(s, d - 1));
+                    acc.and_assign(row(prev, n, s as usize));
                     // Substitution: successor's R[d-1] shifted.
-                    tmp.shl1_from(self.succ_r(s, d - 1));
-                    acc.and_assign(&tmp);
-                    // Match: successor's R[d] shifted, OR pattern mask.
-                    tmp.shl1_from(self.succ_r(s, d));
-                    tmp.or_assign(&cur_pm);
+                    tmp.shl1_from(row(prev, n, s as usize));
                     acc.and_assign(&tmp);
                 }
-                self.all_r[i * kk + d].copy_from(&acc);
+                // Match: successor's R[d] shifted, OR pattern mask.
+                tmp.shl1_from(row(&level, n, s as usize));
+                tmp.or_assign(pm);
+                acc.and_assign(&tmp);
             }
+            level.push(acc.clone());
         }
-        self.computed = true;
+        self.levels.push(level);
+    }
+
+    /// Runs the whole bitvector-generation phase (Algorithm 1 lines 5–24),
+    /// filling all `k + 1` levels of the `allR` store. Idempotent;
+    /// [`Self::edit_distance`] and [`Self::align`] call it themselves.
+    pub fn compute(&mut self) {
+        while self.levels.len() <= self.k {
+            self.push_level();
+        }
     }
 
     /// Returns the minimum edit distance and its start position, without
     /// traceback, or `None` when the threshold is exceeded.
     ///
-    /// The scan honours the configured [`StartMode`].
+    /// The scan honours the configured [`StartMode`]: levels ascending, and
+    /// within a level the leftmost start whose `R[i][d]` has a 0 MSB.
     pub fn edit_distance(&mut self) -> Option<(u32, usize)> {
-        self.compute();
-        let m = self.masks.len();
-        let candidates: Vec<usize> = match self.start {
-            StartMode::Free => (0..self.lin.len()).collect(),
-            StartMode::Anchored(a) => vec![a],
+        let candidates = match self.start {
+            StartMode::Free => 0..self.lin.len(),
+            StartMode::Anchored(a) => a..a + 1,
         };
-        let mut best: Option<(u32, usize)> = None;
+        let msb = self.masks.len() as isize - 1;
+        self.compute();
         for d in 0..=self.k {
-            for &i in &candidates {
-                if !self.r(i, d).bit(m - 1) {
-                    best = Some((d as u32, i));
-                    break;
-                }
-            }
-            if best.is_some() {
-                break;
+            if let Some(i) = candidates.clone().find(|&i| self.bit_is_zero(i, d, msb)) {
+                return Some((d as u32, i));
             }
         }
-        best
+        None
     }
 
     /// Runs the full pipeline: bitvector generation, distance extraction,
@@ -342,57 +331,43 @@ impl<'a> BitAligner<'a> {
         Ok(self.traceback(start, dist as usize))
     }
 
-    /// Traceback from a start character with a known distance budget.
+    /// Traceback from a start character with a known distance budget; reads
+    /// levels `0..=dist` only.
     ///
     /// Regenerates the intermediate match/substitution/deletion/insertion
     /// bitvectors on demand from the stored `R[d]` vectors, as the paper's
     /// hardware does ("we store only k+1 bitvectors per node ... from which
     /// the 3(k+1) bitvectors per edge can be regenerated on-demand during
     /// traceback", Section 7).
-    fn traceback(&mut self, start: usize, dist: usize) -> Alignment {
-        self.compute();
-        let m = self.masks.len();
+    fn traceback(&self, start: usize, dist: usize) -> Alignment {
+        debug_assert!(dist < self.levels.len());
+        let sink = self.lin.len();
         let mut cigar = Cigar::new();
         let mut path: Vec<u32> = Vec::new();
-        let mut cur = Succ::Char(start as u32);
-        let mut p = m as isize - 1; // suffix bit under consideration
+        let mut i = start;
+        let mut p = self.masks.len() as isize - 1; // suffix bit under consideration
         let mut d = dist;
 
-        // Helper: active-low bit read with the implicit 0 shifted in at p=-1.
-        let bit_is_zero = |this: &Self, s: Succ, d: usize, p: isize| -> bool {
-            if p < 0 {
-                return true;
-            }
-            !this.succ_r(s, d).bit(p as usize)
-        };
-
         while p >= 0 {
-            let i = match cur {
-                Succ::Char(i) => i as usize,
-                Succ::Virtual => {
-                    // Only insertions remain past the end of the subgraph.
-                    cigar.push_run(CigarOp::Ins, p as u32 + 1);
-                    d -= p as usize + 1;
-                    p = -1;
-                    continue;
-                }
-            };
+            if i == sink {
+                // Only insertions remain past the end of the subgraph.
+                cigar.push_run(CigarOp::Ins, p as u32 + 1);
+                break;
+            }
             let pm = self.masks.mask(self.lin.base(i));
-            let succs = self.successors(i);
+            let succs = successor_rows(self.lin, &self.sink, i);
+            let next_with =
+                |d: usize, p: isize| succs.iter().find(|&&s| self.bit_is_zero(s as usize, d, p));
             // 1) Exact match: pattern head equals text[i] and some successor
             //    continues the remaining suffix within the same budget.
-            let matched =
-                !pm.bit(p as usize) && succs.iter().any(|&s| bit_is_zero(self, s, d, p - 1));
-            if matched {
-                let next = *succs
-                    .iter()
-                    .find(|&&s| bit_is_zero(self, s, d, p - 1))
-                    .expect("checked above");
-                cigar.push(CigarOp::Match);
-                path.push(i as u32);
-                cur = next;
-                p -= 1;
-                continue;
+            if !pm.bit(p as usize) {
+                if let Some(&next) = next_with(d, p - 1) {
+                    cigar.push(CigarOp::Match);
+                    path.push(i as u32);
+                    i = next as usize;
+                    p -= 1;
+                    continue;
+                }
             }
             debug_assert!(d > 0, "stuck traceback: R bit was 0 but no op applies");
             // 2) Unit-cost edits, in the configured preference order.
@@ -400,12 +375,10 @@ impl<'a> BitAligner<'a> {
             for op in self.preference.order() {
                 match op {
                     CigarOp::Subst => {
-                        if let Some(&next) =
-                            succs.iter().find(|&&s| bit_is_zero(self, s, d - 1, p - 1))
-                        {
+                        if let Some(&next) = next_with(d - 1, p - 1) {
                             cigar.push(CigarOp::Subst);
                             path.push(i as u32);
-                            cur = next;
+                            i = next as usize;
                             p -= 1;
                             d -= 1;
                             applied = true;
@@ -413,18 +386,17 @@ impl<'a> BitAligner<'a> {
                     }
                     CigarOp::Del => {
                         // Consumes the reference character only.
-                        if let Some(&next) = succs.iter().find(|&&s| bit_is_zero(self, s, d - 1, p))
-                        {
+                        if let Some(&next) = next_with(d - 1, p) {
                             cigar.push(CigarOp::Del);
                             path.push(i as u32);
-                            cur = next;
+                            i = next as usize;
                             d -= 1;
                             applied = true;
                         }
                     }
                     CigarOp::Ins => {
                         // Consumes the pattern character only.
-                        if bit_is_zero(self, Succ::Char(i as u32), d - 1, p - 1) {
+                        if self.bit_is_zero(i, d - 1, p - 1) {
                             cigar.push(CigarOp::Ins);
                             p -= 1;
                             d -= 1;
@@ -449,14 +421,35 @@ impl<'a> BitAligner<'a> {
         }
     }
 
-    /// Read-only access to a stored status bitvector (for tests and the
-    /// hardware model). `None` until [`Self::compute`] has run or when the
-    /// indices are out of range.
+    /// Access to a stored status bitvector (for tests and the hardware
+    /// model). `None` when the indices are out of range or
+    /// [`Self::compute`] has not run.
     pub fn status_bitvector(&self, i: usize, d: usize) -> Option<&Bitvector> {
-        if !self.computed || i >= self.lin.len() || d > self.k {
+        if i >= self.lin.len() {
             return None;
         }
-        Some(self.r(i, d))
+        self.levels
+            .get(d)
+            .map(|level| row(level, self.lin.len(), i))
+    }
+}
+
+/// Row `i` of a level over `n` characters. Rows are kept in the order they
+/// are generated — the sink (`i = n`) first, then characters last to first —
+/// so a level is built by pushing finished rows, and a row's successors
+/// (`s > i`) are always already there.
+#[inline]
+fn row(level: &[Bitvector], n: usize, i: usize) -> &Bitvector {
+    &level[n - i]
+}
+
+/// Successors of character `i` as rows of a level: the linearization's own
+/// list, or the sink row when `i` ends the subgraph.
+#[inline]
+fn successor_rows<'a>(lin: &'a LinearizedGraph, sink: &'a [u32; 1], i: usize) -> &'a [u32] {
+    match lin.successors(i) {
+        [] => sink,
+        list => list,
     }
 }
 

@@ -166,21 +166,20 @@ pub fn windowed_bitalign(
         // landing sites lie far ahead in linear coordinates (e.g. across a
         // structural-variant branch) stay available; the free first window
         // searches the entire region.
-        let (window_lin, to_parent, window_start) = match text_cursor {
-            Some(from) => {
-                let (w, map) = lin.reachable_window(from, win_len + config.window_k as usize + 1);
-                (w, Some(map), StartMode::Anchored(0))
-            }
-            None => (lin.clone(), None, StartMode::Free),
+        let reachable = text_cursor
+            .map(|from| lin.reachable_window(from, win_len + config.window_k as usize + 1));
+        let (window_lin, window_start) = match &reachable {
+            Some((window, _)) => (window, StartMode::Anchored(0)),
+            None => (lin, StartMode::Free),
         };
         let parent_of = |local: usize| -> usize {
-            match &to_parent {
-                Some(map) => map[local] as usize,
+            match &reachable {
+                Some((_, to_parent)) => to_parent[local] as usize,
                 None => local,
             }
         };
         let mut aligner = BitAligner::new(
-            &window_lin,
+            window_lin,
             &chunk,
             BitAlignConfig {
                 k: config.window_k,

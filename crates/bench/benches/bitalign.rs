@@ -61,6 +61,31 @@ fn bench_short_alignment(c: &mut Criterion) {
     group.finish();
 }
 
+/// BitAlign as the short-read mapper calls it: a 100 bp read against a
+/// candidate region of ~170 characters at `k = 12`. One region holds the
+/// read's locus (level 0 or 1 answers, and traceback runs); the other does
+/// not, so the threshold is declared exceeded after all `k + 1` levels.
+/// Both pay for all levels today; the pair is kept apart so a level stop
+/// shows as `_locus` falling below `_miss`.
+fn bench_pipeline_region(c: &mut Criterion) {
+    let mut group = c.benchmark_group("s2g_pipeline_region");
+    group.sample_size(20);
+    let f = fixture(100, 2_000);
+    let read = &f.reads[0];
+    let hit = bitalign(&f.lin, read, 12).expect("simulated read aligns");
+    let region = |from: usize| f.lin.window(from, (from + 170).min(f.lin.len()));
+    let locus = region(hit.text_start.saturating_sub(35));
+    let elsewhere = region((hit.text_start + 900) % (f.lin.len() - 170));
+    assert!(bitalign(&locus, read, 12).is_ok() && bitalign(&elsewhere, read, 12).is_err());
+    group.bench_function("bitalign_100bp_170c_k12_locus", |b| {
+        b.iter(|| bitalign(&locus, read, 12))
+    });
+    group.bench_function("bitalign_100bp_170c_k12_miss", |b| {
+        b.iter(|| bitalign(&elsewhere, read, 12))
+    });
+    group.finish();
+}
+
 fn bench_long_alignment(c: &mut Criterion) {
     let mut group = c.benchmark_group("s2g_alignment_long");
     group.sample_size(10);
@@ -101,6 +126,7 @@ fn bench_s2s_kernels(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_short_alignment,
+    bench_pipeline_region,
     bench_long_alignment,
     bench_s2s_kernels
 );

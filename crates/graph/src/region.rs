@@ -34,8 +34,11 @@ use crate::{Base, GenomeGraph, GraphError, GraphPos, NodeId};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinearizedGraph {
     bases: Vec<Base>,
-    /// Successor character indices, each list sorted ascending.
-    succ: Vec<Vec<u32>>,
+    /// Successor lists in CSR form: character `i`'s successors are
+    /// `succ_flat[succ_off[i]..succ_off[i + 1]]`, sorted ascending.
+    /// `succ_off` always holds `len() + 1` offsets.
+    succ_off: Vec<u32>,
+    succ_flat: Vec<u32>,
     /// Graph provenance of every character.
     origins: Vec<GraphPos>,
     /// Linear coordinate (in the full graph) of the first character.
@@ -64,40 +67,44 @@ impl LinearizedGraph {
         let first = graph.graph_pos(start)?;
         let len = (end - start) as usize;
         let mut bases = Vec::with_capacity(len);
-        let mut succ = Vec::with_capacity(len);
+        let mut succ_off = Vec::with_capacity(len + 1);
+        let mut succ_flat = Vec::with_capacity(len + len / 8);
         let mut origins = Vec::with_capacity(len);
+        succ_off.push(0);
 
         let mut node = first.node;
         let mut offset = first.offset as usize;
-        let to_local = |linear: u64| -> Option<u32> {
-            (linear >= start && linear < end).then(|| (linear - start) as u32)
-        };
         while bases.len() < len {
-            let seq = graph.seq(node);
-            let node_start = graph.char_start(node);
-            while offset < seq.len() && bases.len() < len {
-                bases.push(seq[offset]);
-                origins.push(GraphPos::new(node, offset as u32));
-                let local = bases.len() as u32 - 1;
-                let mut ss: Vec<u32> = Vec::new();
-                if offset + 1 < seq.len() {
-                    // Intra-node neighbor.
-                    if let Some(next) = to_local(node_start + offset as u64 + 1) {
-                        ss.push(next);
-                    }
-                } else {
-                    // Node boundary: hop to the first character of every
-                    // successor node that falls inside the window.
-                    for &next_node in graph.successors(node) {
-                        if let Some(next) = to_local(graph.char_start(next_node)) {
-                            ss.push(next);
-                        }
+            let seq = graph.seq(node).as_slice();
+            let take = (seq.len() - offset).min(len - bases.len());
+            let first_local = bases.len() as u32;
+            bases.extend_from_slice(&seq[offset..offset + take]);
+            origins.extend((offset..offset + take).map(|o| GraphPos::new(node, o as u32)));
+            // Intra-node neighbors: every taken character but the node's
+            // last one is followed by the next character, if in the window.
+            let ends_node = offset + take == seq.len();
+            let interior = (take - usize::from(ends_node)) as u32;
+            for next in first_local + 1..=first_local + interior {
+                if (next as usize) < len {
+                    succ_flat.push(next);
+                }
+                succ_off.push(succ_flat.len() as u32);
+            }
+            if ends_node {
+                // Node boundary: hop to the first character of every
+                // successor node that falls inside the window.
+                let begin = succ_flat.len();
+                for &next_node in graph.successors(node) {
+                    let linear = graph.char_start(next_node);
+                    if linear >= start && linear < end {
+                        succ_flat.push((linear - start) as u32);
                     }
                 }
-                ss.sort_unstable();
-                debug_assert!(ss.iter().all(|&s| s > local));
-                succ.push(ss);
-                offset += 1;
+                succ_flat[begin..].sort_unstable();
+                debug_assert!(succ_flat[begin..]
+                    .iter()
+                    .all(|&s| s >= first_local + take as u32));
+                succ_off.push(succ_flat.len() as u32);
             }
             // Advance to the next node in id (= topological / linear) order.
             node = NodeId(node.0 + 1);
@@ -105,10 +112,37 @@ impl LinearizedGraph {
         }
         Ok(Self {
             bases,
-            succ,
+            succ_off,
+            succ_flat,
             origins,
             start_linear: start,
         })
+    }
+
+    /// Assembles a linearization from one successor list per character,
+    /// given in character order. The lists must already be sorted ascending
+    /// and point strictly forward.
+    fn from_lists<L: IntoIterator<Item = u32>>(
+        bases: Vec<Base>,
+        lists: impl Iterator<Item = L>,
+        origins: Vec<GraphPos>,
+        start_linear: u64,
+    ) -> Self {
+        let mut succ_off = Vec::with_capacity(bases.len() + 1);
+        let mut succ_flat = Vec::with_capacity(bases.len());
+        succ_off.push(0);
+        for list in lists {
+            succ_flat.extend(list);
+            succ_off.push(succ_flat.len() as u32);
+        }
+        assert_eq!(succ_off.len(), bases.len() + 1, "one list per character");
+        Self {
+            bases,
+            succ_off,
+            succ_flat,
+            origins,
+            start_linear,
+        }
     }
 
     /// Builds a linearization directly from parts (used by tests and by the
@@ -117,10 +151,12 @@ impl LinearizedGraph {
     /// # Errors
     ///
     /// Returns [`GraphError::CyclicGraph`] when any successor does not point
-    /// strictly forward (which would violate topological order).
+    /// strictly forward (which would violate topological order), and
+    /// [`GraphError::DuplicateEdge`] when a list names a successor twice.
+    /// Each list is stored sorted ascending, whatever order it arrives in.
     pub fn from_parts(
         bases: Vec<Base>,
-        succ: Vec<Vec<u32>>,
+        mut succ: Vec<Vec<u32>>,
         start_linear: u64,
     ) -> Result<Self, GraphError> {
         assert_eq!(
@@ -128,44 +164,42 @@ impl LinearizedGraph {
             succ.len(),
             "bases and successor lists must align"
         );
-        for (i, list) in succ.iter().enumerate() {
+        for (i, list) in succ.iter_mut().enumerate() {
             if list
                 .iter()
                 .any(|&s| s as usize <= i || s as usize >= bases.len())
             {
                 return Err(GraphError::CyclicGraph);
             }
+            list.sort_unstable();
+            if let Some(pair) = list.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(GraphError::DuplicateEdge {
+                    from: i as u32,
+                    to: pair[0],
+                });
+            }
         }
         let origins = (0..bases.len())
             .map(|i| GraphPos::new(NodeId(0), i as u32))
             .collect();
-        Ok(Self {
+        Ok(Self::from_lists(
             bases,
-            succ,
+            succ.into_iter(),
             origins,
             start_linear,
-        })
+        ))
     }
 
     /// Builds a purely linear text (every character's only successor is the
     /// next one) — the sequence-to-sequence special case.
     pub fn from_linear_seq(seq: &crate::DnaSeq) -> Self {
-        let n = seq.len();
-        let succ = (0..n)
-            .map(|i| {
-                if i + 1 < n {
-                    vec![i as u32 + 1]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        Self {
-            bases: seq.iter().collect(),
-            succ,
-            origins: (0..n).map(|i| GraphPos::new(NodeId(0), i as u32)).collect(),
-            start_linear: 0,
-        }
+        let n = seq.len() as u32;
+        Self::from_lists(
+            seq.iter().collect(),
+            (1..=n).map(|next| (next < n).then_some(next)),
+            (0..n).map(|i| GraphPos::new(NodeId(0), i)).collect(),
+            0,
+        )
     }
 
     /// Number of characters.
@@ -189,8 +223,14 @@ impl LinearizedGraph {
     }
 
     /// Successor indices of position `i` (sorted ascending, all `> i`).
+    #[inline]
     pub fn successors(&self, i: usize) -> &[u32] {
-        &self.succ[i]
+        &self.succ_flat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
+    }
+
+    /// Every character's successor list, in character order.
+    fn successor_lists(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.len()).map(|i| self.successors(i))
     }
 
     /// Graph position the character at `i` came from.
@@ -206,7 +246,7 @@ impl LinearizedGraph {
     /// Iterates over every hop `(from, to)` whose distance `to - from`
     /// exceeds 1 — the dependencies that need the hop queue in hardware.
     pub fn hops(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.succ.iter().enumerate().flat_map(|(i, list)| {
+        self.successor_lists().enumerate().flat_map(|(i, list)| {
             list.iter()
                 .filter(move |&&s| s != i as u32 + 1)
                 .map(move |&s| (i as u32, s))
@@ -220,33 +260,18 @@ impl LinearizedGraph {
     /// Figure 13: "when we select 12 as the hop limit, we cover more than
     /// 99% of all hops"). Successor distance 1 is always kept.
     pub fn with_hop_limit(&self, hop_limit: u32) -> (Self, usize) {
-        let mut dropped = 0usize;
-        let succ = self
-            .succ
-            .iter()
-            .enumerate()
-            .map(|(i, list)| {
+        let limited = Self::from_lists(
+            self.bases.clone(),
+            self.successor_lists().enumerate().map(|(i, list)| {
                 list.iter()
-                    .filter(|&&s| {
-                        let keep = s - i as u32 <= hop_limit.max(1);
-                        if !keep {
-                            dropped += 1;
-                        }
-                        keep
-                    })
                     .copied()
-                    .collect()
-            })
-            .collect();
-        (
-            Self {
-                bases: self.bases.clone(),
-                succ,
-                origins: self.origins.clone(),
-                start_linear: self.start_linear,
-            },
-            dropped,
-        )
+                    .filter(move |&s| s - i as u32 <= hop_limit.max(1))
+            }),
+            self.origins.clone(),
+            self.start_linear,
+        );
+        let dropped = self.succ_flat.len() - limited.succ_flat.len();
+        (limited, dropped)
     }
 
     /// Statistics over hop distances: for each hop `(i, j)` the distance is
@@ -263,7 +288,7 @@ impl LinearizedGraph {
     pub fn hop_bits(&self) -> Vec<Vec<bool>> {
         let n = self.len();
         let mut m = vec![vec![false; n]; n];
-        for (i, list) in self.succ.iter().enumerate() {
+        for (i, list) in self.successor_lists().enumerate() {
             for &s in list {
                 m[i][s as usize] = true;
             }
@@ -311,29 +336,18 @@ impl LinearizedGraph {
         for (local, &parent) in selected.iter().enumerate() {
             local_of[parent as usize] = local as u32;
         }
-        let bases = selected.iter().map(|&p| self.bases[p as usize]).collect();
-        let succ = selected
-            .iter()
-            .map(|&p| {
-                self.succ[p as usize]
+        let window = Self::from_lists(
+            selected.iter().map(|&p| self.bases[p as usize]).collect(),
+            selected.iter().map(|&p| {
+                self.successors(p as usize)
                     .iter()
-                    .filter_map(|&s| {
-                        let l = local_of[s as usize];
-                        (l != u32::MAX).then_some(l)
-                    })
-                    .collect()
-            })
-            .collect();
-        let origins = selected.iter().map(|&p| self.origins[p as usize]).collect();
-        (
-            Self {
-                bases,
-                succ,
-                origins,
-                start_linear: self.start_linear + from as u64,
-            },
-            selected,
-        )
+                    .map(|&s| local_of[s as usize])
+                    .filter(|&l| l != u32::MAX)
+            }),
+            selected.iter().map(|&p| self.origins[p as usize]).collect(),
+            self.start_linear + from as u64,
+        );
+        (window, selected)
     }
 
     /// The sub-window `[from, to)` of this linearization (clipping edges
@@ -345,21 +359,17 @@ impl LinearizedGraph {
     /// Panics when `from >= to` or `to > self.len()`.
     pub fn window(&self, from: usize, to: usize) -> Self {
         assert!(from < to && to <= self.len());
-        let succ = self.succ[from..to]
-            .iter()
-            .map(|list| {
-                list.iter()
-                    .filter(|&&s| (s as usize) < to)
-                    .map(|&s| s - from as u32)
-                    .collect()
-            })
-            .collect();
-        Self {
-            bases: self.bases[from..to].to_vec(),
-            succ,
-            origins: self.origins[from..to].to_vec(),
-            start_linear: self.start_linear + from as u64,
-        }
+        Self::from_lists(
+            self.bases[from..to].to_vec(),
+            (from..to).map(|i| {
+                self.successors(i)
+                    .iter()
+                    .filter(move |&&s| (s as usize) < to)
+                    .map(move |&s| s - from as u32)
+            }),
+            self.origins[from..to].to_vec(),
+            self.start_linear + from as u64,
+        )
     }
 
     /// Splits the linearization into maximal straight-line *segments*:
@@ -369,18 +379,13 @@ impl LinearizedGraph {
     fn segments(&self) -> Vec<(usize, usize)> {
         let n = self.len();
         let mut is_target = vec![false; n];
-        for (i, list) in self.succ.iter().enumerate() {
-            for &s in list {
-                if s as usize != i + 1 {
-                    is_target[s as usize] = true;
-                }
-            }
+        for (_, s) in self.hops() {
+            is_target[s as usize] = true;
         }
         let mut segments = Vec::new();
         let mut start = 0usize;
         for i in 0..n {
-            let continues =
-                self.succ[i].as_slice() == [i as u32 + 1] && i + 1 < n && !is_target[i + 1];
+            let continues = self.successors(i) == [i as u32 + 1] && i + 1 < n && !is_target[i + 1];
             if !continues {
                 segments.push((start, i + 1));
                 start = i + 1;
@@ -429,7 +434,7 @@ impl LinearizedGraph {
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); seg_count];
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); seg_count];
         for (s, &(_, b)) in segments.iter().enumerate() {
-            for &t in &self.succ[b - 1] {
+            for &t in self.successors(b - 1) {
                 let to = seg_of[t as usize];
                 succs[s].push(to);
                 preds[to].push(s);
@@ -473,39 +478,32 @@ impl LinearizedGraph {
         debug_assert_eq!(order.len(), seg_count, "segment DAG must be acyclic");
 
         // Rebuild in the new order.
+        let old_order: Vec<usize> = order
+            .iter()
+            .flat_map(|&s| segments[s].0..segments[s].1)
+            .collect();
         let mut new_index = vec![0u32; self.len()];
-        let mut pos = 0u32;
-        for &s in &order {
-            let (a, b) = segments[s];
-            for slot in &mut new_index[a..b] {
-                *slot = pos;
-                pos += 1;
-            }
+        for (nc, &c) in old_order.iter().enumerate() {
+            new_index[c] = nc as u32;
         }
-        let mut bases = vec![self.bases[0]; self.len()];
-        let mut origins = vec![self.origins[0]; self.len()];
-        let mut succ = vec![Vec::new(); self.len()];
-        for c in 0..self.len() {
-            let nc = new_index[c] as usize;
-            bases[nc] = self.bases[c];
-            origins[nc] = self.origins[c];
-            let mut list: Vec<u32> = self.succ[c]
-                .iter()
-                .map(|&t| new_index[t as usize])
-                .collect();
-            list.sort_unstable();
-            debug_assert!(
-                list.iter().all(|&t| t > nc as u32),
-                "order must stay topological"
-            );
-            succ[nc] = list;
-        }
-        Self {
-            bases,
-            succ,
-            origins,
-            start_linear: self.start_linear,
-        }
+        Self::from_lists(
+            old_order.iter().map(|&c| self.bases[c]).collect(),
+            old_order.iter().map(|&c| {
+                let mut list: Vec<u32> = self
+                    .successors(c)
+                    .iter()
+                    .map(|&t| new_index[t as usize])
+                    .collect();
+                list.sort_unstable();
+                debug_assert!(
+                    list.iter().all(|&t| t > new_index[c]),
+                    "order must stay topological"
+                );
+                list
+            }),
+            old_order.iter().map(|&c| self.origins[c]).collect(),
+            self.start_linear,
+        )
     }
 
     /// The largest hop distance in this linearization (0 when hop-free) —
@@ -669,6 +667,22 @@ mod tests {
         assert!(LinearizedGraph::from_parts(vec![A, C], vec![vec![1], vec![]], 0).is_ok());
         assert!(LinearizedGraph::from_parts(vec![A, C], vec![vec![0], vec![]], 0).is_err());
         assert!(LinearizedGraph::from_parts(vec![A, C], vec![vec![2], vec![]], 0).is_err());
+    }
+
+    #[test]
+    fn from_parts_sorts_lists_and_rejects_duplicates() {
+        use crate::Base::*;
+        let bases = vec![A, C, G, T];
+        let sorted = vec![vec![1, 2, 3], vec![2, 3], vec![3], vec![]];
+        let shuffled = vec![vec![3, 1, 2], vec![3, 2], vec![3], vec![]];
+        let a = LinearizedGraph::from_parts(bases.clone(), sorted, 0).unwrap();
+        let b = LinearizedGraph::from_parts(bases.clone(), shuffled, 0).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(b.successors(0), &[1, 2, 3]);
+        assert_eq!(
+            LinearizedGraph::from_parts(bases, vec![vec![2, 1, 2], vec![], vec![], vec![]], 0),
+            Err(GraphError::DuplicateEdge { from: 0, to: 2 })
+        );
     }
 
     #[test]

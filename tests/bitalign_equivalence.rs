@@ -6,9 +6,11 @@
 
 use segram_align::{
     bitalign, graph_dp_distance, myers_distance, semiglobal_distance, windowed_bitalign,
-    BitAlignConfig, BitAligner, StartMode, WindowConfig,
+    AlignError, BitAlignConfig, BitAligner, EditPreference, StartMode, WindowConfig,
 };
-use segram_graph::{build_graph, Base, DnaSeq, GenomeGraph, LinearizedGraph, Variant, VariantSet};
+use segram_graph::{
+    build_graph, Base, DnaSeq, GenomeGraph, LinearizedGraph, NodeId, Variant, VariantSet,
+};
 use segram_testkit::prelude::*;
 
 fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
@@ -18,9 +20,17 @@ fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
 
 /// A random variation graph built from a random reference + random variants.
 fn arb_graph() -> impl Strategy<Value = GenomeGraph> {
+    arb_graph_of(20, 80, 6)
+}
+
+fn arb_graph_of(
+    min_len: usize,
+    max_len: usize,
+    max_variants: usize,
+) -> impl Strategy<Value = GenomeGraph> {
     (
-        arb_seq(20, 80),
-        prop::collection::vec((0u64..70, 0u8..4), 0..6),
+        arb_seq(min_len, max_len),
+        prop::collection::vec((0u64..max_len as u64, 0u8..4), 0..max_variants),
     )
         .prop_map(|(reference, raw_variants)| {
             let len = reference.len() as u64;
@@ -40,8 +50,228 @@ fn arb_graph() -> impl Strategy<Value = GenomeGraph> {
         })
 }
 
+/// A linearized graph with hops and a pattern of `min_m..=max_m` bases
+/// that mostly follows one of its paths: a walk from a random character
+/// (random branch at every hop), a few substitutions/indels, random bases
+/// where the walk ran out. Near-path patterns put the optimum at a low
+/// level, random tails at a high one, so both ends of the level range and
+/// both sides of a small threshold occur.
+fn arb_region_and_pattern(
+    min_m: usize,
+    max_m: usize,
+) -> impl Strategy<Value = (LinearizedGraph, DnaSeq)> {
+    (
+        arb_graph_of(120, 260, 12),
+        any::<prop::sample::Index>(),
+        min_m..=max_m,
+        prop::collection::vec(0u8..=255, max_m),
+        prop::collection::vec((any::<prop::sample::Index>(), 0u8..3, 0u8..4), 0..5),
+    )
+        .prop_map(move |(graph, start, m, noise, edits)| {
+            let lin = LinearizedGraph::extract(&graph, 0, graph.total_chars()).unwrap();
+            let mut bases: Vec<Base> = Vec::with_capacity(m + edits.len());
+            let mut at = Some(start.index(lin.len()));
+            for &byte in noise.iter().take(m) {
+                match at {
+                    Some(i) => {
+                        bases.push(lin.base(i));
+                        let succ = lin.successors(i);
+                        at = (!succ.is_empty()).then(|| succ[byte as usize % succ.len()] as usize);
+                    }
+                    None => bases.push(Base::from_code_masked(byte)),
+                }
+            }
+            for (pos, kind, code) in edits {
+                let pos = pos.index(bases.len());
+                match kind {
+                    0 => bases[pos] = Base::from_code_masked(code),
+                    1 => bases.insert(pos, Base::from_code_masked(code)),
+                    _ if bases.len() > 1 => drop(bases.remove(pos)),
+                    _ => {}
+                }
+            }
+            bases.truncate(max_m);
+            (lin, bases.into_iter().collect())
+        })
+}
+
+const PREFERENCES: [EditPreference; 4] = [
+    EditPreference::SubDelIns,
+    EditPreference::SubInsDel,
+    EditPreference::DelSubIns,
+    EditPreference::InsSubDel,
+];
+
+/// `align()` on a fresh aligner against an explicit `compute()` before it
+/// (the fill is idempotent) and against the exact DP, for one start mode and
+/// every edit preference.
+fn check_kernel(
+    lin: &LinearizedGraph,
+    pattern: &DnaSeq,
+    start: StartMode,
+    small_k: u32,
+) -> Result<(), segram_testkit::prop::TestCaseError> {
+    let (exact, _) = graph_dp_distance(lin, pattern, start).unwrap();
+    for preference in PREFERENCES {
+        let aligner = |k: u32| {
+            let config = BitAlignConfig {
+                k,
+                start,
+                preference,
+            };
+            BitAligner::new(lin, pattern, config).unwrap()
+        };
+        let aligned = aligner(pattern.len() as u32).align().unwrap();
+        let mut full = aligner(pattern.len() as u32);
+        full.compute();
+        prop_assert_eq!(
+            &aligned,
+            &full.align().unwrap(),
+            "{:?} {:?}",
+            start,
+            preference
+        );
+        prop_assert_eq!(aligned.edit_distance, exact, "{:?} {:?}", start, preference);
+        let fragment = aligned.ref_fragment(lin);
+        prop_assert!(aligned
+            .cigar
+            .replay(&fragment, pattern.as_slice())
+            .is_some());
+        if let StartMode::Anchored(anchor) = start {
+            prop_assert_eq!(aligned.path.first().map_or(anchor, |&f| f as usize), anchor);
+        }
+
+        // A threshold the optimum may or may not fit under.
+        match aligner(small_k).align() {
+            Ok(a) => {
+                prop_assert!(exact <= small_k, "aligned past the oracle: {}", exact);
+                prop_assert_eq!(a, aligned, "the threshold must not change the alignment");
+            }
+            Err(err) => {
+                prop_assert!(
+                    exact > small_k,
+                    "missed distance {} at k {}",
+                    exact,
+                    small_k
+                );
+                prop_assert_eq!(err, AlignError::ExceedsThreshold { k: small_k });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `LinearizedGraph::extract`'s successor lists as the pre-CSR builder
+/// produced them: one `Vec` per character, kept here as the reference.
+fn nested_successors(graph: &GenomeGraph, start: u64, end: u64) -> Vec<Vec<u32>> {
+    let to_local = |linear: u64| (linear >= start && linear < end).then(|| (linear - start) as u32);
+    let first = graph.graph_pos(start).unwrap();
+    let mut lists = Vec::new();
+    let (mut node, mut offset) = (first.node, first.offset as usize);
+    while lists.len() < (end - start) as usize {
+        let seq = graph.seq(node);
+        while offset < seq.len() && lists.len() < (end - start) as usize {
+            let mut list: Vec<u32> = if offset + 1 < seq.len() {
+                to_local(graph.char_start(node) + offset as u64 + 1)
+                    .into_iter()
+                    .collect()
+            } else {
+                graph
+                    .successors(node)
+                    .iter()
+                    .filter_map(|&next| to_local(graph.char_start(next)))
+                    .collect()
+            };
+            list.sort_unstable();
+            lists.push(list);
+            offset += 1;
+        }
+        node = NodeId(node.0 + 1);
+        offset = 0;
+    }
+    lists
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One-word bitvectors (`m <= 64`).
+    #[test]
+    fn kernel_matches_explicit_compute_and_dp_one_word(
+        case in arb_region_and_pattern(1, 64),
+        anchor in any::<prop::sample::Index>(),
+        small_k in 0u32..6,
+    ) {
+        let (lin, pattern) = case;
+        check_kernel(&lin, &pattern, StartMode::Free, small_k)?;
+        check_kernel(&lin, &pattern, StartMode::Anchored(anchor.index(lin.len())), small_k)?;
+    }
+
+    /// Two-word bitvectors: the accelerator's `W = 128` window.
+    #[test]
+    fn kernel_matches_explicit_compute_and_dp_two_words(
+        case in arb_region_and_pattern(65, 128),
+        anchor in any::<prop::sample::Index>(),
+        small_k in 0u32..6,
+    ) {
+        let (lin, pattern) = case;
+        check_kernel(&lin, &pattern, StartMode::Free, small_k)?;
+        check_kernel(&lin, &pattern, StartMode::Anchored(anchor.index(lin.len())), small_k)?;
+    }
+
+    /// Wider bitvectors (three and four words).
+    #[test]
+    fn kernel_matches_explicit_compute_and_dp_wide(
+        case in arb_region_and_pattern(129, 200),
+        anchor in any::<prop::sample::Index>(),
+        small_k in 0u32..6,
+    ) {
+        let (lin, pattern) = case;
+        check_kernel(&lin, &pattern, StartMode::Free, small_k)?;
+        check_kernel(&lin, &pattern, StartMode::Anchored(anchor.index(lin.len())), small_k)?;
+    }
+
+    /// The CSR store hands back exactly the lists it was built from:
+    /// `from_parts` round-trips, and `extract` agrees with the nested-list
+    /// builder on any window.
+    #[test]
+    fn csr_successors_round_trip(
+        graph in arb_graph_of(40, 160, 10),
+        from in any::<prop::sample::Index>(),
+        len in any::<prop::sample::Index>(),
+    ) {
+        let total = graph.total_chars();
+        let start = from.index(total as usize) as u64;
+        let end = start + 1 + len.index((total - start) as usize) as u64;
+        let lin = LinearizedGraph::extract(&graph, start, end).unwrap();
+        let lists = nested_successors(&graph, start, end);
+        prop_assert_eq!(lin.len(), lists.len());
+        for (i, list) in lists.iter().enumerate() {
+            prop_assert_eq!(lin.successors(i), list.as_slice(), "extract, char {}", i);
+        }
+        let rebuilt =
+            LinearizedGraph::from_parts(lin.bases().to_vec(), lists.clone(), start).unwrap();
+        for (i, list) in lists.iter().enumerate() {
+            prop_assert_eq!(rebuilt.successors(i), list.as_slice(), "from_parts, char {}", i);
+        }
+    }
+
+    /// `from_parts` stores every list sorted, so the order the caller wrote
+    /// the successors in changes neither equality nor the alignment (whose
+    /// tie-break is "first successor in list order").
+    #[test]
+    fn successor_order_given_to_from_parts_is_irrelevant(
+        case in arb_region_and_pattern(8, 40),
+    ) {
+        let (lin, pattern) = case;
+        let lists: Vec<Vec<u32>> = (0..lin.len()).map(|i| lin.successors(i).to_vec()).collect();
+        let reversed = lists.iter().map(|l| l.iter().rev().copied().collect()).collect();
+        let a = LinearizedGraph::from_parts(lin.bases().to_vec(), lists, 0).unwrap();
+        let b = LinearizedGraph::from_parts(lin.bases().to_vec(), reversed, 0).unwrap();
+        prop_assert_eq!(&a, &b);
+        let k = pattern.len() as u32;
+        prop_assert_eq!(bitalign(&a, &pattern, k).unwrap(), bitalign(&b, &pattern, k).unwrap());
+    }
 
     /// On any DAG, BitAlign's distance equals the exact DP distance.
     #[test]
