@@ -25,7 +25,9 @@
 #   9. elastic-shards   `--schedule elastic` (per-shard-group worker pools,
 #                       routed batches, live rebalancing) diffed against
 #                       the default fanout schedule across --shards 1 vs 4
-#                       crossed with --threads 1 vs 4
+#                       crossed with --threads 1 vs 4; then an elastic
+#                       daemon booted with more --shards than its reference
+#                       has bases, one reply diffed against the one-shot run
 #  10. backend-matrix   all four backends (segram/graphaligner/vg/hga)
 #                       through the engine, each diffed across
 #                       --threads 1 vs 4
@@ -110,10 +112,12 @@ SEGRAM=target/release/segram
 tier bench-smoke bench_smoke
 
 # ---------------------------------------------------------------------------
-# End-to-end determinism gates. The MapEngine numbers batches and releases
-# them to the output writer in input order, and the sharded path's seeding
-# router merges per-shard hits back into the monolithic candidate order —
-# so SAM/GAF bytes cannot depend on --threads or --shards.
+# End-to-end determinism gates. The engine's one stream loop numbers
+# batches on the producer and releases them to the writer thread in input
+# order whatever queue (pool) they travelled through, and the sharded
+# path's seeding router merges per-shard hits back into the monolithic
+# candidate order — so SAM/GAF bytes cannot depend on --threads, --shards
+# or --schedule.
 # ---------------------------------------------------------------------------
 map_once() { # out-file, then extra flags
     local out="$1"
@@ -155,11 +159,12 @@ determinism_shards() {
 }
 
 elastic_shards() {
-    # Same 60 kb dataset as shard-determinism. The elastic schedule —
-    # per-shard-group worker pools, batches routed by dominant shard
-    # group, shard ownership rebalanced live from seed-hit counters —
-    # must produce bytes identical to the default fanout schedule for
-    # every shards x threads combination, in both output formats.
+    # Same 60 kb dataset as shard-determinism. The elastic schedule — a
+    # routing policy on the same loop: per-shard-group worker pools,
+    # batches routed by dominant shard group, shard ownership rebalanced
+    # live from seed-hit counters — must produce bytes identical to the
+    # default fanout schedule for every shards x threads combination, in
+    # both output formats.
     "$SEGRAM" simulate --out-prefix "$GATE_DIR/ds" \
         --length 60000 --reads 24 --read-len 120 --seed 11 > /dev/null || return 1
     local fmt shards threads
@@ -177,6 +182,45 @@ elastic_shards() {
         done
         echo "  $fmt: elastic identical to fanout across --shards 1/4 x --threads 1/4"
     done
+
+    # An elastic daemon asked for more shards than its reference has
+    # bases: the index clamps to its non-empty coordinate ranges, and the
+    # pool placement has to be sized by what the index kept (sizing it by
+    # the request panicked at boot). A 2 kb store of its own, because a
+    # clamped run keeps one shard per base and each costs an index.
+    local d="$GATE_DIR/el-over"
+    "$SEGRAM" simulate --out-prefix "$d" \
+        --length 2000 --reads 8 --read-len 120 --seed 11 > /dev/null || return 1
+    "$SEGRAM" index build --reference "$d.fa" --vcf "$d.vcf" \
+        --output "$d.sgi" > /dev/null || return 1
+    "$SEGRAM" map --index "$d.sgi" --reads "$d.fq" \
+        --output "$d-want.sam" > /dev/null || return 1
+    "$SEGRAM" serve --index "$d.sgi" --shards 100000 --schedule elastic \
+        --addr 127.0.0.1:0 --addr-file "$d.addr" --threads 2 --quiet \
+        > "$d.serve.log" 2>&1 &
+    local daemon=$!
+    local addr="" i
+    for i in $(seq 1 300); do
+        [ -s "$d.addr" ] && { addr="$(tr -d '\n' < "$d.addr")"; break; }
+        kill -0 "$daemon" 2> /dev/null || break
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "elastic daemon with oversize --shards never came up:"
+                        cat "$d.serve.log"
+                        kill "$daemon" 2> /dev/null || true; return 1; }
+    "$SEGRAM" request --addr "$addr" --reads "$d.fq" --format sam \
+        --output "$d-got.sam" > /dev/null \
+        || { echo "request to the oversize-shards daemon failed"
+             kill "$daemon" 2> /dev/null || true; return 1; }
+    "$SEGRAM" request --addr "$addr" --shutdown > /dev/null \
+        || { echo "shutdown request failed"
+             kill "$daemon" 2> /dev/null || true; return 1; }
+    wait "$daemon" || { echo "daemon exited non-zero"; return 1; }
+    diff "$d-want.sam" "$d-got.sam" \
+        || { echo "oversize-shards elastic reply differs from one-shot map --index"; return 1; }
+    grep -q "clamped to" "$d.serve.log" \
+        || { echo "daemon did not warn that --shards was clamped"; return 1; }
+    echo "  daemon: --shards 100000 on a 2 kb store boots, reply identical to one-shot"
 }
 
 tier determinism determinism_threads

@@ -8,8 +8,8 @@
 //! (`SEGRAM_BENCH_SAMPLES`/`SEGRAM_BENCH_JSON`).
 
 use segram_core::{
-    sam_record_for, Backend, BackendKind, DecodedBlock, EngineConfig, EngineOptions, MapEngine,
-    SegramConfig, SegramMapper,
+    sam_record_for, Backend, BackendKind, DecodedBlock, EngineOptions, MapEngine, SegramConfig,
+    SegramMapper,
 };
 use segram_graph::DnaSeq;
 use segram_io::{
@@ -72,7 +72,7 @@ fn bench_backend_matrix(c: &mut Criterion) {
     for kind in BackendKind::ALL {
         let backend = Backend::build(kind, dataset.graph().clone(), config, 1);
         for threads in [1usize, 4] {
-            let engine = MapEngine::new(&backend, EngineConfig::with_threads(threads));
+            let engine = MapEngine::new(&backend, EngineOptions::new().threads(threads));
             group.bench_function(BenchmarkId::new(kind.name(), format!("t{threads}")), |b| {
                 b.iter(|| {
                     let (outcomes, report) = engine.map_batch(black_box(&reads));
@@ -116,11 +116,10 @@ fn bench_engine_stream_io(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("threads", threads), |b| {
             b.iter(|| {
-                let mut engine_config = EngineConfig::with_threads(threads);
                 // Several batches per worker even at 8 threads: 64 reads
                 // in 16 batches of 4, so the measurement is stage overlap,
                 // not batch granularity.
-                engine_config.batch_size = 4;
+                let engine_config = EngineOptions::new().threads(threads).batch_size(4);
                 let engine = MapEngine::new(&mapper, engine_config);
                 let mut framer = FastqFramer::new(black_box(bytes.as_slice()));
                 let raws = std::iter::from_fn(|| match framer.next() {
@@ -182,8 +181,7 @@ fn bench_engine_stream_bgzf(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::new("threads", threads), |b| {
             b.iter(|| {
-                let mut engine_config = EngineConfig::with_threads(threads);
-                engine_config.batch_size = 4;
+                let engine_config = EngineOptions::new().threads(threads).batch_size(4);
                 let engine = MapEngine::new(&mapper, engine_config);
                 let splice = FastqSplice::new();
                 let mut blocks = segram_io::BgzfBlocks::new(black_box(compressed.as_slice()));

@@ -3,7 +3,7 @@
 //! Figure 15/16 throughput measurements.
 
 use segram_core::{
-    BaselineMapper, EngineConfig, GraphAlignerLike, MapEngine, SegramConfig, SegramMapper, VgLike,
+    BaselineMapper, EngineOptions, GraphAlignerLike, MapEngine, SegramConfig, SegramMapper, VgLike,
 };
 use segram_sim::DatasetConfig;
 use segram_testkit::bench::{criterion_group, criterion_main, Criterion};
@@ -27,7 +27,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.bench_function("segram_software", |b| {
         // The SeGraM software pipeline runs through the engine (serial
         // configuration), the same path `segram map --threads 1` takes.
-        let engine = MapEngine::new(&segram, EngineConfig::with_threads(1));
+        let engine = MapEngine::new(&segram, EngineOptions::new().threads(1));
         b.iter(|| engine.map_stream(dataset.reads.iter(), |r| &r.seq, |_, _| {}))
     });
     group.bench_function("graphaligner_like", |b| {

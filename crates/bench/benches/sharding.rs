@@ -7,8 +7,8 @@
 //! streams imply (`segram_hw::simulate_sharded_pipeline`).
 
 use segram_core::{
-    ElasticScheduler, EngineConfig, MapEngine, ReadMapper, RebalanceConfig, Seeder, SegramConfig,
-    SegramMapper, ShardAffinity, ShardedIndex,
+    ElasticScheduler, EngineOptions, MapEngine, ReadMapper, RebalanceConfig, Seeder, SegramConfig,
+    SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_hw::{simulate_sharded_pipeline, uniform_jobs};
@@ -44,8 +44,7 @@ fn bench_sharded_engine(c: &mut Criterion) {
     group.throughput(Throughput::Elements(reads.len() as u64));
     for index in &sharded {
         let shards = index.shards().len();
-        let affinity = ShardAffinity::pin_workers(&index.shard_loads(), 4);
-        let engine = MapEngine::with_affinity(index, EngineConfig::with_threads(4), affinity);
+        let engine = MapEngine::new(index, EngineOptions::new().threads(4));
         group.bench_function(BenchmarkId::new("shards", shards), |b| {
             b.iter(|| {
                 let (outcomes, report) = engine.map_batch(black_box(&reads));
@@ -61,7 +60,7 @@ fn bench_sharded_engine(c: &mut Criterion) {
     // per region, the Section 8.3 steady-state figures).
     for index in &sharded {
         index.reset_shard_stats();
-        let engine = MapEngine::new(index, EngineConfig::with_threads(4));
+        let engine = MapEngine::new(index, EngineOptions::new().threads(4));
         let _ = engine.map_batch(&reads);
         let streams: Vec<_> = index
             .shard_stats()
@@ -123,17 +122,15 @@ fn bench_elastic_sched(c: &mut Criterion) {
     let uniform = reads.clone();
     let skewed: Vec<DnaSeq> = (0..reads.len()).map(|i| reads[i % 2].clone()).collect();
 
-    let mut engine_config = EngineConfig::with_threads(4);
     // Small batches so one pass produces enough routing decisions (and
     // rebalance observations) to be representative.
-    engine_config.batch_size = 4;
+    let engine_config = EngineOptions::new().threads(4).batch_size(4);
 
     let mut group = c.benchmark_group("elastic_sched_150bp");
     group.sample_size(10);
     group.throughput(Throughput::Elements(reads.len() as u64));
     for (label, mix) in [("uniform", &uniform), ("skewed", &skewed)] {
-        let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), 4);
-        let scheduler = ElasticScheduler::new(&sharded, engine_config.clone(), affinity);
+        let scheduler = ElasticScheduler::new(&sharded, engine_config.clone());
         group.bench_function(BenchmarkId::new("mix", label), |b| {
             b.iter(|| {
                 let (outcomes, report) = scheduler.map_batch(black_box(mix));
@@ -146,11 +143,11 @@ fn bench_elastic_sched(c: &mut Criterion) {
     // Scheduling observability: single-core CI judges the elastic path by
     // these counters rather than wall-clock scaling — the routed/spilled
     // split per mix, and whether skew provokes shard migrations under a
-    // hair-trigger rebalancer. Two pools over four shards, so each pool
-    // owns a multi-shard group and ownership has somewhere to move.
+    // hair-trigger rebalancer. Two workers make two pools over four shards,
+    // so each pool owns a multi-shard group and ownership has somewhere to
+    // move.
     for (label, mix) in [("uniform", &uniform), ("skewed", &skewed)] {
-        let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), 2);
-        let scheduler = ElasticScheduler::new(&sharded, engine_config.clone(), affinity)
+        let scheduler = ElasticScheduler::new(&sharded, engine_config.clone().threads(2))
             .with_rebalance(RebalanceConfig {
                 threshold: 1.2,
                 cooldown: 2,

@@ -13,7 +13,7 @@
 //! already-pipelined latency).
 
 use segram_bench::{header, timed, write_results, Scale};
-use segram_core::{EngineConfig, MapEngine, SegramConfig, SegramMapper};
+use segram_core::{EngineOptions, MapEngine, SegramConfig, SegramMapper};
 use segram_filter::FilterSpec;
 use segram_hw::{SeedWorkload, SegramSystem};
 use segram_sim::Dataset;
@@ -74,7 +74,7 @@ fn run_dataset(dataset: &Dataset, base: SegramConfig, tolerance: u64) -> FilterA
         // One serial engine run per filter: single-threaded so the
         // software-time column stays a per-core measurement, with the
         // per-read truth check done in the order-preserving sink.
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(1));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(1));
         let (_, software_s) = timed(|| {
             let report = engine.map_stream(
                 dataset.reads.iter(),

@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use segram_core::{
     gaf_record_for, run_backend_eval, sam_record_for, Backend, BackendEval, BackendKind,
     CancelToken, DecodedBlock, ElasticReport, ElasticScheduler, EngineOptions, EngineReport,
-    EvalRead, MapEngine, QueueStats, ReadMapper, ReadOutcome, SegramConfig, SegramMapper,
-    ShardAffinity, ShardedIndex, WorkQueue,
+    EvalRead, MapEngine, ReadMapper, ReadOutcome, SegramConfig, SegramMapper, ShardedIndex,
+    WorkQueue,
 };
 use segram_filter::FilterSpec;
 use segram_graph::{build_graph, gfa, ConstructedGraph, DnaSeq, GenomeGraph, VariantSet};
@@ -833,7 +833,7 @@ pub(crate) fn shard_count(options: &Options) -> Result<usize, CliError> {
 /// (one shared queue) or the elastic per-shard-group pool schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Schedule {
-    /// Every worker pops the one shared queue; shard affinity is a plan.
+    /// Every worker pops the one shared queue.
     Fanout,
     /// Per-shard-group worker pools with routed batches and live
     /// rebalancing ([`ElasticScheduler`]).
@@ -848,6 +848,18 @@ pub(crate) fn schedule_kind(options: &Options) -> Result<Schedule, CliError> {
         Some(other) => Err(CliError::usage(format!(
             "unknown schedule {other:?} (expected fanout|elastic)"
         ))),
+    }
+}
+
+/// `--shards N` asks for N coordinate ranges, but the index keeps only
+/// the non-empty ones; say so instead of silently mapping with fewer.
+pub(crate) fn warn_clamped_shards(requested: usize, sharded: &ShardedIndex) {
+    let actual = sharded.shards().len();
+    if actual < requested {
+        eprintln!(
+            "warning: --shards {requested} exceeds the reference length; \
+             clamped to {actual} non-empty coordinate ranges"
+        );
     }
 }
 
@@ -1019,39 +1031,13 @@ enum MapWriter {
 /// Everything one engine pass produces that the report needs.
 struct EngineRun {
     report: EngineReport,
-    batch_size: usize,
-    /// Worker affinity plan (sharded fanout runs only): per group, the
-    /// shard ids pinned to it.
-    affinity: Option<Vec<Vec<usize>>>,
     /// The full elastic report (elastic runs only): per-pool
     /// depth/stall/batch counters plus route/spill/migration totals.
     elastic: Option<ElasticReport>,
-    /// The run consumed a BGZF-compressed stream (the report then shows
-    /// the inflate stage time).
-    compressed: bool,
-    output: RunOutput,
-}
-
-/// The output half of an [`EngineRun`], matching the [`OutputPlan`].
-enum RunOutput {
-    /// The single-document target (holds the rendered bytes when no
-    /// `--output` path was given).
-    Single(MapTarget),
-    /// Split emission ran: the per-channel queue counters of the two
-    /// writer threads (push side = the engine's sink, pop side = the
-    /// file writer). Boxed to keep the enum near the `Single` size.
-    Split {
-        sam_stats: Box<QueueStats>,
-        gaf_stats: Box<QueueStats>,
-    },
-}
-
-/// How `run_map_stream` drives the engine: the fanout [`MapEngine`] (with
-/// an optional informational affinity plan) or the [`ElasticScheduler`]
-/// over a sharded index.
-enum MapSchedule<'a> {
-    Fanout(Option<ShardAffinity>),
-    Elastic(&'a ShardedIndex, ShardAffinity),
+    /// The report's closing lines, per [`OutputPlan`]: where each document
+    /// went (after the split pass's per-channel writer counters), or the
+    /// rendered document itself when no `--output` path was given.
+    output: String,
 }
 
 /// Removes partially written output files on drop unless disarmed — the
@@ -1133,66 +1119,38 @@ fn input_failure(errors: InputErrors, reads_path: &str) -> Option<CliError> {
     }
 }
 
-/// The plain producer: slices raw FASTQ record frames off block reads
-/// ([`FastqFramer`]); it never parses FASTQ. A transport error stops the
-/// stream, records itself, and cancels the run.
-fn plain_frames<'a>(
-    source: ReadsSource,
+/// The producer side of a run: hands on the frames of `frames` — raw
+/// FASTQ records off a [`FastqFramer`], or still-compressed blocks off
+/// [`BgzfBlocks`]; it never parses FASTQ or inflates, that happens on the
+/// worker threads. A framing/transport error stops the stream, records
+/// itself in `slot`, and cancels the run.
+fn frames_until_error<'a, T, E>(
+    mut frames: impl Iterator<Item = Result<T, E>> + 'a,
     cancel: &CancelToken,
-    errors: &'a InputErrors,
-) -> impl Iterator<Item = RawFastqRecord> + 'a {
+    slot: &'a Mutex<Option<E>>,
+) -> impl Iterator<Item = T> + 'a {
     let cancel = cancel.clone();
-    let mut framer = FastqFramer::new(source);
     std::iter::from_fn(move || {
         if cancel.is_cancelled() {
             return None;
         }
-        match framer.next() {
-            Some(Ok(raw)) => Some(raw),
-            Some(Err(err)) => {
-                *errors.frame.lock().unwrap_or_else(PoisonError::into_inner) = Some(err);
+        match frames.next()? {
+            Ok(frame) => Some(frame),
+            Err(err) => {
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(err);
                 cancel.cancel();
                 None
             }
-            None => None,
-        }
-    })
-}
-
-/// The compressed producer: slices still-compressed BGZF blocks
-/// ([`BgzfBlocks`]) — inflation happens on the worker threads. A framing
-/// error stops the stream, records itself, and cancels the run.
-fn bgzf_frames<'a>(
-    source: ReadsSource,
-    cancel: &CancelToken,
-    errors: &'a InputErrors,
-) -> impl Iterator<Item = BgzfBlock> + 'a {
-    let cancel = cancel.clone();
-    let mut blocks = BgzfBlocks::new(source);
-    std::iter::from_fn(move || {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        match blocks.next() {
-            Some(Ok(block)) => Some(block),
-            Some(Err(err)) => {
-                *errors
-                    .bgzf_frame
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner) = Some(err);
-                cancel.cancel();
-                None
-            }
-            None => None,
         }
     })
 }
 
 /// Runs the engine pass for one schedule × input-encoding combination
-/// with the given writer-thread sink, returning the engine report, the
-/// configured batch size, the fanout affinity plan, and the elastic
-/// report. Producer-side framing errors and worker-side inflate/decode
-/// errors land in `errors`; the first of any of them cancels the run.
+/// with the given writer-thread sink, returning the engine report and,
+/// for the elastic schedule (`elastic` = the sharded index to route by),
+/// the elastic report. Producer-side framing errors and worker-side
+/// inflate/decode errors land in `errors`; the first of any of them
+/// cancels the run.
 ///
 /// Worker-stage decode: FASTQ parsing happens on the mapping threads,
 /// timed into `MapStats::decode` (and, on the compressed path, block
@@ -1205,19 +1163,14 @@ fn bgzf_frames<'a>(
 #[allow(clippy::too_many_arguments)]
 fn drive_engine<M, F>(
     mapper: &M,
-    schedule: MapSchedule<'_>,
+    elastic: Option<&ShardedIndex>,
     engine_config: EngineOptions,
     reads: MapReads,
     decode_ambiguity: Ambiguity,
     cancel: &CancelToken,
     errors: &InputErrors,
     sink: F,
-) -> (
-    EngineReport,
-    usize,
-    Option<Vec<Vec<usize>>>,
-    Option<ElasticReport>,
-)
+) -> (EngineReport, Option<ElasticReport>)
 where
     M: ReadMapper,
     F: FnMut(FastqRecord, ReadOutcome) + Send,
@@ -1232,76 +1185,65 @@ where
             None
         }
     };
-    match (schedule, reads.compressed) {
-        (MapSchedule::Fanout(affinity), false) => {
-            let engine = match affinity {
-                Some(affinity) => MapEngine::with_affinity(mapper, engine_config, affinity),
-                None => MapEngine::new(mapper, engine_config),
-            };
-            let raws = plain_frames(reads.source, cancel, errors);
-            let run = engine.map_raw_stream(raws, decode, |record| &record.seq, sink);
-            let batch_size = engine.config().batch_size;
-            let groups = engine.affinity().map(|a| a.groups().to_vec());
-            (run, batch_size, groups, None)
-        }
-        (MapSchedule::Fanout(affinity), true) => {
-            let engine = match affinity {
-                Some(affinity) => MapEngine::with_affinity(mapper, engine_config, affinity),
-                None => MapEngine::new(mapper, engine_config),
-            };
-            let blocks = bgzf_frames(reads.source, cancel, errors);
-            // Workers inflate their blocks in parallel, then enter the
-            // turnstile in block order to re-join records straddling
-            // block boundaries against one shared scanner — the decoded
-            // record stream is exactly what the plain framer would have
-            // produced from the uncompressed bytes.
-            let splice = FastqSplice::new();
-            let decode_block = |block: BgzfBlock| {
-                let started = Instant::now();
-                let plain = match block.inflate() {
-                    Ok(plain) => plain,
-                    Err(err) => {
-                        let mut slot = errors
-                            .bgzf_block
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        if slot.as_ref().is_none_or(|(at, _)| block.index() < *at) {
-                            *slot = Some((block.index(), err));
-                        }
-                        return None;
-                    }
-                };
-                let raws = splice.splice(block.index(), &plain, block.is_last(), || {
-                    cancel.is_cancelled()
-                })?;
-                // Inflation + the turnstile wait are transport work; what
-                // remains of the closure is FASTQ decoding proper.
-                let inflate = started.elapsed();
-                let mut items = Vec::with_capacity(raws.len());
-                for raw in raws {
-                    items.push(decode(raw)?);
-                }
-                Some(DecodedBlock { items, inflate })
-            };
-            let run = engine.map_block_stream(blocks, decode_block, |record| &record.seq, sink);
-            let batch_size = engine.config().batch_size;
-            let groups = engine.affinity().map(|a| a.groups().to_vec());
-            (run, batch_size, groups, None)
-        }
-        (MapSchedule::Elastic(sharded, affinity), false) => {
-            let scheduler = ElasticScheduler::new(sharded, engine_config, affinity);
-            let batch_size = scheduler.config().batch_size;
-            let raws = plain_frames(reads.source, cancel, errors);
-            let report = scheduler.map_raw_stream(raws, decode, |record| &record.seq, sink);
-            (report.engine, batch_size, None, Some(report))
-        }
-        (MapSchedule::Elastic(..), true) => {
-            // The multi-pool elastic schedule cannot feed the in-order
-            // splice turnstile without deadlock; `map` rejects the
-            // combination before opening the engine.
-            unreachable!("BGZF + elastic is rejected at option validation")
-        }
+    if !reads.compressed {
+        let raws = frames_until_error(FastqFramer::new(reads.source), cancel, &errors.frame);
+        return match elastic {
+            Some(sharded) => {
+                let report = ElasticScheduler::new(sharded, engine_config).map_raw_stream(
+                    raws,
+                    decode,
+                    |record| &record.seq,
+                    sink,
+                );
+                (report.engine, Some(report))
+            }
+            None => {
+                let engine = MapEngine::new(mapper, engine_config);
+                let run = engine.map_raw_stream(raws, decode, |record| &record.seq, sink);
+                (run, None)
+            }
+        };
     }
+    // BGZF input runs the fanout schedule only — `map` rejects it under
+    // the elastic one before it gets here: the in-order splice turnstile
+    // below needs the single queue to drain deadlock-free.
+    let blocks = frames_until_error(BgzfBlocks::new(reads.source), cancel, &errors.bgzf_frame);
+    // Workers inflate their blocks in parallel, then enter the turnstile
+    // in block order to re-join records straddling block boundaries
+    // against one shared scanner — the decoded record stream is exactly
+    // what the plain framer would have produced from the uncompressed
+    // bytes.
+    let splice = FastqSplice::new();
+    let decode_block = |block: BgzfBlock| {
+        let started = Instant::now();
+        let plain = match block.inflate() {
+            Ok(plain) => plain,
+            Err(err) => {
+                let mut slot = errors
+                    .bgzf_block
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                if slot.as_ref().is_none_or(|(at, _)| block.index() < *at) {
+                    *slot = Some((block.index(), err));
+                }
+                return None;
+            }
+        };
+        let raws = splice.splice(block.index(), &plain, block.is_last(), || {
+            cancel.is_cancelled()
+        })?;
+        // Inflation + the turnstile wait are transport work; what remains
+        // of the closure is FASTQ decoding proper.
+        let inflate = started.elapsed();
+        let mut items = Vec::with_capacity(raws.len());
+        for raw in raws {
+            items.push(decode(raw)?);
+        }
+        Some(DecodedBlock { items, inflate })
+    };
+    let engine = MapEngine::new(mapper, engine_config);
+    let run = engine.map_block_stream(blocks, decode_block, |record| &record.seq, sink);
+    (run, None)
 }
 
 /// Rendered lines buffered between the engine's sink and one split
@@ -1364,7 +1306,7 @@ fn create_output<'a>(
 #[allow(clippy::too_many_arguments)]
 fn run_map_stream<M: ReadMapper>(
     mapper: &M,
-    schedule: MapSchedule<'_>,
+    elastic: Option<&ShardedIndex>,
     threads: usize,
     both: bool,
     options: &Options,
@@ -1375,7 +1317,6 @@ fn run_map_stream<M: ReadMapper>(
 ) -> Result<EngineRun, CliError> {
     let cancel = CancelToken::new();
     let errors = InputErrors::default();
-    let compressed = reads.compressed;
     let decode_ambiguity = ambiguity(options);
     let mut engine_config = EngineOptions::new()
         .threads(threads)
@@ -1395,6 +1336,7 @@ fn run_map_stream<M: ReadMapper>(
     // flush first, then the files are unlinked.
     let mut cleanup = OutputCleanup::new();
     let compress = options.switch("compress-output");
+    let note = if compress { " (BGZF-compressed)" } else { "" };
 
     match output {
         OutputPlan::Single {
@@ -1449,9 +1391,9 @@ fn run_map_stream<M: ReadMapper>(
                 }
             };
 
-            let (run, batch_size, affinity_groups, elastic) = drive_engine(
+            let (run, elastic) = drive_engine(
                 mapper,
-                schedule,
+                elastic,
                 engine_config,
                 reads,
                 decode_ambiguity,
@@ -1474,23 +1416,19 @@ fn run_map_stream<M: ReadMapper>(
                 MapWriter::Gaf(w) => w.finish(),
             }
             .map_err(|e| CliError::io(out_name, e))?;
-            let target = match target {
-                // Clean close of a compressed document: cut the tail
-                // member and append the BGZF EOF marker.
-                MapTarget::Bgzf(w) => {
-                    MapTarget::File(w.finish().map_err(|e| CliError::io(out_name, e))?)
+            let output = match target {
+                MapTarget::Memory(buffer) => String::from_utf8_lossy(&buffer).into_owned(),
+                file => {
+                    file.finish(out_name)?;
+                    format!("wrote {} to {out_name}{note}\n", format.to_uppercase())
                 }
-                other => other,
             };
             cleanup.disarm();
 
             Ok(EngineRun {
                 report: run,
-                batch_size,
-                affinity: affinity_groups,
                 elastic,
-                compressed,
-                output: RunOutput::Single(target),
+                output,
             })
         }
         OutputPlan::Split {
@@ -1511,7 +1449,7 @@ fn run_map_stream<M: ReadMapper>(
             let gaf_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
             let write_error: Mutex<Option<CliError>> = Mutex::new(None);
 
-            let (run, batch_size, affinity_groups, elastic) = std::thread::scope(|scope| {
+            let (run, elastic) = std::thread::scope(|scope| {
                 scope.spawn(|| {
                     drain_split_channel(
                         &sam_queue,
@@ -1555,7 +1493,7 @@ fn run_map_stream<M: ReadMapper>(
 
                 let result = drive_engine(
                     mapper,
-                    schedule,
+                    elastic,
                     engine_config,
                     reads,
                     decode_ambiguity,
@@ -1570,8 +1508,6 @@ fn run_map_stream<M: ReadMapper>(
                 result
             });
 
-            let sam_stats = sam_queue.stats();
-            let gaf_stats = gaf_queue.stats();
             let failure = input_failure(errors, reads_path)
                 .or_else(|| take_error(write_error))
                 .or_else(|| take_error(sam_error).map(|e| CliError::io(sam_path, e)))
@@ -1588,29 +1524,36 @@ fn run_map_stream<M: ReadMapper>(
             gaf_file.finish(gaf_path)?;
             cleanup.disarm();
 
+            // Per-channel counters of the two writer threads: push side =
+            // the engine's sink, pop side = the file writer.
+            let mut output = String::new();
+            for (label, stats) in [("sam", sam_queue.stats()), ("gaf", gaf_queue.stats())] {
+                let _ = writeln!(
+                    output,
+                    "writer {label}: max depth {}, sink stalled {}x ({:.2} ms), \
+                     writer waited {}x ({:.2} ms)",
+                    stats.max_depth,
+                    stats.producer_waits,
+                    stats.producer_wait.as_secs_f64() * 1e3,
+                    stats.worker_waits,
+                    stats.worker_wait.as_secs_f64() * 1e3
+                );
+            }
+            let _ = writeln!(output, "wrote SAM to {sam_path}{note}");
+            let _ = writeln!(output, "wrote GAF to {gaf_path}{note}");
             Ok(EngineRun {
                 report: run,
-                batch_size,
-                affinity: affinity_groups,
                 elastic,
-                compressed,
-                output: RunOutput::Split {
-                    sam_stats: Box::new(sam_stats),
-                    gaf_stats: Box::new(gaf_stats),
-                },
+                output,
             })
         }
     }
 }
 
 /// The per-shard section of a sharded run's report: occupancy counters,
-/// seeding-load imbalance, and either the (informational) fanout affinity
-/// plan or the elastic per-pool depth/stall/migration counters.
-fn shard_report(
-    sharded: &ShardedIndex,
-    affinity: Option<&Vec<Vec<usize>>>,
-    elastic: Option<&ElasticReport>,
-) -> String {
+/// seeding-load imbalance, and under the elastic schedule the per-pool
+/// depth/stall/migration counters.
+fn shard_report(sharded: &ShardedIndex, elastic: Option<&ElasticReport>) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut section = String::new();
     let _ = writeln!(
@@ -1625,14 +1568,6 @@ fn shard_report(
             "  shard {} [{}, {}): {} seed hits, {} regions, {} wins",
             stats.shard, stats.start, stats.end, stats.seed_hits, stats.regions, stats.wins
         );
-    }
-    if let Some(groups) = affinity {
-        let lines: Vec<String> = groups
-            .iter()
-            .enumerate()
-            .map(|(g, shards)| format!("group {g} -> shards {shards:?}"))
-            .collect();
-        let _ = writeln!(section, "worker affinity plan: {}", lines.join(", "));
     }
     if let Some(report) = elastic {
         let _ = writeln!(
@@ -1793,7 +1728,8 @@ pub fn map(options: &Options) -> Result<String, CliError> {
     // compressed path feeds an in-order splice turnstile that only the
     // single-queue fanout schedule can drain deadlock-free.
     let reads = open_reads(reads_path)?;
-    if reads.compressed && schedule == Schedule::Elastic {
+    let compressed = reads.compressed;
+    if compressed && schedule == Schedule::Elastic {
         return Err(CliError::usage(
             "--schedule elastic cannot read BGZF-compressed input (the \
              multi-pool schedule cannot feed the in-order block splice); \
@@ -1801,125 +1737,59 @@ pub fn map(options: &Options) -> Result<String, CliError> {
         ));
     }
 
-    let (run, shard_section, source_note) = match source {
+    // Every mapper is a `Backend` variant, so one engine pass serves them
+    // all. Sharded and/or elastic runs need the sharded index (the elastic
+    // schedule over --shards 1 is a single pool, still exercising the
+    // routed path); a loaded store is re-sharded exactly as `segram serve
+    // --shards` does it, so mapping stays byte-identical to the GFA-built
+    // sharded run.
+    let sharded_run = shards > 1 || schedule == Schedule::Elastic;
+    let (mapper, source_note) = match source {
         MapSource::Index(index_path) => {
             let loaded = persisted_from_index_file(index_path)?;
             let note = format!(
                 "loaded persistent index {index_path} ({})\n",
                 provenance_label(&loaded)
             );
-            if shards <= 1 && schedule == Schedule::Fanout {
-                let mapper = mapper_from_persisted(loaded, config);
-                let run = run_map_stream(
-                    &mapper,
-                    MapSchedule::Fanout(None),
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                (run, String::new(), note)
+            let mapper = if sharded_run {
+                Backend::Sharded(sharded_from_persisted(loaded, config, shards))
             } else {
-                // Re-shard the loaded store, exactly as `segram serve
-                // --shards` does — mapping stays byte-identical to the
-                // GFA-built sharded run.
-                let sharded = sharded_from_persisted(loaded, config, shards);
-                if sharded.shards().len() < shards {
-                    eprintln!(
-                        "warning: --shards {shards} exceeds the reference length; \
-                         clamped to {} non-empty coordinate ranges",
-                        sharded.shards().len()
-                    );
-                }
-                let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), threads);
-                let map_schedule = match schedule {
-                    Schedule::Fanout => MapSchedule::Fanout(Some(affinity)),
-                    Schedule::Elastic => MapSchedule::Elastic(&sharded, affinity),
-                };
-                let run = run_map_stream(
-                    &sharded,
-                    map_schedule,
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                let section = shard_report(&sharded, run.affinity.as_ref(), run.elastic.as_ref());
-                (run, section, note)
-            }
+                Backend::Segram(mapper_from_persisted(loaded, config))
+            };
+            (mapper, note)
         }
         MapSource::Graph(graph_path) => {
             let graph = load_graph(graph_path)?;
-            if backend != BackendKind::Segram {
-                // A baseline backend: same engine, same streaming output
-                // path, so the run is directly comparable to (and diffable
-                // against) the native one.
-                let mapper = Backend::build(backend, graph, config, 1);
-                let run = run_map_stream(
-                    &mapper,
-                    MapSchedule::Fanout(None),
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                (run, String::new(), String::new())
-            } else if shards <= 1 && schedule == Schedule::Fanout {
-                let mapper = SegramMapper::new(graph, config);
-                let run = run_map_stream(
-                    &mapper,
-                    MapSchedule::Fanout(None),
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                (run, String::new(), String::new())
+            let mapper = if backend == BackendKind::Segram && sharded_run {
+                Backend::Sharded(ShardedIndex::build(graph, config, shards))
             } else {
-                // Sharded and/or elastic: both need the sharded index (the
-                // elastic schedule over --shards 1 is a single pool, still
-                // exercising the routed path).
-                let sharded = ShardedIndex::build(graph, config, shards);
-                if sharded.shards().len() < shards {
-                    eprintln!(
-                        "warning: --shards {shards} exceeds the reference length; \
-                         clamped to {} non-empty coordinate ranges",
-                        sharded.shards().len()
-                    );
-                }
-                let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), threads);
-                let map_schedule = match schedule {
-                    Schedule::Fanout => MapSchedule::Fanout(Some(affinity)),
-                    Schedule::Elastic => MapSchedule::Elastic(&sharded, affinity),
-                };
-                let run = run_map_stream(
-                    &sharded,
-                    map_schedule,
-                    threads,
-                    both,
-                    options,
-                    output,
-                    reads,
-                    reads_path,
-                    batch,
-                )?;
-                let section = shard_report(&sharded, run.affinity.as_ref(), run.elastic.as_ref());
-                (run, section, String::new())
-            }
+                // The monolithic native mapper, or a baseline backend:
+                // same engine, same streaming output path, so the run is
+                // directly comparable to (and diffable against) the
+                // native one.
+                Backend::build(backend, graph, config, 1)
+            };
+            (mapper, String::new())
         }
     };
+    let sharded = mapper.sharded();
+    if let Some(sharded) = sharded {
+        warn_clamped_shards(shards, sharded);
+    }
+    let run = run_map_stream(
+        &mapper,
+        sharded.filter(|_| schedule == Schedule::Elastic),
+        threads,
+        both,
+        options,
+        output,
+        reads,
+        reads_path,
+        batch,
+    )?;
+    let shard_section = sharded
+        .map(|sharded| shard_report(sharded, run.elastic.as_ref()))
+        .unwrap_or_default();
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let stats = run.report;
@@ -1933,7 +1803,7 @@ pub fn map(options: &Options) -> Result<String, CliError> {
     let _ = writeln!(
         report,
         "threads: {threads} ({} batches of up to {} reads)",
-        stats.batches, run.batch_size
+        stats.batches, stats.batching.initial
     );
     let _ = writeln!(
         report,
@@ -1945,7 +1815,7 @@ pub fn map(options: &Options) -> Result<String, CliError> {
         ms(stats.stats.decode),
         stats.stats.alignment_fraction() * 100.0
     );
-    if run.compressed {
+    if compressed {
         let _ = writeln!(
             report,
             "inflate: {:.2} ms (BGZF decompression + block splice, worker stage)",
@@ -1979,45 +1849,7 @@ pub fn map(options: &Options) -> Result<String, CliError> {
         ms(stats.queue.writer_wait)
     );
     report.push_str(&shard_section);
-    let note = if options.switch("compress-output") {
-        " (BGZF-compressed)"
-    } else {
-        ""
-    };
-    match (output, run.output) {
-        (OutputPlan::Single { format, path }, RunOutput::Single(target)) => match (path, target) {
-            (Some(path), _) => {
-                let _ = writeln!(report, "wrote {} to {path}{note}", format.to_uppercase());
-            }
-            (None, MapTarget::Memory(buffer)) => {
-                report.push_str(&String::from_utf8_lossy(&buffer));
-            }
-            (None, _) => unreachable!("no --output implies the memory target"),
-        },
-        (
-            OutputPlan::Split { sam, gaf },
-            RunOutput::Split {
-                sam_stats,
-                gaf_stats,
-            },
-        ) => {
-            for (label, stats) in [("sam", &*sam_stats), ("gaf", &*gaf_stats)] {
-                let _ = writeln!(
-                    report,
-                    "writer {label}: max depth {}, sink stalled {}x ({:.2} ms), \
-                     writer waited {}x ({:.2} ms)",
-                    stats.max_depth,
-                    stats.producer_waits,
-                    ms(stats.producer_wait),
-                    stats.worker_waits,
-                    ms(stats.worker_wait)
-                );
-            }
-            let _ = writeln!(report, "wrote SAM to {sam}{note}");
-            let _ = writeln!(report, "wrote GAF to {gaf}{note}");
-        }
-        _ => unreachable!("the run output matches the output plan"),
-    }
+    report.push_str(&run.output);
     Ok(report)
 }
 

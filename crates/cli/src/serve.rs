@@ -46,9 +46,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use segram_core::{
-    gaf_record_for, sam_record_for, DeltaSwapReport, EngineOptions, MultiEngine, Priority,
-    QueueDelayStats, ReadMapper, RebalanceConfig, Rebalancer, RequestHandle, RouteHook,
-    SegramMapper, ShardAffinity, ShardedIndex,
+    gaf_record_for, route_batch, sam_record_for, DeltaSwapReport, EngineOptions, MultiEngine,
+    Priority, QueueDelayStats, ReadMapper, RebalanceConfig, Rebalancer, RequestHandle, RouteHook,
+    SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{Ambiguity, FastqReader, FastqRecord, GafWriter, SamWriter};
@@ -56,7 +56,7 @@ use segram_io::{Ambiguity, FastqReader, FastqRecord, GafWriter, SamWriter};
 use crate::args::Options;
 use crate::commands::{
     mapper_from_persisted, persisted_from_index_file, preset, provenance_label, schedule_kind,
-    shard_count, sharded_from_persisted, thread_count, write_file, Schedule,
+    shard_count, sharded_from_persisted, thread_count, warn_clamped_shards, write_file, Schedule,
 };
 use crate::error::CliError;
 
@@ -426,6 +426,7 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
     // clean shards keep sharing the active Arcs; anything else falls back
     // to a full re-shard of the new file.
     let sharded = Arc::new(sharded_from_persisted(loaded, config, shards));
+    warn_clamped_shards(shards, &sharded);
     let reload = move |path: &str, current: &ShardedIndex| {
         let loaded = persisted_from_index_file(path)?;
         let label = provenance_label(&loaded);
@@ -444,77 +445,34 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
             }),
         }
     };
-    match schedule {
-        Schedule::Fanout => {
-            let engine = MultiEngine::new(Arc::clone(&sharded), seq_of, engine_options);
-            run_daemon(options, engine, index_path, boot_label, reload, quiet, None)
-        }
-        Schedule::Elastic => {
-            let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), threads);
-            let pools = affinity.groups().len();
-            let rebalancer = Arc::new(Mutex::new(Rebalancer::new(
-                affinity.groups(),
-                shards,
-                RebalanceConfig::default(),
-            )));
-            // The route hook keeps consulting the boot-time index after a
-            // RELOAD: routing is a locality hint only, so a stale hint
-            // degrades placement, never correctness or output bytes.
-            let route = pool_route(Arc::clone(&sharded), Arc::clone(&rebalancer), pools);
-            let engine = MultiEngine::with_routing(
-                Arc::clone(&sharded),
-                seq_of,
-                engine_options,
-                pools,
-                Some(route),
-            );
-            run_daemon(
-                options,
-                engine,
-                index_path,
-                boot_label,
-                reload,
-                quiet,
-                Some(rebalancer),
-            )
-        }
-    }
+    // The elastic schedule is the same engine plus a route hook. The hook
+    // keeps consulting the boot-time index after a RELOAD: routing is a
+    // locality hint only, so a stale hint degrades placement, never
+    // correctness or output bytes.
+    let boot = (schedule == Schedule::Elastic)
+        .then(|| Rebalancer::for_index(&sharded, threads, RebalanceConfig::default()));
+    let pools = boot.as_ref().map_or(1, Rebalancer::pools);
+    let rebalancer = boot.map(|boot| Arc::new(Mutex::new(boot)));
+    let route = rebalancer
+        .as_ref()
+        .map(|r| pool_route(Arc::clone(&sharded), Arc::clone(r)));
+    let engine = MultiEngine::with_routing(sharded, seq_of, engine_options, pools, route);
+    run_daemon(
+        options, engine, index_path, boot_label, reload, quiet, rebalancer,
+    )
 }
 
-/// The serve-side analogue of the elastic producer's pre-route pass: tag a
-/// request batch with the pool owning its dominant shard group (strict
-/// majority of routed seed hits), or `None` to spill to the least-loaded
-/// pool. Each call also feeds the live per-shard seed-hit counters to the
-/// rebalancer, so pool ownership follows observed load across requests.
+/// The daemon's route hook: the same [`route_batch`] policy `segram map
+/// --schedule elastic` routes by, over a rebalancer shared by all
+/// connections — so pool ownership follows observed load across requests.
 fn pool_route(
     index: Arc<ShardedIndex>,
     rebalancer: Arc<Mutex<Rebalancer>>,
-    pools: usize,
 ) -> RouteHook<FastqRecord> {
     Arc::new(move |batch| {
-        let router = index.router();
-        let mut shard_hits = vec![0u64; index.shards().len()];
-        for record in batch {
-            for (shard, hits) in router.route_hits(&record.seq).into_iter().enumerate() {
-                shard_hits[shard] += hits;
-            }
-        }
-        let live: Vec<u64> = index.shard_stats().iter().map(|s| s.seed_hits).collect();
-        let Ok(mut rebalancer) = rebalancer.lock() else {
-            return None;
-        };
-        rebalancer.observe(&live);
-        let mut pool_hits = vec![0u64; pools];
-        for (shard, &hits) in shard_hits.iter().enumerate() {
-            pool_hits[rebalancer.pool_of(shard)] += hits;
-        }
-        let total: u64 = pool_hits.iter().sum();
-        let (pool, best) = pool_hits
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|&(pool, hits)| (hits, std::cmp::Reverse(pool)))?;
-        (total > 0 && 2 * best > total).then_some(pool)
+        // A poisoned rebalancer only costs locality: spill.
+        let mut rebalancer = rebalancer.lock().ok()?;
+        route_batch(&index, &mut rebalancer, batch.iter().map(|r| &r.seq))
     })
 }
 
@@ -1192,6 +1150,36 @@ mod tests {
 
     fn parse(header: &str) -> Result<RequestHeader, HeaderError> {
         parse_request_header(header)
+    }
+
+    #[test]
+    fn the_route_hook_decides_exactly_as_the_map_schedule_does() {
+        // Same batch, same rebalancer state: the daemon's hook and the
+        // routine `segram map --schedule elastic` routes by must agree,
+        // batch after batch, as ownership evolves under both.
+        let dataset = segram_sim::DatasetConfig::tiny(61).illumina(100);
+        let index = Arc::new(ShardedIndex::build(
+            dataset.graph().clone(),
+            segram_core::SegramConfig::short_reads(),
+            4,
+        ));
+        let boot = || Rebalancer::for_index(&index, 4, RebalanceConfig::default());
+        let hook = pool_route(Arc::clone(&index), Arc::new(Mutex::new(boot())));
+        let mut map_side = boot();
+        let records: Vec<FastqRecord> = dataset
+            .reads
+            .iter()
+            .map(|read| {
+                FastqRecord::with_uniform_quality(format!("read{}", read.id), read.seq.clone(), 30)
+            })
+            .collect();
+        let mut routed = 0;
+        for batch in records.chunks(3) {
+            let expected = route_batch(&index, &mut map_side, batch.iter().map(|r| &r.seq));
+            assert_eq!(hook(batch), expected);
+            routed += usize::from(expected.is_some());
+        }
+        assert!(routed > 0, "no batch had a dominant pool");
     }
 
     #[test]

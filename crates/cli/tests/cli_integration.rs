@@ -506,11 +506,10 @@ fn sharded_mapping_is_reported_and_output_is_shard_invariant() {
     };
     let run_owned = |args: &[String]| dispatch(args).expect("map");
 
-    // A sharded run reports the per-shard section and worker affinity.
+    // A sharded run reports the per-shard section.
     let report = run_owned(&map_args(Some("3"), "2", "sam", "sharded.sam"));
     assert!(report.contains("shards: 3 coordinate ranges"), "{report}");
     assert!(report.contains("shard 0 ["), "{report}");
-    assert!(report.contains("worker affinity plan: group 0"), "{report}");
     assert!(report.contains("queue: max depth"), "{report}");
 
     // SAM and GAF bytes are identical across shard counts, crossed with

@@ -355,28 +355,24 @@ fn serve_daemon_round_trips_cancels_and_shuts_down() {
     );
 }
 
-#[test]
-fn elastic_daemon_replies_match_one_shot_and_reports_pools() {
-    let dir = TempDir::new("elastic");
-    let (prefix, sgi) = build_bundle(&dir);
-    let reads = format!("{prefix}.fq");
-
+/// Boots an elastic daemon over `sgi` re-sharded `shards` ways, sends one
+/// request, and checks the reply is byte-identical to the monolithic
+/// one-shot run: request batches are pre-routed to per-shard-group pools,
+/// yet bytes must not move. Returns the daemon's exit report.
+fn elastic_daemon_round_trip(dir: &TempDir, sgi: &str, reads: &str, shards: &str) -> String {
     let want_sam = dir.path("want.sam");
     run(&[
-        "map", "--index", &sgi, "--reads", &reads, "--format", "sam", "--output", &want_sam,
+        "map", "--index", sgi, "--reads", reads, "--format", "sam", "--output", &want_sam,
     ])
     .expect("one-shot map --index");
 
-    // Daemon with the loaded index re-sharded four ways and the elastic
-    // schedule: request batches are pre-routed to per-shard-group pools,
-    // yet replies must stay byte-identical to the monolithic one-shot run.
     let addr_file = dir.path("addr");
     let serve_args: Vec<String> = [
         "serve",
         "--index",
-        &sgi,
+        sgi,
         "--shards",
-        "4",
+        shards,
         "--schedule",
         "elastic",
         "--addr",
@@ -395,7 +391,7 @@ fn elastic_daemon_replies_match_one_shot_and_reports_pools() {
 
     let got_sam = dir.path("got.sam");
     run(&[
-        "request", "--addr", &addr, "--reads", &reads, "--format", "sam", "--output", &got_sam,
+        "request", "--addr", &addr, "--reads", reads, "--format", "sam", "--output", &got_sam,
     ])
     .expect("request sam");
     assert_eq!(
@@ -410,8 +406,53 @@ fn elastic_daemon_replies_match_one_shot_and_reports_pools() {
         .expect("server thread")
         .expect("serve exits cleanly");
     assert!(report.contains("served 1 requests"), "{report}");
+    report
+}
+
+#[test]
+fn elastic_daemon_replies_match_one_shot_and_reports_pools() {
+    let dir = TempDir::new("elastic");
+    let (prefix, sgi) = build_bundle(&dir);
+    let report = elastic_daemon_round_trip(&dir, &sgi, &format!("{prefix}.fq"), "4");
     assert!(report.contains("elastic schedule: 4 pools"), "{report}");
     assert!(report.contains("shard migrations"), "{report}");
+}
+
+#[test]
+fn elastic_daemon_boots_when_shards_exceed_the_reference_length() {
+    // A 300 bp store cannot hold 4096 coordinate ranges: the index clamps
+    // to its non-empty ones, and the pool placement must be sized by what
+    // the index kept — sizing it by the request panicked at boot.
+    let dir = TempDir::new("elastic-oversize");
+    let prefix = dir.path("tiny");
+    run(&[
+        "simulate",
+        "--out-prefix",
+        &prefix,
+        "--length",
+        "300",
+        "--reads",
+        "6",
+        "--read-len",
+        "100",
+        "--seed",
+        "5",
+    ])
+    .expect("simulate");
+    let sgi = dir.path("tiny.sgi");
+    run(&[
+        "index",
+        "build",
+        "--reference",
+        &format!("{prefix}.fa"),
+        "--vcf",
+        &format!("{prefix}.vcf"),
+        "--output",
+        &sgi,
+    ])
+    .expect("index build");
+    let report = elastic_daemon_round_trip(&dir, &sgi, &format!("{prefix}.fq"), "4096");
+    assert!(report.contains("elastic schedule: 4 pools"), "{report}");
 }
 
 /// Reads one full MAP reply (status, chunks, summary) off a raw socket.

@@ -38,7 +38,7 @@ use crate::baseline::{
 };
 use crate::config::SegramConfig;
 use crate::mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
-use crate::pipeline::{Aligner, BitAlignStage, EngineConfig, EngineReport, MapEngine};
+use crate::pipeline::{Aligner, BitAlignStage, EngineOptions, EngineReport, MapEngine};
 use crate::shard::ShardedIndex;
 
 /// Modeled MinSeed time per candidate region when a backend's region
@@ -397,7 +397,9 @@ pub fn run_backend_eval(
 ) -> BackendEval {
     let engine = MapEngine::new(
         backend,
-        EngineConfig::with_threads(threads).both_strands(both_strands),
+        EngineOptions::new()
+            .threads(threads)
+            .both_strands(both_strands),
     );
     let mut jobs: Vec<SeedJob> = Vec::new();
     let mut with_truth = 0usize;

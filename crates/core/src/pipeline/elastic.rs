@@ -1,68 +1,58 @@
-//! Elastic shard scheduling: per-shard-group worker pools with routed
-//! batches and live imbalance-driven rebalancing.
+//! Elastic shard scheduling: a routing policy over the one stream loop —
+//! per-shard-group worker pools, routed batches, live imbalance-driven
+//! rebalancing.
 //!
 //! The paper scales by *per-channel provisioning*: each HBM channel owns
 //! a slice of the index and a private accelerator pipeline, so requests
 //! for a channel's slice never contend with the others (Section 8.3).
 //! [`ElasticScheduler`] is the software analogue on top of
-//! [`ShardedIndex`](crate::ShardedIndex): it materializes the
-//! [`ShardAffinity`] plan as N worker *pools*, each owning a disjoint
-//! shard group over the shared `Arc<GenomeGraph>`, each with its own
-//! bounded [`WorkQueue`] and [`QueueStats`].
+//! [`ShardedIndex`]: the shards are spread over N worker *pools* with the
+//! paper's greedy size-balanced placement
+//! ([`balance_loads`](crate::balance_loads)), and every batch is steered
+//! to the pool owning most of its seed hits.
 //!
 //! ```text
 //!                      route by dominant shard group
 //!            ┌──────────────────┬──────────────────┐
-//!   producer │  pool 0 queue    │  pool 1 queue    │ ... (spill → least
-//!   (decode  ▼                  ▼                  ▼      loaded pool)
+//!   producer │  pool 0 queue    │  pool 1 queue    │ ... (spill → shortest
+//!   (decode  ▼                  ▼                  ▼      queue)
 //!   + route) workers w%P==0    workers w%P==1     ...
 //!            └───────┬──────────┴───────┬─────────┘
 //!                    ▼ shared reorder buffer ▼   (input-order release)
 //!                     └─── writer thread ───┘    → byte-identical output
 //! ```
 //!
-//! * **Pre-route** — the producer decodes each batch, extracts minimizers
-//!   once per read ([`ShardRouter::route_hits`]), and tags the batch with
-//!   its dominant shard group: a strict majority of the batch's seed hits
-//!   routes it to that group's pool; anything that straddles groups (or
-//!   hits nothing) *spills* to the pool with the shortest live queue.
+//! Everything below the routing decision — queues, workers, reorder
+//! buffer, writer thread, cancellation, first-panic capture — is
+//! [`MapEngine::map_routed_stream`], the same loop the fanout schedule
+//! runs with one pool. This module adds only what is elastic:
+//!
+//! * **Pre-decode** — the router needs the decoded read, so the shell
+//!   decodes on the producer thread (serially, in input order: the first
+//!   failure it sees *is* the stream's first malformed record) and hands
+//!   the loop already-decoded items.
+//! * **Route** — [`route_batch`]: one minimizer extraction per read
+//!   ([`ShardRouter::route_hits`](super::ShardRouter::route_hits)), a
+//!   strict majority of the batch's seed hits routes it to that group's
+//!   pool; anything that straddles groups (or hits nothing) *spills* to
+//!   the pool with the shortest live queue.
 //! * **Rebalance** — a [`Rebalancer`] watches the live per-shard seed-hit
 //!   counters ([`ShardStats`](crate::ShardStats), the signal behind
-//!   [`ShardedIndex::seed_imbalance`](crate::ShardedIndex::seed_imbalance))
-//!   and migrates shard ownership between pools at batch boundaries,
-//!   reusing the paper's greedy placement
-//!   ([`balance_loads`](crate::balance_loads)) with hysteresis (an
-//!   imbalance threshold plus a post-migration cooldown) so it cannot
-//!   thrash. Migration is safe at any batch boundary because pool
-//!   ownership only steers *scheduling*: every read still maps against
-//!   the full sharded index.
-//! * **Merge** — all pools release through one shared reorder buffer and
-//!   one writer thread keyed by producer batch index, so SAM/GAF output
-//!   is byte-identical to the monolithic/fanout path whatever the
-//!   routing, spilling, or migration history. Cancellation and
-//!   panic-isolation semantics match [`MapEngine`]: the first failure
-//!   wins, every pool winds down, the payload is re-raised once.
+//!   [`ShardedIndex::seed_imbalance`]) and migrates shard ownership
+//!   between pools at batch boundaries, re-running the greedy placement
+//!   with hysteresis (an imbalance threshold plus a post-migration
+//!   cooldown) so it cannot thrash. Migration is safe at any batch
+//!   boundary because pool ownership only steers *scheduling*: every read
+//!   still maps against the full sharded index.
 
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use segram_graph::DnaSeq;
-use segram_sim::Strand;
 
-use crate::mapper::ReadMapper;
-use crate::pipeline::engine::{
-    relock, CloseOnDrop, EngineConfig, EngineReport, FirstFailure, QueueStats, Reorder,
-    ShardAffinity, WorkQueue,
-};
+use crate::pipeline::engine::{DecodedBlock, EngineOptions, EngineReport, MapEngine, PoolReport};
+use crate::pipeline::router::route_batch;
 use crate::pipeline::ReadOutcome;
 use crate::shard::{balance_loads, load_imbalance, ShardedIndex};
-
-/// One pool-queue item: the batch's producer index (for the shared
-/// reorder buffer) plus its decoded reads with their decode durations.
-type PoolBatch<T> = (usize, Vec<(T, Duration)>);
 
 /// Hysteresis knobs of the live [`Rebalancer`].
 #[derive(Clone, Copy, Debug)]
@@ -114,7 +104,7 @@ pub struct Rebalancer {
 
 impl Rebalancer {
     /// Starts from an initial placement (per pool, the shard ids it
-    /// owns — e.g. [`ShardAffinity::groups`]).
+    /// owns).
     ///
     /// # Panics
     ///
@@ -146,13 +136,27 @@ impl Rebalancer {
         }
     }
 
+    /// The placement both schedulers boot with: the index's shards spread
+    /// over `min(threads, shards)` pools, balanced by per-shard memory
+    /// bytes. The shard count is the index's own — it clamps a requested
+    /// `--shards` to its non-empty coordinate ranges.
+    pub fn for_index(index: &ShardedIndex, threads: usize, config: RebalanceConfig) -> Self {
+        let loads = index.shard_loads();
+        let pools = threads.clamp(1, loads.len());
+        Self::new(&balance_loads(&loads, pools), index.shards().len(), config)
+    }
+
+    /// Number of pools the shards are spread over.
+    pub fn pools(&self) -> usize {
+        self.pools
+    }
+
     /// The pool currently owning `shard`.
     pub fn pool_of(&self, shard: usize) -> usize {
         self.assignment[shard]
     }
 
-    /// Current ownership, per pool (the live counterpart of
-    /// [`ShardAffinity::groups`]).
+    /// Current ownership, per pool.
     pub fn groups(&self) -> Vec<Vec<usize>> {
         let mut groups = vec![Vec::new(); self.pools];
         for (shard, &pool) in self.assignment.iter().enumerate() {
@@ -253,32 +257,12 @@ impl Rebalancer {
     }
 }
 
-/// Per-pool slice of an [`ElasticReport`].
-#[derive(Clone, Debug)]
-pub struct PoolReport {
-    /// Shard ids the pool owned when the run finished (post-migration).
-    pub shards: Vec<usize>,
-    /// Worker threads serving this pool's queue.
-    pub workers: usize,
-    /// Batches this pool's workers mapped.
-    pub batches: u64,
-    /// Batches routed here by shard-majority decision.
-    pub routed: u64,
-    /// Batches that spilled here (straddled groups or hit nothing, sent
-    /// to the least-loaded queue).
-    pub spilled: u64,
-    /// This pool's input-queue depth/wait counters (`producer_*` = the
-    /// routing producer blocked on this pool's full queue, `worker_*` =
-    /// this pool's workers starved on it).
-    pub queue: QueueStats,
-}
-
 /// Aggregate of one elastic run: the familiar engine totals plus the
 /// pool/route/migration observability.
 #[derive(Clone, Debug)]
 pub struct ElasticReport {
     /// Engine-level totals (reads, mapped, stats, merged queue counters —
-    /// the same shape the fanout engine reports, so output layers treat
+    /// the same shape the fanout schedule reports, so output layers treat
     /// both schedules alike).
     pub engine: EngineReport,
     /// Per-pool depth/stall/batch counters.
@@ -291,22 +275,19 @@ pub struct ElasticReport {
     pub migrations: u64,
 }
 
-/// The per-shard-group pool scheduler over a [`ShardedIndex`] — the
-/// *elastic* counterpart of [`MapEngine`](crate::MapEngine)'s fanout
-/// schedule (`segram map --schedule elastic`).
+/// The per-shard-group pool schedule over a [`ShardedIndex`] — the
+/// *elastic* counterpart of [`MapEngine`]'s fanout schedule (`segram map
+/// --schedule elastic`), as a routing shell over the same loop.
 ///
 /// # Examples
 ///
 /// ```
-/// use segram_core::{
-///     ElasticScheduler, EngineConfig, RebalanceConfig, SegramConfig, ShardAffinity, ShardedIndex,
-/// };
+/// use segram_core::{ElasticScheduler, EngineOptions, SegramConfig, ShardedIndex};
 /// use segram_sim::DatasetConfig;
 ///
 /// let dataset = DatasetConfig::tiny(3).illumina(100);
 /// let index = ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), 2);
-/// let affinity = ShardAffinity::pin_workers(&index.shard_loads(), 2);
-/// let scheduler = ElasticScheduler::new(&index, EngineConfig::with_threads(2), affinity);
+/// let scheduler = ElasticScheduler::new(&index, EngineOptions::new().threads(2));
 /// let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
 /// let (outcomes, report) = scheduler.map_batch(&reads);
 /// assert_eq!(outcomes.len(), reads.len());
@@ -315,25 +296,18 @@ pub struct ElasticReport {
 #[derive(Debug)]
 pub struct ElasticScheduler<'m> {
     index: &'m ShardedIndex,
-    config: EngineConfig,
-    affinity: ShardAffinity,
+    options: EngineOptions,
     rebalance: RebalanceConfig,
 }
 
 impl<'m> ElasticScheduler<'m> {
-    /// Binds the scheduler to a sharded index, consuming the affinity
-    /// plan as the pools' initial shard placement. Accepts an
-    /// [`EngineConfig`] or the shared
-    /// [`EngineOptions`](super::EngineOptions) builder.
-    pub fn new(
-        index: &'m ShardedIndex,
-        config: impl Into<EngineConfig>,
-        affinity: ShardAffinity,
-    ) -> Self {
+    /// Binds the scheduler to a sharded index. The pools boot with
+    /// [`Rebalancer::for_index`]'s placement for the options' thread
+    /// count.
+    pub fn new(index: &'m ShardedIndex, options: EngineOptions) -> Self {
         Self {
             index,
-            config: config.into(),
-            affinity,
+            options,
             rebalance: RebalanceConfig::default(),
         }
     }
@@ -344,36 +318,6 @@ impl<'m> ElasticScheduler<'m> {
         self
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Maps one read according to the schedule's strand policy (identical
-    /// to the fanout engine's, against the full sharded index — pool
-    /// routing never restricts which shards answer a read).
-    fn map_one(&self, read: &DnaSeq) -> ReadOutcome {
-        if self.config.both_strands {
-            let (best, stats) = self.index.map_read_both(read);
-            let (mapping, strand) = match best {
-                Some((mapping, strand)) => (Some(mapping), strand),
-                None => (None, Strand::Forward),
-            };
-            ReadOutcome {
-                mapping,
-                strand,
-                stats,
-            }
-        } else {
-            let (mapping, stats) = self.index.map_read(read);
-            ReadOutcome {
-                mapping,
-                strand: Strand::Forward,
-                stats,
-            }
-        }
-    }
-
     /// Streams *undecoded* items through the pool-routed schedule:
     /// `decode` runs on the producer thread (the router needs the decoded
     /// read to extract minimizers; its time still lands in
@@ -381,14 +325,11 @@ impl<'m> ElasticScheduler<'m> {
     /// per-group pools, and `sink(item, outcome)` runs once per read **in
     /// input order** on a dedicated writer thread.
     ///
-    /// Ordering, cancellation, and failure semantics match
-    /// [`MapEngine::map_raw_stream`](crate::MapEngine::map_raw_stream):
-    /// output bytes are independent of pool count, routing decisions, and
-    /// migrations; a cancel winds every pool down promptly; the first
-    /// panic anywhere is re-raised once. A decode failure (`decode`
-    /// returning `None`) stops the run — since the producer decodes
-    /// serially in input order, the first failure it sees *is* the
-    /// stream's first malformed record.
+    /// Ordering, cancellation, and failure semantics are
+    /// [`MapEngine::map_routed_stream`]'s: output bytes are independent of
+    /// pool count, routing decisions, and migrations; a cancel winds every
+    /// pool down promptly; the first panic anywhere is re-raised once. A
+    /// decode failure (`decode` returning `None`) cancels the run.
     ///
     /// # Panics
     ///
@@ -397,10 +338,10 @@ impl<'m> ElasticScheduler<'m> {
     /// every thread has wound down.
     pub fn map_raw_stream<Q, T, D, R, F>(
         &self,
-        mut raw: impl Iterator<Item = Q>,
+        raw: impl Iterator<Item = Q>,
         decode: D,
         read_of: R,
-        sink: F,
+        mut sink: F,
     ) -> ElasticReport
     where
         Q: Send,
@@ -409,314 +350,49 @@ impl<'m> ElasticScheduler<'m> {
         R: Fn(&T) -> &DnaSeq + Sync,
         F: FnMut(T, ReadOutcome) + Send,
     {
-        let pools = self.affinity.groups().len().max(1);
-        // Every pool needs at least one worker; extra workers share pools
-        // round-robin exactly as the affinity plan pins them.
-        let threads = self.config.threads.max(pools);
-        let batch_size = self.config.batch_size.max(1);
-        let queue_depth = if self.config.queue_depth == 0 {
-            threads * 2
-        } else {
-            self.config.queue_depth
-        };
-        let cancel = &self.config.cancel;
-        let shard_count = self.index.shards().len();
-        let router = self.index.router();
-        let mut rebalancer = Rebalancer::new(self.affinity.groups(), shard_count, self.rebalance);
-
-        // One bounded queue per pool; batches carry their producer index
-        // (for the shared reorder buffer) and per-item decode durations.
-        let queues: Vec<WorkQueue<PoolBatch<T>>> =
-            (0..pools).map(|_| WorkQueue::new(queue_depth)).collect();
-        let out_queue: WorkQueue<Vec<(T, ReadOutcome)>> = WorkQueue::new(queue_depth);
-        let max_ahead = queue_depth + threads;
-        let reorder: Mutex<Reorder<T>> = Mutex::new(Reorder {
-            next: 0,
-            pending: BTreeMap::new(),
-            report: EngineReport::default(),
-        });
-        let released = Condvar::new();
-        let failure = FirstFailure::default();
-        let mapped_batches = AtomicUsize::new(0);
-        let pool_batches: Vec<AtomicU64> = (0..pools).map(|_| AtomicU64::new(0)).collect();
-        let park_waits = AtomicU64::new(0);
-        let park_wait_ns = AtomicU64::new(0);
+        let cancel = &self.options.cancel;
+        let mut rebalancer =
+            Rebalancer::for_index(self.index, self.options.resolved_threads(), self.rebalance);
+        let pools = rebalancer.pools();
         let read_of = &read_of;
-        let close_all = |queues: &[WorkQueue<PoolBatch<T>>]| {
-            for queue in queues {
-                queue.close();
-            }
-        };
-
-        let mut pool_routed = vec![0u64; pools];
-        let mut pool_spilled = vec![0u64; pools];
-
-        std::thread::scope(|scope| {
-            let writer_handle = {
-                let out_queue = &out_queue;
-                let queues = &queues;
-                let failure = &failure;
-                let released = &released;
-                let mut sink = sink;
-                scope.spawn(move || {
-                    while let Some(batch) = out_queue.pop() {
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            for (item, outcome) in batch {
-                                sink(item, outcome);
-                            }
-                        }));
-                        if let Err(payload) = result {
-                            failure.record(payload);
-                            cancel.cancel();
-                            out_queue.close();
-                            close_all(queues);
-                            released.notify_all();
-                            break;
-                        }
-                    }
-                })
-            };
-
-            let worker_handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let queue = &queues[worker % pools];
-                    let queues = &queues;
-                    let out_queue = &out_queue;
-                    let reorder = &reorder;
-                    let released = &released;
-                    let failure = &failure;
-                    let mapped_batches = &mapped_batches;
-                    let pool_batches = &pool_batches[worker % pools];
-                    let park_waits = &park_waits;
-                    let park_wait_ns = &park_wait_ns;
-                    scope.spawn(move || {
-                        // Closing only this worker's pool queue on unwind
-                        // keeps sibling pools draining; the explicit
-                        // failure path below closes everything.
-                        let _close_guard = CloseOnDrop(queue);
-                        while let Some((index, items)) = queue.pop() {
-                            if cancel.is_cancelled() {
-                                // Drain path: producer is stopping; queued
-                                // batches are dropped unmapped. Decode
-                                // already happened on the producer, so
-                                // there is no settle obligation here.
-                                continue;
-                            }
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                let mut outcomes: Vec<(T, ReadOutcome)> =
-                                    Vec::with_capacity(items.len());
-                                for (item, decode_time) in items {
-                                    if cancel.is_cancelled() {
-                                        return false;
-                                    }
-                                    let mut outcome = self.map_one(read_of(&item));
-                                    outcome.stats.decode = decode_time;
-                                    outcomes.push((item, outcome));
-                                }
-                                mapped_batches.fetch_add(1, Ordering::Relaxed);
-                                pool_batches.fetch_add(1, Ordering::Relaxed);
-                                let mut guard = relock(reorder);
-                                // Bounded reorder: same park discipline as
-                                // the fanout engine — the worker owning
-                                // batch `next` never parks, so release
-                                // always advances even across pools.
-                                if index >= guard.next + max_ahead {
-                                    let blocked = Instant::now();
-                                    let mut parked = false;
-                                    let record = |since: Instant| {
-                                        park_waits.fetch_add(1, Ordering::Relaxed);
-                                        park_wait_ns.fetch_add(
-                                            since.elapsed().as_nanos() as u64,
-                                            Ordering::Relaxed,
-                                        );
-                                    };
-                                    while index >= guard.next + max_ahead {
-                                        if cancel.is_cancelled() {
-                                            if parked {
-                                                record(blocked);
-                                            }
-                                            return false;
-                                        }
-                                        parked = true;
-                                        guard = released
-                                            .wait_timeout(guard, Duration::from_millis(50))
-                                            .unwrap_or_else(PoisonError::into_inner)
-                                            .0;
-                                    }
-                                    record(blocked);
-                                }
-                                let state = &mut *guard;
-                                state.pending.insert(index, outcomes);
-                                let mut advanced = false;
-                                while let Some(ready) = state.pending.remove(&state.next) {
-                                    state.next += 1;
-                                    advanced = true;
-                                    for (_, outcome) in &ready {
-                                        state.report.reads += 1;
-                                        if outcome.mapping.is_some() {
-                                            state.report.mapped += 1;
-                                        }
-                                        state.report.stats.merge(&outcome.stats);
-                                    }
-                                    out_queue.push(ready);
-                                }
-                                drop(guard);
-                                if advanced {
-                                    released.notify_all();
-                                }
-                                true
-                            }));
-                            match result {
-                                Ok(true) => {}
-                                Ok(false) => continue,
-                                Err(payload) => {
-                                    failure.record(payload);
-                                    cancel.cancel();
-                                    close_all(queues);
-                                    out_queue.close();
-                                    released.notify_all();
-                                    break;
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-
-            // The calling thread is the producer: decode (serially, in
-            // input order), route, rebalance.
-            let _out_close_guard = CloseOnDrop(&out_queue);
-            let produce = catch_unwind(AssertUnwindSafe(|| {
-                let mut produced = 0usize;
-                'produce: loop {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let mut batch: Vec<(T, Duration)> = Vec::with_capacity(batch_size);
-                    let mut shard_hits = vec![0u64; shard_count];
-                    while batch.len() < batch_size {
-                        let Some(raw_item) = raw.next() else { break };
-                        let started = Instant::now();
-                        let Some(item) = decode(raw_item) else {
-                            // The decoder records its own error; producer
-                            // decode order makes it the stream's first.
-                            cancel.cancel();
-                            break 'produce;
-                        };
-                        let decode_time = started.elapsed();
-                        // The pre-route pass: one minimizer extraction per
-                        // read, no occupancy counters touched.
-                        for (total, hits) in
-                            shard_hits.iter_mut().zip(router.route_hits(read_of(&item)))
-                        {
-                            *total += hits;
-                        }
-                        batch.push((item, decode_time));
-                    }
-                    if batch.is_empty() {
-                        break;
-                    }
-                    // Dominant-group routing with a least-loaded spill.
-                    let mut pool_hits = vec![0u64; pools];
-                    for (shard, &hits) in shard_hits.iter().enumerate() {
-                        pool_hits[rebalancer.pool_of(shard)] += hits;
-                    }
-                    let total: u64 = pool_hits.iter().sum();
-                    let (best_pool, best_hits) = pool_hits
-                        .iter()
-                        .copied()
-                        .enumerate()
-                        .max_by_key(|&(pool, hits)| (hits, std::cmp::Reverse(pool)))
-                        .expect("at least one pool");
-                    let target = if total > 0 && 2 * best_hits > total {
-                        pool_routed[best_pool] += 1;
-                        best_pool
-                    } else {
-                        let spill = (0..pools)
-                            .min_by_key(|&pool| queues[pool].len())
-                            .expect("at least one pool");
-                        pool_spilled[spill] += 1;
-                        spill
-                    };
-                    queues[target].push((produced, batch));
-                    produced += 1;
-                    // Rebalance at the batch boundary, off the live
-                    // per-shard seed-hit counters the mapping workers are
-                    // filling in (the signal behind `seed_imbalance`).
-                    let live: Vec<u64> = self
-                        .index
-                        .shard_stats()
-                        .iter()
-                        .map(|s| s.seed_hits)
-                        .collect();
-                    rebalancer.observe(&live);
-                }
-            }));
-            if let Err(payload) = produce {
-                failure.record(payload);
+        // The decoder records its own error; stopping the run is ours.
+        let decoded = raw.map_while(|raw_item| {
+            let started = Instant::now();
+            let item = decode(raw_item);
+            if item.is_none() {
                 cancel.cancel();
             }
-            close_all(&queues);
-            for handle in worker_handles {
-                if let Err(payload) = handle.join() {
-                    failure.record(payload);
-                }
-            }
-            out_queue.close();
-            if let Err(payload) = writer_handle.join() {
-                failure.record(payload);
-            }
+            Some((item?, started.elapsed()))
         });
-
-        if let Some(payload) = failure.take() {
-            resume_unwind(payload);
+        // The loop times its own (trivial) worker-stage decode; the real
+        // decode happened above, so its time is put back per read on the
+        // way out and into the totals afterwards.
+        let mut decode_time = Duration::ZERO;
+        let (mut engine, mut pool_reports) = MapEngine::new(self.index, self.options.clone())
+            .map_routed_stream(
+                decoded,
+                |pair| Some(DecodedBlock::one(pair)),
+                |(item, _)| read_of(item),
+                |(item, decoded_in), mut outcome| {
+                    outcome.stats.decode = decoded_in;
+                    decode_time += decoded_in;
+                    sink(item, outcome);
+                },
+                pools,
+                |batch| {
+                    let reads = batch.iter().map(|(item, _)| read_of(item));
+                    route_batch(self.index, &mut rebalancer, reads)
+                },
+            );
+        engine.stats.decode = decode_time;
+        for (pool, shards) in pool_reports.iter_mut().zip(rebalancer.groups()) {
+            pool.shards = shards;
         }
-
-        let reorder = reorder.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let mut engine = reorder.report;
-        engine.backend = self.index.backend_name();
-        engine.batches = mapped_batches.load(Ordering::Relaxed);
-        engine.threads = threads;
-        // Engine-level queue view: input counters summed over the pools
-        // (depth as the max across them), output/park exactly as the
-        // fanout engine reports them.
-        let pool_queue_stats: Vec<QueueStats> = queues.iter().map(WorkQueue::stats).collect();
-        let output = out_queue.stats();
-        let mut merged = QueueStats {
-            output_max_depth: output.max_depth,
-            output_stall_waits: output.producer_waits,
-            output_stall_wait: output.producer_wait,
-            writer_waits: output.worker_waits,
-            writer_wait: output.worker_wait,
-            park_waits: park_waits.load(Ordering::Relaxed),
-            park_wait: Duration::from_nanos(park_wait_ns.load(Ordering::Relaxed)),
-            ..QueueStats::default()
-        };
-        for stats in &pool_queue_stats {
-            merged.max_depth = merged.max_depth.max(stats.max_depth);
-            merged.producer_waits += stats.producer_waits;
-            merged.producer_wait += stats.producer_wait;
-            merged.worker_waits += stats.worker_waits;
-            merged.worker_wait += stats.worker_wait;
-        }
-        engine.queue = merged;
-
-        let final_groups = rebalancer.groups();
-        let pool_reports = (0..pools)
-            .map(|pool| PoolReport {
-                shards: final_groups[pool].clone(),
-                workers: (0..threads).filter(|w| w % pools == pool).count(),
-                batches: pool_batches[pool].load(Ordering::Relaxed),
-                routed: pool_routed[pool],
-                spilled: pool_spilled[pool],
-                queue: pool_queue_stats[pool],
-            })
-            .collect();
         ElasticReport {
             engine,
+            routed: pool_reports.iter().map(|p| p.routed).sum(),
+            spilled: pool_reports.iter().map(|p| p.spilled).sum(),
             pools: pool_reports,
-            routed: pool_routed.iter().sum(),
-            spilled: pool_spilled.iter().sum(),
             migrations: rebalancer.migrations(),
         }
     }
@@ -754,8 +430,10 @@ impl<'m> ElasticScheduler<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineConfig, MapEngine, SegramConfig, ShardedIndex};
+    use crate::{MapEngine, SegramConfig, ShardedIndex};
     use segram_sim::DatasetConfig;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sharded(shards: usize) -> (segram_sim::Dataset, ShardedIndex) {
         let dataset = DatasetConfig::tiny(61).illumina(100);
@@ -765,10 +443,8 @@ mod tests {
     }
 
     fn scheduler_for(index: &ShardedIndex, threads: usize) -> ElasticScheduler<'_> {
-        let affinity = ShardAffinity::pin_workers(&index.shard_loads(), threads);
-        let mut config = EngineConfig::with_threads(threads);
-        config.batch_size = 3; // interleave batches across pools
-        ElasticScheduler::new(index, config, affinity)
+        // batch_size 3: interleave batches across pools
+        ElasticScheduler::new(index, EngineOptions::new().threads(threads).batch_size(3))
     }
 
     #[test]
@@ -776,7 +452,7 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let (dataset, index) = sharded(shards);
             let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-            let fanout = MapEngine::new(&index, EngineConfig::with_threads(1));
+            let fanout = MapEngine::new(&index, EngineOptions::new().threads(1));
             let (base, base_report) = fanout.map_batch(&reads);
             for threads in [1usize, 4] {
                 let scheduler = scheduler_for(&index, threads);
@@ -818,6 +494,51 @@ mod tests {
         assert_eq!(owned, (0..4).collect::<Vec<_>>());
         // Every pool got at least one worker.
         assert!(report.pools.iter().all(|p| p.workers >= 1));
+    }
+
+    #[test]
+    fn elastic_runs_report_their_batch_trajectory() {
+        // The trajectory comes from the one loop, so an elastic run fills
+        // it exactly as a fanout run does (it used to read all-zero).
+        let (dataset, index) = sharded(2);
+        let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
+        let (_, report) = scheduler_for(&index, 2).map_batch(&reads);
+        let batching = report.engine.batching;
+        assert!(!batching.adaptive);
+        assert_eq!(batching.initial, 3);
+        assert_eq!(
+            (batching.last, batching.min_used, batching.max_used),
+            (3, 3, 3)
+        );
+        assert_eq!(report.engine.batches, reads.len().div_ceil(3));
+    }
+
+    #[test]
+    fn placement_is_sized_by_the_index_not_by_the_request() {
+        // Asking for more shards than the reference has coordinates: the
+        // index clamps, and the placement must cover exactly what it kept.
+        let mut tiny = DatasetConfig::tiny(61);
+        tiny.reference_len = 400;
+        let dataset = tiny.illumina(100);
+        let requested = dataset.graph().total_chars() as usize * 4;
+        let index = ShardedIndex::build(
+            dataset.graph().clone(),
+            SegramConfig::short_reads(),
+            requested,
+        );
+        let kept = index.shards().len();
+        assert!(kept < requested);
+        let rebalancer = Rebalancer::for_index(&index, 3, RebalanceConfig::default());
+        assert_eq!(rebalancer.pools(), 3);
+        let mut owned: Vec<usize> = rebalancer.groups().into_iter().flatten().collect();
+        owned.sort_unstable();
+        assert_eq!(owned, (0..kept).collect::<Vec<_>>());
+        // More workers than shards: one pool per shard.
+        let (_, two) = sharded(2);
+        assert_eq!(
+            Rebalancer::for_index(&two, 8, RebalanceConfig::default()).pools(),
+            2
+        );
     }
 
     #[test]
@@ -917,10 +638,11 @@ mod tests {
         let (dataset, index) = sharded(2);
         let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let cancel = crate::CancelToken::new();
-        let affinity = ShardAffinity::pin_workers(&index.shard_loads(), 2);
-        let mut config = EngineConfig::with_threads(2).with_cancel(cancel.clone());
-        config.batch_size = 1;
-        let scheduler = ElasticScheduler::new(&index, config, affinity);
+        let options = EngineOptions::new()
+            .threads(2)
+            .cancel(cancel.clone())
+            .batch_size(1);
+        let scheduler = ElasticScheduler::new(&index, options);
         let mut sunk = 0usize;
         let report = scheduler.map_stream(
             reads.iter(),
@@ -964,10 +686,11 @@ mod tests {
             .map(|r| r.seq.clone())
             .collect::<Vec<_>>();
         let cancel = crate::CancelToken::new();
-        let affinity = ShardAffinity::pin_workers(&index.shard_loads(), 2);
-        let mut config = EngineConfig::with_threads(2).with_cancel(cancel.clone());
-        config.batch_size = 2;
-        let scheduler = ElasticScheduler::new(&index, config, affinity);
+        let options = EngineOptions::new()
+            .threads(2)
+            .cancel(cancel.clone())
+            .batch_size(2);
+        let scheduler = ElasticScheduler::new(&index, options);
         let failures = AtomicUsize::new(0);
         let report = scheduler.map_raw_stream(
             reads.iter().enumerate(),

@@ -1,25 +1,33 @@
 //! The batched, multi-threaded, order-preserving map engine with
-//! overlapped IO.
+//! overlapped IO — the workspace's one one-shot stream loop.
 //!
-//! [`MapEngine`] is the production driver around
-//! [`SegramMapper`](crate::SegramMapper): it consumes a stream of reads,
-//! groups them into fixed-size batches, fans the batches out to
-//! `std::thread::scope` workers through a bounded work queue (so an
+//! [`MapEngine`] is the production driver around any [`ReadMapper`]: it
+//! consumes a stream of reads, groups them into batches, hands the batches
+//! to `std::thread::scope` workers through bounded work queues (so an
 //! arbitrarily long input stream never piles up in memory), and emits
 //! per-read outcomes to a sink **in input order**, whatever the worker
 //! interleaving. Per-stage [`MapStats`] are aggregated across all workers.
 //!
-//! Mapping workers never touch IO. On the input side,
-//! [`MapEngine::map_raw_stream`] accepts *undecoded* items plus a decode
-//! function that runs in the worker stage (timed into
-//! [`MapStats::decode`]), so the producer thread only slices raw record
-//! boundaries (e.g. `segram_io::FastqFramer`). On the output side, the
-//! reorder buffer never calls the sink under its lock: released batches
-//! are handed — still strictly in input order — over a bounded channel to
-//! a dedicated writer thread, the only thread that runs the sink. A shared
-//! [`CancelToken`] in [`EngineConfig`] stops the producer *and* the
-//! workers promptly when either end fails (sink write error, input stream
-//! error) instead of mapping every queued batch first.
+//! One loop, two schedules. [`MapEngine::map_routed_stream`] runs
+//! `pools >= 1` bounded queues: worker `w` serves queue `w % pools`, and a
+//! producer-side `route` hook names the queue of each batch (`None` spills
+//! it to the shortest one). The *fanout* schedule is `pools = 1`
+//! ([`MapEngine::map_block_stream`] and its wrappers); the *elastic*
+//! schedule ([`ElasticScheduler`](super::ElasticScheduler)) is a routing
+//! policy over this same loop — it owns no thread, queue or reorder buffer
+//! of its own. Every pool releases through the one shared reorder buffer
+//! and the one writer thread, so output bytes cannot depend on the pool
+//! count or on any routing decision.
+//!
+//! Mapping workers never touch IO. On the input side, `decode` runs in the
+//! worker stage (timed into [`MapStats::decode`]), so the producer thread
+//! only slices raw record boundaries (e.g. `segram_io::FastqFramer`). On
+//! the output side, the reorder buffer never calls the sink under its
+//! lock: released batches are handed — still strictly in input order —
+//! over a bounded channel to a dedicated writer thread, the only thread
+//! that runs the sink. The [`CancelToken`] in [`EngineOptions`] stops the
+//! producer *and* the workers promptly when either end fails (sink write
+//! error, input stream error) instead of mapping every queued batch first.
 //!
 //! Ordering guarantee: batches are numbered by the producer and the
 //! reorder buffer releases them to the writer strictly sequentially, so
@@ -27,27 +35,23 @@
 //! `N` (the mapper itself is deterministic). `ci.sh` enforces this end to
 //! end, including through the overlapped framer+decode path.
 //!
-//! The engine is generic over [`ReadMapper`], so the same driver runs the
-//! monolithic [`SegramMapper`] and the coordinate-range
-//! [`ShardedIndex`](crate::ShardedIndex). Both bounded queues expose
-//! depth/wait counters ([`QueueStats`]) to locate the
-//! producer-vs-worker-vs-writer bottleneck, and a [`ShardAffinity`] plan
-//! assigns workers to shard groups with the same size-balanced placement
-//! the paper uses for chromosomes over memory channels. This engine is
-//! the *fanout* schedule — every worker pops from the one shared queue;
-//! the per-shard-group pool schedule lives in
-//! [`elastic`](crate::pipeline::elastic).
+//! Every bounded queue exposes depth/wait counters ([`QueueStats`], per
+//! pool in [`PoolReport`]) to locate the producer-vs-worker-vs-writer
+//! bottleneck.
 //!
 //! Failure model: the first panic anywhere in the pipeline (decode,
 //! mapper, sink) is captured, the run is cancelled, and the original
 //! payload is re-raised once from the calling thread — not buried under
 //! the poisoned-lock panic cascade every other worker would otherwise die
-//! with.
+//! with. The multi-request [`MultiEngine`](super::MultiEngine) shares the
+//! per-read strand policy ([`map_one`]) and the reorder release
+//! ([`Reorder::release`]) with this loop and nothing else: it isolates a
+//! panic to one request instead of re-raising it.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -55,11 +59,10 @@ use segram_graph::DnaSeq;
 use segram_sim::Strand;
 
 use crate::mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
-use crate::shard::balance_loads;
 
 /// A shared cooperative stop flag: cloning yields handles onto the same
 /// flag, so the CLI (or any engine embedder) can hand one clone to the
-/// engine via [`EngineConfig`] and keep another to pull when its sink or
+/// engine via [`EngineOptions::cancel`] and keep another to pull when its sink or
 /// input stream fails. Once cancelled, the engine's producer stops
 /// consuming input and workers drop still-queued batches unmapped —
 /// instead of faithfully mapping a stream whose output already failed.
@@ -89,135 +92,45 @@ impl CancelToken {
     }
 }
 
-/// Tuning knobs of a [`MapEngine`].
-#[derive(Clone, Debug)]
-pub struct EngineConfig {
-    /// Worker thread count (clamped to at least 1).
-    pub threads: usize,
-    /// Reads per work item; batching amortizes queue synchronization.
-    pub batch_size: usize,
-    /// Bounded work-queue capacity in batches (0 = `2 × threads`). Bounds
-    /// how far the producer can run ahead of the workers, and doubles as
-    /// the capacity of the ordered channel to the writer thread.
-    pub queue_depth: usize,
-    /// Map each read on both strands and keep the better mapping.
-    pub both_strands: bool,
-    /// Shared stop flag: cancel it (from the sink, the input stream, or
-    /// anywhere else holding a clone) and the run winds down promptly.
-    pub cancel: CancelToken,
-    /// Adaptive batch sizing: when set, the producer observes the live
-    /// queue imbalance at each refill and grows/shrinks the batch size
-    /// within these bounds (see [`BatchBounds`]); `batch_size` is then
-    /// only the starting point. `None` keeps batches fixed. The elastic
-    /// scheduler ignores this knob (its pre-route pass wants stable
-    /// batch shapes).
-    pub adaptive_batch: Option<BatchBounds>,
-}
+/// Reads per batch when [`EngineOptions::batch_size`] is left at 0.
+pub(crate) const DEFAULT_BATCH_SIZE: usize = 16;
 
-/// Bounds for adaptive batch sizing ([`EngineConfig::adaptive_batch`]).
-///
-/// The producer doubles the batch when the workers look starved (empty
-/// queue, or worker waits grew since the last refill) and halves it when
-/// it is itself the backlog (full queue, or producer waits grew) — a
-/// small batch keeps latency and reorder memory low, a large batch
-/// amortizes queue synchronization when the producer is the bottleneck.
-/// Output bytes are invariant to the trajectory: batch size only changes
-/// where batch boundaries fall, and the reorder buffer restores input
-/// order regardless.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchBounds {
-    /// Smallest batch the controller will shrink to (clamped to >= 1).
-    pub min: usize,
-    /// Largest batch the controller will grow to.
-    pub max: usize,
-}
-
-impl EngineConfig {
-    /// A configuration with `threads` workers and default batching.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
-    }
-
-    /// Returns a copy with both-strand mapping enabled or disabled.
-    pub fn both_strands(mut self, enabled: bool) -> Self {
-        self.both_strands = enabled;
-        self
-    }
-
-    /// Returns a copy sharing the given cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            batch_size: 16,
-            queue_depth: 0,
-            both_strands: false,
-            cancel: CancelToken::new(),
-            adaptive_batch: None,
-        }
-    }
-}
-
-/// The one builder for engine tuning knobs, shared by every engine in the
-/// workspace. [`EngineConfig`] (single-stream [`MapEngine`] /
-/// [`ElasticScheduler`](super::ElasticScheduler)) and
-/// [`MultiConfig`](super::MultiConfig) (the serve-mode
-/// [`MultiEngine`](super::MultiEngine)) historically duplicated the same
-/// fields; `EngineOptions` holds the superset once, and every engine
-/// constructor accepts it directly (`impl Into<Config>`). Knobs a target
-/// engine does not have are simply ignored by the conversion:
-/// `batch_size` by [`MultiConfig`] (the daemon batches on the wire),
-/// `max_queued` and `cancel` by [`EngineConfig`] / [`MultiConfig`]
-/// respectively (admission is a multi-engine concept, cancellation is
-/// per-request there).
+/// The tuning knobs of every engine in the workspace — the one-shot
+/// [`MapEngine`] / [`ElasticScheduler`](super::ElasticScheduler) and the
+/// serve-mode [`MultiEngine`](super::MultiEngine) all take this builder
+/// directly. A zero field means "derive the default" (all cores, 16-read
+/// batches, a `2 × threads` queue, a `4 × queue_depth` admission limit).
+/// Each setter says which engines read it.
 ///
 /// # Examples
 ///
 /// ```
-/// use segram_core::{EngineConfig, EngineOptions, MultiConfig};
+/// use segram_core::{EngineOptions, MapEngine, SegramConfig, SegramMapper};
+/// use segram_sim::DatasetConfig;
 ///
+/// let dataset = DatasetConfig::tiny(3).illumina(100);
+/// let mapper = SegramMapper::new(dataset.graph().clone(), SegramConfig::short_reads());
 /// let options = EngineOptions::new().threads(4).queue_depth(8).both_strands(true);
-/// let single: EngineConfig = options.clone().into();
-/// let multi: MultiConfig = options.into();
-/// assert_eq!(single.threads, 4);
-/// assert_eq!(multi.queue_depth, 8);
-/// assert!(single.both_strands && multi.both_strands);
+/// let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
+/// let (_, report) = MapEngine::new(&mapper, options).map_batch(&reads);
+/// assert_eq!(report.threads, 4);
+/// assert_eq!(report.batching.initial, 16);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EngineOptions {
-    threads: usize,
-    batch_size: usize,
-    queue_depth: usize,
-    max_queued: usize,
-    both_strands: bool,
-    cancel: CancelToken,
-    adaptive_batch: Option<BatchBounds>,
+    pub(crate) threads: usize,
+    pub(crate) batch_size: usize,
+    pub(crate) queue_depth: usize,
+    pub(crate) max_queued: usize,
+    pub(crate) both_strands: bool,
+    pub(crate) cancel: CancelToken,
+    pub(crate) adaptive_batch: Option<(usize, usize)>,
 }
 
 impl EngineOptions {
-    /// Default options: all available cores, default batching, derived
-    /// queue depths (each engine derives its own zero-value defaults).
+    /// Default options: every field derived (see the type docs).
     pub fn new() -> Self {
-        Self {
-            threads: 0,
-            batch_size: 0,
-            queue_depth: 0,
-            max_queued: 0,
-            both_strands: false,
-            cancel: CancelToken::new(),
-            adaptive_batch: None,
-        }
+        Self::default()
     }
 
     /// Worker thread count (0 = all available cores).
@@ -226,22 +139,26 @@ impl EngineOptions {
         self
     }
 
-    /// Reads per work item (0 = the engine default; multi-request engines
-    /// batch on the wire and ignore this).
+    /// Reads per work item; batching amortizes queue synchronization
+    /// (0 = 16). The multi-request engine batches on the wire and does not
+    /// read this.
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
         self
     }
 
-    /// Bounded input-queue capacity in batches (0 = `2 × threads`;
-    /// per-request for the multi-request engine).
+    /// Bounded input-queue capacity in batches (0 = `2 × threads`): how
+    /// far the producer can run ahead of the workers. One-shot engines use
+    /// it per pool queue and for the ordered channel to the writer thread;
+    /// the multi-request engine uses it per request.
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth;
         self
     }
 
     /// Multi-request admission limit in total queued batches
-    /// (0 = `4 ×` queue depth; single-stream engines ignore this).
+    /// (0 = `4 ×` queue depth). Admission is a multi-request concept; the
+    /// one-shot engines do not read this.
     pub fn max_queued(mut self, max_queued: usize) -> Self {
         self.max_queued = max_queued;
         self
@@ -253,59 +170,51 @@ impl EngineOptions {
         self
     }
 
-    /// Shared stop flag for single-stream engines (the multi-request
-    /// engine is per-request-cancelled and ignores this).
+    /// Shared stop flag of a one-shot run: cancel it (from the sink, the
+    /// input stream, or anywhere else holding a clone) and the run winds
+    /// down promptly. The multi-request engine cancels per request and
+    /// does not read this.
     pub fn cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
     }
 
-    /// Enables adaptive batch sizing within `[min, max]` (fanout
-    /// [`MapEngine`] only; other engines ignore it — see
-    /// [`EngineConfig::adaptive_batch`]).
+    /// Enables adaptive batch sizing within `[min, max]` (`min` clamped
+    /// to >= 1, `max` to >= `min`); `batch_size` is then only the starting
+    /// point. The producer doubles the batch when the workers look starved
+    /// (empty queue, or worker waits grew since the last refill) and
+    /// halves it when it is itself the backlog (full queue, or producer
+    /// waits grew) — a small batch keeps latency and reorder memory low, a
+    /// large batch amortizes queue synchronization when the producer is
+    /// the bottleneck. Output bytes are invariant to the trajectory: batch
+    /// size only changes where batch boundaries fall, and the reorder
+    /// buffer restores input order regardless.
+    ///
+    /// Read by the single-queue fanout loop only: a routed run keeps fixed
+    /// batches, because its route pass wants stable batch shapes and the
+    /// controller reads one queue's imbalance.
     pub fn adaptive_batch(mut self, min: usize, max: usize) -> Self {
-        self.adaptive_batch = Some(BatchBounds { min, max });
+        self.adaptive_batch = Some((min, max));
         self
     }
-}
 
-impl From<EngineOptions> for EngineConfig {
-    fn from(options: EngineOptions) -> Self {
-        let defaults = EngineConfig::default();
-        Self {
-            threads: if options.threads == 0 {
-                defaults.threads
-            } else {
-                options.threads
-            },
-            batch_size: if options.batch_size == 0 {
-                defaults.batch_size
-            } else {
-                options.batch_size
-            },
-            queue_depth: options.queue_depth,
-            both_strands: options.both_strands,
-            cancel: options.cancel,
-            adaptive_batch: options.adaptive_batch,
+    /// The worker count these options ask for (0 resolved to all cores).
+    pub(crate) fn resolved_threads(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            n => n,
         }
     }
-}
 
-impl EngineOptions {
-    /// The pieces [`MultiConfig`](super::MultiConfig)'s conversion needs,
-    /// without exposing the fields (crate-internal).
-    pub(crate) fn multi_parts(&self) -> (usize, usize, usize, bool) {
-        let threads = if self.threads == 0 {
-            EngineConfig::default().threads
-        } else {
-            self.threads
-        };
-        (
-            threads,
-            self.queue_depth,
-            self.max_queued,
-            self.both_strands,
-        )
+    /// The per-queue capacity for `threads` workers (0 resolved to
+    /// `2 × threads`).
+    pub(crate) fn resolved_queue_depth(&self, threads: usize) -> usize {
+        match self.queue_depth {
+            0 => threads * 2,
+            n => n,
+        }
     }
 }
 
@@ -320,21 +229,20 @@ pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The first panic payload captured from any pipeline stage; later
 /// failures (usually knock-on effects of the first) are dropped.
-/// Crate-visible because the elastic scheduler shares the failure model.
 #[derive(Default)]
-pub(crate) struct FirstFailure {
+struct FirstFailure {
     slot: Mutex<Option<Box<dyn Any + Send + 'static>>>,
 }
 
 impl FirstFailure {
-    pub(crate) fn record(&self, payload: Box<dyn Any + Send + 'static>) {
+    fn record(&self, payload: Box<dyn Any + Send + 'static>) {
         let mut slot = relock(&self.slot);
         if slot.is_none() {
             *slot = Some(payload);
         }
     }
 
-    pub(crate) fn take(&self) -> Option<Box<dyn Any + Send + 'static>> {
+    fn take(&self) -> Option<Box<dyn Any + Send + 'static>> {
         relock(&self.slot).take()
     }
 }
@@ -347,7 +255,7 @@ pub struct ReadOutcome {
     /// The winning mapping, if the read mapped.
     pub mapping: Option<Mapping>,
     /// Strand the mapping was found on ([`Strand::Forward`] unless
-    /// [`EngineConfig::both_strands`] found a better reverse mapping).
+    /// [`EngineOptions::both_strands`] found a better reverse mapping).
     pub strand: Strand,
     /// This read's pipeline statistics.
     pub stats: MapStats,
@@ -455,68 +363,13 @@ pub struct QueueStats {
     pub park_wait: Duration,
 }
 
-/// Worker-to-shard ownership plan: distributes shard ids over worker
-/// groups with the same greedy size-balanced placement the paper uses to
-/// spread chromosomes across HBM channels (Section 8.3,
-/// [`balance_loads`](crate::balance_loads)).
-///
-/// The [`ElasticScheduler`](crate::pipeline::ElasticScheduler) consumes
-/// this plan as its *initial* pool placement: each group becomes a worker
-/// pool with its own bounded queue, batches are routed by the seeding
-/// router's shard decision, and a live rebalancer migrates shard
-/// ownership between pools as the load skews. Under the fanout schedule
-/// ([`MapEngine`]) the plan is informational only — every worker pops
-/// from the one shared queue (the historical per-group batch counters
-/// that measured that shared-queue scheduling are gone; per-pool batch
-/// counts live in the elastic report, per-shard occupancy in
-/// [`ShardStats`](crate::ShardStats)).
-///
-/// With more workers than shards, workers share groups round-robin; with
-/// more shards than workers, a group owns several shards.
-#[derive(Debug)]
-pub struct ShardAffinity {
-    /// Per group, the shard ids pinned to it.
-    groups: Vec<Vec<usize>>,
-    /// Worker index → group index.
-    worker_group: Vec<usize>,
-}
-
-impl ShardAffinity {
-    /// Pins `workers` workers to shard groups balanced by `shard_loads`
-    /// (per-shard memory bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_loads` is empty or `workers` is zero.
-    pub fn pin_workers(shard_loads: &[u64], workers: usize) -> Self {
-        assert!(!shard_loads.is_empty(), "at least one shard");
-        assert!(workers > 0, "at least one worker");
-        let group_count = workers.min(shard_loads.len());
-        let groups = balance_loads(shard_loads, group_count);
-        let worker_group = (0..workers).map(|w| w % group_count).collect();
-        Self {
-            groups,
-            worker_group,
-        }
-    }
-
-    /// Per group, the shard ids pinned to it.
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
-    /// The shard group a worker is pinned to.
-    pub fn group_of(&self, worker: usize) -> usize {
-        self.worker_group[worker % self.worker_group.len()]
-    }
-}
-
 /// A bounded single-producer / multi-consumer batch queue (Mutex +
 /// Condvar; no external dependencies). `push` blocks while the queue is
 /// full, `pop` blocks while it is empty, and `close` wakes everyone so
-/// drained workers observe end-of-stream. The elastic scheduler runs one
-/// of these per worker pool, and the CLI's split SAM+GAF emission runs
-/// one per output file as a bounded writer channel (hence public).
+/// drained workers observe end-of-stream. The stream loop runs one of
+/// these per worker pool plus one as the writer channel, and the CLI's
+/// split SAM+GAF emission runs one per output file as a bounded writer
+/// channel (hence public).
 pub struct WorkQueue<T> {
     // Missing-Debug note: Debug is implemented manually below (the
     // items themselves need no Debug bound).
@@ -626,7 +479,7 @@ impl<T> WorkQueue<T> {
     }
 
     /// Current queued-item count — the live load signal behind the
-    /// elastic scheduler's least-loaded spill decision.
+    /// routed loop's shortest-queue spill decision.
     pub fn len(&self) -> usize {
         relock(&self.inner).items.len()
     }
@@ -663,10 +516,10 @@ impl<T> WorkQueue<T> {
 
 /// Closes the queue when dropped — including during a panic unwind. Both
 /// the producer and every worker hold one, so a panic anywhere (input
-/// iterator, sink, pipeline) releases the threads blocked on the queue
-/// and lets `std::thread::scope` propagate the panic instead of
+/// iterator, route hook, sink, pipeline) releases the threads blocked on
+/// the queue and lets `std::thread::scope` propagate the panic instead of
 /// deadlocking.
-pub(crate) struct CloseOnDrop<'a, T>(pub(crate) &'a WorkQueue<T>);
+struct CloseOnDrop<'a, T>(&'a WorkQueue<T>);
 
 impl<T> Drop for CloseOnDrop<'_, T> {
     fn drop(&mut self) {
@@ -675,15 +528,99 @@ impl<T> Drop for CloseOnDrop<'_, T> {
 }
 
 /// The in-order release side: completed batches park in `pending` until
-/// every earlier batch has been handed — still in input order — to the
-/// bounded channel feeding the writer thread. The lock covers only this
-/// bookkeeping; rendering and IO happen on the writer thread, outside it.
-/// Crate-visible: the elastic scheduler's pools all merge through one of
-/// these, which is what keeps pool-routed output byte-identical.
+/// every earlier batch has been handed on, still in input order. The
+/// stream loop keeps one behind a mutex for all of its pools (which is
+/// what keeps pool-routed output byte-identical) and the multi-request
+/// engine embeds one per request; the lock covers only this bookkeeping —
+/// rendering and IO happen elsewhere.
 pub(crate) struct Reorder<T> {
+    /// Index of the next batch to release.
     pub(crate) next: usize,
     pub(crate) pending: BTreeMap<usize, Vec<(T, ReadOutcome)>>,
+    /// Totals over the *released* reads.
     pub(crate) report: EngineReport,
+}
+
+impl<T> Reorder<T> {
+    pub(crate) fn new() -> Self {
+        Reorder {
+            next: 0,
+            pending: BTreeMap::new(),
+            report: EngineReport::default(),
+        }
+    }
+
+    /// Parks batch `index`, then hands every batch now contiguous with the
+    /// released prefix to `emit`, in order, folding its reads into
+    /// `report`. Returns whether anything was released.
+    pub(crate) fn release(
+        &mut self,
+        index: usize,
+        outcomes: Vec<(T, ReadOutcome)>,
+        mut emit: impl FnMut(Vec<(T, ReadOutcome)>),
+    ) -> bool {
+        self.pending.insert(index, outcomes);
+        let mut advanced = false;
+        while let Some(ready) = self.pending.remove(&self.next) {
+            self.next += 1;
+            advanced = true;
+            for (_, outcome) in &ready {
+                self.report.reads += 1;
+                if outcome.mapping.is_some() {
+                    self.report.mapped += 1;
+                }
+                self.report.stats.merge(&outcome.stats);
+            }
+            emit(ready);
+        }
+        advanced
+    }
+}
+
+/// Per-pool slice of a routed run ([`MapEngine::map_routed_stream`]).
+#[derive(Clone, Debug)]
+pub struct PoolReport {
+    /// Shard ids the pool owned when the run finished. The loop routes by
+    /// pool index and leaves this empty; the owner of the routing policy
+    /// ([`ElasticScheduler`](super::ElasticScheduler)) fills it in.
+    pub shards: Vec<usize>,
+    /// Worker threads serving this pool's queue.
+    pub workers: usize,
+    /// Batches this pool's workers mapped.
+    pub batches: u64,
+    /// Batches the route hook sent here.
+    pub routed: u64,
+    /// Batches that spilled here (the hook declined; this was the
+    /// shortest queue).
+    pub spilled: u64,
+    /// This pool's input-queue depth/wait counters (`producer_*` = the
+    /// routing producer blocked on this pool's full queue, `worker_*` =
+    /// this pool's workers starved on it).
+    pub queue: QueueStats,
+}
+
+/// Maps one read under the engines' shared strand policy: both strands
+/// keeping the better mapping, or forward only.
+pub(crate) fn map_one<M: ReadMapper>(mapper: &M, both_strands: bool, read: &DnaSeq) -> ReadOutcome {
+    if both_strands {
+        let (best, stats) = mapper.map_read_both(read);
+        let (mapping, strand) = match best {
+            Some((mapping, strand)) => (Some(mapping), strand),
+            None => (None, Strand::Forward),
+        };
+        ReadOutcome {
+            mapping,
+            strand,
+            stats,
+        }
+    } else {
+        let (mapping, stats) = mapper.map_read(read);
+        ReadOutcome {
+            mapping,
+            strand: Strand::Forward,
+            stats,
+        }
+    }
 }
 
 /// The result of decoding one raw input unit in the worker stage, for
@@ -718,12 +655,12 @@ impl<T> DecodedBlock<T> {
 /// # Examples
 ///
 /// ```
-/// use segram_core::{EngineConfig, MapEngine, SegramConfig, SegramMapper};
+/// use segram_core::{EngineOptions, MapEngine, SegramConfig, SegramMapper};
 /// use segram_sim::DatasetConfig;
 ///
 /// let dataset = DatasetConfig::tiny(3).illumina(100);
 /// let mapper = SegramMapper::new(dataset.graph().clone(), SegramConfig::short_reads());
-/// let engine = MapEngine::new(&mapper, EngineConfig::with_threads(2));
+/// let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
 /// let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
 /// let (outcomes, report) = engine.map_batch(&reads);
 /// assert_eq!(outcomes.len(), reads.len());
@@ -733,67 +670,13 @@ impl<T> DecodedBlock<T> {
 #[derive(Debug)]
 pub struct MapEngine<'m, M: ReadMapper = SegramMapper> {
     mapper: &'m M,
-    config: EngineConfig,
-    affinity: Option<ShardAffinity>,
+    options: EngineOptions,
 }
 
 impl<'m, M: ReadMapper> MapEngine<'m, M> {
-    /// Binds the engine to a mapper. Accepts an [`EngineConfig`] or the
-    /// shared [`EngineOptions`] builder.
-    pub fn new(mapper: &'m M, config: impl Into<EngineConfig>) -> Self {
-        Self {
-            mapper,
-            config: config.into(),
-            affinity: None,
-        }
-    }
-
-    /// Binds the engine to a mapper with a worker-to-shard-group
-    /// ownership plan (see [`ShardAffinity`] for what the plan does and
-    /// does not affect).
-    pub fn with_affinity(
-        mapper: &'m M,
-        config: impl Into<EngineConfig>,
-        affinity: ShardAffinity,
-    ) -> Self {
-        Self {
-            mapper,
-            config: config.into(),
-            affinity: Some(affinity),
-        }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The worker-to-shard pinning, when configured.
-    pub fn affinity(&self) -> Option<&ShardAffinity> {
-        self.affinity.as_ref()
-    }
-
-    /// Maps one read according to the engine's strand policy.
-    fn map_one(&self, read: &DnaSeq) -> ReadOutcome {
-        if self.config.both_strands {
-            let (best, stats) = self.mapper.map_read_both(read);
-            let (mapping, strand) = match best {
-                Some((mapping, strand)) => (Some(mapping), strand),
-                None => (None, Strand::Forward),
-            };
-            ReadOutcome {
-                mapping,
-                strand,
-                stats,
-            }
-        } else {
-            let (mapping, stats) = self.mapper.map_read(read);
-            ReadOutcome {
-                mapping,
-                strand: Strand::Forward,
-                stats,
-            }
-        }
+    /// Binds the engine to a mapper.
+    pub fn new(mapper: &'m M, options: EngineOptions) -> Self {
+        Self { mapper, options }
     }
 
     /// Streams `reads` through the engine, calling `sink(item, outcome)`
@@ -813,35 +696,9 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         self.map_raw_stream(reads, Some, read_of, sink)
     }
 
-    /// Streams *undecoded* items through the engine: `decode` runs in the
-    /// worker stage ahead of seeding (timed into [`MapStats::decode`]),
-    /// and `sink(item, outcome)` is called once per read **in input
-    /// order** on a dedicated writer thread — the only thread that ever
-    /// runs the sink — so neither input parsing nor output rendering/IO
-    /// blocks a mapping worker.
-    ///
-    /// `raw` is consumed incrementally on the calling thread (the
-    /// producer), which ideally only slices record boundaries (e.g.
-    /// `segram_io::FastqFramer`). `read_of` projects the sequence out of
-    /// the decoded item. A worker that runs too far ahead of a slow batch
-    /// parks until the reorder buffer drains, and released batches flow
-    /// through a bounded channel to the writer, so at most
-    /// `3 × queue_depth + 2 × threads` batches exist at any moment —
-    /// memory stays bounded for arbitrarily long streams.
-    ///
-    /// Cancellation: when [`EngineConfig::cancel`] is cancelled — by the
-    /// sink, the input iterator, anyone holding a clone — the producer
-    /// stops consuming `raw` and workers drop still-queued batches
-    /// unmapped. `decode` returning `None` cancels the run the same way
-    /// (the decoder is expected to have recorded its error out of band).
-    /// [`EngineReport::batches`] counts batches that were actually
-    /// mapped, so a cancelled run's report stays truthful.
-    ///
-    /// # Panics
-    ///
-    /// If decode, the mapper, or the sink panics, the run is cancelled
-    /// and the **first** panic payload is re-raised from this call once
-    /// every thread has wound down.
+    /// Streams *undecoded* items through the engine, one read per raw
+    /// unit: the singleton-block special case of
+    /// [`map_block_stream`](Self::map_block_stream).
     pub fn map_raw_stream<Q, T, D, R, F>(
         &self,
         raw: impl Iterator<Item = Q>,
@@ -864,26 +721,18 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         )
     }
 
-    /// The many-reads-per-raw-unit generalization of
-    /// [`map_raw_stream`](Self::map_raw_stream): `decode` turns one raw
-    /// unit into a [`DecodedBlock`] of zero or more reads. This is the
-    /// compressed input path — the producer slices still-compressed BGZF
-    /// blocks, and workers inflate + splice + FASTQ-decode them here (the
-    /// decompression share is timed into [`MapStats::inflate`], the rest
-    /// into [`MapStats::decode`]). A block completing no record is legal;
-    /// its decode time is carried onto the next decoded read of the same
-    /// batch.
-    ///
-    /// Ordering, cancellation, settle-on-decode-failure and panic
-    /// semantics are exactly those of `map_raw_stream` (this is the one
-    /// implementation; `map_raw_stream` wraps every item in a singleton
-    /// block). With [`EngineConfig::adaptive_batch`] set, the producer
-    /// additionally retunes its batch size at each refill from the live
-    /// queue imbalance; the trajectory lands in
+    /// The fanout schedule: every worker pops the one shared queue —
+    /// [`map_routed_stream`](Self::map_routed_stream) with a single pool.
+    /// `decode` turns one raw unit into a [`DecodedBlock`] of zero or more
+    /// reads; this is the compressed input path (the producer slices
+    /// still-compressed BGZF blocks, workers inflate + splice +
+    /// FASTQ-decode them). With [`EngineOptions::adaptive_batch`] set, the
+    /// producer additionally retunes its batch size at each refill from
+    /// the live queue imbalance; the trajectory lands in
     /// [`EngineReport::batching`].
     pub fn map_block_stream<Q, T, D, R, F>(
         &self,
-        mut raw: impl Iterator<Item = Q>,
+        raw: impl Iterator<Item = Q>,
         decode: D,
         read_of: R,
         sink: F,
@@ -895,15 +744,81 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         R: Fn(&T) -> &DnaSeq + Sync,
         F: FnMut(T, ReadOutcome) + Send,
     {
-        let threads = self.config.threads.max(1);
-        let batch_size = self.config.batch_size.max(1);
-        let queue_depth = if self.config.queue_depth == 0 {
-            threads * 2
-        } else {
-            self.config.queue_depth
+        self.map_routed_stream(raw, decode, read_of, sink, 1, |_| Some(0))
+            .0
+    }
+
+    /// The stream loop. Streams *undecoded* items through `pools` bounded
+    /// queues: the calling thread (the producer) slices `raw` into batches
+    /// and asks `route` which pool's queue each batch joins — `None`, or an
+    /// index outside `0..pools`, spills it to the currently shortest queue.
+    /// Worker `w` serves queue `w % pools` (`pools` is clamped to
+    /// `1..=threads` so every queue has a worker). `decode` runs in the
+    /// worker stage ahead of seeding (timed into [`MapStats::decode`], its
+    /// decompression share into [`MapStats::inflate`]; a raw unit
+    /// completing no read is legal, its time is carried onto the next
+    /// decoded read of the same batch), and `sink(item, outcome)` is called
+    /// once per read **in input order** on a dedicated writer thread — the
+    /// only thread that ever runs the sink — so neither input parsing nor
+    /// output rendering/IO blocks a mapping worker.
+    ///
+    /// All pools release through one reorder buffer keyed by the producer's
+    /// batch index, so the sink sees the same sequence for every `pools`
+    /// and every `route`. A worker that runs too far ahead of a slow batch
+    /// parks until the reorder buffer drains, and released batches flow
+    /// through a bounded channel to the writer, so at most
+    /// `(pools + 2) × queue_depth + 2 × threads` batches exist at any
+    /// moment — memory stays bounded for arbitrarily long streams.
+    ///
+    /// Cancellation: when [`EngineOptions::cancel`] is cancelled — by the
+    /// sink, the input iterator, anyone holding a clone — the producer
+    /// stops consuming `raw` and workers drop still-queued batches
+    /// unmapped. `decode` returning `None` cancels the run the same way
+    /// (the decoder is expected to have recorded its error out of band),
+    /// except that queued batches are then *settled* decode-only, so the
+    /// earliest recorded error is the stream's first malformed record.
+    /// [`EngineReport::batches`] counts batches that were actually
+    /// mapped, so a cancelled run's report stays truthful.
+    ///
+    /// Returns the run's totals plus one [`PoolReport`] per pool.
+    ///
+    /// # Panics
+    ///
+    /// If decode, the mapper, or the sink panics, the run is cancelled
+    /// and the **first** panic payload is re-raised from this call once
+    /// every thread has wound down.
+    pub fn map_routed_stream<Q, T, D, R, F>(
+        &self,
+        mut raw: impl Iterator<Item = Q>,
+        decode: D,
+        read_of: R,
+        sink: F,
+        pools: usize,
+        mut route: impl FnMut(&[Q]) -> Option<usize>,
+    ) -> (EngineReport, Vec<PoolReport>)
+    where
+        Q: Send,
+        T: Send,
+        D: Fn(Q) -> Option<DecodedBlock<T>> + Sync,
+        R: Fn(&T) -> &DnaSeq + Sync,
+        F: FnMut(T, ReadOutcome) + Send,
+    {
+        let threads = self.options.resolved_threads();
+        let pools = pools.clamp(1, threads);
+        let batch_size = match self.options.batch_size {
+            0 => DEFAULT_BATCH_SIZE,
+            n => n,
         };
-        let cancel = &self.config.cancel;
-        let queue: WorkQueue<(usize, Vec<Q>)> = WorkQueue::new(queue_depth);
+        let queue_depth = self.options.resolved_queue_depth(threads);
+        let cancel = &self.options.cancel;
+        let both_strands = self.options.both_strands;
+        let queues: Vec<WorkQueue<(usize, Vec<Q>)>> =
+            (0..pools).map(|_| WorkQueue::new(queue_depth)).collect();
+        let close_all = |queues: &[WorkQueue<(usize, Vec<Q>)>]| {
+            for queue in queues {
+                queue.close();
+            }
+        };
         // The ordered handoff to the writer thread: released batches enter
         // in input order (pushes happen under the reorder lock) and the
         // bound makes a slow sink back-pressure the workers.
@@ -913,14 +828,10 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         // until the slow batch releases, so one pathological read cannot
         // make `pending` absorb the rest of the stream.
         let max_ahead = queue_depth + threads;
-        let reorder: Mutex<Reorder<T>> = Mutex::new(Reorder {
-            next: 0,
-            pending: BTreeMap::new(),
-            report: EngineReport::default(),
-        });
+        let reorder: Mutex<Reorder<T>> = Mutex::new(Reorder::new());
         let released = Condvar::new();
         let failure = FirstFailure::default();
-        let mapped_batches = AtomicUsize::new(0);
+        let pool_batches: Vec<AtomicU64> = (0..pools).map(|_| AtomicU64::new(0)).collect();
         // Raised (before `cancel`, which is SeqCst) when a decode failure
         // stopped the run. Workers that observe the cancellation then
         // *settle* still-queued batches decode-only instead of dropping
@@ -934,16 +845,17 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         let park_wait_ns = AtomicU64::new(0);
         let decode = &decode;
         let read_of = &read_of;
-        let mut produced = 0usize;
+        let mut pool_routed = vec![0u64; pools];
+        let mut pool_spilled = vec![0u64; pools];
         let mut trajectory = BatchTrajectory::default();
 
         std::thread::scope(|scope| {
             // The writer: drains ordered batches and runs the sink. A sink
             // panic is captured as the run's failure, the run is
-            // cancelled, and both queues close so no thread stays blocked.
+            // cancelled, and every queue closes so no thread stays blocked.
             let writer_handle = {
                 let out_queue = &out_queue;
-                let queue = &queue;
+                let queues = &queues;
                 let failure = &failure;
                 let released = &released;
                 let mut sink = sink;
@@ -958,7 +870,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                             failure.record(payload);
                             cancel.cancel();
                             out_queue.close();
-                            queue.close();
+                            close_all(queues);
                             // Wake workers parked on the reorder buffer so
                             // they observe the cancellation now instead of
                             // at the next 50 ms poll.
@@ -970,19 +882,22 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
             };
 
             let worker_handles: Vec<_> = (0..threads)
-                .map(|_worker| {
-                    let queue = &queue;
+                .map(|worker| {
+                    let queue = &queues[worker % pools];
+                    let pool_batches = &pool_batches[worker % pools];
+                    let queues = &queues;
                     let out_queue = &out_queue;
                     let reorder = &reorder;
                     let released = &released;
                     let failure = &failure;
-                    let mapped_batches = &mapped_batches;
                     let decode_failed = &decode_failed;
                     let park_waits = &park_waits;
                     let park_wait_ns = &park_wait_ns;
                     scope.spawn(move || {
-                        // Unblocks the producer and fellow workers if this
-                        // worker dies in a way `catch_unwind` cannot see.
+                        // Unblocks the producer and this pool's workers if
+                        // this worker dies in a way `catch_unwind` cannot
+                        // see (sibling pools keep draining; the explicit
+                        // failure path below closes everything).
                         // Note: no such guard on `out_queue` — the first
                         // worker to finish must not close the channel
                         // under peers that are still releasing batches;
@@ -1076,7 +991,8 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                                         {
                                             return false;
                                         }
-                                        let mut outcome = self.map_one(read_of(&item));
+                                        let mut outcome =
+                                            map_one(self.mapper, both_strands, read_of(&item));
                                         if first {
                                             outcome.stats.decode = decode_time + carry_decode;
                                             outcome.stats.inflate = inflate_time + carry_inflate;
@@ -1090,23 +1006,28 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                                 if settling {
                                     return false;
                                 }
-                                mapped_batches.fetch_add(1, Ordering::Relaxed);
+                                // Counted at worker completion, not at
+                                // producer enqueue: a cancelled run reports
+                                // the work that happened.
+                                pool_batches.fetch_add(1, Ordering::Relaxed);
                                 // Reorder bookkeeping: the lock covers map
                                 // insertion and release accounting only —
                                 // rendering and IO happen on the writer
                                 // thread, outside any engine lock.
                                 let mut guard = relock(reorder);
                                 // Backpressure: the worker owning batch
-                                // `next` is never parked here, so release
-                                // always advances. The wait is timed out
-                                // as a safety net so a cancellation path
-                                // without a handle on this condvar cannot
-                                // strand a parked worker — but one parked
-                                // period is *one* stall, however many
-                                // timeout wakeups it spans: admission
-                                // control reads these counters, and
-                                // counting poll wakeups would inflate
-                                // them ~20×/s per parked worker.
+                                // `next` is never parked here — in any
+                                // pool, since each queue is FIFO in batch
+                                // order — so release always advances. The
+                                // wait is timed out as a safety net so a
+                                // cancellation path without a handle on
+                                // this condvar cannot strand a parked
+                                // worker — but one parked period is *one*
+                                // stall, however many timeout wakeups it
+                                // spans: admission control reads these
+                                // counters, and counting poll wakeups
+                                // would inflate them ~20×/s per parked
+                                // worker.
                                 if index >= guard.next + max_ahead {
                                     let blocked = Instant::now();
                                     let mut parked = false;
@@ -1132,28 +1053,13 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                                     }
                                     record(blocked);
                                 }
-                                let state = &mut *guard;
-                                state.pending.insert(index, outcomes);
-                                // Release every batch now contiguous with
-                                // the released prefix, in order. Pushing
-                                // under the lock keeps the channel order
-                                // identical to release order; a full
+                                // Pushing under the lock keeps the channel
+                                // order identical to release order; a full
                                 // channel blocks here, which is exactly
                                 // the backpressure a lagging writer must
                                 // exert on the workers.
-                                let mut advanced = false;
-                                while let Some(ready) = state.pending.remove(&state.next) {
-                                    state.next += 1;
-                                    advanced = true;
-                                    for (_, outcome) in &ready {
-                                        state.report.reads += 1;
-                                        if outcome.mapping.is_some() {
-                                            state.report.mapped += 1;
-                                        }
-                                        state.report.stats.merge(&outcome.stats);
-                                    }
-                                    out_queue.push(ready);
-                                }
+                                let advanced =
+                                    guard.release(index, outcomes, |ready| out_queue.push(ready));
                                 drop(guard);
                                 if advanced {
                                     released.notify_all();
@@ -1171,7 +1077,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                                     // re-raise it once.
                                     failure.record(payload);
                                     cancel.cancel();
-                                    queue.close();
+                                    close_all(queues);
                                     out_queue.close();
                                     released.notify_all();
                                     break;
@@ -1183,24 +1089,20 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                 .collect();
 
             // The calling thread is the producer: it only slices the raw
-            // stream into batches — decode belongs to the workers. The
-            // guards also close both queues if the input iterator panics,
-            // so no thread is ever left blocked.
-            let _close_guard = CloseOnDrop(&queue);
+            // stream into batches and routes them — decode belongs to the
+            // workers. The guards also close every queue if the input
+            // iterator or the route hook panics, so no thread is ever left
+            // blocked.
+            let _close_guards: Vec<_> = queues.iter().map(CloseOnDrop).collect();
             let _out_close_guard = CloseOnDrop(&out_queue);
-            // Adaptive batch sizing: observe the queue imbalance at each
-            // refill and steer the batch size within the configured
-            // bounds — grow when the workers starve (the producer's
-            // per-batch overhead is the bottleneck), shrink when the
-            // producer is blocked pushing (mapping is the bottleneck and
-            // smaller batches cut latency and reorder memory). Output is
-            // invariant to the trajectory; only batch boundaries move.
-            let bounds = self.config.adaptive_batch.map(|b| BatchBounds {
-                min: b.min.max(1),
-                max: b.max.max(b.min.max(1)),
-            });
+            // Adaptive batch sizing (single-queue runs only; the policy
+            // and its reasons are on `EngineOptions::adaptive_batch`):
+            // observe the queue imbalance at each refill and steer the
+            // batch size within `[min, max]`.
+            let bounds = self.options.adaptive_batch.filter(|_| pools == 1);
+            let bounds = bounds.map(|(min, max)| (min.max(1), max.max(min.max(1))));
             let mut current = match bounds {
-                Some(b) => batch_size.clamp(b.min, b.max),
+                Some((min, max)) => batch_size.clamp(min, max),
                 None => batch_size,
             };
             trajectory = BatchTrajectory {
@@ -1213,6 +1115,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                 shrinks: 0,
             };
             let mut seen_waits = (0u64, 0u64);
+            let mut produced = 0usize;
             loop {
                 if cancel.is_cancelled() {
                     break;
@@ -1221,9 +1124,24 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                 if batch.is_empty() {
                     break;
                 }
+                let queue = match route(&batch).filter(|&pool| pool < pools) {
+                    Some(pool) => {
+                        pool_routed[pool] += 1;
+                        &queues[pool]
+                    }
+                    None => {
+                        let (pool, shortest) = queues
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, queue)| queue.len())
+                            .expect("at least one pool");
+                        pool_spilled[pool] += 1;
+                        shortest
+                    }
+                };
                 queue.push((produced, batch));
                 produced += 1;
-                if let Some(b) = bounds {
+                if let Some((min, max)) = bounds {
                     let stats = queue.stats();
                     let depth = queue.len();
                     let starved = depth == 0 || stats.worker_waits > seen_waits.1;
@@ -1231,11 +1149,11 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                     seen_waits = (stats.producer_waits, stats.worker_waits);
                     // Both signals firing means the pipeline is
                     // oscillating — hold rather than thrash.
-                    if starved && !backlogged && current < b.max {
-                        current = (current * 2).min(b.max);
+                    if starved && !backlogged && current < max {
+                        current = (current * 2).min(max);
                         trajectory.grows += 1;
-                    } else if backlogged && !starved && current > b.min {
-                        current = (current / 2).max(b.min);
+                    } else if backlogged && !starved && current > min {
+                        current = (current / 2).max(min);
                         trajectory.shrinks += 1;
                     }
                     trajectory.last = current;
@@ -1243,7 +1161,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                     trajectory.max_used = trajectory.max_used.max(current);
                 }
             }
-            queue.close();
+            close_all(&queues);
             // Workers first, then the channel, then the writer: the writer
             // must not see end-of-stream before every released batch is in
             // the channel.
@@ -1265,13 +1183,25 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
             resume_unwind(payload);
         }
 
+        let pool_reports: Vec<PoolReport> = (0..pools)
+            .map(|pool| PoolReport {
+                shards: Vec::new(),
+                workers: (0..threads).filter(|w| w % pools == pool).count(),
+                batches: pool_batches[pool].load(Ordering::Relaxed),
+                routed: pool_routed[pool],
+                spilled: pool_spilled[pool],
+                queue: queues[pool].stats(),
+            })
+            .collect();
         let reorder = reorder.into_inner().unwrap_or_else(PoisonError::into_inner);
         let mut report = reorder.report;
         report.backend = self.mapper.backend_name();
-        report.batches = mapped_batches.load(Ordering::Relaxed);
+        report.batches = pool_reports.iter().map(|p| p.batches as usize).sum();
         report.threads = threads;
         report.batching = trajectory;
-        let input = queue.stats();
+        // Run-level queue view: input counters summed over the pools
+        // (depth as the max across them), then the writer channel and the
+        // reorder park.
         let output = out_queue.stats();
         report.queue = QueueStats {
             output_max_depth: output.max_depth,
@@ -1281,9 +1211,16 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
             writer_wait: output.worker_wait,
             park_waits: park_waits.load(Ordering::Relaxed),
             park_wait: Duration::from_nanos(park_wait_ns.load(Ordering::Relaxed)),
-            ..input
+            ..QueueStats::default()
         };
-        report
+        for pool in &pool_reports {
+            report.queue.max_depth = report.queue.max_depth.max(pool.queue.max_depth);
+            report.queue.producer_waits += pool.queue.producer_waits;
+            report.queue.producer_wait += pool.queue.producer_wait;
+            report.queue.worker_waits += pool.queue.worker_waits;
+            report.queue.worker_wait += pool.queue.worker_wait;
+        }
+        (report, pool_reports)
     }
 
     /// Maps a slice of reads, returning the outcomes in input order plus
@@ -1304,6 +1241,7 @@ mod tests {
     use super::*;
     use crate::SegramConfig;
     use segram_sim::DatasetConfig;
+    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     fn setup() -> (segram_sim::Dataset, SegramMapper) {
@@ -1316,12 +1254,12 @@ mod tests {
     fn outcomes_preserve_input_order_across_thread_counts() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let serial = MapEngine::new(&mapper, EngineConfig::with_threads(1));
+        let serial = MapEngine::new(&mapper, EngineOptions::new().threads(1));
         let (base, base_report) = serial.map_batch(&reads);
         assert_eq!(base_report.reads, reads.len());
         for threads in [2usize, 4] {
-            let mut config = EngineConfig::with_threads(threads);
-            config.batch_size = 3; // force interleaving across workers
+            // force interleaving across workers
+            let config = EngineOptions::new().threads(threads).batch_size(3);
             let engine = MapEngine::new(&mapper, config);
             let (outcomes, report) = engine.map_batch(&reads);
             assert_eq!(report.threads, threads);
@@ -1345,13 +1283,11 @@ mod tests {
     fn tiny_queue_backpressure_still_preserves_order() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let (base, _) = MapEngine::new(&mapper, EngineConfig::with_threads(1)).map_batch(&reads);
+        let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
         // One-read batches through a one-slot queue with four workers:
         // maximum contention on both the work queue and the bounded
         // reorder buffer (max_ahead = 5 with 20 batches in flight).
-        let mut config = EngineConfig::with_threads(4);
-        config.batch_size = 1;
-        config.queue_depth = 1;
+        let config = EngineOptions::new().threads(4).batch_size(1).queue_depth(1);
         let engine = MapEngine::new(&mapper, config);
         let (outcomes, report) = engine.map_batch(&reads);
         assert_eq!(report.reads, reads.len());
@@ -1380,7 +1316,7 @@ mod tests {
             }
         }
 
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(4));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(4));
         let (_, report) = engine.map_batch(&reads);
         // Counts are deterministic and must match the serial sums exactly;
         // durations are wall-clock measurements, so only their presence is
@@ -1403,7 +1339,7 @@ mod tests {
             SegramConfig::short_reads().with_prefilter(segram_filter::FilterSpec::cascade());
         let mapper = SegramMapper::new(dataset.graph().clone(), config);
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(2));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
         let (_, report) = engine.map_batch(&reads);
         assert!(report.stats.filtering > Duration::ZERO);
         let fraction = report.stats.alignment_fraction();
@@ -1416,9 +1352,7 @@ mod tests {
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         // A one-slot queue with one-read batches maximizes contention: the
         // producer must block while workers drain.
-        let mut config = EngineConfig::with_threads(2);
-        config.batch_size = 1;
-        config.queue_depth = 1;
+        let config = EngineOptions::new().threads(2).batch_size(1).queue_depth(1);
         let engine = MapEngine::new(&mapper, config);
         let (_, report) = engine.map_batch(&reads);
         assert!(report.queue.max_depth >= 1);
@@ -1436,47 +1370,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_affinity_pins_every_shard_to_exactly_one_group() {
-        let (dataset, mapper) = setup();
-        let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let affinity = ShardAffinity::pin_workers(&[100, 80, 60, 40], 4);
-        // Every shard pinned to exactly one group.
-        let mut pinned: Vec<usize> = affinity.groups().iter().flatten().copied().collect();
-        pinned.sort_unstable();
-        assert_eq!(pinned, vec![0, 1, 2, 3]);
-        // The plan rides along without changing the fanout engine's run.
-        let mut config = EngineConfig::with_threads(4);
-        config.batch_size = 2;
-        let engine = MapEngine::with_affinity(&mapper, config, affinity);
-        let (_, report) = engine.map_batch(&reads);
-        assert_eq!(report.reads, reads.len());
-        assert_eq!(
-            engine
-                .affinity()
-                .expect("affinity configured")
-                .groups()
-                .len(),
-            4
-        );
-    }
-
-    #[test]
-    fn more_workers_than_shards_share_groups() {
-        let affinity = ShardAffinity::pin_workers(&[10, 20], 5);
-        assert_eq!(affinity.groups().len(), 2);
-        for worker in 0..5 {
-            assert!(affinity.group_of(worker) < 2);
-        }
-        // More shards than workers: one group owns several shards.
-        let wide = ShardAffinity::pin_workers(&[5, 4, 3, 2, 1], 2);
-        assert_eq!(wide.groups().len(), 2);
-        assert_eq!(wide.groups().iter().map(Vec::len).sum::<usize>(), 5);
-    }
-
-    #[test]
     fn empty_stream_yields_empty_report() {
         let (_, mapper) = setup();
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(3));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(3));
         let report = engine.map_stream(std::iter::empty::<DnaSeq>(), |r| r, |_, _| {});
         assert_eq!(report.reads, 0);
         assert_eq!(report.batches, 0);
@@ -1492,7 +1388,7 @@ mod tests {
             .map(|r| r.seq.clone())
             .take(3)
             .collect();
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(2));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
         let (_, report) = engine.map_batch(&reads);
         assert_eq!(report.backend, "segram");
         assert_eq!(EngineReport::default().backend, "segram");
@@ -1657,9 +1553,11 @@ mod tests {
         let mapper = SlowMapper::with_delay(Duration::from_millis(5));
         let reads = slow_engine_reads(100);
         let cancel = CancelToken::new();
-        let mut config = EngineConfig::with_threads(2).with_cancel(cancel.clone());
-        config.batch_size = 1;
-        config.queue_depth = 2;
+        let config = EngineOptions::new()
+            .threads(2)
+            .cancel(cancel.clone())
+            .batch_size(1)
+            .queue_depth(2);
         let engine = MapEngine::new(&mapper, config);
 
         let produced = std::cell::Cell::new(0usize);
@@ -1703,9 +1601,11 @@ mod tests {
         let mapper = SlowMapper::with_delay(Duration::from_millis(2));
         let reads = slow_engine_reads(60);
         let cancel = CancelToken::new();
-        let mut config = EngineConfig::with_threads(2).with_cancel(cancel.clone());
-        config.batch_size = 1;
-        config.queue_depth = 2;
+        let config = EngineOptions::new()
+            .threads(2)
+            .cancel(cancel.clone())
+            .batch_size(1)
+            .queue_depth(2);
         let engine = MapEngine::new(&mapper, config);
         let decode_failures = AtomicUsize::new(0);
         let report = engine.map_raw_stream(
@@ -1735,7 +1635,7 @@ mod tests {
         let (_, mapper) = setup();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(2).with_cancel(cancel));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2).cancel(cancel));
         let reads = slow_engine_reads(10);
         let report = engine.map_stream(reads.iter(), |r| *r, |_, _| {});
         assert_eq!(report.reads, 0);
@@ -1746,8 +1646,7 @@ mod tests {
     fn sink_panic_surfaces_the_original_payload_once() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let mut config = EngineConfig::with_threads(4);
-        config.batch_size = 1;
+        let config = EngineOptions::new().threads(4).batch_size(1);
         let engine = MapEngine::new(&mapper, config);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             engine.map_stream(reads.iter(), |r| *r, |_, _| panic!("sink exploded"));
@@ -1769,8 +1668,8 @@ mod tests {
     fn sink_runs_on_one_dedicated_thread_in_input_order() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let mut config = EngineConfig::with_threads(4);
-        config.batch_size = 2; // interleave batches across workers
+        // interleave batches across workers
+        let config = EngineOptions::new().threads(4).batch_size(2);
         let engine = MapEngine::new(&mapper, config);
         let caller = std::thread::current().id();
         let mut sink_threads = Vec::new();
@@ -1802,7 +1701,7 @@ mod tests {
             .iter()
             .map(|r| (format!("read{}", r.id), r.seq.to_string()))
             .collect();
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(2));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
         let report = engine.map_raw_stream(
             texts.iter(),
             |(_, text)| text.parse::<DnaSeq>().ok(),
@@ -1826,9 +1725,8 @@ mod tests {
     fn writer_channel_stats_observe_depth_and_stalls() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let mut config = EngineConfig::with_threads(2);
-        config.batch_size = 1;
-        config.queue_depth = 1; // output channel capacity follows
+        // output channel capacity follows
+        let config = EngineOptions::new().threads(2).batch_size(1).queue_depth(1);
         let engine = MapEngine::new(&mapper, config);
         let (_, report) = {
             let mut outcomes = Vec::new();
@@ -1879,9 +1777,11 @@ mod tests {
         let read = dataset.reads[0].seq.clone();
         for attempt in 0..8 {
             let cancel = CancelToken::new();
-            let mut config = EngineConfig::with_threads(2).with_cancel(cancel.clone());
-            config.batch_size = 8;
-            config.queue_depth = 4;
+            let config = EngineOptions::new()
+                .threads(2)
+                .cancel(cancel.clone())
+                .batch_size(8)
+                .queue_depth(4);
             let engine = MapEngine::new(&mapper, config);
             let first_error: Mutex<Option<usize>> = Mutex::new(None);
             let gate = cancel.clone();
@@ -1962,9 +1862,7 @@ mod tests {
             slow: slow.clone(),
             delay: Duration::from_millis(400),
         };
-        let mut config = EngineConfig::with_threads(2);
-        config.batch_size = 1;
-        config.queue_depth = 1;
+        let config = EngineOptions::new().threads(2).batch_size(1).queue_depth(1);
         let engine = MapEngine::new(&mapper, config);
         let mut reads = vec![slow];
         reads.extend(std::iter::repeat_with(|| fast.clone()).take(7));
@@ -1999,7 +1897,7 @@ mod tests {
         // counter must stay zero (no spurious counts from the poll loop).
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(2));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
         let (_, report) = engine.map_batch(&reads);
         assert_eq!(report.queue.park_waits, 0, "{:?}", report.queue);
         assert_eq!(report.queue.park_wait, Duration::ZERO);
@@ -2015,7 +1913,7 @@ mod tests {
             1.0,
         );
         let reads: Vec<DnaSeq> = stranded.iter().map(|r| r.seq.clone()).collect();
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(2).both_strands(true));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2).both_strands(true));
         let (outcomes, report) = engine.map_batch(&reads);
         assert!(report.mapped >= 8, "only {} of 10 mapped", report.mapped);
         assert!(outcomes
@@ -2031,10 +1929,10 @@ mod tests {
         // block's inflate share must land in the aggregated stats.
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let (base, _) = MapEngine::new(&mapper, EngineConfig::with_threads(1)).map_batch(&reads);
+        let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
         let blocks: Vec<Vec<DnaSeq>> = reads.chunks(3).map(<[DnaSeq]>::to_vec).collect();
-        let mut config = EngineConfig::with_threads(4);
-        config.batch_size = 2; // batches of blocks, interleaved across workers
+        // batches of blocks, interleaved across workers
+        let config = EngineOptions::new().threads(4).batch_size(2);
         let engine = MapEngine::new(&mapper, config);
         let mut outcomes = Vec::new();
         let report = engine.map_block_stream(
@@ -2073,7 +1971,7 @@ mod tests {
             .iter()
             .flat_map(|read| [None, Some(read.clone())])
             .collect();
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(2));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
         let mut seen = 0usize;
         let report = engine.map_block_stream(
             raws.into_iter(),
@@ -2101,12 +1999,13 @@ mod tests {
     fn adaptive_batching_stays_in_bounds_and_preserves_output() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let (base, _) = MapEngine::new(&mapper, EngineConfig::with_threads(1)).map_batch(&reads);
+        let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
         for threads in [1usize, 4] {
-            let mut config = EngineConfig::with_threads(threads);
-            config.batch_size = 2;
-            config.queue_depth = 2;
-            config.adaptive_batch = Some(BatchBounds { min: 1, max: 8 });
+            let config = EngineOptions::new()
+                .threads(threads)
+                .batch_size(2)
+                .queue_depth(2)
+                .adaptive_batch(1, 8);
             let engine = MapEngine::new(&mapper, config);
             let (outcomes, report) = engine.map_batch(&reads);
             assert_eq!(report.reads, reads.len());
@@ -2131,8 +2030,7 @@ mod tests {
     fn fixed_runs_report_their_batch_size_as_the_trajectory() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let mut config = EngineConfig::with_threads(2);
-        config.batch_size = 5;
+        let config = EngineOptions::new().threads(2).batch_size(5);
         let engine = MapEngine::new(&mapper, config);
         let (_, report) = engine.map_batch(&reads);
         assert!(!report.batching.adaptive);

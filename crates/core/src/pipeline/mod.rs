@@ -22,15 +22,19 @@
 //!   [`ReadMapper`](crate::ReadMapper), with overlapped IO: raw-record
 //!   decode runs in the worker stage and the sink runs on a dedicated
 //!   writer thread, with a [`CancelToken`] stopping both ends promptly on
-//!   failure;
+//!   failure. It owns the one one-shot stream loop: one or more pool
+//!   queues, one reorder buffer, one writer;
 //! * [`ShardRouter`] — the sharded seeding stage: per-shard index lookups
 //!   merged into the monolithic candidate order before
-//!   prefilter/alignment ([`router`]);
+//!   prefilter/alignment ([`router`]), plus [`route_batch`], the elastic
+//!   batch-to-pool policy;
 //! * [`ElasticScheduler`] — the per-shard-group pool schedule over a
-//!   sharded index ([`elastic`]): batches routed to dedicated pools by the
-//!   router's shard decision, with a live imbalance-driven [`Rebalancer`]
-//!   migrating shard ownership between pools — same bytes as the fanout
-//!   engine, by the shared reorder buffer;
+//!   sharded index ([`elastic`]): a routing shell over `MapEngine`'s loop,
+//!   with a live imbalance-driven [`Rebalancer`] migrating shard
+//!   ownership between pools — same bytes as the fanout schedule, because
+//!   it is the same loop;
+//! * [`MultiEngine`] — the long-lived many-requests engine behind
+//!   `segram serve` (the `multi` module);
 //! * [`sam_record_for`] / [`gaf_record_for`] — render one engine outcome
 //!   into the interchange formats, shared by the CLI and the test suite.
 //!
@@ -44,16 +48,18 @@ mod multi;
 mod router;
 mod stages;
 
-pub use elastic::{ElasticReport, ElasticScheduler, PoolReport, RebalanceConfig, Rebalancer};
+pub use elastic::{ElasticReport, ElasticScheduler, RebalanceConfig, Rebalancer};
 pub use engine::{
-    BatchBounds, BatchTrajectory, CancelToken, DecodedBlock, EngineConfig, EngineOptions,
-    EngineReport, MapEngine, QueueStats, ReadOutcome, ShardAffinity, WorkQueue,
+    BatchTrajectory, CancelToken, DecodedBlock, EngineOptions, EngineReport, MapEngine, PoolReport,
+    QueueStats, ReadOutcome, WorkQueue,
 };
 pub use multi::{
-    EngineBusy, MultiConfig, MultiEngine, PoolCounters, Priority, QueueDelayStats, RequestHandle,
+    EngineBusy, MultiEngine, PoolCounters, Priority, QueueDelayStats, RequestHandle,
     RequestPanicked, RouteHook,
 };
-pub use router::ShardRouter;
+pub use router::{route_batch, ShardRouter};
+
+pub(crate) use engine::DEFAULT_BATCH_SIZE;
 pub use stages::{Aligner, BitAlignStage, MinSeedStage, Prefilter, Seeder, SpecPrefilter};
 
 use std::time::{Duration, Instant};
@@ -339,7 +345,7 @@ mod tests {
     fn renderers_cover_mapped_and_unmapped_outcomes() {
         let dataset = DatasetConfig::tiny(23).illumina(100);
         let mapper = SegramMapper::new(dataset.graph().clone(), SegramConfig::short_reads());
-        let engine = MapEngine::new(&mapper, EngineConfig::with_threads(1));
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(1));
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let (outcomes, _) = engine.map_batch(&reads);
         let mapped = outcomes

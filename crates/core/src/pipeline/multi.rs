@@ -54,6 +54,18 @@
 //! push order, so a request's output is byte-identical to running the same
 //! reads through a one-shot [`MapEngine`](super::MapEngine) — `ci.sh`
 //! enforces exactly that equivalence through `segram serve`.
+//!
+//! What this engine shares with the one-shot stream loop is what is
+//! actually the same: the tuning knobs ([`EngineOptions`]), the per-read
+//! strand policy (`map_one`), the in-order release (`Reorder::release`,
+//! one buffer per request here) and the elastic route policy
+//! ([`route_batch`](super::route_batch), through a [`RouteHook`]). It
+//! stays a separate scheduler on purpose: `'static` workers over an `Arc`
+//! mapper that can be swapped, admission, per-request cancellation and
+//! reorder, and a panic turned into one request's error message — against
+//! scoped borrows, worker-stage decode and the original payload re-raised.
+//! One loop serving both would branch on its caller at every one of those
+//! points.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -65,54 +77,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use segram_graph::DnaSeq;
-use segram_sim::Strand;
 
 use crate::mapper::ReadMapper;
 
-use super::engine::{relock, CancelToken, EngineOptions, EngineReport, ReadOutcome};
-
-/// Tuning knobs of a [`MultiEngine`].
-#[derive(Clone, Debug)]
-pub struct MultiConfig {
-    /// Worker thread count (clamped to at least 1).
-    pub threads: usize,
-    /// Per-request input-queue capacity in batches (0 = `2 × threads`).
-    /// [`RequestHandle::push`] blocks past this, so one producer cannot
-    /// buffer its whole stream into the engine.
-    pub queue_depth: usize,
-    /// Admission limit: when the total queued batches across all open
-    /// requests reaches this, [`MultiEngine::open`] refuses with
-    /// [`EngineBusy`] (0 = `4 ×` the effective queue depth).
-    pub max_queued: usize,
-    /// Map each read on both strands and keep the better mapping.
-    pub both_strands: bool,
-}
-
-impl MultiConfig {
-    /// A configuration with `threads` workers and default batching.
-    #[deprecated(
-        note = "build a shared `EngineOptions` (`EngineOptions::new().threads(n)`) and pass it \
-                to the engine constructor instead"
-    )]
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
-    }
-}
-
-impl From<EngineOptions> for MultiConfig {
-    fn from(options: EngineOptions) -> Self {
-        let (threads, queue_depth, max_queued, both_strands) = options.multi_parts();
-        Self {
-            threads,
-            queue_depth,
-            max_queued,
-            both_strands,
-        }
-    }
-}
+use super::engine::{
+    map_one, relock, CancelToken, EngineOptions, EngineReport, ReadOutcome, Reorder,
+};
 
 /// A request's priority class, ordered by urgency: workers always pick a
 /// runnable request of a higher class before any lower one, and
@@ -226,19 +196,6 @@ impl DelayWindow {
     }
 }
 
-impl Default for MultiConfig {
-    fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            queue_depth: 0,
-            max_queued: 0,
-            both_strands: false,
-        }
-    }
-}
-
 /// Admission refusal: the engine's queued-batch depth has reached the
 /// configured limit. Clients should retry later (the `segram serve` line
 /// protocol surfaces this as a `BUSY` reply carrying the depth).
@@ -341,9 +298,9 @@ struct ReqState<M, T> {
     delays: DelayWindow,
     /// Batches popped by workers and not yet released or discarded.
     inflight: usize,
-    /// Next batch index to release to `out` (per-request reorder buffer).
-    next_release: usize,
-    pending: BTreeMap<usize, Vec<(T, ReadOutcome)>>,
+    /// The per-request reorder buffer (releases into `out`) and the
+    /// request's running totals.
+    reorder: Reorder<T>,
     /// Released batches, strictly in push order. Unbounded: a request's
     /// outputs never exceed what its producer already pushed in, and
     /// admission bounds the queued total across requests.
@@ -354,7 +311,6 @@ struct ReqState<M, T> {
     /// Handle dropped without `finish`: discard outputs, remove when idle.
     detached: bool,
     failure: Option<String>,
-    report: EngineReport,
 }
 
 impl<M, T> ReqState<M, T> {
@@ -373,13 +329,11 @@ impl<M, T> ReqState<M, T> {
             mapper,
             delays: DelayWindow::default(),
             inflight: 0,
-            next_release: 0,
-            pending: BTreeMap::new(),
+            reorder: Reorder::new(),
             out: VecDeque::new(),
             done: false,
             detached: false,
             failure: None,
-            report: EngineReport::default(),
         }
     }
 }
@@ -438,14 +392,14 @@ impl<M, T> Sched<M, T> {
                 self.queued_per_pool[batch.pool] -= 1;
             }
             req.input.clear();
-            req.pending.clear();
+            req.reorder.pending.clear();
             if req.inflight == 0 {
                 req.done = true;
             }
         } else if req.input_closed
             && req.input.is_empty()
             && req.inflight == 0
-            && req.pending.is_empty()
+            && req.reorder.pending.is_empty()
         {
             req.done = true;
         }
@@ -487,31 +441,6 @@ struct Shared<M, T> {
     output_ready: Condvar,
 }
 
-impl<M: ReadMapper, T> Shared<M, T> {
-    /// Maps one read with the given request's captured mapper.
-    fn map_one(&self, mapper: &M, read: &DnaSeq) -> ReadOutcome {
-        if self.both_strands {
-            let (best, stats) = mapper.map_read_both(read);
-            let (mapping, strand) = match best {
-                Some((mapping, strand)) => (Some(mapping), strand),
-                None => (None, Strand::Forward),
-            };
-            ReadOutcome {
-                mapping,
-                strand,
-                stats,
-            }
-        } else {
-            let (mapping, stats) = mapper.map_read(read);
-            ReadOutcome {
-                mapping,
-                strand: Strand::Forward,
-                stats,
-            }
-        }
-    }
-}
-
 /// The worker loop: pick the most urgent runnable request — past-deadline
 /// first, then by [`Priority`] class, preferring a front batch tagged for
 /// this worker's `pool` and breaking remaining ties in rotation order
@@ -544,7 +473,9 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
             // full — the pick then favors the requests that can make
             // release progress, and bounds how many lower-priority
             // batches can ever overtake a higher-priority request.
-            if !req.cancel.is_cancelled() && req.inflight + req.pending.len() >= shared.max_ahead {
+            if !req.cancel.is_cancelled()
+                && req.inflight + req.reorder.pending.len() >= shared.max_ahead
+            {
                 continue;
             }
             let key = (
@@ -606,7 +537,8 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
                 if cancel.is_cancelled() {
                     return false;
                 }
-                let outcome = shared.map_one(mapper.as_ref(), (shared.read_of)(&item));
+                let read = (shared.read_of)(&item);
+                let outcome = map_one(mapper.as_ref(), shared.both_strands, read);
                 outcomes.push((item, outcome));
             }
             true
@@ -623,23 +555,16 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
                     req.cancel.cancel();
                 }
                 Ok(true) if !req.cancel.is_cancelled() => {
-                    req.report.batches += 1;
-                    req.pending.insert(index, std::mem::take(&mut outcomes));
-                    // Release every batch now contiguous with the released
-                    // prefix, strictly in push order.
-                    while let Some(ready) = req.pending.remove(&req.next_release) {
-                        req.next_release += 1;
-                        for (_, outcome) in &ready {
-                            req.report.reads += 1;
-                            if outcome.mapping.is_some() {
-                                req.report.mapped += 1;
+                    req.reorder.report.batches += 1;
+                    // Strictly in push order; a detached request's outputs
+                    // have no reader left.
+                    let (out, detached) = (&mut req.out, req.detached);
+                    req.reorder
+                        .release(index, std::mem::take(&mut outcomes), |ready| {
+                            if !detached {
+                                out.push_back(ready);
                             }
-                            req.report.stats.merge(&outcome.stats);
-                        }
-                        if !req.detached {
-                            req.out.push_back(ready);
-                        }
-                    }
+                        });
                 }
                 // Cancelled mid-batch or just after: outputs are dropped.
                 Ok(_) => {}
@@ -715,11 +640,9 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> fmt::Debug for Sh
 
 impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T> {
     /// Spawns the worker pool over a shared mapper. `read_of` projects the
-    /// sequence out of a work item (e.g. `|record| &record.seq`). `config`
-    /// accepts either a [`MultiConfig`] or a shared
-    /// [`EngineOptions`](super::engine::EngineOptions).
-    pub fn new(mapper: Arc<M>, read_of: fn(&T) -> &DnaSeq, config: impl Into<MultiConfig>) -> Self {
-        Self::with_routing(mapper, read_of, config, 1, None)
+    /// sequence out of a work item (e.g. `|record| &record.seq`).
+    pub fn new(mapper: Arc<M>, read_of: fn(&T) -> &DnaSeq, options: EngineOptions) -> Self {
+        Self::with_routing(mapper, read_of, options, 1, None)
     }
 
     /// [`Self::new`] plus pool routing: workers are partitioned into
@@ -732,22 +655,20 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
     pub fn with_routing(
         mapper: Arc<M>,
         read_of: fn(&T) -> &DnaSeq,
-        config: impl Into<MultiConfig>,
+        options: EngineOptions,
         pools: usize,
         route: Option<RouteHook<T>>,
     ) -> Self {
-        let config = config.into();
-        let threads = config.threads.max(1);
+        let threads = options.resolved_threads();
         let pools = pools.clamp(1, threads);
-        let queue_depth = if config.queue_depth == 0 {
-            threads * 2
-        } else {
-            config.queue_depth
-        };
-        let max_queued = if config.max_queued == 0 {
-            queue_depth * 4
-        } else {
-            config.max_queued
+        // Per request: `RequestHandle::push` blocks past this, so one
+        // producer cannot buffer its whole stream into the engine.
+        let queue_depth = options.resolved_queue_depth(threads);
+        // Past this many queued batches across all open requests,
+        // `open` refuses with `EngineBusy`.
+        let max_queued = match options.max_queued {
+            0 => queue_depth * 4,
+            n => n,
         };
         let shared = Arc::new(Shared {
             mapper: Mutex::new(mapper),
@@ -758,7 +679,7 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
             queue_depth,
             max_ahead: queue_depth + threads,
             max_queued,
-            both_strands: config.both_strands,
+            both_strands: options.both_strands,
             sched: Mutex::new(Sched {
                 requests: BTreeMap::new(),
                 rr: VecDeque::new(),
@@ -1021,8 +942,8 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
             };
             if req.input.len() < shared.queue_depth {
                 if let Some(since) = blocked {
-                    req.report.queue.producer_waits += 1;
-                    req.report.queue.producer_wait += since.elapsed();
+                    req.reorder.report.queue.producer_waits += 1;
+                    req.reorder.report.queue.producer_wait += since.elapsed();
                 }
                 break;
             }
@@ -1059,7 +980,8 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
             enqueued: Instant::now(),
         });
         let depth = req.input.len();
-        req.report.queue.max_depth = req.report.queue.max_depth.max(depth);
+        let queue = &mut req.reorder.report.queue;
+        queue.max_depth = queue.max_depth.max(depth);
         self.produced += 1;
         guard.queued_total += 1;
         guard.queued_per_pool[pool] += 1;
@@ -1136,7 +1058,7 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
         guard.rr.retain(|&r| r != self.id);
         drop(guard);
         self.finished = true;
-        let mut report = state.report;
+        let mut report = state.reorder.report;
         report.backend = state.mapper.backend_name();
         report.threads = shared.threads;
         match state.failure {
@@ -1168,10 +1090,10 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> Drop for RequestH
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::engine::{EngineConfig, EngineOptions, MapEngine};
+    use crate::pipeline::engine::{EngineOptions, MapEngine};
     use crate::{MapStats, Mapping, SegramConfig, SegramMapper};
     use segram_graph::GenomeGraph;
-    use segram_sim::DatasetConfig;
+    use segram_sim::{DatasetConfig, Strand};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
@@ -1222,17 +1144,12 @@ mod tests {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let (base, base_report) =
-            MapEngine::new(&mapper, EngineConfig::with_threads(1)).map_batch(&reads);
+            MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
 
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 2,
-                queue_depth: 2,
-                max_queued: 0,
-                both_strands: false,
-            },
+            EngineOptions::new().threads(2).queue_depth(2),
         );
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..3)
@@ -1290,12 +1207,10 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 2,
-                queue_depth: 8,
-                max_queued: 64,
-                both_strands: false,
-            },
+            EngineOptions::new()
+                .threads(2)
+                .queue_depth(8)
+                .max_queued(64),
         );
         std::thread::scope(|scope| {
             let victim = scope.spawn(|| {
@@ -1377,12 +1292,7 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 1,
-                queue_depth: 2,
-                max_queued: 1,
-                both_strands: false,
-            },
+            EngineOptions::new().threads(1).queue_depth(2).max_queued(1),
         );
         let mut request = engine.open().expect("empty engine admits");
         // Two batches: the worker blocks inside the first (gated), the
@@ -1423,12 +1333,10 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 1,
-                queue_depth: 16,
-                max_queued: 64,
-                both_strands: false,
-            },
+            EngineOptions::new()
+                .threads(1)
+                .queue_depth(16)
+                .max_queued(64),
         );
         std::thread::scope(|scope| {
             let big = scope.spawn(|| {
@@ -1526,7 +1434,7 @@ mod tests {
     fn pool_routing_preserves_outcomes_and_accounts_every_batch() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let (base, _) = MapEngine::new(&mapper, EngineConfig::with_threads(1)).map_batch(&reads);
+        let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
         // Alternate pool tags, declining every third batch so the spill
         // path (least-loaded fallback) is exercised too.
         let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -1544,12 +1452,7 @@ mod tests {
         let engine = MultiEngine::with_routing(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 2,
-                queue_depth: 4,
-                max_queued: 0,
-                both_strands: false,
-            },
+            EngineOptions::new().threads(2).queue_depth(4),
             2,
             Some(route),
         );
@@ -1641,12 +1544,10 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 1,
-                queue_depth,
-                max_queued: 64,
-                both_strands: false,
-            },
+            EngineOptions::new()
+                .threads(1)
+                .queue_depth(queue_depth)
+                .max_queued(64),
         );
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         (engine, gate, log, reads)
@@ -1758,12 +1659,7 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::new(mapper),
             seq_of,
-            MultiConfig {
-                threads: 2,
-                queue_depth: 4,
-                max_queued: 0,
-                both_strands: false,
-            },
+            EngineOptions::new().threads(2).queue_depth(4),
         );
         assert!(
             engine.queue_delays().is_empty(),
@@ -1839,12 +1735,10 @@ mod tests {
         let engine = MultiEngine::new(
             Arc::clone(&old),
             seq_of,
-            MultiConfig {
-                threads: 1,
-                queue_depth: 8,
-                max_queued: 64,
-                both_strands: false,
-            },
+            EngineOptions::new()
+                .threads(1)
+                .queue_depth(8)
+                .max_queued(64),
         );
 
         // Open before the swap, but push (and map) everything after it:

@@ -21,12 +21,17 @@
 //! The router also feeds each shard's occupancy counters (seed hits,
 //! regions produced), the observability behind the paper's Section 8.3
 //! load-balance study.
+//!
+//! The same module holds the elastic schedule's *batch* routing policy
+//! ([`route_batch`]): which worker pool a batch of reads belongs to, given
+//! who owns which shard. `segram map --schedule elastic` and the `segram
+//! serve` route hook both call it, so the two cannot drift.
 
 use segram_graph::{DnaSeq, GenomeGraph};
 use segram_index::{extract_minimizers, seed_region, SeedRegion, SeedingResult, SeedingStats};
 
-use crate::pipeline::Seeder;
-use crate::shard::IndexShard;
+use crate::pipeline::{Rebalancer, Seeder};
+use crate::shard::{IndexShard, ShardedIndex};
 
 /// The sharded [`Seeder`]: minimizer extraction once per read, a global
 /// frequency decision, then per-shard index lookups merged into the
@@ -87,6 +92,45 @@ impl<'a> ShardRouter<'a> {
         }
         hits
     }
+}
+
+/// The pool holding a strict majority of a batch's seed hits, if any:
+/// `None` (spill) when nothing hit, or when no pool holds more than half —
+/// which covers equal maxima, since two pools cannot both exceed half.
+fn dominant_pool(pool_hits: &[u64]) -> Option<usize> {
+    let total: u64 = pool_hits.iter().sum();
+    pool_hits.iter().position(|&hits| 2 * hits > total)
+}
+
+/// The elastic route policy for one batch: sums the reads' per-shard seed
+/// hits ([`ShardRouter::route_hits`] — one minimizer extraction per read,
+/// no occupancy counter touched), folds them onto the pools that currently
+/// own those shards, and returns the pool with a strict majority — or
+/// `None` to spill a batch that straddles groups or hits nothing.
+///
+/// Each call is a batch boundary, so after deciding it feeds the live
+/// per-shard seed-hit counters the mapping workers are filling in to
+/// [`Rebalancer::observe`]; ownership follows the observed load.
+pub fn route_batch<'r>(
+    index: &ShardedIndex,
+    rebalancer: &mut Rebalancer,
+    reads: impl IntoIterator<Item = &'r DnaSeq>,
+) -> Option<usize> {
+    let router = index.router();
+    let mut pool_hits = vec![0u64; rebalancer.pools()];
+    for read in reads {
+        for (shard, hits) in router.route_hits(read).into_iter().enumerate() {
+            pool_hits[rebalancer.pool_of(shard)] += hits;
+        }
+    }
+    let target = dominant_pool(&pool_hits);
+    let live: Vec<u64> = index
+        .shard_stats()
+        .iter()
+        .map(|stats| stats.seed_hits)
+        .collect();
+    rebalancer.observe(&live);
+    target
 }
 
 /// Merges per-shard candidate lists into the monolithic
@@ -177,5 +221,67 @@ impl Seeder for ShardRouter<'_> {
         regions.dedup_by_key(|r| (r.start, r.end));
         stats.regions = regions.len();
         SeedingResult { regions, stats }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::RebalanceConfig;
+    use crate::SegramConfig;
+    use segram_sim::DatasetConfig;
+
+    #[test]
+    fn dominant_pool_needs_a_strict_majority() {
+        // Nothing hit anywhere: no signal, spill.
+        assert_eq!(dominant_pool(&[0, 0, 0]), None);
+        assert_eq!(dominant_pool(&[0]), None);
+        // Exactly half is not a majority.
+        assert_eq!(dominant_pool(&[5, 5]), None);
+        assert_eq!(dominant_pool(&[4, 2, 2]), None);
+        // A strict majority wins, wherever it sits.
+        assert_eq!(dominant_pool(&[5, 4]), Some(0));
+        assert_eq!(dominant_pool(&[1, 2, 9]), Some(2));
+        assert_eq!(dominant_pool(&[0, 1]), Some(1));
+        // Equal maxima can never both exceed half: always a spill, so
+        // there is no tie for a pool index to break.
+        assert_eq!(dominant_pool(&[3, 3, 1]), None);
+        assert_eq!(dominant_pool(&[7, 7]), None);
+    }
+
+    #[test]
+    fn route_batch_follows_ownership_and_is_deterministic() {
+        let dataset = DatasetConfig::tiny(61).illumina(100);
+        let index = ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), 4);
+        let reads: Vec<&DnaSeq> = dataset.reads.iter().map(|r| &r.seq).collect();
+        // A threshold nothing reaches: ownership stays at the boot
+        // placement, so decisions depend on the batch alone.
+        let still = RebalanceConfig {
+            threshold: f64::INFINITY,
+            cooldown: 0,
+        };
+        let mut a = Rebalancer::for_index(&index, 4, still);
+        let mut b = Rebalancer::for_index(&index, 4, still);
+        let router = index.router();
+        for read in &reads {
+            // One read's hits sit (almost always) in one shard: the batch
+            // must route to whichever pool owns the majority shard.
+            let hits = router.route_hits(read);
+            let total: u64 = hits.iter().sum();
+            let expected = hits
+                .iter()
+                .position(|&h| 2 * h > total)
+                .map(|shard| a.pool_of(shard));
+            let routed = route_batch(&index, &mut a, [*read]);
+            assert_eq!(routed, expected, "hits {hits:?}");
+            // Same batch, same rebalancer state: same decision — what the
+            // `map` shell and the `serve` hook rely on by both calling
+            // this routine.
+            assert_eq!(route_batch(&index, &mut b, [*read]), routed);
+        }
+        // An empty batch has no hits: spill.
+        assert_eq!(route_batch(&index, &mut a, []), None);
+        // The pre-route pass records nothing into the occupancy counters.
+        assert!(index.shard_stats().iter().all(|s| s.seed_hits == 0));
     }
 }

@@ -17,13 +17,10 @@
 //! The same greedy size-balanced placement the paper uses to distribute
 //! chromosomes over memory channels ([`balance_loads`], shared with
 //! [`Pangenome::channel_placement`](crate::Pangenome::channel_placement))
-//! also plans the engine's worker-to-shard-group ownership
-//! ([`ShardAffinity`](crate::pipeline::ShardAffinity)). The fanout
-//! schedule treats that plan as informational (routing fans out to every
-//! shard); the elastic schedule
-//! ([`ElasticScheduler`](crate::pipeline::ElasticScheduler)) materializes
-//! it as per-group worker pools and migrates ownership live as the
-//! observed seeding load drifts.
+//! also places shards on the elastic schedule's worker pools
+//! ([`ElasticScheduler`](crate::pipeline::ElasticScheduler)), which then
+//! migrates ownership live as the observed seeding load drifts. The
+//! fanout schedule has no placement: every worker serves every shard.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,8 +45,7 @@ use crate::pipeline::{BitAlignStage, MapPipeline, ShardRouter, SpecPrefilter};
 /// This is the paper's Section 8.3 placement rule, shared by
 /// [`Pangenome::channel_placement`](crate::Pangenome::channel_placement)
 /// (chromosomes → memory channels) and
-/// [`ShardAffinity`](crate::pipeline::ShardAffinity) (shards → worker
-/// groups).
+/// [`Rebalancer`](crate::pipeline::Rebalancer) (shards → worker pools).
 ///
 /// # Panics
 ///
@@ -616,7 +612,7 @@ impl ShardedIndex {
         )
     }
 
-    /// Per-shard memory loads (the inputs to worker-affinity placement).
+    /// Per-shard memory loads (the inputs to the elastic pool placement).
     pub fn shard_loads(&self) -> Vec<u64> {
         self.shards.iter().map(IndexShard::memory_bytes).collect()
     }

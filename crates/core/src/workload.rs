@@ -8,7 +8,7 @@ use segram_hw::SeedWorkload;
 use segram_sim::SimulatedRead;
 
 use crate::mapper::SegramMapper;
-use crate::pipeline::{EngineConfig, MapEngine};
+use crate::pipeline::{EngineOptions, MapEngine, DEFAULT_BATCH_SIZE};
 
 /// Aggregated measurement over a read set.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -91,16 +91,16 @@ pub fn map_with_threads(
     reads: &[SimulatedRead],
     threads: usize,
 ) -> (f64, usize) {
-    let mut config = EngineConfig::with_threads(threads);
     // Size batches so every worker gets several, even on the small read
     // sets the scaling experiments use — with the engine's default batch
     // size, 60 reads would form only 4 batches and leave workers idle at
     // 8 threads, measuring batch granularity instead of mapper scaling.
-    config.batch_size = reads
+    let batch_size = reads
         .len()
         .div_ceil(threads.max(1) * 4)
-        .clamp(1, config.batch_size);
-    let engine = MapEngine::new(mapper, config);
+        .clamp(1, DEFAULT_BATCH_SIZE);
+    let options = EngineOptions::new().threads(threads).batch_size(batch_size);
+    let engine = MapEngine::new(mapper, options);
     let start = std::time::Instant::now();
     let report = engine.map_stream(reads.iter(), |read| &read.seq, |_, _| {});
     (start.elapsed().as_secs_f64(), report.mapped)

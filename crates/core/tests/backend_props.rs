@@ -8,7 +8,7 @@
 //! to end through the built binary.
 
 use segram_core::{
-    gaf_record_for, sam_record_for, Backend, BackendKind, EngineConfig, MapEngine, MapStats,
+    gaf_record_for, sam_record_for, Backend, BackendKind, EngineOptions, MapEngine, MapStats,
     ReadMapper, ReadOutcome, SegramConfig, SegramMapper,
 };
 use segram_graph::DnaSeq;
@@ -56,10 +56,9 @@ fn render_engine<M: ReadMapper>(
     reads: &[(String, DnaSeq)],
     threads: usize,
 ) -> Documents {
-    let mut config = EngineConfig::with_threads(threads);
     // Tiny batches force interleaving across workers even on the small
     // datasets the strategy generates.
-    config.batch_size = 2;
+    let config = EngineOptions::new().threads(threads).batch_size(2);
     let engine = MapEngine::new(mapper, config);
     let mut sam = SamWriter::new(Vec::new(), "graph", mapper.graph().total_chars())
         .expect("vec write cannot fail");
@@ -98,8 +97,7 @@ fn render_engine_overlapped<M: ReadMapper>(
         .map(|(id, seq)| FastqRecord::with_uniform_quality(id.clone(), seq.clone(), 30))
         .collect();
     let bytes = write_fastq(&fastq).into_bytes();
-    let mut config = EngineConfig::with_threads(threads);
-    config.batch_size = 2;
+    let config = EngineOptions::new().threads(threads).batch_size(2);
     let engine = MapEngine::new(mapper, config);
     let mut sam = SamWriter::new(Vec::new(), "graph", mapper.graph().total_chars())
         .expect("vec write cannot fail");
@@ -201,7 +199,7 @@ fn baseline_engine_report_carries_stage_times() {
         1,
     );
     let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-    let engine = MapEngine::new(&backend, EngineConfig::with_threads(2));
+    let engine = MapEngine::new(&backend, EngineOptions::new().threads(2));
     let (outcomes, report) = engine.map_batch(&reads);
     assert_eq!(report.backend, "graphaligner");
     assert!(report.stats.seeding > std::time::Duration::ZERO);

@@ -1,92 +1,89 @@
-//! Property tests for the elastic scheduler: on random simulated
-//! datasets, the SAM and GAF documents produced by the per-shard-group
-//! pool schedule are byte-identical to the monolithic fanout engine's,
-//! across shard counts {1, 2, 4} x thread counts {1, 4} — with an
-//! aggressive rebalancer configuration, so shard migrations happen *during*
-//! the runs being compared. Migrations move shard ownership between pools;
-//! they must never move bytes in the output.
+//! Property tests for the elastic schedule: on random simulated datasets,
+//! the SAM and GAF documents produced through per-shard-group pools are
+//! byte-identical to the single-threaded fanout documents —
+//!
+//! * across shard counts {1, 2, 4} x thread counts {1, 4} with an
+//!   aggressive rebalancer configuration, so shard migrations happen
+//!   *during* the runs being compared (migrations move shard ownership
+//!   between pools; they must never move bytes in the output), and
+//! * across pool counts {1, 2, 4} x thread counts {1, 4} under routes
+//!   nobody would choose — everything to pool 0, round-robin, always
+//!   spill, seeded random including out-of-range answers — because the
+//!   route only picks a queue: every pool releases through the one
+//!   reorder buffer.
 
 use segram_core::{
-    gaf_record_for, sam_record_for, ElasticScheduler, EngineConfig, MapEngine, ReadMapper,
-    RebalanceConfig, SegramConfig, SegramMapper, ShardAffinity, ShardedIndex,
+    gaf_record_for, sam_record_for, DecodedBlock, ElasticScheduler, EngineOptions, MapEngine,
+    ReadMapper, ReadOutcome, RebalanceConfig, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{GafWriter, SamWriter};
 use segram_sim::DatasetConfig;
 use segram_testkit::prelude::*;
 
-/// Renders both output documents from the fanout engine, exactly as the
-/// CLI's streaming path does (shared renderers, shared writers).
-fn fanout_documents<M: ReadMapper>(
+type Read = (String, DnaSeq);
+
+/// Renders both output documents exactly as the CLI's streaming path does
+/// (shared renderers, shared writers) from whatever schedule `run` feeds
+/// the render sink to.
+fn documents<'r, M: ReadMapper>(
     mapper: &M,
-    reads: &[(String, DnaSeq)],
-    threads: usize,
-    both_strands: bool,
+    run: impl FnOnce(&mut (dyn FnMut(&'r Read, ReadOutcome) + Send)),
 ) -> (Vec<u8>, Vec<u8>) {
-    let mut config = EngineConfig::with_threads(threads).both_strands(both_strands);
-    config.batch_size = 2;
-    let engine = MapEngine::new(mapper, config);
     let mut sam = SamWriter::new(Vec::new(), "graph", mapper.graph().total_chars())
         .expect("vec write cannot fail");
     let mut gaf = GafWriter::new(Vec::new());
-    engine.map_stream(
-        reads.iter(),
-        |(_, seq)| seq,
-        |(id, seq), outcome| {
-            let record = sam_record_for(id, seq, &outcome);
-            sam.write_line(&record.to_sam_line())
-                .expect("vec write cannot fail");
-            if let Some(record) =
-                gaf_record_for(id, seq, mapper.graph(), &outcome).expect("consistent graph path")
-            {
-                gaf.write_record(&record).expect("vec write cannot fail");
-            }
-        },
-    );
+    run(&mut |(id, seq), outcome| {
+        let record = sam_record_for(id, seq, &outcome);
+        sam.write_line(&record.to_sam_line())
+            .expect("vec write cannot fail");
+        if let Some(record) =
+            gaf_record_for(id, seq, mapper.graph(), &outcome).expect("consistent graph path")
+        {
+            gaf.write_record(&record).expect("vec write cannot fail");
+        }
+    });
     (
         sam.finish().expect("vec flush cannot fail"),
         gaf.finish().expect("vec flush cannot fail"),
     )
 }
 
-/// Renders both output documents from the elastic scheduler over an
-/// already-sharded index, with a hair-trigger rebalancer (threshold just
-/// above 1.0, one-observation cooldown) so ownership migrates mid-run.
-fn elastic_documents(
-    sharded: &ShardedIndex,
-    reads: &[(String, DnaSeq)],
-    threads: usize,
+/// Tiny batches force batch interleaving across workers and pools even on
+/// the small datasets the strategy generates.
+fn options(threads: usize, both_strands: bool) -> EngineOptions {
+    EngineOptions::new()
+        .threads(threads)
+        .both_strands(both_strands)
+        .batch_size(2)
+}
+
+/// The reference documents: the fanout schedule on one thread.
+fn fanout_documents(
+    mapper: &SegramMapper,
+    reads: &[Read],
     both_strands: bool,
 ) -> (Vec<u8>, Vec<u8>) {
-    let mut config = EngineConfig::with_threads(threads).both_strands(both_strands);
-    config.batch_size = 2;
-    let affinity = ShardAffinity::pin_workers(&sharded.shard_loads(), threads);
-    let scheduler =
-        ElasticScheduler::new(sharded, config, affinity).with_rebalance(RebalanceConfig {
-            threshold: 1.05,
-            cooldown: 1,
-        });
-    let mut sam = SamWriter::new(Vec::new(), "graph", sharded.graph().total_chars())
-        .expect("vec write cannot fail");
-    let mut gaf = GafWriter::new(Vec::new());
-    scheduler.map_stream(
-        reads.iter(),
-        |(_, seq)| seq,
-        |(id, seq), outcome| {
-            let record = sam_record_for(id, seq, &outcome);
-            sam.write_line(&record.to_sam_line())
-                .expect("vec write cannot fail");
-            if let Some(record) =
-                gaf_record_for(id, seq, sharded.graph(), &outcome).expect("consistent graph path")
-            {
-                gaf.write_record(&record).expect("vec write cannot fail");
-            }
-        },
-    );
-    (
-        sam.finish().expect("vec flush cannot fail"),
-        gaf.finish().expect("vec flush cannot fail"),
-    )
+    documents(mapper, |sink| {
+        MapEngine::new(mapper, options(1, both_strands)).map_stream(
+            reads.iter(),
+            |(_, seq)| seq,
+            sink,
+        );
+    })
+}
+
+/// A random dataset with named reads.
+fn dataset(seed: u64, read_count: usize, read_len: usize) -> (segram_sim::Dataset, Vec<Read>) {
+    let mut dataset_config = DatasetConfig::tiny(seed);
+    dataset_config.read_count = read_count;
+    let dataset = dataset_config.illumina(read_len);
+    let reads = dataset
+        .reads
+        .iter()
+        .map(|r| (format!("read{}", r.id), r.seq.clone()))
+        .collect();
+    (dataset, reads)
 }
 
 proptest! {
@@ -97,23 +94,24 @@ proptest! {
         read_len in prop::sample::select(vec![80usize, 100, 130]),
         both_strands in any::<bool>(),
     ) {
-        let mut dataset_config = DatasetConfig::tiny(seed);
-        dataset_config.read_count = read_count;
-        let dataset = dataset_config.illumina(read_len);
+        let (dataset, reads) = dataset(seed, read_count, read_len);
         let config = SegramConfig::short_reads();
         let mapper = SegramMapper::new(dataset.graph().clone(), config);
-        let reads: Vec<(String, DnaSeq)> = dataset
-            .reads
-            .iter()
-            .map(|r| (format!("read{}", r.id), r.seq.clone()))
-            .collect();
-
-        let (sam_base, gaf_base) = fanout_documents(&mapper, &reads, 1, both_strands);
+        let (sam_base, gaf_base) = fanout_documents(&mapper, &reads, both_strands);
 
         for shards in [1usize, 2, 4] {
             let sharded = ShardedIndex::build(dataset.graph().clone(), config, shards);
             for threads in [1usize, 4] {
-                let (sam, gaf) = elastic_documents(&sharded, &reads, threads, both_strands);
+                // A hair-trigger rebalancer (threshold just above 1.0,
+                // one-observation cooldown) so ownership migrates mid-run.
+                let scheduler = ElasticScheduler::new(&sharded, options(threads, both_strands))
+                    .with_rebalance(RebalanceConfig {
+                        threshold: 1.05,
+                        cooldown: 1,
+                    });
+                let (sam, gaf) = documents(&sharded, |sink| {
+                    scheduler.map_stream(reads.iter(), |(_, seq)| seq, sink);
+                });
                 prop_assert_eq!(
                     &sam, &sam_base,
                     "sam bytes differ: shards={} threads={}", shards, threads
@@ -122,6 +120,77 @@ proptest! {
                     &gaf, &gaf_base,
                     "gaf bytes differ: shards={} threads={}", shards, threads
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn adversarial_routes_cannot_change_bytes(
+        seed in 0u64..5_000,
+        read_count in 3usize..8,
+        both_strands in any::<bool>(),
+    ) {
+        let (dataset, reads) = dataset(seed, read_count, 100);
+        let mapper = SegramMapper::new(dataset.graph().clone(), SegramConfig::short_reads());
+        let (sam_base, gaf_base) = fanout_documents(&mapper, &reads, both_strands);
+
+        for pools in [1usize, 2, 4] {
+            for threads in [1usize, 4] {
+                for route_name in ["all-to-pool-0", "round-robin", "always-spill", "random"] {
+                    let mut calls = 0usize;
+                    let mut state = seed;
+                    let route = |_: &[&Read]| {
+                        calls += 1;
+                        match route_name {
+                            "all-to-pool-0" => Some(0),
+                            "round-robin" => Some(calls % pools),
+                            "always-spill" => None,
+                            _ => {
+                                // A 64-bit LCG; one answer in five is out
+                                // of range, which must spill, not panic.
+                                state = state
+                                    .wrapping_mul(6364136223846793005)
+                                    .wrapping_add(1442695040888963407);
+                                Some((state >> 33) as usize % (pools + pools / 4 + 1))
+                            }
+                        }
+                    };
+                    let mut run = None;
+                    let (sam, gaf) = documents(&mapper, |sink| {
+                        run = Some(
+                            MapEngine::new(&mapper, options(threads, both_strands))
+                                .map_routed_stream(
+                                    reads.iter(),
+                                    |read| Some(DecodedBlock::one(read)),
+                                    |(_, seq)| seq,
+                                    sink,
+                                    pools,
+                                    route,
+                                ),
+                        );
+                    });
+                    let what = format!("pools={pools} threads={threads} route={route_name}");
+                    prop_assert_eq!(&sam, &sam_base, "sam bytes differ: {}", what);
+                    prop_assert_eq!(&gaf, &gaf_base, "gaf bytes differ: {}", what);
+
+                    let (report, pool_reports) = run.expect("the run happened");
+                    // Every pool has a worker, so pools clamp to threads.
+                    prop_assert_eq!(pool_reports.len(), pools.min(threads), "{}", what);
+                    let sum = |f: fn(&segram_core::PoolReport) -> u64| -> u64 {
+                        pool_reports.iter().map(f).sum()
+                    };
+                    prop_assert_eq!(report.batches, reads.len().div_ceil(2), "{}", what);
+                    prop_assert_eq!(
+                        sum(|p| p.routed) + sum(|p| p.spilled),
+                        report.batches as u64,
+                        "every batch is routed or spilled: {}", what
+                    );
+                    prop_assert_eq!(
+                        sum(|p| p.batches),
+                        report.batches as u64,
+                        "per-pool batches sum to the total: {}", what
+                    );
+                }
             }
         }
     }

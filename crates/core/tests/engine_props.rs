@@ -7,7 +7,7 @@
 //! through the built binary).
 
 use segram_core::{
-    gaf_record_for, sam_record_for, BatchBounds, EngineConfig, EngineReport, MapEngine, ReadMapper,
+    gaf_record_for, sam_record_for, EngineOptions, EngineReport, MapEngine, ReadMapper,
     SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_filter::FilterSpec;
@@ -25,10 +25,12 @@ fn render_documents<M: ReadMapper>(
     threads: usize,
     both_strands: bool,
 ) -> (Vec<u8>, Vec<u8>) {
-    let mut config = EngineConfig::with_threads(threads).both_strands(both_strands);
     // Tiny batches force batch interleaving across workers even on the
     // small datasets the strategy generates.
-    config.batch_size = 2;
+    let config = EngineOptions::new()
+        .threads(threads)
+        .both_strands(both_strands)
+        .batch_size(2);
     let (sam, gaf, _) = render_with_config(mapper, reads, config);
     (sam, gaf)
 }
@@ -39,7 +41,7 @@ fn render_documents<M: ReadMapper>(
 fn render_with_config<M: ReadMapper>(
     mapper: &M,
     reads: &[(String, DnaSeq)],
-    config: EngineConfig,
+    config: EngineOptions,
 ) -> (Vec<u8>, Vec<u8>, EngineReport) {
     let engine = MapEngine::new(mapper, config);
     let mut sam = SamWriter::new(Vec::new(), "graph", mapper.graph().total_chars())
@@ -138,8 +140,7 @@ proptest! {
 
         let (sam_fixed, gaf_fixed) = render_documents(&mapper, &reads, 1, both_strands);
 
-        let mut config = EngineConfig::with_threads(threads).both_strands(both_strands);
-        config.adaptive_batch = Some(BatchBounds { min, max });
+        let config = EngineOptions::new().threads(threads).both_strands(both_strands).adaptive_batch(min, max);
         let (sam, gaf, report) = render_with_config(&mapper, &reads, config);
         prop_assert_eq!(&sam, &sam_fixed, "adaptive batching changed the SAM bytes");
         prop_assert_eq!(&gaf, &gaf_fixed, "adaptive batching changed the GAF bytes");

@@ -5,7 +5,7 @@
 //! observable through a recording mapper, and a gate keeps the queue
 //! stacked until the whole scenario is in place — no timing assumptions.
 
-use segram_core::{MapStats, Mapping, MultiConfig, MultiEngine, Priority, ReadMapper};
+use segram_core::{EngineOptions, MapStats, Mapping, MultiEngine, Priority, ReadMapper};
 use segram_graph::{DnaSeq, GenomeGraph};
 use segram_sim::{DatasetConfig, Strand};
 use segram_testkit::prelude::*;
@@ -73,12 +73,7 @@ proptest! {
                 log: Arc::clone(&log),
             }),
             seq_of,
-            MultiConfig {
-                threads,
-                queue_depth,
-                max_queued: 0,
-                both_strands: false,
-            },
+            EngineOptions::new().threads(threads).queue_depth(queue_depth),
         );
 
         // Park the lone worker inside a filler batch, then stack bulk

@@ -9,7 +9,7 @@
 //! bytes; a performance change must leave this file untouched.
 
 use segram_core::{
-    gaf_record_for, sam_document, sam_record_for, EngineConfig, MapEngine, ReadOutcome,
+    gaf_record_for, sam_document, sam_record_for, EngineOptions, MapEngine, ReadOutcome,
     SegramConfig, SegramMapper,
 };
 use segram_graph::{DnaSeq, GenomeGraph};
@@ -25,8 +25,8 @@ fn outcomes(
 ) -> (SegramMapper, Vec<DnaSeq>, Vec<ReadOutcome>) {
     let mapper = SegramMapper::new(graph.clone(), config);
     let seqs: Vec<DnaSeq> = reads.iter().map(|r| r.seq.clone()).collect();
-    let (outcomes, _) =
-        MapEngine::new(&mapper, EngineConfig::with_threads(1).both_strands(true)).map_batch(&seqs);
+    let (outcomes, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1).both_strands(true))
+        .map_batch(&seqs);
     (mapper, seqs, outcomes)
 }
 

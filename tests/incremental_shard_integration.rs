@@ -5,7 +5,8 @@
 //! the clean shards' mapper allocations shared with the predecessor.
 
 use segram_core::{
-    gaf_record_for, sam_record_for, EngineConfig, MapEngine, ReadMapper, SegramConfig, ShardedIndex,
+    gaf_record_for, sam_record_for, EngineOptions, MapEngine, ReadMapper, SegramConfig,
+    ShardedIndex,
 };
 use segram_graph::{build_graph, Base, DnaSeq, Variant, VariantSet};
 use segram_index::{
@@ -82,8 +83,7 @@ fn render_documents(
     reads: &[SimulatedRead],
     threads: usize,
 ) -> (Vec<u8>, Vec<u8>) {
-    let mut config = EngineConfig::with_threads(threads);
-    config.batch_size = 8;
+    let config = EngineOptions::new().threads(threads).batch_size(8);
     let engine = MapEngine::new(mapper, config);
     let mut sam = Vec::new();
     let mut gaf = Vec::new();
