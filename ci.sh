@@ -39,7 +39,10 @@
 #                      with `segram bgzip` (the in-tree DEFLATE encoder,
 #                      both fixed and stored modes) and mapped through all
 #                      four backends x sam/gaf x --threads 1/8, each run
-#                      diffed byte-for-byte against its plain-input twin
+#                      diffed byte-for-byte against its plain-input twin;
+#                      then BGZF output: single and split runs with
+#                      --compress-output, `gzip -dc` of each diffed against
+#                      the plain documents, EOF marker checked
 #  13. persistent-serve `segram index build` -> `map --index` diffed against
 #                       `map --graph`, then a live `segram serve` daemon:
 #                       concurrent requests (one cancelled mid-payload)
@@ -327,6 +330,40 @@ compressed_io() {
     [ ! -e "$d-trunc.sam" ] \
         || { echo "partial output left behind after BGZF failure"; return 1; }
     echo "  corruption: named error, exit 1, no orphaned output"
+
+    # Output leg: --compress-output moves deflate to a thread per document
+    # and nothing else. BGZF is multi-member gzip, so stock `gzip -dc` must
+    # give back the plain documents, single and split alike, and a clean
+    # close ends on the canonical 28-byte EOF marker.
+    if ! command -v gzip > /dev/null; then
+        echo "  note: gzip not found, skipping the --compress-output leg"
+        return 0
+    fi
+    # Enough reads that the SAM document spans more than one BGZF member.
+    local o="$GATE_DIR/czo"
+    "$SEGRAM" simulate --out-prefix "$o" \
+        --length 20000 --reads 400 --read-len 100 --seed 41 > /dev/null || return 1
+    local eof="1f8b08040000000000ff0600424302001b0003000000000000000000"
+    for fmt in sam gaf; do
+        "$SEGRAM" map --graph "$o.gfa" --reads "$o.fq" --format "$fmt" \
+            --output "$o.$fmt" > /dev/null || return 1
+        "$SEGRAM" map --graph "$o.gfa" --reads "$o.fq" --format "$fmt" \
+            --output "$o-single.$fmt.gz" --compress-output > /dev/null || return 1
+    done
+    "$SEGRAM" map --graph "$o.gfa" --reads "$o.fq" --threads 4 \
+        --output-sam "$o-split.sam.gz" --output-gaf "$o-split.gaf.gz" \
+        --compress-output > /dev/null || return 1
+    local run
+    for fmt in sam gaf; do
+        for run in single split; do
+            gzip -dc "$o-$run.$fmt.gz" | diff "$o.$fmt" - > /dev/null \
+                || { echo "$run $fmt: gzip -dc of the BGZF output differs from the plain document"
+                     return 1; }
+            [ "$(tail -c 28 "$o-$run.$fmt.gz" | od -An -v -tx1 | tr -d ' \n')" = "$eof" ] \
+                || { echo "$run $fmt: BGZF output does not end on the EOF marker"; return 1; }
+        done
+    done
+    echo "  output: --compress-output single+split gunzip to the plain sam+gaf, EOF marker present"
 }
 
 tier compressed-io compressed_io

@@ -5,7 +5,7 @@ use std::fmt;
 
 use segram_graph::GraphError;
 use segram_index::PersistError;
-use segram_io::{BgzfError, FormatError};
+use segram_io::{BgzfError, FormatError, StreamError};
 
 /// Errors surfaced to the terminal by the `segram` binary.
 #[derive(Debug)]
@@ -69,6 +69,16 @@ impl CliError {
         Self::Format {
             path: path.into(),
             source,
+        }
+    }
+
+    /// Names a streaming read/render failure after the file it belongs
+    /// to: transport errors after `io_path`, format errors after
+    /// `format_path`.
+    pub fn stream(source: StreamError, io_path: &str, format_path: &str) -> Self {
+        match source {
+            StreamError::Io(err) => Self::io(io_path, err),
+            StreamError::Format(err) => Self::format(format_path, err),
         }
     }
 

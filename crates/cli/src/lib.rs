@@ -14,9 +14,11 @@
 //! segram simulate     synthetic ref/VCF/graph/reads bundle (Section 10 stand-in)
 //! ```
 //!
-//! The command implementations live in [`commands`] (and the daemon pair
-//! in `serve`) as plain functions so integration tests can call them
-//! without spawning processes; `main` is a thin dispatcher.
+//! [`commands`] holds the command table and the shared option parsers;
+//! each subcommand is a plain function in a module of its own (`index`,
+//! `map`, `eval`, `simulate`, and the daemon pair in `serve`), so
+//! integration tests can call them through [`dispatch`] without spawning
+//! processes; `main` is a thin dispatcher.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -24,7 +26,11 @@
 mod args;
 pub mod commands;
 mod error;
+mod eval;
+mod index;
+mod map;
 mod serve;
+mod simulate;
 
 pub use args::Options;
 pub use commands::{dispatch, USAGE};

@@ -10,6 +10,13 @@
 //! and zero-downtime index reload (`RELOAD` swaps the mapper between
 //! requests; in-flight requests finish on the index they opened against).
 //!
+//! There is one daemon body. The store is loaded into the same
+//! [`Backend`] a one-shot `segram map --index` maps with (monolithic, or
+//! re-sharded under `--shards` / `--schedule elastic`), every reply is
+//! rendered by the [`DocWriter`] `map` writes its files with, and `RELOAD`
+//! is one closure that takes the dirty-shard delta route whenever the
+//! active mapper is sharded and the new store is its direct child.
+//!
 //! ## Wire protocol (one request per TCP connection, line-framed)
 //!
 //! ```text
@@ -40,25 +47,24 @@
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use segram_core::{
-    gaf_record_for, route_batch, sam_record_for, DeltaSwapReport, EngineOptions, MultiEngine,
-    Priority, QueueDelayStats, ReadMapper, RebalanceConfig, Rebalancer, RequestHandle, RouteHook,
-    SegramMapper, ShardedIndex,
+    route_batch, Backend, DeltaSwapReport, EngineOptions, MultiEngine, Priority, QueueDelayStats,
+    ReadMapper, RebalanceConfig, Rebalancer, RequestHandle, RouteHook,
 };
 use segram_graph::DnaSeq;
-use segram_io::{Ambiguity, FastqReader, FastqRecord, GafWriter, SamWriter};
+use segram_io::{Ambiguity, FastqReader, FastqRecord};
 
 use crate::args::Options;
 use crate::commands::{
-    mapper_from_persisted, persisted_from_index_file, preset, provenance_label, schedule_kind,
-    shard_count, sharded_from_persisted, thread_count, warn_clamped_shards, write_file, Schedule,
+    preset, schedule_kind, shard_count, thread_count, warn_clamped_shards, write_file, Schedule,
 };
 use crate::error::CliError;
+use crate::index::{backend_from_store, load_store};
+use crate::map::{DocFormat, DocWriter};
 
 /// Reads per engine batch: small enough that a request's first outputs
 /// stream back while its payload is still arriving.
@@ -92,7 +98,9 @@ OPTIONS:
     --threads <int>        worker threads (default: all available cores)
     --shards <int>         re-shard the loaded index into N coordinate
                            ranges with a seeding router in front
-                           (default 1; replies stay byte-identical)
+                           (default 1; replies stay byte-identical, and a
+                           RELOAD onto the active store's direct child
+                           rebuilds only the shards its delta touched)
     --schedule <fanout|elastic>
                            worker schedule (default fanout: all workers
                            serve every request batch). elastic splits the
@@ -146,28 +154,11 @@ fn seq_of(record: &FastqRecord) -> &DnaSeq {
     &record.seq
 }
 
-/// Validated output format of one request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WireFormat {
-    Sam,
-    Gaf,
-}
-
-impl WireFormat {
-    fn parse(name: &str) -> Option<Self> {
-        match name {
-            "sam" => Some(Self::Sam),
-            "gaf" => Some(Self::Gaf),
-            _ => None,
-        }
-    }
-}
-
 /// A parsed `MAP`/`MAP/2` request line: what to map, how much of it, and
 /// how urgently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct RequestHeader {
-    format: WireFormat,
+    format: DocFormat,
     payload_len: u64,
     priority: Priority,
     deadline: Option<Duration>,
@@ -251,7 +242,7 @@ fn parse_request_header(header: &str) -> Result<RequestHeader, HeaderError> {
     };
     if !v2 {
         let format_token = tokens.next().unwrap_or("");
-        let format = WireFormat::parse(format_token)
+        let format = DocFormat::parse(format_token)
             .ok_or_else(|| HeaderError::BadFormat(format_token.to_owned()))?;
         let len_token = tokens.next().unwrap_or("");
         let payload_len: u64 = len_token
@@ -272,7 +263,7 @@ fn parse_request_header(header: &str) -> Result<RequestHeader, HeaderError> {
         .parse()
         .map_err(|_| HeaderError::BadPayloadLen(len_token.to_owned()))?;
     let mut parsed = RequestHeader {
-        format: WireFormat::Sam,
+        format: DocFormat::Sam,
         payload_len,
         priority: Priority::Normal,
         deadline: None,
@@ -283,7 +274,7 @@ fn parse_request_header(header: &str) -> Result<RequestHeader, HeaderError> {
         };
         match key {
             "fmt" => {
-                parsed.format = WireFormat::parse(value)
+                parsed.format = DocFormat::parse(value)
                     .ok_or_else(|| HeaderError::BadFormat(value.to_owned()))?;
             }
             "prio" => {
@@ -339,8 +330,8 @@ enum ReloadKind {
 
 /// What the reload hook hands back: the replacement mapper, how it was
 /// built, and the store's provenance label for the daemon report.
-struct ReloadOutcome<M> {
-    mapper: Arc<M>,
+struct ReloadOutcome {
+    mapper: Arc<Backend>,
     kind: ReloadKind,
     label: String,
 }
@@ -399,64 +390,50 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
         .max_queued(options.number("max-queued", 0)?)
         .both_strands(options.switch("both-strands"));
 
-    let loaded = persisted_from_index_file(index_path)?;
-    let boot_label = provenance_label(&loaded);
-
-    if shards <= 1 && schedule == Schedule::Fanout {
-        let mapper = mapper_from_persisted(loaded, config);
-        let engine = MultiEngine::new(Arc::new(mapper), seq_of, engine_options);
-        // The monolithic mapper has no shards to swap piecemeal: every
-        // reload is a full rebuild.
-        let reload = move |path: &str, _current: &SegramMapper| {
-            let loaded = persisted_from_index_file(path)?;
-            let label = provenance_label(&loaded);
-            Ok(ReloadOutcome {
-                mapper: Arc::new(mapper_from_persisted(loaded, config)),
-                kind: ReloadKind::Full { fallback: None },
-                label,
-            })
-        };
-        return run_daemon(options, engine, index_path, boot_label, reload, quiet, None);
+    // The store becomes the same `Backend` a one-shot `map --index` run
+    // maps with, monolithic or re-sharded (same graph, same frequency
+    // threshold), so replies stay byte-identical to it either way.
+    let reshard = (shards > 1 || schedule == Schedule::Elastic).then_some(shards);
+    let (loaded, boot_label) = load_store(index_path)?;
+    let backend = Arc::new(backend_from_store(loaded, config, reshard));
+    if let Some(sharded) = backend.sharded() {
+        warn_clamped_shards(shards, sharded);
     }
-
-    // Re-shard the persisted index: same graph, same frequency threshold,
-    // so replies stay byte-identical to the monolithic daemon. A RELOAD
-    // whose store is the direct child of the active one (parent checksum
-    // matches) takes the delta route — only dirty shards are rebuilt,
-    // clean shards keep sharing the active Arcs; anything else falls back
-    // to a full re-shard of the new file.
-    let sharded = Arc::new(sharded_from_persisted(loaded, config, shards));
-    warn_clamped_shards(shards, &sharded);
-    let reload = move |path: &str, current: &ShardedIndex| {
-        let loaded = persisted_from_index_file(path)?;
-        let label = provenance_label(&loaded);
-        match current.apply_delta(&loaded) {
-            Ok((next, report)) => Ok(ReloadOutcome {
-                mapper: Arc::new(next),
-                kind: ReloadKind::Delta(report),
-                label,
-            }),
-            Err(why) => Ok(ReloadOutcome {
-                mapper: Arc::new(sharded_from_persisted(loaded, config, shards)),
-                kind: ReloadKind::Full {
-                    fallback: Some(why.to_string()),
-                },
-                label,
-            }),
-        }
+    // A RELOAD whose store is the direct child of the active one (parent
+    // checksum matches) takes the delta route on a sharded daemon — only
+    // dirty shards are rebuilt, clean shards keep sharing the active Arcs;
+    // anything else re-shards the new file from scratch. The monolithic
+    // mapper has no shards to swap piecemeal: every reload is a full build.
+    let reload = move |path: &str, current: &Backend| {
+        let (loaded, label) = load_store(path)?;
+        let (mapper, kind) = match current.sharded().map(|active| active.apply_delta(&loaded)) {
+            Some(Ok((next, report))) => (Backend::Sharded(next), ReloadKind::Delta(report)),
+            declined => {
+                let fallback = declined.and_then(Result::err).map(|why| why.to_string());
+                let mapper = backend_from_store(loaded, config, reshard);
+                (mapper, ReloadKind::Full { fallback })
+            }
+        };
+        Ok(ReloadOutcome {
+            mapper: Arc::new(mapper),
+            kind,
+            label,
+        })
     };
     // The elastic schedule is the same engine plus a route hook. The hook
     // keeps consulting the boot-time index after a RELOAD: routing is a
     // locality hint only, so a stale hint degrades placement, never
     // correctness or output bytes.
-    let boot = (schedule == Schedule::Elastic)
-        .then(|| Rebalancer::for_index(&sharded, threads, RebalanceConfig::default()));
-    let pools = boot.as_ref().map_or(1, Rebalancer::pools);
-    let rebalancer = boot.map(|boot| Arc::new(Mutex::new(boot)));
+    let rebalancer = backend
+        .sharded()
+        .filter(|_| schedule == Schedule::Elastic)
+        .map(|sharded| Rebalancer::for_index(sharded, threads, RebalanceConfig::default()));
+    let pools = rebalancer.as_ref().map_or(1, Rebalancer::pools);
+    let rebalancer = rebalancer.map(|boot| Arc::new(Mutex::new(boot)));
     let route = rebalancer
         .as_ref()
-        .map(|r| pool_route(Arc::clone(&sharded), Arc::clone(r)));
-    let engine = MultiEngine::with_routing(sharded, seq_of, engine_options, pools, route);
+        .map(|r| pool_route(Arc::clone(&backend), Arc::clone(r)));
+    let engine = MultiEngine::with_routing(backend, seq_of, engine_options, pools, route);
     run_daemon(
         options, engine, index_path, boot_label, reload, quiet, rebalancer,
     )
@@ -465,55 +442,44 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
 /// The daemon's route hook: the same [`route_batch`] policy `segram map
 /// --schedule elastic` routes by, over a rebalancer shared by all
 /// connections — so pool ownership follows observed load across requests.
-fn pool_route(
-    index: Arc<ShardedIndex>,
-    rebalancer: Arc<Mutex<Rebalancer>>,
-) -> RouteHook<FastqRecord> {
+fn pool_route(backend: Arc<Backend>, rebalancer: Arc<Mutex<Rebalancer>>) -> RouteHook<FastqRecord> {
     Arc::new(move |batch| {
         // A poisoned rebalancer only costs locality: spill.
         let mut rebalancer = rebalancer.lock().ok()?;
-        route_batch(&index, &mut rebalancer, batch.iter().map(|r| &r.seq))
+        route_batch(
+            backend.sharded()?,
+            &mut rebalancer,
+            batch.iter().map(|r| &r.seq),
+        )
     })
 }
 
 /// The index-reload hook a daemon runs on `RELOAD <path>`: given the
 /// path and the active mapper, produce the replacement (delta or full).
-type ReloadFn<'a, M> = dyn Fn(&str, &M) -> Result<ReloadOutcome<M>, CliError> + Send + Sync + 'a;
+type ReloadFn<'a> = dyn Fn(&str, &Backend) -> Result<ReloadOutcome, CliError> + Send + Sync + 'a;
 
 /// Per-daemon context the connection handlers share: the engine, the
 /// index-reload hook, and the lifetime counters.
-struct Daemon<'a, M: ReadMapper + Send + Sync + 'static> {
-    engine: &'a MultiEngine<M, FastqRecord>,
-    reload: &'a ReloadFn<'a, M>,
-    /// Path of the index new requests currently map against (updated by
-    /// each successful `RELOAD`).
-    active_index: &'a Mutex<String>,
-    /// Provenance label of the active index (epoch, build preset).
-    active_label: &'a Mutex<String>,
+#[derive(Clone, Copy)]
+struct Daemon<'a> {
+    engine: &'a MultiEngine<Backend, FastqRecord>,
+    reload: &'a ReloadFn<'a>,
+    /// Path and provenance label (epoch, build preset) of the index new
+    /// requests currently map against (updated by each successful `RELOAD`).
+    active: &'a Mutex<(String, String)>,
     quiet: bool,
     stats: &'a ServeStats,
 }
 
-// Manual impl (the derive would demand `M: Clone`): the context is shared
-// by reference across connection threads.
-impl<M: ReadMapper + Send + Sync + 'static> Clone for Daemon<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M: ReadMapper + Send + Sync + 'static> Copy for Daemon<'_, M> {}
-
 /// The daemon proper: accept loop, per-connection handlers, lifetime
-/// report. Generic over the mapper behind the engine — the monolithic
-/// [`SegramMapper`] or a routed [`ShardedIndex`] — because requests are
-/// handled identically either way. `reload` builds a fresh mapper of the
-/// same shape from an `.sgi` path (the `RELOAD` hook).
-fn run_daemon<M: ReadMapper + Send + Sync + 'static>(
+/// report. `reload` builds the replacement mapper from an `.sgi` path
+/// and the active one (the `RELOAD` hook).
+fn run_daemon(
     options: &Options,
-    engine: MultiEngine<M, FastqRecord>,
+    engine: MultiEngine<Backend, FastqRecord>,
     index_path: &str,
     boot_label: String,
-    reload: impl Fn(&str, &M) -> Result<ReloadOutcome<M>, CliError> + Send + Sync,
+    reload: impl Fn(&str, &Backend) -> Result<ReloadOutcome, CliError> + Send + Sync,
     quiet: bool,
     rebalancer: Option<Arc<Mutex<Rebalancer>>>,
 ) -> Result<String, CliError> {
@@ -525,12 +491,11 @@ fn run_daemon<M: ReadMapper + Send + Sync + 'static>(
     println!("listening on {local}");
     let _ = std::io::stdout().flush();
     if let Some(path) = options.get("addr-file") {
-        write_file(path, &format!("{local}\n"))?;
+        write_file(path, format!("{local}\n"))?;
     }
 
     let stats = ServeStats::default();
-    let active_index = Mutex::new(index_path.to_owned());
-    let active_label = Mutex::new(boot_label);
+    let active = Mutex::new((index_path.to_owned(), boot_label));
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for conn in listener.incoming() {
@@ -541,8 +506,7 @@ fn run_daemon<M: ReadMapper + Send + Sync + 'static>(
             let daemon = Daemon {
                 engine: &engine,
                 reload: &reload,
-                active_index: &active_index,
-                active_label: &active_label,
+                active: &active,
                 quiet,
                 stats: &stats,
             };
@@ -582,13 +546,11 @@ fn run_daemon<M: ReadMapper + Send + Sync + 'static>(
     }
     let reloads = stats.reloads.load(Ordering::Relaxed);
     let delta = stats.delta_reloads.load(Ordering::Relaxed);
+    let (active_index, active_label) = active.into_inner().unwrap_or_else(|e| e.into_inner());
     let _ = writeln!(
         report,
-        "reloads: {}, active index: {} ({}; {} delta, {} full; dirty shards swapped: {}, \
-         clean shards kept: {})",
-        reloads,
-        active_index.lock().unwrap_or_else(|e| e.into_inner()),
-        active_label.lock().unwrap_or_else(|e| e.into_inner()),
+        "reloads: {reloads}, active index: {active_index} ({active_label}; {} delta, {} full; \
+         dirty shards swapped: {}, clean shards kept: {})",
         delta,
         reloads - delta,
         stats.dirty_shards.load(Ordering::Relaxed),
@@ -624,10 +586,7 @@ fn delay_fields(stats: &QueueDelayStats) -> String {
 /// request (or RELOAD the index, or acknowledge QUIT). Reply-side write
 /// failures are ignored — the client is gone, and its request has already
 /// been settled.
-fn handle_connection<M: ReadMapper + Send + Sync + 'static>(
-    stream: TcpStream,
-    daemon: Daemon<'_, M>,
-) -> Control {
+fn handle_connection(stream: TcpStream, daemon: Daemon<'_>) -> Control {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
@@ -678,12 +637,7 @@ fn handle_connection<M: ReadMapper + Send + Sync + 'static>(
 /// can take the dirty-shard delta route when the new store's parent
 /// checksum matches the active one; the `RELOADED` reply reports which
 /// route it took (`mode=delta dirty=… clean=…` or `mode=full`).
-fn handle_reload<M: ReadMapper + Send + Sync + 'static>(
-    mut writer: BufWriter<TcpStream>,
-    path: &str,
-    daemon: Daemon<'_, M>,
-    peer: &str,
-) {
+fn handle_reload(mut writer: BufWriter<TcpStream>, path: &str, daemon: Daemon<'_>, peer: &str) {
     if !daemon.quiet {
         eprintln!("serve: reload of {path} requested by {peer}");
     }
@@ -691,14 +645,8 @@ fn handle_reload<M: ReadMapper + Send + Sync + 'static>(
     match (daemon.reload)(path, &current) {
         Ok(outcome) => {
             daemon.engine.swap_mapper(outcome.mapper);
-            *daemon
-                .active_index
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = path.to_owned();
-            *daemon
-                .active_label
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = outcome.label;
+            *daemon.active.lock().unwrap_or_else(|e| e.into_inner()) =
+                (path.to_owned(), outcome.label);
             ServeStats::bump(&daemon.stats.reloads);
             let detail = match &outcome.kind {
                 ReloadKind::Delta(report) => {
@@ -748,11 +696,11 @@ fn handle_reload<M: ReadMapper + Send + Sync + 'static>(
 /// Runs one MAP request end to end: admission (QoS class + deadline from
 /// the header), streaming FASTQ decode off the socket (pushing batches as
 /// they parse, so mapping overlaps the transfer), ordered drain, reply.
-fn handle_map<M: ReadMapper + Send + Sync + 'static>(
+fn handle_map(
     reader: BufReader<TcpStream>,
     mut writer: BufWriter<TcpStream>,
     request: RequestHeader,
-    daemon: Daemon<'_, M>,
+    daemon: Daemon<'_>,
     peer: &str,
 ) {
     let Daemon {
@@ -888,39 +836,19 @@ fn handle_map<M: ReadMapper + Send + Sync + 'static>(
 /// against the graph of the mapper the request captured at open time (a
 /// concurrent `RELOAD` must not change what an in-flight request renders).
 /// Returns `(document bytes, reads, mapped, queueing delay)`.
-fn render_document<M: ReadMapper + Send + Sync + 'static>(
-    mut handle: RequestHandle<M, FastqRecord>,
-    format: WireFormat,
+fn render_document(
+    mut handle: RequestHandle<Backend, FastqRecord>,
+    format: DocFormat,
 ) -> Result<(Vec<u8>, usize, usize, Option<QueueDelayStats>), String> {
-    enum Doc {
-        Sam(SamWriter<Vec<u8>>),
-        Gaf(GafWriter<Vec<u8>>),
-    }
     let mapper = handle.mapper();
     let graph = mapper.graph();
-    let mut doc = match format {
-        WireFormat::Sam => Doc::Sam(
-            SamWriter::new(Vec::new(), "graph", graph.total_chars())
-                .map_err(|e| format!("render failed: {e}"))?,
-        ),
-        WireFormat::Gaf => Doc::Gaf(GafWriter::new(Vec::new())),
-    };
+    let mut doc =
+        DocWriter::new(format, Vec::new(), graph).map_err(|e| format!("render failed: {e}"))?;
     while let Some(batch) = handle.next_output() {
         for (record, outcome) in &batch {
-            let result = match &mut doc {
-                Doc::Sam(w) => {
-                    let rec = sam_record_for(&record.id, &record.seq, outcome);
-                    w.write_line(&rec.to_sam_line()).map_err(|e| e.to_string())
-                }
-                Doc::Gaf(w) => match gaf_record_for(&record.id, &record.seq, graph, outcome) {
-                    Err(e) => Err(e.to_string()),
-                    Ok(None) => Ok(()),
-                    Ok(Some(rec)) => w.write_record(&rec).map_err(|e| e.to_string()),
-                },
-            };
-            if let Err(message) = result {
+            if let Err(err) = doc.write(record, outcome, graph) {
                 handle.cancel();
-                return Err(format!("render failed: {message}"));
+                return Err(format!("render failed: {err}"));
             }
         }
     }
@@ -929,11 +857,7 @@ fn render_document<M: ReadMapper + Send + Sync + 'static>(
     let report = handle
         .finish()
         .map_err(|p| format!("mapping panicked: {}", p.message))?;
-    let bytes = match doc {
-        Doc::Sam(w) => w.finish(),
-        Doc::Gaf(w) => w.finish(),
-    }
-    .map_err(|e| format!("render failed: {e}"))?;
+    let bytes = doc.finish().map_err(|e| format!("render failed: {e}"))?;
     Ok((bytes, report.reads, report.mapped, delay))
 }
 
@@ -999,7 +923,7 @@ pub fn request(options: &Options) -> Result<String, CliError> {
 
     let reads_path = options.require("reads")?;
     let format = options.get("format").unwrap_or("sam");
-    if WireFormat::parse(format).is_none() {
+    if DocFormat::parse(format).is_none() {
         return Err(CliError::usage(format!(
             "unknown format {format:?} (expected sam|gaf)"
         )));
@@ -1131,12 +1055,7 @@ pub fn request(options: &Options) -> Result<String, CliError> {
         Some(path) => {
             // Raw bytes, not a lossy string round-trip: the document must
             // diff byte-identically against a one-shot `segram map` run.
-            if let Some(parent) = Path::new(path).parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent).map_err(|e| CliError::io(path, e))?;
-                }
-            }
-            std::fs::write(path, &document).map_err(|e| CliError::io(path, e))?;
+            write_file(path, &document)?;
             let _ = writeln!(report, "wrote {} to {path}", format.to_uppercase());
         }
         None => report.push_str(&String::from_utf8_lossy(&document)),
@@ -1158,13 +1077,14 @@ mod tests {
         // routine `segram map --schedule elastic` routes by must agree,
         // batch after batch, as ownership evolves under both.
         let dataset = segram_sim::DatasetConfig::tiny(61).illumina(100);
-        let index = Arc::new(ShardedIndex::build(
+        let backend = Arc::new(Backend::Sharded(segram_core::ShardedIndex::build(
             dataset.graph().clone(),
             segram_core::SegramConfig::short_reads(),
             4,
-        ));
-        let boot = || Rebalancer::for_index(&index, 4, RebalanceConfig::default());
-        let hook = pool_route(Arc::clone(&index), Arc::new(Mutex::new(boot())));
+        )));
+        let index = backend.sharded().expect("built sharded");
+        let boot = || Rebalancer::for_index(index, 4, RebalanceConfig::default());
+        let hook = pool_route(Arc::clone(&backend), Arc::new(Mutex::new(boot())));
         let mut map_side = boot();
         let records: Vec<FastqRecord> = dataset
             .reads
@@ -1175,7 +1095,7 @@ mod tests {
             .collect();
         let mut routed = 0;
         for batch in records.chunks(3) {
-            let expected = route_batch(&index, &mut map_side, batch.iter().map(|r| &r.seq));
+            let expected = route_batch(index, &mut map_side, batch.iter().map(|r| &r.seq));
             assert_eq!(hook(batch), expected);
             routed += usize::from(expected.is_some());
         }
@@ -1185,7 +1105,7 @@ mod tests {
     #[test]
     fn v1_header_parses_with_default_qos() {
         let parsed = parse("MAP gaf 1234").expect("valid v1 header");
-        assert!(parsed.format == WireFormat::Gaf);
+        assert!(parsed.format == DocFormat::Gaf);
         assert_eq!(parsed.payload_len, 1234);
         assert_eq!(parsed.priority, Priority::Normal);
         assert_eq!(parsed.deadline, None);
@@ -1194,14 +1114,14 @@ mod tests {
     #[test]
     fn v2_header_parses_with_defaults_and_full_qos() {
         let bare = parse("MAP/2 77").expect("keys are all optional");
-        assert!(bare.format == WireFormat::Sam);
+        assert!(bare.format == DocFormat::Sam);
         assert_eq!(bare.payload_len, 77);
         assert_eq!(bare.priority, Priority::Normal);
         assert_eq!(bare.deadline, None);
 
         let full =
             parse("MAP/2 512 fmt=gaf prio=interactive deadline-ms=250").expect("valid v2 header");
-        assert!(full.format == WireFormat::Gaf);
+        assert!(full.format == DocFormat::Gaf);
         assert_eq!(full.payload_len, 512);
         assert_eq!(full.priority, Priority::Interactive);
         assert_eq!(full.deadline, Some(Duration::from_millis(250)));
@@ -1211,7 +1131,7 @@ mod tests {
     fn v2_keys_are_order_independent_and_last_wins() {
         let parsed = parse("MAP/2 9 prio=bulk fmt=sam prio=interactive").expect("valid");
         assert_eq!(parsed.priority, Priority::Interactive);
-        assert!(parsed.format == WireFormat::Sam);
+        assert!(parsed.format == DocFormat::Sam);
     }
 
     #[test]

@@ -341,6 +341,80 @@ fn failed_map_leaves_no_partial_output_file() {
     );
 }
 
+/// The cleanup guard removes what the run created, never what it was
+/// handed: a failing run writing to a FIFO (or `/dev/null`, a tty, a
+/// socket) must leave it in place, while its regular-file twin goes.
+#[cfg(unix)]
+#[test]
+fn failed_map_unlinks_regular_outputs_but_never_a_fifo() {
+    use std::os::unix::fs::FileTypeExt;
+
+    let dir = TempDir::new("fifo");
+    let prefix = dir.path("p");
+    run(&[
+        "simulate",
+        "--out-prefix",
+        &prefix,
+        "--length",
+        "20000",
+        "--reads",
+        "4",
+        "--read-len",
+        "100",
+        "--seed",
+        "31",
+    ])
+    .expect("simulate");
+    let good = fs::read_to_string(format!("{prefix}.fq")).unwrap();
+    let bad_path = dir.path("bad.fq");
+    fs::write(&bad_path, format!("{good}@broken\nACGT\n+\nII\n")).unwrap();
+
+    let fifo = dir.path("pipe");
+    match std::process::Command::new("mkfifo").arg(&fifo).status() {
+        Ok(status) if status.success() => {}
+        other => {
+            eprintln!("skipping: mkfifo unavailable ({other:?})");
+            return;
+        }
+    }
+    let failing_map = |out: &str| {
+        run(&[
+            "map",
+            "--graph",
+            &format!("{prefix}.gfa"),
+            "--reads",
+            &bad_path,
+            "--output",
+            out,
+        ])
+        .unwrap_err()
+    };
+
+    // Opening a FIFO blocks until the other end shows up, so a reader
+    // thread drains it for as long as the run holds the write end.
+    let reader = {
+        let fifo = fifo.clone();
+        std::thread::spawn(move || fs::read(fifo).expect("drain the FIFO"))
+    };
+    let err = failing_map(&fifo);
+    assert_eq!(err.exit_code(), 1, "{err}");
+    assert!(err.to_string().contains("bad.fq"), "{err}");
+    reader.join().expect("reader thread");
+    let kept = fs::metadata(&fifo).expect("the FIFO must survive a failed run");
+    assert!(
+        kept.file_type().is_fifo(),
+        "the FIFO was replaced: {kept:?}"
+    );
+
+    let regular = dir.path("twin.sam");
+    let err = failing_map(&regular);
+    assert_eq!(err.exit_code(), 1, "{err}");
+    assert!(
+        fs::metadata(&regular).is_err(),
+        "a regular file the run created must be removed on failure"
+    );
+}
+
 #[test]
 fn decode_error_reporting_is_deterministic_across_threads() {
     // Two malformed records — one early, one late — through a

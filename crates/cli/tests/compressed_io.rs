@@ -2,7 +2,8 @@
 //! `segram bgzip` fixtures, BGZF auto-detection in `segram map` with
 //! byte-parity against plain input, the corruption-class error matrix
 //! (named [`segram_io::BgzfError`] per class, no panic, no orphaned
-//! partial output), split SAM+GAF emission, and adaptive batching.
+//! partial output), split SAM+GAF emission (plain and compressed), and
+//! the `--batch-size` grammar.
 
 use std::fs;
 use std::path::PathBuf;
@@ -248,9 +249,6 @@ fn split_emission_matches_two_single_format_runs() {
             "--both-strands",
         ])
         .expect("split map");
-        // Each document's writer channel reports its own counters.
-        assert!(report.contains("writer sam: max depth"), "{report}");
-        assert!(report.contains("writer gaf: max depth"), "{report}");
         assert!(report.contains(&format!("wrote SAM to {sam}")), "{report}");
         assert!(report.contains(&format!("wrote GAF to {gaf}")), "{report}");
         assert_eq!(
@@ -285,51 +283,85 @@ fn split_emission_matches_two_single_format_runs() {
     );
 }
 
-#[test]
-fn adaptive_batching_is_reported_and_output_invariant() {
-    let dir = TempDir::new("adaptive");
-    let prefix = simulate(&dir, "14", "53");
+/// Inflates a BGZF document through the library reader, asserting the
+/// clean-close EOF marker on the way.
+fn inflate(path: &str) -> Vec<u8> {
+    let compressed = fs::read(path).unwrap();
+    assert!(
+        compressed.ends_with(&segram_io::BGZF_EOF),
+        "{path}: a clean close appends the BGZF EOF marker"
+    );
+    let mut plain = Vec::new();
+    for block in segram_io::BgzfBlocks::new(&compressed[..]) {
+        plain.extend(block.expect("well-formed").inflate().expect("verifies"));
+    }
+    plain
+}
 
-    let map = |batch: &str, out: &str| {
-        run(&[
-            "map",
-            "--graph",
-            &format!("{prefix}.gfa"),
-            "--reads",
-            &format!("{prefix}.fq"),
-            "--threads",
-            "4",
-            "--batch-size",
-            batch,
-            "--output",
-            &dir.path(out),
-            "--both-strands",
-        ])
-        .expect("map")
+#[test]
+fn compressed_split_emission_inflates_to_the_two_plain_documents() {
+    let dir = TempDir::new("split-gz");
+    // Enough reads that the SAM document spans more than one BGZF member,
+    // so the hand-off to the deflate thread happens mid-run too.
+    let prefix = simulate(&dir, "400", "61");
+    let map = |extra: &[&str]| {
+        let (graph, reads) = (format!("{prefix}.gfa"), format!("{prefix}.fq"));
+        let mut args = vec!["map", "--graph", &graph, "--reads", &reads];
+        args.extend_from_slice(extra);
+        run(&args).expect("map")
     };
-    let fixed_report = map("8", "fixed.sam");
+    for format in ["sam", "gaf"] {
+        let out = dir.path(&format!("single.{format}"));
+        map(&["--format", format, "--output", &out]);
+    }
+    let single_sam = fs::read(dir.path("single.sam")).unwrap();
     assert!(
-        !fixed_report.contains("batching: adaptive"),
-        "{fixed_report}"
+        single_sam.len() > segram_io::BGZF_MAX_PLAIN,
+        "fixture too small to cut a second member: {} bytes",
+        single_sam.len()
     );
-    let auto_report = map("auto", "auto.sam");
-    assert!(auto_report.contains("batching: adaptive"), "{auto_report}");
-    let bounded_report = map("auto:2:16", "bounded.sam");
-    assert!(
-        bounded_report.contains("batching: adaptive"),
-        "{bounded_report}"
-    );
-    let fixed = fs::read(dir.path("fixed.sam")).unwrap();
-    assert_eq!(
-        fixed,
-        fs::read(dir.path("auto.sam")).unwrap(),
-        "--batch-size auto changed the output bytes"
-    );
-    assert_eq!(
-        fixed,
-        fs::read(dir.path("bounded.sam")).unwrap(),
-        "--batch-size auto:2:16 changed the output bytes"
-    );
+    for threads in ["1", "4"] {
+        let sam = dir.path(&format!("split-{threads}.sam.gz"));
+        let gaf = dir.path(&format!("split-{threads}.gaf.gz"));
+        let report = map(&[
+            "--threads",
+            threads,
+            "--output-sam",
+            &sam,
+            "--output-gaf",
+            &gaf,
+            "--compress-output",
+        ]);
+        assert!(
+            report.contains(&format!("wrote SAM to {sam} (BGZF-compressed)")),
+            "{report}"
+        );
+        assert!(
+            report.contains(&format!("wrote GAF to {gaf} (BGZF-compressed)")),
+            "{report}"
+        );
+        assert_eq!(
+            inflate(&sam),
+            single_sam,
+            "compressed split SAM differs from the plain single run ({threads} threads)"
+        );
+        // Members are cut by offset on the deflate thread: the document is
+        // the library compressor's, byte for byte.
+        assert_eq!(
+            fs::read(&sam).unwrap(),
+            segram_io::bgzf_compress(
+                &single_sam,
+                segram_io::BGZF_MAX_PLAIN,
+                segram_io::BgzfMode::Fixed
+            ),
+            "--compress-output must equal bgzf_compress of the plain document"
+        );
+        assert_eq!(
+            inflate(&gaf),
+            fs::read(dir.path("single.gaf")).unwrap(),
+            "compressed split GAF differs from the plain single run ({threads} threads)"
+        );
+    }
 }
 
 #[test]
@@ -351,21 +383,14 @@ fn compressed_io_option_conflicts_are_usage_errors() {
     let shown = usage(&["--output-gaf", "a.gaf", "--output", "b.gaf"]);
     assert!(shown.contains("mutually exclusive"), "{shown}");
 
-    // Batch-size grammar.
-    for bad in ["0", "auto:0:4", "auto:9:2", "auto:x:y", "several"] {
+    // Batch-size grammar: a read count of at least 1, nothing else.
+    for bad in ["0", "abc", "auto"] {
         let shown = usage(&["--batch-size", bad]);
-        assert!(shown.contains("--batch-size"), "{bad}: {shown}");
+        assert!(
+            shown.contains("--batch-size: expected a count of at least 1"),
+            "{bad}: {shown}"
+        );
     }
-    // Adaptive batching needs the single-queue fanout schedule.
-    let shown = usage(&[
-        "--batch-size",
-        "auto",
-        "--schedule",
-        "elastic",
-        "--shards",
-        "2",
-    ]);
-    assert!(shown.contains("--batch-size auto"), "{shown}");
 
     // BGZF input cannot feed the elastic schedule's multi-pool routing:
     // this one needs a real compressed file (the check runs post-sniff).

@@ -498,18 +498,12 @@ mod tests {
 
     #[test]
     fn elastic_runs_report_their_batch_trajectory() {
-        // The trajectory comes from the one loop, so an elastic run fills
-        // it exactly as a fanout run does (it used to read all-zero).
+        // The batch size comes from the one loop, so an elastic run fills
+        // it exactly as a fanout run does (it used to read zero).
         let (dataset, index) = sharded(2);
         let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let (_, report) = scheduler_for(&index, 2).map_batch(&reads);
-        let batching = report.engine.batching;
-        assert!(!batching.adaptive);
-        assert_eq!(batching.initial, 3);
-        assert_eq!(
-            (batching.last, batching.min_used, batching.max_used),
-            (3, 3, 3)
-        );
+        assert_eq!(report.engine.batch_size, 3);
         assert_eq!(report.engine.batches, reads.len().div_ceil(3));
     }
 

@@ -114,7 +114,7 @@ pub(crate) const DEFAULT_BATCH_SIZE: usize = 16;
 /// let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
 /// let (_, report) = MapEngine::new(&mapper, options).map_batch(&reads);
 /// assert_eq!(report.threads, 4);
-/// assert_eq!(report.batching.initial, 16);
+/// assert_eq!(report.batch_size, 16);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EngineOptions {
@@ -124,7 +124,6 @@ pub struct EngineOptions {
     pub(crate) max_queued: usize,
     pub(crate) both_strands: bool,
     pub(crate) cancel: CancelToken,
-    pub(crate) adaptive_batch: Option<(usize, usize)>,
 }
 
 impl EngineOptions {
@@ -176,25 +175,6 @@ impl EngineOptions {
     /// does not read this.
     pub fn cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Enables adaptive batch sizing within `[min, max]` (`min` clamped
-    /// to >= 1, `max` to >= `min`); `batch_size` is then only the starting
-    /// point. The producer doubles the batch when the workers look starved
-    /// (empty queue, or worker waits grew since the last refill) and
-    /// halves it when it is itself the backlog (full queue, or producer
-    /// waits grew) — a small batch keeps latency and reorder memory low, a
-    /// large batch amortizes queue synchronization when the producer is
-    /// the bottleneck. Output bytes are invariant to the trajectory: batch
-    /// size only changes where batch boundaries fall, and the reorder
-    /// buffer restores input order regardless.
-    ///
-    /// Read by the single-queue fanout loop only: a routed run keeps fixed
-    /// batches, because its route pass wants stable batch shapes and the
-    /// controller reads one queue's imbalance.
-    pub fn adaptive_batch(mut self, min: usize, max: usize) -> Self {
-        self.adaptive_batch = Some((min, max));
         self
     }
 
@@ -282,9 +262,9 @@ pub struct EngineReport {
     pub stats: MapStats,
     /// Work-queue depth and wait counters for this run.
     pub queue: QueueStats,
-    /// The batch-size trajectory the producer actually used (fixed runs
-    /// record their one size; adaptive runs record the bounds explored).
-    pub batching: BatchTrajectory,
+    /// Reads per batch the producer cut the stream into (the last batch
+    /// may be shorter).
+    pub batch_size: usize,
 }
 
 impl Default for EngineReport {
@@ -297,31 +277,9 @@ impl Default for EngineReport {
             threads: 0,
             stats: MapStats::default(),
             queue: QueueStats::default(),
-            batching: BatchTrajectory::default(),
+            batch_size: 0,
         }
     }
-}
-
-/// The batch sizes an engine run actually used
-/// ([`EngineReport::batching`]): with adaptive sizing enabled the
-/// producer's grow/shrink decisions are surfaced here, so reports can
-/// show where within `[min, max]` the controller settled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchTrajectory {
-    /// Whether adaptive sizing was enabled for the run.
-    pub adaptive: bool,
-    /// Batch size of the first batch.
-    pub initial: usize,
-    /// Batch size in effect when the stream ended.
-    pub last: usize,
-    /// Smallest batch size used.
-    pub min_used: usize,
-    /// Largest batch size used.
-    pub max_used: usize,
-    /// Times the controller doubled the batch (worker starvation).
-    pub grows: u64,
-    /// Times the controller halved the batch (producer backlog).
-    pub shrinks: u64,
 }
 
 /// Depth/wait counters of the engine's two bounded queues — the
@@ -367,12 +325,8 @@ pub struct QueueStats {
 /// Condvar; no external dependencies). `push` blocks while the queue is
 /// full, `pop` blocks while it is empty, and `close` wakes everyone so
 /// drained workers observe end-of-stream. The stream loop runs one of
-/// these per worker pool plus one as the writer channel, and the CLI's
-/// split SAM+GAF emission runs one per output file as a bounded writer
-/// channel (hence public).
-pub struct WorkQueue<T> {
-    // Missing-Debug note: Debug is implemented manually below (the
-    // items themselves need no Debug bound).
+/// these per worker pool plus one as the writer channel.
+struct WorkQueue<T> {
     inner: Mutex<WorkQueueInner<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -382,14 +336,6 @@ pub struct WorkQueue<T> {
     producer_wait_ns: AtomicU64,
     worker_waits: AtomicU64,
     worker_wait_ns: AtomicU64,
-}
-
-impl<T> std::fmt::Debug for WorkQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkQueue")
-            .field("len", &self.len())
-            .finish_non_exhaustive()
-    }
 }
 
 struct WorkQueueInner<T> {
@@ -402,7 +348,7 @@ struct WorkQueueInner<T> {
 
 impl<T> WorkQueue<T> {
     /// A queue holding at most `capacity` items (clamped to >= 1).
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(WorkQueueInner {
                 items: VecDeque::new(),
@@ -422,7 +368,7 @@ impl<T> WorkQueue<T> {
     /// Enqueues `item`, blocking while the queue is full. Pushing onto a
     /// closed queue silently drops the item — the consumer has already
     /// decided the stream is over.
-    pub fn push(&self, item: T) {
+    fn push(&self, item: T) {
         let mut inner = relock(&self.inner);
         if inner.items.len() >= inner.capacity && !inner.closed {
             let blocked = Instant::now();
@@ -447,7 +393,7 @@ impl<T> WorkQueue<T> {
 
     /// Dequeues the next item, blocking while the queue is empty;
     /// `None` once the queue is closed and drained.
-    pub fn pop(&self) -> Option<T> {
+    fn pop(&self) -> Option<T> {
         let mut inner = relock(&self.inner);
         loop {
             if let Some(item) = inner.items.pop_front() {
@@ -480,19 +426,14 @@ impl<T> WorkQueue<T> {
 
     /// Current queued-item count — the live load signal behind the
     /// routed loop's shortest-queue spill decision.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         relock(&self.inner).items.len()
-    }
-
-    /// Whether the queue currently holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Snapshot of the queue's depth/wait counters (push side reported as
     /// `producer_*`, pop side as `worker_*`; callers remap for the output
     /// channel).
-    pub fn stats(&self) -> QueueStats {
+    fn stats(&self) -> QueueStats {
         QueueStats {
             max_depth: relock(&self.inner).max_depth,
             producer_waits: self.producer_waits.load(Ordering::Relaxed),
@@ -505,7 +446,7 @@ impl<T> WorkQueue<T> {
 
     /// Closes the queue: wakes every blocked producer and consumer so
     /// they observe end-of-stream. Idempotent.
-    pub fn close(&self) {
+    fn close(&self) {
         // Closing must succeed even after a worker panicked while holding
         // the lock — liveness beats the poison flag here (relock).
         relock(&self.inner).closed = true;
@@ -726,10 +667,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
     /// `decode` turns one raw unit into a [`DecodedBlock`] of zero or more
     /// reads; this is the compressed input path (the producer slices
     /// still-compressed BGZF blocks, workers inflate + splice +
-    /// FASTQ-decode them). With [`EngineOptions::adaptive_batch`] set, the
-    /// producer additionally retunes its batch size at each refill from
-    /// the live queue imbalance; the trajectory lands in
-    /// [`EngineReport::batching`].
+    /// FASTQ-decode them).
     pub fn map_block_stream<Q, T, D, R, F>(
         &self,
         raw: impl Iterator<Item = Q>,
@@ -847,7 +785,6 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         let read_of = &read_of;
         let mut pool_routed = vec![0u64; pools];
         let mut pool_spilled = vec![0u64; pools];
-        let mut trajectory = BatchTrajectory::default();
 
         std::thread::scope(|scope| {
             // The writer: drains ordered batches and runs the sink. A sink
@@ -1095,32 +1032,12 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
             // blocked.
             let _close_guards: Vec<_> = queues.iter().map(CloseOnDrop).collect();
             let _out_close_guard = CloseOnDrop(&out_queue);
-            // Adaptive batch sizing (single-queue runs only; the policy
-            // and its reasons are on `EngineOptions::adaptive_batch`):
-            // observe the queue imbalance at each refill and steer the
-            // batch size within `[min, max]`.
-            let bounds = self.options.adaptive_batch.filter(|_| pools == 1);
-            let bounds = bounds.map(|(min, max)| (min.max(1), max.max(min.max(1))));
-            let mut current = match bounds {
-                Some((min, max)) => batch_size.clamp(min, max),
-                None => batch_size,
-            };
-            trajectory = BatchTrajectory {
-                adaptive: bounds.is_some(),
-                initial: current,
-                last: current,
-                min_used: current,
-                max_used: current,
-                grows: 0,
-                shrinks: 0,
-            };
-            let mut seen_waits = (0u64, 0u64);
             let mut produced = 0usize;
             loop {
                 if cancel.is_cancelled() {
                     break;
                 }
-                let batch: Vec<Q> = raw.by_ref().take(current).collect();
+                let batch: Vec<Q> = raw.by_ref().take(batch_size).collect();
                 if batch.is_empty() {
                     break;
                 }
@@ -1141,25 +1058,6 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                 };
                 queue.push((produced, batch));
                 produced += 1;
-                if let Some((min, max)) = bounds {
-                    let stats = queue.stats();
-                    let depth = queue.len();
-                    let starved = depth == 0 || stats.worker_waits > seen_waits.1;
-                    let backlogged = depth >= queue_depth || stats.producer_waits > seen_waits.0;
-                    seen_waits = (stats.producer_waits, stats.worker_waits);
-                    // Both signals firing means the pipeline is
-                    // oscillating — hold rather than thrash.
-                    if starved && !backlogged && current < max {
-                        current = (current * 2).min(max);
-                        trajectory.grows += 1;
-                    } else if backlogged && !starved && current > min {
-                        current = (current / 2).max(min);
-                        trajectory.shrinks += 1;
-                    }
-                    trajectory.last = current;
-                    trajectory.min_used = trajectory.min_used.min(current);
-                    trajectory.max_used = trajectory.max_used.max(current);
-                }
             }
             close_all(&queues);
             // Workers first, then the channel, then the writer: the writer
@@ -1198,7 +1096,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         report.backend = self.mapper.backend_name();
         report.batches = pool_reports.iter().map(|p| p.batches as usize).sum();
         report.threads = threads;
-        report.batching = trajectory;
+        report.batch_size = batch_size;
         // Run-level queue view: input counters summed over the pools
         // (depth as the max across them), then the writer channel and the
         // reorder park.
@@ -1996,48 +1894,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_batching_stays_in_bounds_and_preserves_output() {
-        let (dataset, mapper) = setup();
-        let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
-        for threads in [1usize, 4] {
-            let config = EngineOptions::new()
-                .threads(threads)
-                .batch_size(2)
-                .queue_depth(2)
-                .adaptive_batch(1, 8);
-            let engine = MapEngine::new(&mapper, config);
-            let (outcomes, report) = engine.map_batch(&reads);
-            assert_eq!(report.reads, reads.len());
-            assert!(report.batching.adaptive);
-            assert_eq!(report.batching.initial, 2);
-            assert!(report.batching.min_used >= 1 && report.batching.max_used <= 8);
-            assert!(
-                report.batching.last >= report.batching.min_used
-                    && report.batching.last <= report.batching.max_used
-            );
-            for (a, b) in base.iter().zip(&outcomes) {
-                assert_eq!(
-                    a.mapping.as_ref().map(|m| m.linear_start),
-                    b.mapping.as_ref().map(|m| m.linear_start),
-                    "threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fixed_runs_report_their_batch_size_as_the_trajectory() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let config = EngineOptions::new().threads(2).batch_size(5);
         let engine = MapEngine::new(&mapper, config);
         let (_, report) = engine.map_batch(&reads);
-        assert!(!report.batching.adaptive);
-        assert_eq!(report.batching.initial, 5);
-        assert_eq!(report.batching.last, 5);
-        assert_eq!(report.batching.min_used, 5);
-        assert_eq!(report.batching.max_used, 5);
-        assert_eq!(report.batching.grows + report.batching.shrinks, 0);
+        assert_eq!(report.batch_size, 5);
+        assert_eq!(report.batches, reads.len().div_ceil(5));
     }
 }

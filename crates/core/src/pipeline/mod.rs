@@ -50,8 +50,8 @@ mod stages;
 
 pub use elastic::{ElasticReport, ElasticScheduler, RebalanceConfig, Rebalancer};
 pub use engine::{
-    BatchTrajectory, CancelToken, DecodedBlock, EngineOptions, EngineReport, MapEngine, PoolReport,
-    QueueStats, ReadOutcome, WorkQueue,
+    CancelToken, DecodedBlock, EngineOptions, EngineReport, MapEngine, PoolReport, QueueStats,
+    ReadOutcome,
 };
 pub use multi::{
     EngineBusy, MultiEngine, PoolCounters, Priority, QueueDelayStats, RequestHandle,

@@ -36,8 +36,8 @@ fn render_documents<M: ReadMapper>(
 }
 
 /// [`render_documents`] with a caller-supplied engine config, also
-/// returning the run report (the adaptive-batching property inspects
-/// the trajectory it carries).
+/// returning the run report (the batch-boundary property checks the
+/// batch size it carries).
 fn render_with_config<M: ReadMapper>(
     mapper: &M,
     reads: &[(String, DnaSeq)],
@@ -114,20 +114,18 @@ proptest! {
         }
     }
 
-    /// Adaptive batch sizing is an internal throughput knob: whatever
-    /// bounds the producer explores and wherever the controller settles,
-    /// the output bytes match a fixed-batch run, and the reported
-    /// trajectory never leaves `[min, max]`.
+    /// Batch size is an internal throughput knob: it only moves where the
+    /// batch boundaries fall, and the reorder buffer restores input order
+    /// regardless — so any fixed size at any thread count emits the bytes
+    /// of the serial default-batch run.
     #[test]
-    fn adaptive_batching_is_output_invariant_and_stays_in_bounds(
+    fn batch_boundaries_cannot_change_output_bytes(
         seed in 0u64..5_000,
         read_count in 4usize..10,
-        min in prop::sample::select(vec![1usize, 2, 4]),
-        span in 0usize..8,
+        batch_size in 1usize..=64,
         threads in prop::sample::select(vec![1usize, 2, 4]),
         both_strands in any::<bool>(),
     ) {
-        let max = min + span;
         let mut dataset_config = DatasetConfig::tiny(seed);
         dataset_config.read_count = read_count;
         let dataset = dataset_config.illumina(100);
@@ -138,26 +136,17 @@ proptest! {
             .map(|r| (format!("read{}", r.id), r.seq.clone()))
             .collect();
 
-        let (sam_fixed, gaf_fixed) = render_documents(&mapper, &reads, 1, both_strands);
+        let serial = EngineOptions::new().threads(1).both_strands(both_strands);
+        let (sam_serial, gaf_serial, _) = render_with_config(&mapper, &reads, serial);
 
-        let config = EngineOptions::new().threads(threads).both_strands(both_strands).adaptive_batch(min, max);
+        let config = EngineOptions::new()
+            .threads(threads)
+            .both_strands(both_strands)
+            .batch_size(batch_size);
         let (sam, gaf, report) = render_with_config(&mapper, &reads, config);
-        prop_assert_eq!(&sam, &sam_fixed, "adaptive batching changed the SAM bytes");
-        prop_assert_eq!(&gaf, &gaf_fixed, "adaptive batching changed the GAF bytes");
-
-        let batching = report.batching;
-        prop_assert!(batching.adaptive);
-        for (what, size) in [
-            ("initial", batching.initial),
-            ("last", batching.last),
-            ("min_used", batching.min_used),
-            ("max_used", batching.max_used),
-        ] {
-            prop_assert!(
-                (min..=max).contains(&size),
-                "{what} batch {size} escaped [{min}, {max}]"
-            );
-        }
-        prop_assert!(batching.min_used <= batching.max_used);
+        prop_assert_eq!(&sam, &sam_serial, "batch size {} changed the SAM bytes", batch_size);
+        prop_assert_eq!(&gaf, &gaf_serial, "batch size {} changed the GAF bytes", batch_size);
+        prop_assert_eq!(report.batch_size, batch_size);
+        prop_assert_eq!(report.batches, reads.len().div_ceil(batch_size));
     }
 }

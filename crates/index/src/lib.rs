@@ -50,8 +50,8 @@ pub use minseed::{
     SeedingStats,
 };
 pub use persist::{
-    decode_index, encode_index, read_index_file, write_index_file, EpochEntry, IndexProvenance,
-    PersistError, PersistedIndex, StoreChangelog, CHANGELOG_VERSION, INDEX_FORMAT_VERSION,
-    INDEX_MAGIC, PROVENANCE_VERSION,
+    decode_index, encode_index, read_index_file, section_table, write_index_file, EpochEntry,
+    IndexProvenance, PersistError, PersistedIndex, SectionEntry, StoreChangelog, CHANGELOG_VERSION,
+    INDEX_FORMAT_VERSION, INDEX_MAGIC, PROVENANCE_VERSION,
 };
 pub use update::{initial_changelog, update_store, UpdateOutcome};

@@ -360,6 +360,68 @@ pub fn encode_index(persisted: &PersistedIndex) -> Vec<u8> {
     bytes
 }
 
+/// One row of a store's section table, as [`section_table`] reads it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SectionEntry {
+    /// The section id on disk.
+    pub id: u32,
+    /// `graph`, `index`, `meta`, `changelog`, or `unknown` for an id this
+    /// build does not read.
+    pub name: &'static str,
+    /// Byte offset of the payload within the file.
+    pub offset: u64,
+    /// Payload length in bytes.
+    pub len: u64,
+    /// The payload's recorded fnv1a64 checksum.
+    pub checksum: u64,
+}
+
+/// Reads the header of `.sgi` bytes — magic, format version, section
+/// table — without touching a payload. [`decode_index`] starts here, and
+/// `segram index inspect` prints the same rows.
+///
+/// # Errors
+///
+/// [`PersistError::BadMagic`], [`PersistError::UnsupportedVersion`],
+/// [`PersistError::Truncated`] when the header itself is cut short, or
+/// [`PersistError::Corrupt`] for an implausible section count.
+pub fn section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
+    let header = |e| from_bin("header", e);
+    let mut reader = ByteReader::new(bytes);
+    if reader.take_bytes(8).map_err(header)? != INDEX_MAGIC {
+        return Err(PersistError::BadMagic);
+    }
+    let version = reader.take_u32().map_err(header)?;
+    if version != INDEX_FORMAT_VERSION {
+        return Err(PersistError::UnsupportedVersion { found: version });
+    }
+    let section_count = reader.take_u32().map_err(header)?;
+    if section_count > MAX_SECTIONS {
+        return Err(corrupt(
+            "header",
+            format!("section count {section_count} exceeds the maximum {MAX_SECTIONS}"),
+        ));
+    }
+    let mut table = Vec::with_capacity(section_count as usize);
+    for _ in 0..section_count {
+        let id = reader.take_u32().map_err(header)?;
+        table.push(SectionEntry {
+            id,
+            name: match id {
+                SECTION_GRAPH => "graph",
+                SECTION_INDEX => "index",
+                SECTION_META => "meta",
+                SECTION_CHANGELOG => "changelog",
+                _ => "unknown",
+            },
+            offset: reader.take_u64().map_err(header)?,
+            len: reader.take_u64().map_err(header)?,
+            checksum: reader.take_u64().map_err(header)?,
+        });
+    }
+    Ok(table)
+}
+
 /// Deserializes `.sgi` bytes (see [`encode_index`] for an example).
 ///
 /// # Errors
@@ -369,49 +431,31 @@ pub fn encode_index(persisted: &PersistedIndex) -> Vec<u8> {
 /// [`PersistError::ChecksumMismatch`], or [`PersistError::Corrupt`]
 /// depending on what the bytes got wrong.
 pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
-    let mut reader = ByteReader::new(bytes);
-    let magic = reader.take_bytes(8).map_err(|e| from_bin("header", e))?;
-    if magic != INDEX_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = reader.take_u32().map_err(|e| from_bin("header", e))?;
-    if version != INDEX_FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion { found: version });
-    }
-    let section_count = reader.take_u32().map_err(|e| from_bin("header", e))?;
-    if section_count > MAX_SECTIONS {
-        return Err(corrupt(
-            "header",
-            format!("section count {section_count} exceeds the maximum {MAX_SECTIONS}"),
-        ));
-    }
     let mut graph_payload: Option<&[u8]> = None;
     let mut index_payload: Option<&[u8]> = None;
     let mut meta_payload: Option<&[u8]> = None;
     let mut changelog_payload: Option<&[u8]> = None;
-    for _ in 0..section_count {
-        let id = reader.take_u32().map_err(|e| from_bin("header", e))?;
-        let offset = reader.take_u64().map_err(|e| from_bin("header", e))? as usize;
-        let len = reader.take_u64().map_err(|e| from_bin("header", e))? as usize;
-        let checksum = reader.take_u64().map_err(|e| from_bin("header", e))?;
-        let (slot, name) = match id {
-            SECTION_GRAPH => (&mut graph_payload, "graph"),
-            SECTION_INDEX => (&mut index_payload, "index"),
-            SECTION_META => (&mut meta_payload, "meta"),
-            SECTION_CHANGELOG => (&mut changelog_payload, "changelog"),
+    for entry in section_table(bytes)? {
+        let payload = section_slice(bytes, entry.offset as usize, entry.len as usize)?;
+        let slot = match entry.id {
+            SECTION_GRAPH => &mut graph_payload,
+            SECTION_INDEX => &mut index_payload,
+            SECTION_META => &mut meta_payload,
+            SECTION_CHANGELOG => &mut changelog_payload,
             // Unknown sections are skipped (bounds still verified), so a
             // future minor revision can append data old readers ignore.
-            _ => {
-                section_slice(bytes, offset, len)?;
-                continue;
-            }
+            _ => continue,
         };
-        let payload = section_slice(bytes, offset, len)?;
-        if fnv1a64(payload) != checksum {
-            return Err(PersistError::ChecksumMismatch { section: name });
+        if fnv1a64(payload) != entry.checksum {
+            return Err(PersistError::ChecksumMismatch {
+                section: entry.name,
+            });
         }
         if slot.replace(payload).is_some() {
-            return Err(corrupt("header", format!("duplicate section {name:?}")));
+            return Err(corrupt(
+                "header",
+                format!("duplicate section {:?}", entry.name),
+            ));
         }
     }
     let graph_payload = graph_payload.ok_or_else(|| corrupt("header", "missing graph section"))?;
