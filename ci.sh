@@ -21,7 +21,10 @@
 #                       BENCH_smoke.json artifact
 #   7. determinism      segram map output diffed across --threads 1 vs 4
 #   8. shard-determinism  segram map output diffed across --shards 1 vs 4,
-#                       crossed with --threads 1 vs 4
+#                       crossed with --threads 1 vs 4; then `--shards 1`
+#                       and `--shards 1 --schedule elastic` cmp'd against
+#                       the flagless document, from the GFA and from a
+#                       persistent store (no --shards *is* one shard)
 #   9. elastic-shards   `--schedule elastic` (per-shard-group worker pools,
 #                       routed batches, live rebalancing) diffed against
 #                       the default fanout schedule across --shards 1 vs 4
@@ -46,7 +49,9 @@
 #  13. persistent-serve `segram index build` -> `map --index` diffed against
 #                       `map --graph`, then a live `segram serve` daemon:
 #                       concurrent requests (one cancelled mid-payload)
-#                       diffed against one-shot output, clean shutdown
+#                       diffed against one-shot output, clean shutdown;
+#                       then RELOAD of a child store: mode=full on a
+#                       flagless (one-shard) daemon, mode=delta at --shards 4
 #  14. serve-qos        QoS scheduling + hot reload under load: bulk
 #                       requests saturate the workers while interactive
 #                       requests overtake them (per-class queueing-delay
@@ -122,11 +127,14 @@ tier bench-smoke bench_smoke
 # candidate order — so SAM/GAF bytes cannot depend on --threads, --shards
 # or --schedule.
 # ---------------------------------------------------------------------------
-map_once() { # out-file, then extra flags
-    local out="$1"
-    shift
-    "$SEGRAM" map --graph "$GATE_DIR/ds.gfa" --reads "$GATE_DIR/ds.fq" \
+map_from() { # --graph|--index, its file, out-file, then extra flags
+    local source="$1" file="$2" out="$3"
+    shift 3
+    "$SEGRAM" map "$source" "$file" --reads "$GATE_DIR/ds.fq" \
         --both-strands --output "$out" "$@" > /dev/null
+}
+map_once() { # out-file, then extra flags
+    map_from --graph "$GATE_DIR/ds.gfa" "$@"
 }
 
 determinism_threads() {
@@ -158,6 +166,31 @@ determinism_shards() {
                 || { echo "$fmt output differs for --shards 4 --threads $threads"; return 1; }
         done
         echo "  $fmt: identical across --shards 1/4 x --threads 1/4"
+    done
+
+    # No --shards is the one-shard index, not another mapper: spelling the
+    # count out, and running it under the elastic schedule (one pool),
+    # must write the flagless document — from the GFA and from a
+    # persistent store alike.
+    "$SEGRAM" index build --reference "$GATE_DIR/ds.fa" --vcf "$GATE_DIR/ds.vcf" \
+        --output "$GATE_DIR/ds.sgi" > /dev/null || return 1
+    local src file leg
+    for fmt in sam gaf; do
+        for src in graph index; do
+            file="$GATE_DIR/ds.gfa"
+            [ "$src" = index ] && file="$GATE_DIR/ds.sgi"
+            map_from "--$src" "$file" "$GATE_DIR/flagless.$fmt" \
+                --format "$fmt" --threads 2 || return 1
+            for leg in "--shards 1" "--shards 1 --schedule elastic"; do
+                # shellcheck disable=SC2086 # $leg is a flag list
+                map_from "--$src" "$file" "$GATE_DIR/one.$fmt" \
+                    --format "$fmt" --threads 2 $leg || return 1
+                cmp "$GATE_DIR/flagless.$fmt" "$GATE_DIR/one.$fmt" \
+                    || { echo "$fmt from --$src: '$leg' differs from the flagless document"
+                         return 1; }
+            done
+        done
+        echo "  $fmt: --shards 1 and --shards 1 --schedule elastic identical to flagless (--graph, --index)"
     done
 }
 
@@ -376,6 +409,21 @@ tier compressed-io compressed_io
 # disconnects mid-payload (cancelling only its own request), then shut
 # down cleanly on QUIT.
 # ---------------------------------------------------------------------------
+# Splits the data lines of VCF $1 in half by position: the first half to
+# $2 (an epoch-0 store's variants), the second to $3 (`index update`'s
+# delta).
+split_vcf() {
+    awk -v base="$2" -v delta="$3" \
+        '/^#/ { print > base; print > delta; next }
+         { data[++n] = $0 }
+         END { mid = int(n / 2)
+               for (i = 1; i <= mid; i++) print data[i] > base
+               for (i = mid + 1; i <= n; i++) print data[i] > delta }' \
+        "$1" || return 1
+    [ -s "$2" ] && [ -s "$3" ] \
+        || { echo "VCF split produced an empty half"; return 1; }
+}
+
 serve_gate() {
     local d="$GATE_DIR/sv"
     "$SEGRAM" simulate --out-prefix "$d" \
@@ -435,6 +483,44 @@ serve_gate() {
     grep -q "served" "$d.serve.log" \
         || { echo "daemon report missing from $d.serve.log"; return 1; }
     echo "  daemon: $(grep 'served' "$d.serve.log")"
+
+    # RELOAD reads its route off the active index. A child store (its
+    # parent checksum names the active one) is swapped in shard by shard
+    # when the index has more than one shard, and built whole when it has
+    # one — which is what a daemon without --shards runs.
+    split_vcf "$d.vcf" "$d-base.vcf" "$d-delta.vcf" || return 1
+    "$SEGRAM" index build --reference "$d.fa" --vcf "$d-base.vcf" \
+        --output "$d-v1.sgi" > /dev/null || return 1
+    "$SEGRAM" index update --index "$d-v1.sgi" --vcf "$d-delta.vcf" \
+        --output "$d-v2.sgi" > /dev/null || return 1
+    local flags want
+    for flags in "" "--shards 4"; do
+        want=full
+        [ -n "$flags" ] && want=delta
+        rm -f "$d.addr"
+        # shellcheck disable=SC2086 # $flags is a flag list
+        "$SEGRAM" serve --index "$d-v1.sgi" --addr 127.0.0.1:0 \
+            --addr-file "$d.addr" --threads 2 --quiet $flags > "$d.serve.log" 2>&1 &
+        daemon=$!
+        addr=""
+        for i in $(seq 1 300); do
+            [ -s "$d.addr" ] && { addr="$(tr -d '\n' < "$d.addr")"; break; }
+            sleep 0.1
+        done
+        [ -n "$addr" ] || { echo "daemon never wrote $d.addr"
+                            kill "$daemon" 2> /dev/null || true; return 1; }
+        "$SEGRAM" request --addr "$addr" --reload "$d-v2.sgi" > "$d.reload.log" \
+            || { echo "reload request failed"
+                 kill "$daemon" 2> /dev/null || true; return 1; }
+        "$SEGRAM" request --addr "$addr" --shutdown > /dev/null \
+            || { echo "shutdown request failed"
+                 kill "$daemon" 2> /dev/null || true; return 1; }
+        wait "$daemon" || { echo "daemon exited non-zero"; return 1; }
+        grep -q "mode=$want" "$d.reload.log" \
+            || { echo "serve ${flags:-without --shards}: RELOAD of a child store is not mode=$want:"
+                 cat "$d.reload.log"; return 1; }
+        echo "  reload of a child store, serve ${flags:-without --shards}: mode=$want"
+    done
 }
 
 tier persistent-serve serve_gate
@@ -576,15 +662,7 @@ incremental_index() {
     local d="$GATE_DIR/ii"
     "$SEGRAM" simulate --out-prefix "$d" \
         --length 30000 --reads 12 --read-len 120 --seed 29 > /dev/null || return 1
-    awk -v base="$d-base.vcf" -v delta="$d-delta.vcf" \
-        '/^#/ { print > base; print > delta; next }
-         { data[++n] = $0 }
-         END { mid = int(n / 2)
-               for (i = 1; i <= mid; i++) print data[i] > base
-               for (i = mid + 1; i <= n; i++) print data[i] > delta }' \
-        "$d.vcf" || return 1
-    [ -s "$d-base.vcf" ] && [ -s "$d-delta.vcf" ] \
-        || { echo "VCF split produced an empty half"; return 1; }
+    split_vcf "$d.vcf" "$d-base.vcf" "$d-delta.vcf" || return 1
 
     "$SEGRAM" index build --reference "$d.fa" --vcf "$d-base.vcf" \
         --output "$d-v1.sgi" > /dev/null || return 1

@@ -134,7 +134,7 @@ fn bench_elastic_sched(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("mix", label), |b| {
             b.iter(|| {
                 let (outcomes, report) = scheduler.map_batch(black_box(mix));
-                black_box((outcomes.len(), report.routed, report.spilled))
+                black_box((outcomes.len(), report.routed(), report.spilled()))
             })
         });
     }
@@ -163,8 +163,8 @@ fn bench_elastic_sched(c: &mut Criterion) {
             "  info: {} mix -> {} pools, {} routed, {} spilled, {} migrations",
             label,
             report.pools.len(),
-            report.routed,
-            report.spilled,
+            report.routed(),
+            report.spilled(),
             report.migrations
         );
     }

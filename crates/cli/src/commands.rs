@@ -110,7 +110,7 @@ pub(crate) fn thread_count(options: &Options) -> Result<usize, CliError> {
 }
 
 /// Index-shard count for `segram map` / `segram serve`: `--shards N`
-/// (default 1 = the unsharded mapper).
+/// (default 1 = the whole index in one shard).
 pub(crate) fn shard_count(options: &Options) -> Result<usize, CliError> {
     Ok(positive_count(options, "shards")?.unwrap_or(1))
 }

@@ -8,9 +8,8 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::sync::Arc;
 
-use segram_core::{Backend, SegramConfig, SegramMapper, ShardedIndex};
+use segram_core::{Backend, SegramConfig, ShardedIndex};
 use segram_graph::{build_graph, gfa, ConstructedGraph, DnaSeq, VariantSet};
 use segram_index::{
     decode_index, frequency_threshold, initial_changelog, read_index_file, section_table,
@@ -532,29 +531,19 @@ pub(crate) fn load_store(path: &str) -> Result<(PersistedIndex, String), CliErro
 }
 
 /// Turns a loaded store into the mapper `map --index` and `serve` run:
-/// the monolithic [`SegramMapper`], or with `shards` the store re-split
-/// into that many coordinate ranges. The scheme, bucket count, and discard
-/// fraction recorded in the file override the preset's (seeding reads the
-/// scheme from the index itself; overriding keeps reports and derived
-/// knobs coherent with it), identically on both arms, so shard mapping
-/// stays byte-identical to the monolithic loaded index.
+/// the store's index split into `shards` coordinate ranges — or, for one
+/// shard, moved in whole. The scheme, bucket count, and discard fraction
+/// recorded in the file override the preset's (seeding reads the scheme
+/// from the index itself; overriding keeps reports and derived knobs
+/// coherent with it). `from_persisted` keeps the store's changelog lineage
+/// wherever a later RELOAD can take the dirty-shard delta route.
 pub(crate) fn backend_from_store(
     loaded: PersistedIndex,
     mut config: SegramConfig,
-    shards: Option<usize>,
+    shards: usize,
 ) -> Backend {
     config.scheme = *loaded.index.scheme();
     config.bucket_bits = loaded.index.bucket_bits();
     config.discard_frac = loaded.discard_frac;
-    match shards {
-        // `from_persisted` keeps the store's changelog lineage, which is
-        // what lets a later RELOAD take the dirty-shard delta route.
-        Some(shards) => Backend::Sharded(ShardedIndex::from_persisted(loaded, config, shards)),
-        None => Backend::Segram(SegramMapper::from_parts(
-            Arc::new(loaded.graph),
-            loaded.index,
-            config,
-            loaded.freq_threshold,
-        )),
-    }
+    Backend::Segram(ShardedIndex::from_persisted(loaded, config, shards))
 }

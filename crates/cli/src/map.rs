@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use segram_core::{
-    gaf_record_for, sam_record_for, Backend, BackendKind, CancelToken, DecodedBlock, ElasticReport,
+    gaf_record_for, sam_record_for, Backend, BackendKind, CancelToken, DecodedBlock,
     ElasticScheduler, EngineOptions, EngineReport, MapEngine, ReadMapper, ReadOutcome,
     ShardedIndex,
 };
@@ -53,7 +53,7 @@ OPTIONS:
                            skips construction + indexing entirely (the
                            file records the scheme, buckets, and discard
                            fraction; --backend segram only — --shards
-                           re-shards the loaded store)
+                           splits the loaded store)
     --reads <reads.fq>     input FASTQ, plain or BGZF-compressed (required;
                            the container is auto-detected by its gzip
                            magic — blocks are sliced by the producer and
@@ -74,9 +74,10 @@ OPTIONS:
                            compare` runs several at once)
     --threads <int>        worker threads (default: all available cores)
     --shards <int>         split the index into N coordinate-range shards
-                           with a seeding router in front (default 1; the
-                           software analogue of the paper's per-HBM-channel
-                           accelerator instances; --backend segram only)
+                           behind the seeding router (default 1 = the
+                           whole index in one shard; the software analogue
+                           of the paper's per-HBM-channel accelerator
+                           instances; --backend segram only)
     --schedule <fanout|elastic>
                            worker schedule (default fanout: all workers pop
                            one shared queue). elastic gives each shard group
@@ -429,10 +430,9 @@ impl DocSpec<'_> {
 
 /// Everything one engine pass produces that the report needs.
 struct EngineRun {
+    /// The engine's totals, with the per-pool depth/stall/batch counters
+    /// and the migration count whatever the schedule.
     report: EngineReport,
-    /// The full elastic report (elastic runs only): per-pool
-    /// depth/stall/batch counters plus route/spill/migration totals.
-    elastic: Option<ElasticReport>,
     /// The report's closing lines: where each document went, or the
     /// rendered document itself when no `--output` path was given.
     output: String,
@@ -555,8 +555,7 @@ fn frames_until_error<'a, T, E>(
 /// how to drive the engine, and the reads to stream through it.
 struct MapJob<'a> {
     mapper: &'a Backend,
-    /// The sharded index to route by — the elastic schedule, and only it.
-    elastic: Option<&'a ShardedIndex>,
+    schedule: Schedule,
     /// Threads, strands and batch size; carries a clone of `cancel`.
     engine: EngineOptions,
     /// The run's stop flag: any failing stage pulls it.
@@ -567,10 +566,9 @@ struct MapJob<'a> {
 }
 
 /// Runs the engine pass for one schedule × input-encoding combination
-/// with the given writer-thread sink, returning the engine report and,
-/// for the elastic schedule, the elastic report. Producer-side framing
-/// errors and worker-side inflate/decode errors land in `errors`; the
-/// first of any of them cancels the run.
+/// with the given writer-thread sink, returning the engine report.
+/// Producer-side framing errors and worker-side inflate/decode errors land
+/// in `errors`; the first of any of them cancels the run.
 ///
 /// Worker-stage decode: FASTQ parsing happens on the mapping threads,
 /// timed into `MapStats::decode` (and, on the compressed path, block
@@ -580,11 +578,7 @@ struct MapJob<'a> {
 /// before the observed failure is guaranteed to reach the decode
 /// closure: the reported error is deterministically the file's *first*
 /// malformed record, whatever the thread count or worker interleaving.
-fn drive_engine<F>(
-    job: MapJob<'_>,
-    errors: &InputErrors,
-    sink: F,
-) -> (EngineReport, Option<ElasticReport>)
+fn drive_engine<F>(job: MapJob<'_>, errors: &InputErrors, sink: F) -> EngineReport
 where
     F: FnMut(FastqRecord, ReadOutcome) + Send,
 {
@@ -598,21 +592,22 @@ where
     };
     if !job.reads.compressed {
         let raws = frames_until_error(FastqFramer::new(job.reads.source), cancel, &errors.frame);
-        return match job.elastic {
-            Some(sharded) => {
-                let report = ElasticScheduler::new(sharded, job.engine).map_raw_stream(
-                    raws,
-                    decode,
-                    |record| &record.seq,
-                    sink,
-                );
-                (report.engine, Some(report))
-            }
-            None => {
-                let engine = MapEngine::new(job.mapper, job.engine);
-                let run = engine.map_raw_stream(raws, decode, |record| &record.seq, sink);
-                (run, None)
-            }
+        // The elastic schedule routes by the native backend's index (`map`
+        // admits it for no other backend).
+        let elastic = job.schedule == Schedule::Elastic;
+        return match job.mapper.sharded().filter(|_| elastic) {
+            Some(index) => ElasticScheduler::new(index, job.engine).map_raw_stream(
+                raws,
+                decode,
+                |record| &record.seq,
+                sink,
+            ),
+            None => MapEngine::new(job.mapper, job.engine).map_raw_stream(
+                raws,
+                decode,
+                |record| &record.seq,
+                sink,
+            ),
         };
     }
     // BGZF input runs the fanout schedule only — `map` rejects it under
@@ -650,9 +645,12 @@ where
         }
         Some(DecodedBlock { items, inflate })
     };
-    let engine = MapEngine::new(job.mapper, job.engine);
-    let run = engine.map_block_stream(blocks, decode_block, |record| &record.seq, sink);
-    (run, None)
+    MapEngine::new(job.mapper, job.engine).map_block_stream(
+        blocks,
+        decode_block,
+        |record| &record.seq,
+        sink,
+    )
 }
 
 /// Streams the FASTQ of `job` — plain or BGZF-compressed — through the
@@ -713,7 +711,7 @@ fn run_map_stream(
             }
         }
     };
-    let (report, elastic) = drive_engine(job, &errors, sink);
+    let report = drive_engine(job, &errors, sink);
 
     // Input-side failures outrank output-side ones, mirroring the
     // pre-overlap behaviour (decode errors *are* the old read errors,
@@ -744,17 +742,13 @@ fn run_map_stream(
     // Every document closed cleanly: keep the files.
     cleanup.0.clear();
 
-    Ok(EngineRun {
-        report,
-        elastic,
-        output,
-    })
+    Ok(EngineRun { report, output })
 }
 
-/// The per-shard section of a sharded run's report: occupancy counters,
+/// The per-shard section of a run's report: occupancy counters,
 /// seeding-load imbalance, and under the elastic schedule the per-pool
 /// depth/stall/migration counters.
-fn shard_report(sharded: &ShardedIndex, elastic: Option<&ElasticReport>) -> String {
+fn shard_report(sharded: &ShardedIndex, report: &EngineReport, schedule: Schedule) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut section = String::new();
     let _ = writeln!(
@@ -770,14 +764,14 @@ fn shard_report(sharded: &ShardedIndex, elastic: Option<&ElasticReport>) -> Stri
             stats.shard, stats.start, stats.end, stats.seed_hits, stats.regions, stats.wins
         );
     }
-    if let Some(report) = elastic {
+    if schedule == Schedule::Elastic {
         let _ = writeln!(
             section,
             "schedule: elastic — {} pools, {} batches routed, {} spilled, \
              {} shard migrations",
             report.pools.len(),
-            report.routed,
-            report.spilled,
+            report.routed(),
+            report.spilled(),
             report.migrations
         );
         for (p, pool) in report.pools.iter().enumerate() {
@@ -898,7 +892,7 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
 
     // A persistent index is native-only: the baseline backends rebuild
     // their own structures from the GFA. (--shards and --schedule elastic
-    // are fine: the loaded store is re-sharded the same way `segram serve
+    // are fine: the loaded store is split the same way `segram serve
     // --shards` does it.)
     if let MapSource::Index(_) = source {
         if backend != BackendKind::Segram {
@@ -923,42 +917,31 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
         ));
     }
 
-    // Every mapper is a `Backend` variant, so one engine pass serves them
-    // all. Sharded and/or elastic runs need the sharded index (the elastic
-    // schedule over --shards 1 is a single pool, still exercising the
-    // routed path); a loaded store is re-sharded exactly as `segram serve
-    // --shards` does it, so mapping stays byte-identical to the GFA-built
-    // sharded run.
-    let sharded_run = shards > 1 || schedule == Schedule::Elastic;
+    // Every mapper is a `Backend`, so one engine pass serves them all; the
+    // native one is the coordinate-range index at whatever shard count was
+    // asked for, built from the GFA or split off the loaded store the way
+    // `segram serve` does it, so the bytes do not depend on which.
     let (mapper, source_note) = match source {
         MapSource::Index(index_path) => {
             let (loaded, label) = load_store(index_path)?;
             let note = format!("loaded persistent index {index_path} ({label})\n");
-            let shards = sharded_run.then_some(shards);
             (backend_from_store(loaded, config, shards), note)
         }
         MapSource::Graph(graph_path) => {
             let graph = load_graph(graph_path)?;
-            let mapper = if backend == BackendKind::Segram && sharded_run {
-                Backend::Sharded(ShardedIndex::build(graph, config, shards))
-            } else {
-                // The monolithic native mapper, or a baseline backend:
-                // same engine, same streaming output path, so the run is
-                // directly comparable to (and diffable against) the
-                // native one.
-                Backend::build(backend, graph, config, 1)
-            };
-            (mapper, String::new())
+            (
+                Backend::build(backend, graph, config, shards),
+                String::new(),
+            )
         }
     };
-    let sharded = mapper.sharded();
-    if let Some(sharded) = sharded {
+    if let Some(sharded) = mapper.sharded() {
         warn_clamped_shards(shards, sharded);
     }
     let cancel = CancelToken::new();
     let job = MapJob {
         mapper: &mapper,
-        elastic: sharded.filter(|_| schedule == Schedule::Elastic),
+        schedule,
         engine: EngineOptions::new()
             .threads(threads)
             .both_strands(options.switch("both-strands"))
@@ -1020,8 +1003,10 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
         stats.queue.writer_waits,
         ms(stats.queue.writer_wait)
     );
-    if let Some(sharded) = sharded {
-        report.push_str(&shard_report(sharded, run.elastic.as_ref()));
+    // One shard under the default schedule has nothing to break down.
+    let breakdown = shards > 1 || schedule == Schedule::Elastic;
+    if let Some(sharded) = mapper.sharded().filter(|_| breakdown) {
+        report.push_str(&shard_report(sharded, &stats, schedule));
     }
     report.push_str(&run.output);
     Ok(report)

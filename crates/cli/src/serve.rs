@@ -11,11 +11,12 @@
 //! requests; in-flight requests finish on the index they opened against).
 //!
 //! There is one daemon body. The store is loaded into the same
-//! [`Backend`] a one-shot `segram map --index` maps with (monolithic, or
-//! re-sharded under `--shards` / `--schedule elastic`), every reply is
-//! rendered by the [`DocWriter`] `map` writes its files with, and `RELOAD`
-//! is one closure that takes the dirty-shard delta route whenever the
-//! active mapper is sharded and the new store is its direct child.
+//! [`Backend`] a one-shot `segram map --index` maps with (the
+//! coordinate-range index, one shard unless `--shards` asks for more),
+//! every reply is rendered by the [`DocWriter`] `map` writes its files
+//! with, and `RELOAD` is one closure that takes the dirty-shard delta route
+//! whenever the active index has more than one shard and the new store is
+//! its direct child.
 //!
 //! ## Wire protocol (one request per TCP connection, line-framed)
 //!
@@ -96,11 +97,12 @@ OPTIONS:
     --addr-file <path>     also write the chosen address to this file
                            (for scripts that need to find the port)
     --threads <int>        worker threads (default: all available cores)
-    --shards <int>         re-shard the loaded index into N coordinate
-                           ranges with a seeding router in front
-                           (default 1; replies stay byte-identical, and a
-                           RELOAD onto the active store's direct child
-                           rebuilds only the shards its delta touched)
+    --shards <int>         split the loaded index into N coordinate
+                           ranges behind the seeding router (default 1 =
+                           the whole index in one shard; replies stay
+                           byte-identical, and with N > 1 a RELOAD onto
+                           the active store's direct child rebuilds only
+                           the shards its delta touched)
     --schedule <fanout|elastic>
                            worker schedule (default fanout: all workers
                            serve every request batch). elastic splits the
@@ -323,8 +325,8 @@ enum ReloadKind {
     /// reason the delta route was declined when one was attempted (parent
     /// mismatch, epoch skew, legacy store without a changelog).
     Full { fallback: Option<String> },
-    /// Derived from the active sharded index by rebuilding only the
-    /// shards whose coordinate ranges the delta touched.
+    /// Derived from the active index by rebuilding only the shards whose
+    /// coordinate ranges the delta touched.
     Delta(DeltaSwapReport),
 }
 
@@ -391,26 +393,29 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
         .both_strands(options.switch("both-strands"));
 
     // The store becomes the same `Backend` a one-shot `map --index` run
-    // maps with, monolithic or re-sharded (same graph, same frequency
-    // threshold), so replies stay byte-identical to it either way.
-    let reshard = (shards > 1 || schedule == Schedule::Elastic).then_some(shards);
+    // maps with (same graph, same shard count, same frequency threshold),
+    // so replies stay byte-identical to it.
     let (loaded, boot_label) = load_store(index_path)?;
-    let backend = Arc::new(backend_from_store(loaded, config, reshard));
+    let backend = Arc::new(backend_from_store(loaded, config, shards));
     if let Some(sharded) = backend.sharded() {
         warn_clamped_shards(shards, sharded);
     }
     // A RELOAD whose store is the direct child of the active one (parent
-    // checksum matches) takes the delta route on a sharded daemon — only
-    // dirty shards are rebuilt, clean shards keep sharing the active Arcs;
-    // anything else re-shards the new file from scratch. The monolithic
-    // mapper has no shards to swap piecemeal: every reload is a full build.
+    // checksum matches) takes the delta route when the active index has
+    // more than one shard — only dirty shards are rebuilt, clean shards
+    // keep sharing the active Arcs; anything else, and every reload of a
+    // one-shard index, builds the new file's index from scratch.
     let reload = move |path: &str, current: &Backend| {
         let (loaded, label) = load_store(path)?;
-        let (mapper, kind) = match current.sharded().map(|active| active.apply_delta(&loaded)) {
-            Some(Ok((next, report))) => (Backend::Sharded(next), ReloadKind::Delta(report)),
+        let delta = current
+            .sharded()
+            .filter(|active| active.shards().len() > 1)
+            .map(|active| active.apply_delta(&loaded));
+        let (mapper, kind) = match delta {
+            Some(Ok((next, report))) => (Backend::Segram(next), ReloadKind::Delta(report)),
             declined => {
                 let fallback = declined.and_then(Result::err).map(|why| why.to_string());
-                let mapper = backend_from_store(loaded, config, reshard);
+                let mapper = backend_from_store(loaded, config, shards);
                 (mapper, ReloadKind::Full { fallback })
             }
         };
@@ -420,19 +425,15 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
             label,
         })
     };
-    // The elastic schedule is the same engine plus a route hook. The hook
-    // keeps consulting the boot-time index after a RELOAD: routing is a
-    // locality hint only, so a stale hint degrades placement, never
-    // correctness or output bytes.
+    // The elastic schedule is the same engine plus a route hook over a
+    // placement sized for the boot index.
     let rebalancer = backend
         .sharded()
         .filter(|_| schedule == Schedule::Elastic)
         .map(|sharded| Rebalancer::for_index(sharded, threads, RebalanceConfig::default()));
     let pools = rebalancer.as_ref().map_or(1, Rebalancer::pools);
     let rebalancer = rebalancer.map(|boot| Arc::new(Mutex::new(boot)));
-    let route = rebalancer
-        .as_ref()
-        .map(|r| pool_route(Arc::clone(&backend), Arc::clone(r)));
+    let route = rebalancer.as_ref().map(|r| pool_route(Arc::clone(r)));
     let engine = MultiEngine::with_routing(backend, seq_of, engine_options, pools, route);
     run_daemon(
         options, engine, index_path, boot_label, reload, quiet, rebalancer,
@@ -442,12 +443,16 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
 /// The daemon's route hook: the same [`route_batch`] policy `segram map
 /// --schedule elastic` routes by, over a rebalancer shared by all
 /// connections — so pool ownership follows observed load across requests.
-fn pool_route(backend: Arc<Backend>, rebalancer: Arc<Mutex<Rebalancer>>) -> RouteHook<FastqRecord> {
-    Arc::new(move |batch| {
+/// It routes by the index of the request's own mapper, the one whose
+/// seed-hit counters the workers mapping that request fill in: after a
+/// `RELOAD` the hook neither keeps the old index alive nor feeds the
+/// rebalancer its frozen counters.
+fn pool_route(rebalancer: Arc<Mutex<Rebalancer>>) -> RouteHook<Backend, FastqRecord> {
+    Arc::new(move |mapper, batch| {
         // A poisoned rebalancer only costs locality: spill.
         let mut rebalancer = rebalancer.lock().ok()?;
         route_batch(
-            backend.sharded()?,
+            mapper.sharded()?,
             &mut rebalancer,
             batch.iter().map(|r| &r.seq),
         )
@@ -633,10 +638,11 @@ fn handle_connection(stream: TcpStream, daemon: Daemon<'_>) -> Control {
 /// keep the mapper they opened with, so there is no drain barrier and no
 /// downtime; a failed build leaves the active index exactly as it was.
 ///
-/// The reload hook sees the currently active mapper, so a sharded daemon
-/// can take the dirty-shard delta route when the new store's parent
-/// checksum matches the active one; the `RELOADED` reply reports which
-/// route it took (`mode=delta dirty=… clean=…` or `mode=full`).
+/// The reload hook sees the currently active mapper, so a daemon with
+/// more than one shard can take the dirty-shard delta route when the new
+/// store's parent checksum matches the active one; the `RELOADED` reply
+/// reports which route it took (`mode=delta dirty=… clean=…` or
+/// `mode=full`).
 fn handle_reload(mut writer: BufWriter<TcpStream>, path: &str, daemon: Daemon<'_>, peer: &str) {
     if !daemon.quiet {
         eprintln!("serve: reload of {path} requested by {peer}");
@@ -1071,35 +1077,124 @@ mod tests {
         parse_request_header(header)
     }
 
+    fn native_backend(graph: &segram_graph::GenomeGraph, shards: usize) -> Arc<Backend> {
+        Arc::new(Backend::build(
+            segram_core::BackendKind::Segram,
+            graph.clone(),
+            segram_core::SegramConfig::short_reads(),
+            shards,
+        ))
+    }
+
+    fn record_of(id: usize, seq: DnaSeq) -> FastqRecord {
+        FastqRecord::with_uniform_quality(format!("read{id}"), seq, 30)
+    }
+
     #[test]
     fn the_route_hook_decides_exactly_as_the_map_schedule_does() {
         // Same batch, same rebalancer state: the daemon's hook and the
         // routine `segram map --schedule elastic` routes by must agree,
         // batch after batch, as ownership evolves under both.
         let dataset = segram_sim::DatasetConfig::tiny(61).illumina(100);
-        let backend = Arc::new(Backend::Sharded(segram_core::ShardedIndex::build(
-            dataset.graph().clone(),
-            segram_core::SegramConfig::short_reads(),
-            4,
-        )));
-        let index = backend.sharded().expect("built sharded");
+        let backend = native_backend(dataset.graph(), 4);
+        let index = backend.sharded().expect("native backend");
         let boot = || Rebalancer::for_index(index, 4, RebalanceConfig::default());
-        let hook = pool_route(Arc::clone(&backend), Arc::new(Mutex::new(boot())));
+        let hook = pool_route(Arc::new(Mutex::new(boot())));
         let mut map_side = boot();
         let records: Vec<FastqRecord> = dataset
             .reads
             .iter()
-            .map(|read| {
-                FastqRecord::with_uniform_quality(format!("read{}", read.id), read.seq.clone(), 30)
-            })
+            .map(|read| record_of(read.id as usize, read.seq.clone()))
             .collect();
         let mut routed = 0;
         for batch in records.chunks(3) {
             let expected = route_batch(index, &mut map_side, batch.iter().map(|r| &r.seq));
-            assert_eq!(hook(batch), expected);
+            assert_eq!(hook(&backend, batch), expected);
             routed += usize::from(expected.is_some());
         }
         assert!(routed > 0, "no batch had a dominant pool");
+        // A mapper whose index the placement was not sized for spills.
+        let other = native_backend(dataset.graph(), 3);
+        assert_eq!(hook(&other, &records[..3]), None);
+    }
+
+    #[test]
+    fn after_a_reload_the_route_hook_lets_the_boot_index_go_and_observes_the_new_one() {
+        // A repeat-free reference, so a read's seed hits sit where it came
+        // from and nowhere else.
+        let reference = segram_sim::generate_reference(&segram_sim::GenomeConfig {
+            len: 8_000,
+            gc_content: 0.5,
+            repeat_count: 0,
+            repeat_len: 0,
+            seed: 61,
+        });
+        let graph = segram_graph::linear_graph(&reference, 64).expect("non-empty reference");
+        let reads_from = |starts: std::ops::Range<usize>, stride: usize| -> Vec<FastqRecord> {
+            starts
+                .step_by(stride)
+                .map(|at| record_of(at, reference.slice(at, at + 100)))
+                .collect()
+        };
+        let boot = native_backend(&graph, 4);
+        let boot_weak = Arc::downgrade(&boot);
+        // A hair-trigger rebalancer: any skew it gets to see migrates.
+        let trigger = RebalanceConfig {
+            threshold: 1.2,
+            cooldown: 0,
+        };
+        let index = boot.sharded().expect("native backend");
+        let rebalancer = Arc::new(Mutex::new(Rebalancer::for_index(index, 2, trigger)));
+        let engine = MultiEngine::with_routing(
+            boot,
+            seq_of,
+            EngineOptions::new().threads(2),
+            2,
+            Some(pool_route(Arc::clone(&rebalancer))),
+        );
+        let push_all = |records: &[FastqRecord]| {
+            let mut request = engine.open().expect("engine admits");
+            for batch in records.chunks(4) {
+                assert!(request.push(batch.to_vec()));
+            }
+            request
+        };
+        let complete = |mut request: RequestHandle<Backend, FastqRecord>| {
+            request.finish_input();
+            while request.next_output().is_some() {}
+            request.finish().expect("no panic");
+        };
+        // A request in flight across the swap finishes on the boot index,
+        // the only thing that may keep it alive. Its reads are spread over
+        // the reference: the counters it leaves there show no skew.
+        let in_flight = push_all(&reads_from(0..7_900, 1_000));
+        let next = native_backend(&graph, 4);
+        engine.swap_mapper(Arc::clone(&next));
+        assert!(boot_weak.upgrade().is_some(), "the open request maps on it");
+        complete(in_flight);
+        // A worker drops its clone just after the request settles.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while boot_weak.upgrade().is_some() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert!(
+            boot_weak.upgrade().is_none(),
+            "with its last request finished, nothing may keep the boot backend alive"
+        );
+        // Every read from shard 0's quarter: the new index's counters
+        // skew, and the next batch boundary has to show the rebalancer that.
+        let skewed = reads_from(0..1_800, 100);
+        complete(push_all(&skewed));
+        complete(push_all(&skewed));
+        let stats = next.sharded().expect("native backend").shard_stats();
+        let elsewhere: u64 = stats[1..].iter().map(|shard| shard.seed_hits).sum();
+        assert!(
+            stats[0].seed_hits > 4 * elsewhere.max(1),
+            "workers count on the request's own index: {stats:?}"
+        );
+        let migrations = rebalancer.lock().expect("not poisoned").migrations();
+        assert!(migrations > 0, "the rebalancer never saw the live counters");
+        engine.shutdown();
     }
 
     #[test]

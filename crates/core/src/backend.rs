@@ -13,7 +13,10 @@
 //!   [`Mapping`]/[`MapStats`] (the located window is re-aligned with
 //!   BitAlign so every backend emits the same SAM/GAF record shape);
 //! * [`BackendKind`] + [`Backend`] name the four backends and build them
-//!   from one graph + configuration (`segram map --backend ...`);
+//!   from one graph + configuration (`segram map --backend ...`). The
+//!   native one is always the coordinate-range [`ShardedIndex`] — of one
+//!   shard unless asked for more — so the binary runs one native mapper,
+//!   not a monolithic and a sharded one;
 //! * [`run_backend_eval`] drives one backend over one read set through
 //!   the engine and distills the comparison row `eval compare` prints —
 //!   throughput, per-stage times, truth accuracy, and the accelerator
@@ -37,7 +40,7 @@ use crate::baseline::{
     BaselineMapper, BaselineMapping, GraphAlignerLike, HgaLike, StepTimes, VgLike,
 };
 use crate::config::SegramConfig;
-use crate::mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
+use crate::mapper::{MapStats, Mapping, ReadMapper};
 use crate::pipeline::{Aligner, BitAlignStage, EngineOptions, EngineReport, MapEngine};
 use crate::shard::ShardedIndex;
 
@@ -61,8 +64,8 @@ pub const MODELED_REGION_CHARS: f64 = 128.0;
 /// The four mapping backends the evaluation compares, by CLI name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The native SeGraM pipeline (MinSeed + BitAlign), monolithic or
-    /// sharded.
+    /// The native SeGraM pipeline (MinSeed + BitAlign) over a
+    /// coordinate-range index of one or more shards.
     Segram,
     /// [`GraphAlignerLike`]: seeding + chaining + bit-parallel alignment.
     GraphAligner,
@@ -215,16 +218,14 @@ impl<B: BaselineMapper> ReadMapper for BaselineAdapter<B> {
 }
 
 /// One engine backend, built by [`Backend::build`]: the native SeGraM
-/// mapper (monolithic or sharded) or one of the software baselines behind
-/// a [`BaselineAdapter`]. Implements [`ReadMapper`] by delegation, so a
-/// `MapEngine<'_, Backend>` drives any of the four through the identical
-/// batched, order-preserving path.
+/// mapper or one of the software baselines behind a [`BaselineAdapter`].
+/// Implements [`ReadMapper`] by delegation, so a `MapEngine<'_, Backend>`
+/// drives any of the four through the identical batched, order-preserving
+/// path.
 #[derive(Debug)]
 pub enum Backend {
-    /// The native pipeline over one monolithic index.
-    Segram(SegramMapper),
-    /// The native pipeline over a coordinate-range sharded index.
-    Sharded(ShardedIndex),
+    /// The native pipeline over a coordinate-range index of `N ≥ 1` shards.
+    Segram(ShardedIndex),
     /// The GraphAligner-like baseline.
     GraphAligner(BaselineAdapter<GraphAlignerLike>),
     /// The vg-like baseline.
@@ -234,15 +235,16 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Builds a backend over one reference graph. `shards > 1` selects the
-    /// sharded index for the native backend and is ignored for the
-    /// baselines (the CLI rejects the combination up front).
+    /// Builds a backend over one reference graph. `shards` is the native
+    /// backend's shard count (1 = the whole index in one shard) and is
+    /// ignored for the baselines (the CLI rejects the combination up
+    /// front).
     ///
     /// # Panics
     ///
     /// Panics when the graph is empty (the HGA baseline linearizes the
-    /// whole graph at construction) or `shards` is zero for the sharded
-    /// native backend.
+    /// whole graph at construction) or `shards` is zero for the native
+    /// backend.
     pub fn build(
         kind: BackendKind,
         graph: GenomeGraph,
@@ -250,10 +252,7 @@ impl Backend {
         shards: usize,
     ) -> Self {
         match kind {
-            BackendKind::Segram if shards > 1 => {
-                Self::Sharded(ShardedIndex::build(graph, config, shards))
-            }
-            BackendKind::Segram => Self::Segram(SegramMapper::new(graph, config)),
+            BackendKind::Segram => Self::Segram(ShardedIndex::build(graph, config, shards)),
             BackendKind::GraphAligner => Self::GraphAligner(BaselineAdapter::new(
                 GraphAlignerLike::new(graph, config),
                 config,
@@ -275,18 +274,18 @@ impl Backend {
     /// Which backend this is.
     pub fn kind(&self) -> BackendKind {
         match self {
-            Self::Segram(_) | Self::Sharded(_) => BackendKind::Segram,
+            Self::Segram(_) => BackendKind::Segram,
             Self::GraphAligner(_) => BackendKind::GraphAligner,
             Self::Vg(_) => BackendKind::Vg,
             Self::Hga(_) => BackendKind::Hga,
         }
     }
 
-    /// The sharded index, when this is the sharded native backend (for
-    /// per-shard reporting).
+    /// The coordinate-range index, when this is the native backend (for
+    /// per-shard reporting, elastic routing and delta reloads).
     pub fn sharded(&self) -> Option<&ShardedIndex> {
         match self {
-            Self::Sharded(index) => Some(index),
+            Self::Segram(index) => Some(index),
             _ => None,
         }
     }
@@ -297,7 +296,6 @@ impl Backend {
     fn mapper(&self) -> &dyn ReadMapper {
         match self {
             Self::Segram(m) => m,
-            Self::Sharded(m) => m,
             Self::GraphAligner(m) => m,
             Self::Vg(m) => m,
             Self::Hga(m) => m,
@@ -337,7 +335,7 @@ pub struct EvalRead {
 /// One backend's row of an `eval compare` run: the engine report plus
 /// wall-clock, truth accuracy, and the modeled accelerator occupancy its
 /// candidate-region stream implies.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct BackendEval {
     /// Backend identifier (from [`ReadMapper::backend_name`]).
     pub backend: &'static str,
@@ -446,6 +444,7 @@ pub fn run_backend_eval(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SegramMapper;
     use segram_sim::DatasetConfig;
 
     fn dataset() -> segram_sim::Dataset {
@@ -477,12 +476,15 @@ mod tests {
             assert_eq!(backend.kind(), kind);
             assert_eq!(backend.backend_name(), kind.name());
             assert_eq!(backend.graph().total_chars(), dataset.graph().total_chars());
-            assert!(backend.sharded().is_none());
+            // One native mapper: the coordinate-range index, one shard
+            // unless asked for more; the baselines have none.
+            let shards = backend.sharded().map(|index| index.shards().len());
+            assert_eq!(shards, (kind == BackendKind::Segram).then_some(1));
         }
         let sharded = Backend::build(BackendKind::Segram, dataset.graph().clone(), config, 3);
         assert_eq!(sharded.kind(), BackendKind::Segram);
         assert_eq!(sharded.backend_name(), "segram");
-        assert_eq!(sharded.sharded().expect("sharded").shards().len(), 3);
+        assert_eq!(sharded.sharded().expect("native").shards().len(), 3);
     }
 
     #[test]

@@ -15,11 +15,20 @@
 //! [`MapPipeline`]; [`MapEngine`] batches read streams over worker
 //! threads with order-preserving output.
 //!
+//! There is one native mapper at run time. [`SegramMapper`] is the
+//! single-index reference implementation — the library entry point and
+//! the oracle of the tests and the perf ledger. `segram map` and `segram
+//! serve` run [`ShardedIndex`]: the same pipeline over the index in
+//! `N ≥ 1` coordinate-range shards behind the seeding [`ShardRouter`] (the
+//! paper's per-HBM-channel instances, Section 8.3; `N = 1` is the whole
+//! index in one shard). Both seed through the one loop,
+//! [`segram_index::visit_seed_hits`], byte-identically for every `N`.
+//!
 //! It also hosts the software baseline mappers used by the evaluation
 //! ([`GraphAlignerLike`], [`VgLike`], [`HgaLike`]) and the workload
 //! measurement that parameterizes the `segram-hw` performance model
-//! ([`measure_workload`]). Every mapper — SeGraM and the baselines — is a
-//! first-class engine [`Backend`] selected by [`BackendKind`], so the
+//! ([`measure_workload`]). Every mapper the binary runs — that index and
+//! the baselines — is an engine [`Backend`] selected by [`BackendKind`], so the
 //! same read stream drives all of them under one methodology (`segram map
 //! --backend ...`, `segram eval compare`, [`run_backend_eval`]).
 //!
@@ -61,10 +70,10 @@ pub use mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
 pub use pangenome::{Chromosome, Pangenome, PangenomeMapping};
 pub use pipeline::{
     gaf_record_for, route_batch, sam_record_for, Aligner, BitAlignStage, CancelToken, DecodedBlock,
-    ElasticReport, ElasticScheduler, EngineBusy, EngineOptions, EngineReport, MapEngine,
-    MapPipeline, MinSeedStage, MultiEngine, PoolCounters, PoolReport, Prefilter, Priority,
-    QueueDelayStats, QueueStats, ReadOutcome, RebalanceConfig, Rebalancer, RequestHandle,
-    RequestPanicked, RouteHook, Seeder, ShardRouter, SpecPrefilter,
+    ElasticScheduler, EngineBusy, EngineOptions, EngineReport, MapEngine, MapPipeline,
+    MinSeedStage, MultiEngine, PoolCounters, PoolReport, Prefilter, Priority, QueueDelayStats,
+    QueueStats, ReadOutcome, RebalanceConfig, Rebalancer, RequestHandle, RequestPanicked,
+    RouteHook, Seeder, ShardRouter, SpecPrefilter,
 };
 pub use sam::{mapq_estimate, sam_document, SamRecord};
 pub use shard::{

@@ -3,12 +3,18 @@
 //! sequence-to-graph and sequence-to-sequence mapping, short and long
 //! reads.
 //!
-//! Since the stage-based refactor, [`SegramMapper`] is a thin facade: it
-//! owns the graph, the index, and the configuration, and wires the
-//! default stage implementations into a
+//! [`SegramMapper`] is the single-index **reference implementation**: a
+//! thin facade that owns the graph, one whole-graph index, and the
+//! configuration, and wires the default stage implementations into a
 //! [`MapPipeline`](crate::pipeline::MapPipeline), which hosts the actual
-//! seeding → prefilter → alignment flow. Batched multi-threaded mapping
-//! lives in [`MapEngine`](crate::pipeline::MapEngine).
+//! seeding → prefilter → alignment flow. It is the library's simplest
+//! entry point and the oracle the runtime mapper is held to: the `segram`
+//! binary maps with the coordinate-range
+//! [`ShardedIndex`](crate::ShardedIndex) (one shard by default), and the
+//! tests, the golden digests and the perf ledger's in-process replay
+//! require it to agree with this mapper byte for byte. Batched
+//! multi-threaded mapping lives in
+//! [`MapEngine`](crate::pipeline::MapEngine).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,8 +28,9 @@ use crate::pipeline::{Aligner, BitAlignStage, MapPipeline, MinSeedStage, Seeder,
 
 /// Anything that can map one read end to end: the abstraction
 /// [`MapEngine`](crate::pipeline::MapEngine) drives, implemented by the
-/// monolithic [`SegramMapper`] and the coordinate-range
-/// [`ShardedIndex`](crate::ShardedIndex). Implementations must be `Sync`
+/// single-index reference [`SegramMapper`], the coordinate-range
+/// [`ShardedIndex`](crate::ShardedIndex) the binary runs, and the adapted
+/// baselines. Implementations must be `Sync`
 /// because the engine shares one mapper across its worker threads.
 pub trait ReadMapper: Sync {
     /// The reference graph mappings refer to (SAM/GAF rendering needs it).
@@ -183,8 +190,7 @@ impl MapStats {
 /// ```
 #[derive(Debug)]
 pub struct SegramMapper {
-    /// Shared so N coordinate-range shards (each with its own index slice)
-    /// can reference one graph without cloning it per shard.
+    /// Shared, so further mappers over the same graph need no clone of it.
     graph: Arc<GenomeGraph>,
     index: GraphIndex,
     config: SegramConfig,
@@ -207,12 +213,8 @@ impl SegramMapper {
     }
 
     /// Assembles a mapper from pre-built parts: a shared graph, an index
-    /// over (a slice of) it, and an externally derived frequency
-    /// threshold. This is how [`ShardedIndex`](crate::ShardedIndex)
-    /// constructs its per-shard mappers — each shard's index covers only
-    /// its coordinate range, while the frequency threshold stays the
-    /// *global* one so shard-local mapping agrees with the monolithic
-    /// filter decisions.
+    /// over it, and an externally derived frequency threshold (e.g. the
+    /// three a persisted `.sgi` store holds) — no index pass.
     pub fn from_parts(
         graph: Arc<GenomeGraph>,
         index: GraphIndex,

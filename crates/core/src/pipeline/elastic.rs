@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use segram_graph::DnaSeq;
 
-use crate::pipeline::engine::{DecodedBlock, EngineOptions, EngineReport, MapEngine, PoolReport};
+use crate::pipeline::engine::{DecodedBlock, EngineOptions, EngineReport, MapEngine};
 use crate::pipeline::router::route_batch;
 use crate::pipeline::ReadOutcome;
 use crate::shard::{balance_loads, load_imbalance, ShardedIndex};
@@ -149,6 +149,11 @@ impl Rebalancer {
     /// Number of pools the shards are spread over.
     pub fn pools(&self) -> usize {
         self.pools
+    }
+
+    /// Number of shards the placement covers.
+    pub fn shards(&self) -> usize {
+        self.assignment.len()
     }
 
     /// The pool currently owning `shard`.
@@ -257,24 +262,6 @@ impl Rebalancer {
     }
 }
 
-/// Aggregate of one elastic run: the familiar engine totals plus the
-/// pool/route/migration observability.
-#[derive(Clone, Debug)]
-pub struct ElasticReport {
-    /// Engine-level totals (reads, mapped, stats, merged queue counters —
-    /// the same shape the fanout schedule reports, so output layers treat
-    /// both schedules alike).
-    pub engine: EngineReport,
-    /// Per-pool depth/stall/batch counters.
-    pub pools: Vec<PoolReport>,
-    /// Batches routed by a strict shard-group majority.
-    pub routed: u64,
-    /// Batches spilled to the least-loaded pool.
-    pub spilled: u64,
-    /// Shards migrated between pools by the live rebalancer.
-    pub migrations: u64,
-}
-
 /// The per-shard-group pool schedule over a [`ShardedIndex`] — the
 /// *elastic* counterpart of [`MapEngine`]'s fanout schedule (`segram map
 /// --schedule elastic`), as a routing shell over the same loop.
@@ -291,7 +278,7 @@ pub struct ElasticReport {
 /// let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
 /// let (outcomes, report) = scheduler.map_batch(&reads);
 /// assert_eq!(outcomes.len(), reads.len());
-/// assert_eq!(report.routed + report.spilled, report.engine.batches as u64);
+/// assert_eq!(report.routed() + report.spilled(), report.batches as u64);
 /// ```
 #[derive(Debug)]
 pub struct ElasticScheduler<'m> {
@@ -329,7 +316,9 @@ impl<'m> ElasticScheduler<'m> {
     /// [`MapEngine::map_routed_stream`]'s: output bytes are independent of
     /// pool count, routing decisions, and migrations; a cancel winds every
     /// pool down promptly; the first panic anywhere is re-raised once. A
-    /// decode failure (`decode` returning `None`) cancels the run.
+    /// decode failure (`decode` returning `None`) cancels the run. The
+    /// report is the loop's, with each pool's final shard ownership and the
+    /// rebalancer's migration count filled in.
     ///
     /// # Panics
     ///
@@ -342,7 +331,7 @@ impl<'m> ElasticScheduler<'m> {
         decode: D,
         read_of: R,
         mut sink: F,
-    ) -> ElasticReport
+    ) -> EngineReport
     where
         Q: Send,
         T: Send,
@@ -368,33 +357,27 @@ impl<'m> ElasticScheduler<'m> {
         // decode happened above, so its time is put back per read on the
         // way out and into the totals afterwards.
         let mut decode_time = Duration::ZERO;
-        let (mut engine, mut pool_reports) = MapEngine::new(self.index, self.options.clone())
-            .map_routed_stream(
-                decoded,
-                |pair| Some(DecodedBlock::one(pair)),
-                |(item, _)| read_of(item),
-                |(item, decoded_in), mut outcome| {
-                    outcome.stats.decode = decoded_in;
-                    decode_time += decoded_in;
-                    sink(item, outcome);
-                },
-                pools,
-                |batch| {
-                    let reads = batch.iter().map(|(item, _)| read_of(item));
-                    route_batch(self.index, &mut rebalancer, reads)
-                },
-            );
-        engine.stats.decode = decode_time;
-        for (pool, shards) in pool_reports.iter_mut().zip(rebalancer.groups()) {
+        let mut report = MapEngine::new(self.index, self.options.clone()).map_routed_stream(
+            decoded,
+            |pair| Some(DecodedBlock::one(pair)),
+            |(item, _)| read_of(item),
+            |(item, decoded_in), mut outcome| {
+                outcome.stats.decode = decoded_in;
+                decode_time += decoded_in;
+                sink(item, outcome);
+            },
+            pools,
+            |batch| {
+                let reads = batch.iter().map(|(item, _)| read_of(item));
+                route_batch(self.index, &mut rebalancer, reads)
+            },
+        );
+        report.stats.decode = decode_time;
+        for (pool, shards) in report.pools.iter_mut().zip(rebalancer.groups()) {
             pool.shards = shards;
         }
-        ElasticReport {
-            engine,
-            routed: pool_reports.iter().map(|p| p.routed).sum(),
-            spilled: pool_reports.iter().map(|p| p.spilled).sum(),
-            pools: pool_reports,
-            migrations: rebalancer.migrations(),
-        }
+        report.migrations = rebalancer.migrations();
+        report
     }
 
     /// Streams already-decoded reads through the schedule (the
@@ -405,7 +388,7 @@ impl<'m> ElasticScheduler<'m> {
         reads: impl Iterator<Item = T>,
         read_of: R,
         sink: F,
-    ) -> ElasticReport
+    ) -> EngineReport
     where
         T: Send,
         R: Fn(&T) -> &DnaSeq + Sync,
@@ -415,8 +398,8 @@ impl<'m> ElasticScheduler<'m> {
     }
 
     /// Maps a slice of reads, returning the outcomes in input order plus
-    /// the elastic report.
-    pub fn map_batch(&self, reads: &[DnaSeq]) -> (Vec<ReadOutcome>, ElasticReport) {
+    /// the run's report.
+    pub fn map_batch(&self, reads: &[DnaSeq]) -> (Vec<ReadOutcome>, EngineReport) {
         let mut outcomes = Vec::with_capacity(reads.len());
         let report = self.map_stream(
             reads.iter(),
@@ -457,8 +440,8 @@ mod tests {
             for threads in [1usize, 4] {
                 let scheduler = scheduler_for(&index, threads);
                 let (outcomes, report) = scheduler.map_batch(&reads);
-                assert_eq!(report.engine.reads, reads.len(), "shards {shards}");
-                assert_eq!(report.engine.mapped, base_report.mapped, "shards {shards}");
+                assert_eq!(report.reads, reads.len(), "shards {shards}");
+                assert_eq!(report.mapped, base_report.mapped, "shards {shards}");
                 for (a, b) in base.iter().zip(&outcomes) {
                     assert_eq!(
                         a.mapping.as_ref().map(|m| m.linear_start),
@@ -478,12 +461,12 @@ mod tests {
         let (_, report) = scheduler.map_batch(&reads);
         assert_eq!(report.pools.len(), 4);
         assert_eq!(
-            report.routed + report.spilled,
-            report.engine.batches as u64,
+            report.routed() + report.spilled(),
+            report.batches as u64,
             "{report:?}"
         );
         let per_pool: u64 = report.pools.iter().map(|p| p.batches).sum();
-        assert_eq!(per_pool, report.engine.batches as u64);
+        assert_eq!(per_pool, report.batches as u64);
         // The final ownership is still a partition of the shards.
         let mut owned: Vec<usize> = report
             .pools
@@ -503,8 +486,8 @@ mod tests {
         let (dataset, index) = sharded(2);
         let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let (_, report) = scheduler_for(&index, 2).map_batch(&reads);
-        assert_eq!(report.engine.batch_size, 3);
-        assert_eq!(report.engine.batches, reads.len().div_ceil(3));
+        assert_eq!(report.batch_size, 3);
+        assert_eq!(report.batches, reads.len().div_ceil(3));
     }
 
     #[test]
@@ -648,7 +631,7 @@ mod tests {
         );
         assert!(sunk >= 1);
         assert!(
-            report.engine.reads <= reads.len(),
+            report.reads <= reads.len(),
             "cancelled run must not over-report: {report:?}"
         );
     }
@@ -701,6 +684,6 @@ mod tests {
         );
         assert_eq!(failures.load(Ordering::Relaxed), 1);
         assert!(cancel.is_cancelled());
-        assert!(report.engine.reads <= 5, "{:?}", report.engine);
+        assert!(report.reads <= 5, "{report:?}");
     }
 }

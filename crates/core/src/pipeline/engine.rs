@@ -241,8 +241,8 @@ pub struct ReadOutcome {
     pub stats: MapStats,
 }
 
-/// Aggregate of one engine run.
-#[derive(Clone, Copy, Debug)]
+/// Aggregate of one engine run, whatever the schedule.
+#[derive(Clone, Debug)]
 pub struct EngineReport {
     /// The backend that produced this run
     /// ([`ReadMapper::backend_name`]), so reports and artifacts always
@@ -265,6 +265,25 @@ pub struct EngineReport {
     /// Reads per batch the producer cut the stream into (the last batch
     /// may be shorter).
     pub batch_size: usize,
+    /// One entry per worker pool of a stream run (a fanout run has one;
+    /// empty for a [`MultiEngine`](super::MultiEngine) request, whose
+    /// pools belong to the engine, not the request).
+    pub pools: Vec<PoolReport>,
+    /// Shards the elastic schedule's live rebalancer moved between pools
+    /// (0 under fanout).
+    pub migrations: u64,
+}
+
+impl EngineReport {
+    /// Batches the route policy sent to a pool of its choice.
+    pub fn routed(&self) -> u64 {
+        self.pools.iter().map(|pool| pool.routed).sum()
+    }
+
+    /// Batches the route policy declined, spilled to the shortest queue.
+    pub fn spilled(&self) -> u64 {
+        self.pools.iter().map(|pool| pool.spilled).sum()
+    }
 }
 
 impl Default for EngineReport {
@@ -278,6 +297,8 @@ impl Default for EngineReport {
             stats: MapStats::default(),
             queue: QueueStats::default(),
             batch_size: 0,
+            pools: Vec::new(),
+            migrations: 0,
         }
     }
 }
@@ -523,7 +544,8 @@ impl<T> Reorder<T> {
 pub struct PoolReport {
     /// Shard ids the pool owned when the run finished. The loop routes by
     /// pool index and leaves this empty; the owner of the routing policy
-    /// ([`ElasticScheduler`](super::ElasticScheduler)) fills it in.
+    /// ([`ElasticScheduler`](super::ElasticScheduler)) fills it in, with
+    /// [`EngineReport::migrations`].
     pub shards: Vec<usize>,
     /// Worker threads serving this pool's queue.
     pub workers: usize,
@@ -590,8 +612,9 @@ impl<T> DecodedBlock<T> {
 }
 
 /// The batched, multi-threaded, order-preserving mapping engine, generic
-/// over the [`ReadMapper`] it drives (the monolithic [`SegramMapper`] or
-/// the coordinate-range [`ShardedIndex`](crate::ShardedIndex)).
+/// over the [`ReadMapper`] it drives (the coordinate-range
+/// [`ShardedIndex`](crate::ShardedIndex), the reference [`SegramMapper`],
+/// an adapted baseline).
 ///
 /// # Examples
 ///
@@ -683,7 +706,6 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         F: FnMut(T, ReadOutcome) + Send,
     {
         self.map_routed_stream(raw, decode, read_of, sink, 1, |_| Some(0))
-            .0
     }
 
     /// The stream loop. Streams *undecoded* items through `pools` bounded
@@ -718,7 +740,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
     /// [`EngineReport::batches`] counts batches that were actually
     /// mapped, so a cancelled run's report stays truthful.
     ///
-    /// Returns the run's totals plus one [`PoolReport`] per pool.
+    /// Returns the run's totals with one [`PoolReport`] per pool.
     ///
     /// # Panics
     ///
@@ -733,7 +755,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         sink: F,
         pools: usize,
         mut route: impl FnMut(&[Q]) -> Option<usize>,
-    ) -> (EngineReport, Vec<PoolReport>)
+    ) -> EngineReport
     where
         Q: Send,
         T: Send,
@@ -1118,7 +1140,8 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
             report.queue.worker_waits += pool.queue.worker_waits;
             report.queue.worker_wait += pool.queue.worker_wait;
         }
-        (report, pool_reports)
+        report.pools = pool_reports;
+        report
     }
 
     /// Maps a slice of reads, returning the outcomes in input order plus

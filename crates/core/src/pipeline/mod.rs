@@ -24,10 +24,10 @@
 //!   writer thread, with a [`CancelToken`] stopping both ends promptly on
 //!   failure. It owns the one one-shot stream loop: one or more pool
 //!   queues, one reorder buffer, one writer;
-//! * [`ShardRouter`] — the sharded seeding stage: per-shard index lookups
-//!   merged into the monolithic candidate order before
-//!   prefilter/alignment ([`router`]), plus [`route_batch`], the elastic
-//!   batch-to-pool policy;
+//! * [`ShardRouter`] — the runtime mapper's seeding stage, for any shard
+//!   count: per-shard index lookups merged into the single-index
+//!   candidate order before prefilter/alignment ([`router`]), plus
+//!   [`route_batch`], the elastic batch-to-pool policy;
 //! * [`ElasticScheduler`] — the per-shard-group pool schedule over a
 //!   sharded index ([`elastic`]): a routing shell over `MapEngine`'s loop,
 //!   with a live imbalance-driven [`Rebalancer`] migrating shard
@@ -38,9 +38,10 @@
 //! * [`sam_record_for`] / [`gaf_record_for`] — render one engine outcome
 //!   into the interchange formats, shared by the CLI and the test suite.
 //!
-//! [`SegramMapper`](crate::SegramMapper) is a thin facade over this
-//! module: it owns the graph + index and wires the default stages into a
-//! [`MapPipeline`].
+//! [`SegramMapper`](crate::SegramMapper) (the single-index reference) and
+//! [`ShardedIndex`](crate::ShardedIndex) (what the binary runs) are thin
+//! facades over this module: each owns the graph + index and wires its
+//! seeder and the default later stages into a [`MapPipeline`].
 
 mod elastic;
 mod engine;
@@ -48,7 +49,7 @@ mod multi;
 mod router;
 mod stages;
 
-pub use elastic::{ElasticReport, ElasticScheduler, RebalanceConfig, Rebalancer};
+pub use elastic::{ElasticScheduler, RebalanceConfig, Rebalancer};
 pub use engine::{
     CancelToken, DecodedBlock, EngineOptions, EngineReport, MapEngine, PoolReport, QueueStats,
     ReadOutcome,

@@ -411,9 +411,11 @@ impl<M, T> Sched<M, T> {
 }
 
 /// The optional batch-routing hook of [`MultiEngine::with_routing`]:
-/// returns the preferred pool for a batch, or `None` to spill it to the
-/// least-loaded pool.
-pub type RouteHook<T> = Arc<dyn Fn(&[T]) -> Option<usize> + Send + Sync>;
+/// given the mapper the batch's request captured at open — not whichever
+/// one is active now, so the hook holds no mapper of its own and a swapped
+/// out one is freed with its last request — returns the preferred pool for
+/// the batch, or `None` to spill it to the least-loaded pool.
+pub type RouteHook<M, T> = Arc<dyn Fn(&M, &[T]) -> Option<usize> + Send + Sync>;
 
 struct Shared<M, T> {
     /// The mapper *new* requests capture at open. [`MultiEngine::swap_mapper`]
@@ -424,7 +426,7 @@ struct Shared<M, T> {
     /// Worker pools (1 = unrouted). Worker `w` serves pool `w % pools`.
     pools: usize,
     /// Routes a pushed batch to its preferred pool ([`RouteHook`]).
-    route: Option<RouteHook<T>>,
+    route: Option<RouteHook<M, T>>,
     queue_depth: usize,
     /// A request with this many batches in flight + parked in its reorder
     /// buffer is deprioritized until its slowest batch releases (the
@@ -657,7 +659,7 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
         read_of: fn(&T) -> &DnaSeq,
         options: EngineOptions,
         pools: usize,
-        route: Option<RouteHook<T>>,
+        route: Option<RouteHook<M, T>>,
     ) -> Self {
         let threads = options.resolved_threads();
         let pools = pools.clamp(1, threads);
@@ -926,7 +928,7 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
             shared
                 .route
                 .as_ref()
-                .and_then(|route| route(&items))
+                .and_then(|route| route(&self.mapper, &items))
                 .filter(|&pool| pool < shared.pools)
         } else {
             Some(0)
@@ -1438,9 +1440,9 @@ mod tests {
         // Alternate pool tags, declining every third batch so the spill
         // path (least-loaded fallback) is exercised too.
         let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let route: RouteHook<DnaSeq> = {
+        let route: RouteHook<SegramMapper, DnaSeq> = {
             let calls = Arc::clone(&calls);
-            Arc::new(move |_batch| {
+            Arc::new(move |_mapper, _batch| {
                 let n = calls.fetch_add(1, Ordering::SeqCst);
                 if n % 3 == 2 {
                     None

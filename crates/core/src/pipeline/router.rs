@@ -1,22 +1,21 @@
-//! The seeding-stage router: dispatches a read's minimizers to the
+//! The seeding-stage router — the runtime mapper's [`Seeder`], for every
+//! shard count including one: dispatches a read's minimizers to the
 //! shard(s) whose index slice can answer them and merges the per-shard
 //! hits into one candidate-region list **before** prefilter/alignment.
 //!
-//! Byte-identity with the unsharded path holds by construction:
+//! Byte-identity with the single-index reference
+//! ([`MinSeedStage`](super::MinSeedStage)) holds by construction:
 //!
-//! 1. the shards partition the monolithic index's seed locations, so for
-//!    every minimizer the summed per-shard frequency equals the global
+//! 1. both run the one seeding loop, [`segram_index::visit_seed_hits`]:
+//!    the shards partition the whole index's seed locations, so for every
+//!    minimizer the frequency it sums over the shards equals the global
 //!    frequency (the frequency filter makes identical decisions);
 //! 2. candidate regions are computed with the same Figure 9 arithmetic
 //!    ([`segram_index::seed_region`]) against the same shared graph;
-//! 3. the merged region list ends in the exact monolithic
-//!    sort-by-`(start, end, seed)` + dedup-by-`(start, end)` ordering —
-//!    but since the shards are coordinate-disjoint by construction of
-//!    `split_by_ranges`, the merge concatenates the per-shard sorted
-//!    lists in shard order instead of re-sorting the whole set, falling
-//!    back to the monolithic sort only when region padding crosses a
-//!    shard boundary (a debug assertion checks the result is sorted
-//!    either way).
+//! 3. the merged region list goes through the exact single-index
+//!    sort-by-`(start, end, seed)` + dedup-by-`(start, end)`: ties on the
+//!    full key share a seed location, so they live in one shard and the
+//!    stable sort keeps their minimizer order, whatever the split.
 //!
 //! The router also feeds each shard's occupancy counters (seed hits,
 //! regions produced), the observability behind the paper's Section 8.3
@@ -28,14 +27,17 @@
 //! serve` route hook both call it, so the two cannot drift.
 
 use segram_graph::{DnaSeq, GenomeGraph};
-use segram_index::{extract_minimizers, seed_region, SeedRegion, SeedingResult, SeedingStats};
+use segram_index::{
+    extract_minimizers, seed_region, visit_seed_hits, GraphIndex, MinimizerScheme, SeedRegion,
+    SeedingResult, SeedingStats,
+};
 
 use crate::pipeline::{Rebalancer, Seeder};
 use crate::shard::{IndexShard, ShardedIndex};
 
 /// The sharded [`Seeder`]: minimizer extraction once per read, a global
 /// frequency decision, then per-shard index lookups merged into the
-/// monolithic candidate order.
+/// single-index candidate order.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardRouter<'a> {
     graph: &'a GenomeGraph,
@@ -67,6 +69,16 @@ impl<'a> ShardRouter<'a> {
         self.shards
     }
 
+    /// The minimizer scheme every shard's slice was built with.
+    fn scheme(&self) -> &'a MinimizerScheme {
+        self.shards[0].index().scheme()
+    }
+
+    /// The shards' index slices, as the parts [`visit_seed_hits`] walks.
+    fn parts(&self) -> impl Iterator<Item = &'a GraphIndex> + Clone {
+        self.shards.iter().map(IndexShard::index)
+    }
+
     /// Per-shard seed-hit counts for one read — the elastic scheduler's
     /// cheap pre-route pass. Extracts the read's minimizers once and
     /// applies the same global frequency filter as [`Seeder::seed`], but
@@ -74,22 +86,14 @@ impl<'a> ShardRouter<'a> {
     /// batch must not double-count the seeding load the mapping pass will
     /// record again).
     pub fn route_hits(&self, read: &DnaSeq) -> Vec<u64> {
-        let scheme = *self.shards[0].mapper().index().scheme();
-        let minimizers = extract_minimizers(read, &scheme);
+        let minimizers = extract_minimizers(read, self.scheme());
         let mut hits = vec![0u64; self.shards.len()];
-        let mut counts: Vec<u32> = vec![0; self.shards.len()];
-        for m in &minimizers {
-            for (count, shard) in counts.iter_mut().zip(self.shards) {
-                *count = shard.mapper().index().lookup(m).len() as u32;
-            }
-            let freq: u32 = counts.iter().sum();
-            if freq > self.frequency_threshold {
-                continue;
-            }
-            for (hit, count) in hits.iter_mut().zip(&counts) {
-                *hit += u64::from(*count);
-            }
-        }
+        visit_seed_hits(
+            self.parts(),
+            &minimizers,
+            self.frequency_threshold,
+            |shard, _, locs| hits[shard] += locs.len() as u64,
+        );
         hits
     }
 }
@@ -110,12 +114,19 @@ fn dominant_pool(pool_hits: &[u64]) -> Option<usize> {
 ///
 /// Each call is a batch boundary, so after deciding it feeds the live
 /// per-shard seed-hit counters the mapping workers are filling in to
-/// [`Rebalancer::observe`]; ownership follows the observed load.
+/// [`Rebalancer::observe`]; ownership follows the observed load. `index`
+/// is the one the batch will be mapped against — in a daemon, the
+/// request's own, which a `RELOAD` may have made a different one than the
+/// placement was sized for: if its shard count differs, the placement says
+/// nothing about it and the batch spills, unobserved.
 pub fn route_batch<'r>(
     index: &ShardedIndex,
     rebalancer: &mut Rebalancer,
     reads: impl IntoIterator<Item = &'r DnaSeq>,
 ) -> Option<usize> {
+    if index.shards().len() != rebalancer.shards() {
+        return None;
+    }
     let router = index.router();
     let mut pool_hits = vec![0u64; rebalancer.pools()];
     for read in reads {
@@ -133,91 +144,34 @@ pub fn route_batch<'r>(
     target
 }
 
-/// Merges per-shard candidate lists into the monolithic
-/// `(start, end, seed)` order: each list is sorted, then the lists are
-/// concatenated in shard (coordinate) order. `seed_region` pads windows
-/// around the seed location, so a region from shard `i+1` can start
-/// before shard `i`'s last — that boundary overlap is detected and falls
-/// back to the monolithic whole-list sort (same bytes, since ties on the
-/// full key always live in one shard and stable sorting preserves their
-/// insertion order).
-fn merge_shard_regions(mut per_shard: Vec<Vec<SeedRegion>>) -> Vec<SeedRegion> {
-    let key = |r: &SeedRegion| (r.start, r.end, r.seed);
-    for list in &mut per_shard {
-        list.sort_by_key(key);
-    }
-    let mut concat_sorted = true;
-    let mut last_key = None;
-    for list in &per_shard {
-        if let (Some(prev), Some(first)) = (last_key, list.first()) {
-            if prev > key(first) {
-                concat_sorted = false;
-                break;
-            }
-        }
-        if let Some(tail) = list.last() {
-            last_key = Some(key(tail));
-        }
-    }
-    let mut regions: Vec<SeedRegion> = per_shard.into_iter().flatten().collect();
-    if !concat_sorted {
-        regions.sort_by_key(key);
-    }
-    debug_assert!(
-        regions.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
-        "merged per-shard regions must arrive sorted"
-    );
-    regions
-}
-
 impl Seeder for ShardRouter<'_> {
     fn seed(&self, read: &DnaSeq) -> SeedingResult {
-        let scheme = *self.shards[0].mapper().index().scheme();
-        let minimizers = extract_minimizers(read, &scheme);
+        let minimizers = extract_minimizers(read, self.scheme());
+        let k = self.scheme().k;
         let mut stats = SeedingStats {
             minimizers: minimizers.len(),
             ..SeedingStats::default()
         };
-        // Regions accumulate per shard so the merge can concatenate the
-        // per-shard sorted lists instead of re-sorting everything.
-        let mut shard_regions: Vec<Vec<SeedRegion>> = vec![Vec::new(); self.shards.len()];
-        // One index probe per shard per minimizer: the location slice
-        // answers both the routing question (who holds this minimizer)
-        // and the frequency question (its length *is* the shard-local
-        // frequency), so no separate frequency lookup is needed.
-        let mut per_shard: Vec<&[segram_graph::GraphPos]> = Vec::with_capacity(self.shards.len());
-        for m in &minimizers {
-            per_shard.clear();
-            per_shard.extend(self.shards.iter().map(|s| s.mapper().index().lookup(m)));
-            // Summed shard-local frequencies reproduce the monolithic
-            // frequency-filter decision (the shards partition the index).
-            let freq: u32 = per_shard.iter().map(|locs| locs.len() as u32).sum();
-            if freq > self.frequency_threshold {
-                stats.filtered_minimizers += 1;
-                continue;
-            }
-            for ((shard, locs), regions) in self
-                .shards
-                .iter()
-                .zip(&per_shard)
-                .zip(shard_regions.iter_mut())
-            {
-                if locs.is_empty() {
-                    continue;
-                }
+        let mut regions: Vec<SeedRegion> = Vec::new();
+        stats.filtered_minimizers = visit_seed_hits(
+            self.parts(),
+            &minimizers,
+            self.frequency_threshold,
+            |part, m, locs| {
+                let shard = &self.shards[part];
                 shard.record_seed_hits(locs.len() as u64);
-                for &loc in *locs {
-                    stats.seed_locations += 1;
+                stats.seed_locations += locs.len();
+                for &loc in locs {
                     if let Some(region) =
-                        seed_region(self.graph, self.error_rate, read.len(), m, loc, scheme.k)
+                        seed_region(self.graph, self.error_rate, read.len(), m, loc, k)
                     {
                         shard.record_region();
                         regions.push(region);
                     }
                 }
-            }
-        }
-        let mut regions = merge_shard_regions(shard_regions);
+            },
+        );
+        regions.sort_by_key(|r| (r.start, r.end, r.seed));
         regions.dedup_by_key(|r| (r.start, r.end));
         stats.regions = regions.len();
         SeedingResult { regions, stats }
@@ -281,6 +235,10 @@ mod tests {
         }
         // An empty batch has no hits: spill.
         assert_eq!(route_batch(&index, &mut a, []), None);
+        // An index the placement was not sized for spills too, whatever
+        // the batch holds, and is not observed.
+        let other = ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), 3);
+        assert_eq!(route_batch(&other, &mut a, reads.iter().copied()), None);
         // The pre-route pass records nothing into the occupancy counters.
         assert!(index.shard_stats().iter().all(|s| s.seed_hits == 0));
     }

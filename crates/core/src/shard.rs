@@ -3,16 +3,21 @@
 //! where each channel owns a private slice of the graph and index so
 //! seeding never crosses channels.
 //!
-//! [`ShardedIndex`] splits one reference graph's coordinate space into `N`
-//! contiguous ranges and owns one [`SegramMapper`] per range: all shards
-//! share the graph (via `Arc`), but each shard's minimizer index holds
-//! exactly the seed locations whose linear coordinate falls in its range.
-//! The seeding-stage router
+//! [`ShardedIndex`] is the native mapper every run uses. It splits one
+//! reference graph's coordinate space into `N ≥ 1` contiguous ranges and
+//! owns one index slice per range: all shards share the graph (via
+//! `Arc`), and each shard's minimizer index holds exactly the seed
+//! locations whose linear coordinate falls in its range. The shard count
+//! is a provisioning number, not a second design: `N = 1` (no `--shards`)
+//! is the whole index, moved in without a split pass, behind the same
+//! router. The seeding-stage router
 //! ([`ShardRouter`](crate::pipeline::ShardRouter)) dispatches each read's
 //! minimizers to the shard(s) whose index can answer them and merges the
-//! per-shard hits **before** prefilter/alignment, so the sharded engine's
-//! SAM/GAF output is byte-identical to the unsharded path (`ci.sh`
-//! enforces this end to end).
+//! per-shard hits **before** prefilter/alignment, so SAM/GAF output is
+//! byte-identical for every `N` (`ci.sh` enforces this end to end) and to
+//! the single-index reference implementation,
+//! [`SegramMapper`](crate::SegramMapper), which tests and the perf ledger
+//! replay against it.
 //!
 //! The same greedy size-balanced placement the paper uses to distribute
 //! chromosomes over memory channels ([`balance_loads`], shared with
@@ -34,7 +39,7 @@ use segram_index::{
 };
 
 use crate::config::SegramConfig;
-use crate::mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
+use crate::mapper::{MapStats, Mapping, ReadMapper};
 use crate::pipeline::{BitAlignStage, MapPipeline, ShardRouter, SpecPrefilter};
 
 /// Greedy largest-first load balancing: assigns `loads.len()` items to
@@ -77,9 +82,8 @@ pub fn load_imbalance(loads: &[u64]) -> f64 {
 }
 
 /// One coordinate-range shard: a linear range `[start, end)` of the shared
-/// graph plus a [`SegramMapper`] whose index holds exactly that range's
-/// seed locations. Carries per-shard occupancy counters filled in by the
-/// seeding router.
+/// graph plus the index slice holding exactly that range's seed locations.
+/// Carries per-shard occupancy counters filled in by the seeding router.
 #[derive(Debug)]
 pub struct IndexShard {
     id: usize,
@@ -89,13 +93,25 @@ pub struct IndexShard {
     // instead of rebuilding it: in-flight requests keep the old
     // `ShardedIndex` alive, new admissions see the new one, and the
     // untouched shards are literally the same allocation in both.
-    mapper: Arc<SegramMapper>,
+    index: Arc<GraphIndex>,
     seed_hits: AtomicU64,
     regions: AtomicU64,
     wins: AtomicU64,
 }
 
 impl IndexShard {
+    fn new(id: usize, start: u64, end: u64, index: Arc<GraphIndex>) -> Self {
+        Self {
+            id,
+            start,
+            end,
+            index,
+            seed_hits: AtomicU64::new(0),
+            regions: AtomicU64::new(0),
+            wins: AtomicU64::new(0),
+        }
+    }
+
     /// Shard id (0-based, in coordinate order).
     pub fn id(&self) -> usize {
         self.id
@@ -106,23 +122,22 @@ impl IndexShard {
         (self.start, self.end)
     }
 
-    /// The shard-local mapper (shared graph, range-restricted index,
-    /// global frequency threshold).
-    pub fn mapper(&self) -> &SegramMapper {
-        self.mapper.as_ref()
+    /// The shard's range-restricted index slice.
+    pub fn index(&self) -> &GraphIndex {
+        self.index.as_ref()
     }
 
-    /// Whether this shard shares its mapper allocation with `other` — the
-    /// observable fact a delta reload's `clean` counter reports.
-    pub fn shares_mapper_with(&self, other: &IndexShard) -> bool {
-        Arc::ptr_eq(&self.mapper, &other.mapper)
+    /// Whether this shard shares its index allocation with `other` — the
+    /// observable fact a delta reload's `shared` counter reports.
+    pub fn shares_index_with(&self, other: &IndexShard) -> bool {
+        Arc::ptr_eq(&self.index, &other.index)
     }
 
     /// Bytes of reference data this shard owns in the paper's memory
     /// layout: its index slice plus its share of the 2-bit-packed graph
     /// characters.
     pub fn memory_bytes(&self) -> u64 {
-        self.mapper.index().footprint().total_bytes() + (self.end - self.start).div_ceil(4)
+        self.index.footprint().total_bytes() + (self.end - self.start).div_ceil(4)
     }
 
     pub(crate) fn record_seed_hits(&self, hits: u64) {
@@ -168,10 +183,10 @@ pub struct ShardStats {
     pub wins: u64,
 }
 
-/// A reference graph sharded by coordinate range: `N` [`SegramMapper`]
-/// shards over one shared graph, mapped jointly through a seeding router
-/// whose merged output is byte-identical to the unsharded
-/// [`SegramMapper`].
+/// A reference graph sharded by coordinate range: `N ≥ 1` index slices
+/// over one shared graph, mapped jointly through a seeding router whose
+/// merged output is byte-identical to the single-index reference,
+/// [`SegramMapper`](crate::SegramMapper), for every `N`.
 ///
 /// # Examples
 ///
@@ -226,7 +241,7 @@ pub struct DeltaSwapReport {
     /// Shards rebuilt from the new index (their range intersects the
     /// delta's touched coordinates).
     pub dirty: usize,
-    /// Clean shards sharing the predecessor's mapper allocation.
+    /// Clean shards sharing the predecessor's index allocation.
     pub shared: usize,
     /// Clean shards cloned with only a node-id translation (no minimizer
     /// re-extraction) because fresh nodes upstream shifted their ids.
@@ -241,10 +256,11 @@ impl DeltaSwapReport {
 }
 
 impl ShardedIndex {
-    /// Builds the sharded index: one monolithic index pass (so the
+    /// Builds the sharded index: one whole-graph index pass (so the
     /// frequency threshold is derived from *global* minimizer counts,
-    /// exactly as [`SegramMapper::new`] does), then an exact partition of
-    /// the seed locations into `shards` equal-width coordinate ranges.
+    /// exactly as [`SegramMapper::new`](crate::SegramMapper::new) does),
+    /// then an exact partition of the seed locations into `shards`
+    /// equal-width coordinate ranges.
     ///
     /// Degenerate requests (`shards` exceeding the reference length) are
     /// clamped by [`shard_boundaries`], so [`Self::shards`] may report
@@ -257,45 +273,40 @@ impl ShardedIndex {
         let graph = Arc::new(graph);
         let index = GraphIndex::build(&graph, config.scheme, config.bucket_bits);
         let freq_threshold = frequency_threshold(&index, config.discard_frac);
-        Self::from_parts(graph, &index, config, freq_threshold, shards)
+        Self::from_parts(graph, index, config, freq_threshold, shards)
     }
 
-    /// Shards an already-built monolithic index (e.g. one loaded from a
+    /// Shards an already-built whole-graph index (e.g. one loaded from a
     /// persisted `.sgi` file) without re-running the index pass.
     /// `freq_threshold` must be the global threshold that accompanied
     /// `index` — the persisted value, or
     /// [`frequency_threshold`](segram_index::frequency_threshold) over the
-    /// monolithic index.
+    /// whole index. One shard takes `index` as it is: the partition of an
+    /// index into one range is that index, so there is no split pass and
+    /// no second copy of its locations.
     ///
     /// # Panics
     ///
     /// Panics when `shards` is zero.
     pub fn from_parts(
         graph: Arc<GenomeGraph>,
-        index: &GraphIndex,
+        index: GraphIndex,
         config: SegramConfig,
         freq_threshold: u32,
         shards: usize,
     ) -> Self {
         assert!(shards > 0, "at least one shard");
         let boundaries = shard_boundaries(graph.total_chars(), shards);
-        let shard_indexes = index.split_by_ranges(&graph, &boundaries);
-        let shards = shard_indexes
+        let slices = if boundaries.len() == 2 {
+            vec![index]
+        } else {
+            index.split_by_ranges(&graph, &boundaries)
+        };
+        let shards = slices
             .into_iter()
             .enumerate()
-            .map(|(id, shard_index)| IndexShard {
-                id,
-                start: boundaries[id],
-                end: boundaries[id + 1],
-                mapper: Arc::new(SegramMapper::from_parts(
-                    Arc::clone(&graph),
-                    shard_index,
-                    config,
-                    freq_threshold,
-                )),
-                seed_hits: AtomicU64::new(0),
-                regions: AtomicU64::new(0),
-                wins: AtomicU64::new(0),
+            .map(|(id, slice)| {
+                IndexShard::new(id, boundaries[id], boundaries[id + 1], Arc::new(slice))
             })
             .collect();
         Self {
@@ -308,28 +319,38 @@ impl ShardedIndex {
         }
     }
 
-    /// Shards a persisted store, keeping its changelog lineage so later
-    /// [`Self::apply_delta`] calls can verify parentage and swap only the
-    /// dirty shards.
+    /// Shards a persisted store. With more than one shard it keeps the
+    /// store's changelog lineage, so later [`Self::apply_delta`] calls can
+    /// verify parentage and swap only the dirty shards; a one-shard index
+    /// has no clean shard a delta could carry over, so it drops the lineage
+    /// (the reference and variant set) instead of holding it for nothing.
     ///
     /// # Panics
     ///
     /// Panics when `shards` is zero.
     pub fn from_persisted(persisted: PersistedIndex, config: SegramConfig, shards: usize) -> Self {
-        let identity = persisted.identity();
+        // Read before the graph and index move out; a store without a
+        // changelog has no lineage to name, and is not checksummed for one.
+        let identity = persisted.changelog.is_some().then(|| persisted.identity());
         let mut sharded = Self::from_parts(
             Arc::new(persisted.graph),
-            &persisted.index,
+            persisted.index,
             config,
             persisted.freq_threshold,
             shards,
         );
-        sharded.lineage = persisted.changelog.map(|log| StoreLineage {
-            epoch: log.epoch,
-            identity,
-            reference: log.reference,
-            applied: log.applied,
-        });
+        if sharded.shards.len() > 1 {
+            sharded.lineage =
+                persisted
+                    .changelog
+                    .zip(identity)
+                    .map(|(log, identity)| StoreLineage {
+                        epoch: log.epoch,
+                        identity,
+                        reference: log.reference,
+                        applied: log.applied,
+                    });
+        }
         sharded
     }
 
@@ -352,9 +373,11 @@ impl ShardedIndex {
     /// is exactly its old one (node ids translated where fresh nodes
     /// shifted them) and no location is ever duplicated into — or lost
     /// between — a clean and a rebuilt shard. Untouched shards with an
-    /// identity translation share the predecessor's mapper allocation
+    /// identity translation share the predecessor's index allocation
     /// outright; the router's merged output is byte-identical to a full
-    /// re-shard either way.
+    /// re-shard either way. A one-shard index carries no lineage
+    /// ([`Self::from_persisted`]) and answers
+    /// [`PersistError::NoChangelog`].
     pub fn apply_delta(
         &self,
         new: &PersistedIndex,
@@ -435,10 +458,10 @@ impl ShardedIndex {
                 if touched {
                     return Plan::Dirty;
                 }
-                if shard.mapper.index().remap_is_identity(&carried_map) {
+                if shard.index.remap_is_identity(&carried_map) {
                     return Plan::Shared;
                 }
-                match shard.mapper.index().remap_nodes(&carried_map) {
+                match shard.index.remap_nodes(&carried_map) {
                     Some(idx) => Plan::Remapped(idx),
                     None => Plan::Dirty,
                 }
@@ -464,40 +487,21 @@ impl ShardedIndex {
             .into_iter()
             .enumerate()
             .map(|(i, plan)| {
-                let mapper = match plan {
+                let index = match plan {
                     Plan::Shared => {
                         report.shared += 1;
-                        Arc::clone(&self.shards[i].mapper)
+                        Arc::clone(&self.shards[i].index)
                     }
                     Plan::Remapped(idx) => {
                         report.remapped += 1;
-                        Arc::new(SegramMapper::from_parts(
-                            Arc::clone(&new_graph),
-                            idx,
-                            self.config,
-                            new.freq_threshold,
-                        ))
+                        Arc::new(idx)
                     }
                     Plan::Dirty => {
                         report.dirty += 1;
-                        let idx = rebuilt[i].take().expect("split computed for dirty shards");
-                        Arc::new(SegramMapper::from_parts(
-                            Arc::clone(&new_graph),
-                            idx,
-                            self.config,
-                            new.freq_threshold,
-                        ))
+                        Arc::new(rebuilt[i].take().expect("split computed for dirty shards"))
                     }
                 };
-                IndexShard {
-                    id: i,
-                    start: new_boundaries[i],
-                    end: new_boundaries[i + 1],
-                    mapper,
-                    seed_hits: AtomicU64::new(0),
-                    regions: AtomicU64::new(0),
-                    wins: AtomicU64::new(0),
-                }
+                IndexShard::new(i, new_boundaries[i], new_boundaries[i + 1], index)
             })
             .collect();
 
@@ -575,8 +579,8 @@ impl ShardedIndex {
         &self.config
     }
 
-    /// The global frequency-filter threshold (identical to the monolithic
-    /// mapper's, by construction).
+    /// The global frequency-filter threshold (identical to the
+    /// single-index reference mapper's, by construction).
     pub fn freq_threshold(&self) -> u32 {
         self.freq_threshold
     }
@@ -599,9 +603,9 @@ impl ShardedIndex {
         )
     }
 
-    /// Assembles the sharded pipeline: the router as the seeding stage,
-    /// the default prefilter/aligner after the merge — so everything past
-    /// seeding is exactly the monolithic path.
+    /// Assembles the pipeline: the router as the seeding stage, the
+    /// default prefilter/aligner after the merge — so everything past
+    /// seeding is exactly the reference mapper's path.
     pub fn pipeline(&self) -> MapPipeline<'_, ShardRouter<'_>, SpecPrefilter, BitAlignStage> {
         MapPipeline::new(
             self.graph.as_ref(),
@@ -674,6 +678,7 @@ impl ReadMapper for ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SegramMapper;
     use segram_sim::DatasetConfig;
 
     fn setup(shards: usize) -> (segram_sim::Dataset, SegramMapper, ShardedIndex) {
@@ -717,7 +722,7 @@ mod tests {
         let total: usize = sharded
             .shards()
             .iter()
-            .map(|s| s.mapper().index().total_locations())
+            .map(|s| s.index().total_locations())
             .sum();
         assert_eq!(total, mono.index().total_locations());
         assert_eq!(sharded.freq_threshold(), mono.freq_threshold());
@@ -728,6 +733,24 @@ mod tests {
         for w in shards.windows(2) {
             assert_eq!(w[0].range().1, w[1].range().0);
         }
+    }
+
+    #[test]
+    fn one_shard_takes_the_loaded_index_whole() {
+        let dataset = DatasetConfig::tiny(61).illumina(100);
+        let graph = Arc::new(dataset.graph().clone());
+        let config = SegramConfig::short_reads();
+        let index = GraphIndex::build(&graph, config.scheme, config.bucket_bits);
+        let (locations, minimizers) = (index.total_locations(), index.distinct_minimizers());
+        let total_chars = graph.total_chars();
+        let one = ShardedIndex::from_parts(graph, index, config, u32::MAX, 1);
+        // The partition into one range is the index itself: same entries,
+        // one range spanning the reference.
+        assert_eq!(one.shards().len(), 1);
+        assert_eq!(one.shards()[0].range(), (0, total_chars));
+        assert_eq!(one.shards()[0].index().total_locations(), locations);
+        assert_eq!(one.shards()[0].index().distinct_minimizers(), minimizers);
+        assert_eq!(one.shard_of(total_chars - 1), 0);
     }
 
     #[test]

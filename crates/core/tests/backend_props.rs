@@ -2,10 +2,11 @@
 //! random simulated datasets, **every** backend driven through the
 //! [`MapEngine`] produces SAM and GAF documents byte-identical to its own
 //! serial path (direct `map_read` calls, no engine) at every thread
-//! count — and the segram backend's output is identical to the direct
-//! [`SegramMapper`] path, so the adapter/factory layer introduces no
-//! regression. `ci.sh`'s backend-matrix tier checks the same property end
-//! to end through the built binary.
+//! count — and the segram backend (the one-shard coordinate-range index
+//! the binary runs) agrees with the single-index reference
+//! [`SegramMapper`] on every document, mapping and seeding count. `ci.sh`'s
+//! backend-matrix tier checks the same property end to end through the
+//! built binary.
 
 use segram_core::{
     gaf_record_for, sam_record_for, Backend, BackendKind, EngineOptions, MapEngine, MapStats,
@@ -131,6 +132,16 @@ fn render_engine_overlapped<M: ReadMapper>(
     )
 }
 
+/// The seeding and alignment work counts of one read.
+fn counts(stats: &MapStats) -> [usize; 4] {
+    [
+        stats.minimizers,
+        stats.filtered_minimizers,
+        stats.seed_locations,
+        stats.regions_aligned,
+    ]
+}
+
 proptest! {
     #[test]
     fn every_backend_is_engine_and_thread_invariant(
@@ -152,7 +163,7 @@ proptest! {
             .map(|r| (format!("read{}", r.id), r.seq.clone()))
             .collect();
 
-        // Today's native path: the direct SegramMapper, no Backend layer.
+        // The single-index reference implementation, no Backend layer.
         let native = SegramMapper::new(dataset.graph().clone(), config);
         let (sam_native, gaf_native) = render_serial(&native, &reads);
         // One SAM record per read, whatever the backend emits later.
@@ -173,9 +184,16 @@ proptest! {
             prop_assert_eq!(&sam, &sam_serial);
             prop_assert_eq!(&gaf, &gaf_serial);
             if kind == BackendKind::Segram {
-                // The factory's segram backend *is* the native path.
+                // The one-shard runtime mapper is the reference, read for
+                // read: same documents, same mappings, same seeding work.
                 prop_assert_eq!(&sam_serial, &sam_native);
                 prop_assert_eq!(&gaf_serial, &gaf_native);
+                for (id, seq) in &reads {
+                    let (expected, reference_stats) = native.map_read(seq);
+                    let (mapping, stats) = backend.map_read(seq);
+                    prop_assert_eq!(&mapping, &expected, "{}", id);
+                    prop_assert_eq!(counts(&stats), counts(&reference_stats), "{}", id);
+                }
             }
         }
     }

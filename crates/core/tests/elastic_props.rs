@@ -173,20 +173,17 @@ proptest! {
                     prop_assert_eq!(&sam, &sam_base, "sam bytes differ: {}", what);
                     prop_assert_eq!(&gaf, &gaf_base, "gaf bytes differ: {}", what);
 
-                    let (report, pool_reports) = run.expect("the run happened");
+                    let report = run.expect("the run happened");
                     // Every pool has a worker, so pools clamp to threads.
-                    prop_assert_eq!(pool_reports.len(), pools.min(threads), "{}", what);
-                    let sum = |f: fn(&segram_core::PoolReport) -> u64| -> u64 {
-                        pool_reports.iter().map(f).sum()
-                    };
+                    prop_assert_eq!(report.pools.len(), pools.min(threads), "{}", what);
                     prop_assert_eq!(report.batches, reads.len().div_ceil(2), "{}", what);
                     prop_assert_eq!(
-                        sum(|p| p.routed) + sum(|p| p.spilled),
+                        report.routed() + report.spilled(),
                         report.batches as u64,
                         "every batch is routed or spilled: {}", what
                     );
                     prop_assert_eq!(
-                        sum(|p| p.batches),
+                        report.pools.iter().map(|p| p.batches).sum::<u64>(),
                         report.batches as u64,
                         "per-pool batches sum to the total: {}", what
                     );

@@ -46,8 +46,8 @@ pub use minimizer::{
     KmerOrdering, Minimizer, MinimizerScheme,
 };
 pub use minseed::{
-    frequency_threshold, seed_region, MinSeed, MinSeedConfig, SeedRegion, SeedingResult,
-    SeedingStats,
+    frequency_threshold, seed_region, visit_seed_hits, MinSeed, MinSeedConfig, SeedRegion,
+    SeedingResult, SeedingStats,
 };
 pub use persist::{
     decode_index, encode_index, read_index_file, section_table, write_index_file, EpochEntry,

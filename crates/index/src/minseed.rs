@@ -1,6 +1,11 @@
 //! The MinSeed algorithm (Section 6): minimizer extraction from the query
 //! read, frequency-filtered index lookup, and candidate-region calculation
 //! (Figure 9).
+//!
+//! The minimizer → frequency filter → lookup loop is written once, as
+//! [`visit_seed_hits`] over an index held in one or more parts. [`MinSeed`]
+//! (whole and batched) runs it over its single index; `segram-core`'s
+//! sharded seeding router runs it over its shards' slices.
 
 use segram_graph::{DnaSeq, GenomeGraph, GraphError, GraphPos, LinearizedGraph};
 
@@ -82,6 +87,44 @@ pub fn seed_region(
         seed: loc,
         read_offset: minimizer.pos,
     })
+}
+
+/// The one seeding loop (steps 3–5 of Figure 4) over an index held in
+/// one or more parts: for each minimizer, one lookup per part, the
+/// frequency filter on the *summed* hit count — for parts that partition
+/// an index ([`GraphIndex::split_by_ranges`]) that sum is the whole
+/// index's frequency, so the decision does not depend on how the index is
+/// split — then `visit(part, minimizer, locations)` for every part of a
+/// surviving minimizer that holds it. Returns how many minimizers the
+/// filter discarded.
+///
+/// [`MinSeed`] calls it over its single index; the sharded seeding router
+/// in `segram-core` over its shards' slices.
+pub fn visit_seed_hits<'p>(
+    parts: impl Iterator<Item = &'p GraphIndex> + Clone,
+    minimizers: &[Minimizer],
+    frequency_threshold: u32,
+    mut visit: impl FnMut(usize, &Minimizer, &'p [GraphPos]),
+) -> usize {
+    // The location slice answers both questions: who holds the minimizer,
+    // and (by its length) how often it occurs there.
+    let mut hits: Vec<&'p [GraphPos]> = Vec::new();
+    let mut filtered = 0usize;
+    for m in minimizers {
+        hits.clear();
+        hits.extend(parts.clone().map(|part| part.lookup(m)));
+        let frequency: usize = hits.iter().map(|locs| locs.len()).sum();
+        if frequency > frequency_threshold as usize {
+            filtered += 1;
+            continue;
+        }
+        for (part, locs) in hits.iter().enumerate() {
+            if !locs.is_empty() {
+                visit(part, m, locs);
+            }
+        }
+    }
+    filtered
 }
 
 /// A candidate mapping region: the subgraph window MinSeed hands BitAlign.
@@ -175,51 +218,10 @@ impl<'a> MinSeed<'a> {
 
     /// Runs the complete seeding step for one read: extract minimizers,
     /// filter by frequency, fetch locations, compute candidate regions
-    /// (steps 2–6 of Figure 4).
+    /// (steps 2–6 of Figure 4) — [`Self::seed_in_batches`] with the whole
+    /// read as one batch.
     pub fn seed(&self, read: &DnaSeq) -> SeedingResult {
-        let scheme = self.index.scheme();
-        let minimizers = extract_minimizers(read, scheme);
-        let mut stats = SeedingStats {
-            minimizers: minimizers.len(),
-            ..SeedingStats::default()
-        };
-        let mut regions: Vec<SeedRegion> = Vec::new();
-        for m in &minimizers {
-            let freq = self.index.frequency(m.rank);
-            if freq > self.config.frequency_threshold {
-                stats.filtered_minimizers += 1;
-                continue;
-            }
-            for &loc in self.index.lookup(m) {
-                stats.seed_locations += 1;
-                if let Some(region) = self.region_for(read.len(), m, loc, scheme.k) {
-                    regions.push(region);
-                }
-            }
-        }
-        regions.sort_by_key(|r| (r.start, r.end, r.seed));
-        regions.dedup_by_key(|r| (r.start, r.end));
-        stats.regions = regions.len();
-        SeedingResult { regions, stats }
-    }
-
-    /// Figure 9's region arithmetic (delegates to the shared
-    /// [`seed_region`] free function).
-    fn region_for(
-        &self,
-        read_len: usize,
-        minimizer: &Minimizer,
-        loc: GraphPos,
-        k: usize,
-    ) -> Option<SeedRegion> {
-        seed_region(
-            self.graph,
-            self.config.error_rate,
-            read_len,
-            minimizer,
-            loc,
-            k,
-        )
+        self.seed_in_batches(read, usize::MAX).0
     }
 
     /// Batched seeding (Section 8.3: "If the minimizers do not fit in the
@@ -246,19 +248,19 @@ impl<'a> MinSeed<'a> {
         let mut batches = 0usize;
         for batch in minimizers.chunks(batch_size) {
             batches += 1;
-            for m in batch {
-                let freq = self.index.frequency(m.rank);
-                if freq > self.config.frequency_threshold {
-                    stats.filtered_minimizers += 1;
-                    continue;
-                }
-                for &loc in self.index.lookup(m) {
-                    stats.seed_locations += 1;
-                    if let Some(region) = self.region_for(read.len(), m, loc, scheme.k) {
-                        regions.push(region);
-                    }
-                }
-            }
+            let filtered = visit_seed_hits(
+                std::iter::once(self.index),
+                batch,
+                self.config.frequency_threshold,
+                |_, m, locs| {
+                    stats.seed_locations += locs.len();
+                    regions.extend(locs.iter().filter_map(|&loc| {
+                        let error_rate = self.config.error_rate;
+                        seed_region(self.graph, error_rate, read.len(), m, loc, scheme.k)
+                    }));
+                },
+            );
+            stats.filtered_minimizers += filtered;
         }
         regions.sort_by_key(|r| (r.start, r.end, r.seed));
         regions.dedup_by_key(|r| (r.start, r.end));
@@ -417,22 +419,14 @@ mod tests {
         // (k=11 => a=20, b=30), seed at linear c=500 (d=510), E=0.1:
         // x = 500 - ceil(20*1.1) = 500 - 22 = 478
         // y = 510 + ceil((100-30-1)*1.1) = 510 + ceil(75.9) = 586 (incl.)
-        let (graph, index) = setup(4000);
-        let minseed = MinSeed::new(
-            &graph,
-            &index,
-            MinSeedConfig {
-                error_rate: 0.1,
-                frequency_threshold: u32::MAX,
-            },
-        );
+        let (graph, _) = setup(4000);
         let m = Minimizer {
             rank: 0,
             packed: 0,
             pos: 20,
         };
         let loc = graph.graph_pos(500).unwrap();
-        let region = minseed.region_for(100, &m, loc, 11).unwrap();
+        let region = seed_region(&graph, 0.1, 100, &m, loc, 11).unwrap();
         assert_eq!(region.start, 478);
         assert_eq!(region.end, 587); // exclusive end = y + 1
     }
@@ -451,12 +445,77 @@ mod tests {
         let lin = LinearizedGraph::extract(&graph, 0, graph.total_chars()).unwrap();
         let read: DnaSeq = (500..900).map(|i| lin.base(i)).collect();
         let whole = minseed.seed(&read);
-        for batch_size in [1usize, 3, 7, 1000] {
+        for batch_size in [1usize, 3, 7, 1000, usize::MAX] {
             let (batched, batches) = minseed.seed_in_batches(&read, batch_size);
             assert_eq!(batched.regions, whole.regions, "batch size {batch_size}");
             assert_eq!(batched.stats, whole.stats, "batch size {batch_size}");
             let expected = whole.stats.minimizers.div_ceil(batch_size).max(1);
             assert_eq!(batches, expected, "batch size {batch_size}");
+        }
+    }
+
+    #[test]
+    fn the_kernel_over_a_split_index_equals_minseed_over_the_whole() {
+        // A repeat-heavy text and a low threshold, so the frequency filter
+        // fires and has to decide on the frequency summed over the parts.
+        let unit = lcg_seq(90, 31).to_string();
+        let text: DnaSeq = format!(
+            "{unit}{}{unit}{}{unit}{}",
+            lcg_seq(700, 32),
+            lcg_seq(700, 33),
+            lcg_seq(700, 34)
+        )
+        .parse()
+        .unwrap();
+        let graph = linear_graph(&text, 64).unwrap();
+        let index = GraphIndex::build(&graph, MinimizerScheme::new(4, 9), 10);
+        let config = MinSeedConfig {
+            error_rate: 0.05,
+            frequency_threshold: 2,
+        };
+        let minseed = MinSeed::new(&graph, &index, config);
+        let reads = [
+            text.slice(0, 200),
+            text.slice(750, 900),
+            text.slice(1500, 1700),
+        ];
+        let scheme = *index.scheme();
+        for shards in 1..=4usize {
+            let boundaries = crate::shard_boundaries(graph.total_chars(), shards);
+            let parts = index.split_by_ranges(&graph, &boundaries);
+            assert_eq!(parts.len(), shards);
+            for read in &reads {
+                let whole = minseed.seed(read);
+                assert!(whole.stats.filtered_minimizers > 0 && whole.stats.seed_locations > 0);
+                let minimizers = extract_minimizers(read, &scheme);
+                let mut stats = SeedingStats {
+                    minimizers: minimizers.len(),
+                    ..SeedingStats::default()
+                };
+                let mut regions = Vec::new();
+                stats.filtered_minimizers = visit_seed_hits(
+                    parts.iter(),
+                    &minimizers,
+                    config.frequency_threshold,
+                    |part, m, locs| {
+                        assert!(part < shards && !locs.is_empty());
+                        stats.seed_locations += locs.len();
+                        regions.extend(locs.iter().filter_map(|&loc| {
+                            seed_region(&graph, config.error_rate, read.len(), m, loc, scheme.k)
+                        }));
+                    },
+                );
+                regions.sort_by_key(|r| (r.start, r.end, r.seed));
+                regions.dedup_by_key(|r| (r.start, r.end));
+                stats.regions = regions.len();
+                assert_eq!(regions, whole.regions, "{shards} parts");
+                assert_eq!(stats, whole.stats, "{shards} parts");
+                for batch_size in [1usize, 3, usize::MAX] {
+                    let (batched, _) = minseed.seed_in_batches(read, batch_size);
+                    assert_eq!(batched.regions, whole.regions, "batch size {batch_size}");
+                    assert_eq!(batched.stats, whole.stats, "batch size {batch_size}");
+                }
+            }
         }
     }
 

@@ -94,7 +94,10 @@ impl PersistedIndex {
 
 /// The identity a store with these payloads would be stamped with.
 pub(crate) fn computed_identity(graph: &GenomeGraph, index: &GraphIndex) -> u64 {
-    store_identity(&encode_graph(graph), &encode_hash_index(index))
+    store_identity(
+        fnv1a64(&encode_graph(graph)),
+        fnv1a64(&encode_hash_index(index)),
+    )
 }
 
 /// Provenance recorded at build/update time (the META section extension).
@@ -159,11 +162,12 @@ pub struct EpochEntry {
 }
 
 /// The identity checksum binding a changelog to the graph/index payloads
-/// it describes.
-fn store_identity(graph_payload: &[u8], index_payload: &[u8]) -> u64 {
+/// it describes, from the two payloads' fnv1a64 section checksums (a
+/// loader has just verified them, so it hashes no payload twice).
+fn store_identity(graph_checksum: u64, index_checksum: u64) -> u64 {
     let mut w = ByteWriter::new();
-    w.put_u64(fnv1a64(graph_payload));
-    w.put_u64(fnv1a64(index_payload));
+    w.put_u64(graph_checksum);
+    w.put_u64(index_checksum);
     fnv1a64(&w.into_bytes())
 }
 
@@ -324,7 +328,7 @@ fn corrupt(section: &'static str, detail: impl Into<String>) -> PersistError {
 pub fn encode_index(persisted: &PersistedIndex) -> Vec<u8> {
     let graph_payload = encode_graph(&persisted.graph);
     let index_payload = encode_hash_index(&persisted.index);
-    let identity = store_identity(&graph_payload, &index_payload);
+    let identity = store_identity(fnv1a64(&graph_payload), fnv1a64(&index_payload));
     let mut sections = vec![
         (SECTION_GRAPH, graph_payload),
         (SECTION_INDEX, index_payload),
@@ -431,10 +435,11 @@ pub fn section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
 /// [`PersistError::ChecksumMismatch`], or [`PersistError::Corrupt`]
 /// depending on what the bytes got wrong.
 pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
-    let mut graph_payload: Option<&[u8]> = None;
-    let mut index_payload: Option<&[u8]> = None;
-    let mut meta_payload: Option<&[u8]> = None;
-    let mut changelog_payload: Option<&[u8]> = None;
+    // Each slot: the payload and its checksum, once verified.
+    let mut graph_payload: Option<(&[u8], u64)> = None;
+    let mut index_payload: Option<(&[u8], u64)> = None;
+    let mut meta_payload: Option<(&[u8], u64)> = None;
+    let mut changelog_payload: Option<(&[u8], u64)> = None;
     for entry in section_table(bytes)? {
         let payload = section_slice(bytes, entry.offset as usize, entry.len as usize)?;
         let slot = match entry.id {
@@ -451,23 +456,26 @@ pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
                 section: entry.name,
             });
         }
-        if slot.replace(payload).is_some() {
+        if slot.replace((payload, entry.checksum)).is_some() {
             return Err(corrupt(
                 "header",
                 format!("duplicate section {:?}", entry.name),
             ));
         }
     }
-    let graph_payload = graph_payload.ok_or_else(|| corrupt("header", "missing graph section"))?;
-    let index_payload = index_payload.ok_or_else(|| corrupt("header", "missing index section"))?;
-    let meta_payload = meta_payload.ok_or_else(|| corrupt("header", "missing meta section"))?;
+    let (graph_payload, graph_checksum) =
+        graph_payload.ok_or_else(|| corrupt("header", "missing graph section"))?;
+    let (index_payload, index_checksum) =
+        index_payload.ok_or_else(|| corrupt("header", "missing index section"))?;
+    let (meta_payload, _) =
+        meta_payload.ok_or_else(|| corrupt("header", "missing meta section"))?;
 
     let graph = decode_graph(graph_payload)?;
     let index = decode_hash_index(index_payload, &graph)?;
     let (discard_frac, freq_threshold, provenance) = decode_meta(meta_payload)?;
     let changelog = match changelog_payload {
-        Some(payload) => {
-            let identity = store_identity(graph_payload, index_payload);
+        Some((payload, _)) => {
+            let identity = store_identity(graph_checksum, index_checksum);
             Some(decode_changelog(payload, identity)?)
         }
         None => None,

@@ -9,25 +9,37 @@
 //! bytes; a performance change must leave this file untouched.
 
 use segram_core::{
-    gaf_record_for, sam_document, sam_record_for, EngineOptions, MapEngine, ReadOutcome,
-    SegramConfig, SegramMapper,
+    gaf_record_for, sam_document, sam_record_for, Backend, BackendKind, EngineOptions, MapEngine,
+    ReadMapper, ReadOutcome, SegramConfig, SegramMapper,
 };
 use segram_graph::{DnaSeq, GenomeGraph};
 use segram_io::{fnv1a64, write_gaf};
 use segram_sim::{simulate_stranded_reads, DatasetConfig, ReadConfig, SimulatedRead};
 
-/// Maps `reads` on one thread, both strands, as `segram map --both-strands`
+/// Maps `seqs` on one thread, both strands, as `segram map --both-strands`
 /// does.
-fn outcomes(
+fn outcomes(mapper: &impl ReadMapper, seqs: &[DnaSeq]) -> Vec<ReadOutcome> {
+    let options = EngineOptions::new().threads(1).both_strands(true);
+    MapEngine::new(mapper, options).map_batch(seqs).0
+}
+
+/// Hands `check` the outcomes of the single-index reference implementation
+/// and of the mapper the binary runs, at one shard and at three: one
+/// pinned document, whichever produced it.
+fn with_every_native_mapper(
     graph: &GenomeGraph,
     config: SegramConfig,
     reads: &[SimulatedRead],
-) -> (SegramMapper, Vec<DnaSeq>, Vec<ReadOutcome>) {
-    let mapper = SegramMapper::new(graph.clone(), config);
+    check: impl Fn(&str, &[DnaSeq], &[ReadOutcome]),
+) {
     let seqs: Vec<DnaSeq> = reads.iter().map(|r| r.seq.clone()).collect();
-    let (outcomes, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1).both_strands(true))
-        .map_batch(&seqs);
-    (mapper, seqs, outcomes)
+    let reference = SegramMapper::new(graph.clone(), config);
+    check("reference mapper", &seqs, &outcomes(&reference, &seqs));
+    for shards in [1usize, 3] {
+        let runtime = Backend::build(BackendKind::Segram, graph.clone(), config, shards);
+        let what = format!("runtime backend, {shards} shard(s)");
+        check(&what, &seqs, &outcomes(&runtime, &seqs));
+    }
 }
 
 fn assert_digest(what: &str, document: &str, mapped: usize, min_mapped: usize, golden: u64) {
@@ -51,16 +63,29 @@ fn short_preset_sam_document_is_pinned() {
     let dataset = dataset.illumina(100);
     let reads =
         simulate_stranded_reads(dataset.graph(), &ReadConfig::short_reads(40, 100, 212), 0.5);
-    let (mapper, seqs, outcomes) = outcomes(dataset.graph(), SegramConfig::short_reads(), &reads);
-    let records: Vec<_> = seqs
-        .iter()
-        .zip(&outcomes)
-        .enumerate()
-        .map(|(i, (seq, outcome))| sam_record_for(&format!("read{i}"), seq, outcome))
-        .collect();
-    let mapped = records.iter().filter(|r| r.is_mapped()).count();
-    let document = sam_document("graph", mapper.graph().total_chars(), &records);
-    assert_digest("short SAM", &document, mapped, 36, 0x421b_6925_44cb_8a2b);
+    let graph = dataset.graph();
+    with_every_native_mapper(
+        graph,
+        SegramConfig::short_reads(),
+        &reads,
+        |what, seqs, outcomes| {
+            let records: Vec<_> = seqs
+                .iter()
+                .zip(outcomes)
+                .enumerate()
+                .map(|(i, (seq, outcome))| sam_record_for(&format!("read{i}"), seq, outcome))
+                .collect();
+            let mapped = records.iter().filter(|r| r.is_mapped()).count();
+            let document = sam_document("graph", graph.total_chars(), &records);
+            assert_digest(
+                &format!("short SAM, {what}"),
+                &document,
+                mapped,
+                36,
+                0x421b_6925_44cb_8a2b,
+            );
+        },
+    );
 }
 
 /// The `long10` GAF document (500 bp reads at 10 % error: `windowed_bitalign`
@@ -71,26 +96,29 @@ fn long10_gaf_document_is_pinned() {
     dataset.read_count = 6;
     dataset.long_read_len = 500;
     let dataset = dataset.ont_10();
-    let (mapper, seqs, outcomes) = outcomes(
-        dataset.graph(),
+    let graph = dataset.graph();
+    with_every_native_mapper(
+        graph,
         SegramConfig::long_reads(0.10),
         &dataset.reads,
-    );
-    let records: Vec<_> = seqs
-        .iter()
-        .zip(&outcomes)
-        .enumerate()
-        .filter_map(|(i, (seq, outcome))| {
-            gaf_record_for(&format!("read{i}"), seq, mapper.graph(), outcome)
-                .expect("mapping converts to GAF")
-        })
-        .collect();
-    let document = write_gaf(&records);
-    assert_digest(
-        "long10 GAF",
-        &document,
-        records.len(),
-        4,
-        0xca2b_d664_c5ba_ea6b,
+        |what, seqs, outcomes| {
+            let records: Vec<_> = seqs
+                .iter()
+                .zip(outcomes)
+                .enumerate()
+                .filter_map(|(i, (seq, outcome))| {
+                    gaf_record_for(&format!("read{i}"), seq, graph, outcome)
+                        .expect("mapping converts to GAF")
+                })
+                .collect();
+            let document = write_gaf(&records);
+            assert_digest(
+                &format!("long10 GAF, {what}"),
+                &document,
+                records.len(),
+                4,
+                0xca2b_d664_c5ba_ea6b,
+            );
+        },
     );
 }

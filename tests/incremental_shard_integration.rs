@@ -2,7 +2,7 @@
 //! evolved by [`ShardedIndex::apply_delta`] must map every read — and
 //! render every SAM/GAF byte — exactly like a fresh re-shard of the new
 //! store, across shard counts and thread counts, while provably keeping
-//! the clean shards' mapper allocations shared with the predecessor.
+//! the clean shards' index allocations shared with the predecessor.
 
 use segram_core::{
     gaf_record_for, sam_record_for, EngineOptions, MapEngine, ReadMapper, SegramConfig,
@@ -113,7 +113,7 @@ fn delta_swap_maps_byte_identically_to_a_fresh_reshard() {
     let config = config_for(&v2);
     let reads = simulate_reads(&v2.graph, &ReadConfig::short_reads(60, 60, 7));
 
-    for shards in [1usize, 2, 4] {
+    for shards in [2usize, 4] {
         let scratch = ShardedIndex::from_persisted(v2.clone(), config, shards);
         let base = ShardedIndex::from_persisted(v1.clone(), config, shards);
         let (swapped, report) = base.apply_delta(&v2).expect("parent matches");
@@ -126,22 +126,20 @@ fn delta_swap_maps_byte_identically_to_a_fresh_reshard() {
             "dirty + clean must partition the shard set at {shards} shards"
         );
         assert!(report.dirty >= 1, "the touched tail must dirty a shard");
-        if shards >= 2 {
-            // The delta is confined to the tail: early shards stay clean,
-            // and the clean ones share the predecessor's mapper Arcs.
-            assert!(
-                report.dirty < swapped.shards().len(),
-                "a localized delta must not dirty every one of {shards} shards"
-            );
-            let shared = base
-                .shards()
-                .iter()
-                .zip(swapped.shards())
-                .filter(|(old, new)| old.shares_mapper_with(new))
-                .count();
-            assert_eq!(shared, report.shared, "Arc-sharing count disagrees");
-            assert!(shared >= 1, "no shard allocation was shared");
-        }
+        // The delta is confined to the tail: early shards stay clean, and
+        // the clean ones share the predecessor's index Arcs.
+        assert!(
+            report.dirty < swapped.shards().len(),
+            "a localized delta must not dirty every one of {shards} shards"
+        );
+        let shared = base
+            .shards()
+            .iter()
+            .zip(swapped.shards())
+            .filter(|(old, new)| old.shares_index_with(new))
+            .count();
+        assert_eq!(shared, report.shared, "Arc-sharing count disagrees");
+        assert!(shared >= 1, "no shard allocation was shared");
 
         for threads in [1usize, 4] {
             let (sam_a, gaf_a) = render_documents(&scratch, &reads, threads);
@@ -215,6 +213,16 @@ fn delta_swap_preconditions_fail_with_named_errors() {
     ));
     assert!(matches!(
         on_v1.apply_delta(&legacy),
+        Err(PersistError::NoChangelog)
+    ));
+
+    // One shard has no clean shard a delta could carry over: it keeps no
+    // lineage (the reference and variant set would be held for nothing)
+    // and declines the delta route by the same name.
+    let one = ShardedIndex::from_persisted(v1, config, 1);
+    assert!(one.lineage().is_none() && on_v1.lineage().is_some());
+    assert!(matches!(
+        one.apply_delta(&v2),
         Err(PersistError::NoChangelog)
     ));
 }
