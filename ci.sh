@@ -43,6 +43,10 @@
 #                      both fixed and stored modes) and mapped through all
 #                      four backends x sam/gaf x --threads 1/8, each run
 #                      diffed byte-for-byte against its plain-input twin;
+#                      then 400 reads in >= 64 members at --threads 2,
+#                      fanout and --shards 4 --schedule elastic, cmp'd
+#                      against the plain one-thread document with the
+#                      batch count (reads, not members) checked;
 #                      then BGZF output: single and split runs with
 #                      --compress-output, `gzip -dc` of each diffed against
 #                      the plain documents, EOF marker checked
@@ -319,7 +323,8 @@ tier overlapped-io overlapped_io
 # BGZF-compressed with `segram bgzip` — the in-tree DEFLATE encoder, in
 # both fixed-Huffman and stored modes, with small blocks so records
 # straddle member boundaries — and `segram map` auto-detects the magic
-# bytes and inflates in the worker stage. Every backend x format x
+# bytes and inflates in the producer-side transport stage, which hands the
+# engine the records the plain framer would. Every backend x format x
 # thread-count run must produce bytes identical to its plain-input twin;
 # a corrupted stream must fail with a named error and remove its output.
 # ---------------------------------------------------------------------------
@@ -350,6 +355,34 @@ compressed_io() {
         done
         echo "  $backend: BGZF(fixed+stored) identical to plain, sam+gaf x --threads 1/8"
     done
+
+    # Batch leg: the runs above map 12 reads, always one batch. Here 400
+    # reads arrive in >= 64 members, so a run is 25 sixteen-read batches
+    # over two workers (it was 16 *members* a batch), under the fanout and
+    # the elastic schedule alike.
+    local b="$GATE_DIR/czb" sched members
+    "$SEGRAM" simulate --out-prefix "$b" \
+        --length 20000 --reads 400 --read-len 100 --seed 39 > /dev/null || return 1
+    "$SEGRAM" map --graph "$b.gfa" --reads "$b.fq" --threads 1 \
+        --output "$b-plain.sam" > /dev/null || return 1
+    for mode in fixed stored; do
+        members="$("$SEGRAM" bgzip --input "$b.fq" --output "$b-$mode.fq.gz" \
+            --block-bytes 1024 --mode "$mode" | sed -n 's/^wrote \([0-9]*\) BGZF blocks.*/\1/p')"
+        [ "${members:-0}" -ge 64 ] \
+            || { echo "batch leg: only ${members:-0} BGZF($mode) members"; return 1; }
+        for sched in "" "--shards 4 --schedule elastic"; do
+            # shellcheck disable=SC2086
+            "$SEGRAM" map --graph "$b.gfa" --reads "$b-$mode.fq.gz" --threads 2 $sched \
+                --output "$b-$mode.sam" > "$b-$mode.report" || return 1
+            cmp "$b-plain.sam" "$b-$mode.sam" \
+                || { echo "BGZF($mode) --threads 2 $sched differs from plain --threads 1"
+                     return 1; }
+            grep -q "(25 batches of up to 16 reads)" "$b-$mode.report" \
+                || { echo "BGZF($mode) --threads 2 $sched: batches are not 16 reads:"
+                     grep "^threads:" "$b-$mode.report"; return 1; }
+        done
+    done
+    echo "  batches: 400 reads in >= 64 members = 25 batches, fanout + elastic identical to plain"
 
     # Corruption must fail mid-stream with the named class, exit 1, and
     # no partial output left behind.

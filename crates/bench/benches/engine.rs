@@ -8,12 +8,11 @@
 //! (`SEGRAM_BENCH_SAMPLES`/`SEGRAM_BENCH_JSON`).
 
 use segram_core::{
-    sam_record_for, Backend, BackendKind, DecodedBlock, EngineOptions, MapEngine, SegramConfig,
-    SegramMapper,
+    sam_record_for, Backend, BackendKind, EngineOptions, MapEngine, SegramConfig, SegramMapper,
 };
 use segram_graph::DnaSeq;
 use segram_io::{
-    bgzf_compress, write_fastq, Ambiguity, BgzfMode, FastqFramer, FastqRecord, FastqSplice,
+    bgzf_compress, write_fastq, Ambiguity, BgzfFastqFramer, BgzfMode, FastqFramer, FastqRecord,
     SamWriter,
 };
 use segram_sim::DatasetConfig;
@@ -148,12 +147,11 @@ fn bench_engine_stream_io(c: &mut Criterion) {
 fn bench_engine_stream_bgzf(c: &mut Criterion) {
     // The compressed twin of engine_stream_io: the same FASTQ bytes, but
     // BGZF-compressed with the in-tree codec, streamed as the CLI's
-    // compressed path runs them — the producer slices members
-    // (`BgzfBlocks`), workers inflate + splice + decode ahead of seeding.
-    // CI judges this leg on the queue/stall/inflate counters it lands in
-    // BENCH_smoke.json, not wall-clock (the smoke host is single-core):
-    // the visible claim is that decompression rides the worker stage
-    // instead of serializing on the producer.
+    // compressed path runs them — the producer-side transport stage
+    // (`BgzfFastqFramer`) inflates + splices members into the records the
+    // plain framer gives, and everything after it is engine_stream_io.
+    // The difference between the two groups is the cost of compressed
+    // ingest.
     let dataset = DatasetConfig {
         reference_len: 100_000,
         read_count: 64,
@@ -171,8 +169,8 @@ fn bench_engine_stream_bgzf(c: &mut Criterion) {
         .map(|r| FastqRecord::with_uniform_quality(format!("read{}", r.id), r.seq.clone(), 30))
         .collect();
     let bytes = write_fastq(&fastq).into_bytes();
-    // 4 KiB members: several blocks per batch, records straddling
-    // boundaries, and enough DEFLATE work per block to measure.
+    // 4 KiB members: records straddling boundaries, and enough DEFLATE
+    // work per member to measure.
     let compressed = bgzf_compress(&bytes, 4096, BgzfMode::Fixed);
 
     let mut group = c.benchmark_group("engine_stream_bgzf_150bp");
@@ -183,28 +181,16 @@ fn bench_engine_stream_bgzf(c: &mut Criterion) {
             b.iter(|| {
                 let engine_config = EngineOptions::new().threads(threads).batch_size(4);
                 let engine = MapEngine::new(&mapper, engine_config);
-                let splice = FastqSplice::new();
-                let mut blocks = segram_io::BgzfBlocks::new(black_box(compressed.as_slice()));
-                let raws = std::iter::from_fn(|| match blocks.next() {
-                    Some(Ok(block)) => Some(block),
+                let mut framer = BgzfFastqFramer::new(black_box(compressed.as_slice()));
+                let raws = std::iter::from_fn(|| match framer.next() {
+                    Some(Ok(raw)) => Some(raw),
                     _ => None,
                 });
                 let mut sam = SamWriter::new(Vec::with_capacity(bytes.len()), "graph", total_chars)
                     .expect("vec write cannot fail");
-                let report = engine.map_block_stream(
+                let report = engine.map_raw_stream(
                     raws,
-                    |block| {
-                        let started = std::time::Instant::now();
-                        let plain = block.inflate().ok()?;
-                        let raws =
-                            splice.splice(block.index(), &plain, block.is_last(), || false)?;
-                        let inflate = started.elapsed();
-                        let mut items = Vec::with_capacity(raws.len());
-                        for raw in raws {
-                            items.push(raw.decode(Ambiguity::Reject).ok()?);
-                        }
-                        Some(DecodedBlock { items, inflate })
-                    },
+                    |raw| raw.decode(Ambiguity::Reject).ok(),
                     |record| &record.seq,
                     |record, outcome| {
                         let rec = sam_record_for(&record.id, &record.seq, &outcome);
@@ -212,7 +198,7 @@ fn bench_engine_stream_bgzf(c: &mut Criterion) {
                             .expect("vec write cannot fail");
                     },
                 );
-                black_box((report.reads, report.stats.inflate, sam.records_written()))
+                black_box((report.reads, sam.records_written()))
             })
         });
     }

@@ -17,19 +17,17 @@ use std::io::{self, BufWriter, Cursor, Read, Write};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use segram_core::{
-    gaf_record_for, sam_record_for, Backend, BackendKind, CancelToken, DecodedBlock,
-    ElasticScheduler, EngineOptions, EngineReport, MapEngine, ReadMapper, ReadOutcome,
-    ShardedIndex,
+    gaf_record_for, sam_record_for, Backend, BackendKind, CancelToken, ElasticScheduler,
+    EngineOptions, EngineReport, MapEngine, ReadMapper, ReadOutcome, ShardedIndex,
 };
 use segram_filter::FilterSpec;
 use segram_graph::GenomeGraph;
 use segram_io::{
-    looks_like_gzip, Ambiguity, BgzfBlock, BgzfBlocks, BgzfError, BgzfMode, BgzfWriter,
-    FastqFramer, FastqRecord, FastqSplice, GafWriter, RawFastqRecord, SamWriter, StreamError,
-    BGZF_MAX_PLAIN,
+    looks_like_gzip, Ambiguity, BgzfFastqFramer, BgzfMode, BgzfWriter, FastqFramer, FastqRecord,
+    GafWriter, RawFastqRecord, SamWriter, StreamError, BGZF_MAX_PLAIN,
 };
 
 use crate::args::Options;
@@ -56,8 +54,9 @@ OPTIONS:
                            splits the loaded store)
     --reads <reads.fq>     input FASTQ, plain or BGZF-compressed (required;
                            the container is auto-detected by its gzip
-                           magic — blocks are sliced by the producer and
-                           inflated on the worker threads)
+                           magic — the producer-side transport stage
+                           inflates it into the same records plain input
+                           gives)
     --output <path>        output file (default: stdout section of report)
     --format <sam|gaf>     output format (default sam)
     --output-sam <path>    split emission: write SAM here and (with
@@ -154,8 +153,8 @@ fn reject_foreign_filter(backend: BackendKind, options: &Options) -> Result<(), 
     Ok(())
 }
 
-/// The opened reads file with its sniffed head re-attached, so both the
-/// plain framer and the BGZF slicer see the stream from byte zero.
+/// The opened reads file with its sniffed head re-attached, so the plain
+/// and the BGZF framer alike see the stream from byte zero.
 type ReadsSource = std::io::Chain<Cursor<Vec<u8>>, fs::File>;
 
 /// An opened `--reads` file, classified by its leading magic bytes.
@@ -479,24 +478,22 @@ fn take_error<E>(slot: Mutex<Option<E>>) -> Option<E> {
     slot.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Input-side error slots shared between the producer and the workers:
-/// each family records the earliest failure it can observe.
+/// Input-side error slots: the transport stage and the decode stage each
+/// record the earliest failure they can observe.
 #[derive(Default)]
 struct InputErrors {
-    /// Plain path: the producer's framing/transport error.
-    frame: Mutex<Option<StreamError>>,
-    /// Compressed path: the producer's block-slicing error (bad framing,
-    /// truncation, a missing EOF marker).
-    bgzf_frame: Mutex<Option<BgzfError>>,
-    /// Compressed path: the earliest worker-side block error (corrupt
-    /// DEFLATE data, checksum mismatches), keyed by block index.
-    bgzf_block: Mutex<Option<(usize, BgzfError)>>,
-    /// The earliest FASTQ decode error, keyed by line number.
+    /// The producer's transport error — plain: an I/O error under the
+    /// framer; BGZF: bad framing, truncation, a missing EOF marker, corrupt
+    /// DEFLATE data, an ISIZE/CRC32 mismatch. One thread raises them, in
+    /// file order.
+    transport: Mutex<Option<CliError>>,
+    /// The earliest FASTQ decode error of the worker stage, keyed by line
+    /// number.
     decode: Mutex<Option<(usize, StreamError)>>,
 }
 
-/// Records a worker-side failure at position `at` (a line, a block index)
-/// unless the slot already holds an earlier one.
+/// Records a worker-side failure at position `at` (a line number) unless
+/// the slot already holds an earlier one.
 fn record_earliest<E>(slot: &Mutex<Option<(usize, E)>>, at: usize, err: E) {
     let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
     if slot.as_ref().is_none_or(|(held, _)| at < *held) {
@@ -504,44 +501,30 @@ fn record_earliest<E>(slot: &Mutex<Option<(usize, E)>>, at: usize, err: E) {
     }
 }
 
-/// Resolves the input-side slots into the one error the user sees.
-///
-/// Priority: the slicer's own error first — a producer failure cancels
-/// the run before every queued block is inflated, so whether a worker
-/// slot also filled is a race; the producer slot is not. Then the
-/// earliest worker block error and the earliest FASTQ decode error —
-/// both deterministic the other way round: the failing worker puts the
-/// engine in settle mode, which drains every block and record before the
-/// failure whatever the thread count.
+/// Resolves the input-side slots into the one error the user sees: the
+/// transport error if there is one, else the earliest decode error.
 fn input_failure(errors: InputErrors, reads_path: &str) -> Option<CliError> {
-    if let Some(err) = take_error(errors.bgzf_frame) {
-        return Some(CliError::bgzf(reads_path, err));
-    }
-    if let Some((_, err)) = take_error(errors.bgzf_block) {
-        return Some(CliError::bgzf(reads_path, err));
-    }
-    take_error(errors.frame)
-        .or_else(|| take_error(errors.decode).map(|(_, err)| err))
-        .map(|err| CliError::stream(err, reads_path, reads_path))
+    take_error(errors.transport).or_else(|| {
+        take_error(errors.decode).map(|(_, err)| CliError::stream(err, reads_path, reads_path))
+    })
 }
 
-/// The producer side of a run: hands on the frames of `frames` — raw
-/// FASTQ records off a [`FastqFramer`], or still-compressed blocks off
-/// [`BgzfBlocks`]; it never parses FASTQ or inflates, that happens on the
-/// worker threads. A framing/transport error stops the stream, records
-/// itself in `slot`, and cancels the run.
-fn frames_until_error<'a, T, E>(
-    mut frames: impl Iterator<Item = Result<T, E>> + 'a,
+/// The producer side of a run: hands on the records of a transport stage
+/// — a [`FastqFramer`] or a [`BgzfFastqFramer`]; it never parses FASTQ,
+/// that happens on the worker threads. A transport error stops the
+/// stream, records itself in `slot`, and cancels the run.
+fn records_until_error<'a>(
+    mut records: impl Iterator<Item = Result<RawFastqRecord, CliError>> + 'a,
     cancel: &CancelToken,
-    slot: &'a Mutex<Option<E>>,
-) -> impl Iterator<Item = T> + 'a {
+    slot: &'a Mutex<Option<CliError>>,
+) -> impl Iterator<Item = RawFastqRecord> + 'a {
     let cancel = cancel.clone();
     std::iter::from_fn(move || {
         if cancel.is_cancelled() {
             return None;
         }
-        match frames.next()? {
-            Ok(frame) => Some(frame),
+        match records.next()? {
+            Ok(record) => Some(record),
             Err(err) => {
                 *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(err);
                 cancel.cancel();
@@ -565,105 +548,83 @@ struct MapJob<'a> {
     decode_ambiguity: Ambiguity,
 }
 
-/// Runs the engine pass for one schedule × input-encoding combination
-/// with the given writer-thread sink, returning the engine report.
-/// Producer-side framing errors and worker-side inflate/decode errors land
-/// in `errors`; the first of any of them cancels the run.
+/// Runs the engine pass of `job` with the given writer-thread sink,
+/// returning the engine report. The reads enter as raw records off the
+/// transport stage — the plain framer or the BGZF one, the only place the
+/// input encoding shows — so every schedule and `--batch-size` mean the
+/// same thing on either. Transport errors and worker-side decode errors
+/// land in `errors`; the first of any of them cancels the run.
 ///
 /// Worker-stage decode: FASTQ parsing happens on the mapping threads,
-/// timed into `MapStats::decode` (and, on the compressed path, block
-/// inflation timed into `MapStats::inflate`). The earliest failing
-/// record wins its slot, and the engine settles in-flight batches
-/// decode-only when a decode failure cancels the run, so every record
-/// before the observed failure is guaranteed to reach the decode
-/// closure: the reported error is deterministically the file's *first*
-/// malformed record, whatever the thread count or worker interleaving.
+/// timed into `MapStats::decode`. The earliest failing record wins its
+/// slot, and the engine settles in-flight batches decode-only when a
+/// decode failure cancels the run, so every record before the observed
+/// failure is guaranteed to reach the decode closure: the reported error
+/// is deterministically the file's *first* malformed record, whatever the
+/// thread count or worker interleaving.
 fn drive_engine<F>(job: MapJob<'_>, errors: &InputErrors, sink: F) -> EngineReport
 where
     F: FnMut(FastqRecord, ReadOutcome) + Send,
 {
-    let cancel = &job.cancel;
-    let decode = |raw: RawFastqRecord| match raw.decode(job.decode_ambiguity) {
+    let MapJob {
+        mapper,
+        schedule,
+        engine,
+        cancel,
+        reads,
+        reads_path,
+        decode_ambiguity,
+    } = job;
+    let decode = |raw: RawFastqRecord| match raw.decode(decode_ambiguity) {
         Ok(record) => Some(record),
         Err(err) => {
             record_earliest(&errors.decode, raw.line(), err);
             None
         }
     };
-    if !job.reads.compressed {
-        let raws = frames_until_error(FastqFramer::new(job.reads.source), cancel, &errors.frame);
-        // The elastic schedule routes by the native backend's index (`map`
-        // admits it for no other backend).
-        let elastic = job.schedule == Schedule::Elastic;
-        return match job.mapper.sharded().filter(|_| elastic) {
-            Some(index) => ElasticScheduler::new(index, job.engine).map_raw_stream(
+    // The elastic schedule routes by the native backend's index (`map`
+    // admits it for no other backend).
+    let elastic = mapper.sharded().filter(|_| schedule == Schedule::Elastic);
+    let run = |records: &mut dyn Iterator<Item = Result<RawFastqRecord, CliError>>| {
+        let raws = records_until_error(records, &cancel, &errors.transport);
+        match elastic {
+            Some(index) => ElasticScheduler::new(index, engine).map_raw_stream(
                 raws,
                 decode,
                 |record| &record.seq,
                 sink,
             ),
-            None => MapEngine::new(job.mapper, job.engine).map_raw_stream(
+            None => MapEngine::new(mapper, engine).map_raw_stream(
                 raws,
                 decode,
                 |record| &record.seq,
                 sink,
             ),
-        };
-    }
-    // BGZF input runs the fanout schedule only — `map` rejects it under
-    // the elastic one before it gets here: the in-order splice turnstile
-    // below needs the single queue to drain deadlock-free.
-    let blocks = frames_until_error(
-        BgzfBlocks::new(job.reads.source),
-        cancel,
-        &errors.bgzf_frame,
-    );
-    // Workers inflate their blocks in parallel, then enter the turnstile
-    // in block order to re-join records straddling block boundaries
-    // against one shared scanner — the decoded record stream is exactly
-    // what the plain framer would have produced from the uncompressed
-    // bytes.
-    let splice = FastqSplice::new();
-    let decode_block = |block: BgzfBlock| {
-        let started = Instant::now();
-        let plain = match block.inflate() {
-            Ok(plain) => plain,
-            Err(err) => {
-                record_earliest(&errors.bgzf_block, block.index(), err);
-                return None;
-            }
-        };
-        let raws = splice.splice(block.index(), &plain, block.is_last(), || {
-            cancel.is_cancelled()
-        })?;
-        // Inflation + the turnstile wait are transport work; what remains
-        // of the closure is FASTQ decoding proper.
-        let inflate = started.elapsed();
-        let mut items = Vec::with_capacity(raws.len());
-        for raw in raws {
-            items.push(decode(raw)?);
         }
-        Some(DecodedBlock { items, inflate })
     };
-    MapEngine::new(job.mapper, job.engine).map_block_stream(
-        blocks,
-        decode_block,
-        |record| &record.seq,
-        sink,
-    )
+    if reads.compressed {
+        let mut framer = BgzfFastqFramer::new(reads.source);
+        let mut report = run(&mut framer
+            .by_ref()
+            .map(|record| record.map_err(|err| CliError::bgzf(reads_path, err))));
+        report.stats.inflate = framer.inflate_time();
+        report
+    } else {
+        run(&mut FastqFramer::new(reads.source)
+            .map(|record| record.map_err(|err| CliError::stream(err, reads_path, reads_path))))
+    }
 }
 
 /// Streams the FASTQ of `job` — plain or BGZF-compressed — through the
 /// engine with fully overlapped IO and writes `docs`, one or two
-/// documents, in one sequence: the producer thread only frames raw
-/// record boundaries (plain) or slices compressed blocks (BGZF);
-/// decompression and FASTQ decode run in the worker stage ahead of
-/// seeding; and the engine's writer thread renders each released batch,
-/// in input order, into every document (see [`MapTarget`] for where the
-/// bytes go from there). A failure at any point (framing, inflation,
-/// decode, write) cancels the shared [`CancelToken`] so the whole
-/// pipeline stops promptly instead of mapping the rest of the stream
-/// first.
+/// documents, in one sequence: the producer thread runs the transport
+/// stage (framing raw record boundaries, after inflation for BGZF); FASTQ
+/// decode runs in the worker stage ahead of seeding; and the engine's
+/// writer thread renders each released batch, in input order, into every
+/// document (see [`MapTarget`] for where the bytes go from there). A
+/// failure at any point (framing, inflation, decode, write) cancels the
+/// shared [`CancelToken`] so the whole pipeline stops promptly instead of
+/// mapping the rest of the stream first.
 fn run_map_stream(
     job: MapJob<'_>,
     docs: &[DocSpec<'_>],
@@ -904,18 +865,10 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
         }
     }
 
-    // Sniff the reads file last, after every cheap option check: the
-    // compressed path feeds an in-order splice turnstile that only the
-    // single-queue fanout schedule can drain deadlock-free.
+    // Open the reads file last, after every cheap option check, so usage
+    // errors win over I/O errors.
     let reads = open_reads(reads_path)?;
     let compressed = reads.compressed;
-    if compressed && schedule == Schedule::Elastic {
-        return Err(CliError::usage(
-            "--schedule elastic cannot read BGZF-compressed input (the \
-             multi-pool schedule cannot feed the in-order block splice); \
-             decompress the reads or drop --schedule elastic",
-        ));
-    }
 
     // Every mapper is a `Backend`, so one engine pass serves them all; the
     // native one is the coordinate-range index at whatever shard count was
@@ -981,7 +934,7 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
     if compressed {
         let _ = writeln!(
             report,
-            "inflate: {:.2} ms (BGZF decompression + block splice, worker stage)",
+            "inflate: {:.2} ms (BGZF decompression + splice, transport stage on the producer thread)",
             ms(stats.stats.inflate)
         );
     }

@@ -619,6 +619,83 @@ fn sharded_mapping_is_reported_and_output_is_shard_invariant() {
     }
 }
 
+/// The `(B, S)` of a report's `threads: N (B batches of up to S reads)`.
+fn reported_batches(report: &str) -> (usize, usize) {
+    let line = report
+        .lines()
+        .find(|line| line.starts_with("threads: "))
+        .unwrap_or_else(|| panic!("no threads line in {report}"));
+    let numbers: Vec<usize> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|word| word.parse().ok())
+        .collect();
+    (numbers[1], numbers[2])
+}
+
+#[test]
+fn batches_are_counted_in_reads_on_plain_and_bgzf_input_alike() {
+    let dir = TempDir::new("batches");
+    let prefix = dir.path("b");
+    const READS: usize = 70;
+    run(&[
+        "simulate",
+        "--out-prefix",
+        &prefix,
+        "--length",
+        "25000",
+        "--reads",
+        &READS.to_string(),
+        "--read-len",
+        "100",
+        "--seed",
+        "29",
+    ])
+    .expect("simulate");
+    let (graph, plain) = (format!("{prefix}.gfa"), format!("{prefix}.fq"));
+    // The default member size: the whole file is two members and the EOF
+    // marker, far fewer members than reads per batch.
+    let gz = dir.path("b.fq.gz");
+    let report = run(&["bgzip", "--input", &plain, "--output", &gz]).expect("bgzip");
+    assert!(
+        report.contains("wrote 2 BGZF blocks + EOF marker"),
+        "{report}"
+    );
+
+    let map = |reads: &str, out: &str, extra: &[&str]| {
+        let out = dir.path(out);
+        let mut args = vec!["map", "--graph", &graph, "--reads", reads, "--output", &out];
+        args.extend_from_slice(extra);
+        let report = run(&args).expect("map");
+        (report, fs::read(&out).expect("output written"))
+    };
+    let (_, serial) = map(&plain, "serial.sam", &["--threads", "1"]);
+    for size in [1usize, 16, 64] {
+        let text = size.to_string();
+        let extra = ["--threads", "2", "--batch-size", &text];
+        let (plain_report, plain_sam) = map(&plain, "plain.sam", &extra);
+        let (gz_report, gz_sam) = map(&gz, "gz.sam", &extra);
+        let expected = (READS.div_ceil(size), size);
+        assert_eq!(reported_batches(&plain_report), expected, "{plain_report}");
+        assert_eq!(reported_batches(&gz_report), expected, "{gz_report}");
+        assert_eq!(plain_sam, serial);
+        assert_eq!(gz_sam, serial);
+    }
+
+    // The same file under the elastic schedule: accepted, same bytes, and
+    // one-read batches route by their own shard, so both pools get some.
+    let elastic = "--threads 2 --shards 4 --schedule elastic --batch-size 1";
+    let extra: Vec<&str> = elastic.split(' ').collect();
+    let (report, sam) = map(&gz, "elastic.sam", &extra);
+    assert_eq!(sam, serial);
+    assert_eq!(reported_batches(&report), (READS, 1), "{report}");
+    let idle_pools = report
+        .lines()
+        .filter(|line| line.trim_start().starts_with("pool ") && line.contains(": 0 batches"))
+        .count();
+    assert!(report.contains("schedule: elastic — 2 pools"), "{report}");
+    assert_eq!(idle_pools, 0, "{report}");
+}
+
 /// Backend usage errors through the *built binary* (exit codes + stderr),
 /// not just the in-process dispatch: unknown names and invalid flag
 /// combinations must fail fast with actionable messages.

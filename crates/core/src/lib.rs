@@ -69,7 +69,7 @@ pub use eval::{evaluate, seeding_sensitivity, Evaluation};
 pub use mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
 pub use pangenome::{Chromosome, Pangenome, PangenomeMapping};
 pub use pipeline::{
-    gaf_record_for, route_batch, sam_record_for, Aligner, BitAlignStage, CancelToken, DecodedBlock,
+    gaf_record_for, route_batch, sam_record_for, Aligner, BitAlignStage, CancelToken,
     ElasticScheduler, EngineBusy, EngineOptions, EngineReport, MapEngine, MapPipeline,
     MinSeedStage, MultiEngine, PoolCounters, PoolReport, Prefilter, Priority, QueueDelayStats,
     QueueStats, ReadOutcome, RebalanceConfig, Rebalancer, RequestHandle, RequestPanicked,

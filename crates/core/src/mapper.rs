@@ -104,10 +104,13 @@ pub struct MapStats {
     /// [`total_time`](Self::total_time) /
     /// [`alignment_fraction`](Self::alignment_fraction).
     pub decode: Duration,
-    /// Time spent inflating compressed input blocks (zero on plain
-    /// input; on BGZF input the engine's workers inflate ahead of FASTQ
-    /// decode). Transport work like [`decode`](Self::decode): reported
-    /// separately and excluded from [`total_time`](Self::total_time) /
+    /// Time the transport stage spent inflating compressed input (zero
+    /// on plain input; on BGZF input the producer-side stage inflates,
+    /// verifies and splices members ahead of the record queue, and
+    /// `segram map` fills the run's total into the aggregate — no single
+    /// read owns a share). Transport work like [`decode`](Self::decode):
+    /// reported separately and excluded from
+    /// [`total_time`](Self::total_time) /
     /// [`alignment_fraction`](Self::alignment_fraction).
     pub inflate: Duration,
     /// Time spent in the seeding step.

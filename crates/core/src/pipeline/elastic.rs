@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use segram_graph::DnaSeq;
 
-use crate::pipeline::engine::{DecodedBlock, EngineOptions, EngineReport, MapEngine};
+use crate::pipeline::engine::{EngineOptions, EngineReport, MapEngine};
 use crate::pipeline::router::route_batch;
 use crate::pipeline::ReadOutcome;
 use crate::shard::{balance_loads, load_imbalance, ShardedIndex};
@@ -359,7 +359,7 @@ impl<'m> ElasticScheduler<'m> {
         let mut decode_time = Duration::ZERO;
         let mut report = MapEngine::new(self.index, self.options.clone()).map_routed_stream(
             decoded,
-            |pair| Some(DecodedBlock::one(pair)),
+            Some,
             |(item, _)| read_of(item),
             |(item, decoded_in), mut outcome| {
                 outcome.stats.decode = decoded_in;

@@ -12,20 +12,27 @@
 //! `pools >= 1` bounded queues: worker `w` serves queue `w % pools`, and a
 //! producer-side `route` hook names the queue of each batch (`None` spills
 //! it to the shortest one). The *fanout* schedule is `pools = 1`
-//! ([`MapEngine::map_block_stream`] and its wrappers); the *elastic*
+//! ([`MapEngine::map_raw_stream`] and its wrappers); the *elastic*
 //! schedule ([`ElasticScheduler`](super::ElasticScheduler)) is a routing
 //! policy over this same loop — it owns no thread, queue or reorder buffer
 //! of its own. Every pool releases through the one shared reorder buffer
 //! and the one writer thread, so output bytes cannot depend on the pool
 //! count or on any routing decision.
 //!
+//! The read is the unit of work: a raw unit is one undecoded read, a batch
+//! is [`EngineOptions::batch_size`] of them, and the loop never sees how
+//! they were transported — the producer's iterator is the transport stage
+//! (`segram_io::FastqFramer` slicing record boundaries out of plain bytes,
+//! `segram_io::BgzfFastqFramer` inflating BGZF members on the way), and
+//! both hand on the same records.
+//!
 //! Mapping workers never touch IO. On the input side, `decode` runs in the
 //! worker stage (timed into [`MapStats::decode`]), so the producer thread
-//! only slices raw record boundaries (e.g. `segram_io::FastqFramer`). On
-//! the output side, the reorder buffer never calls the sink under its
-//! lock: released batches are handed — still strictly in input order —
-//! over a bounded channel to a dedicated writer thread, the only thread
-//! that runs the sink. The [`CancelToken`] in [`EngineOptions`] stops the
+//! does transport work only. On the output side, the reorder buffer never
+//! calls the sink under its lock: released batches are handed — still
+//! strictly in input order — over a bounded channel to a dedicated writer
+//! thread, the only thread that runs the sink. The [`CancelToken`] in
+//! [`EngineOptions`] stops the
 //! producer *and* the workers promptly when either end fails (sink write
 //! error, input stream error) instead of mapping every queued batch first.
 //!
@@ -586,31 +593,6 @@ pub(crate) fn map_one<M: ReadMapper>(mapper: &M, both_strands: bool, read: &DnaS
     }
 }
 
-/// The result of decoding one raw input unit in the worker stage, for
-/// [`MapEngine::map_block_stream`]: a raw unit may decode to *several*
-/// reads (a BGZF block inflates to a span of FASTQ records) or to none
-/// (a block whose bytes all belong to records completed by neighbouring
-/// blocks). `inflate` is the decompression share of the decode time,
-/// reported separately in [`MapStats::inflate`].
-#[derive(Clone, Debug)]
-pub struct DecodedBlock<T> {
-    /// The decoded items, in input order.
-    pub items: Vec<T>,
-    /// Time spent decompressing (zero for uncompressed paths).
-    pub inflate: Duration,
-}
-
-impl<T> DecodedBlock<T> {
-    /// A single-item block with no decompression share — what a plain
-    /// one-record decode returns.
-    pub fn one(item: T) -> Self {
-        Self {
-            items: vec![item],
-            inflate: Duration::ZERO,
-        }
-    }
-}
-
 /// The batched, multi-threaded, order-preserving mapping engine, generic
 /// over the [`ReadMapper`] it drives (the coordinate-range
 /// [`ShardedIndex`](crate::ShardedIndex), the reference [`SegramMapper`],
@@ -660,9 +642,10 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         self.map_raw_stream(reads, Some, read_of, sink)
     }
 
+    /// The fanout schedule: every worker pops the one shared queue —
+    /// [`map_routed_stream`](Self::map_routed_stream) with a single pool.
     /// Streams *undecoded* items through the engine, one read per raw
-    /// unit: the singleton-block special case of
-    /// [`map_block_stream`](Self::map_block_stream).
+    /// unit; `decode` runs in the worker stage.
     pub fn map_raw_stream<Q, T, D, R, F>(
         &self,
         raw: impl Iterator<Item = Q>,
@@ -677,34 +660,6 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
         R: Fn(&T) -> &DnaSeq + Sync,
         F: FnMut(T, ReadOutcome) + Send,
     {
-        self.map_block_stream(
-            raw,
-            move |q| decode(q).map(DecodedBlock::one),
-            read_of,
-            sink,
-        )
-    }
-
-    /// The fanout schedule: every worker pops the one shared queue —
-    /// [`map_routed_stream`](Self::map_routed_stream) with a single pool.
-    /// `decode` turns one raw unit into a [`DecodedBlock`] of zero or more
-    /// reads; this is the compressed input path (the producer slices
-    /// still-compressed BGZF blocks, workers inflate + splice +
-    /// FASTQ-decode them).
-    pub fn map_block_stream<Q, T, D, R, F>(
-        &self,
-        raw: impl Iterator<Item = Q>,
-        decode: D,
-        read_of: R,
-        sink: F,
-    ) -> EngineReport
-    where
-        Q: Send,
-        T: Send,
-        D: Fn(Q) -> Option<DecodedBlock<T>> + Sync,
-        R: Fn(&T) -> &DnaSeq + Sync,
-        F: FnMut(T, ReadOutcome) + Send,
-    {
         self.map_routed_stream(raw, decode, read_of, sink, 1, |_| Some(0))
     }
 
@@ -714,13 +669,11 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
     /// index outside `0..pools`, spills it to the currently shortest queue.
     /// Worker `w` serves queue `w % pools` (`pools` is clamped to
     /// `1..=threads` so every queue has a worker). `decode` runs in the
-    /// worker stage ahead of seeding (timed into [`MapStats::decode`], its
-    /// decompression share into [`MapStats::inflate`]; a raw unit
-    /// completing no read is legal, its time is carried onto the next
-    /// decoded read of the same batch), and `sink(item, outcome)` is called
-    /// once per read **in input order** on a dedicated writer thread — the
-    /// only thread that ever runs the sink — so neither input parsing nor
-    /// output rendering/IO blocks a mapping worker.
+    /// worker stage ahead of seeding (timed into [`MapStats::decode`]), and
+    /// `sink(item, outcome)` is called once per read **in input order** on
+    /// a dedicated writer thread — the only thread that ever runs the sink
+    /// — so neither input parsing nor output rendering/IO blocks a mapping
+    /// worker.
     ///
     /// All pools release through one reorder buffer keyed by the producer's
     /// batch index, so the sink sees the same sequence for every `pools`
@@ -759,7 +712,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
     where
         Q: Send,
         T: Send,
-        D: Fn(Q) -> Option<DecodedBlock<T>> + Sync,
+        D: Fn(Q) -> Option<T> + Sync,
         R: Fn(&T) -> &DnaSeq + Sync,
         F: FnMut(T, ReadOutcome) + Send,
     {
@@ -894,12 +847,6 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                                 let mut outcomes: Vec<(T, ReadOutcome)> =
                                     Vec::with_capacity(raws.len());
                                 let mut settling = false;
-                                // Transport time of raw units that
-                                // completed no record, carried onto the
-                                // batch's next decoded read so the sums
-                                // stay truthful.
-                                let mut carry_decode = Duration::ZERO;
-                                let mut carry_inflate = Duration::ZERO;
                                 for raw in raws {
                                     if !settling && cancel.is_cancelled() {
                                         if decode_failed.load(Ordering::SeqCst) {
@@ -919,7 +866,7 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                                         continue;
                                     }
                                     let started = Instant::now();
-                                    let Some(decoded) = decode(raw) else {
+                                    let Some(item) = decode(raw) else {
                                         // The decoder records its own
                                         // error; stopping the run is the
                                         // engine's job. Everything after
@@ -930,37 +877,11 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                                         cancel.cancel();
                                         return false;
                                     };
-                                    let inflate_time = decoded.inflate;
-                                    let decode_time =
-                                        started.elapsed().saturating_sub(inflate_time);
-                                    if decoded.items.is_empty() {
-                                        carry_decode += decode_time;
-                                        carry_inflate += inflate_time;
-                                        continue;
-                                    }
-                                    let mut first = true;
-                                    for item in decoded.items {
-                                        // A raw unit may hold many reads;
-                                        // keep cancellation latency at
-                                        // read, not block, granularity
-                                        // (decode-failure settling is
-                                        // handled at the next raw).
-                                        if cancel.is_cancelled()
-                                            && !decode_failed.load(Ordering::SeqCst)
-                                        {
-                                            return false;
-                                        }
-                                        let mut outcome =
-                                            map_one(self.mapper, both_strands, read_of(&item));
-                                        if first {
-                                            outcome.stats.decode = decode_time + carry_decode;
-                                            outcome.stats.inflate = inflate_time + carry_inflate;
-                                            carry_decode = Duration::ZERO;
-                                            carry_inflate = Duration::ZERO;
-                                            first = false;
-                                        }
-                                        outcomes.push((item, outcome));
-                                    }
+                                    let decode_time = started.elapsed();
+                                    let mut outcome =
+                                        map_one(self.mapper, both_strands, read_of(&item));
+                                    outcome.stats.decode = decode_time;
+                                    outcomes.push((item, outcome));
                                 }
                                 if settling {
                                     return false;
@@ -1841,79 +1762,6 @@ mod tests {
             .iter()
             .filter_map(|o| o.mapping.as_ref().map(|_| o.strand))
             .any(|s| s == Strand::Reverse));
-    }
-
-    #[test]
-    fn block_stream_fans_multiple_reads_per_raw_unit_in_order() {
-        // One raw unit = a "block" of several reads (the BGZF shape).
-        // The outcome stream must equal the per-read reference, and the
-        // block's inflate share must land in the aggregated stats.
-        let (dataset, mapper) = setup();
-        let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
-        let blocks: Vec<Vec<DnaSeq>> = reads.chunks(3).map(<[DnaSeq]>::to_vec).collect();
-        // batches of blocks, interleaved across workers
-        let config = EngineOptions::new().threads(4).batch_size(2);
-        let engine = MapEngine::new(&mapper, config);
-        let mut outcomes = Vec::new();
-        let report = engine.map_block_stream(
-            blocks.into_iter(),
-            |block| {
-                Some(DecodedBlock {
-                    items: block,
-                    inflate: Duration::from_micros(40),
-                })
-            },
-            |read| read,
-            |_, outcome| outcomes.push(outcome),
-        );
-        assert_eq!(report.reads, reads.len());
-        assert!(
-            report.stats.inflate >= Duration::from_micros(40),
-            "inflate share must aggregate: {:?}",
-            report.stats.inflate
-        );
-        for (a, b) in base.iter().zip(&outcomes) {
-            assert_eq!(
-                a.mapping.as_ref().map(|m| m.linear_start),
-                b.mapping.as_ref().map(|m| m.linear_start),
-            );
-        }
-    }
-
-    #[test]
-    fn empty_blocks_carry_their_time_without_emitting_reads() {
-        // Blocks that complete no record (all bytes belong to straddling
-        // neighbours) are legal: read count unaffected, inflate time
-        // still accounted via the carry.
-        let (dataset, mapper) = setup();
-        let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let raws: Vec<Option<DnaSeq>> = reads
-            .iter()
-            .flat_map(|read| [None, Some(read.clone())])
-            .collect();
-        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
-        let mut seen = 0usize;
-        let report = engine.map_block_stream(
-            raws.into_iter(),
-            |raw| {
-                Some(DecodedBlock {
-                    items: raw.into_iter().collect(),
-                    inflate: Duration::from_micros(10),
-                })
-            },
-            |read| read,
-            |_, _| seen += 1,
-        );
-        assert_eq!(report.reads, reads.len());
-        assert_eq!(seen, reads.len());
-        // Every raw unit contributed 10 µs of inflate, including the
-        // empty ones whose time was carried onto a later read.
-        assert!(
-            report.stats.inflate >= Duration::from_micros(10) * (reads.len() as u32 * 2 - 1),
-            "carried inflate time lost: {:?}",
-            report.stats.inflate
-        );
     }
 
     #[test]

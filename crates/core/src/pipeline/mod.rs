@@ -51,8 +51,7 @@ mod stages;
 
 pub use elastic::{ElasticScheduler, RebalanceConfig, Rebalancer};
 pub use engine::{
-    CancelToken, DecodedBlock, EngineOptions, EngineReport, MapEngine, PoolReport, QueueStats,
-    ReadOutcome,
+    CancelToken, EngineOptions, EngineReport, MapEngine, PoolReport, QueueStats, ReadOutcome,
 };
 pub use multi::{
     EngineBusy, MultiEngine, PoolCounters, Priority, QueueDelayStats, RequestHandle,

@@ -13,8 +13,8 @@
 //!   reorder buffer.
 
 use segram_core::{
-    gaf_record_for, sam_record_for, DecodedBlock, ElasticScheduler, EngineOptions, MapEngine,
-    ReadMapper, ReadOutcome, RebalanceConfig, SegramConfig, SegramMapper, ShardedIndex,
+    gaf_record_for, sam_record_for, ElasticScheduler, EngineOptions, MapEngine, ReadMapper,
+    ReadOutcome, RebalanceConfig, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{GafWriter, SamWriter};
@@ -161,7 +161,7 @@ proptest! {
                             MapEngine::new(&mapper, options(threads, both_strands))
                                 .map_routed_stream(
                                     reads.iter(),
-                                    |read| Some(DecodedBlock::one(read)),
+                                    Some,
                                     |(_, seq)| seq,
                                     sink,
                                     pools,

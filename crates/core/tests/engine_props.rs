@@ -4,15 +4,20 @@
 //! sharded path routes seeding through per-coordinate-range index shards
 //! and merges before prefilter/alignment). This is the in-process half of
 //! the determinism guarantee (`ci.sh` checks the same property end to end
-//! through the built binary).
+//! through the built binary). The read is the engine's unit of work
+//! whatever carried it: records framed out of a few large BGZF members
+//! batch, map and spread over workers exactly as the plain records do.
 
 use segram_core::{
-    gaf_record_for, sam_record_for, EngineOptions, EngineReport, MapEngine, ReadMapper,
-    SegramConfig, SegramMapper, ShardedIndex,
+    gaf_record_for, sam_record_for, ElasticScheduler, EngineOptions, EngineReport, MapEngine,
+    ReadMapper, ReadOutcome, RebalanceConfig, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_filter::FilterSpec;
 use segram_graph::DnaSeq;
-use segram_io::{GafWriter, SamWriter};
+use segram_io::{
+    bgzf_compress, write_fastq, Ambiguity, BgzfFastqFramer, BgzfMode, FastqFramer, FastqRecord,
+    GafWriter, RawFastqRecord, SamWriter,
+};
 use segram_sim::DatasetConfig;
 use segram_testkit::prelude::*;
 
@@ -66,6 +71,84 @@ fn render_with_config<M: ReadMapper>(
         gaf.finish().expect("vec flush cannot fail"),
         report,
     )
+}
+
+/// What the plain-vs-BGZF comparison holds equal per read.
+fn placements(outcomes: &[(String, ReadOutcome)]) -> Vec<(&str, Option<(u64, u32)>)> {
+    outcomes
+        .iter()
+        .map(|(id, outcome)| {
+            let mapping = outcome.mapping.as_ref();
+            (
+                id.as_str(),
+                mapping.map(|m| (m.linear_start, m.alignment.edit_distance)),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn bgzf_sourced_records_batch_and_spread_like_plain_ones() {
+    const BATCH: usize = 4;
+    let mut dataset_config = DatasetConfig::tiny(4021);
+    dataset_config.read_count = 6 * BATCH + 1;
+    let dataset = dataset_config.illumina(100);
+    let records: Vec<FastqRecord> = dataset
+        .reads
+        .iter()
+        .map(|r| FastqRecord::with_uniform_quality(format!("read{}", r.id), r.seq.clone(), 30))
+        .collect();
+    let plain = write_fastq(&records).into_bytes();
+    // Three members for 25 reads: with the member as the work item this
+    // was one batch on one worker.
+    let compressed = bgzf_compress(&plain, plain.len().div_ceil(3), BgzfMode::Fixed);
+    let plain_source = || FastqFramer::new(&plain[..]).map(|raw| raw.expect("in memory"));
+    let bgzf_source = || BgzfFastqFramer::new(&compressed[..]).map(|raw| raw.expect("intact"));
+    let decode = |raw: RawFastqRecord| raw.decode(Ambiguity::Reject).ok();
+    let options = || EngineOptions::new().threads(2).batch_size(BATCH);
+    let batches = records.len().div_ceil(BATCH);
+
+    let index = ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), 4);
+    let fanout = |source: &mut dyn Iterator<Item = RawFastqRecord>| {
+        let mut outcomes = Vec::new();
+        let report = MapEngine::new(&index, options()).map_raw_stream(
+            source,
+            decode,
+            |record| &record.seq,
+            |record, outcome| outcomes.push((record.id, outcome)),
+        );
+        (outcomes, report)
+    };
+    let (plain_outcomes, plain_report) = fanout(&mut plain_source());
+    let (bgzf_outcomes, bgzf_report) = fanout(&mut bgzf_source());
+    assert_eq!(plain_report.batches, batches);
+    assert_eq!(bgzf_report.batches, batches);
+    assert_eq!(bgzf_report.reads, records.len());
+    assert_eq!(placements(&bgzf_outcomes), placements(&plain_outcomes));
+
+    // Elastic, with a rebalancer that never moves a shard, so which pool a
+    // majority batch routes to depends on the batch alone.
+    let still = RebalanceConfig {
+        threshold: f64::INFINITY,
+        cooldown: 0,
+    };
+    let mut outcomes = Vec::new();
+    let report = ElasticScheduler::new(&index, options())
+        .with_rebalance(still)
+        .map_raw_stream(
+            bgzf_source(),
+            decode,
+            |record| &record.seq,
+            |record, outcome| outcomes.push((record.id, outcome)),
+        );
+    assert_eq!(report.batches, batches);
+    assert_eq!(placements(&outcomes), placements(&plain_outcomes));
+    let credited = report.pools.iter().filter(|pool| pool.batches > 0).count();
+    assert!(
+        credited > 1,
+        "one pool took every batch: {:?}",
+        report.pools
+    );
 }
 
 proptest! {

@@ -3,12 +3,12 @@
 //! Real sequencing traffic arrives BGZF-compressed (the blocked gzip
 //! dialect of htslib: a stream of independent gzip members, each carrying
 //! a `BC` extra subfield with the compressed block size, terminated by a
-//! canonical empty EOF-marker member). Because every member is
-//! self-contained, the container splits exactly like raw FASTQ framing
-//! does: the producer thread only *slices* compressed blocks off the
-//! stream ([`BgzfBlocks`]), and inflation runs in the worker stage
-//! ([`BgzfBlock::inflate`]) right before FASTQ decode — the same
-//! producer/worker split `FastqFramer` established for plain bytes.
+//! canonical empty EOF-marker member). Reading one is two steps per
+//! member: slice it off the stream ([`BgzfBlocks`]), then inflate and
+//! verify it ([`BgzfBlock::inflate`]). For FASTQ input both run in the
+//! producer-thread transport stage
+//! ([`BgzfFastqFramer`](crate::BgzfFastqFramer)), which hands on the same
+//! raw records `FastqFramer` slices from plain bytes.
 //!
 //! Everything is implemented here, offline, with no external crates:
 //!
@@ -417,9 +417,8 @@ const GZIP_HEADER: usize = 12;
 /// framing stays under the `BSIZE` u16 ceiling.
 pub const BGZF_MAX_PLAIN: usize = 57000;
 
-/// One sliced (still compressed) BGZF block: the producer-side frame of
-/// the compressed input path. Inflation ([`Self::inflate`]) is the
-/// worker-stage half.
+/// One sliced (still compressed) BGZF block; [`Self::inflate`] turns it
+/// into its plain bytes.
 #[derive(Clone, Debug)]
 pub struct BgzfBlock {
     index: usize,
@@ -452,7 +451,7 @@ impl BgzfBlock {
     }
 
     /// Inflates and verifies the payload: DEFLATE decode, then ISIZE,
-    /// then CRC32 — the worker-stage half of compressed framing.
+    /// then CRC32.
     ///
     /// # Errors
     ///
@@ -486,9 +485,9 @@ impl BgzfBlock {
     }
 }
 
-/// An iterator slicing a byte stream into [`BgzfBlock`]s — the
-/// producer-thread half of compressed input framing. It parses member
-/// headers and `BSIZE`s only; payloads stay compressed for the workers.
+/// An iterator slicing a byte stream into [`BgzfBlock`]s. It parses member
+/// headers and `BSIZE`s only; payloads stay compressed until
+/// [`BgzfBlock::inflate`].
 ///
 /// The stream must end with the canonical EOF marker ([`BGZF_EOF`]);
 /// the marker is yielded as the final block with

@@ -15,11 +15,13 @@
 //! frame.
 //!
 //! Both front-ends share one boundary scanner ([`FrameScanner`], a push
-//! parser fed arbitrary byte chunks): `FastqFramer` feeds it block reads
-//! on the producer thread, and [`FastqSplice`] feeds it inflated BGZF
-//! payloads *in block order from worker threads* — a record straddling a
-//! BGZF block boundary is carried over inside the scanner, so the
-//! compressed path frames exactly the records the plain path would.
+//! parser fed arbitrary byte chunks), and both run on the producer thread:
+//! `FastqFramer` feeds it block reads, and [`BgzfFastqFramer`] — the
+//! transport stage of compressed input — feeds it each BGZF member's
+//! inflated payload through [`FastqSplice`]. A record straddling a member
+//! boundary is carried over inside the scanner, so the compressed path
+//! frames exactly the records the plain path would, and everything
+//! downstream of either framer is the same record stream.
 //!
 //! ```
 //! use segram_io::{Ambiguity, FastqFramer};
@@ -33,11 +35,13 @@
 //! assert!(framer.next().is_none());
 //! ```
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{self, Read};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use crate::bgzf::BgzfBlocks;
+use crate::error::BgzfError;
 use crate::fasta::Ambiguity;
 use crate::fastq::{decode_framed, FastqRecord};
 use crate::stream::StreamError;
@@ -270,56 +274,47 @@ impl<R: Read> Iterator for FastqFramer<R> {
     }
 }
 
-/// The carry-over splice for worker-stage inflation: re-joins records
-/// that straddle BGZF block boundaries while inflation itself runs in
-/// parallel.
+/// The carry-over splice of the compressed transport stage: re-joins
+/// records that straddle BGZF member boundaries.
 ///
-/// Workers inflate their blocks concurrently, then enter this turnstile
-/// *in block-index order* to feed the shared [`FrameScanner`]: the call
-/// for block `i` blocks until blocks `0..i` have been spliced, appends
-/// its bytes, and collects whatever records completed. Because the
-/// scanner is the same one `FastqFramer` uses, the record stream (ids,
-/// line numbers, truncation errors) is identical to framing the plain
-/// uncompressed bytes.
-///
-/// Deadlock safety: this turnstile is only sound when block indices are
-/// assigned in the order workers pick them up — true for the fanout
-/// engine's single shared FIFO queue, where the worker holding the
-/// minimum unspliced index is never the one waiting. Multi-queue
-/// schedules (elastic) could park every worker of one pool behind an
-/// index queued on another, so compressed input is restricted to the
-/// fanout schedule at the CLI layer. The wait also polls `cancelled`
-/// every 50 ms, so a cancelled run (sink failure, upstream error) can
-/// never strand a worker whose predecessor block was abandoned.
+/// Each member's inflated bytes are fed, in file order, to one
+/// [`FrameScanner`], which carries a partial line or record over to the
+/// next call. Because the scanner is the same one `FastqFramer` uses, the
+/// record stream (ids, line numbers, truncation errors) is identical to
+/// framing the plain uncompressed bytes. [`BgzfFastqFramer`] is the stage
+/// that drives it.
 #[derive(Debug, Default)]
 pub struct FastqSplice {
-    state: Mutex<SpliceState>,
-    turn: Condvar,
+    state: RefCell<SpliceState>,
 }
 
 #[derive(Debug, Default)]
 struct SpliceState {
-    /// The next block index allowed through the turnstile.
+    /// The index of the member expected next.
     next: usize,
     scanner: FrameScanner,
-    /// Set once the final block has been spliced and flushed.
+    /// Set once the final member has been spliced and flushed.
     finished: bool,
 }
 
 impl FastqSplice {
-    /// A splice expecting block 0 first.
+    /// A splice expecting member 0 first.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Splices block `index`'s inflated bytes into the shared scanner,
-    /// returning the records that completed. `last` flushes the carry
-    /// (the stream's final, possibly partial, record). Returns `None` —
-    /// without splicing — when `cancelled` reports the run is over while
-    /// an earlier block still has not arrived (it never will).
+    /// Splices member `index`'s inflated bytes into the scanner, returning
+    /// the records that completed. `last` flushes the carry (the stream's
+    /// final, possibly partial, record).
     ///
-    /// Blocks until every earlier index has been spliced; see the type
-    /// docs for why that wait is deadlock-free under the fanout engine.
+    /// Members arrive in file order and the call never waits. An `index`
+    /// out of turn means an earlier member was dropped: that is `None` —
+    /// without splicing — when `cancelled` reports the run is over.
+    ///
+    /// # Panics
+    ///
+    /// On an `index` out of turn in a run that is not cancelled: the
+    /// caller skipped a member.
     pub fn splice(
         &self,
         index: usize,
@@ -327,21 +322,14 @@ impl FastqSplice {
         last: bool,
         cancelled: impl Fn() -> bool,
     ) -> Option<Vec<RawFastqRecord>> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while state.next != index {
-            // Our turn will never come if the run was cancelled after a
-            // predecessor block was dropped unspliced. When it *is* our
-            // turn we proceed even under cancellation: the engine's
-            // settle path relies on in-order splicing to pin down the
-            // first error deterministically.
-            if cancelled() {
-                return None;
-            }
-            state = self
-                .turn
-                .wait_timeout(state, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+        let mut state = self.state.borrow_mut();
+        if state.next != index {
+            assert!(
+                cancelled(),
+                "BGZF member {index} spliced out of turn (expected {})",
+                state.next
+            );
+            return None;
         }
         let mut out = Vec::new();
         if !state.finished {
@@ -352,18 +340,101 @@ impl FastqSplice {
             }
         }
         state.next = index + 1;
-        drop(state);
-        self.turn.notify_all();
         Some(out)
     }
 
     /// 1-based number of lines spliced so far.
     pub fn line(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .scanner
-            .line()
+        self.state.borrow().scanner.line()
+    }
+}
+
+/// The transport stage of compressed input: the BGZF twin of
+/// [`FastqFramer`], run on the producer thread.
+///
+/// For each member off [`BgzfBlocks`] it inflates and verifies the payload
+/// ([`BgzfBlock::inflate`](crate::BgzfBlock::inflate)), splices the bytes
+/// ([`FastqSplice::splice`]) and yields the records that completed — so
+/// the consumer sees exactly the [`RawFastqRecord`]s `FastqFramer` would
+/// slice from the uncompressed bytes, in file order, and never sees how
+/// they were transported. Every transport failure (bad framing,
+/// truncation, a missing EOF marker, corrupt DEFLATE data, an ISIZE or
+/// CRC32 mismatch) surfaces here, after the records of the members before
+/// it, and fuses the iterator; format errors surface from
+/// [`RawFastqRecord::decode`].
+///
+/// ```
+/// use segram_io::{bgzf_compress, Ambiguity, BgzfFastqFramer, BgzfMode};
+///
+/// let compressed = bgzf_compress(b"@r1\nACGT\n+\nIIII\n", 5, BgzfMode::Fixed);
+/// let mut framer = BgzfFastqFramer::new(&compressed[..]);
+/// let raw = framer.next().unwrap()?;
+/// assert_eq!(raw.decode(Ambiguity::Reject).unwrap().id, "r1");
+/// assert!(framer.next().is_none());
+/// # Ok::<(), segram_io::BgzfError>(())
+/// ```
+#[derive(Debug)]
+pub struct BgzfFastqFramer<R: Read> {
+    blocks: BgzfBlocks<R>,
+    splice: FastqSplice,
+    /// Records spliced but not yet yielded.
+    ready: VecDeque<RawFastqRecord>,
+    /// Time spent in inflate + splice so far.
+    inflate_time: Duration,
+    /// Set after a transport error; the iterator fuses.
+    failed: bool,
+}
+
+impl<R: Read> BgzfFastqFramer<R> {
+    /// Wraps a BGZF-compressed byte source.
+    pub fn new(source: R) -> Self {
+        Self {
+            blocks: BgzfBlocks::new(source),
+            splice: FastqSplice::new(),
+            ready: VecDeque::new(),
+            inflate_time: Duration::ZERO,
+            failed: false,
+        }
+    }
+
+    /// Time spent inflating, verifying and splicing members so far — the
+    /// stage's own work, without the reads of the source.
+    pub fn inflate_time(&self) -> Duration {
+        self.inflate_time
+    }
+}
+
+impl<R: Read> Iterator for BgzfFastqFramer<R> {
+    type Item = Result<RawFastqRecord, BgzfError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(raw) = self.ready.pop_front() {
+                return Some(Ok(raw));
+            }
+            if self.failed {
+                return None;
+            }
+            let block = self.blocks.next()?;
+            let started = Instant::now();
+            let spliced = block.and_then(|block| {
+                let plain = block.inflate()?;
+                Ok(self
+                    .splice
+                    .splice(block.index(), &plain, block.is_last(), || false)
+                    .expect("BgzfBlocks numbers members in file order"))
+            });
+            match spliced {
+                Ok(records) => {
+                    self.ready.extend(records);
+                    self.inflate_time += started.elapsed();
+                }
+                Err(err) => {
+                    self.failed = true;
+                    return Some(Err(err));
+                }
+            }
+        }
     }
 }
 
@@ -452,45 +523,13 @@ mod tests {
     }
 
     #[test]
-    fn splice_reorders_out_of_order_blocks() {
-        // Three "blocks" spliced from three threads in reverse arrival
-        // order must still produce the in-order record stream.
-        let parts: [&[u8]; 3] = [b"@r1\nAC", b"GT\n+\nII", b"II\n@r2\nTT\n+\nJJ\n"];
-        let splice = FastqSplice::new();
-        let collected: Mutex<Vec<(usize, Vec<RawFastqRecord>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (index, part) in parts.iter().enumerate().rev() {
-                let splice = &splice;
-                let collected = &collected;
-                scope.spawn(move || {
-                    let records = splice
-                        .splice(index, part, index == parts.len() - 1, || false)
-                        .expect("not cancelled");
-                    collected.lock().unwrap().push((index, records));
-                });
-                // Give the out-of-order thread a head start so the wait
-                // path is actually exercised.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        });
-        let mut by_index = collected.into_inner().unwrap();
-        by_index.sort_by_key(|(index, _)| *index);
-        let records: Vec<RawFastqRecord> = by_index
-            .into_iter()
-            .flat_map(|(_, records)| records)
-            .collect();
-        let plain: Vec<u8> = parts.concat();
-        let expected = frames(std::str::from_utf8(&plain).unwrap(), FRAMER_BLOCK);
-        assert_eq!(records, expected);
-    }
-
-    #[test]
     fn cancelled_splice_waiting_on_a_lost_block_gives_up() {
         let splice = FastqSplice::new();
-        // Block 1 arrives but block 0 never will; a cancelled run must
-        // not hang.
+        // Block 1 arrives but block 0 never did: a cancelled run gets
+        // `None`, and nothing was spliced.
         assert_eq!(splice.splice(1, b"@r\n", true, || true), None);
-        // The turnstile still admits block 0 afterwards.
+        assert_eq!(splice.line(), 0);
+        // Block 0 is still the one expected.
         assert!(splice.splice(0, b"", false, || false).is_some());
     }
 }

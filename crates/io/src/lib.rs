@@ -10,7 +10,9 @@
 //! * **FASTQ** ([`read_fastq`] / [`write_fastq`]) — query reads with
 //!   Phred qualities; [`FastqFramer`] additionally splits reading into a
 //!   cheap byte-framing half and a [`RawFastqRecord::decode`] half that
-//!   can run on worker threads (the map engine's overlapped input path);
+//!   can run on worker threads (the map engine's overlapped input path),
+//!   and [`BgzfFastqFramer`] frames the same records out of a
+//!   BGZF-compressed source;
 //! * **VCF subset** ([`read_vcf`] / [`write_vcf`]) — variants, mapped to
 //!   [`segram_graph::Variant`] for graph construction;
 //! * **GAF** ([`read_gaf`] / [`write_gaf`]) — graph alignments with
@@ -70,7 +72,9 @@ pub use fastq::{
     phred_from_error_rate, read_fastq, write_fastq, FastqReader, FastqRecord, MAX_PHRED,
     PHRED_OFFSET,
 };
-pub use framer::{FastqFramer, FastqSplice, FrameScanner, RawFastqRecord, FRAMER_BLOCK};
+pub use framer::{
+    BgzfFastqFramer, FastqFramer, FastqSplice, FrameScanner, RawFastqRecord, FRAMER_BLOCK,
+};
 pub use gaf::{read_gaf, write_gaf, GafRecord};
 pub use stream::{GafWriter, SamWriter, StreamError};
 pub use vcf::{read_vcf, write_vcf, VcfDocument, VcfOptions};

@@ -1,16 +1,19 @@
 //! Differential property tests for the BGZF compressed-input path: on
 //! random FASTQ-shaped inputs — including CRLF line endings, malformed
 //! records, and records straddling BGZF block boundaries — the full
-//! compressed pipeline ([`bgzf_compress`] → [`BgzfBlocks`] →
-//! [`BgzfBlock::inflate`] → [`FastqSplice`] → [`RawFastqRecord::decode`])
-//! produces exactly the records *and* exactly the first error that the
-//! inline [`FastqReader`] produces on the plain bytes, at every block
-//! size and in both compressor modes. Truncating the *compressed* stream
-//! at an arbitrary byte yields a prefix of those records plus a named
-//! [`BgzfError`] — never a panic.
+//! compressed pipeline ([`bgzf_compress`] → [`BgzfFastqFramer`], i.e.
+//! [`BgzfBlocks`] → [`BgzfBlock::inflate`] → [`FastqSplice`], →
+//! [`RawFastqRecord::decode`]) produces exactly the records *and* exactly
+//! the first error that the inline [`FastqReader`] produces on the plain
+//! bytes, at every block size and in both compressor modes. Truncating the
+//! *compressed* stream at an arbitrary byte yields a prefix of those
+//! records plus a named [`BgzfError`] — never a panic. The record stage
+//! itself is held to [`FastqFramer`] over the plain bytes: same frames,
+//! same line numbers, same truncation errors, for every member size.
 
 use segram_io::{
-    bgzf_compress, Ambiguity, BgzfBlocks, BgzfMode, FastqReader, FastqRecord, FastqSplice,
+    bgzf_compress, bgzf_member, Ambiguity, BgzfFastqFramer, BgzfMode, FastqFramer, FastqReader,
+    FastqRecord, RawFastqRecord, BGZF_EOF,
 };
 use segram_testkit::prelude::*;
 
@@ -31,39 +34,20 @@ fn reader_outcome(bytes: &[u8], ambiguity: Ambiguity) -> Outcome {
     (records, error)
 }
 
-/// The worker path, run single-threaded: slice blocks, inflate each,
-/// splice in order through the shared scanner, decode. Fuses on the
-/// first error of any family, exactly as the engine cancels the run.
+/// The compressed path as `segram map` runs it: the transport stage
+/// frames records in file order, decode follows. Fuses on the first error
+/// of either family, exactly as the engine cancels the run.
 fn bgzf_outcome(compressed: &[u8], ambiguity: Ambiguity) -> Outcome {
     let mut records = Vec::new();
     let mut error = None;
-    let splice = FastqSplice::new();
-    'stream: for item in BgzfBlocks::new(compressed) {
-        let block = match item {
-            Ok(block) => block,
-            Err(err) => {
+    for item in BgzfFastqFramer::new(compressed) {
+        match item.map(|raw| raw.decode(ambiguity)) {
+            Ok(Ok(record)) => records.push(record),
+            Ok(Err(err)) => {
                 error = Some(format!("{err:?}"));
                 break;
             }
-        };
-        let plain = match block.inflate() {
-            Ok(plain) => plain,
-            Err(err) => {
-                error = Some(format!("{err:?}"));
-                break;
-            }
-        };
-        let raws = splice
-            .splice(block.index(), &plain, block.is_last(), || false)
-            .expect("an uncancelled in-order splice always yields");
-        for raw in raws {
-            match raw.decode(ambiguity) {
-                Ok(record) => records.push(record),
-                Err(err) => {
-                    error = Some(format!("{err:?}"));
-                    break 'stream;
-                }
-            }
+            Err(err) => error = Some(format!("{err:?}")), // the stage fuses
         }
     }
     (records, error)
@@ -104,6 +88,106 @@ fn mode_of(fixed: bool) -> BgzfMode {
     } else {
         BgzfMode::Stored
     }
+}
+
+/// What a framer hands on: each frame's header line number and raw bytes,
+/// plus each frame's decode result (so truncation errors compare too).
+fn frames(records: impl Iterator<Item = RawFastqRecord>) -> Vec<(usize, Vec<u8>, String)> {
+    records
+        .map(|raw| {
+            let decoded = format!("{:?}", raw.decode(Ambiguity::Reject));
+            (raw.line(), raw.as_bytes().to_vec(), decoded)
+        })
+        .collect()
+}
+
+#[test]
+fn record_stage_equals_the_plain_framer_for_every_member_size() {
+    // CRLF endings, blank lines between records, an id-tailed separator,
+    // and — in the second text — a record cut off mid-way, which both
+    // framers must hand on for decode to name as truncation at line 11.
+    let whole = "@r1 first\r\nACGT\r\n+\r\nIIII\r\n\n\n@r2\nTTAACC\n+r2\nJJJJJJ\n@r3\nGG\n+\nII\n";
+    let cut = &whole[..whole.len() - 6];
+    for text in [whole, cut, ""] {
+        let expected = frames(FastqFramer::new(text.as_bytes()).map(|raw| raw.expect("in memory")));
+        for member in [1usize, 2, 3, 7, 64, 512, 16_384] {
+            for mode in [BgzfMode::Fixed, BgzfMode::Stored] {
+                let compressed = bgzf_compress(text.as_bytes(), member, mode);
+                let actual = frames(
+                    BgzfFastqFramer::new(&compressed[..]).map(|raw| raw.expect("intact stream")),
+                );
+                assert_eq!(
+                    actual,
+                    expected,
+                    "{member}-byte {mode:?} members over {} bytes",
+                    text.len()
+                );
+            }
+        }
+    }
+    assert!(
+        frames(FastqFramer::new(cut.as_bytes()).map(|raw| raw.expect("in memory")))
+            .last()
+            .is_some_and(|(line, _, decoded)| *line == 11 && decoded.contains("UnexpectedEof"))
+    );
+}
+
+#[test]
+fn record_stage_passes_over_empty_members_and_the_eof_only_file() {
+    // The EOF marker alone is a valid, empty stream.
+    assert_eq!(BgzfFastqFramer::new(&BGZF_EOF[..]).count(), 0);
+
+    // Empty members between, before and after the data change nothing,
+    // even inside a record. (Stored ones: an empty fixed-Huffman member
+    // *is* the EOF marker, and ends the stream.)
+    let text = b"@r1\nACGT\n+\nIIII\n@r2\nTT\n+\nII\n";
+    let expected = frames(FastqFramer::new(&text[..]).map(|raw| raw.expect("in memory")));
+    let empty = bgzf_member(b"", BgzfMode::Stored);
+    for mode in [BgzfMode::Fixed, BgzfMode::Stored] {
+        let mut compressed = empty.clone();
+        for chunk in text.chunks(5) {
+            compressed.extend(bgzf_member(chunk, mode));
+            compressed.extend(&empty);
+        }
+        compressed.extend(BGZF_EOF);
+        let actual =
+            frames(BgzfFastqFramer::new(&compressed[..]).map(|raw| raw.expect("intact stream")));
+        assert_eq!(actual, expected, "{mode:?}");
+    }
+}
+
+#[test]
+fn record_stage_yields_earlier_records_then_the_error_then_nothing() {
+    // Member 1 of 3 is corrupt: the records completed by member 0 come
+    // out, then the named error, then the stage is fused — member 2 is
+    // never spliced onto a scanner that missed member 1.
+    let members: [&[u8]; 3] = [
+        b"@r1\nACGT\n+\nIIII\n@r2\nTT",
+        b"\n+\nII\n",
+        b"@r3\nG\n+\nI\n",
+    ];
+    let mut compressed = Vec::new();
+    let mut offsets = Vec::new();
+    for member in members {
+        offsets.push(compressed.len());
+        compressed.extend(bgzf_member(member, BgzfMode::Stored));
+    }
+    compressed.extend(BGZF_EOF);
+    // Stored member: 18 header bytes, 5 DEFLATE bytes, then the payload.
+    compressed[offsets[1] + 18 + 5] ^= 0x20;
+    let mut framer = BgzfFastqFramer::new(&compressed[..]);
+    let first = framer.next().expect("r1").expect("member 0 is intact");
+    assert_eq!(
+        first.decode(Ambiguity::Reject).expect("well-formed").id,
+        "r1"
+    );
+    let err = framer
+        .next()
+        .expect("the error")
+        .expect_err("member 1 is corrupt");
+    assert!(format!("{err:?}").starts_with("CrcMismatch"), "{err:?}");
+    assert!(framer.next().is_none());
+    assert!(framer.inflate_time() > std::time::Duration::ZERO);
 }
 
 proptest! {
