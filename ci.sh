@@ -69,7 +69,10 @@
 #                       sharded), then a live sharded daemon RELOADed onto
 #                       the delta store: the swap must take the dirty-shard
 #                       route (mode=delta, dirty < total), serve the new
-#                       epoch byte-identically, and fail nothing
+#                       epoch byte-identically, and fail nothing; then the
+#                       committed format-v1 store: inspects as v1, maps as
+#                       the v2 store of the same inputs, updates to v2, and
+#                       delta-reloads onto that child
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -784,6 +787,53 @@ incremental_index() {
              grep "reloads" "$d.serve.log" || true; return 1; }
     echo "  $(grep 'mode=delta' "$d.reload.log")"
     echo "  daemon: $(grep 'reloads:' "$d.serve.log")"
+    format_v1_compat
+}
+
+# Format compatibility leg: tests/fixtures/sgi_v1/v1.sgi is `index build
+# --buckets 8` of the ref.fa + base.vcf beside it, written by the last
+# binary that wrote format v1 (FNV-1a section checksums). It must inspect
+# as v1, map byte-identically to this build's v2 store of the same inputs,
+# update into a v2 child, and a sharded daemon booted on it must take the
+# delta route onto that child.
+format_v1_compat() {
+    local f=tests/fixtures/sgi_v1 c="$GATE_DIR/compat"
+    "$SEGRAM" index inspect --index "$f/v1.sgi" > "$c.inspect1" || return 1
+    grep -q "format v1" "$c.inspect1" && grep -q "fnv1a64" "$c.inspect1" \
+        || { echo "the v1 fixture does not inspect as format v1:"; cat "$c.inspect1"; return 1; }
+    "$SEGRAM" index build --reference "$f/ref.fa" --vcf "$f/base.vcf" --buckets 8 \
+        --output "$c-v2.sgi" > /dev/null || return 1
+    "$SEGRAM" map --index "$f/v1.sgi" --reads "$f/reads.fq" --both-strands --format sam \
+        --output "$c-v1.sam" > /dev/null || return 1
+    "$SEGRAM" map --index "$c-v2.sgi" --reads "$f/reads.fq" --both-strands --format sam \
+        --output "$c-v2.sam" > /dev/null || return 1
+    cmp "$c-v1.sam" "$c-v2.sam" \
+        || { echo "the v1 store maps differently from the v2 store of the same inputs"; return 1; }
+    "$SEGRAM" index update --index "$f/v1.sgi" --vcf "$f/delta.vcf" \
+        --output "$c-child.sgi" > /dev/null || return 1
+    "$SEGRAM" index inspect --index "$c-child.sgi" | grep -q "format v2" \
+        || { echo "index update of a v1 store did not write format v2"; return 1; }
+
+    "$SEGRAM" serve --index "$f/v1.sgi" --addr 127.0.0.1:0 --addr-file "$c.addr" \
+        --threads 2 --shards 2 --quiet > "$c.serve.log" 2>&1 &
+    local daemon=$! addr="" i
+    for i in $(seq 1 300); do
+        [ -s "$c.addr" ] && { addr="$(tr -d '\n' < "$c.addr")"; break; }
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "daemon never wrote $c.addr"
+                        kill "$daemon" 2> /dev/null || true; return 1; }
+    "$SEGRAM" request --addr "$addr" --reload "$c-child.sgi" > "$c.reload.log" \
+        || { echo "reload of the v2 child failed"
+             kill "$daemon" 2> /dev/null || true; return 1; }
+    "$SEGRAM" request --addr "$addr" --shutdown > /dev/null \
+        || { echo "shutdown request failed"
+             kill "$daemon" 2> /dev/null || true; return 1; }
+    wait "$daemon" || { echo "daemon exited non-zero"; return 1; }
+    grep -q "mode=delta" "$c.reload.log" \
+        || { echo "v1 parent -> v2 child did not take the delta route:"
+             cat "$c.reload.log"; return 1; }
+    echo "  format v1 fixture: maps as v2, updates to v2, $(grep -o 'mode=delta.*' "$c.reload.log")"
 }
 
 tier incremental-index incremental_index

@@ -9,14 +9,19 @@ use std::sync::Arc;
 use segram_core::{EngineOptions, MultiEngine, SegramConfig, SegramMapper};
 use segram_graph::DnaSeq;
 use segram_index::{decode_index, encode_index, frequency_threshold, GraphIndex, PersistedIndex};
+use segram_io::{fnv1a64, xxh64};
 use segram_sim::DatasetConfig;
 use segram_testkit::bench::{
     black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput,
 };
 
 fn setup() -> (Vec<DnaSeq>, SegramConfig, segram_sim::Dataset) {
+    setup_over(100_000)
+}
+
+fn setup_over(reference_len: usize) -> (Vec<DnaSeq>, SegramConfig, segram_sim::Dataset) {
     let dataset = DatasetConfig {
-        reference_len: 100_000,
+        reference_len,
         read_count: 32,
         long_read_len: 2_000,
         seed: 211,
@@ -45,13 +50,20 @@ fn persisted(config: SegramConfig, dataset: &segram_sim::Dataset) -> PersistedIn
 /// The cold-start trade the `.sgi` file exists to win: every `segram map
 /// --graph` run pays `GraphIndex::build`; `segram map --index` and
 /// `segram serve` pay `decode_index` instead (encode is the one-time
-/// `index build` cost).
+/// `index build` cost). At 100 kb the store is all fixed cost (the 2^16
+/// bucket array); the 8 Mbp group — the perf ledger's store size — is
+/// where the codec and the section checksum show, in MB/s of `.sgi`.
 fn bench_persist_round_trip(c: &mut Criterion) {
-    let (_, config, dataset) = setup();
+    persist_group(c, "persist_100kb", 100_000);
+    persist_group(c, "persist_8mbp", 8_000_000);
+}
+
+fn persist_group(c: &mut Criterion, name: &str, reference_len: usize) {
+    let (_, config, dataset) = setup_over(reference_len);
     let persisted = persisted(config, &dataset);
     let bytes = encode_index(&persisted);
 
-    let mut group = c.benchmark_group("persist_100kb");
+    let mut group = c.benchmark_group(name);
     group.sample_size(10);
     group.throughput(Throughput::Bytes(bytes.len() as u64));
     group.bench_function("rebuild_index", |b| {
@@ -72,6 +84,13 @@ fn bench_persist_round_trip(c: &mut Criterion) {
             let loaded = decode_index(black_box(&bytes)).expect("decode");
             black_box(loaded.index.footprint().total_bytes())
         })
+    });
+    // The v2 section checksum beside the v1 one it replaced.
+    group.bench_function("checksum_xxh64", |b| {
+        b.iter(|| black_box(xxh64(black_box(&bytes))))
+    });
+    group.bench_function("checksum_fnv1a64", |b| {
+        b.iter(|| black_box(fnv1a64(black_box(&bytes))))
     });
     group.finish();
 

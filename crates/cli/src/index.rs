@@ -195,7 +195,8 @@ pub(crate) fn index(options: &Options) -> Result<String, CliError> {
 
 const INDEX_BUILD_HELP: &str = "\
 segram index build — construct the graph and its minimizer index once,
-persist both to a versioned .sgi file (magic + section table + checksums)
+persist both to a versioned .sgi file (magic + section table + checksums;
+written as format v2, format v1 stores still load)
 
 `segram map --index ref.sgi` and `segram serve --index ref.sgi` load the
 file instead of re-running construction and indexing; a load round-trips
@@ -271,7 +272,8 @@ pub(crate) fn index_build(options: &Options) -> Result<String, CliError> {
         changelog: Some(changelog),
         provenance: Some(provenance),
     };
-    let bytes = write_index_file(&persisted, out_path).map_err(|e| CliError::index(out_path, e))?;
+    let (bytes, identity) =
+        write_index_file(&persisted, out_path).map_err(|e| CliError::index(out_path, e))?;
 
     let stats = persisted.graph.stats();
     let mut report = String::new();
@@ -298,11 +300,7 @@ pub(crate) fn index_build(options: &Options) -> Result<String, CliError> {
         report,
         "  frequency threshold {freq_threshold} (discard fraction {discard_frac})"
     );
-    let _ = writeln!(
-        report,
-        "  changelog: epoch 0, identity {:#018x}",
-        persisted.identity()
-    );
+    let _ = writeln!(report, "  changelog: epoch 0, identity {identity:#018x}");
     Ok(report)
 }
 
@@ -358,7 +356,7 @@ pub(crate) fn index_update(options: &Options) -> Result<String, CliError> {
 
     let outcome =
         update_store(&parent, &delta, vcf_path).map_err(|e| CliError::index(index_path, e))?;
-    let bytes =
+    let (bytes, identity) =
         write_index_file(&outcome.persisted, out_path).map_err(|e| CliError::index(out_path, e))?;
 
     let log = outcome
@@ -396,8 +394,8 @@ pub(crate) fn index_update(options: &Options) -> Result<String, CliError> {
     );
     let _ = writeln!(
         report,
-        "  identity {:#018x} (parent {:#018x})",
-        log.identity, log.parent
+        "  identity {identity:#018x} (parent {:#018x})",
+        log.parent
     );
     Ok(report)
 }
@@ -429,14 +427,20 @@ pub(crate) fn index_inspect(options: &Options) -> Result<String, CliError> {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "{path}: format v{INDEX_FORMAT_VERSION}, {} bytes",
+        "{path}: format v{}, {} bytes",
+        table.version,
         bytes.len()
     );
-    for section in &table {
+    for section in &table.sections {
         let _ = writeln!(
             report,
-            "  section {} ({}): {} bytes at {}, fnv1a64 {:#018x}",
-            section.id, section.name, section.len, section.offset, section.checksum
+            "  section {} ({}): {} bytes at {}, {} {:#018x}",
+            section.id,
+            section.name,
+            section.len,
+            section.offset,
+            table.checksum_name,
+            section.checksum
         );
     }
 

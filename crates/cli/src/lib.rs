@@ -35,3 +35,4 @@ mod simulate;
 pub use args::Options;
 pub use commands::{dispatch, USAGE};
 pub use error::CliError;
+pub use serve::serve_with_timeout;

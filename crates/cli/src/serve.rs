@@ -354,14 +354,39 @@ struct CountingReader<R> {
 
 impl<R: Read> Read for CountingReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
+        let n = self.inner.read(buf).map_err(|err| {
+            if timed_out(&err) {
+                std::io::Error::new(err.kind(), "timed out waiting for the payload")
+            } else {
+                err
+            }
+        })?;
         self.seen.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
 }
 
+/// How long the daemon waits on a client socket — for the next request
+/// byte, or for room to write a reply — before it drops the connection.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Whether a socket operation failed on the timeout set from
+/// [`Daemon::client_timeout`] (platforms differ on the kind).
+fn timed_out(err: &std::io::Error) -> bool {
+    matches!(
+        err.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
 /// `segram serve`.
 pub fn serve(options: &Options) -> Result<String, CliError> {
+    serve_with_timeout(options, CLIENT_TIMEOUT)
+}
+
+/// `segram serve` with a caller-chosen client socket timeout in place of
+/// the daemon's 30 s, so a test of stalled clients need not wait that long.
+pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result<String, CliError> {
     if options.switch("help") {
         return Ok(SERVE_HELP.to_owned());
     }
@@ -383,7 +408,6 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
     let shards = shard_count(options)?;
     let schedule = schedule_kind(options)?;
     let config = preset(options.get("preset").unwrap_or("short"))?;
-    let quiet = options.switch("quiet");
     // The shared builder `map` and the benches use too; `MultiEngine`
     // derives its own defaults from the zero fields.
     let engine_options = EngineOptions::new()
@@ -436,7 +460,13 @@ pub fn serve(options: &Options) -> Result<String, CliError> {
     let route = rebalancer.as_ref().map(|r| pool_route(Arc::clone(r)));
     let engine = MultiEngine::with_routing(backend, seq_of, engine_options, pools, route);
     run_daemon(
-        options, engine, index_path, boot_label, reload, quiet, rebalancer,
+        options,
+        engine,
+        index_path,
+        boot_label,
+        reload,
+        rebalancer,
+        client_timeout,
     )
 }
 
@@ -474,6 +504,10 @@ struct Daemon<'a> {
     active: &'a Mutex<(String, String)>,
     quiet: bool,
     stats: &'a ServeStats,
+    /// Read and write timeout set on every accepted stream: a client that
+    /// stalls mid-request or stops reading its reply is dropped after it
+    /// instead of holding its connection thread forever.
+    client_timeout: Duration,
 }
 
 /// The daemon proper: accept loop, per-connection handlers, lifetime
@@ -485,9 +519,10 @@ fn run_daemon(
     index_path: &str,
     boot_label: String,
     reload: impl Fn(&str, &Backend) -> Result<ReloadOutcome, CliError> + Send + Sync,
-    quiet: bool,
     rebalancer: Option<Arc<Mutex<Rebalancer>>>,
+    client_timeout: Duration,
 ) -> Result<String, CliError> {
+    let quiet = options.switch("quiet");
     let addr = options.get("addr").unwrap_or("127.0.0.1:0");
     let listener = TcpListener::bind(addr).map_err(|e| CliError::io(addr, e))?;
     let local = listener.local_addr().map_err(|e| CliError::io(addr, e))?;
@@ -514,6 +549,7 @@ fn run_daemon(
                 active: &active,
                 quiet,
                 stats: &stats,
+                client_timeout,
             };
             let stop = &stop;
             scope.spawn(move || {
@@ -596,6 +632,10 @@ fn handle_connection(stream: TcpStream, daemon: Daemon<'_>) -> Control {
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "<unknown>".to_owned());
+    let timeout = Some(daemon.client_timeout);
+    if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
+        return Control::Continue;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return Control::Continue;
     };
@@ -603,8 +643,14 @@ fn handle_connection(stream: TcpStream, daemon: Daemon<'_>) -> Control {
     let mut writer = BufWriter::new(stream);
 
     let mut header = String::new();
-    if reader.read_line(&mut header).is_err() || header.is_empty() {
-        return Control::Continue;
+    match reader.read_line(&mut header) {
+        Ok(n) if n > 0 => {}
+        Err(err) if timed_out(&err) => {
+            let _ = writeln!(writer, "ERR timed out waiting for the request line");
+            let _ = writer.flush();
+            return Control::Continue;
+        }
+        _ => return Control::Continue,
     }
     let header = header.trim_end();
     if header == "QUIT" {

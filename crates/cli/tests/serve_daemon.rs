@@ -2,13 +2,13 @@
 //! byte-parity against `map --graph`, named errors on corrupt `.sgi`
 //! files, and a live `segram serve` daemon driven through `segram
 //! request` — round trips, concurrency, mid-payload cancellation
-//! isolation, and shutdown.
+//! isolation, stalled-client timeouts, and shutdown.
 
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use segram_cli::{dispatch, CliError};
+use segram_cli::{dispatch, serve_with_timeout, CliError, Options};
 
 struct TempDir(PathBuf);
 
@@ -586,6 +586,247 @@ fn mid_flight_reload_is_zero_downtime_and_byte_identical() {
     );
     assert!(report.contains("queueing delay interactive:"), "{report}");
     assert!(report.contains("queueing delay normal:"), "{report}");
+}
+
+/// A client that stalls — mid request line or mid payload — is answered
+/// `ERR` and dropped once the socket timeout passes, instead of holding
+/// its connection thread for good; clients that behave are served while
+/// the stalled ones are still waiting, and `QUIT` still ends the daemon.
+#[test]
+fn stalled_clients_are_dropped_after_the_timeout_while_others_are_served() {
+    use std::io::{Read, Write};
+
+    let dir = TempDir::new("stall");
+    let (prefix, sgi) = build_bundle(&dir);
+    let reads = format!("{prefix}.fq");
+    let want = dir.path("want.sam");
+    run(&[
+        "map", "--index", &sgi, "--reads", &reads, "--format", "sam", "--output", &want,
+    ])
+    .expect("one-shot map --index");
+
+    let addr_file = dir.path("addr");
+    let serve_args: Vec<String> = [
+        "--index",
+        &sgi,
+        "--addr",
+        "127.0.0.1:0",
+        "--addr-file",
+        &addr_file,
+        "--threads",
+        "2",
+        "--quiet",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    // The daemon `segram serve` runs, with its 30 s shortened.
+    let timeout = Duration::from_millis(1500);
+    let server = std::thread::spawn(move || {
+        serve_with_timeout(&Options::parse(&serve_args).expect("options"), timeout)
+    });
+    let addr = wait_for_addr(&addr_file);
+
+    let payload = fs::read(&reads).unwrap();
+    let header = format!("MAP/2 {} fmt=sam\n", payload.len());
+    let stalled_at = Instant::now();
+    let mut mid_header = std::net::TcpStream::connect(&addr).expect("connect");
+    mid_header
+        .write_all(&header.as_bytes()[..header.len() / 2])
+        .expect("half a request line");
+    let mut mid_payload = std::net::TcpStream::connect(&addr).expect("connect");
+    mid_payload.write_all(header.as_bytes()).expect("header");
+    mid_payload
+        .write_all(&payload[..payload.len() / 2])
+        .expect("half a payload");
+
+    // A well-behaved client is served meanwhile, byte-identically.
+    let got = dir.path("got.sam");
+    run(&[
+        "request", "--addr", &addr, "--reads", &reads, "--format", "sam", "--output", &got,
+    ])
+    .expect("request beside the stalled clients");
+    assert_eq!(fs::read(&want).unwrap(), fs::read(&got).unwrap());
+
+    // Each stalled client gets its ERR line, then end of stream: the
+    // daemon let go of the connection, and not before the timeout.
+    let mut reply = String::new();
+    mid_header.read_to_string(&mut reply).expect("reply");
+    assert_eq!(reply, "ERR timed out waiting for the request line\n");
+    reply.clear();
+    mid_payload.read_to_string(&mut reply).expect("reply");
+    assert!(
+        reply.starts_with("ERR ") && reply.contains("timed out waiting for the payload"),
+        "{reply:?}"
+    );
+    assert!(stalled_at.elapsed() >= timeout, "dropped early");
+
+    run(&["request", "--addr", &addr, "--shutdown"]).expect("shutdown");
+    let report = server
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
+    assert!(
+        report.contains("served 1 requests (1 cancelled by clients, 0 refused busy, 0 failed)"),
+        "{report}"
+    );
+}
+
+/// The committed store the last format-v1 binary wrote (`index build
+/// --buckets 8` of the `ref.fa` + `base.vcf` beside it) is a first-class
+/// store to this build: it inspects as v1, maps byte-identically to the
+/// v2 store of the same inputs, updates into a v2 child that names it as
+/// parent, and a sharded daemon booted on it delta-reloads that child.
+#[test]
+fn a_format_v1_store_maps_updates_and_delta_reloads() {
+    let fixture = |name: &str| {
+        format!(
+            "{}/../../tests/fixtures/sgi_v1/{name}",
+            env!("CARGO_MANIFEST_DIR")
+        )
+    };
+    let (v1, reads) = (fixture("v1.sgi"), fixture("reads.fq"));
+    let dir = TempDir::new("v1-compat");
+
+    let inspect_v1 = run(&["index", "inspect", "--index", &v1]).expect("inspect v1");
+    assert!(inspect_v1.contains("format v1"), "{inspect_v1}");
+    assert!(
+        inspect_v1.contains("(graph): 684 bytes at 128, fnv1a64 "),
+        "{inspect_v1}"
+    );
+    let v1_identity = "0xc05126ff82c963b6";
+    assert!(
+        inspect_v1.contains(&format!("changelog: epoch 0, identity {v1_identity}")),
+        "{inspect_v1}"
+    );
+
+    let v2 = dir.path("v2.sgi");
+    let built = run(&[
+        "index",
+        "build",
+        "--reference",
+        &fixture("ref.fa"),
+        "--vcf",
+        &fixture("base.vcf"),
+        "--buckets",
+        "8",
+        "--output",
+        &v2,
+    ])
+    .expect("index build v2");
+    assert!(built.contains("format v2"), "{built}");
+    let inspect_v2 = run(&["index", "inspect", "--index", &v2]).expect("inspect v2");
+    assert!(
+        inspect_v2.contains("(graph): 684 bytes at 128, xxh64 "),
+        "{inspect_v2}"
+    );
+
+    let map = |index: &str, shards: &str, format: &str, name: &str| {
+        let out = dir.path(name);
+        run(&[
+            "map",
+            "--index",
+            index,
+            "--reads",
+            &reads,
+            "--both-strands",
+            "--format",
+            format,
+            "--shards",
+            shards,
+            "--output",
+            &out,
+        ])
+        .expect("map --index");
+        fs::read(&out).unwrap()
+    };
+    for (shards, format) in [("1", "sam"), ("1", "gaf"), ("2", "sam")] {
+        let from_v1 = map(&v1, shards, format, "from-v1");
+        assert!(from_v1.len() > 800, "the fixture reads map");
+        assert_eq!(
+            from_v1,
+            map(&v2, shards, format, "from-v2"),
+            "{format} at --shards {shards} differs between the v1 and v2 stores"
+        );
+    }
+
+    let child = dir.path("child.sgi");
+    let updated = run(&[
+        "index",
+        "update",
+        "--index",
+        &v1,
+        "--vcf",
+        &fixture("delta.vcf"),
+        "--output",
+        &child,
+    ])
+    .expect("index update of a v1 store");
+    assert!(
+        updated.contains(&format!("(parent {v1_identity})")),
+        "{updated}"
+    );
+    let inspect_child = run(&["index", "inspect", "--index", &child]).expect("inspect child");
+    assert!(inspect_child.contains("format v2"), "{inspect_child}");
+    assert!(
+        inspect_child.contains(&format!("parent {v1_identity}")),
+        "{inspect_child}"
+    );
+    // The child of the v2 twin holds the same payloads, so it maps alike.
+    let twin_child = dir.path("twin-child.sgi");
+    run(&[
+        "index",
+        "update",
+        "--index",
+        &v2,
+        "--vcf",
+        &fixture("delta.vcf"),
+        "--output",
+        &twin_child,
+    ])
+    .expect("index update of the v2 store");
+    let want_child = map(&child, "2", "sam", "want-child");
+    assert_eq!(want_child, map(&twin_child, "2", "sam", "want-twin-child"));
+
+    let addr_file = dir.path("addr");
+    let serve_args: Vec<String> = [
+        "serve",
+        "--index",
+        &v1,
+        "--shards",
+        "2",
+        "--both-strands",
+        "--addr",
+        "127.0.0.1:0",
+        "--addr-file",
+        &addr_file,
+        "--threads",
+        "2",
+        "--quiet",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let server = std::thread::spawn(move || dispatch(&serve_args));
+    let addr = wait_for_addr(&addr_file);
+    let request = |name: &str| {
+        let out = dir.path(name);
+        run(&[
+            "request", "--addr", &addr, "--reads", &reads, "--format", "sam", "--output", &out,
+        ])
+        .expect("request");
+        fs::read(&out).unwrap()
+    };
+    assert_eq!(request("served-v1"), map(&v1, "2", "sam", "want-v1"));
+    let reloaded = run(&["request", "--addr", &addr, "--reload", &child]).expect("reload");
+    assert!(reloaded.contains("mode=delta epoch=1"), "{reloaded}");
+    assert_eq!(request("served-child"), want_child);
+    run(&["request", "--addr", &addr, "--shutdown"]).expect("shutdown");
+    let report = server
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
+    assert!(report.contains("1 delta, 0 full"), "{report}");
 }
 
 #[test]

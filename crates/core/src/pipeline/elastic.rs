@@ -35,7 +35,9 @@
 //!   ([`ShardRouter::route_hits`](super::ShardRouter::route_hits)), a
 //!   strict majority of the batch's seed hits routes it to that group's
 //!   pool; anything that straddles groups (or hits nothing) *spills* to
-//!   the pool with the shortest live queue.
+//!   the pool with the shortest live queue, and so does a batch whose
+//!   pool's queue is full while another has room (the loop's rule: one
+//!   producer feeds every pool, so it must not wait on one of them).
 //! * **Rebalance** — a [`Rebalancer`] watches the live per-shard seed-hit
 //!   counters ([`ShardStats`](crate::ShardStats), the signal behind
 //!   [`ShardedIndex::seed_imbalance`]) and migrates shard ownership

@@ -10,8 +10,9 @@
 //!
 //! One loop, two schedules. [`MapEngine::map_routed_stream`] runs
 //! `pools >= 1` bounded queues: worker `w` serves queue `w % pools`, and a
-//! producer-side `route` hook names the queue of each batch (`None` spills
-//! it to the shortest one). The *fanout* schedule is `pools = 1`
+//! producer-side `route` hook names the queue of each batch (`None`, or a
+//! named queue that is full while another has room, spills it to the
+//! shortest one). The *fanout* schedule is `pools = 1`
 //! ([`MapEngine::map_raw_stream`] and its wrappers); the *elastic*
 //! schedule ([`ElasticScheduler`](super::ElasticScheduler)) is a routing
 //! policy over this same loop — it owns no thread, queue or reorder buffer
@@ -560,8 +561,8 @@ pub struct PoolReport {
     pub batches: u64,
     /// Batches the route hook sent here.
     pub routed: u64,
-    /// Batches that spilled here (the hook declined; this was the
-    /// shortest queue).
+    /// Batches that spilled here (the hook declined, or named a full
+    /// queue; this was the shortest queue).
     pub spilled: u64,
     /// This pool's input-queue depth/wait counters (`producer_*` = the
     /// routing producer blocked on this pool's full queue, `worker_*` =
@@ -666,7 +667,11 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
     /// The stream loop. Streams *undecoded* items through `pools` bounded
     /// queues: the calling thread (the producer) slices `raw` into batches
     /// and asks `route` which pool's queue each batch joins — `None`, or an
-    /// index outside `0..pools`, spills it to the currently shortest queue.
+    /// index outside `0..pools`, spills it to the currently shortest queue,
+    /// and so does a queue that is full while another has room: the one
+    /// producer never waits on one pool while a second runs dry, so a run of
+    /// batches for one pool (or a lopsided `route`) costs affinity, not
+    /// workers.
     /// Worker `w` serves queue `w % pools` (`pools` is clamped to
     /// `1..=threads` so every queue has a worker). `decode` runs in the
     /// worker stage ahead of seeding (timed into [`MapStats::decode`]), and
@@ -984,22 +989,27 @@ impl<'m, M: ReadMapper> MapEngine<'m, M> {
                 if batch.is_empty() {
                     break;
                 }
-                let queue = match route(&batch).filter(|&pool| pool < pools) {
-                    Some(pool) => {
+                // A route is a preference: it holds while its queue has
+                // room. A full queue is an overloaded pool, and waiting on
+                // it would starve every other pool of its supply (one
+                // producer feeds them all), so the batch spills instead.
+                // Only with every queue full does the producer wait.
+                let lens: Vec<usize> = queues.iter().map(WorkQueue::len).collect();
+                let shortest = (0..pools)
+                    .min_by_key(|&pool| lens[pool])
+                    .expect("at least one pool");
+                let has_room = |pool: usize| lens[pool] < queue_depth;
+                let pool = match route(&batch).filter(|&pool| pool < pools) {
+                    Some(pool) if has_room(pool) || !has_room(shortest) => {
                         pool_routed[pool] += 1;
-                        &queues[pool]
+                        pool
                     }
-                    None => {
-                        let (pool, shortest) = queues
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, queue)| queue.len())
-                            .expect("at least one pool");
-                        pool_spilled[pool] += 1;
+                    _ => {
+                        pool_spilled[shortest] += 1;
                         shortest
                     }
                 };
-                queue.push((produced, batch));
+                queues[pool].push((produced, batch));
                 produced += 1;
             }
             close_all(&queues);
@@ -1731,6 +1741,51 @@ mod tests {
             report.queue.park_waits > 0,
             report.queue.park_wait > Duration::ZERO
         );
+    }
+
+    #[test]
+    fn a_full_pool_spills_instead_of_holding_the_producer() {
+        // Every batch is routed to pool 0, whose worker cannot finish its
+        // first batch until the route hook has been asked about the
+        // fourth. By then pool 0 holds a batch in its worker and two in
+        // its two-slot queue, so the fourth batch at the latest must go to
+        // pool 1 rather than keep the producer waiting on pool 0.
+        let (dataset, mapper) = setup();
+        let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
+        assert!(reads.len() >= 8);
+        let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
+        let asked = AtomicUsize::new(0);
+        let config = EngineOptions::new().threads(2).batch_size(1).queue_depth(2);
+        let mut outcomes = Vec::new();
+        let report = MapEngine::new(&mapper, config).map_routed_stream(
+            reads.iter(),
+            |read| {
+                while asked.load(Ordering::SeqCst) < 4 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Some(read)
+            },
+            |read| *read,
+            |_, outcome| outcomes.push(outcome),
+            2,
+            |_| {
+                asked.fetch_add(1, Ordering::SeqCst);
+                Some(0)
+            },
+        );
+        assert!(report.spilled() >= 1, "{:?}", report.pools);
+        assert_eq!(report.spilled(), report.pools[1].spilled);
+        assert!(report.pools[1].batches >= 1, "{:?}", report.pools);
+        assert_eq!(report.routed() + report.spilled(), reads.len() as u64);
+        // Where a batch ran is not visible in what comes out, or in which
+        // order.
+        assert_eq!(outcomes.len(), base.len());
+        for (a, b) in base.iter().zip(&outcomes) {
+            assert_eq!(
+                a.mapping.as_ref().map(|m| m.linear_start),
+                b.mapping.as_ref().map(|m| m.linear_start)
+            );
+        }
     }
 
     #[test]

@@ -227,7 +227,9 @@ impl<'g, S: Seeder, P: Prefilter, A: Aligner> MapPipeline<'g, S, P, A> {
             let Some((alignment, lin)) = outcome else {
                 continue;
             };
-            let linear_start = window_start + alignment.text_start as u64;
+            // From the kept attempt's own window: the loop may have
+            // widened `window_start` past it since.
+            let linear_start = lin.start_linear() + alignment.text_start as u64;
             let candidate = Mapping {
                 start: lin.origin(alignment.text_start.min(lin.len() - 1)),
                 linear_start,
@@ -339,6 +341,34 @@ mod tests {
             let (b, _) = pipeline.map_read(&read.seq);
             assert_eq!(a, b);
         }
+    }
+
+    /// An outcome kept from an attempt the loop then widened past must
+    /// still be reported in that attempt's own window: `POS` and the
+    /// tie-break key are where its path starts.
+    #[test]
+    fn linear_start_is_where_the_kept_alignments_path_starts() {
+        let reference = segram_sim::generate_reference(&segram_sim::GenomeConfig {
+            repeat_count: 0,
+            ..segram_sim::GenomeConfig::human_like(20_000, 17)
+        });
+        let graph = segram_graph::linear_graph(&reference, 1_000).unwrap();
+        let mapper = SegramMapper::new(graph, SegramConfig::short_reads());
+        // 150 bp: an alignment is accepted up to k = 17 edits but counts as
+        // plausible only up to 16, so 17 substitutions (all in the first
+        // half; the second half seeds) survive every widening attempt.
+        let mut bases = reference.slice(5_000, 5_150).into_bases();
+        for base in bases.iter_mut().step_by(4).take(17) {
+            *base = base.complement();
+        }
+        let (mapping, _) = mapper.map_read(&DnaSeq::from(bases));
+        let mapping = mapping.expect("17 edits are within the threshold");
+        assert_eq!(mapping.alignment.edit_distance, 17);
+        assert_eq!(
+            mapping.linear_start,
+            mapper.graph().linear_pos(mapping.start).unwrap()
+        );
+        assert_eq!(mapping.linear_start, 5_000);
     }
 
     #[test]

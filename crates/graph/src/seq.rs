@@ -122,7 +122,59 @@ impl DnaSeq {
     pub fn into_bases(self) -> Vec<Base> {
         self.bases
     }
+
+    /// Appends the 2-bit packed form to `out`: four bases per byte, low
+    /// bits first, the last byte zero-padded — the paper's reference
+    /// representation (Section 5), shared by [`PackedSeq`] and the `.sgi`
+    /// store.
+    pub fn pack_into(&self, out: &mut Vec<u8>) {
+        let quads = self.bases.chunks_exact(4);
+        let tail = quads.remainder();
+        out.reserve(self.bases.len().div_ceil(4));
+        out.extend(
+            quads.map(|q| q[0].code() | q[1].code() << 2 | q[2].code() << 4 | q[3].code() << 6),
+        );
+        if !tail.is_empty() {
+            out.push(
+                tail.iter()
+                    .enumerate()
+                    .fold(0, |byte, (i, base)| byte | base.code() << (2 * i)),
+            );
+        }
+    }
+
+    /// Unpacks the first `len` bases of a 2-bit packed buffer (the inverse
+    /// of [`Self::pack_into`]), a byte — four bases — per table lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `packed` holds fewer than `len` bases.
+    pub fn from_packed(packed: &[u8], len: usize) -> DnaSeq {
+        assert!(len <= packed.len() * 4, "packed buffer shorter than len");
+        let packed = &packed[..len.div_ceil(4)];
+        let mut bases = vec![Base::A; packed.len() * 4];
+        for (quad, &byte) in bases.chunks_exact_mut(4).zip(packed) {
+            quad.copy_from_slice(&UNPACKED[byte as usize]);
+        }
+        bases.truncate(len);
+        DnaSeq { bases }
+    }
 }
+
+/// The four bases each packed byte value holds, low bits first.
+const UNPACKED: [[Base; 4]; 256] = {
+    let mut table = [[Base::A; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut i = 0;
+        while i < 4 {
+            table[byte][i] = Base::from_code_masked((byte >> (2 * i)) as u8);
+            i += 1;
+        }
+        byte += 1;
+    }
+    table
+};
 
 impl From<Vec<Base>> for DnaSeq {
     fn from(bases: Vec<Base>) -> Self {
@@ -223,14 +275,12 @@ impl PackedSeq {
 
     /// Packs an unpacked sequence.
     pub fn from_seq(seq: &DnaSeq) -> Self {
-        let mut packed = Self {
-            words: vec![0u8; seq.len().div_ceil(4)],
+        let mut words = Vec::new();
+        seq.pack_into(&mut words);
+        Self {
+            words,
             len: seq.len(),
-        };
-        for (i, base) in seq.iter().enumerate() {
-            packed.set(i, base);
         }
-        packed
     }
 
     /// Number of bases stored.
@@ -275,9 +325,7 @@ impl PackedSeq {
 
     /// Unpacks into a [`DnaSeq`].
     pub fn unpack(&self) -> DnaSeq {
-        (0..self.len)
-            .map(|i| self.get(i).expect("index < len"))
-            .collect()
+        DnaSeq::from_packed(&self.words, self.len)
     }
 
     /// Iterates over the stored bases.

@@ -197,34 +197,18 @@ impl GraphIndex {
     /// # Panics
     ///
     /// Panics when `boundaries` has fewer than two entries, is not
-    /// ascending, or when a location's linear coordinate cannot be
-    /// resolved against `graph` (i.e. `graph` is not the graph this index
-    /// was built from).
+    /// ascending, or when a location does not resolve against `graph`
+    /// (i.e. `graph` is not the graph this index was built from).
     pub fn split_by_ranges(&self, graph: &GenomeGraph, boundaries: &[u64]) -> Vec<GraphIndex> {
-        assert!(boundaries.len() >= 2, "need at least one shard range");
-        assert!(
-            boundaries.windows(2).all(|w| w[0] <= w[1]),
-            "shard boundaries must be ascending"
-        );
-        let shards = boundaries.len() - 1;
-        let mut raw: Vec<Vec<(u64, GraphPos)>> = vec![Vec::new(); shards];
-        for entry in &self.minimizers {
-            let locs = &self.locations[entry.loc_start as usize..][..entry.loc_count as usize];
-            for &loc in locs {
-                let linear = graph
-                    .linear_pos(loc)
-                    .expect("index location must resolve against its own graph");
-                // partition_point: first boundary > linear, minus one =
-                // owning shard; coordinates past the last cut stay in the
-                // final shard so a short `boundaries` never loses seeds.
-                let shard = boundaries[1..boundaries.len() - 1]
-                    .partition_point(|&b| b <= linear)
-                    .min(shards - 1);
-                raw[shard].push((entry.hash, loc));
-            }
+        let owner = shard_owner(graph, boundaries);
+        let mut raw: Vec<Vec<(u64, GraphPos)>> = vec![Vec::new(); boundaries.len() - 1];
+        for (hash, loc) in self.seeds() {
+            raw[owner(loc)].push((hash, loc));
         }
+        // A filter of the `(bucket, hash, location)`-ordered walk keeps
+        // that order: no shard needs a re-sort.
         raw.into_iter()
-            .map(|r| Self::from_raw(self.scheme, self.bucket_bits, r))
+            .map(|r| Self::from_sorted(self.scheme, self.bucket_bits, r))
             .collect()
     }
 
@@ -244,25 +228,20 @@ impl GraphIndex {
         boundaries: &[u64],
         shard: usize,
     ) -> GraphIndex {
-        assert!(boundaries.len() >= 2, "need at least one shard range");
+        let owner = shard_owner(graph, boundaries);
         let shards = boundaries.len() - 1;
         assert!(shard < shards, "shard {shard} out of {shards}");
-        let mut raw: Vec<(u64, GraphPos)> = Vec::new();
-        for entry in &self.minimizers {
-            let locs = &self.locations[entry.loc_start as usize..][..entry.loc_count as usize];
-            for &loc in locs {
-                let linear = graph
-                    .linear_pos(loc)
-                    .expect("index location must resolve against its own graph");
-                let owner = boundaries[1..boundaries.len() - 1]
-                    .partition_point(|&b| b <= linear)
-                    .min(shards - 1);
-                if owner == shard {
-                    raw.push((entry.hash, loc));
-                }
-            }
-        }
-        Self::from_raw(self.scheme, self.bucket_bits, raw)
+        let raw = self.seeds().filter(|&(_, loc)| owner(loc) == shard);
+        Self::from_sorted(self.scheme, self.bucket_bits, raw.collect())
+    }
+
+    /// Every `(hash, location)` pair in `(bucket, hash, location)` order.
+    fn seeds(&self) -> impl Iterator<Item = (u64, GraphPos)> + '_ {
+        self.minimizers.iter().flat_map(|entry| {
+            self.locations[entry.loc_start as usize..][..entry.loc_count as usize]
+                .iter()
+                .map(|&loc| (entry.hash, loc))
+        })
     }
 
     /// Incrementally maintains the index across a graph delta: carried
@@ -415,6 +394,41 @@ impl GraphIndex {
     }
 }
 
+/// The shard that owns each location under [`GraphIndex::split_by_ranges`]'s
+/// rule — the range `[boundaries[s], boundaries[s + 1])` its linear
+/// coordinate falls in, coordinates past the last cut staying in the final
+/// shard. The owner is resolved once per *node*; only a location on a node
+/// that straddles a cut pays the per-location search.
+fn shard_owner<'a>(
+    graph: &'a GenomeGraph,
+    boundaries: &'a [u64],
+) -> impl Fn(GraphPos) -> usize + 'a {
+    assert!(boundaries.len() >= 2, "need at least one shard range");
+    assert!(
+        boundaries.windows(2).all(|w| w[0] <= w[1]),
+        "shard boundaries must be ascending"
+    );
+    let cuts = &boundaries[1..boundaries.len() - 1];
+    let of_linear = move |linear: u64| cuts.partition_point(|&b| b <= linear);
+    let of_node: Vec<Option<u32>> = graph
+        .node_ids()
+        .map(|node| {
+            let first = graph.char_start(node);
+            let owner = of_linear(first);
+            let last = first + graph.node_len(node) as u64 - 1;
+            (of_linear(last) == owner).then_some(owner as u32)
+        })
+        .collect();
+    move |loc| match of_node[loc.node.index()] {
+        Some(owner) => owner as usize,
+        None => of_linear(
+            graph
+                .linear_pos(loc)
+                .expect("index location must resolve against its own graph"),
+        ),
+    }
+}
+
 /// Equal-width coordinate cut points for `shards` shards over a graph of
 /// `total_chars` linear characters: `shards + 1` ascending boundaries with
 /// the remainder spread over the leading shards, suitable for
@@ -489,7 +503,7 @@ mod tests {
     use super::*;
     use crate::minimizer::extract_minimizers;
     use segram_graph::{build_graph, linear_graph, Variant};
-    use segram_graph::{DnaSeq, GenomeGraph};
+    use segram_graph::{DnaSeq, GenomeGraph, NodeId};
 
     fn lcg_seq(len: usize, seed: u64) -> DnaSeq {
         let mut state = seed;
@@ -677,6 +691,64 @@ mod tests {
                 let mut expected = index.locations(e.hash).to_vec();
                 expected.sort();
                 assert_eq!(merged, expected);
+            }
+        }
+    }
+
+    /// The partition as it was computed before the per-node owner: every
+    /// location searched against the cuts, every shard re-sorted.
+    fn split_reference(index: &GraphIndex, graph: &GenomeGraph, bounds: &[u64]) -> Vec<GraphIndex> {
+        let shards = bounds.len() - 1;
+        let mut raw: Vec<Vec<(u64, GraphPos)>> = vec![Vec::new(); shards];
+        for entry in &index.minimizers {
+            let locs = &index.locations[entry.loc_start as usize..][..entry.loc_count as usize];
+            for &loc in locs {
+                let linear = graph.linear_pos(loc).unwrap();
+                let shard = bounds[1..shards]
+                    .partition_point(|&b| b <= linear)
+                    .min(shards - 1);
+                raw[shard].push((entry.hash, loc));
+            }
+        }
+        raw.into_iter()
+            .map(|r| GraphIndex::from_raw(index.scheme, index.bucket_bits, r))
+            .collect()
+    }
+
+    #[test]
+    fn split_and_extract_equal_the_resorting_reference_when_cuts_cross_nodes() {
+        let graph = test_graph();
+        let index = GraphIndex::build(&graph, MinimizerScheme::new(5, 11), 10);
+        let total = graph.total_chars();
+        // A cut one past the start of a multi-character node lands
+        // strictly inside it (asserted below); the doubled cut makes an
+        // empty shard, the short list leaves a tail past the last cut.
+        let inside = |n: u32| graph.char_start(NodeId(n)) + 1;
+        let last = graph.node_count() as u32 - 1;
+        for bounds in [
+            vec![0, inside(0), inside(7), inside(last), total],
+            vec![0, inside(3), inside(3), total],
+            vec![0, total / 3, total / 2],
+            shard_boundaries(total, 7),
+        ] {
+            assert!(bounds[1..bounds.len() - 1].iter().any(|&cut| graph
+                .graph_pos(cut)
+                .unwrap()
+                .offset
+                > 0));
+            let want = split_reference(&index, &graph, &bounds);
+            let split = index.split_by_ranges(&graph, &bounds);
+            assert_eq!(split.len(), want.len());
+            for (i, want) in want.iter().enumerate() {
+                let alone = index.extract_shard(&graph, &bounds, i);
+                for got in [&split[i], &alone] {
+                    assert_eq!(
+                        got.bucket_starts, want.bucket_starts,
+                        "{bounds:?} shard {i}"
+                    );
+                    assert_eq!(got.minimizers, want.minimizers, "{bounds:?} shard {i}");
+                    assert_eq!(got.locations, want.locations, "{bounds:?} shard {i}");
+                }
             }
         }
     }

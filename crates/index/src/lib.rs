@@ -51,7 +51,7 @@ pub use minseed::{
 };
 pub use persist::{
     decode_index, encode_index, read_index_file, section_table, write_index_file, EpochEntry,
-    IndexProvenance, PersistError, PersistedIndex, SectionEntry, StoreChangelog, CHANGELOG_VERSION,
-    INDEX_FORMAT_VERSION, INDEX_MAGIC, PROVENANCE_VERSION,
+    IndexProvenance, PersistError, PersistedIndex, SectionEntry, SectionTable, StoreChangelog,
+    CHANGELOG_VERSION, INDEX_FORMAT_VERSION, INDEX_MAGIC, PROVENANCE_VERSION,
 };
 pub use update::{initial_changelog, update_store, UpdateOutcome};

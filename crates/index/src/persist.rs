@@ -10,8 +10,11 @@
 //! the discard fraction it was derived from).
 //!
 //! Layout: an 8-byte magic, a format version, and a section table
-//! (`id / offset / length / FNV-1a checksum` per section) followed by the
-//! section payloads. Everything is little-endian via the bounds-checked
+//! (`id / offset / length / checksum` per section) followed by the section
+//! payloads. The version names the section checksum and nothing else:
+//! version 2 (what this build writes) records XXH64, version 1 recorded
+//! FNV-1a, and every payload byte is the same under both — one decoder
+//! reads either. Everything is little-endian via the bounds-checked
 //! [`segram_io::ByteReader`] primitives, so **loading never panics** on
 //! truncated or corrupt input — every failure mode maps to a named
 //! [`PersistError`] variant, and a loaded index additionally passes the
@@ -27,15 +30,17 @@ use std::path::Path;
 use segram_graph::{
     Base, DnaSeq, GenomeGraph, GraphBuilder, GraphPos, NodeId, Variant, VariantKind, VariantSet,
 };
-use segram_io::{fnv1a64, BinError, ByteReader, ByteWriter};
+use segram_io::{fnv1a64, xxh64, BinError, ByteReader, ByteWriter};
 
 use crate::index::{GraphIndex, MinimizerEntry};
 use crate::minimizer::{KmerOrdering, MinimizerScheme};
 
 /// The 8-byte magic at the start of every `.sgi` file.
 pub const INDEX_MAGIC: [u8; 8] = *b"SGRMIDX\0";
-/// Current format version; bumped on any incompatible layout change.
-pub const INDEX_FORMAT_VERSION: u32 = 1;
+/// The format version this build writes; bumped on any incompatible
+/// layout change. Version 1 stores (same payloads, FNV-1a section
+/// checksums) still load.
+pub const INDEX_FORMAT_VERSION: u32 = 2;
 /// Version of the CHANGELOG section payload (independent of the file
 /// format version: unknown *sections* are skipped by old readers, the
 /// changelog's own layout is versioned here).
@@ -82,22 +87,26 @@ pub struct PersistedIndex {
 impl PersistedIndex {
     /// The store identity: a checksum over the graph and index payloads
     /// that names this exact store in the epoch chain. Taken from the
-    /// verified changelog when it has been stamped, recomputed otherwise
-    /// (legacy stores and freshly built ones that have not been encoded).
+    /// verified changelog when it has been stamped; a store that has not
+    /// been through [`encode_index`] yet (or predates the changelog) pays
+    /// an encode of both payloads for it — [`write_index_file`] returns
+    /// the identity it stamped so a caller about to write never has to.
     pub fn identity(&self) -> u64 {
         match &self.changelog {
             Some(log) if log.identity != 0 => log.identity,
-            _ => computed_identity(&self.graph, &self.index),
+            _ => {
+                let checksum = |encode: &dyn Fn(&mut ByteWriter)| {
+                    let mut w = ByteWriter::new();
+                    encode(&mut w);
+                    xxh64(&w.into_bytes())
+                };
+                store_identity(
+                    checksum(&|w| encode_graph(w, &self.graph)),
+                    checksum(&|w| encode_hash_index(w, &self.index)),
+                )
+            }
         }
     }
-}
-
-/// The identity a store with these payloads would be stamped with.
-pub(crate) fn computed_identity(graph: &GenomeGraph, index: &GraphIndex) -> u64 {
-    store_identity(
-        fnv1a64(&encode_graph(graph)),
-        fnv1a64(&encode_hash_index(index)),
-    )
 }
 
 /// Provenance recorded at build/update time (the META section extension).
@@ -162,7 +171,7 @@ pub struct EpochEntry {
 }
 
 /// The identity checksum binding a changelog to the graph/index payloads
-/// it describes, from the two payloads' fnv1a64 section checksums (a
+/// it describes, from the two payloads' recorded section checksums (a
 /// loader has just verified them, so it hashes no payload twice).
 fn store_identity(graph_checksum: u64, index_checksum: u64) -> u64 {
     let mut w = ByteWriter::new();
@@ -231,7 +240,7 @@ impl fmt::Display for PersistError {
             Self::UnsupportedVersion { found } => write!(
                 f,
                 "unsupported index format version {found} (this build reads \
-                 version {INDEX_FORMAT_VERSION})"
+                 versions 1 to {INDEX_FORMAT_VERSION})"
             ),
             Self::Truncated { offset } => {
                 write!(f, "index file truncated at byte {offset}")
@@ -326,42 +335,53 @@ fn corrupt(section: &'static str, detail: impl Into<String>) -> PersistError {
 /// # Ok::<(), segram_graph::GraphError>(())
 /// ```
 pub fn encode_index(persisted: &PersistedIndex) -> Vec<u8> {
-    let graph_payload = encode_graph(&persisted.graph);
-    let index_payload = encode_hash_index(&persisted.index);
-    let identity = store_identity(fnv1a64(&graph_payload), fnv1a64(&index_payload));
-    let mut sections = vec![
-        (SECTION_GRAPH, graph_payload),
-        (SECTION_INDEX, index_payload),
-        (SECTION_META, encode_meta(persisted)),
-    ];
-    if let Some(log) = &persisted.changelog {
-        // The identity names the payloads the changelog travels with, so
-        // it is stamped here from the actual encoded bytes — callers
-        // leave `identity` fields 0 on the entry they append.
-        let mut log = log.clone();
-        log.identity = identity;
-        if let Some(last) = log.history.last_mut() {
-            last.identity = identity;
-        }
-        sections.push((SECTION_CHANGELOG, encode_changelog(&log)));
-    }
+    encode_stamped(persisted).0
+}
+
+/// [`encode_index`] plus the store identity it stamped. Every payload is
+/// encoded once, straight into the file's one buffer, and hashed once: the
+/// identity is derived from the same two checksums the section table
+/// records.
+fn encode_stamped(persisted: &PersistedIndex) -> (Vec<u8>, u64) {
+    let section_count = 3 + usize::from(persisted.changelog.is_some());
+    let header_len = 8 + 4 + 4 + section_count * TABLE_ENTRY_BYTES;
+    let mut w = ByteWriter::new();
+    w.put_bytes(&vec![0; header_len]);
     let mut header = ByteWriter::new();
     header.put_bytes(&INDEX_MAGIC);
     header.put_u32(INDEX_FORMAT_VERSION);
-    header.put_u32(sections.len() as u32);
-    let mut offset = 8 + 4 + 4 + sections.len() * TABLE_ENTRY_BYTES;
-    for (id, payload) in &sections {
-        header.put_u32(*id);
+    header.put_u32(section_count as u32);
+    // Appends one section's payload, files its table row, and returns
+    // its checksum.
+    let mut section = |w: &mut ByteWriter, id: u32, encode: &dyn Fn(&mut ByteWriter)| {
+        let offset = w.len();
+        encode(w);
+        let checksum = xxh64(&w.bytes_mut()[offset..]);
+        header.put_u32(id);
         header.put_u64(offset as u64);
-        header.put_u64(payload.len() as u64);
-        header.put_u64(fnv1a64(payload));
-        offset += payload.len();
+        header.put_u64((w.len() - offset) as u64);
+        header.put_u64(checksum);
+        checksum
+    };
+    let graph_checksum = section(&mut w, SECTION_GRAPH, &|w| {
+        encode_graph(w, &persisted.graph)
+    });
+    let index_checksum = section(&mut w, SECTION_INDEX, &|w| {
+        encode_hash_index(w, &persisted.index)
+    });
+    section(&mut w, SECTION_META, &|w| encode_meta(w, persisted));
+    // The identity names the payloads the changelog travels with, so it is
+    // stamped here from the actual encoded bytes — callers leave
+    // `identity` fields 0 on the entry they append.
+    let identity = store_identity(graph_checksum, index_checksum);
+    if let Some(log) = &persisted.changelog {
+        section(&mut w, SECTION_CHANGELOG, &|w| {
+            encode_changelog(w, log, identity)
+        });
     }
-    let mut bytes = header.into_bytes();
-    for (_, payload) in sections {
-        bytes.extend_from_slice(&payload);
-    }
-    bytes
+    let mut bytes = w.into_bytes();
+    bytes[..header_len].copy_from_slice(&header.into_bytes());
+    (bytes, identity)
 }
 
 /// One row of a store's section table, as [`section_table`] reads it.
@@ -376,8 +396,22 @@ pub struct SectionEntry {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
-    /// The payload's recorded fnv1a64 checksum.
+    /// The payload's recorded checksum ([`SectionTable::checksum`]).
     pub checksum: u64,
+}
+
+/// A store's header as [`section_table`] reads it.
+#[derive(Clone, Debug)]
+pub struct SectionTable {
+    /// The format version the file declares.
+    pub version: u32,
+    /// Name of the section checksum that version records (`xxh64` for
+    /// version 2, `fnv1a64` for version 1).
+    pub checksum_name: &'static str,
+    /// The checksum itself.
+    pub checksum: fn(&[u8]) -> u64,
+    /// One row per section, in file order.
+    pub sections: Vec<SectionEntry>,
 }
 
 /// Reads the header of `.sgi` bytes — magic, format version, section
@@ -389,16 +423,19 @@ pub struct SectionEntry {
 /// [`PersistError::BadMagic`], [`PersistError::UnsupportedVersion`],
 /// [`PersistError::Truncated`] when the header itself is cut short, or
 /// [`PersistError::Corrupt`] for an implausible section count.
-pub fn section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
+pub fn section_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
     let header = |e| from_bin("header", e);
     let mut reader = ByteReader::new(bytes);
     if reader.take_bytes(8).map_err(header)? != INDEX_MAGIC {
         return Err(PersistError::BadMagic);
     }
     let version = reader.take_u32().map_err(header)?;
-    if version != INDEX_FORMAT_VERSION {
-        return Err(PersistError::UnsupportedVersion { found: version });
-    }
+    // The one place the two readable versions differ.
+    let (checksum_name, checksum): (_, fn(&[u8]) -> u64) = match version {
+        1 => ("fnv1a64", fnv1a64),
+        INDEX_FORMAT_VERSION => ("xxh64", xxh64),
+        found => return Err(PersistError::UnsupportedVersion { found }),
+    };
     let section_count = reader.take_u32().map_err(header)?;
     if section_count > MAX_SECTIONS {
         return Err(corrupt(
@@ -406,10 +443,10 @@ pub fn section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
             format!("section count {section_count} exceeds the maximum {MAX_SECTIONS}"),
         ));
     }
-    let mut table = Vec::with_capacity(section_count as usize);
+    let mut sections = Vec::with_capacity(section_count as usize);
     for _ in 0..section_count {
         let id = reader.take_u32().map_err(header)?;
-        table.push(SectionEntry {
+        sections.push(SectionEntry {
             id,
             name: match id {
                 SECTION_GRAPH => "graph",
@@ -423,7 +460,12 @@ pub fn section_table(bytes: &[u8]) -> Result<Vec<SectionEntry>, PersistError> {
             checksum: reader.take_u64().map_err(header)?,
         });
     }
-    Ok(table)
+    Ok(SectionTable {
+        version,
+        checksum_name,
+        checksum,
+        sections,
+    })
 }
 
 /// Deserializes `.sgi` bytes (see [`encode_index`] for an example).
@@ -440,7 +482,8 @@ pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
     let mut index_payload: Option<(&[u8], u64)> = None;
     let mut meta_payload: Option<(&[u8], u64)> = None;
     let mut changelog_payload: Option<(&[u8], u64)> = None;
-    for entry in section_table(bytes)? {
+    let table = section_table(bytes)?;
+    for entry in table.sections {
         let payload = section_slice(bytes, entry.offset as usize, entry.len as usize)?;
         let slot = match entry.id {
             SECTION_GRAPH => &mut graph_payload,
@@ -451,7 +494,7 @@ pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
             // future minor revision can append data old readers ignore.
             _ => continue,
         };
-        if fnv1a64(payload) != entry.checksum {
+        if (table.checksum)(payload) != entry.checksum {
             return Err(PersistError::ChecksumMismatch {
                 section: entry.name,
             });
@@ -490,7 +533,8 @@ pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
     })
 }
 
-/// Writes a persisted index to `path`, returning the file size in bytes.
+/// Writes a persisted index to `path`, returning the file size in bytes
+/// and the store identity stamped into its changelog.
 ///
 /// The write is atomic with respect to concurrent readers: the bytes go
 /// to a same-directory temporary file that is fsynced and then renamed
@@ -504,9 +548,9 @@ pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
 pub fn write_index_file(
     persisted: &PersistedIndex,
     path: impl AsRef<Path>,
-) -> Result<u64, PersistError> {
+) -> Result<(u64, u64), PersistError> {
     let path = path.as_ref();
-    let bytes = encode_index(persisted);
+    let (bytes, identity) = encode_stamped(persisted);
     let mut tmp_name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -523,7 +567,7 @@ pub fn write_index_file(
         let _ = fs::remove_file(&tmp);
         return Err(err.into());
     }
-    Ok(bytes.len() as u64)
+    Ok((bytes.len() as u64, identity))
 }
 
 /// Loads a persisted index from `path`.
@@ -548,28 +592,16 @@ fn section_slice(bytes: &[u8], offset: usize, len: usize) -> Result<&[u8], Persi
     Ok(&bytes[offset..end])
 }
 
-fn encode_graph(graph: &GenomeGraph) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_graph(w: &mut ByteWriter, graph: &GenomeGraph) {
     w.put_u64(graph.node_count() as u64);
     for node in graph.node_ids() {
-        let seq = graph.seq(node).as_slice();
-        w.put_u64(seq.len() as u64);
-        // 2-bit packing, low bits first within each byte — the paper's
-        // reference representation (Section 5).
-        for chunk in seq.chunks(4) {
-            let mut byte = 0u8;
-            for (i, base) in chunk.iter().enumerate() {
-                byte |= base.code() << (2 * i);
-            }
-            w.put_u8(byte);
-        }
+        put_seq(w, graph.seq(node));
     }
     w.put_u64(graph.edge_count() as u64);
     for (from, to) in graph.edges() {
         w.put_u32(from.0);
         w.put_u32(to.0);
     }
-    w.into_bytes()
 }
 
 fn decode_graph(payload: &[u8]) -> Result<GenomeGraph, PersistError> {
@@ -580,17 +612,8 @@ fn decode_graph(payload: &[u8]) -> Result<GenomeGraph, PersistError> {
     let node_count = r.take_count(9).map_err(bin)?;
     let mut builder = GraphBuilder::new();
     for n in 0..node_count {
-        let len = usize::try_from(r.take_u64().map_err(bin)?)
-            .map_err(|_| corrupt(SECTION, format!("node {n}: length overflows usize")))?;
-        if len == 0 {
-            return Err(corrupt(SECTION, format!("node {n} is empty")));
-        }
-        let packed = r.take_bytes(len.div_ceil(4)).map_err(bin)?;
-        let seq: DnaSeq = (0..len)
-            .map(|i| Base::from_code_masked(packed[i / 4] >> (2 * (i % 4))))
-            .collect();
         builder
-            .add_node(seq)
+            .add_node(take_seq(SECTION, &mut r)?)
             .map_err(|e| corrupt(SECTION, format!("node {n}: {e}")))?;
     }
     let edge_count = r.take_count(8).map_err(bin)?;
@@ -612,8 +635,7 @@ fn decode_graph(payload: &[u8]) -> Result<GenomeGraph, PersistError> {
         .map_err(|e| corrupt(SECTION, e.to_string()))
 }
 
-fn encode_hash_index(index: &GraphIndex) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_hash_index(w: &mut ByteWriter, index: &GraphIndex) {
     w.put_u64(index.scheme.w as u64);
     w.put_u64(index.scheme.k as u64);
     w.put_u8(match index.scheme.ordering {
@@ -622,27 +644,30 @@ fn encode_hash_index(index: &GraphIndex) -> Vec<u8> {
     });
     w.put_u32(index.bucket_bits);
     w.put_u64(index.bucket_starts.len() as u64);
-    for &start in &index.bucket_starts {
-        w.put_u32(start);
-    }
+    w.put_records(&index.bucket_starts, |start| start.to_le_bytes());
     w.put_u64(index.minimizers.len() as u64);
-    for entry in &index.minimizers {
-        w.put_u64(entry.hash);
-        w.put_u32(entry.loc_start);
-        w.put_u32(entry.loc_count);
-    }
+    w.put_records(&index.minimizers, |entry| {
+        let mut record = [0u8; 16];
+        record[..8].copy_from_slice(&entry.hash.to_le_bytes());
+        record[8..12].copy_from_slice(&entry.loc_start.to_le_bytes());
+        record[12..].copy_from_slice(&entry.loc_count.to_le_bytes());
+        record
+    });
     w.put_u64(index.locations.len() as u64);
-    for loc in &index.locations {
-        w.put_u32(loc.node.0);
-        w.put_u32(loc.offset);
-    }
-    w.into_bytes()
+    w.put_records(&index.locations, |loc| {
+        let mut record = [0u8; 8];
+        record[..4].copy_from_slice(&loc.node.0.to_le_bytes());
+        record[4..].copy_from_slice(&loc.offset.to_le_bytes());
+        record
+    });
 }
 
 /// Decodes the hash-index section and re-validates every structural
 /// invariant [`GraphIndex::build`] guarantees — bucket ranges, sorted
 /// hashes, contiguous location runs, in-graph positions — so a loaded
-/// index can never panic (or silently mis-answer) a later lookup.
+/// index can never panic (or silently mis-answer) a later lookup. Each
+/// level is converted in bulk into an exactly-sized array, then checked in
+/// one linear pass over it.
 fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, PersistError> {
     const SECTION: &str = "index";
     let bin = |e| from_bin(SECTION, e);
@@ -676,10 +701,11 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
             format!("{starts_len} bucket starts for 2^{bucket_bits} buckets"),
         ));
     }
-    let mut bucket_starts = Vec::with_capacity(starts_len);
-    for _ in 0..starts_len {
-        bucket_starts.push(r.take_u32().map_err(bin)?);
-    }
+    let bucket_starts: Vec<u32> = r
+        .take_records(starts_len)
+        .map_err(bin)?
+        .map(|record| u32::from_le_bytes(*record))
+        .collect();
     if bucket_starts[0] != 0 {
         return Err(corrupt(SECTION, "first bucket start is not 0"));
     }
@@ -694,25 +720,25 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
             "last bucket start does not equal the minimizer count",
         ));
     }
-    let mut minimizers = Vec::with_capacity(minimizer_count);
+    let minimizers: Vec<MinimizerEntry> = r
+        .take_records::<16>(minimizer_count)
+        .map_err(bin)?
+        .map(|record| MinimizerEntry {
+            hash: u64::from_le_bytes(record[..8].try_into().expect("8 bytes")),
+            loc_start: u32::from_le_bytes(record[8..12].try_into().expect("4 bytes")),
+            loc_count: u32::from_le_bytes(record[12..].try_into().expect("4 bytes")),
+        })
+        .collect();
+    // Location runs must tile the third level exactly, in order.
     let mut next_loc_start = 0u64;
-    for m in 0..minimizer_count {
-        let hash = r.take_u64().map_err(bin)?;
-        let loc_start = r.take_u32().map_err(bin)?;
-        let loc_count = r.take_u32().map_err(bin)?;
-        // Location runs must tile the third level exactly, in order.
-        if u64::from(loc_start) != next_loc_start || loc_count == 0 {
+    for (m, entry) in minimizers.iter().enumerate() {
+        if u64::from(entry.loc_start) != next_loc_start || entry.loc_count == 0 {
             return Err(corrupt(
                 SECTION,
                 format!("minimizer {m}: non-contiguous location run"),
             ));
         }
-        next_loc_start += u64::from(loc_count);
-        minimizers.push(MinimizerEntry {
-            hash,
-            loc_start,
-            loc_count,
-        });
+        next_loc_start += u64::from(entry.loc_count);
     }
     // Per-bucket invariants: every entry hashes into its bucket and
     // hashes are strictly increasing within it (binary-search order).
@@ -728,7 +754,7 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
             }
         }
         for entry in entries {
-            if entry.hash % bucket_count != bucket as u64 {
+            if entry.hash & (bucket_count - 1) != bucket as u64 {
                 return Err(corrupt(
                     SECTION,
                     format!("hash {:#x} filed under bucket {bucket}", entry.hash),
@@ -744,17 +770,21 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
             "location count does not match the minimizer runs",
         ));
     }
-    let mut locations = Vec::with_capacity(location_count);
-    for l in 0..location_count {
-        let node = NodeId(r.take_u32().map_err(bin)?);
-        let offset = r.take_u32().map_err(bin)?;
+    let locations: Vec<GraphPos> = r
+        .take_records::<8>(location_count)
+        .map_err(bin)?
+        .map(|record| GraphPos {
+            node: NodeId(u32::from_le_bytes(record[..4].try_into().expect("4 bytes"))),
+            offset: u32::from_le_bytes(record[4..].try_into().expect("4 bytes")),
+        })
+        .collect();
+    for (l, &GraphPos { node, offset }) in locations.iter().enumerate() {
         if node.index() >= graph.node_count() || offset as usize >= graph.node_len(node) {
             return Err(corrupt(
                 SECTION,
                 format!("location {l} ({node}:{offset}) is outside the graph"),
             ));
         }
-        locations.push(GraphPos { node, offset });
     }
     if !r.is_empty() {
         return Err(corrupt(
@@ -771,8 +801,7 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
     })
 }
 
-fn encode_meta(persisted: &PersistedIndex) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_meta(w: &mut ByteWriter, persisted: &PersistedIndex) {
     w.put_u64(persisted.discard_frac.to_bits());
     w.put_u32(persisted.freq_threshold);
     // Provenance rides as an optional tail: pre-provenance readers saw
@@ -780,15 +809,14 @@ fn encode_meta(persisted: &PersistedIndex) -> Vec<u8> {
     // there being more bytes.
     if let Some(p) = &persisted.provenance {
         w.put_u32(PROVENANCE_VERSION);
-        put_string(&mut w, &p.reference_path);
+        put_string(w, &p.reference_path);
         w.put_u64(p.vcf_paths.len() as u64);
         for path in &p.vcf_paths {
-            put_string(&mut w, path);
+            put_string(w, path);
         }
-        put_string(&mut w, &p.preset);
+        put_string(w, &p.preset);
         w.put_u64(p.epoch);
     }
-    w.into_bytes()
 }
 
 fn decode_meta(payload: &[u8]) -> Result<(f64, u32, Option<IndexProvenance>), PersistError> {
@@ -848,18 +876,12 @@ fn take_string(section: &'static str, r: &mut ByteReader<'_>) -> Result<String, 
     String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(section, "string is not UTF-8"))
 }
 
-/// 2-bit packed sequence, same layout as the graph section's node
-/// payloads: length prefix, then low-bits-first packed bases.
+/// 2-bit packed sequence (graph nodes, the changelog's reference and
+/// alleles): length prefix, then low-bits-first packed bases — the
+/// paper's reference representation (Section 5).
 fn put_seq(w: &mut ByteWriter, seq: &DnaSeq) {
-    let bases = seq.as_slice();
-    w.put_u64(bases.len() as u64);
-    for chunk in bases.chunks(4) {
-        let mut byte = 0u8;
-        for (i, base) in chunk.iter().enumerate() {
-            byte |= base.code() << (2 * i);
-        }
-        w.put_u8(byte);
-    }
+    w.put_u64(seq.len() as u64);
+    seq.pack_into(w.bytes_mut());
 }
 
 fn take_seq(section: &'static str, r: &mut ByteReader<'_>) -> Result<DnaSeq, PersistError> {
@@ -868,9 +890,7 @@ fn take_seq(section: &'static str, r: &mut ByteReader<'_>) -> Result<DnaSeq, Per
     let packed = r
         .take_bytes(len.div_ceil(4))
         .map_err(|e| from_bin(section, e))?;
-    Ok((0..len)
-        .map(|i| Base::from_code_masked(packed[i / 4] >> (2 * (i % 4))))
-        .collect())
+    Ok(DnaSeq::from_packed(packed, len))
 }
 
 fn put_variant(w: &mut ByteWriter, v: &Variant) {
@@ -934,23 +954,26 @@ fn take_variant(section: &'static str, r: &mut ByteReader<'_>) -> Result<Variant
     Ok(Variant { pos, kind })
 }
 
-fn encode_changelog(log: &StoreChangelog) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Encodes the changelog with `identity` — the store's, from the payload
+/// bytes just written — in place of the recorded value on the changelog
+/// itself and on its last history entry.
+fn encode_changelog(w: &mut ByteWriter, log: &StoreChangelog, identity: u64) {
     w.put_u32(CHANGELOG_VERSION);
     w.put_u64(log.epoch);
     w.put_u64(log.parent);
-    w.put_u64(log.identity);
-    put_seq(&mut w, &log.reference);
+    w.put_u64(identity);
+    put_seq(w, &log.reference);
     w.put_u64(log.applied.len() as u64);
     for variant in log.applied.iter() {
-        put_variant(&mut w, variant);
+        put_variant(w, variant);
     }
     w.put_u64(log.history.len() as u64);
-    for entry in &log.history {
+    for (i, entry) in log.history.iter().enumerate() {
+        let last = i + 1 == log.history.len();
         w.put_u64(entry.epoch);
         w.put_u64(entry.parent);
-        w.put_u64(entry.identity);
-        put_string(&mut w, &entry.source);
+        w.put_u64(if last { identity } else { entry.identity });
+        put_string(w, &entry.source);
         w.put_u64(entry.added_variants);
         w.put_u64(entry.dropped_variants);
         w.put_u64(entry.touched.len() as u64);
@@ -959,7 +982,6 @@ fn encode_changelog(log: &StoreChangelog) -> Vec<u8> {
             w.put_u64(end);
         }
     }
-    w.into_bytes()
 }
 
 /// Decodes and *verifies* the changelog chain: the recorded identity must

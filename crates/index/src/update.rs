@@ -17,7 +17,7 @@ use segram_graph::{
 
 use crate::index::DeltaStats;
 use crate::minseed::frequency_threshold;
-use crate::persist::{computed_identity, EpochEntry, PersistError, PersistedIndex, StoreChangelog};
+use crate::persist::{EpochEntry, PersistError, PersistedIndex, StoreChangelog};
 
 /// Result of [`update_store`]: the evolved store plus the evidence that
 /// the update was partial (stats) and what changed (log).
@@ -65,10 +65,11 @@ pub fn initial_changelog(
 /// epoch.
 ///
 /// `source` labels the new [`EpochEntry`] (conventionally the VCF path).
-/// The new store's changelog and provenance are extended, its identity is
-/// stamped immediately (so further updates can chain in memory without a
-/// round trip through disk), and its frequency threshold is recomputed
-/// from the merged index's occurrence counts — no global genome pass.
+/// The new store's changelog and provenance are extended, its identity
+/// fields are left 0 for [`encode_index`](crate::encode_index) to stamp
+/// from the bytes it writes (as [`initial_changelog`] does), and its
+/// frequency threshold is recomputed from the merged index's occurrence
+/// counts — no global genome pass.
 ///
 /// # Errors
 ///
@@ -102,7 +103,6 @@ pub fn update_store(
         .index
         .apply_delta(&parent.graph, &built.new.graph, &built.log);
     let freq_threshold = frequency_threshold(&index, parent.discard_frac);
-    let identity = computed_identity(&built.new.graph, &index);
 
     let parent_identity = parent.identity();
     let epoch = log.epoch + 1;
@@ -118,7 +118,7 @@ pub fn update_store(
     history.push(EpochEntry {
         epoch,
         parent: parent_identity,
-        identity,
+        identity: 0,
         source: source.to_string(),
         added_variants: built.log.added_variants as u64,
         dropped_variants: built.log.dropped_variants as u64,
@@ -127,7 +127,7 @@ pub fn update_store(
     let changelog = StoreChangelog {
         epoch,
         parent: parent_identity,
-        identity,
+        identity: 0,
         reference: log.reference.clone(),
         applied: built.new.applied.clone(),
         history,

@@ -5,15 +5,18 @@
 //! little-endian integer encodings, length-prefixed byte runs, and a
 //! [`BinError`] for every way a corrupt or truncated buffer can disappoint
 //! the reader — reading never panics and never allocates proportionally to
-//! an unvalidated length field. Checksums use [`fnv1a64`], chosen because
-//! it is tiny, dependency-free, and plenty for corruption *detection* (the
-//! format does not defend against adversarial collisions).
+//! an unvalidated length field. Section checksums use [`xxh64`] (format
+//! v2; four independent 64-bit lanes over 32-byte stripes, so it runs at
+//! memory speed) or the byte-serial [`fnv1a64`] (format v1): both are
+//! dependency-free and plenty for corruption *detection* (the format does
+//! not defend against adversarial collisions).
 
 use std::error::Error;
 use std::fmt;
 
-/// FNV-1a 64-bit hash of `bytes` — the section checksum of the on-disk
-/// index format.
+/// FNV-1a 64-bit hash of `bytes` — the section checksum of format-v1
+/// `.sgi` stores, and the fingerprint tests and the perf ledger pin
+/// documents with.
 ///
 /// # Examples
 ///
@@ -30,6 +33,95 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+const XXH_PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_PRIME_3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_PRIME_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_PRIME_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+#[inline]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_PRIME_1)
+}
+
+#[inline]
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// XXH64 (seed 0) of `bytes` — the section checksum of format-v2 `.sgi`
+/// stores. Four accumulators each consume one little-endian `u64` of every
+/// 32-byte stripe, so the multiplies of a stripe are independent and the
+/// hash runs at memory speed where [`fnv1a64`] pays one dependent multiply
+/// per byte; the sub-stripe tail is folded in 8, 4 and 1 bytes at a time.
+/// Bit-compatible with the reference xxHash implementation.
+///
+/// # Examples
+///
+/// ```
+/// use segram_io::xxh64;
+/// assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+/// assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+/// ```
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut hash = if bytes.len() >= 32 {
+        let mut acc = [
+            XXH_PRIME_1.wrapping_add(XXH_PRIME_2),
+            XXH_PRIME_2,
+            0,
+            0u64.wrapping_sub(XXH_PRIME_1),
+        ];
+        for stripe in &mut stripes {
+            for (lane, word) in acc.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le_u64(word));
+            }
+        }
+        let merged = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(merged, |hash, &lane| {
+            (hash ^ xxh_round(0, lane))
+                .wrapping_mul(XXH_PRIME_1)
+                .wrapping_add(XXH_PRIME_4)
+        })
+    } else {
+        XXH_PRIME_5
+    };
+    hash = hash.wrapping_add(bytes.len() as u64);
+
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        hash = (hash ^ xxh_round(0, le_u64(word)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME_1)
+            .wrapping_add(XXH_PRIME_4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        hash = (hash ^ u64::from(half).wrapping_mul(XXH_PRIME_1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME_2)
+            .wrapping_add(XXH_PRIME_3);
+        tail = &tail[4..];
+    }
+    for &byte in tail {
+        hash = (hash ^ u64::from(byte).wrapping_mul(XXH_PRIME_5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_PRIME_1);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(XXH_PRIME_2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(XXH_PRIME_3);
+    hash ^ (hash >> 32)
 }
 
 /// An error while decoding a binary buffer: the input ended early or a
@@ -137,6 +229,22 @@ impl ByteWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Appends one fixed-width `N`-byte record per item after a single
+    /// growth step — the bulk counterpart of a `put_*` call per field, for
+    /// the index format's million-element arrays.
+    pub fn put_records<T, const N: usize>(&mut self, items: &[T], encode: impl Fn(&T) -> [u8; N]) {
+        self.buf.reserve(items.len() * N);
+        for item in items {
+            self.buf.extend_from_slice(&encode(item));
+        }
+    }
+
+    /// The underlying buffer, for an encoder that appends a whole run of
+    /// bytes itself (e.g. `DnaSeq::pack_into`).
+    pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -189,6 +297,24 @@ impl<'a> ByteReader<'a> {
         let slice = &self.buf[self.pos..self.pos + len];
         self.pos += len;
         Ok(slice)
+    }
+
+    /// Takes `count` fixed-width records of `N` bytes each as one slice,
+    /// yielded record by record — the bulk counterpart of a `take_*` call
+    /// per field (the iterator knows its length, so collecting it
+    /// allocates exactly once).
+    ///
+    /// # Errors
+    ///
+    /// [`BinError::UnexpectedEnd`] when fewer than `count × N` bytes remain.
+    pub fn take_records<const N: usize>(
+        &mut self,
+        count: usize,
+    ) -> Result<impl ExactSizeIterator<Item = &'a [u8; N]>, BinError> {
+        let bytes = self.take_bytes(count.saturating_mul(N))?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|record| record.try_into().expect("N-byte chunk")))
     }
 
     /// Takes one byte.
@@ -300,6 +426,52 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.take_count(4).unwrap(), 2);
         assert_eq!(r.take_u32().unwrap(), 1);
+    }
+
+    #[test]
+    fn xxh64_matches_the_reference_vectors() {
+        // Published XXH64 seed-0 digests: empty, sub-word, sub-stripe and
+        // multi-stripe inputs cover every branch of the tail.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(xxh64(b"xxhash"), 0x32dd_3895_2c4b_c720);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+    }
+
+    #[test]
+    fn bulk_records_equal_the_per_field_calls() {
+        let values = [7u32, 0xdead_beef, 0, u32::MAX];
+        let mut bulk = ByteWriter::new();
+        bulk.put_u8(1);
+        bulk.put_records(&values, |v| v.to_le_bytes());
+        let mut serial = ByteWriter::new();
+        serial.put_u8(1);
+        values.iter().for_each(|&v| serial.put_u32(v));
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, serial.into_bytes());
+
+        let mut r = ByteReader::new(&bytes);
+        r.take_u8().unwrap();
+        let back: Vec<u32> = r
+            .take_records::<4>(values.len())
+            .unwrap()
+            .map(|b| u32::from_le_bytes(*b))
+            .collect();
+        assert_eq!(back, values);
+        assert!(r.is_empty());
+        let mut short = ByteReader::new(&bytes[..bytes.len() - 1]);
+        short.take_u8().unwrap();
+        assert!(matches!(
+            short.take_records::<4>(values.len()).map(|_| ()),
+            Err(BinError::UnexpectedEnd { offset: 1, .. })
+        ));
+        assert!(ByteReader::new(&bytes)
+            .take_records::<8>(usize::MAX)
+            .is_err());
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use bgzf::{
     bgzf_compress, bgzf_member, crc32, inflate, looks_like_gzip, BgzfBlock, BgzfBlocks, BgzfMode,
     BgzfWriter, BGZF_EOF, BGZF_MAX_PLAIN, GZIP_MAGIC,
 };
-pub use binary::{fnv1a64, BinError, ByteReader, ByteWriter};
+pub use binary::{fnv1a64, xxh64, BinError, ByteReader, ByteWriter};
 pub use error::{BgzfError, FormatError};
 pub use fasta::{read_fasta, write_fasta, Ambiguity, FastaRecord};
 pub use fastq::{

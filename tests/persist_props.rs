@@ -1,22 +1,39 @@
 //! Property tests for the persistent on-disk index format (`.sgi`):
 //! encode/decode round-trips over arbitrary graphs, and the guarantee
 //! that corrupt, truncated, or incompatible files produce a named
-//! [`PersistError`] — never a panic.
+//! [`PersistError`] — never a panic. The corruption matrix runs against
+//! both readable format versions: a v2 store this build encodes and the
+//! committed v1 store the parent of format v2 wrote.
 
 use segram_core::SegramConfig;
-use segram_graph::{linear_graph, Base, DnaSeq, GenomeGraph, GraphBuilder, NodeId};
+use segram_graph::{linear_graph, Base, DnaSeq, GenomeGraph, GraphBuilder, NodeId, PackedSeq};
 use segram_index::{
-    decode_index, encode_index, frequency_threshold, GraphIndex, MinimizerScheme, PersistError,
-    PersistedIndex, INDEX_FORMAT_VERSION, INDEX_MAGIC,
+    decode_index, encode_index, frequency_threshold, section_table, GraphIndex, IndexProvenance,
+    MinimizerScheme, PersistError, PersistedIndex, INDEX_FORMAT_VERSION, INDEX_MAGIC,
 };
+use segram_io::xxh64;
 use segram_sim::DatasetConfig;
 use segram_testkit::prelude::*;
 use std::sync::Arc;
 
-/// Bytes before the first section payload: magic + version + count + the
-/// three 28-byte table entries. Flips beyond this land in a checksummed
-/// payload.
-const HEADER_BYTES: usize = 8 + 4 + 4 + 3 * 28;
+/// `index build` of `fixtures/sgi_v1/{ref.fa, base.vcf}` (`--buckets 8`)
+/// by the last binary that wrote format v1.
+const V1_STORE: &[u8] = include_bytes!("fixtures/sgi_v1/v1.sgi");
+
+/// Bytes before the first section payload: magic + version + count + one
+/// 28-byte table entry per section. Flips beyond this land in a
+/// checksummed payload.
+fn header_bytes(store: &[u8]) -> usize {
+    8 + 4 + 4 + section_table(store).expect("valid header").sections.len() * 28
+}
+
+/// The stores the corruption matrix runs over: `(format version, bytes)`.
+fn stores() -> [(u32, Vec<u8>); 2] {
+    [
+        (INDEX_FORMAT_VERSION, encode_index(&fixture())),
+        (1, V1_STORE.to_vec()),
+    ]
+}
 
 fn arb_graph() -> impl Strategy<Value = GenomeGraph> {
     (
@@ -116,44 +133,181 @@ proptest! {
         seed_pos in 0usize..1_000_000,
         mask in 1u8..=255,
     ) {
-        let bytes = encode_index(&fixture());
-        let pos = seed_pos % bytes.len();
-        // Bytes 12..16 hold the section count; some flips there only add
-        // ignored trailing sections, which is compatibility, not
-        // corruption — every other byte must be load-bearing.
-        prop_assume!(!(12..16).contains(&pos));
-        let mut flipped = bytes.clone();
-        flipped[pos] ^= mask;
-        let err = decode_index(&flipped).expect_err("flip must be detected");
-        match pos {
-            0..=7 => prop_assert!(matches!(err, PersistError::BadMagic)),
-            8..=11 => prop_assert!(matches!(err, PersistError::UnsupportedVersion { .. })),
-            _ if pos >= HEADER_BYTES => prop_assert!(
-                matches!(
-                    err,
-                    PersistError::ChecksumMismatch { .. } | PersistError::Truncated { .. }
+        for (version, bytes) in stores() {
+            let pos = seed_pos % bytes.len();
+            // Bytes 12..16 hold the section count; some flips there only
+            // add ignored trailing sections, which is compatibility, not
+            // corruption — every other byte must be load-bearing.
+            if (12..16).contains(&pos) {
+                continue;
+            }
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= mask;
+            let err = decode_index(&flipped).expect_err("flip must be detected");
+            let declared = u32::from_le_bytes(flipped[8..12].try_into().unwrap());
+            match pos {
+                0..=7 => prop_assert!(matches!(err, PersistError::BadMagic)),
+                // A flip from one readable version to the other picks the
+                // wrong checksum: no section verifies.
+                8..=11 if (1..=INDEX_FORMAT_VERSION).contains(&declared) => prop_assert!(
+                    matches!(err, PersistError::ChecksumMismatch { section: "graph" }),
+                    "v{version} read as v{declared} gave {err}"
                 ),
-                "payload flip at {pos} gave {err}"
-            ),
-            _ => {} // table flips: any named error is acceptable
+                8..=11 => prop_assert!(
+                    matches!(err, PersistError::UnsupportedVersion { found } if found == declared)
+                ),
+                _ if pos >= header_bytes(&bytes) => prop_assert!(
+                    matches!(
+                        err,
+                        PersistError::ChecksumMismatch { .. } | PersistError::Truncated { .. }
+                    ),
+                    "v{version} payload flip at {pos} gave {err}"
+                ),
+                _ => {} // table flips: any named error is acceptable
+            }
+        }
+    }
+
+    /// The table pack/unpack equals the per-base codec at every length
+    /// around the four-bases-per-byte boundary, directly and as the node
+    /// sequences of a stored graph.
+    #[test]
+    fn packed_sequences_round_trip_at_every_boundary(
+        codes in prop::collection::vec(0u8..4, 40),
+        n in 1usize..9,
+    ) {
+        let bases: Vec<Base> = codes.iter().copied().map(Base::from_code_masked).collect();
+        let mut builder = GraphBuilder::new();
+        for len in (0..=9).chain([4 * n - 1, 4 * n + 1]) {
+            let seq = DnaSeq::from(bases[..len].to_vec());
+            let mut packed = Vec::new();
+            seq.pack_into(&mut packed);
+            prop_assert_eq!(packed.len(), len.div_ceil(4));
+            let per_base: PackedSeq = seq.iter().collect();
+            prop_assert_eq!(&PackedSeq::from_seq(&seq), &per_base, "len {}", len);
+            prop_assert_eq!(&DnaSeq::from_packed(&packed, len), &seq, "len {}", len);
+            prop_assert_eq!(&per_base.iter().collect::<DnaSeq>(), &seq);
+            if len > 0 {
+                builder.add_node(seq).expect("non-empty node");
+            }
+        }
+        let graph = builder.finish().expect("no edges, no cycle");
+        let index = GraphIndex::build(&graph, MinimizerScheme::new(2, 3), 4);
+        let stored = PersistedIndex {
+            freq_threshold: u32::MAX,
+            graph,
+            index,
+            discard_frac: 0.0,
+            changelog: None,
+            provenance: None,
+        };
+        let loaded = decode_index(&encode_index(&stored)).expect("own encoding must load");
+        for node in stored.graph.node_ids() {
+            prop_assert_eq!(loaded.graph.seq(node), stored.graph.seq(node));
         }
     }
 }
 
+/// Every payload length modulo the checksum's 32-byte stripe verifies and
+/// detects a flipped last byte — on raw buffers (which also cover the
+/// sub-stripe lengths no section is short enough for) and on a stored
+/// section, the META payload grown one byte at a time.
+#[test]
+fn every_tail_length_of_the_checksum_block_verifies_and_detects_a_flip() {
+    let buffer: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+    for len in 1..=buffer.len() {
+        let mut flipped = buffer[..len].to_vec();
+        flipped[len - 1] ^= 0x80;
+        assert_ne!(xxh64(&flipped), xxh64(&buffer[..len]), "length {len}");
+        assert_ne!(xxh64(&buffer[..len]), xxh64(&buffer[..len - 1]));
+    }
+
+    let mut residues = std::collections::BTreeSet::new();
+    for pad in 0..32 {
+        let stored = PersistedIndex {
+            provenance: Some(IndexProvenance {
+                reference_path: "r".repeat(pad),
+                vcf_paths: Vec::new(),
+                preset: "short".to_owned(),
+                epoch: 0,
+            }),
+            ..fixture()
+        };
+        let mut bytes = encode_index(&stored);
+        let meta = *section_table(&bytes)
+            .expect("own header")
+            .sections
+            .last()
+            .expect("meta is the last section");
+        assert_eq!(
+            (meta.name, (meta.offset + meta.len) as usize),
+            ("meta", bytes.len())
+        );
+        residues.insert(meta.len % 32);
+        let loaded = decode_index(&bytes).expect("own encoding must load");
+        assert_eq!(loaded.provenance, stored.provenance);
+        *bytes.last_mut().unwrap() ^= 0x01;
+        assert!(matches!(
+            decode_index(&bytes),
+            Err(PersistError::ChecksumMismatch { section: "meta" })
+        ));
+    }
+    assert_eq!(residues.len(), 32, "every residue of the stripe covered");
+}
+
 #[test]
 fn every_truncation_point_errors_instead_of_panicking() {
-    let bytes = encode_index(&fixture());
-    assert!(bytes.len() > HEADER_BYTES);
-    for cut in 0..bytes.len() {
-        let err = decode_index(&bytes[..cut]).expect_err("truncated file must not load");
-        match err {
-            PersistError::BadMagic
-            | PersistError::Truncated { .. }
-            | PersistError::ChecksumMismatch { .. }
-            | PersistError::Corrupt { .. } => {}
-            other => panic!("truncation at {cut} gave unexpected error {other}"),
+    for (version, bytes) in stores() {
+        assert!(bytes.len() > header_bytes(&bytes));
+        for cut in 0..bytes.len() {
+            let err = decode_index(&bytes[..cut]).expect_err("truncated file must not load");
+            match err {
+                PersistError::BadMagic
+                | PersistError::Truncated { .. }
+                | PersistError::ChecksumMismatch { .. }
+                | PersistError::Corrupt { .. } => {}
+                other => panic!("v{version} truncated at {cut} gave unexpected error {other}"),
+            }
         }
     }
+}
+
+/// A store the last format-v1 binary wrote still loads, says which
+/// version it is, and re-encodes — as format v2 — to the same payloads.
+#[test]
+fn a_v1_store_loads_and_re_encodes_as_v2_with_the_same_payloads() {
+    let v1 = section_table(V1_STORE).expect("v1 header");
+    assert_eq!((v1.version, v1.checksum_name), (1, "fnv1a64"));
+    let loaded = decode_index(V1_STORE).expect("v1 store must load");
+    let log = loaded
+        .changelog
+        .as_ref()
+        .expect("v1 fixture has a changelog");
+    assert_eq!(loaded.identity(), log.identity);
+
+    let rewritten = encode_index(&loaded);
+    assert_eq!(rewritten.len(), V1_STORE.len(), "same size to the byte");
+    let v2 = section_table(&rewritten).expect("v2 header");
+    assert_eq!(
+        (v2.version, v2.checksum_name),
+        (INDEX_FORMAT_VERSION, "xxh64")
+    );
+    for (old, new) in v1.sections.iter().zip(&v2.sections) {
+        assert_eq!((old.id, old.offset, old.len), (new.id, new.offset, new.len));
+        let range = old.offset as usize..(old.offset + old.len) as usize;
+        // The changelog carries the identity, which is derived from the
+        // recorded checksums and so differs between the versions.
+        if old.name != "changelog" {
+            assert_eq!(
+                V1_STORE[range.clone()],
+                rewritten[range],
+                "{} payload",
+                old.name
+            );
+        }
+        assert_ne!(old.checksum, new.checksum);
+    }
+    assert!(decode_index(&rewritten).is_ok());
 }
 
 #[test]
@@ -175,10 +329,38 @@ fn bad_magic_and_version_skew_are_named() {
         }
         other => panic!("version skew gave {other:?}"),
     }
+    let mut ancient = bytes.clone();
+    ancient[8..12].copy_from_slice(&0u32.to_le_bytes());
+    assert!(matches!(
+        decode_index(&ancient),
+        Err(PersistError::UnsupportedVersion { found: 0 })
+    ));
 
     // The happy path still works, and the magic is what the docs claim.
     assert_eq!(&bytes[..8], &INDEX_MAGIC);
     assert!(decode_index(&bytes).is_ok());
+}
+
+/// Re-labelling a table row (the id is outside every checksum) makes a
+/// section a duplicate or leaves one missing: both are named header
+/// corruption, under either format version.
+#[test]
+fn duplicated_and_missing_sections_are_named() {
+    for (version, bytes) in stores() {
+        let index_row_id = 8 + 4 + 4 + 28;
+        assert_eq!(bytes[index_row_id..index_row_id + 4], 2u32.to_le_bytes());
+        for (id, want) in [(1u32, "duplicate section"), (99, "missing index section")] {
+            let mut relabelled = bytes.clone();
+            relabelled[index_row_id..index_row_id + 4].copy_from_slice(&id.to_le_bytes());
+            match decode_index(&relabelled) {
+                Err(PersistError::Corrupt {
+                    section: "header",
+                    detail,
+                }) => assert!(detail.contains(want), "v{version}: {detail}"),
+                other => panic!("v{version} with row id {id} gave {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]
