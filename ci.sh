@@ -66,7 +66,8 @@
 #                       `index update` with a delta VCF -> payload identity
 #                       against a scratch build over the combined VCF
 #                       (inspect checksums + map byte-diff, flat and
-#                       sharded), then a live sharded daemon RELOADed onto
+#                       sharded; the identity again at --buckets 4 and
+#                       20), then a live sharded daemon RELOADed onto
 #                       the delta store: the swap must take the dirty-shard
 #                       route (mode=delta, dirty < total), serve the new
 #                       epoch byte-identically, and fail nothing; then the
@@ -460,6 +461,12 @@ split_vcf() {
         || { echo "VCF split produced an empty half"; return 1; }
 }
 
+# The payload identity `index inspect` prints for store $1.
+store_identity() {
+    "$SEGRAM" index inspect --index "$1" \
+        | sed -n 's/.*changelog: epoch [0-9]*, identity \(0x[0-9a-f]*\),.*/\1/p'
+}
+
 serve_gate() {
     local d="$GATE_DIR/sv"
     "$SEGRAM" simulate --out-prefix "$d" \
@@ -716,13 +723,29 @@ incremental_index() {
     "$SEGRAM" index build --reference "$d.fa" --vcf "$d.vcf" \
         --output "$d-scratch.sgi" > /dev/null || return 1
     local id_v2 id_scratch
-    id_v2=$("$SEGRAM" index inspect --index "$d-v2.sgi" \
-        | sed -n 's/.*changelog: epoch [0-9]*, identity \(0x[0-9a-f]*\),.*/\1/p')
-    id_scratch=$("$SEGRAM" index inspect --index "$d-scratch.sgi" \
-        | sed -n 's/.*changelog: epoch [0-9]*, identity \(0x[0-9a-f]*\),.*/\1/p')
+    id_v2=$(store_identity "$d-v2.sgi")
+    id_scratch=$(store_identity "$d-scratch.sgi")
     [ -n "$id_v2" ] && [ "$id_v2" = "$id_scratch" ] \
         || { echo "updated store identity $id_v2 != scratch $id_scratch"; return 1; }
     echo "  payload identity $id_v2 matches the scratch build"
+
+    # The same identity at a few large buckets and at mostly empty ones:
+    # the edge cases of the build's bucket runs and of the update's
+    # streamed merge.
+    local bits
+    for bits in 4 20; do
+        "$SEGRAM" index build --reference "$d.fa" --vcf "$d-base.vcf" \
+            --buckets "$bits" --output "$d-b$bits-v1.sgi" > /dev/null || return 1
+        "$SEGRAM" index update --index "$d-b$bits-v1.sgi" --vcf "$d-delta.vcf" \
+            --output "$d-b$bits-v2.sgi" > /dev/null || return 1
+        "$SEGRAM" index build --reference "$d.fa" --vcf "$d.vcf" \
+            --buckets "$bits" --output "$d-b$bits-scratch.sgi" > /dev/null || return 1
+        id_v2=$(store_identity "$d-b$bits-v2.sgi")
+        id_scratch=$(store_identity "$d-b$bits-scratch.sgi")
+        [ -n "$id_v2" ] && [ "$id_v2" = "$id_scratch" ] \
+            || { echo "--buckets $bits: updated $id_v2 != scratch $id_scratch"; return 1; }
+    done
+    echo "  update == scratch identity also at --buckets 4 and 20"
 
     # Mapping byte-identity, monolithic and re-sharded.
     local shards

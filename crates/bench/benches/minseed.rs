@@ -1,10 +1,11 @@
 //! Criterion microbenchmarks of the seeding path: minimizer extraction
-//! (the O(m) single-loop algorithm), index construction, and full MinSeed
-//! seeding per read.
+//! (the O(m) single-loop algorithm), index construction and its phases,
+//! and full MinSeed seeding per read.
 
 use segram_index::{
     extract_minimizers, frequency_threshold, GraphIndex, MinSeed, MinSeedConfig, MinimizerScheme,
 };
+use segram_io::{read_fasta, write_fasta, Ambiguity, FastaRecord};
 use segram_sim::{
     generate_reference, simulate_reads, simulate_variants, ErrorProfile, GenomeConfig, ReadConfig,
     VariantConfig,
@@ -74,5 +75,50 @@ fn bench_index_and_seeding(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_minimizer_extraction, bench_index_and_seeding);
+/// The phases of `segram index build` on one 2 Mbp reference, so the
+/// README's phase table can be regenerated: FASTA decode, minimizer
+/// extraction over every node, the whole `GraphIndex::build` (extraction,
+/// filing into bucket runs and ordering them, level assembly), and level
+/// assembly alone — the one-shard `extract_shard` streams the finished
+/// index's sorted pairs through the same level builder. Filing and
+/// ordering is `build` minus the other two.
+fn bench_index_build_phases(c: &mut Criterion) {
+    let reference = generate_reference(&GenomeConfig::human_like(2_000_000, 17));
+    let fasta = write_fasta(&[FastaRecord::new("chr1", reference.clone())], 60);
+    let variants = simulate_variants(&reference, &VariantConfig::human_like(18));
+    let graph = segram_graph::build_graph(&reference, variants)
+        .expect("synthetic inputs")
+        .graph;
+    let scheme = MinimizerScheme::new(10, 15);
+    let index = GraphIndex::build(&graph, scheme, 16);
+    let whole = [0, graph.total_chars()];
+
+    let mut group = c.benchmark_group("index_build");
+    group.sample_size(10);
+    group.bench_function("fasta_decode_2mbp", |b| {
+        b.iter(|| read_fasta(&fasta, Ambiguity::Reject).expect("own FASTA"))
+    });
+    group.bench_function("extraction_2mbp", |b| {
+        b.iter(|| {
+            graph
+                .node_ids()
+                .map(|node| extract_minimizers(graph.seq(node), &scheme).len())
+                .sum::<usize>()
+        })
+    });
+    group.bench_function("build_2mbp", |b| {
+        b.iter(|| GraphIndex::build(&graph, scheme, 16))
+    });
+    group.bench_function("level_assembly_2mbp", |b| {
+        b.iter(|| index.extract_shard(&graph, &whole, 0))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_minimizer_extraction,
+    bench_index_and_seeding,
+    bench_index_build_phases
+);
 criterion_main!(benches);

@@ -46,13 +46,13 @@ fn build_reference_graph(
     let ref_path = options.require("reference")?;
     let records = read_fasta(&read_file(ref_path)?, ambiguity(options))
         .map_err(|e| CliError::format(ref_path, e))?;
+    let mut records = records.into_iter();
     let record = match options.get("chrom") {
         Some(name) => records
-            .iter()
             .find(|r| r.id == name)
             .ok_or_else(|| CliError::usage(format!("{ref_path}: no record named {name:?}")))?,
         None => records
-            .first()
+            .next()
             .ok_or_else(|| CliError::usage(format!("{ref_path}: empty FASTA")))?,
     };
 
@@ -64,27 +64,37 @@ fn build_reference_graph(
             } else {
                 VcfOptions::default()
             };
-            let doc = read_vcf(&read_file(vcf_path)?, vcf_options)
+            let mut doc = read_vcf(&read_file(vcf_path)?, vcf_options)
                 .map_err(|e| CliError::format(vcf_path, e))?;
             let skipped = doc.skipped;
-            let set = doc
-                .chrom(&record.id)
-                .cloned()
-                .or_else(|| doc.per_chrom.values().next().cloned())
-                .unwrap_or_default();
+            // A VCF whose one CHROM is merely spelled differently ("1" for
+            // "chr1") still names the default record; rows of any other
+            // CHROM never stand in for the chosen one.
+            let lone = doc.per_chrom.len() == 1 && options.get("chrom").is_none();
+            let set = match doc.per_chrom.remove(&record.id) {
+                Some(set) => set,
+                None if lone || doc.per_chrom.is_empty() => doc
+                    .per_chrom
+                    .pop_first()
+                    .map(|(_, set)| set)
+                    .unwrap_or_default(),
+                None => {
+                    let chroms: Vec<&str> = doc.per_chrom.keys().map(String::as_str).collect();
+                    return Err(CliError::usage(format!(
+                        "{vcf_path}: no CHROM named {:?} (the chosen record of {ref_path}); \
+                         the VCF holds {}",
+                        record.id,
+                        chroms.join(", ")
+                    )));
+                }
+            };
             (set, skipped)
         }
     };
 
     let variant_count = variants.len();
     let built = build_graph(&record.seq, variants.into_sorted())?;
-    Ok((
-        record.id.clone(),
-        record.seq.clone(),
-        built,
-        variant_count,
-        skipped,
-    ))
+    Ok((record.id, record.seq, built, variant_count, skipped))
 }
 
 /// `segram construct`.

@@ -277,6 +277,90 @@ fn usage_errors_are_reported_with_exit_code_2() {
     assert_eq!(err.exit_code(), 2);
 }
 
+/// Runs `construct` and `index build` over `two.fa` with the given VCF
+/// and `--chrom`, returning both outcomes.
+fn construct_and_build(
+    dir: &TempDir,
+    vcf: &str,
+    chrom: Option<&str>,
+) -> [Result<String, CliError>; 2] {
+    let (fasta, vcf) = (dir.path("two.fa"), dir.path(vcf));
+    let (gfa, sgi) = (dir.path("out.gfa"), dir.path("out.sgi"));
+    let chrom: Vec<&str> = chrom.into_iter().flat_map(|c| ["--chrom", c]).collect();
+    let common = ["--reference", &fasta, "--vcf", &vcf];
+    [
+        run(&[&["construct", "--output", &gfa], &common[..], &chrom[..]].concat()),
+        run(&[
+            &["index", "build", "--buckets", "8", "--output", &sgi],
+            &common[..],
+            &chrom[..],
+        ]
+        .concat()),
+    ]
+}
+
+#[test]
+fn vcf_rows_of_another_chrom_are_never_embedded_into_the_chosen_record() {
+    let dir = TempDir::new("vcf-chrom");
+    let chr_a = "ACGTTGCAGTCATGCAACGGTTACGATCCGTA".repeat(4);
+    let chr_b = "TTGACCGTAGGCTAACGTCAGTCCATGGATCA".repeat(4);
+    fs::write(
+        dir.path("two.fa"),
+        format!(">chrA\n{chr_a}\n>chrB\n{chr_b}\n"),
+    )
+    .unwrap();
+    // POS is 1-based: REF must be the record's base there.
+    let row = |chrom: &str, seq: &str, pos: usize| {
+        let base = &seq[pos - 1..pos];
+        let alt = if base == "A" { "C" } else { "A" };
+        format!("{chrom}\t{pos}\t.\t{base}\t{alt}\t.\t.\t.\n")
+    };
+    let header = "##fileformat=VCFv4.2\n#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\n";
+    let write = |name: &str, rows: &[String]| {
+        fs::write(dir.path(name), format!("{header}{}", rows.concat())).unwrap();
+    };
+    write("b.vcf", &[row("chrB", &chr_b, 20)]);
+    write("ab.vcf", &[row("chrA", &chr_a, 9), row("chrB", &chr_b, 20)]);
+    write("other.vcf", &[row("1", &chr_a, 9)]);
+    write("others.vcf", &[row("1", &chr_a, 9), row("2", &chr_a, 40)]);
+
+    // `--chrom chrA` with only chrB rows used to embed chrB's variant
+    // into chrA and exit 0.
+    for (vcf, chrom, listed) in [
+        ("b.vcf", Some("chrA"), "chrB"),
+        ("other.vcf", Some("chrA"), "1"),
+        ("others.vcf", None, "1, 2"),
+    ] {
+        for outcome in construct_and_build(&dir, vcf, chrom) {
+            let err = outcome.expect_err("foreign CHROM rows must not be embedded");
+            assert_eq!(err.exit_code(), 2, "{vcf}: {err}");
+            let message = err.to_string();
+            assert!(message.contains("\"chrA\""), "{vcf}: {message}");
+            assert!(message.contains(listed), "{vcf}: {message}");
+        }
+    }
+
+    // A matching CHROM is used whatever else the VCF holds, with and
+    // without `--chrom`; `--chrom chrB` picks the other record's row.
+    for (vcf, chrom) in [
+        ("ab.vcf", None),
+        ("ab.vcf", Some("chrA")),
+        ("ab.vcf", Some("chrB")),
+        ("b.vcf", Some("chrB")),
+    ] {
+        for outcome in construct_and_build(&dir, vcf, chrom) {
+            let report = outcome.unwrap_or_else(|e| panic!("{vcf} {chrom:?}: {e}"));
+            assert!(report.contains("1 variants embedded"), "{report}");
+            assert!(report.contains(chrom.unwrap_or("chrA")), "{report}");
+        }
+    }
+    // The naming-mismatch convenience: one CHROM, no `--chrom`.
+    for outcome in construct_and_build(&dir, "other.vcf", None) {
+        let report = outcome.expect("a one-CHROM VCF names the default record");
+        assert!(report.contains("1 variants embedded"), "{report}");
+    }
+}
+
 #[test]
 fn threads_option_is_validated_before_io() {
     // Both rejections are usage errors (exit 2), and they win over the

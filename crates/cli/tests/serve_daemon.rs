@@ -531,6 +531,12 @@ fn mid_flight_reload_is_zero_downtime_and_byte_identical() {
     let half = payload.len() / 2;
     writer.write_all(&payload[..half]).expect("first half");
     writer.flush().expect("flush");
+    // The daemon pins a request when its connection thread has read the
+    // header, and says nothing on the wire until the payload is complete.
+    // Give that thread time to be scheduled before the swap is asked for:
+    // on a loaded two-core box the RELOAD (a ~1 ms load of this store)
+    // otherwise wins the race about one time in three.
+    std::thread::sleep(std::time::Duration::from_millis(250));
 
     // Swap the index to B while that request is mid-payload.
     let report = run(&["request", "--addr", &addr, "--reload", &sgi_b]).expect("reload");

@@ -174,8 +174,9 @@ pub fn build_graph(
     let mut is_backbone = Vec::with_capacity(planned.len());
     let mut backbone_head = None;
     for &(_, _, idx) in &keyed {
-        let p = &planned[idx];
-        let id = builder.add_node(p.seq.clone())?;
+        // The wiring below needs only the coordinates of a planned node.
+        let p = &mut planned[idx];
+        let id = builder.add_node(std::mem::take(&mut p.seq))?;
         ids[idx] = id;
         ref_starts.push(p.start);
         is_backbone.push(p.backbone);

@@ -19,6 +19,12 @@ pub const LOCATION_ENTRY_BYTES: u64 = 8;
 /// The paper's empirically chosen bucket count, `2^24` (Figure 7 ff.).
 pub const DEFAULT_BUCKET_BITS: u32 = 24;
 
+/// The first-level bucket of a minimizer hash: its low `bucket_bits` bits.
+#[inline]
+pub(crate) fn bucket_of(hash: u64, bucket_bits: u32) -> usize {
+    (hash & ((1u64 << bucket_bits) - 1)) as usize
+}
+
 /// One second-level entry: a distinct minimizer and its seed locations.
 /// Crate-visible so the `persist` module can stream entries to and from
 /// the on-disk format without re-sorting.
@@ -73,63 +79,88 @@ impl GraphIndex {
             (1..=32).contains(&bucket_bits),
             "bucket_bits must be 1..=32"
         );
-        // Collect (hash, node, offset) for every node's minimizers.
-        let mut raw: Vec<(u64, GraphPos)> = Vec::new();
+        // Collect (hash, node, offset) for every node's minimizers, filed
+        // by the top bits of their bucket into runs of adjacent buckets.
+        let run_bits = bucket_bits.min(8);
+        let expected = graph.total_chars() as usize * 5 / (2 * (scheme.w + 1));
+        let mut runs: Vec<Vec<(u64, GraphPos)>> = (0..1usize << run_bits)
+            .map(|_| Vec::with_capacity(expected >> run_bits))
+            .collect();
         for node in graph.node_ids() {
             let seq = graph.seq(node);
             for m in extract_minimizers_from(seq.as_slice(), &scheme) {
-                raw.push((m.rank, GraphPos::new(node, m.pos)));
+                let run = bucket_of(m.rank, bucket_bits) >> (bucket_bits - run_bits);
+                runs[run].push((m.rank, GraphPos::new(node, m.pos)));
             }
         }
-        Self::from_raw(scheme, bucket_bits, raw)
+        // Order each run's few thousand pairs. The bucket is the hash's low
+        // bits: rotated to the top, integer order is (bucket, hash) order.
+        for run in &mut runs {
+            run.sort_unstable_by_key(|&(hash, pos)| (hash.rotate_right(bucket_bits), pos));
+        }
+        let pairs = runs.iter().map(Vec::len).sum();
+        Self::from_sorted(scheme, bucket_bits, pairs, runs.into_iter().flatten())
     }
 
-    fn from_raw(scheme: MinimizerScheme, bucket_bits: u32, mut raw: Vec<(u64, GraphPos)>) -> Self {
-        let bucket_count = 1usize << bucket_bits;
-        let bucket_of = |hash: u64| -> usize { (hash % bucket_count as u64) as usize };
-        raw.sort_by_key(|&(hash, pos)| (bucket_of(hash), hash, pos));
-        Self::from_sorted(scheme, bucket_bits, raw)
+    /// Assembles the three levels from a stream of about `expected` `(hash,
+    /// location)` pairs in `(bucket, hash, location)` order.
+    fn from_sorted(
+        scheme: MinimizerScheme,
+        bucket_bits: u32,
+        expected: usize,
+        seeds: impl Iterator<Item = (u64, GraphPos)>,
+    ) -> Self {
+        let mut index = Self::unsealed(scheme, bucket_bits, expected);
+        seeds.for_each(|seed| index.push_seed(seed));
+        index.sealed()
     }
 
-    /// Assembles the three levels from a `(hash, location)` stream already
-    /// in `(bucket, hash, location)` order — the no-re-sort fast path
-    /// [`Self::apply_delta`] uses to merge carried and fresh entries.
-    fn from_sorted(scheme: MinimizerScheme, bucket_bits: u32, raw: Vec<(u64, GraphPos)>) -> Self {
-        let bucket_count = 1usize << bucket_bits;
-        let bucket_of = |hash: u64| -> usize { (hash % bucket_count as u64) as usize };
-        debug_assert!(
-            raw.windows(2)
-                .all(|w| (bucket_of(w[0].0), w[0].0, w[0].1) <= (bucket_of(w[1].0), w[1].0, w[1].1)),
-            "from_sorted input must arrive in (bucket, hash, location) order"
-        );
-        let mut bucket_starts = vec![0u32; bucket_count + 1];
-        let mut minimizers: Vec<MinimizerEntry> = Vec::new();
-        let mut locations: Vec<GraphPos> = Vec::with_capacity(raw.len());
-        for (hash, pos) in raw {
-            let same = minimizers.last().is_some_and(|last| last.hash == hash);
-            if same {
-                minimizers.last_mut().expect("non-empty").loc_count += 1;
-            } else {
-                minimizers.push(MinimizerEntry {
-                    hash,
-                    loc_start: locations.len() as u32,
-                    loc_count: 1,
-                });
-                bucket_starts[bucket_of(hash) + 1] += 1;
-            }
-            locations.push(pos);
-        }
-        // Prefix sums: bucket_starts[b] = first second-level entry of bucket b.
-        for b in 1..=bucket_count {
-            bucket_starts[b] += bucket_starts[b - 1];
-        }
+    /// An index under assembly — the one level builder behind
+    /// [`Self::build`], [`Self::apply_delta`] and the splits:
+    /// [`Self::push_seed`] fills the second and third level and the first up
+    /// to the latest minimizer's bucket, [`Self::sealed`] the rest of it.
+    fn unsealed(scheme: MinimizerScheme, bucket_bits: u32, expected: usize) -> Self {
         Self {
             scheme,
             bucket_bits,
-            bucket_starts,
-            minimizers,
-            locations,
+            bucket_starts: Vec::with_capacity((1usize << bucket_bits) + 1),
+            minimizers: Vec::with_capacity(expected),
+            locations: Vec::with_capacity(expected),
         }
+    }
+
+    fn push_seed(&mut self, (hash, pos): (u64, GraphPos)) {
+        let bucket = bucket_of(hash, self.bucket_bits);
+        debug_assert!(
+            self.minimizers.last().is_none_or(|last| {
+                let last = (bucket_of(last.hash, self.bucket_bits), last.hash);
+                (last, self.locations.last()) <= ((bucket, hash), Some(&pos))
+            }),
+            "seeds must arrive in (bucket, hash, location) order"
+        );
+        match self.minimizers.last_mut() {
+            Some(last) if last.hash == hash => last.loc_count += 1,
+            _ => {
+                // Every bucket up to this one starts at or before this entry.
+                let entries = self.minimizers.len() as u32;
+                if self.bucket_starts.len() <= bucket {
+                    self.bucket_starts.resize(bucket + 1, entries);
+                }
+                self.minimizers.push(MinimizerEntry {
+                    hash,
+                    loc_start: self.locations.len() as u32,
+                    loc_count: 1,
+                });
+            }
+        }
+        self.locations.push(pos);
+    }
+
+    fn sealed(mut self) -> Self {
+        let entries = self.minimizers.len() as u32;
+        self.bucket_starts
+            .resize((1usize << self.bucket_bits) + 1, entries);
+        self
     }
 
     /// The minimizer scheme the index was built with.
@@ -167,7 +198,7 @@ impl GraphIndex {
     }
 
     fn entry(&self, hash: u64) -> Option<MinimizerEntry> {
-        let bucket = (hash % (1u64 << self.bucket_bits)) as usize;
+        let bucket = bucket_of(hash, self.bucket_bits);
         let start = self.bucket_starts[bucket] as usize;
         let end = self.bucket_starts[bucket + 1] as usize;
         let slice = &self.minimizers[start..end];
@@ -201,15 +232,16 @@ impl GraphIndex {
     /// (i.e. `graph` is not the graph this index was built from).
     pub fn split_by_ranges(&self, graph: &GenomeGraph, boundaries: &[u64]) -> Vec<GraphIndex> {
         let owner = shard_owner(graph, boundaries);
-        let mut raw: Vec<Vec<(u64, GraphPos)>> = vec![Vec::new(); boundaries.len() - 1];
-        for (hash, loc) in self.seeds() {
-            raw[owner(loc)].push((hash, loc));
-        }
+        let share = self.locations.len() / (boundaries.len() - 1);
+        let mut shards: Vec<GraphIndex> = (1..boundaries.len())
+            .map(|_| Self::unsealed(self.scheme, self.bucket_bits, share))
+            .collect();
         // A filter of the `(bucket, hash, location)`-ordered walk keeps
         // that order: no shard needs a re-sort.
-        raw.into_iter()
-            .map(|r| Self::from_sorted(self.scheme, self.bucket_bits, r))
-            .collect()
+        for seed in self.seeds() {
+            shards[owner(seed.1)].push_seed(seed);
+        }
+        shards.into_iter().map(Self::sealed).collect()
     }
 
     /// Extracts the single shard `shard` of the [`Self::split_by_ranges`]
@@ -231,8 +263,9 @@ impl GraphIndex {
         let owner = shard_owner(graph, boundaries);
         let shards = boundaries.len() - 1;
         assert!(shard < shards, "shard {shard} out of {shards}");
-        let raw = self.seeds().filter(|&(_, loc)| owner(loc) == shard);
-        Self::from_sorted(self.scheme, self.bucket_bits, raw.collect())
+        let kept = self.seeds().filter(|&(_, loc)| owner(loc) == shard);
+        let share = self.locations.len() / shards;
+        Self::from_sorted(self.scheme, self.bucket_bits, share, kept)
     }
 
     /// Every `(hash, location)` pair in `(bucket, hash, location)` order.
@@ -262,29 +295,11 @@ impl GraphIndex {
         new_graph: &GenomeGraph,
         log: &ChangeLog,
     ) -> (GraphIndex, DeltaStats) {
-        let bucket_count = 1u64 << self.bucket_bits;
-        let key = |hash: u64, pos: GraphPos| (hash % bucket_count, hash, pos);
+        let key = |(hash, pos): (u64, GraphPos)| (bucket_of(hash, self.bucket_bits), hash, pos);
         let carried_map = log.carried_map(old_graph.node_count());
 
-        // Carried stream: walk the old index in its own (bucket, hash,
-        // location) order, translating node ids. Monotone carried maps
-        // preserve the order; the debug assert in `from_sorted` guards it.
-        let mut stats = DeltaStats::default();
-        let mut carried: Vec<(u64, GraphPos)> = Vec::with_capacity(self.locations.len());
-        for entry in &self.minimizers {
-            let locs = &self.locations[entry.loc_start as usize..][..entry.loc_count as usize];
-            for &loc in locs {
-                match carried_map[loc.node.index()] {
-                    Some(new_node) => {
-                        carried.push((entry.hash, GraphPos::new(new_node, loc.offset)));
-                        stats.carried_locations += 1;
-                    }
-                    None => stats.dropped_locations += 1,
-                }
-            }
-        }
-
         // Fresh stream: extract only the nodes the delta created.
+        let mut stats = DeltaStats::default();
         let mut fresh: Vec<(u64, GraphPos)> = Vec::new();
         for &node in &log.fresh {
             let seq = new_graph.seq(node);
@@ -296,27 +311,30 @@ impl GraphIndex {
         stats.extracted_locations = fresh.len();
         stats.carried_nodes = log.carried.len();
         stats.fresh_nodes = log.fresh.len();
-        fresh.sort_by_key(|&(hash, pos)| key(hash, pos));
+        fresh.sort_unstable_by_key(|&seed| key(seed));
 
-        // Two-pointer merge of the two sorted streams.
-        let mut merged: Vec<(u64, GraphPos)> = Vec::with_capacity(carried.len() + fresh.len());
-        let (mut i, mut j) = (0, 0);
-        while i < carried.len() && j < fresh.len() {
-            if key(carried[i].0, carried[i].1) <= key(fresh[j].0, fresh[j].1) {
-                merged.push(carried[i]);
-                i += 1;
-            } else {
-                merged.push(fresh[j]);
-                j += 1;
+        // Carried stream: the old index walked in its own (bucket, hash,
+        // location) order, node ids translated on the way, the sorted fresh
+        // pairs merged in. Monotone carried maps preserve the order; the
+        // debug assert in `push_seed` guards it.
+        let expected = self.locations.len() + fresh.len();
+        let mut index = Self::unsealed(self.scheme, self.bucket_bits, expected);
+        let mut fresh = fresh.into_iter().peekable();
+        for (hash, loc) in self.seeds() {
+            let Some(node) = carried_map[loc.node.index()] else {
+                continue;
+            };
+            let carried = (hash, GraphPos::new(node, loc.offset));
+            while let Some(seed) = fresh.next_if(|&seed| key(seed) < key(carried)) {
+                index.push_seed(seed);
             }
+            index.push_seed(carried);
         }
-        merged.extend_from_slice(&carried[i..]);
-        merged.extend_from_slice(&fresh[j..]);
-
-        (
-            Self::from_sorted(self.scheme, self.bucket_bits, merged),
-            stats,
-        )
+        fresh.for_each(|seed| index.push_seed(seed));
+        let index = index.sealed();
+        stats.carried_locations = index.locations.len() - stats.extracted_locations;
+        stats.dropped_locations = self.locations.len() - stats.carried_locations;
+        (index, stats)
     }
 
     /// The per-minimizer occurrence counts (used to derive the frequency
@@ -385,10 +403,9 @@ impl GraphIndex {
     /// Maximum number of distinct minimizers hashing to one bucket under a
     /// hypothetical bucket count (right axis of Figure 7).
     fn max_bucket_load(&self, bucket_bits: u32) -> usize {
-        let mut loads: HashMap<u64, usize> = HashMap::new();
-        let buckets = 1u64 << bucket_bits;
+        let mut loads: HashMap<usize, usize> = HashMap::new();
         for e in &self.minimizers {
-            *loads.entry(e.hash % buckets).or_insert(0) += 1;
+            *loads.entry(bucket_of(e.hash, bucket_bits)).or_insert(0) += 1;
         }
         loads.values().copied().max().unwrap_or(0)
     }
@@ -513,6 +530,127 @@ mod tests {
                 segram_graph::Base::from_code_masked((state >> 33) as u8)
             })
             .collect()
+    }
+
+    /// The construction as it was before bucket placement and the
+    /// streaming level builder — one comparison sort of every pair by
+    /// `(bucket, hash, location)`, per-bucket counts, prefix sums — kept
+    /// as the oracle for both.
+    fn from_raw(
+        scheme: MinimizerScheme,
+        bucket_bits: u32,
+        mut raw: Vec<(u64, GraphPos)>,
+    ) -> GraphIndex {
+        let bucket_count = 1usize << bucket_bits;
+        let bucket_of = |hash: u64| -> usize { (hash % bucket_count as u64) as usize };
+        raw.sort_by_key(|&(hash, pos)| (bucket_of(hash), hash, pos));
+        let mut bucket_starts = vec![0u32; bucket_count + 1];
+        let mut minimizers: Vec<MinimizerEntry> = Vec::new();
+        let mut locations: Vec<GraphPos> = Vec::with_capacity(raw.len());
+        for (hash, pos) in raw {
+            let same = minimizers.last().is_some_and(|last| last.hash == hash);
+            if same {
+                minimizers.last_mut().expect("non-empty").loc_count += 1;
+            } else {
+                minimizers.push(MinimizerEntry {
+                    hash,
+                    loc_start: locations.len() as u32,
+                    loc_count: 1,
+                });
+                bucket_starts[bucket_of(hash) + 1] += 1;
+            }
+            locations.push(pos);
+        }
+        for b in 1..=bucket_count {
+            bucket_starts[b] += bucket_starts[b - 1];
+        }
+        GraphIndex {
+            scheme,
+            bucket_bits,
+            bucket_starts,
+            minimizers,
+            locations,
+        }
+    }
+
+    fn raw_seeds(graph: &GenomeGraph, scheme: &MinimizerScheme) -> Vec<(u64, GraphPos)> {
+        let mut raw = Vec::new();
+        for node in graph.node_ids() {
+            for m in extract_minimizers(graph.seq(node), scheme) {
+                raw.push((m.rank, GraphPos::new(node, m.pos)));
+            }
+        }
+        raw
+    }
+
+    fn assert_same_levels(got: &GraphIndex, want: &GraphIndex, what: &str) {
+        assert_eq!(got.bucket_starts, want.bucket_starts, "{what}: level 1");
+        assert_eq!(got.minimizers, want.minimizers, "{what}: level 2");
+        assert_eq!(got.locations, want.locations, "{what}: level 3");
+    }
+
+    #[test]
+    fn build_equals_the_comparison_sort_reference() {
+        for seed in 0..6u64 {
+            let reference = lcg_seq(1500 + 700 * seed as usize, 11 + seed);
+            let step = 40 + 13 * seed;
+            let variants = (0..reference.len() as u64 / step)
+                .map(|i| match (i + seed) % 3 {
+                    0 => Variant::snp(
+                        i * step + 5,
+                        reference[(i * step + 5) as usize].complement(),
+                    ),
+                    1 => Variant::insertion(i * step + 5, lcg_seq(1 + (i % 30) as usize, i)),
+                    _ => Variant::deletion(i * step + 5, 1 + i % 4),
+                })
+                .collect();
+            let graph = build_graph(&reference, variants).unwrap().graph;
+            for scheme in [MinimizerScheme::new(5, 11), MinimizerScheme::new(3, 4)] {
+                for bucket_bits in [1, 4, 16] {
+                    let want = from_raw(scheme, bucket_bits, raw_seeds(&graph, &scheme));
+                    let got = GraphIndex::build(&graph, scheme, bucket_bits);
+                    let what = format!("seed {seed} {scheme:?} 2^{bucket_bits}");
+                    assert_same_levels(&got, &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn build_handles_an_empty_index_and_a_single_bucket() {
+        // Every node shorter than k: nothing to place.
+        let short = linear_graph(&lcg_seq(40, 2), 8).unwrap();
+        let scheme = MinimizerScheme::new(5, 11);
+        for bucket_bits in [1, 4, 16] {
+            let empty = GraphIndex::build(&short, scheme, bucket_bits);
+            assert_same_levels(&empty, &from_raw(scheme, bucket_bits, Vec::new()), "empty");
+            assert_eq!(empty.total_locations(), 0);
+            assert_eq!(empty.bucket_starts, vec![0; (1 << bucket_bits) + 1]);
+            assert_eq!(empty.frequency(7), 0);
+        }
+        // A homopolymer under lexicographic order has the one hash 0: all
+        // of its locations file under bucket 0 of however many buckets.
+        let poly: DnaSeq = "A".repeat(300).parse().unwrap();
+        let graph = linear_graph(&poly, 64).unwrap();
+        let scheme = MinimizerScheme::lexicographic(4, 6);
+        for bucket_bits in [1, 4, 16] {
+            let got = GraphIndex::build(&graph, scheme, bucket_bits);
+            let want = from_raw(scheme, bucket_bits, raw_seeds(&graph, &scheme));
+            assert_same_levels(&got, &want, "one bucket");
+            assert_eq!(got.distinct_minimizers(), 1);
+            assert_eq!(got.bucket_starts[1..], vec![1; 1 << bucket_bits]);
+            assert_eq!(got.frequency(0) as usize, got.total_locations());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "(bucket, hash, location) order")]
+    fn from_sorted_checks_the_order_of_consecutive_pairs() {
+        // Bucket order first: with four buckets hash 5 files before hash 2.
+        let at = |offset| GraphPos::new(NodeId(0), offset);
+        let seeds = [(5, at(0)), (2, at(1)), (6, at(2)), (6, at(1))];
+        GraphIndex::from_sorted(MinimizerScheme::new(5, 11), 2, 4, seeds.into_iter());
     }
 
     fn test_graph() -> GenomeGraph {
@@ -711,7 +849,7 @@ mod tests {
             }
         }
         raw.into_iter()
-            .map(|r| GraphIndex::from_raw(index.scheme, index.bucket_bits, r))
+            .map(|r| from_raw(index.scheme, index.bucket_bits, r))
             .collect()
     }
 

@@ -8,9 +8,9 @@
 //!
 //! The single-loop extraction below is the paper's `O(m)` algorithm
 //! ("we can eliminate the inner loop by caching the previous minimum
-//! k-mers within the current window"), implemented with a monotonic deque.
-
-use std::collections::VecDeque;
+//! k-mers within the current window"), implemented as minimap2's
+//! `mm_sketch` does: a ring of the last `w` k-mers and the tracked minimum,
+//! rescanned only when that minimum leaves the window.
 
 use segram_graph::{Base, DnaSeq};
 
@@ -161,46 +161,74 @@ pub fn extract_minimizers_from(bases: &[Base], scheme: &MinimizerScheme) -> Vec<
     }
     let n_kmers = len - k + 1;
     let mask = kmer_mask(k);
-    let mut out: Vec<Minimizer> = Vec::new();
-    // Monotonic deque of (rank, kmer index) candidates.
-    let mut deque: VecDeque<(u64, usize, u64)> = VecDeque::new();
-    let mut packed = 0u64;
-    for (i, &b) in bases.iter().enumerate() {
+    let mut packed = bases[..k - 1]
+        .iter()
+        .fold(0u64, |acc, &b| (acc << 2) | b.code() as u64);
+    let mut next_kmer = |b: Base| {
         packed = ((packed << 2) | b.code() as u64) & mask;
-        if i + 1 < k {
-            continue;
-        }
-        let kmer_idx = i + 1 - k;
-        let rank = scheme.rank(packed);
-        // Pop dominated candidates (strictly larger rank; ties keep the
-        // earlier occurrence, matching "smallest, leftmost" selection).
-        while deque.back().is_some_and(|&(r, _, _)| r > rank) {
-            deque.pop_back();
-        }
-        deque.push_back((rank, kmer_idx, packed));
-        // Window of the last w k-mers: [kmer_idx + 1 - w, kmer_idx].
-        let window_start = kmer_idx as isize + 1 - w as isize;
-        while deque
-            .front()
-            .is_some_and(|&(_, idx, _)| (idx as isize) < window_start)
-        {
-            deque.pop_front();
-        }
-        // Report once a full window exists (or at the very end for short
-        // sequences).
-        let full_window = kmer_idx + 1 >= w;
-        let last = kmer_idx + 1 == n_kmers;
-        if full_window || last {
-            let &(rank, idx, kmer) = deque.front().expect("deque non-empty");
-            let candidate = Minimizer {
+        (scheme.rank(packed), packed)
+    };
+    // A quarter above the expected density of `2 / (w + 1)`.
+    let mut out: Vec<Minimizer> = Vec::with_capacity(5 * n_kmers / (2 * (w + 1)) + 4);
+    // The `(rank, packed)` of the last `w` k-mers.
+    let mut ring = vec![(0u64, 0u64); w];
+
+    // The first window (or the whole of a shorter sequence) reports its
+    // leftmost smallest k-mer: strictly smaller only, so a tie keeps the
+    // earlier occurrence.
+    let (first, rest) = bases[k - 1..].split_at(w.min(n_kmers));
+    let mut min = Minimizer {
+        rank: u64::MAX,
+        packed: 0,
+        pos: 0,
+    };
+    for (idx, &b) in first.iter().enumerate() {
+        let (rank, packed) = next_kmer(b);
+        ring[idx] = (rank, packed);
+        if idx == 0 || rank < min.rank {
+            min = Minimizer {
                 rank,
-                packed: kmer,
+                packed,
                 pos: idx as u32,
             };
-            if out.last() != Some(&candidate) {
-                out.push(candidate);
-            }
         }
+    }
+    out.push(min);
+
+    // Every later k-mer completes a window whose minimum is the tracked
+    // one unless the k-mer beats it or it has left the window. Either way
+    // the new minimum is another occurrence, so each is reported once.
+    let mut slot = w - 1;
+    for (kmer_idx, &b) in (w..).zip(rest) {
+        let (rank, packed) = next_kmer(b);
+        slot = if slot + 1 == w { 0 } else { slot + 1 };
+        ring[slot] = (rank, packed);
+        if rank < min.rank {
+            min = Minimizer {
+                rank,
+                packed,
+                pos: kmer_idx as u32,
+            };
+        } else if min.pos as usize + w <= kmer_idx {
+            // Rescan the window [kmer_idx + 1 - w, kmer_idx], oldest
+            // k-mer (the slot after the current one) first.
+            let oldest = if slot + 1 == w { 0 } else { slot + 1 };
+            let (mut best, mut best_rank) = (oldest, ring[oldest].0);
+            for s in (oldest + 1..w).chain(0..oldest) {
+                if ring[s].0 < best_rank {
+                    (best, best_rank) = (s, ring[s].0);
+                }
+            }
+            let age = (best + w - oldest) % w;
+            min = Minimizer {
+                rank: best_rank,
+                packed: ring[best].1,
+                pos: (kmer_idx + 1 - w + age) as u32,
+            };
+        } else {
+            continue;
+        }
+        out.push(min);
     }
     out
 }

@@ -32,7 +32,7 @@ use segram_graph::{
 };
 use segram_io::{fnv1a64, xxh64, BinError, ByteReader, ByteWriter};
 
-use crate::index::{GraphIndex, MinimizerEntry};
+use crate::index::{bucket_of, GraphIndex, MinimizerEntry};
 use crate::minimizer::{KmerOrdering, MinimizerScheme};
 
 /// The 8-byte magic at the start of every `.sgi` file.
@@ -754,7 +754,7 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
             }
         }
         for entry in entries {
-            if entry.hash & (bucket_count - 1) != bucket as u64 {
+            if bucket_of(entry.hash, bucket_bits) != bucket {
                 return Err(corrupt(
                     SECTION,
                     format!("hash {:#x} filed under bucket {bucket}", entry.hash),

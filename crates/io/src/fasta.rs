@@ -130,8 +130,42 @@ fn finish_record(
     })
 }
 
+const NOT_A_BASE: u8 = 4;
+/// 2-bit code of each `ACGTacgt` byte; [`NOT_A_BASE`] for every other.
+const BASE_CLASS: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        if let Some(base) = Base::from_ascii(byte as u8) {
+            table[byte] = base.code();
+        }
+        byte += 1;
+    }
+    table
+};
+
 /// Appends validated bases to `seq`, applying the ambiguity policy.
 pub(crate) fn append_bases(
+    seq: &mut DnaSeq,
+    bytes: &[u8],
+    line_no: usize,
+    ambiguity: Ambiguity,
+) -> Result<(), FormatError> {
+    // The common line holds nothing but bases: one table lookup per byte.
+    // Any other line takes the per-byte path, which owns every policy
+    // decision and error.
+    if bytes.iter().all(|&b| BASE_CLASS[b as usize] != NOT_A_BASE) {
+        seq.extend(
+            bytes
+                .iter()
+                .map(|&b| Base::from_code_masked(BASE_CLASS[b as usize])),
+        );
+        return Ok(());
+    }
+    append_bases_checked(seq, bytes, line_no, ambiguity)
+}
+
+fn append_bases_checked(
     seq: &mut DnaSeq,
     bytes: &[u8],
     line_no: usize,
@@ -247,6 +281,116 @@ mod tests {
             FormatError::InvalidBase {
                 line: 2,
                 byte: b'1'
+            }
+        ));
+    }
+
+    /// Every outcome of the table path must be the per-byte path's.
+    fn append_both_ways(line: &[u8], ambiguity: Ambiguity) -> Result<DnaSeq, FormatError> {
+        let prefix: DnaSeq = "GT".parse().unwrap();
+        let (mut table, mut checked) = (prefix.clone(), prefix);
+        let got = append_bases(&mut table, line, 7, ambiguity);
+        let want = append_bases_checked(&mut checked, line, 7, ambiguity);
+        assert_eq!(
+            got.as_ref().map_err(ToString::to_string),
+            want.as_ref().map_err(ToString::to_string),
+            "{:?}",
+            String::from_utf8_lossy(line)
+        );
+        if got.is_ok() {
+            assert_eq!(table, checked);
+        }
+        got.map(|()| table)
+    }
+
+    #[test]
+    fn table_path_equals_the_per_byte_path() {
+        let policies = [Ambiguity::Reject, Ambiguity::Substitute(Base::C)];
+        let lines: [&[u8]; 10] = [
+            b"",
+            b"ACGTTGCAACGT",
+            b"acgtACGTtgca",
+            b"ACGTNACGT",
+            b"nACGT",
+            b"ACGT\r",
+            b"ACGT ACGT",
+            b"ACG*",
+            b"AC1GT",
+            b"ACGT\xc3\xa9",
+        ];
+        for ambiguity in policies {
+            for line in lines {
+                let _ = append_both_ways(line, ambiguity);
+            }
+            // All 256 byte values, alone and behind a run of bases.
+            for byte in 0..=255u8 {
+                let _ = append_both_ways(&[byte], ambiguity);
+                let _ = append_both_ways(&[b'A', b'c', b'G', byte, b't'], ambiguity);
+            }
+        }
+        assert_eq!(
+            append_both_ways(b"acgtACGT", Ambiguity::Reject)
+                .unwrap()
+                .to_string(),
+            "GTACGTACGT"
+        );
+        assert_eq!(
+            append_both_ways(b"ACNNGT", Ambiguity::Substitute(Base::C))
+                .unwrap()
+                .to_string(),
+            "GTACCCGT"
+        );
+        for ambiguity in policies {
+            let err = append_both_ways(b"ACGT\xc3\xa9", ambiguity).unwrap_err();
+            assert!(matches!(
+                err,
+                FormatError::InvalidBase {
+                    line: 7,
+                    byte: 0xc3
+                }
+            ));
+        }
+        let err = append_both_ways(b"ACGTNAC-", Ambiguity::Reject).unwrap_err();
+        assert!(matches!(
+            err,
+            FormatError::InvalidBase {
+                line: 7,
+                byte: b'N'
+            }
+        ));
+    }
+
+    #[test]
+    fn documents_parse_the_same_whatever_path_their_lines_take() {
+        // CRLF, lower case, blank and `;` lines, wrapped records: the same
+        // records as the one-line spelling, under either policy.
+        let text = ">one first\r\nACGT\r\nacg\r\n\r\n; note\r\nTTNA\r\n>two\nGG\n\nCC\n";
+        let flat = ">one first\nACGTACGTTNA\n>two\nGGCC\n";
+        let lenient = Ambiguity::Substitute(Base::G);
+        assert_eq!(
+            read_fasta(text, lenient).unwrap(),
+            read_fasta(flat, lenient).unwrap()
+        );
+        assert_eq!(
+            read_fasta(text, lenient).unwrap()[0].seq.to_string(),
+            "ACGTACGTTGA"
+        );
+        let err = read_fasta(text, Ambiguity::Reject).unwrap_err();
+        assert!(matches!(
+            err,
+            FormatError::InvalidBase {
+                line: 6,
+                byte: b'N'
+            }
+        ));
+        // A non-ASCII byte is never substituted, and is reported as its
+        // first byte on its own line.
+        let err = read_fasta(">x\nACGT\nAC\u{e9}GT\n", lenient).unwrap_err();
+        assert!(matches!(
+            err,
+            FormatError::InvalidBase {
+                line: 3,
+                byte: 0xc3
             }
         ));
     }

@@ -34,9 +34,18 @@ fn reference() -> DnaSeq {
 /// graph from reference + variants, index over the graph, changelog
 /// recording the reference and the applied set.
 fn build_store(reference: &DnaSeq, variants: VariantSet, source: &str) -> PersistedIndex {
+    build_store_at(reference, variants, source, BUCKET_BITS)
+}
+
+fn build_store_at(
+    reference: &DnaSeq,
+    variants: VariantSet,
+    source: &str,
+    bucket_bits: u32,
+) -> PersistedIndex {
     let built = build_graph(reference, variants).expect("variants apply");
     let changelog = initial_changelog(reference.clone(), &built, source);
-    let index = GraphIndex::build(&built.graph, scheme(), BUCKET_BITS);
+    let index = GraphIndex::build(&built.graph, scheme(), bucket_bits);
     let freq_threshold = frequency_threshold(&index, DISCARD);
     PersistedIndex {
         graph: built.graph,
@@ -141,6 +150,37 @@ fn update_store_equals_scratch_build_over_combined_variants() {
         log.history[1].dropped_variants > 0,
         "the conflicting SNP should have been dropped"
     );
+}
+
+/// `apply_delta` streams the carried walk and the sorted fresh pairs
+/// straight into the level builder, whose only check of their order is a
+/// debug assertion on consecutive pairs — so this runs where that is armed
+/// (the test profile keeps debug assertions on), and the streamed result
+/// has to be `build`'s at bucket counts from two buckets of everything to
+/// mostly empty ones.
+#[test]
+#[cfg(debug_assertions)]
+fn streamed_apply_delta_equals_build_with_the_order_assert_armed() {
+    let reference = reference();
+    for bucket_bits in [1, 4, BUCKET_BITS, 16] {
+        let base: VariantSet = base_variants().into_iter().collect();
+        let v1 = build_store_at(&reference, base, "base.vcf", bucket_bits);
+        let mut store = v1.clone();
+        for (delta, source) in [(delta_variants(), "d1.vcf"), (second_delta(), "d2.vcf")] {
+            let delta: VariantSet = delta.into_iter().collect();
+            let all = combined(&store, &delta);
+            store = update_store(&store, &delta, source)
+                .expect("delta applies")
+                .persisted;
+            let scratch = build_store_at(&reference, all, "all.vcf", bucket_bits);
+            assert_eq!(store.index.bucket_bits(), bucket_bits);
+            assert_eq!(
+                store.identity(),
+                scratch.identity(),
+                "2^{bucket_bits} buckets after {source}"
+            );
+        }
+    }
 }
 
 #[test]

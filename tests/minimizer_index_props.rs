@@ -53,17 +53,33 @@ fn brute_force(seq: &DnaSeq, scheme: &MinimizerScheme) -> Vec<Minimizer> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The O(m) deque extraction equals the O(m*w) brute force.
+    /// The O(m) ring extraction equals the O(m*w) brute force under both
+    /// orderings: on random input, on homopolymers and tandem repeats
+    /// (all rank ties, where every window must keep its leftmost smallest
+    /// k-mer), and on every prefix length around `k` and the first full
+    /// window, `w = 1` included.
     #[test]
     fn extraction_matches_brute_force(
         seq in arb_seq(1, 200),
+        unit in arb_seq(1, 6),
+        repeats in 1usize..40,
         w in 1usize..12,
         k in 1usize..10,
     ) {
-        for scheme in [MinimizerScheme::new(w, k), MinimizerScheme::lexicographic(w, k)] {
-            let fast = extract_minimizers(&seq, &scheme);
-            let slow = brute_force(&seq, &scheme);
-            prop_assert_eq!(fast, slow);
+        let mut repeat: DnaSeq = (0..repeats).flat_map(|_| unit.iter()).collect();
+        repeat.extend_from_seq(&seq.slice(0, seq.len().min(8)));
+        let span = w + k - 1;
+        for text in [&seq, &repeat] {
+            let lengths = [k - 1, k, k + 1, span - 1, span, span + 1, text.len()];
+            for len in lengths.into_iter().filter(|&len| len <= text.len()) {
+                let prefix = text.slice(0, len);
+                for scheme in [MinimizerScheme::new(w, k), MinimizerScheme::lexicographic(w, k)] {
+                    let fast = extract_minimizers(&prefix, &scheme);
+                    prop_assert_eq!(&fast, &brute_force(&prefix, &scheme), "{} of {}", len, text);
+                    prop_assert_eq!(fast.is_empty(), len < k);
+                    prop_assert!(fast.windows(2).all(|m| m[0].pos < m[1].pos));
+                }
+            }
         }
     }
 

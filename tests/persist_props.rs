@@ -6,12 +6,14 @@
 //! committed v1 store the parent of format v2 wrote.
 
 use segram_core::SegramConfig;
-use segram_graph::{linear_graph, Base, DnaSeq, GenomeGraph, GraphBuilder, NodeId, PackedSeq};
+use segram_graph::{
+    build_graph, linear_graph, Base, DnaSeq, GenomeGraph, GraphBuilder, NodeId, PackedSeq,
+};
 use segram_index::{
     decode_index, encode_index, frequency_threshold, section_table, GraphIndex, IndexProvenance,
     MinimizerScheme, PersistError, PersistedIndex, INDEX_FORMAT_VERSION, INDEX_MAGIC,
 };
-use segram_io::xxh64;
+use segram_io::{read_fasta, read_vcf, xxh64, Ambiguity, VcfOptions};
 use segram_sim::DatasetConfig;
 use segram_testkit::prelude::*;
 use std::sync::Arc;
@@ -308,6 +310,47 @@ fn a_v1_store_loads_and_re_encodes_as_v2_with_the_same_payloads() {
         assert_ne!(old.checksum, new.checksum);
     }
     assert!(decode_index(&rewritten).is_ok());
+}
+
+/// The store golden: what `index build --buckets 8` does in the library —
+/// FASTA and VCF decode, graph construction, index build — over the
+/// committed inputs must encode the GRAPH and INDEX payloads inside the
+/// committed store, so build output is pinned across commits the way
+/// `golden_bytes` pins SAM and GAF.
+#[test]
+fn building_the_fixture_inputs_reproduces_the_committed_payloads() {
+    let records = read_fasta(include_str!("fixtures/sgi_v1/ref.fa"), Ambiguity::Reject)
+        .expect("fixture FASTA parses");
+    let (_, variants) = read_vcf(
+        include_str!("fixtures/sgi_v1/base.vcf"),
+        VcfOptions::default(),
+    )
+    .expect("fixture VCF parses")
+    .into_single_chrom()
+    .expect("one CHROM");
+    let built = build_graph(&records[0].seq, variants.into_sorted()).expect("variants apply");
+    let config = SegramConfig::short_reads();
+    let index = GraphIndex::build(&built.graph, config.scheme, 8);
+    let freq_threshold = frequency_threshold(&index, config.discard_frac);
+    let rebuilt = encode_index(&PersistedIndex {
+        graph: built.graph,
+        index,
+        discard_frac: config.discard_frac,
+        freq_threshold,
+        changelog: None,
+        provenance: None,
+    });
+    let payload = |store: &[u8], name: &str| -> Vec<u8> {
+        let table = section_table(store).expect("valid header");
+        let section = table.sections.iter().find(|s| s.name == name);
+        let section = section.unwrap_or_else(|| panic!("no {name} section"));
+        store[section.offset as usize..][..section.len as usize].to_vec()
+    };
+    for (name, len) in [("graph", 684), ("index", 9137)] {
+        let committed = payload(V1_STORE, name);
+        assert_eq!(committed.len(), len, "{name} payload of the fixture");
+        assert_eq!(payload(&rebuilt, name), committed, "{name} payload");
+    }
 }
 
 #[test]
