@@ -128,9 +128,9 @@ SEGRAM=target/release/segram
 tier bench-smoke bench_smoke
 
 # ---------------------------------------------------------------------------
-# End-to-end determinism gates. The engine's one stream loop numbers
+# End-to-end determinism gates. The engine's one scheduler numbers
 # batches on the producer and releases them to the writer thread in input
-# order whatever queue (pool) they travelled through, and the sharded
+# order whichever worker (pool) mapped them, and the sharded
 # path's seeding router merges per-shard hits back into the monolithic
 # candidate order — so SAM/GAF bytes cannot depend on --threads, --shards
 # or --schedule.
@@ -227,6 +227,21 @@ elastic_shards() {
         echo "  $fmt: elastic identical to fanout across --shards 1/4 x --threads 1/4"
     done
 
+    # Stealing: a worker with nothing tagged for its own pool maps another
+    # pool's batch, so no pool sits idle. 25 batches over four one-worker
+    # pools; the report counts the steals.
+    local r="$GATE_DIR/el-steal"
+    "$SEGRAM" simulate --out-prefix "$r" \
+        --length 60000 --reads 400 --read-len 120 --seed 11 > /dev/null || return 1
+    "$SEGRAM" map --graph "$r.gfa" --reads "$r.fq" --threads 4 --shards 4 \
+        --schedule elastic --output "$r.sam" > "$r.report" || return 1
+    grep -q "stolen" "$r.report" \
+        || { echo "elastic report prints no stolen count:"; cat "$r.report"; return 1; }
+    if grep -Eq '^  pool [0-9]+ .*\): 0 batches' "$r.report"; then
+        echo "an elastic pool mapped no batch:"; grep "pool" "$r.report"; return 1
+    fi
+    echo "  stealing: every pool mapped batches, steals reported"
+
     # An elastic daemon asked for more shards than its reference has
     # bases: the index clamps to its non-empty coordinate ranges, and the
     # pool placement has to be sized by what the index kept (sizing it by
@@ -307,12 +322,12 @@ backend_matrix() {
 tier backend-matrix backend_matrix
 
 # ---------------------------------------------------------------------------
-# Overlapped-IO gate: `segram map` now frames raw records on the producer,
-# decodes FASTQ in the worker stage, and renders+writes on a dedicated
-# writer thread fed by an ordered bounded channel. None of that may change
-# a single output byte, at any thread count, for any backend — 8 threads
-# (more workers than this dataset has batches on small runs) is the
-# stress case for the reorder-buffer -> writer-channel handoff.
+# Overlapped-IO gate: `segram map` frames and decodes FASTQ on the
+# producer, maps on the workers, and renders+writes on a dedicated writer
+# thread fed by the request's ordered, bounded output. None of that may
+# change a single output byte, at any thread count, for any backend — 8
+# threads (more workers than this dataset has batches on small runs) is
+# the stress case for the reorder -> writer handoff.
 # ---------------------------------------------------------------------------
 overlapped_io() {
     "$SEGRAM" simulate --out-prefix "$GATE_DIR/ov" \
@@ -400,6 +415,37 @@ compressed_io() {
     [ ! -e "$d-trunc.sam" ] \
         || { echo "partial output left behind after BGZF failure"; return 1; }
     echo "  corruption: named error, exit 1, no orphaned output"
+
+    # Mixed defects: a malformed record (line 8, quality one short) in the
+    # first member, a broken CRC32 in the second. Decode runs on the
+    # producer right behind the transport stage, so the fanout and the
+    # elastic schedule both name the record, the file's first defect.
+    awk 'NR == 8 { print substr($0, 2); next } { print }' "$d.fq" > "$d-defect.fq"
+    "$SEGRAM" bgzip --input "$d-defect.fq" --output "$d-defect.fq.gz" \
+        --block-bytes 1024 --mode stored > /dev/null || return 1
+    local bsize off byte
+    bsize="$(od -An -tu2 -j16 -N2 "$d-defect.fq.gz" | tr -d ' ')"
+    off=$((bsize + 1 + 18 + 5)) # a stored payload byte of the second member
+    byte="$(od -An -tu1 -j"$off" -N1 "$d-defect.fq.gz" | tr -d ' ')"
+    # shellcheck disable=SC2059 # the format is the escaped byte
+    printf "\\x$(printf %02x $((byte ^ 0x20)))" \
+        | dd of="$d-defect.fq.gz" bs=1 seek="$off" conv=notrunc status=none
+    local leg=0
+    for sched in "" "--shards 4 --schedule elastic"; do
+        leg=$((leg + 1))
+        # shellcheck disable=SC2086
+        if "$SEGRAM" map --graph "$d.gfa" --reads "$d-defect.fq.gz" --threads 2 $sched \
+            --output "$d-defect.sam" > /dev/null 2> "$d-defect.$leg.err"; then
+            echo "mixed-defect input mapped successfully ($sched)"; return 1
+        fi
+        [ ! -e "$d-defect.sam" ] \
+            || { echo "partial output left behind ($sched)"; return 1; }
+    done
+    cmp "$d-defect.1.err" "$d-defect.2.err" \
+        || { echo "fanout and elastic name different defects:"; cat "$d-defect".*.err; return 1; }
+    grep -q "line 8: quality length" "$d-defect.1.err" \
+        || { echo "the malformed record is not named:"; cat "$d-defect.1.err"; return 1; }
+    echo "  mixed defects: fanout and elastic both name the first one (line 8)"
 
     # Output leg: --compress-output moves deflate to a thread per document
     # and nothing else. BGZF is multi-member gzip, so stock `gzip -dc` must

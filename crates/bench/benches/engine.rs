@@ -85,8 +85,8 @@ fn bench_backend_matrix(c: &mut Criterion) {
 
 fn bench_engine_stream_io(c: &mut Criterion) {
     // The IO-inclusive path `segram map` actually runs: FASTQ bytes ->
-    // FastqFramer (producer) -> worker-stage decode -> map -> render ->
-    // SAM writer on the dedicated writer thread. Unlike engine_batch —
+    // FastqFramer + decode (producer) -> map -> render -> SAM writer on
+    // the dedicated writer thread. Unlike engine_batch —
     // which starts from pre-decoded reads and discards outcomes into a
     // Vec — this measures whether the overlapped design keeps transport
     // work off the mapping workers: on a multi-core host, 1 -> 4 threads
@@ -121,15 +121,14 @@ fn bench_engine_stream_io(c: &mut Criterion) {
                 let engine_config = EngineOptions::new().threads(threads).batch_size(4);
                 let engine = MapEngine::new(&mapper, engine_config);
                 let mut framer = FastqFramer::new(black_box(bytes.as_slice()));
-                let raws = std::iter::from_fn(|| match framer.next() {
-                    Some(Ok(raw)) => Some(raw),
+                let records = std::iter::from_fn(|| match framer.next() {
+                    Some(Ok(raw)) => raw.decode(Ambiguity::Reject).ok(),
                     _ => None,
                 });
                 let mut sam = SamWriter::new(Vec::with_capacity(bytes.len()), "graph", total_chars)
                     .expect("vec write cannot fail");
-                let report = engine.map_raw_stream(
-                    raws,
-                    |raw| raw.decode(Ambiguity::Reject).ok(),
+                let report = engine.map_stream(
+                    records,
                     |record| &record.seq,
                     |record, outcome| {
                         let rec = sam_record_for(&record.id, &record.seq, &outcome);
@@ -182,15 +181,14 @@ fn bench_engine_stream_bgzf(c: &mut Criterion) {
                 let engine_config = EngineOptions::new().threads(threads).batch_size(4);
                 let engine = MapEngine::new(&mapper, engine_config);
                 let mut framer = BgzfFastqFramer::new(black_box(compressed.as_slice()));
-                let raws = std::iter::from_fn(|| match framer.next() {
-                    Some(Ok(raw)) => Some(raw),
+                let records = std::iter::from_fn(|| match framer.next() {
+                    Some(Ok(raw)) => raw.decode(Ambiguity::Reject).ok(),
                     _ => None,
                 });
                 let mut sam = SamWriter::new(Vec::with_capacity(bytes.len()), "graph", total_chars)
                     .expect("vec write cannot fail");
-                let report = engine.map_raw_stream(
-                    raws,
-                    |raw| raw.decode(Ambiguity::Reject).ok(),
+                let report = engine.map_stream(
+                    records,
                     |record| &record.seq,
                     |record, outcome| {
                         let rec = sam_record_for(&record.id, &record.seq, &outcome);

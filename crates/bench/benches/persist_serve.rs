@@ -146,7 +146,7 @@ fn bench_multi_engine_requests(c: &mut Criterion) {
                     assert!(handles[i % requests].push(batch.to_vec()));
                 }
                 let mut mapped = 0usize;
-                for mut handle in handles.drain(..) {
+                for handle in handles.drain(..) {
                     handle.finish_input();
                     while let Some(batch) = handle.next_output() {
                         mapped += batch

@@ -6,9 +6,11 @@
 //! and the modeled per-HBM-channel accelerator occupancy those shard
 //! streams imply (`segram_hw::simulate_sharded_pipeline`).
 
+use std::sync::{Arc, Mutex};
+
 use segram_core::{
-    ElasticScheduler, EngineOptions, MapEngine, ReadMapper, RebalanceConfig, Seeder, SegramConfig,
-    SegramMapper, ShardedIndex,
+    elastic_route, Backend, EngineOptions, MapEngine, ReadMapper, RebalanceConfig, Rebalancer,
+    Seeder, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_hw::{simulate_sharded_pipeline, uniform_jobs};
@@ -111,9 +113,27 @@ fn bench_router_seeding(c: &mut Criterion) {
     black_box(mapping);
 }
 
+/// The elastic schedule as `segram map --schedule elastic` runs it: the
+/// shared route hook over a fresh placement of `backend`'s shards.
+fn elastic_engine(
+    backend: &Backend,
+    options: EngineOptions,
+    threads: usize,
+    rebalance: RebalanceConfig,
+) -> (MapEngine<'_, Backend>, Arc<Mutex<Rebalancer>>) {
+    let index = backend.sharded().expect("native backend");
+    let placement = Rebalancer::for_index(index, threads, rebalance);
+    let pools = placement.pools();
+    let rebalancer = Arc::new(Mutex::new(placement));
+    let hook = elastic_route(Arc::clone(&rebalancer));
+    let engine = MapEngine::new(backend, options.threads(threads)).with_routing(pools, hook);
+    (engine, rebalancer)
+}
+
 fn bench_elastic_sched(c: &mut Criterion) {
     let (reads, config, dataset) = setup();
-    let sharded = ShardedIndex::build(dataset.graph().clone(), config, 4);
+    let backend = Backend::Segram(ShardedIndex::build(dataset.graph().clone(), config, 4));
+    let sharded = backend.sharded().expect("native backend");
 
     // Uniform mix: every simulated read once, landing across the whole
     // coordinate range. Skewed mix: two reads repeated to fill the same
@@ -124,16 +144,17 @@ fn bench_elastic_sched(c: &mut Criterion) {
 
     // Small batches so one pass produces enough routing decisions (and
     // rebalance observations) to be representative.
-    let engine_config = EngineOptions::new().threads(4).batch_size(4);
+    let engine_config = EngineOptions::new().batch_size(4);
 
     let mut group = c.benchmark_group("elastic_sched_150bp");
     group.sample_size(10);
     group.throughput(Throughput::Elements(reads.len() as u64));
     for (label, mix) in [("uniform", &uniform), ("skewed", &skewed)] {
-        let scheduler = ElasticScheduler::new(&sharded, engine_config.clone());
         group.bench_function(BenchmarkId::new("mix", label), |b| {
             b.iter(|| {
-                let (outcomes, report) = scheduler.map_batch(black_box(mix));
+                let (engine, _) =
+                    elastic_engine(&backend, engine_config.clone(), 4, Default::default());
+                let (outcomes, report) = engine.map_batch(black_box(mix));
                 black_box((outcomes.len(), report.routed(), report.spilled()))
             })
         });
@@ -141,31 +162,32 @@ fn bench_elastic_sched(c: &mut Criterion) {
     group.finish();
 
     // Scheduling observability: single-core CI judges the elastic path by
-    // these counters rather than wall-clock scaling — the routed/spilled
-    // split per mix, and whether skew provokes shard migrations under a
-    // hair-trigger rebalancer. Two workers make two pools over four shards,
+    // these counters rather than wall-clock scaling — the routed/spilled/
+    // stolen split per mix, and whether skew provokes shard migrations
+    // under a hair-trigger rebalancer. Two workers make two pools over four shards,
     // so each pool owns a multi-shard group and ownership has somewhere to
     // move.
     for (label, mix) in [("uniform", &uniform), ("skewed", &skewed)] {
-        let scheduler = ElasticScheduler::new(&sharded, engine_config.clone().threads(2))
-            .with_rebalance(RebalanceConfig {
-                threshold: 1.2,
-                cooldown: 2,
-            });
+        let trigger = RebalanceConfig {
+            threshold: 1.2,
+            cooldown: 2,
+        };
+        let (engine, rebalancer) = elastic_engine(&backend, engine_config.clone(), 2, trigger);
         // Warm pass: the rebalancer reads live per-shard seed-hit
         // counters, which only accumulate as workers map. A first pass
         // populates them so the reported pass observes the mix's true
         // skew from its first batch boundary.
         sharded.reset_shard_stats();
-        let _ = scheduler.map_batch(mix);
-        let (_, report) = scheduler.map_batch(mix);
+        let _ = engine.map_batch(mix);
+        let (_, report) = engine.map_batch(mix);
         println!(
-            "  info: {} mix -> {} pools, {} routed, {} spilled, {} migrations",
+            "  info: {} mix -> {} pools, {} routed, {} spilled, {} stolen, {} migrations",
             label,
             report.pools.len(),
             report.routed(),
             report.spilled(),
-            report.migrations
+            report.stolen(),
+            rebalancer.lock().expect("not poisoned").migrations()
         );
     }
 }

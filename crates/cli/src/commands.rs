@@ -119,10 +119,10 @@ pub(crate) fn shard_count(options: &Options) -> Result<usize, CliError> {
 /// (one shared queue) or the elastic per-shard-group pool schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Schedule {
-    /// Every worker pops the one shared queue.
+    /// Every worker serves every batch, in push order.
     Fanout,
-    /// Per-shard-group worker pools with routed batches and live
-    /// rebalancing (`segram_core::ElasticScheduler`).
+    /// Per-shard-group worker pools with routed batches, stealing and
+    /// live rebalancing (`segram_core::elastic_route`).
     Elastic,
 }
 

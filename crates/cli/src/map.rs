@@ -15,13 +15,14 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufWriter, Cursor, Read, Write};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use segram_core::{
-    gaf_record_for, sam_record_for, Backend, BackendKind, CancelToken, ElasticScheduler,
-    EngineOptions, EngineReport, MapEngine, ReadMapper, ReadOutcome, ShardedIndex,
+    elastic_route, gaf_record_for, sam_record_for, Backend, BackendKind, CancelToken,
+    EngineOptions, EngineReport, MapEngine, ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer,
+    ShardedIndex,
 };
 use segram_filter::FilterSpec;
 use segram_graph::GenomeGraph;
@@ -78,10 +79,10 @@ OPTIONS:
                            of the paper's per-HBM-channel accelerator
                            instances; --backend segram only)
     --schedule <fanout|elastic>
-                           worker schedule (default fanout: all workers pop
-                           one shared queue). elastic gives each shard group
-                           a dedicated worker pool with its own queue,
-                           routes batches by their dominant shard group, and
+                           worker schedule (default fanout: every worker
+                           serves every batch). elastic gives each shard
+                           group a worker pool, tags batches with their
+                           dominant shard group (idle pools steal), and
                            rebalances shard ownership live; output bytes are
                            identical either way (--backend segram only)
     --preset <short|long5|long10>
@@ -473,72 +474,12 @@ fn create_output<'a>(
     Ok(BufWriter::new(file))
 }
 
-/// Takes the first recorded error out of a worker-shared slot.
-fn take_error<E>(slot: Mutex<Option<E>>) -> Option<E> {
-    slot.into_inner().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Input-side error slots: the transport stage and the decode stage each
-/// record the earliest failure they can observe.
-#[derive(Default)]
-struct InputErrors {
-    /// The producer's transport error — plain: an I/O error under the
-    /// framer; BGZF: bad framing, truncation, a missing EOF marker, corrupt
-    /// DEFLATE data, an ISIZE/CRC32 mismatch. One thread raises them, in
-    /// file order.
-    transport: Mutex<Option<CliError>>,
-    /// The earliest FASTQ decode error of the worker stage, keyed by line
-    /// number.
-    decode: Mutex<Option<(usize, StreamError)>>,
-}
-
-/// Records a worker-side failure at position `at` (a line number) unless
-/// the slot already holds an earlier one.
-fn record_earliest<E>(slot: &Mutex<Option<(usize, E)>>, at: usize, err: E) {
-    let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-    if slot.as_ref().is_none_or(|(held, _)| at < *held) {
-        *slot = Some((at, err));
-    }
-}
-
-/// Resolves the input-side slots into the one error the user sees: the
-/// transport error if there is one, else the earliest decode error.
-fn input_failure(errors: InputErrors, reads_path: &str) -> Option<CliError> {
-    take_error(errors.transport).or_else(|| {
-        take_error(errors.decode).map(|(_, err)| CliError::stream(err, reads_path, reads_path))
-    })
-}
-
-/// The producer side of a run: hands on the records of a transport stage
-/// — a [`FastqFramer`] or a [`BgzfFastqFramer`]; it never parses FASTQ,
-/// that happens on the worker threads. A transport error stops the
-/// stream, records itself in `slot`, and cancels the run.
-fn records_until_error<'a>(
-    mut records: impl Iterator<Item = Result<RawFastqRecord, CliError>> + 'a,
-    cancel: &CancelToken,
-    slot: &'a Mutex<Option<CliError>>,
-) -> impl Iterator<Item = RawFastqRecord> + 'a {
-    let cancel = cancel.clone();
-    std::iter::from_fn(move || {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        match records.next()? {
-            Ok(record) => Some(record),
-            Err(err) => {
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(err);
-                cancel.cancel();
-                None
-            }
-        }
-    })
-}
-
 /// The input side of one `segram map` run, bundled: what to map with,
 /// how to drive the engine, and the reads to stream through it.
 struct MapJob<'a> {
     mapper: &'a Backend,
-    schedule: Schedule,
+    /// The elastic schedule's shard placement (`None` under fanout).
+    rebalancer: Option<Arc<Mutex<Rebalancer>>>,
     /// Threads, strands and batch size; carries a clone of `cancel`.
     engine: EngineOptions,
     /// The run's stop flag: any failing stage pulls it.
@@ -549,60 +490,54 @@ struct MapJob<'a> {
 }
 
 /// Runs the engine pass of `job` with the given writer-thread sink,
-/// returning the engine report. The reads enter as raw records off the
-/// transport stage — the plain framer or the BGZF one, the only place the
-/// input encoding shows — so every schedule and `--batch-size` mean the
-/// same thing on either. Transport errors and worker-side decode errors
-/// land in `errors`; the first of any of them cancels the run.
-///
-/// Worker-stage decode: FASTQ parsing happens on the mapping threads,
-/// timed into `MapStats::decode`. The earliest failing record wins its
-/// slot, and the engine settles in-flight batches decode-only when a
-/// decode failure cancels the run, so every record before the observed
-/// failure is guaranteed to reach the decode closure: the reported error
-/// is deterministically the file's *first* malformed record, whatever the
-/// thread count or worker interleaving.
-fn drive_engine<F>(job: MapJob<'_>, errors: &InputErrors, sink: F) -> EngineReport
+/// returning the engine report. The calling thread is the producer: it
+/// runs the transport stage — the plain framer or the BGZF one, the only
+/// place the input encoding shows, so every schedule and `--batch-size`
+/// mean the same thing on either — and decodes each record right behind
+/// it, timed into `MapStats::decode`. The first failure in file order, a
+/// transport error or a malformed record alike, ends the stream, lands in
+/// `input_error` and cancels the run: the reported error is the file's
+/// first defect whatever the thread count or schedule.
+fn drive_engine<F>(job: MapJob<'_>, input_error: &mut Option<CliError>, sink: F) -> EngineReport
 where
     F: FnMut(FastqRecord, ReadOutcome) + Send,
 {
     let MapJob {
         mapper,
-        schedule,
+        rebalancer,
         engine,
         cancel,
         reads,
         reads_path,
         decode_ambiguity,
     } = job;
-    let decode = |raw: RawFastqRecord| match raw.decode(decode_ambiguity) {
-        Ok(record) => Some(record),
-        Err(err) => {
-            record_earliest(&errors.decode, raw.line(), err);
-            None
-        }
+    let mut engine = MapEngine::new(mapper, engine);
+    if let Some(rebalancer) = rebalancer {
+        let pools = rebalancer.lock().map_or(1, |placement| placement.pools());
+        engine = engine.with_routing(pools, elastic_route(rebalancer));
+    }
+    let mut decode_time = Duration::ZERO;
+    let run = |raws: &mut dyn Iterator<Item = Result<RawFastqRecord, CliError>>| {
+        let records = std::iter::from_fn(|| {
+            if cancel.is_cancelled() {
+                return None;
+            }
+            let record = raws.next()?.and_then(|raw| {
+                let started = Instant::now();
+                let record = raw.decode(decode_ambiguity);
+                decode_time += started.elapsed();
+                record.map_err(|err| CliError::stream(err, reads_path, reads_path))
+            });
+            record
+                .map_err(|err| {
+                    *input_error = Some(err);
+                    cancel.cancel();
+                })
+                .ok()
+        });
+        engine.map_stream(records, |record| &record.seq, sink)
     };
-    // The elastic schedule routes by the native backend's index (`map`
-    // admits it for no other backend).
-    let elastic = mapper.sharded().filter(|_| schedule == Schedule::Elastic);
-    let run = |records: &mut dyn Iterator<Item = Result<RawFastqRecord, CliError>>| {
-        let raws = records_until_error(records, &cancel, &errors.transport);
-        match elastic {
-            Some(index) => ElasticScheduler::new(index, engine).map_raw_stream(
-                raws,
-                decode,
-                |record| &record.seq,
-                sink,
-            ),
-            None => MapEngine::new(mapper, engine).map_raw_stream(
-                raws,
-                decode,
-                |record| &record.seq,
-                sink,
-            ),
-        }
-    };
-    if reads.compressed {
+    let mut report = if reads.compressed {
         let mut framer = BgzfFastqFramer::new(reads.source);
         let mut report = run(&mut framer
             .by_ref()
@@ -612,16 +547,18 @@ where
     } else {
         run(&mut FastqFramer::new(reads.source)
             .map(|record| record.map_err(|err| CliError::stream(err, reads_path, reads_path))))
-    }
+    };
+    report.stats.decode = decode_time;
+    report
 }
 
 /// Streams the FASTQ of `job` — plain or BGZF-compressed — through the
 /// engine with fully overlapped IO and writes `docs`, one or two
 /// documents, in one sequence: the producer thread runs the transport
-/// stage (framing raw record boundaries, after inflation for BGZF); FASTQ
-/// decode runs in the worker stage ahead of seeding; and the engine's
-/// writer thread renders each released batch, in input order, into every
-/// document (see [`MapTarget`] for where the bytes go from there). A
+/// stage (framing raw record boundaries, after inflation for BGZF) and
+/// FASTQ decode; the workers map; and the engine's writer thread renders
+/// each released batch, in input order, into every document (see
+/// [`MapTarget`] for where the bytes go from there). A
 /// failure at any point (framing, inflation, decode, write) cancels the
 /// shared [`CancelToken`] so the whole pipeline stops promptly instead of
 /// mapping the rest of the stream first.
@@ -632,7 +569,6 @@ fn run_map_stream(
 ) -> Result<EngineRun, CliError> {
     let graph = job.mapper.graph();
     let (cancel, reads_path) = (job.cancel.clone(), job.reads_path);
-    let errors = InputErrors::default();
 
     // One RAII guard owns partial-file removal for every failure path
     // below (see `create_output` for the arming rule). It is declared
@@ -672,13 +608,12 @@ fn run_map_stream(
             }
         }
     };
-    let report = drive_engine(job, &errors, sink);
+    let mut input_error = None;
+    let report = drive_engine(job, &mut input_error, sink);
 
-    // Input-side failures outrank output-side ones, mirroring the
-    // pre-overlap behaviour (decode errors *are* the old read errors,
-    // they just surface from the worker stage now). Returning drops the
+    // Input-side failures outrank output-side ones. Returning drops the
     // writers, then the cleanup guard removes the partial files.
-    if let Some(err) = input_failure(errors, reads_path).or(write_error) {
+    if let Some(err) = input_error.or(write_error) {
         return Err(err);
     }
     let note = if compress { " (BGZF-compressed)" } else { "" };
@@ -707,9 +642,13 @@ fn run_map_stream(
 }
 
 /// The per-shard section of a run's report: occupancy counters,
-/// seeding-load imbalance, and under the elastic schedule the per-pool
-/// depth/stall/migration counters.
-fn shard_report(sharded: &ShardedIndex, report: &EngineReport, schedule: Schedule) -> String {
+/// seeding-load imbalance, and under the elastic schedule (`rebalancer`)
+/// the per-pool batch, steal and wait counters with the final placement.
+fn shard_report(
+    sharded: &ShardedIndex,
+    report: &EngineReport,
+    rebalancer: Option<&Rebalancer>,
+) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut section = String::new();
     let _ = writeln!(
@@ -725,30 +664,29 @@ fn shard_report(sharded: &ShardedIndex, report: &EngineReport, schedule: Schedul
             stats.shard, stats.start, stats.end, stats.seed_hits, stats.regions, stats.wins
         );
     }
-    if schedule == Schedule::Elastic {
+    if let Some(rebalancer) = rebalancer {
         let _ = writeln!(
             section,
-            "schedule: elastic — {} pools, {} batches routed, {} spilled, \
+            "schedule: elastic — {} pools, {} batches routed, {} spilled, {} stolen, \
              {} shard migrations",
             report.pools.len(),
             report.routed(),
             report.spilled(),
-            report.migrations
+            report.stolen(),
+            rebalancer.migrations()
         );
-        for (p, pool) in report.pools.iter().enumerate() {
+        for ((p, pool), shards) in report.pools.iter().enumerate().zip(rebalancer.groups()) {
             let _ = writeln!(
                 section,
-                "  pool {p} -> shards {:?} ({} workers): {} batches \
-                 ({} routed, {} spilled), queue max depth {}, \
-                 producer stalled {}x ({:.2} ms), workers starved {}x ({:.2} ms)",
-                pool.shards,
+                "  pool {p} -> shards {shards:?} ({} workers): {} batches \
+                 ({} routed, {} spilled, {} stolen), queue max depth {}, \
+                 workers starved {}x ({:.2} ms)",
                 pool.workers,
                 pool.batches,
                 pool.routed,
                 pool.spilled,
+                pool.stolen,
                 pool.queue.max_depth,
-                pool.queue.producer_waits,
-                ms(pool.queue.producer_wait),
                 pool.queue.worker_waits,
                 ms(pool.queue.worker_wait)
             );
@@ -891,10 +829,19 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
     if let Some(sharded) = mapper.sharded() {
         warn_clamped_shards(shards, sharded);
     }
+    // The elastic schedule is the fanout one plus a route hook over a
+    // placement sized for the index, the same hook `segram serve` uses.
+    let rebalancer = mapper
+        .sharded()
+        .filter(|_| schedule == Schedule::Elastic)
+        .map(|index| {
+            let placement = Rebalancer::for_index(index, threads, RebalanceConfig::default());
+            Arc::new(Mutex::new(placement))
+        });
     let cancel = CancelToken::new();
     let job = MapJob {
         mapper: &mapper,
-        schedule,
+        rebalancer: rebalancer.clone(),
         engine: EngineOptions::new()
             .threads(threads)
             .both_strands(options.switch("both-strands"))
@@ -959,7 +906,10 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
     // One shard under the default schedule has nothing to break down.
     let breakdown = shards > 1 || schedule == Schedule::Elastic;
     if let Some(sharded) = mapper.sharded().filter(|_| breakdown) {
-        report.push_str(&shard_report(sharded, &stats, schedule));
+        let placement = rebalancer
+            .as_ref()
+            .map(|r| r.lock().unwrap_or_else(PoisonError::into_inner));
+        report.push_str(&shard_report(sharded, &stats, placement.as_deref()));
     }
     report.push_str(&run.output);
     Ok(report)
@@ -970,7 +920,6 @@ mod tests {
     use super::*;
     use segram_io::{bgzf_compress, bgzf_member, BGZF_EOF};
     use segram_testkit::prelude::*;
-    use std::sync::Arc;
 
     /// A sink the test can still read once the writer that owned it is
     /// gone, and that reports a full disk after `ok_writes` writes.

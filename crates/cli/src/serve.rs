@@ -53,8 +53,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use segram_core::{
-    route_batch, Backend, DeltaSwapReport, EngineOptions, MultiEngine, Priority, QueueDelayStats,
-    ReadMapper, RebalanceConfig, Rebalancer, RequestHandle, RouteHook,
+    elastic_route, Backend, DeltaSwapReport, EngineOptions, MultiEngine, PoolReport, Priority,
+    QueueDelayStats, ReadMapper, RebalanceConfig, Rebalancer, RequestHandle,
 };
 use segram_graph::DnaSeq;
 use segram_io::{Ambiguity, FastqReader, FastqRecord};
@@ -457,7 +457,7 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
         .map(|sharded| Rebalancer::for_index(sharded, threads, RebalanceConfig::default()));
     let pools = rebalancer.as_ref().map_or(1, Rebalancer::pools);
     let rebalancer = rebalancer.map(|boot| Arc::new(Mutex::new(boot)));
-    let route = rebalancer.as_ref().map(|r| pool_route(Arc::clone(r)));
+    let route = rebalancer.as_ref().map(|r| elastic_route(Arc::clone(r)));
     let engine = MultiEngine::with_routing(backend, seq_of, engine_options, pools, route);
     run_daemon(
         options,
@@ -468,25 +468,6 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
         rebalancer,
         client_timeout,
     )
-}
-
-/// The daemon's route hook: the same [`route_batch`] policy `segram map
-/// --schedule elastic` routes by, over a rebalancer shared by all
-/// connections — so pool ownership follows observed load across requests.
-/// It routes by the index of the request's own mapper, the one whose
-/// seed-hit counters the workers mapping that request fill in: after a
-/// `RELOAD` the hook neither keeps the old index alive nor feeds the
-/// rebalancer its frozen counters.
-fn pool_route(rebalancer: Arc<Mutex<Rebalancer>>) -> RouteHook<Backend, FastqRecord> {
-    Arc::new(move |mapper, batch| {
-        // A poisoned rebalancer only costs locality: spill.
-        let mut rebalancer = rebalancer.lock().ok()?;
-        route_batch(
-            mapper.sharded()?,
-            &mut rebalancer,
-            batch.iter().map(|r| &r.seq),
-        )
-    })
 }
 
 /// The index-reload hook a daemon runs on `RELOAD <path>`: given the
@@ -562,8 +543,7 @@ fn run_daemon(
             });
         }
     });
-    let pools = engine.pools();
-    let counters = engine.pool_counters();
+    let pools = engine.pool_reports();
     let delays = engine.queue_delays();
     engine.shutdown();
 
@@ -597,16 +577,20 @@ fn run_daemon(
         stats.dirty_shards.load(Ordering::Relaxed),
         stats.clean_shards.load(Ordering::Relaxed)
     );
-    if pools > 1 {
+    if pools.len() > 1 {
         let migrations = rebalancer
             .as_ref()
             .and_then(|r| r.lock().ok().map(|r| r.migrations()))
             .unwrap_or(0);
+        let sum = |count: fn(&PoolReport) -> u64| pools.iter().map(count).sum::<u64>();
         let _ = writeln!(
             report,
-            "elastic schedule: {pools} pools, {} batches routed, {} spilled, {} stolen, \
+            "elastic schedule: {} pools, {} batches routed, {} spilled, {} stolen, \
              {migrations} shard migrations",
-            counters.routed, counters.spilled, counters.stolen
+            pools.len(),
+            sum(|p| p.routed),
+            sum(|p| p.spilled),
+            sum(|p| p.stolen)
         );
     }
     Ok(report)
@@ -747,7 +731,8 @@ fn handle_reload(mut writer: BufWriter<TcpStream>, path: &str, daemon: Daemon<'_
 
 /// Runs one MAP request end to end: admission (QoS class + deadline from
 /// the header), streaming FASTQ decode off the socket (pushing batches as
-/// they parse, so mapping overlaps the transfer), ordered drain, reply.
+/// they parse, so mapping overlaps the transfer) while a scoped thread
+/// renders the ordered output, then the reply.
 fn handle_map(
     reader: BufReader<TcpStream>,
     mut writer: BufWriter<TcpStream>,
@@ -767,7 +752,7 @@ fn handle_map(
         priority,
         deadline,
     } = request;
-    let mut handle = match engine.open_with(priority, deadline) {
+    let handle = match engine.open_with(priority, deadline) {
         Ok(handle) => handle,
         Err(busy) => {
             ServeStats::bump(&stats.refused);
@@ -805,37 +790,48 @@ fn handle_map(
         inner: reader.take(payload_len),
         seen: Arc::clone(&seen),
     });
-    let mut decode_failure: Option<String> = None;
-    let mut batch: Vec<FastqRecord> = Vec::with_capacity(SERVE_BATCH);
-    for record in FastqReader::new(&mut limited, Ambiguity::Reject) {
-        match record {
-            Ok(record) => {
-                batch.push(record);
-                if batch.len() == SERVE_BATCH && !handle.push(std::mem::take(&mut batch)) {
+    // Output side, concurrently: the engine holds a request's workers back
+    // once `queue_depth + threads` of its batches wait for the reader, so
+    // a long request renders while it is still being pushed.
+    let (short_payload, decode_failure, rendered) = std::thread::scope(|scope| {
+        let render = scope.spawn(|| render_document(&handle, format));
+        let mut decode_failure: Option<String> = None;
+        let mut batch: Vec<FastqRecord> = Vec::with_capacity(SERVE_BATCH);
+        for record in FastqReader::new(&mut limited, Ambiguity::Reject) {
+            match record {
+                Ok(record) => {
+                    batch.push(record);
+                    if batch.len() == SERVE_BATCH && !handle.push(std::mem::take(&mut batch)) {
+                        break;
+                    }
+                }
+                Err(err) => {
+                    decode_failure = Some(err.to_string());
                     break;
                 }
             }
-            Err(err) => {
-                decode_failure = Some(err.to_string());
-                break;
-            }
         }
-    }
-    if decode_failure.is_none() && !batch.is_empty() {
-        handle.push(std::mem::take(&mut batch));
-    }
-
-    let short_payload = seen.load(Ordering::Relaxed) < payload_len;
-    if !short_payload {
-        // Drain any unparsed remainder (a decode error stops the parser
-        // mid-payload): replying over a socket with unread inbound bytes
-        // risks an RST that discards the reply in flight.
+        if decode_failure.is_none() && !batch.is_empty() {
+            handle.push(batch);
+        }
+        // Drain any unparsed remainder (a decode error or a failed render
+        // stops the parser mid-payload): replying over a socket with
+        // unread inbound bytes risks an RST that discards the reply.
         let _ = std::io::copy(&mut limited, &mut std::io::sink());
-    }
+        let short_payload = seen.load(Ordering::Relaxed) < payload_len;
+        if short_payload || decode_failure.is_some() {
+            // Cancel *this* request: queued and in-flight batches wind
+            // down, every other request is untouched.
+            handle.cancel();
+        } else {
+            handle.finish_input();
+        }
+        let rendered = render
+            .join()
+            .unwrap_or_else(|_| Err("render failed: the render thread panicked".to_owned()));
+        (short_payload, decode_failure, rendered)
+    });
     if short_payload || decode_failure.is_some() {
-        // Cancel *this* request: queued and in-flight batches wind down,
-        // every other request is untouched.
-        handle.cancel();
         ServeStats::bump(&stats.cancelled);
         if let Some(message) = decode_failure {
             let _ = writeln!(writer, "ERR {message}");
@@ -849,16 +845,23 @@ fn handle_map(
         }
         return;
     }
-    handle.finish_input();
 
-    // Output side: drain strictly-ordered batches into the same document
-    // writers `segram map` uses, so the reply bytes diff clean against a
-    // one-shot run.
-    match render_document(handle, format) {
-        Ok((document, reads, mapped, delay)) => {
+    let outcome = rendered.and_then(|document| {
+        // Sampled before `finish` removes the request from the engine.
+        let delay = handle.queue_delay();
+        let report = handle
+            .finish()
+            .map_err(|p| format!("mapping panicked: {}", p.message))?;
+        Ok((document, report, delay))
+    });
+    match outcome {
+        Ok((document, report, delay)) => {
             ServeStats::bump(&stats.served);
             if !quiet {
-                eprintln!("serve: request {id} done: {mapped}/{reads} reads mapped");
+                eprintln!(
+                    "serve: request {id} done: {}/{} reads mapped",
+                    report.mapped, report.reads
+                );
             }
             let _ = writeln!(writer, "OK");
             for chunk in document.chunks(CHUNK_BYTES) {
@@ -867,7 +870,9 @@ fn handle_map(
             }
             let _ = writeln!(
                 writer,
-                "END reads={reads} mapped={mapped} prio={} {}",
+                "END reads={} mapped={} prio={} {}",
+                report.reads,
+                report.mapped,
                 priority.name(),
                 delay_fields(&delay.unwrap_or_default())
             );
@@ -884,33 +889,27 @@ fn handle_map(
     }
 }
 
-/// Drains a finished-input request into a rendered SAM/GAF document,
+/// Drains a request's ordered output into a rendered SAM/GAF document,
 /// against the graph of the mapper the request captured at open time (a
 /// concurrent `RELOAD` must not change what an in-flight request renders).
-/// Returns `(document bytes, reads, mapped, queueing delay)`.
+/// A render failure cancels the request.
 fn render_document(
-    mut handle: RequestHandle<Backend, FastqRecord>,
+    handle: &RequestHandle<Backend, FastqRecord>,
     format: DocFormat,
-) -> Result<(Vec<u8>, usize, usize, Option<QueueDelayStats>), String> {
+) -> Result<Vec<u8>, String> {
     let mapper = handle.mapper();
     let graph = mapper.graph();
-    let mut doc =
-        DocWriter::new(format, Vec::new(), graph).map_err(|e| format!("render failed: {e}"))?;
+    let failed = |err: &dyn std::fmt::Display| {
+        handle.cancel();
+        format!("render failed: {err}")
+    };
+    let mut doc = DocWriter::new(format, Vec::new(), graph).map_err(|e| failed(&e))?;
     while let Some(batch) = handle.next_output() {
         for (record, outcome) in &batch {
-            if let Err(err) = doc.write(record, outcome, graph) {
-                handle.cancel();
-                return Err(format!("render failed: {err}"));
-            }
+            doc.write(record, outcome, graph).map_err(|e| failed(&e))?;
         }
     }
-    // Sampled before `finish` removes the request from the engine.
-    let delay = handle.queue_delay();
-    let report = handle
-        .finish()
-        .map_err(|p| format!("mapping panicked: {}", p.message))?;
-    let bytes = doc.finish().map_err(|e| format!("render failed: {e}"))?;
-    Ok((bytes, report.reads, report.mapped, delay))
+    doc.finish().map_err(|e| failed(&e))
 }
 
 /// Sends one control line (`QUIT`, `RELOAD <path>`) and returns the
@@ -1118,6 +1117,7 @@ pub fn request(options: &Options) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use segram_core::route_batch;
 
     fn parse(header: &str) -> Result<RequestHeader, HeaderError> {
         parse_request_header(header)
@@ -1138,30 +1138,31 @@ mod tests {
 
     #[test]
     fn the_route_hook_decides_exactly_as_the_map_schedule_does() {
-        // Same batch, same rebalancer state: the daemon's hook and the
-        // routine `segram map --schedule elastic` routes by must agree,
-        // batch after batch, as ownership evolves under both.
+        // Same batch, same rebalancer state: the one elastic hook (both
+        // `segram map` and the daemon route by it) must decide exactly as
+        // the policy it wraps, batch after batch, as ownership evolves.
         let dataset = segram_sim::DatasetConfig::tiny(61).illumina(100);
         let backend = native_backend(dataset.graph(), 4);
         let index = backend.sharded().expect("native backend");
         let boot = || Rebalancer::for_index(index, 4, RebalanceConfig::default());
-        let hook = pool_route(Arc::new(Mutex::new(boot())));
+        let hook = elastic_route(Arc::new(Mutex::new(boot())));
         let mut map_side = boot();
         let records: Vec<FastqRecord> = dataset
             .reads
             .iter()
             .map(|read| record_of(read.id as usize, read.seq.clone()))
             .collect();
+        let reads: Vec<&DnaSeq> = records.iter().map(|r| &r.seq).collect();
         let mut routed = 0;
-        for batch in records.chunks(3) {
-            let expected = route_batch(index, &mut map_side, batch.iter().map(|r| &r.seq));
+        for batch in reads.chunks(3) {
+            let expected = route_batch(index, &mut map_side, batch.iter().copied());
             assert_eq!(hook(&backend, batch), expected);
             routed += usize::from(expected.is_some());
         }
         assert!(routed > 0, "no batch had a dominant pool");
         // A mapper whose index the placement was not sized for spills.
         let other = native_backend(dataset.graph(), 3);
-        assert_eq!(hook(&other, &records[..3]), None);
+        assert_eq!(hook(&other, &reads[..3]), None);
     }
 
     #[test]
@@ -1196,16 +1197,16 @@ mod tests {
             seq_of,
             EngineOptions::new().threads(2),
             2,
-            Some(pool_route(Arc::clone(&rebalancer))),
+            Some(elastic_route(Arc::clone(&rebalancer))),
         );
         let push_all = |records: &[FastqRecord]| {
-            let mut request = engine.open().expect("engine admits");
+            let request = engine.open().expect("engine admits");
             for batch in records.chunks(4) {
                 assert!(request.push(batch.to_vec()));
             }
             request
         };
-        let complete = |mut request: RequestHandle<Backend, FastqRecord>| {
+        let complete = |request: RequestHandle<Backend, FastqRecord>| {
             request.finish_input();
             while request.next_output().is_some() {}
             request.finish().expect("no panic");

@@ -605,8 +605,8 @@ fn threads_choice_is_reported_and_output_is_thread_invariant() {
     let report = run_owned(&map_args(Some("2"), "sam", "t2.sam"));
     assert!(report.contains("threads: 2"), "{report}");
     assert!(report.contains("stage times: seeding"), "{report}");
-    // The overlapped path reports the worker-stage decode time and the
-    // writer-thread channel counters alongside the producer queue's.
+    // The overlapped path reports the producer's decode time and the
+    // writer-side counters alongside the producer queue's.
     assert!(report.contains(", decode "), "{report}");
     assert!(report.contains("writer: max depth"), "{report}");
     let report = run_owned(&map_args(None, "sam", "tdefault.sam"));

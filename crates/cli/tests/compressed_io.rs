@@ -218,6 +218,81 @@ fn every_corruption_class_yields_its_named_error_and_removes_output() {
 }
 
 #[test]
+fn the_first_defect_in_file_order_is_named_by_every_schedule() {
+    // The second record's quality line is one character short, inside the
+    // first member; the second member's CRC32 is broken. Decode runs on
+    // the producer, right behind the transport stage, so the malformed
+    // record stops the stream before the second member is inflated —
+    // under fanout and elastic alike, at any thread count.
+    let dir = TempDir::new("first-defect");
+    let prefix = simulate(&dir, "12", "47");
+    let mut lines: Vec<String> = fs::read_to_string(format!("{prefix}.fq"))
+        .unwrap()
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    lines[7].pop();
+    let fastq = dir.path("defect.fq");
+    fs::write(&fastq, lines.join("\n") + "\n").unwrap();
+    let gz = dir.path("defect.fq.gz");
+    run(&[
+        "bgzip",
+        "--input",
+        &fastq,
+        "--output",
+        &gz,
+        "--block-bytes",
+        "1024",
+        "--mode",
+        "stored",
+    ])
+    .expect("bgzip");
+    let mut bytes = fs::read(&gz).unwrap();
+    let off = second_member_offset(&bytes);
+    assert!(
+        off > 4 * 110,
+        "the defective record sits in the first member"
+    );
+    bytes[off + 18 + 5] ^= 0x20;
+    fs::write(&gz, &bytes).unwrap();
+
+    let gfa = format!("{prefix}.gfa");
+    let mut messages = Vec::new();
+    for schedule in [&[][..], &["--shards", "4", "--schedule", "elastic"][..]] {
+        for threads in ["1", "2", "8"] {
+            let out = dir.path(&format!("defect-{}-{threads}.sam", schedule.len()));
+            let mut args = vec![
+                "map",
+                "--graph",
+                &gfa,
+                "--reads",
+                &gz,
+                "--threads",
+                threads,
+                "--output",
+                &out,
+            ];
+            args.extend_from_slice(schedule);
+            let err = run(&args).expect_err("a malformed record fails the run");
+            assert_eq!(err.exit_code(), 1);
+            assert!(
+                fs::metadata(&out).is_err(),
+                "{schedule:?} --threads {threads}: partial output must be removed"
+            );
+            messages.push((format!("{schedule:?} --threads {threads}"), err.to_string()));
+        }
+    }
+    let (_, first) = &messages[0];
+    assert!(
+        first.contains("line 8") && first.contains("quality length"),
+        "the malformed record is named by its line: {first}"
+    );
+    for (run, message) in &messages {
+        assert_eq!(message, first, "{run} names another defect");
+    }
+}
+
+#[test]
 fn split_emission_matches_two_single_format_runs() {
     let dir = TempDir::new("split");
     let prefix = simulate(&dir, "12", "47");

@@ -355,6 +355,85 @@ fn serve_daemon_round_trips_cancels_and_shuts_down() {
     );
 }
 
+#[test]
+fn a_long_request_on_a_one_batch_queue_renders_while_it_is_pushed() {
+    // 1600 reads = 50 request batches through --queue-depth 1. The engine
+    // holds a request's workers back once `queue_depth + threads` of its
+    // batches wait for the reader, so the daemon must render the reply
+    // while the payload is still being pushed: pushing it all first would
+    // wedge this request.
+    let dir = TempDir::new("long-request");
+    let prefix = dir.path("long");
+    run(&[
+        "simulate",
+        "--out-prefix",
+        &prefix,
+        "--length",
+        "30000",
+        "--reads",
+        "1600",
+        "--read-len",
+        "100",
+        "--seed",
+        "13",
+    ])
+    .expect("simulate");
+    let sgi = dir.path("long.sgi");
+    let (fa, vcf) = (format!("{prefix}.fa"), format!("{prefix}.vcf"));
+    run(&[
+        "index",
+        "build",
+        "--reference",
+        &fa,
+        "--vcf",
+        &vcf,
+        "--output",
+        &sgi,
+    ])
+    .expect("index");
+    let reads = format!("{prefix}.fq");
+    let want = dir.path("want.sam");
+    run(&["map", "--index", &sgi, "--reads", &reads, "--output", &want]).expect("one-shot map");
+
+    let addr_file = dir.path("addr");
+    let serve_args: Vec<String> = [
+        "serve",
+        "--index",
+        &sgi,
+        "--addr",
+        "127.0.0.1:0",
+        "--addr-file",
+        &addr_file,
+        "--threads",
+        "2",
+        "--queue-depth",
+        "1",
+        "--quiet",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let server = std::thread::spawn(move || dispatch(&serve_args));
+    let addr = wait_for_addr(&addr_file);
+    let got = dir.path("got.sam");
+    let report = run(&[
+        "request", "--addr", &addr, "--reads", &reads, "--output", &got,
+    ])
+    .expect("long request");
+    assert!(report.contains("reads=1600"), "{report}");
+    assert_eq!(
+        fs::read(&want).unwrap(),
+        fs::read(&got).unwrap(),
+        "the long reply must match the one-shot run"
+    );
+    run(&["request", "--addr", &addr, "--shutdown"]).expect("shutdown");
+    let report = server
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
+    assert!(report.contains("served 1 requests"), "{report}");
+}
+
 /// Boots an elastic daemon over `sgi` re-sharded `shards` ways, sends one
 /// request, and checks the reply is byte-identical to the monolithic
 /// one-shot run: request batches are pre-routed to per-shard-group pools,

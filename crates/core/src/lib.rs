@@ -69,11 +69,11 @@ pub use eval::{evaluate, seeding_sensitivity, Evaluation};
 pub use mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
 pub use pangenome::{Chromosome, Pangenome, PangenomeMapping};
 pub use pipeline::{
-    gaf_record_for, route_batch, sam_record_for, Aligner, BitAlignStage, CancelToken,
-    ElasticScheduler, EngineBusy, EngineOptions, EngineReport, MapEngine, MapPipeline,
-    MinSeedStage, MultiEngine, PoolCounters, PoolReport, Prefilter, Priority, QueueDelayStats,
-    QueueStats, ReadOutcome, RebalanceConfig, Rebalancer, RequestHandle, RequestPanicked,
-    RouteHook, Seeder, ShardRouter, SpecPrefilter,
+    elastic_route, gaf_record_for, route_batch, sam_record_for, Aligner, BitAlignStage,
+    CancelToken, EngineBusy, EngineOptions, EngineReport, MapEngine, MapPipeline, MinSeedStage,
+    MultiEngine, PoolReport, Prefilter, Priority, QueueDelayStats, QueueStats, ReadOutcome,
+    RebalanceConfig, Rebalancer, RequestHandle, RequestPanicked, RouteHook, Seeder, ShardRouter,
+    SpecPrefilter,
 };
 pub use sam::{mapq_estimate, sam_document, SamRecord};
 pub use shard::{

@@ -98,8 +98,8 @@ pub struct Mapping {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MapStats {
     /// Time spent decoding the read from its raw transport bytes (zero
-    /// outside the engine's overlapped input path, where FASTQ parsing
-    /// runs in the worker stage ahead of seeding). Transport work, not
+    /// per read; `segram map` decodes on its producer and puts the run's
+    /// total into the report's stats). Transport work, not
     /// mapping work: reported separately and excluded from
     /// [`total_time`](Self::total_time) /
     /// [`alignment_fraction`](Self::alignment_fraction).

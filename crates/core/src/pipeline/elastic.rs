@@ -1,43 +1,35 @@
-//! Elastic shard scheduling: a routing policy over the one stream loop —
-//! per-shard-group worker pools, routed batches, live imbalance-driven
-//! rebalancing.
+//! Elastic shard scheduling: per-shard-group worker pools, batches routed
+//! by their dominant shard group, live imbalance-driven rebalancing — a
+//! route hook on the one scheduler, not a scheduler of its own.
 //!
 //! The paper scales by *per-channel provisioning*: each HBM channel owns
 //! a slice of the index and a private accelerator pipeline, so requests
 //! for a channel's slice never contend with the others (Section 8.3).
-//! [`ElasticScheduler`] is the software analogue on top of
-//! [`ShardedIndex`]: the shards are spread over N worker *pools* with the
-//! paper's greedy size-balanced placement
-//! ([`balance_loads`](crate::balance_loads)), and every batch is steered
-//! to the pool owning most of its seed hits.
+//! The software analogue over a [`ShardedIndex`] spreads the shards over
+//! N worker *pools* with the paper's greedy size-balanced placement
+//! ([`balance_loads`](crate::balance_loads)) and steers every batch to the
+//! pool owning most of its seed hits:
 //!
 //! ```text
-//!                      route by dominant shard group
-//!            ┌──────────────────┬──────────────────┐
-//!   producer │  pool 0 queue    │  pool 1 queue    │ ... (spill → shortest
-//!   (decode  ▼                  ▼                  ▼      queue)
-//!   + route) workers w%P==0    workers w%P==1     ...
-//!            └───────┬──────────┴───────┬─────────┘
-//!                    ▼ shared reorder buffer ▼   (input-order release)
-//!                     └─── writer thread ───┘    → byte-identical output
+//!   producer ── push ──► request queue (each batch tagged with a pool)
+//!   (route)                  │
+//!            ┌───────────────┼───────────────┐
+//!            ▼               ▼               ▼
+//!   pool 0 workers    pool 1 workers       ...   own tag first, else steal
+//!            └───────► per-request reorder ◄─┘   (push-order release)
+//!                              └── reader ──► byte-identical output
 //! ```
 //!
-//! Everything below the routing decision — queues, workers, reorder
-//! buffer, writer thread, cancellation, first-panic capture — is
-//! [`MapEngine::map_routed_stream`], the same loop the fanout schedule
-//! runs with one pool. This module adds only what is elastic:
+//! Queues, workers, reorder, cancellation and stealing are the
+//! scheduler's (`MultiEngine`'s worker loop, which
+//! [`MapEngine::with_routing`](super::MapEngine::with_routing) runs for a
+//! one-shot stream). This module adds only what is elastic:
 //!
-//! * **Pre-decode** — the router needs the decoded read, so the shell
-//!   decodes on the producer thread (serially, in input order: the first
-//!   failure it sees *is* the stream's first malformed record) and hands
-//!   the loop already-decoded items.
-//! * **Route** — [`route_batch`]: one minimizer extraction per read
-//!   ([`ShardRouter::route_hits`](super::ShardRouter::route_hits)), a
-//!   strict majority of the batch's seed hits routes it to that group's
-//!   pool; anything that straddles groups (or hits nothing) *spills* to
-//!   the pool with the shortest live queue, and so does a batch whose
-//!   pool's queue is full while another has room (the loop's rule: one
-//!   producer feeds every pool, so it must not wait on one of them).
+//! * **Route** — [`elastic_route`], the hook `segram map --schedule
+//!   elastic` and `segram serve --schedule elastic` share:
+//!   [`route_batch`]'s strict majority of the batch's seed hits names a
+//!   pool; a batch that straddles groups (or hits nothing) spills to the
+//!   least-loaded pool.
 //! * **Rebalance** — a [`Rebalancer`] watches the live per-shard seed-hit
 //!   counters ([`ShardStats`](crate::ShardStats), the signal behind
 //!   [`ShardedIndex::seed_imbalance`]) and migrates shard ownership
@@ -47,13 +39,11 @@
 //!   boundary because pool ownership only steers *scheduling*: every read
 //!   still maps against the full sharded index.
 
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
-use segram_graph::DnaSeq;
-
-use crate::pipeline::engine::{EngineOptions, EngineReport, MapEngine};
+use crate::backend::Backend;
+use crate::pipeline::multi::RouteHook;
 use crate::pipeline::router::route_batch;
-use crate::pipeline::ReadOutcome;
 use crate::shard::{balance_loads, load_imbalance, ShardedIndex};
 
 /// Hysteresis knobs of the live [`Rebalancer`].
@@ -264,184 +254,99 @@ impl Rebalancer {
     }
 }
 
-/// The per-shard-group pool schedule over a [`ShardedIndex`] — the
-/// *elastic* counterpart of [`MapEngine`]'s fanout schedule (`segram map
-/// --schedule elastic`), as a routing shell over the same loop.
+/// The elastic schedule's route hook, shared by `segram map` and `segram
+/// serve`: [`route_batch`] over one rebalancer for every request of the
+/// engine, so pool ownership follows observed load across requests. It
+/// routes by the index of the request's own mapper, whose seed-hit
+/// counters that request's workers fill in: after a `RELOAD` the hook
+/// neither keeps the old index alive nor feeds the rebalancer frozen
+/// counters. A backend without a sharded index, or a poisoned rebalancer,
+/// spills.
 ///
 /// # Examples
 ///
 /// ```
-/// use segram_core::{ElasticScheduler, EngineOptions, SegramConfig, ShardedIndex};
+/// use std::sync::{Arc, Mutex};
+/// use segram_core::{elastic_route, Backend, BackendKind, EngineOptions, MapEngine};
+/// use segram_core::{RebalanceConfig, Rebalancer, SegramConfig};
 /// use segram_sim::DatasetConfig;
 ///
 /// let dataset = DatasetConfig::tiny(3).illumina(100);
-/// let index = ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), 2);
-/// let scheduler = ElasticScheduler::new(&index, EngineOptions::new().threads(2));
+/// let graph = dataset.graph().clone();
+/// let backend = Backend::build(BackendKind::Segram, graph, SegramConfig::short_reads(), 2);
+/// let index = backend.sharded().expect("the native backend is sharded");
+/// let rebalancer = Rebalancer::for_index(index, 2, RebalanceConfig::default());
+/// let pools = rebalancer.pools();
+/// let hook = elastic_route(Arc::new(Mutex::new(rebalancer)));
+/// let engine = MapEngine::new(&backend, EngineOptions::new().threads(2)).with_routing(pools, hook);
 /// let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-/// let (outcomes, report) = scheduler.map_batch(&reads);
+/// let (outcomes, report) = engine.map_batch(&reads);
 /// assert_eq!(outcomes.len(), reads.len());
 /// assert_eq!(report.routed() + report.spilled(), report.batches as u64);
 /// ```
-#[derive(Debug)]
-pub struct ElasticScheduler<'m> {
-    index: &'m ShardedIndex,
-    options: EngineOptions,
-    rebalance: RebalanceConfig,
-}
-
-impl<'m> ElasticScheduler<'m> {
-    /// Binds the scheduler to a sharded index. The pools boot with
-    /// [`Rebalancer::for_index`]'s placement for the options' thread
-    /// count.
-    pub fn new(index: &'m ShardedIndex, options: EngineOptions) -> Self {
-        Self {
-            index,
-            options,
-            rebalance: RebalanceConfig::default(),
-        }
-    }
-
-    /// Returns a copy with the given rebalancer hysteresis knobs.
-    pub fn with_rebalance(mut self, rebalance: RebalanceConfig) -> Self {
-        self.rebalance = rebalance;
-        self
-    }
-
-    /// Streams *undecoded* items through the pool-routed schedule:
-    /// `decode` runs on the producer thread (the router needs the decoded
-    /// read to extract minimizers; its time still lands in
-    /// [`MapStats::decode`](crate::MapStats)), batches are routed to
-    /// per-group pools, and `sink(item, outcome)` runs once per read **in
-    /// input order** on a dedicated writer thread.
-    ///
-    /// Ordering, cancellation, and failure semantics are
-    /// [`MapEngine::map_routed_stream`]'s: output bytes are independent of
-    /// pool count, routing decisions, and migrations; a cancel winds every
-    /// pool down promptly; the first panic anywhere is re-raised once. A
-    /// decode failure (`decode` returning `None`) cancels the run. The
-    /// report is the loop's, with each pool's final shard ownership and the
-    /// rebalancer's migration count filled in.
-    ///
-    /// # Panics
-    ///
-    /// If decode, the mapper, or the sink panics, the run is cancelled
-    /// and the **first** panic payload is re-raised from this call once
-    /// every thread has wound down.
-    pub fn map_raw_stream<Q, T, D, R, F>(
-        &self,
-        raw: impl Iterator<Item = Q>,
-        decode: D,
-        read_of: R,
-        mut sink: F,
-    ) -> EngineReport
-    where
-        Q: Send,
-        T: Send,
-        D: Fn(Q) -> Option<T>,
-        R: Fn(&T) -> &DnaSeq + Sync,
-        F: FnMut(T, ReadOutcome) + Send,
-    {
-        let cancel = &self.options.cancel;
-        let mut rebalancer =
-            Rebalancer::for_index(self.index, self.options.resolved_threads(), self.rebalance);
-        let pools = rebalancer.pools();
-        let read_of = &read_of;
-        // The decoder records its own error; stopping the run is ours.
-        let decoded = raw.map_while(|raw_item| {
-            let started = Instant::now();
-            let item = decode(raw_item);
-            if item.is_none() {
-                cancel.cancel();
-            }
-            Some((item?, started.elapsed()))
-        });
-        // The loop times its own (trivial) worker-stage decode; the real
-        // decode happened above, so its time is put back per read on the
-        // way out and into the totals afterwards.
-        let mut decode_time = Duration::ZERO;
-        let mut report = MapEngine::new(self.index, self.options.clone()).map_routed_stream(
-            decoded,
-            Some,
-            |(item, _)| read_of(item),
-            |(item, decoded_in), mut outcome| {
-                outcome.stats.decode = decoded_in;
-                decode_time += decoded_in;
-                sink(item, outcome);
-            },
-            pools,
-            |batch| {
-                let reads = batch.iter().map(|(item, _)| read_of(item));
-                route_batch(self.index, &mut rebalancer, reads)
-            },
-        );
-        report.stats.decode = decode_time;
-        for (pool, shards) in report.pools.iter_mut().zip(rebalancer.groups()) {
-            pool.shards = shards;
-        }
-        report.migrations = rebalancer.migrations();
-        report
-    }
-
-    /// Streams already-decoded reads through the schedule (the
-    /// trivial-decode special case of
-    /// [`map_raw_stream`](Self::map_raw_stream)).
-    pub fn map_stream<T, R, F>(
-        &self,
-        reads: impl Iterator<Item = T>,
-        read_of: R,
-        sink: F,
-    ) -> EngineReport
-    where
-        T: Send,
-        R: Fn(&T) -> &DnaSeq + Sync,
-        F: FnMut(T, ReadOutcome) + Send,
-    {
-        self.map_raw_stream(reads, Some, read_of, sink)
-    }
-
-    /// Maps a slice of reads, returning the outcomes in input order plus
-    /// the run's report.
-    pub fn map_batch(&self, reads: &[DnaSeq]) -> (Vec<ReadOutcome>, EngineReport) {
-        let mut outcomes = Vec::with_capacity(reads.len());
-        let report = self.map_stream(
-            reads.iter(),
-            |read| *read,
-            |_, outcome| outcomes.push(outcome),
-        );
-        (outcomes, report)
-    }
+pub fn elastic_route(rebalancer: Arc<Mutex<Rebalancer>>) -> RouteHook<Backend> {
+    Arc::new(move |mapper, reads| {
+        let mut rebalancer = rebalancer.lock().ok()?;
+        route_batch(mapper.sharded()?, &mut rebalancer, reads.iter().copied())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MapEngine, SegramConfig, ShardedIndex};
+    use crate::{
+        BackendKind, CancelToken, EngineOptions, EngineReport, MapEngine, ReadOutcome, SegramConfig,
+    };
+    use segram_graph::DnaSeq;
     use segram_sim::DatasetConfig;
     use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn sharded(shards: usize) -> (segram_sim::Dataset, ShardedIndex) {
+    fn sharded(shards: usize) -> (Vec<DnaSeq>, Backend) {
         let dataset = DatasetConfig::tiny(61).illumina(100);
-        let index =
-            ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), shards);
-        (dataset, index)
+        let reads = dataset.reads.iter().map(|r| r.seq.clone()).collect();
+        let config = SegramConfig::short_reads();
+        let backend = Backend::build(BackendKind::Segram, dataset.graph().clone(), config, shards);
+        (reads, backend)
     }
 
-    fn scheduler_for(index: &ShardedIndex, threads: usize) -> ElasticScheduler<'_> {
-        // batch_size 3: interleave batches across pools
-        ElasticScheduler::new(index, EngineOptions::new().threads(threads).batch_size(3))
+    /// The elastic schedule over `backend`: a fresh rebalancer, its pools,
+    /// the shared route hook. Returns the rebalancer for ownership checks.
+    fn elastic(
+        backend: &Backend,
+        options: EngineOptions,
+    ) -> (MapEngine<'_, Backend>, Arc<Mutex<Rebalancer>>) {
+        let index = backend.sharded().expect("native backend");
+        let boot = Rebalancer::for_index(index, options.resolved_threads(), Default::default());
+        let pools = boot.pools();
+        let rebalancer = Arc::new(Mutex::new(boot));
+        let hook = elastic_route(Arc::clone(&rebalancer));
+        (
+            MapEngine::new(backend, options).with_routing(pools, hook),
+            rebalancer,
+        )
+    }
+
+    /// batch_size 3: interleave batches across pools.
+    fn run(
+        backend: &Backend,
+        reads: &[DnaSeq],
+        threads: usize,
+    ) -> (Vec<ReadOutcome>, EngineReport, Vec<Vec<usize>>) {
+        let options = EngineOptions::new().threads(threads).batch_size(3);
+        let (engine, rebalancer) = elastic(backend, options);
+        let (outcomes, report) = engine.map_batch(reads);
+        let groups = rebalancer.lock().expect("not poisoned").groups();
+        (outcomes, report, groups)
     }
 
     #[test]
     fn elastic_outcomes_match_fanout_across_pool_counts() {
         for shards in [1usize, 2, 4] {
-            let (dataset, index) = sharded(shards);
-            let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-            let fanout = MapEngine::new(&index, EngineOptions::new().threads(1));
+            let (reads, backend) = sharded(shards);
+            let fanout = MapEngine::new(&backend, EngineOptions::new().threads(1));
             let (base, base_report) = fanout.map_batch(&reads);
             for threads in [1usize, 4] {
-                let scheduler = scheduler_for(&index, threads);
-                let (outcomes, report) = scheduler.map_batch(&reads);
+                let (outcomes, report, _) = run(&backend, &reads, threads);
                 assert_eq!(report.reads, reads.len(), "shards {shards}");
                 assert_eq!(report.mapped, base_report.mapped, "shards {shards}");
                 for (a, b) in base.iter().zip(&outcomes) {
@@ -457,10 +362,8 @@ mod tests {
 
     #[test]
     fn every_batch_is_either_routed_or_spilled() {
-        let (dataset, index) = sharded(4);
-        let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let scheduler = scheduler_for(&index, 4);
-        let (_, report) = scheduler.map_batch(&reads);
+        let (reads, backend) = sharded(4);
+        let (_, report, groups) = run(&backend, &reads, 4);
         assert_eq!(report.pools.len(), 4);
         assert_eq!(
             report.routed() + report.spilled(),
@@ -469,12 +372,9 @@ mod tests {
         );
         let per_pool: u64 = report.pools.iter().map(|p| p.batches).sum();
         assert_eq!(per_pool, report.batches as u64);
+        assert!(report.stolen() <= report.batches as u64);
         // The final ownership is still a partition of the shards.
-        let mut owned: Vec<usize> = report
-            .pools
-            .iter()
-            .flat_map(|p| p.shards.iter().copied())
-            .collect();
+        let mut owned: Vec<usize> = groups.into_iter().flatten().collect();
         owned.sort_unstable();
         assert_eq!(owned, (0..4).collect::<Vec<_>>());
         // Every pool got at least one worker.
@@ -483,11 +383,10 @@ mod tests {
 
     #[test]
     fn elastic_runs_report_their_batch_trajectory() {
-        // The batch size comes from the one loop, so an elastic run fills
-        // it exactly as a fanout run does (it used to read zero).
-        let (dataset, index) = sharded(2);
-        let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let (_, report) = scheduler_for(&index, 2).map_batch(&reads);
+        // The batch size is the one-shot driver's, so an elastic run fills
+        // it exactly as a fanout run does.
+        let (reads, backend) = sharded(2);
+        let (_, report, _) = run(&backend, &reads, 2);
         assert_eq!(report.batch_size, 3);
         assert_eq!(report.batches, reads.len().div_ceil(3));
     }
@@ -514,8 +413,9 @@ mod tests {
         assert_eq!(owned, (0..kept).collect::<Vec<_>>());
         // More workers than shards: one pool per shard.
         let (_, two) = sharded(2);
+        let two = two.sharded().expect("native backend");
         assert_eq!(
-            Rebalancer::for_index(&two, 8, RebalanceConfig::default()).pools(),
+            Rebalancer::for_index(two, 8, RebalanceConfig::default()).pools(),
             2
         );
     }
@@ -614,16 +514,15 @@ mod tests {
 
     #[test]
     fn elastic_cancellation_winds_all_pools_down() {
-        let (dataset, index) = sharded(2);
-        let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let cancel = crate::CancelToken::new();
+        let (reads, backend) = sharded(2);
+        let cancel = CancelToken::new();
         let options = EngineOptions::new()
             .threads(2)
             .cancel(cancel.clone())
             .batch_size(1);
-        let scheduler = ElasticScheduler::new(&index, options);
+        let (engine, _) = elastic(&backend, options);
         let mut sunk = 0usize;
-        let report = scheduler.map_stream(
+        let report = engine.map_stream(
             reads.iter(),
             |read| *read,
             |_, _| {
@@ -640,11 +539,10 @@ mod tests {
 
     #[test]
     fn elastic_sink_panic_surfaces_original_payload() {
-        let (dataset, index) = sharded(2);
-        let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let scheduler = scheduler_for(&index, 2);
+        let (reads, backend) = sharded(2);
+        let (engine, _) = elastic(&backend, EngineOptions::new().threads(2).batch_size(3));
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            scheduler.map_stream(reads.iter(), |r| *r, |_, _| panic!("elastic sink exploded"));
+            engine.map_stream(reads.iter(), |r| *r, |_, _| panic!("elastic sink exploded"));
         }));
         let payload = result.expect_err("sink panic must propagate");
         let message = payload
@@ -658,33 +556,26 @@ mod tests {
 
     #[test]
     fn elastic_decode_failure_cancels_the_run() {
-        let (dataset, index) = sharded(2);
-        let reads: Vec<_> = dataset
-            .reads
-            .iter()
-            .map(|r| r.seq.clone())
-            .collect::<Vec<_>>();
-        let cancel = crate::CancelToken::new();
+        // The producer decodes: a malformed record (here: index 5) records
+        // its error, cancels, and ends the stream at that record.
+        let (reads, backend) = sharded(2);
+        let cancel = CancelToken::new();
         let options = EngineOptions::new()
             .threads(2)
             .cancel(cancel.clone())
             .batch_size(2);
-        let scheduler = ElasticScheduler::new(&index, options);
-        let failures = AtomicUsize::new(0);
-        let report = scheduler.map_raw_stream(
-            reads.iter().enumerate(),
-            |(i, read)| {
-                if i == 5 {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                    None
-                } else {
-                    Some(read)
-                }
-            },
-            |read| *read,
-            |_, _| {},
-        );
-        assert_eq!(failures.load(Ordering::Relaxed), 1);
+        let (engine, _) = elastic(&backend, options);
+        let mut failures = 0;
+        let decoded = reads.iter().enumerate().map_while(|(i, read)| {
+            if i == 5 {
+                failures += 1;
+                cancel.cancel();
+                return None;
+            }
+            Some(read)
+        });
+        let report = engine.map_stream(decoded, |read| *read, |_, _| {});
+        assert_eq!(failures, 1);
         assert!(cancel.is_cancelled());
         assert!(report.reads <= 5, "{report:?}");
     }

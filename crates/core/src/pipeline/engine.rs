@@ -1,71 +1,43 @@
-//! The batched, multi-threaded, order-preserving map engine with
-//! overlapped IO — the workspace's one one-shot stream loop.
+//! The engines' shared vocabulary — [`EngineOptions`], [`CancelToken`],
+//! [`ReadOutcome`], [`EngineReport`] — and [`MapEngine`], the one-shot
+//! driver: one stream, one request, on the workspace's one scheduler.
 //!
-//! [`MapEngine`] is the production driver around any [`ReadMapper`]: it
-//! consumes a stream of reads, groups them into batches, hands the batches
-//! to `std::thread::scope` workers through bounded work queues (so an
-//! arbitrarily long input stream never piles up in memory), and emits
-//! per-read outcomes to a sink **in input order**, whatever the worker
-//! interleaving. Per-stage [`MapStats`] are aggregated across all workers.
+//! [`MapEngine::map_stream`] opens a single request on the scheduler of
+//! [`MultiEngine`](super::MultiEngine) and runs its worker loop under
+//! `std::thread::scope`, so the mapper is borrowed and the items need not
+//! be `'static`. The calling thread is the producer: it cuts the stream
+//! into batches of [`EngineOptions::batch_size`] reads and pushes them,
+//! blocking at `queue_depth` queued batches. A scoped writer thread — the
+//! only thread that runs the sink — drains the request's ordered output,
+//! so neither input nor rendering/IO blocks a mapping worker, and a slow
+//! sink holds the workers back instead of growing a buffer. The items are
+//! whatever the producer's iterator yields: `segram map` decodes FASTQ
+//! there, after its transport stage, so the first malformed record in
+//! file order is the one that stops the run.
 //!
-//! One loop, two schedules. [`MapEngine::map_routed_stream`] runs
-//! `pools >= 1` bounded queues: worker `w` serves queue `w % pools`, and a
-//! producer-side `route` hook names the queue of each batch (`None`, or a
-//! named queue that is full while another has room, spills it to the
-//! shortest one). The *fanout* schedule is `pools = 1`
-//! ([`MapEngine::map_raw_stream`] and its wrappers); the *elastic*
-//! schedule ([`ElasticScheduler`](super::ElasticScheduler)) is a routing
-//! policy over this same loop — it owns no thread, queue or reorder buffer
-//! of its own. Every pool releases through the one shared reorder buffer
-//! and the one writer thread, so output bytes cannot depend on the pool
-//! count or on any routing decision.
+//! Ordering guarantee: the request releases batches strictly in push
+//! order, so the output of `threads = N` is byte-identical to
+//! `threads = 1` for any `N`, pool count and route (the mapper itself is
+//! deterministic). `ci.sh` enforces this end to end.
 //!
-//! The read is the unit of work: a raw unit is one undecoded read, a batch
-//! is [`EngineOptions::batch_size`] of them, and the loop never sees how
-//! they were transported — the producer's iterator is the transport stage
-//! (`segram_io::FastqFramer` slicing record boundaries out of plain bytes,
-//! `segram_io::BgzfFastqFramer` inflating BGZF members on the way), and
-//! both hand on the same records.
-//!
-//! Mapping workers never touch IO. On the input side, `decode` runs in the
-//! worker stage (timed into [`MapStats::decode`]), so the producer thread
-//! does transport work only. On the output side, the reorder buffer never
-//! calls the sink under its lock: released batches are handed — still
-//! strictly in input order — over a bounded channel to a dedicated writer
-//! thread, the only thread that runs the sink. The [`CancelToken`] in
-//! [`EngineOptions`] stops the
-//! producer *and* the workers promptly when either end fails (sink write
-//! error, input stream error) instead of mapping every queued batch first.
-//!
-//! Ordering guarantee: batches are numbered by the producer and the
-//! reorder buffer releases them to the writer strictly sequentially, so
-//! the output of `threads = N` is byte-identical to `threads = 1` for any
-//! `N` (the mapper itself is deterministic). `ci.sh` enforces this end to
-//! end, including through the overlapped framer+decode path.
-//!
-//! Every bounded queue exposes depth/wait counters ([`QueueStats`], per
-//! pool in [`PoolReport`]) to locate the producer-vs-worker-vs-writer
-//! bottleneck.
-//!
-//! Failure model: the first panic anywhere in the pipeline (decode,
-//! mapper, sink) is captured, the run is cancelled, and the original
-//! payload is re-raised once from the calling thread — not buried under
-//! the poisoned-lock panic cascade every other worker would otherwise die
-//! with. The multi-request [`MultiEngine`](super::MultiEngine) shares the
-//! per-read strand policy ([`map_one`]) and the reorder release
-//! ([`Reorder::release`]) with this loop and nothing else: it isolates a
-//! panic to one request instead of re-raising it.
+//! Failure model: cancelling [`EngineOptions::cancel`] — from the sink,
+//! the input iterator, anywhere — stops the producer and drops queued
+//! batches unmapped. A sink panic is re-raised with its original payload,
+//! a mapper panic with its message, once every thread has wound down.
+//! (The daemon turns the latter into one request's
+//! [`RequestPanicked`](super::RequestPanicked) instead.)
 
-use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
+use std::ops::Deref;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use segram_graph::DnaSeq;
 use segram_sim::Strand;
 
+use super::multi::{worker_loop, Priority, RouteHook, Shared};
 use crate::mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
 
 /// A shared cooperative stop flag: cloning yields handles onto the same
@@ -88,8 +60,8 @@ impl CancelToken {
     /// Raises the flag on every clone of this token. Idempotent.
     ///
     /// Sequentially consistent so that anything stored before the cancel
-    /// (e.g. the engine's decode-failure flag, or an embedder's error
-    /// slot) is visible to every thread that observes the cancellation.
+    /// (e.g. an embedder's error slot) is visible to every thread that
+    /// observes the cancellation.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
     }
@@ -104,11 +76,11 @@ impl CancelToken {
 pub(crate) const DEFAULT_BATCH_SIZE: usize = 16;
 
 /// The tuning knobs of every engine in the workspace — the one-shot
-/// [`MapEngine`] / [`ElasticScheduler`](super::ElasticScheduler) and the
-/// serve-mode [`MultiEngine`](super::MultiEngine) all take this builder
-/// directly. A zero field means "derive the default" (all cores, 16-read
-/// batches, a `2 × threads` queue, a `4 × queue_depth` admission limit).
-/// Each setter says which engines read it.
+/// [`MapEngine`] and the serve-mode [`MultiEngine`](super::MultiEngine)
+/// both take this builder directly. A zero field means "derive the
+/// default" (all cores, 16-read batches, a `2 × threads` queue, a
+/// `4 × queue_depth` admission limit). Each setter says which engines read
+/// it.
 ///
 /// # Examples
 ///
@@ -146,7 +118,7 @@ impl EngineOptions {
         self
     }
 
-    /// Reads per work item; batching amortizes queue synchronization
+    /// Reads per work item; batching amortizes scheduler synchronization
     /// (0 = 16). The multi-request engine batches on the wire and does not
     /// read this.
     pub fn batch_size(mut self, batch_size: usize) -> Self {
@@ -154,10 +126,9 @@ impl EngineOptions {
         self
     }
 
-    /// Bounded input-queue capacity in batches (0 = `2 × threads`): how
-    /// far the producer can run ahead of the workers. One-shot engines use
-    /// it per pool queue and for the ordered channel to the writer thread;
-    /// the multi-request engine uses it per request.
+    /// Per-request input-queue capacity in batches (0 = `2 × threads`):
+    /// how far a producer can run ahead of the workers. It also caps the
+    /// released batches waiting for the reader.
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth;
         self
@@ -165,7 +136,7 @@ impl EngineOptions {
 
     /// Multi-request admission limit in total queued batches
     /// (0 = `4 ×` queue depth). Admission is a multi-request concept; the
-    /// one-shot engines do not read this.
+    /// one-shot engine does not read this.
     pub fn max_queued(mut self, max_queued: usize) -> Self {
         self.max_queued = max_queued;
         self
@@ -206,33 +177,11 @@ impl EngineOptions {
     }
 }
 
-/// Poison-tolerant lock: a panicking thread is already captured by the
-/// engine's first-failure slot, so other threads keep the lock usable
-/// instead of dying on the poison flag (the cascade this replaces).
-/// Crate-visible because the multi-request engine shares the failure
-/// model.
+/// Poison-tolerant lock: a panic inside mapping is already captured as a
+/// request failure, so other threads keep the lock usable instead of dying
+/// on the poison flag.
 pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The first panic payload captured from any pipeline stage; later
-/// failures (usually knock-on effects of the first) are dropped.
-#[derive(Default)]
-struct FirstFailure {
-    slot: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-}
-
-impl FirstFailure {
-    fn record(&self, payload: Box<dyn Any + Send + 'static>) {
-        let mut slot = relock(&self.slot);
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-    }
-
-    fn take(&self) -> Option<Box<dyn Any + Send + 'static>> {
-        relock(&self.slot).take()
-    }
 }
 
 /// The engine's per-read result: the mapping (if any), the strand it was
@@ -256,7 +205,7 @@ pub struct EngineReport {
     /// ([`ReadMapper::backend_name`]), so reports and artifacts always
     /// name the mapper behind the numbers.
     pub backend: &'static str,
-    /// Reads consumed from the input stream.
+    /// Reads released to the sink.
     pub reads: usize,
     /// Reads that produced a mapping.
     pub mapped: usize,
@@ -268,18 +217,15 @@ pub struct EngineReport {
     pub threads: usize,
     /// Per-stage statistics summed over every read and worker.
     pub stats: MapStats,
-    /// Work-queue depth and wait counters for this run.
+    /// Queue depth and wait counters for this run.
     pub queue: QueueStats,
     /// Reads per batch the producer cut the stream into (the last batch
     /// may be shorter).
     pub batch_size: usize,
-    /// One entry per worker pool of a stream run (a fanout run has one;
+    /// One entry per worker pool of a one-shot run (a fanout run has one;
     /// empty for a [`MultiEngine`](super::MultiEngine) request, whose
     /// pools belong to the engine, not the request).
     pub pools: Vec<PoolReport>,
-    /// Shards the elastic schedule's live rebalancer moved between pools
-    /// (0 under fanout).
-    pub migrations: u64,
 }
 
 impl EngineReport {
@@ -288,9 +234,14 @@ impl EngineReport {
         self.pools.iter().map(|pool| pool.routed).sum()
     }
 
-    /// Batches the route policy declined, spilled to the shortest queue.
+    /// Batches the route policy declined, spilled to the least-loaded pool.
     pub fn spilled(&self) -> u64 {
         self.pools.iter().map(|pool| pool.spilled).sum()
+    }
+
+    /// Batches a worker mapped although they were tagged for another pool.
+    pub fn stolen(&self) -> u64 {
+        self.pools.iter().map(|pool| pool.stolen).sum()
     }
 }
 
@@ -306,16 +257,14 @@ impl Default for EngineReport {
             queue: QueueStats::default(),
             batch_size: 0,
             pools: Vec::new(),
-            migrations: 0,
         }
     }
 }
 
-/// Depth/wait counters of the engine's two bounded queues — the
-/// backpressure observability that locates the bottleneck at high thread
-/// counts: the producer side (input queue, producer vs workers) and the
-/// writer side (ordered output channel, workers vs the writer thread),
-/// each with symmetric push/pop accounting.
+/// Depth and wait counters of the scheduler — the backpressure
+/// observability that locates the bottleneck: the producer side (input
+/// queue, producer vs workers) and the reader side (released batches,
+/// workers vs the writer thread).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueueStats {
     /// High-water mark of queued input batches.
@@ -324,255 +273,54 @@ pub struct QueueStats {
     pub producer_waits: u64,
     /// Total time the producer spent blocked on a full input queue.
     pub producer_wait: Duration,
-    /// Times a worker blocked on an empty input queue (excluding the
-    /// final end-of-stream drain).
+    /// Times a worker found nothing it could pick and waited (the end of
+    /// the stream is not counted). One idle period counts once.
     pub worker_waits: u64,
-    /// Total time workers spent blocked on an empty input queue.
+    /// Total time workers spent waiting that way.
     pub worker_wait: Duration,
-    /// High-water mark of released batches queued to the writer thread.
+    /// High-water mark of released batches waiting for the reader.
     pub output_max_depth: usize,
-    /// Times a worker blocked handing a released batch to the full
-    /// output channel (the writer is the bottleneck).
+    /// Times the request was held back with input queued: it held
+    /// `queue_depth + threads` batches between pickup and the reader, so
+    /// the workers skipped it — a slow reader or one slow batch is the
+    /// bottleneck.
     pub output_stall_waits: u64,
-    /// Total time workers spent blocked on the full output channel.
+    /// Total time the request spent held back that way.
     pub output_stall_wait: Duration,
-    /// Times the writer thread blocked on an empty output channel
+    /// Times the reader blocked waiting for the next released batch
     /// (mapping is the bottleneck; excludes the end-of-stream drain).
     pub writer_waits: u64,
-    /// Total time the writer thread spent blocked on an empty channel.
+    /// Total time the reader spent blocked.
     pub writer_wait: Duration,
-    /// Times a worker genuinely parked on a full reorder buffer (ran too
-    /// far ahead of a slow batch). One parked period counts once, however
-    /// many 50 ms cancellation-poll wakeups it spans — so the counter
-    /// stays an honest backpressure signal for admission control.
-    pub park_waits: u64,
-    /// Total time workers spent parked on a full reorder buffer.
-    pub park_wait: Duration,
 }
 
-/// A bounded single-producer / multi-consumer batch queue (Mutex +
-/// Condvar; no external dependencies). `push` blocks while the queue is
-/// full, `pop` blocks while it is empty, and `close` wakes everyone so
-/// drained workers observe end-of-stream. The stream loop runs one of
-/// these per worker pool plus one as the writer channel.
-struct WorkQueue<T> {
-    inner: Mutex<WorkQueueInner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    // Wait accounting lives outside the mutex so blocked-time bookkeeping
-    // never extends the critical section.
-    producer_waits: AtomicU64,
-    producer_wait_ns: AtomicU64,
-    worker_waits: AtomicU64,
-    worker_wait_ns: AtomicU64,
-}
-
-struct WorkQueueInner<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    closed: bool,
-    /// High-water mark of `items.len()`.
-    max_depth: usize,
-}
-
-impl<T> WorkQueue<T> {
-    /// A queue holding at most `capacity` items (clamped to >= 1).
-    fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(WorkQueueInner {
-                items: VecDeque::new(),
-                capacity: capacity.max(1),
-                closed: false,
-                max_depth: 0,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            producer_waits: AtomicU64::new(0),
-            producer_wait_ns: AtomicU64::new(0),
-            worker_waits: AtomicU64::new(0),
-            worker_wait_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full. Pushing onto a
-    /// closed queue silently drops the item — the consumer has already
-    /// decided the stream is over.
-    fn push(&self, item: T) {
-        let mut inner = relock(&self.inner);
-        if inner.items.len() >= inner.capacity && !inner.closed {
-            let blocked = Instant::now();
-            while inner.items.len() >= inner.capacity && !inner.closed {
-                inner = self
-                    .not_full
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            self.producer_waits.fetch_add(1, Ordering::Relaxed);
-            self.producer_wait_ns
-                .fetch_add(blocked.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        if inner.closed {
-            return;
-        }
-        inner.items.push_back(item);
-        inner.max_depth = inner.max_depth.max(inner.items.len());
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    /// Dequeues the next item, blocking while the queue is empty;
-    /// `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<T> {
-        let mut inner = relock(&self.inner);
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            // One blocked period counts as one wait, however many
-            // (possibly spurious) wakeups it takes — mirroring the
-            // producer-side accounting so the two columns compare.
-            // End-of-stream wakeups (close with no work) are not
-            // starvation and are not counted.
-            let blocked = Instant::now();
-            while inner.items.is_empty() && !inner.closed {
-                inner = self
-                    .not_empty
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            if !inner.items.is_empty() {
-                self.worker_waits.fetch_add(1, Ordering::Relaxed);
-                self.worker_wait_ns
-                    .fetch_add(blocked.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Current queued-item count — the live load signal behind the
-    /// routed loop's shortest-queue spill decision.
-    fn len(&self) -> usize {
-        relock(&self.inner).items.len()
-    }
-
-    /// Snapshot of the queue's depth/wait counters (push side reported as
-    /// `producer_*`, pop side as `worker_*`; callers remap for the output
-    /// channel).
-    fn stats(&self) -> QueueStats {
-        QueueStats {
-            max_depth: relock(&self.inner).max_depth,
-            producer_waits: self.producer_waits.load(Ordering::Relaxed),
-            producer_wait: Duration::from_nanos(self.producer_wait_ns.load(Ordering::Relaxed)),
-            worker_waits: self.worker_waits.load(Ordering::Relaxed),
-            worker_wait: Duration::from_nanos(self.worker_wait_ns.load(Ordering::Relaxed)),
-            ..QueueStats::default()
-        }
-    }
-
-    /// Closes the queue: wakes every blocked producer and consumer so
-    /// they observe end-of-stream. Idempotent.
-    fn close(&self) {
-        // Closing must succeed even after a worker panicked while holding
-        // the lock — liveness beats the poison flag here (relock).
-        relock(&self.inner).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// Closes the queue when dropped — including during a panic unwind. Both
-/// the producer and every worker hold one, so a panic anywhere (input
-/// iterator, route hook, sink, pipeline) releases the threads blocked on
-/// the queue and lets `std::thread::scope` propagate the panic instead of
-/// deadlocking.
-struct CloseOnDrop<'a, T>(&'a WorkQueue<T>);
-
-impl<T> Drop for CloseOnDrop<'_, T> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// The in-order release side: completed batches park in `pending` until
-/// every earlier batch has been handed on, still in input order. The
-/// stream loop keeps one behind a mutex for all of its pools (which is
-/// what keeps pool-routed output byte-identical) and the multi-request
-/// engine embeds one per request; the lock covers only this bookkeeping —
-/// rendering and IO happen elsewhere.
-pub(crate) struct Reorder<T> {
-    /// Index of the next batch to release.
-    pub(crate) next: usize,
-    pub(crate) pending: BTreeMap<usize, Vec<(T, ReadOutcome)>>,
-    /// Totals over the *released* reads.
-    pub(crate) report: EngineReport,
-}
-
-impl<T> Reorder<T> {
-    pub(crate) fn new() -> Self {
-        Reorder {
-            next: 0,
-            pending: BTreeMap::new(),
-            report: EngineReport::default(),
-        }
-    }
-
-    /// Parks batch `index`, then hands every batch now contiguous with the
-    /// released prefix to `emit`, in order, folding its reads into
-    /// `report`. Returns whether anything was released.
-    pub(crate) fn release(
-        &mut self,
-        index: usize,
-        outcomes: Vec<(T, ReadOutcome)>,
-        mut emit: impl FnMut(Vec<(T, ReadOutcome)>),
-    ) -> bool {
-        self.pending.insert(index, outcomes);
-        let mut advanced = false;
-        while let Some(ready) = self.pending.remove(&self.next) {
-            self.next += 1;
-            advanced = true;
-            for (_, outcome) in &ready {
-                self.report.reads += 1;
-                if outcome.mapping.is_some() {
-                    self.report.mapped += 1;
-                }
-                self.report.stats.merge(&outcome.stats);
-            }
-            emit(ready);
-        }
-        advanced
-    }
-}
-
-/// Per-pool slice of a routed run ([`MapEngine::map_routed_stream`]).
-#[derive(Clone, Debug)]
+/// Per-pool counters of a pool-routed engine; a fanout run is one pool.
+#[derive(Clone, Debug, Default)]
 pub struct PoolReport {
-    /// Shard ids the pool owned when the run finished. The loop routes by
-    /// pool index and leaves this empty; the owner of the routing policy
-    /// ([`ElasticScheduler`](super::ElasticScheduler)) fills it in, with
-    /// [`EngineReport::migrations`].
-    pub shards: Vec<usize>,
-    /// Worker threads serving this pool's queue.
+    /// Worker threads serving this pool.
     pub workers: usize,
-    /// Batches this pool's workers mapped.
+    /// Batches this pool's workers mapped, stolen ones included.
     pub batches: u64,
-    /// Batches the route hook sent here.
+    /// Batches the route hook tagged for this pool.
     pub routed: u64,
-    /// Batches that spilled here (the hook declined, or named a full
-    /// queue; this was the shortest queue).
+    /// Batches tagged for this pool because the hook declined and it was
+    /// the least loaded.
     pub spilled: u64,
-    /// This pool's input-queue depth/wait counters (`producer_*` = the
-    /// routing producer blocked on this pool's full queue, `worker_*` =
-    /// this pool's workers starved on it).
+    /// Batches this pool's workers mapped although they were tagged for
+    /// another pool.
+    pub stolen: u64,
+    /// `max_depth` = most batches queued for this pool at once, and the
+    /// `worker_*` waits of this pool's workers.
     pub queue: QueueStats,
 }
 
 /// Maps one read under the engines' shared strand policy: both strands
 /// keeping the better mapping, or forward only.
-pub(crate) fn map_one<M: ReadMapper>(mapper: &M, both_strands: bool, read: &DnaSeq) -> ReadOutcome {
+pub(crate) fn map_one<M: ReadMapper + ?Sized>(
+    mapper: &M,
+    both_strands: bool,
+    read: &DnaSeq,
+) -> ReadOutcome {
     if both_strands {
         let (best, stats) = mapper.map_read_both(read);
         let (mapping, strand) = match best {
@@ -591,6 +339,16 @@ pub(crate) fn map_one<M: ReadMapper>(mapper: &M, both_strands: bool, read: &DnaS
             strand: Strand::Forward,
             stats,
         }
+    }
+}
+
+/// Shuts the scheduler down when the run ends — normally, or by a panic
+/// of the producer's iterator — so the scope can join its workers.
+struct StopOnDrop<'a, H: Deref, T, R>(&'a Shared<H, T, R>);
+
+impl<H: Deref, T, R> Drop for StopOnDrop<'_, H, T, R> {
+    fn drop(&mut self) {
+        self.0.shutdown();
     }
 }
 
@@ -614,464 +372,116 @@ pub(crate) fn map_one<M: ReadMapper>(mapper: &M, both_strands: bool, read: &DnaS
 /// assert_eq!(report.reads, reads.len());
 /// assert!(report.mapped > 0);
 /// ```
-#[derive(Debug)]
 pub struct MapEngine<'m, M: ReadMapper = SegramMapper> {
     mapper: &'m M,
     options: EngineOptions,
+    pools: usize,
+    route: Option<RouteHook<M>>,
+}
+
+// Manual impl: the route hook is a closure.
+impl<M: ReadMapper> fmt::Debug for MapEngine<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MapEngine")
+            .field("options", &self.options)
+            .field("pools", &self.pools)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'m, M: ReadMapper> MapEngine<'m, M> {
-    /// Binds the engine to a mapper.
+    /// Binds the engine to a mapper (the fanout schedule: one pool).
     pub fn new(mapper: &'m M, options: EngineOptions) -> Self {
-        Self { mapper, options }
+        Self {
+            mapper,
+            options,
+            pools: 1,
+            route: None,
+        }
+    }
+
+    /// Pool routing, as [`MultiEngine::with_routing`](super::MultiEngine::with_routing)
+    /// does it: workers split into `pools` pools (clamped to
+    /// `1..=threads`), `route` tags each batch with a preferred pool, and
+    /// a worker with nothing of its own steals. The elastic schedule is
+    /// this with [`elastic_route`](super::elastic_route). Output bytes do
+    /// not depend on it.
+    pub fn with_routing(mut self, pools: usize, route: RouteHook<M>) -> Self {
+        self.pools = pools;
+        self.route = Some(route);
+        self
     }
 
     /// Streams `reads` through the engine, calling `sink(item, outcome)`
-    /// once per read **in input order** — already-decoded items, the
-    /// trivial-decode special case of [`map_raw_stream`](Self::map_raw_stream).
-    pub fn map_stream<T, R, F>(
-        &self,
-        reads: impl Iterator<Item = T>,
-        read_of: R,
-        sink: F,
-    ) -> EngineReport
-    where
-        T: Send,
-        R: Fn(&T) -> &DnaSeq + Sync,
-        F: FnMut(T, ReadOutcome) + Send,
-    {
-        self.map_raw_stream(reads, Some, read_of, sink)
-    }
-
-    /// The fanout schedule: every worker pops the one shared queue —
-    /// [`map_routed_stream`](Self::map_routed_stream) with a single pool.
-    /// Streams *undecoded* items through the engine, one read per raw
-    /// unit; `decode` runs in the worker stage.
-    pub fn map_raw_stream<Q, T, D, R, F>(
-        &self,
-        raw: impl Iterator<Item = Q>,
-        decode: D,
-        read_of: R,
-        sink: F,
-    ) -> EngineReport
-    where
-        Q: Send,
-        T: Send,
-        D: Fn(Q) -> Option<T> + Sync,
-        R: Fn(&T) -> &DnaSeq + Sync,
-        F: FnMut(T, ReadOutcome) + Send,
-    {
-        self.map_routed_stream(raw, decode, read_of, sink, 1, |_| Some(0))
-    }
-
-    /// The stream loop. Streams *undecoded* items through `pools` bounded
-    /// queues: the calling thread (the producer) slices `raw` into batches
-    /// and asks `route` which pool's queue each batch joins — `None`, or an
-    /// index outside `0..pools`, spills it to the currently shortest queue,
-    /// and so does a queue that is full while another has room: the one
-    /// producer never waits on one pool while a second runs dry, so a run of
-    /// batches for one pool (or a lopsided `route`) costs affinity, not
-    /// workers.
-    /// Worker `w` serves queue `w % pools` (`pools` is clamped to
-    /// `1..=threads` so every queue has a worker). `decode` runs in the
-    /// worker stage ahead of seeding (timed into [`MapStats::decode`]), and
-    /// `sink(item, outcome)` is called once per read **in input order** on
-    /// a dedicated writer thread — the only thread that ever runs the sink
-    /// — so neither input parsing nor output rendering/IO blocks a mapping
-    /// worker.
-    ///
-    /// All pools release through one reorder buffer keyed by the producer's
-    /// batch index, so the sink sees the same sequence for every `pools`
-    /// and every `route`. A worker that runs too far ahead of a slow batch
-    /// parks until the reorder buffer drains, and released batches flow
-    /// through a bounded channel to the writer, so at most
-    /// `(pools + 2) × queue_depth + 2 × threads` batches exist at any
-    /// moment — memory stays bounded for arbitrarily long streams.
-    ///
-    /// Cancellation: when [`EngineOptions::cancel`] is cancelled — by the
-    /// sink, the input iterator, anyone holding a clone — the producer
-    /// stops consuming `raw` and workers drop still-queued batches
-    /// unmapped. `decode` returning `None` cancels the run the same way
-    /// (the decoder is expected to have recorded its error out of band),
-    /// except that queued batches are then *settled* decode-only, so the
-    /// earliest recorded error is the stream's first malformed record.
-    /// [`EngineReport::batches`] counts batches that were actually
-    /// mapped, so a cancelled run's report stays truthful.
-    ///
-    /// Returns the run's totals with one [`PoolReport`] per pool.
+    /// once per read **in input order** on a dedicated writer thread (see
+    /// the module docs). Returns the run's totals with one [`PoolReport`]
+    /// per pool.
     ///
     /// # Panics
     ///
-    /// If decode, the mapper, or the sink panics, the run is cancelled
-    /// and the **first** panic payload is re-raised from this call once
-    /// every thread has wound down.
-    pub fn map_routed_stream<Q, T, D, R, F>(
+    /// If the sink panics, its payload is re-raised from this call; if
+    /// the mapper panics, its message is. Either way the run is cancelled
+    /// and every thread has wound down first.
+    pub fn map_stream<T, R, F>(
         &self,
-        mut raw: impl Iterator<Item = Q>,
-        decode: D,
+        mut reads: impl Iterator<Item = T>,
         read_of: R,
         sink: F,
-        pools: usize,
-        mut route: impl FnMut(&[Q]) -> Option<usize>,
     ) -> EngineReport
     where
-        Q: Send,
         T: Send,
-        D: Fn(Q) -> Option<T> + Sync,
         R: Fn(&T) -> &DnaSeq + Sync,
         F: FnMut(T, ReadOutcome) + Send,
     {
-        let threads = self.options.resolved_threads();
-        let pools = pools.clamp(1, threads);
         let batch_size = match self.options.batch_size {
             0 => DEFAULT_BATCH_SIZE,
             n => n,
         };
-        let queue_depth = self.options.resolved_queue_depth(threads);
         let cancel = &self.options.cancel;
-        let both_strands = self.options.both_strands;
-        let queues: Vec<WorkQueue<(usize, Vec<Q>)>> =
-            (0..pools).map(|_| WorkQueue::new(queue_depth)).collect();
-        let close_all = |queues: &[WorkQueue<(usize, Vec<Q>)>]| {
-            for queue in queues {
-                queue.close();
+        let shared = Shared::new(read_of, &self.options, self.pools, self.route.clone());
+        let id = shared
+            .open(self.mapper, cancel.clone(), Priority::Normal, None)
+            .expect("a fresh scheduler admits its one request");
+        let shared = &shared;
+        let (sink_panic, finished) = std::thread::scope(|scope| {
+            let _stop = StopOnDrop(shared);
+            for worker in 0..shared.threads {
+                scope.spawn(move || worker_loop(shared, worker % shared.pools));
             }
-        };
-        // The ordered handoff to the writer thread: released batches enter
-        // in input order (pushes happen under the reorder lock) and the
-        // bound makes a slow sink back-pressure the workers.
-        let out_queue: WorkQueue<Vec<(T, ReadOutcome)>> = WorkQueue::new(queue_depth);
-        // The reorder buffer is bounded too: a worker whose finished batch
-        // is further than this ahead of the next-to-release batch parks
-        // until the slow batch releases, so one pathological read cannot
-        // make `pending` absorb the rest of the stream.
-        let max_ahead = queue_depth + threads;
-        let reorder: Mutex<Reorder<T>> = Mutex::new(Reorder::new());
-        let released = Condvar::new();
-        let failure = FirstFailure::default();
-        let pool_batches: Vec<AtomicU64> = (0..pools).map(|_| AtomicU64::new(0)).collect();
-        // Raised (before `cancel`, which is SeqCst) when a decode failure
-        // stopped the run. Workers that observe the cancellation then
-        // *settle* still-queued batches decode-only instead of dropping
-        // them blind, so the decoder's error recording deterministically
-        // covers every record up to and including the file's first
-        // malformed one — whatever the worker interleaving.
-        let decode_failed = AtomicBool::new(false);
-        // Reorder-park accounting (one count per genuine parked period;
-        // see `QueueStats::park_waits`).
-        let park_waits = AtomicU64::new(0);
-        let park_wait_ns = AtomicU64::new(0);
-        let decode = &decode;
-        let read_of = &read_of;
-        let mut pool_routed = vec![0u64; pools];
-        let mut pool_spilled = vec![0u64; pools];
-
-        std::thread::scope(|scope| {
-            // The writer: drains ordered batches and runs the sink. A sink
-            // panic is captured as the run's failure, the run is
-            // cancelled, and every queue closes so no thread stays blocked.
-            let writer_handle = {
-                let out_queue = &out_queue;
-                let queues = &queues;
-                let failure = &failure;
-                let released = &released;
+            let writer = scope.spawn(move || {
                 let mut sink = sink;
-                scope.spawn(move || {
-                    while let Some(batch) = out_queue.pop() {
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            for (item, outcome) in batch {
-                                sink(item, outcome);
-                            }
-                        }));
-                        if let Err(payload) = result {
-                            failure.record(payload);
-                            cancel.cancel();
-                            out_queue.close();
-                            close_all(queues);
-                            // Wake workers parked on the reorder buffer so
-                            // they observe the cancellation now instead of
-                            // at the next 50 ms poll.
-                            released.notify_all();
-                            break;
+                let drained = catch_unwind(AssertUnwindSafe(|| {
+                    while let Some(batch) = shared.next_output(id) {
+                        for (item, outcome) in batch {
+                            sink(item, outcome);
                         }
                     }
-                })
-            };
-
-            let worker_handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let queue = &queues[worker % pools];
-                    let pool_batches = &pool_batches[worker % pools];
-                    let queues = &queues;
-                    let out_queue = &out_queue;
-                    let reorder = &reorder;
-                    let released = &released;
-                    let failure = &failure;
-                    let decode_failed = &decode_failed;
-                    let park_waits = &park_waits;
-                    let park_wait_ns = &park_wait_ns;
-                    scope.spawn(move || {
-                        // Unblocks the producer and this pool's workers if
-                        // this worker dies in a way `catch_unwind` cannot
-                        // see (sibling pools keep draining; the explicit
-                        // failure path below closes everything).
-                        // Note: no such guard on `out_queue` — the first
-                        // worker to finish must not close the channel
-                        // under peers that are still releasing batches;
-                        // the producer closes it after joining every
-                        // worker (and the explicit failure path closes it
-                        // eagerly).
-                        let _close_guard = CloseOnDrop(queue);
-                        while let Some((index, raws)) = queue.pop() {
-                            if cancel.is_cancelled() {
-                                // Drain path: the producer is already
-                                // stopping and queued batches are not
-                                // mapped. If the stop was a decode
-                                // failure, settle the batch decode-only —
-                                // the decoder records errors out of band,
-                                // and the producer pushed batches in file
-                                // order, so settling every queued batch
-                                // guarantees the earliest recorded error
-                                // is the file's *first* malformed record.
-                                if decode_failed.load(Ordering::SeqCst) {
-                                    let result = catch_unwind(AssertUnwindSafe(|| {
-                                        for raw in raws {
-                                            let _ = decode(raw);
-                                        }
-                                    }));
-                                    if let Err(payload) = result {
-                                        failure.record(payload);
-                                    }
-                                }
-                                continue;
-                            }
-                            // `true` = batch released; `false` = run
-                            // cancelled mid-batch (batch abandoned).
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                // Decode + map: the parallel stage.
-                                let mut outcomes: Vec<(T, ReadOutcome)> =
-                                    Vec::with_capacity(raws.len());
-                                let mut settling = false;
-                                for raw in raws {
-                                    if !settling && cancel.is_cancelled() {
-                                        if decode_failed.load(Ordering::SeqCst) {
-                                            // Another worker hit a decode
-                                            // failure: finish this batch
-                                            // decode-only (see the drain
-                                            // path above) so error
-                                            // reporting stays
-                                            // deterministic.
-                                            settling = true;
-                                        } else {
-                                            return false;
-                                        }
-                                    }
-                                    if settling {
-                                        let _ = decode(raw);
-                                        continue;
-                                    }
-                                    let started = Instant::now();
-                                    let Some(item) = decode(raw) else {
-                                        // The decoder records its own
-                                        // error; stopping the run is the
-                                        // engine's job. Everything after
-                                        // this record is later in the
-                                        // file, so nothing here needs
-                                        // settling.
-                                        decode_failed.store(true, Ordering::SeqCst);
-                                        cancel.cancel();
-                                        return false;
-                                    };
-                                    let decode_time = started.elapsed();
-                                    let mut outcome =
-                                        map_one(self.mapper, both_strands, read_of(&item));
-                                    outcome.stats.decode = decode_time;
-                                    outcomes.push((item, outcome));
-                                }
-                                if settling {
-                                    return false;
-                                }
-                                // Counted at worker completion, not at
-                                // producer enqueue: a cancelled run reports
-                                // the work that happened.
-                                pool_batches.fetch_add(1, Ordering::Relaxed);
-                                // Reorder bookkeeping: the lock covers map
-                                // insertion and release accounting only —
-                                // rendering and IO happen on the writer
-                                // thread, outside any engine lock.
-                                let mut guard = relock(reorder);
-                                // Backpressure: the worker owning batch
-                                // `next` is never parked here — in any
-                                // pool, since each queue is FIFO in batch
-                                // order — so release always advances. The
-                                // wait is timed out as a safety net so a
-                                // cancellation path without a handle on
-                                // this condvar cannot strand a parked
-                                // worker — but one parked period is *one*
-                                // stall, however many timeout wakeups it
-                                // spans: admission control reads these
-                                // counters, and counting poll wakeups
-                                // would inflate them ~20×/s per parked
-                                // worker.
-                                if index >= guard.next + max_ahead {
-                                    let blocked = Instant::now();
-                                    let mut parked = false;
-                                    let record = |since: Instant| {
-                                        park_waits.fetch_add(1, Ordering::Relaxed);
-                                        park_wait_ns.fetch_add(
-                                            since.elapsed().as_nanos() as u64,
-                                            Ordering::Relaxed,
-                                        );
-                                    };
-                                    while index >= guard.next + max_ahead {
-                                        if cancel.is_cancelled() {
-                                            if parked {
-                                                record(blocked);
-                                            }
-                                            return false;
-                                        }
-                                        parked = true;
-                                        guard = released
-                                            .wait_timeout(guard, Duration::from_millis(50))
-                                            .unwrap_or_else(PoisonError::into_inner)
-                                            .0;
-                                    }
-                                    record(blocked);
-                                }
-                                // Pushing under the lock keeps the channel
-                                // order identical to release order; a full
-                                // channel blocks here, which is exactly
-                                // the backpressure a lagging writer must
-                                // exert on the workers.
-                                let advanced =
-                                    guard.release(index, outcomes, |ready| out_queue.push(ready));
-                                drop(guard);
-                                if advanced {
-                                    released.notify_all();
-                                }
-                                true
-                            }));
-                            match result {
-                                Ok(true) => {}
-                                // Cancelled mid-batch: keep draining the
-                                // queue so the producer never blocks.
-                                Ok(false) => continue,
-                                Err(payload) => {
-                                    // First failure wins; wind everyone
-                                    // down and let the calling thread
-                                    // re-raise it once.
-                                    failure.record(payload);
-                                    cancel.cancel();
-                                    close_all(queues);
-                                    out_queue.close();
-                                    released.notify_all();
-                                    break;
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-
-            // The calling thread is the producer: it only slices the raw
-            // stream into batches and routes them — decode belongs to the
-            // workers. The guards also close every queue if the input
-            // iterator or the route hook panics, so no thread is ever left
-            // blocked.
-            let _close_guards: Vec<_> = queues.iter().map(CloseOnDrop).collect();
-            let _out_close_guard = CloseOnDrop(&out_queue);
-            let mut produced = 0usize;
-            loop {
-                if cancel.is_cancelled() {
+                }));
+                if drained.is_err() {
+                    shared.cancel(id, false);
+                }
+                drained
+            });
+            while !cancel.is_cancelled() {
+                let batch: Vec<T> = reads.by_ref().take(batch_size).collect();
+                if batch.is_empty() || !shared.push(id, self.mapper, batch) {
                     break;
                 }
-                let batch: Vec<Q> = raw.by_ref().take(batch_size).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                // A route is a preference: it holds while its queue has
-                // room. A full queue is an overloaded pool, and waiting on
-                // it would starve every other pool of its supply (one
-                // producer feeds them all), so the batch spills instead.
-                // Only with every queue full does the producer wait.
-                let lens: Vec<usize> = queues.iter().map(WorkQueue::len).collect();
-                let shortest = (0..pools)
-                    .min_by_key(|&pool| lens[pool])
-                    .expect("at least one pool");
-                let has_room = |pool: usize| lens[pool] < queue_depth;
-                let pool = match route(&batch).filter(|&pool| pool < pools) {
-                    Some(pool) if has_room(pool) || !has_room(shortest) => {
-                        pool_routed[pool] += 1;
-                        pool
-                    }
-                    _ => {
-                        pool_spilled[shortest] += 1;
-                        shortest
-                    }
-                };
-                queues[pool].push((produced, batch));
-                produced += 1;
             }
-            close_all(&queues);
-            // Workers first, then the channel, then the writer: the writer
-            // must not see end-of-stream before every released batch is in
-            // the channel.
-            for handle in worker_handles {
-                if let Err(payload) = handle.join() {
-                    failure.record(payload);
-                }
-            }
-            out_queue.close();
-            if let Err(payload) = writer_handle.join() {
-                failure.record(payload);
-            }
+            shared.finish_input(id);
+            let drained = writer.join().expect("the writer catches the sink's panic");
+            (drained.err(), shared.finish(id))
         });
-
-        if let Some(payload) = failure.take() {
-            // Surface the original failure once, instead of the
-            // poisoned-lock panic cascade every other thread would
-            // otherwise die with.
+        if let Some(payload) = sink_panic {
             resume_unwind(payload);
         }
-
-        let pool_reports: Vec<PoolReport> = (0..pools)
-            .map(|pool| PoolReport {
-                shards: Vec::new(),
-                workers: (0..threads).filter(|w| w % pools == pool).count(),
-                batches: pool_batches[pool].load(Ordering::Relaxed),
-                routed: pool_routed[pool],
-                spilled: pool_spilled[pool],
-                queue: queues[pool].stats(),
-            })
-            .collect();
-        let reorder = reorder.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let mut report = reorder.report;
-        report.backend = self.mapper.backend_name();
-        report.batches = pool_reports.iter().map(|p| p.batches as usize).sum();
-        report.threads = threads;
+        let mut report = finished.unwrap_or_else(|failed| resume_unwind(Box::new(failed.message)));
         report.batch_size = batch_size;
-        // Run-level queue view: input counters summed over the pools
-        // (depth as the max across them), then the writer channel and the
-        // reorder park.
-        let output = out_queue.stats();
-        report.queue = QueueStats {
-            output_max_depth: output.max_depth,
-            output_stall_waits: output.producer_waits,
-            output_stall_wait: output.producer_wait,
-            writer_waits: output.worker_waits,
-            writer_wait: output.worker_wait,
-            park_waits: park_waits.load(Ordering::Relaxed),
-            park_wait: Duration::from_nanos(park_wait_ns.load(Ordering::Relaxed)),
-            ..QueueStats::default()
-        };
-        for pool in &pool_reports {
-            report.queue.max_depth = report.queue.max_depth.max(pool.queue.max_depth);
-            report.queue.producer_waits += pool.queue.producer_waits;
-            report.queue.producer_wait += pool.queue.producer_wait;
+        report.pools = shared.pool_reports();
+        for pool in &report.pools {
             report.queue.worker_waits += pool.queue.worker_waits;
             report.queue.worker_wait += pool.queue.worker_wait;
         }
-        report.pools = pool_reports;
         report
     }
 
@@ -1094,7 +504,7 @@ mod tests {
     use crate::SegramConfig;
     use segram_sim::DatasetConfig;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
+    use std::time::Instant;
 
     fn setup() -> (segram_sim::Dataset, SegramMapper) {
         let dataset = DatasetConfig::tiny(91).illumina(100);
@@ -1137,8 +547,8 @@ mod tests {
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
         // One-read batches through a one-slot queue with four workers:
-        // maximum contention on both the work queue and the bounded
-        // reorder buffer (max_ahead = 5 with 20 batches in flight).
+        // maximum contention on the input queue and on the bound
+        // (max_ahead = 5 with 20 batches in flight).
         let config = EngineOptions::new().threads(4).batch_size(1).queue_depth(1);
         let engine = MapEngine::new(&mapper, config);
         let (outcomes, report) = engine.map_batch(&reads);
@@ -1246,120 +656,9 @@ mod tests {
         assert_eq!(EngineReport::default().backend, "segram");
     }
 
-    #[test]
-    fn work_queue_depth_high_water_never_exceeds_capacity() {
-        // Direct accounting check on the bounded queue: with a consumer
-        // draining a 3-slot queue, max_depth reflects occupancy and stays
-        // within the configured capacity.
-        let queue: WorkQueue<u32> = WorkQueue::new(3);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for item in 0..20u32 {
-                    queue.push(item);
-                }
-                queue.close();
-            });
-            let mut popped = Vec::new();
-            while let Some(item) = queue.pop() {
-                popped.push(item);
-            }
-            assert_eq!(popped, (0..20).collect::<Vec<_>>());
-        });
-        let stats = queue.stats();
-        assert!(stats.max_depth >= 1);
-        assert!(
-            stats.max_depth <= 3,
-            "high-water {} exceeds capacity 3",
-            stats.max_depth
-        );
-    }
-
-    #[test]
-    fn work_queue_wait_counters_are_monotone_and_consistent() {
-        let queue: WorkQueue<u32> = WorkQueue::new(1);
-        // Producer wait: fill the single slot, then push from another
-        // thread while this one drains slowly.
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for item in 0..5u32 {
-                    queue.push(item); // blocks whenever the slot is full
-                }
-                queue.close();
-            });
-            let mut snapshots = Vec::new();
-            while let Some(_item) = queue.pop() {
-                std::thread::sleep(Duration::from_millis(2));
-                snapshots.push(queue.stats());
-            }
-            // Counters only ever grow between snapshots.
-            for pair in snapshots.windows(2) {
-                assert!(pair[1].producer_waits >= pair[0].producer_waits);
-                assert!(pair[1].worker_waits >= pair[0].worker_waits);
-                assert!(pair[1].producer_wait >= pair[0].producer_wait);
-                assert!(pair[1].worker_wait >= pair[0].worker_wait);
-            }
-        });
-        let stats = queue.stats();
-        assert!(
-            stats.producer_waits >= 1,
-            "slow consumer on a 1-slot queue must block the producer: {stats:?}"
-        );
-        // A recorded wait implies recorded blocked time, and vice versa.
-        assert_eq!(
-            stats.producer_waits > 0,
-            stats.producer_wait > Duration::ZERO
-        );
-        assert_eq!(stats.worker_waits > 0, stats.worker_wait > Duration::ZERO);
-        assert_eq!(stats.max_depth, 1);
-    }
-
-    #[test]
-    fn worker_wait_is_counted_only_for_real_starvation() {
-        // Whether the consumer actually blocks before the push depends on
-        // scheduling, so retry until a starved pop is observed instead of
-        // trusting one sleep; a barrier removes the thread-spawn delay
-        // from the race window. Consistency (a recorded wait carries
-        // recorded blocked time) is asserted on every attempt.
-        let mut starved = false;
-        for _ in 0..20 {
-            let queue: WorkQueue<u32> = WorkQueue::new(4);
-            let barrier = std::sync::Barrier::new(2);
-            std::thread::scope(|scope| {
-                let consumer = scope.spawn(|| {
-                    barrier.wait();
-                    // Blocks on the empty queue until the item arrives.
-                    assert_eq!(queue.pop(), Some(7));
-                });
-                barrier.wait();
-                std::thread::sleep(Duration::from_millis(10));
-                queue.push(7);
-                consumer.join().expect("consumer");
-            });
-            let stats = queue.stats();
-            assert_eq!(stats.worker_waits > 0, stats.worker_wait > Duration::ZERO);
-            if stats.worker_waits >= 1 {
-                starved = true;
-                break;
-            }
-        }
-        assert!(starved, "consumer never observed starving in 20 attempts");
-
-        // End-of-stream drain: a pop woken only by close() is not counted
-        // as starvation, however the pop and the close interleave.
-        let drained: WorkQueue<u32> = WorkQueue::new(4);
-        std::thread::scope(|scope| {
-            let consumer = scope.spawn(|| drained.pop());
-            std::thread::sleep(Duration::from_millis(5));
-            drained.close();
-            assert_eq!(consumer.join().expect("consumer"), None);
-        });
-        assert_eq!(drained.stats().worker_waits, 0);
-        assert_eq!(drained.stats().worker_wait, Duration::ZERO);
-    }
-
-    /// A [`ReadMapper`] that sleeps per read: cancellation tests need a
-    /// mapper slow enough that the producer is still feeding (and workers
-    /// still queued up) when the failure fires.
+    /// A [`ReadMapper`] that sleeps per read: cancellation and backpressure
+    /// tests need a mapper slow enough that the producer is still feeding
+    /// (and batches still queued) when it matters.
     struct SlowMapper {
         graph: segram_graph::GenomeGraph,
         delay: Duration,
@@ -1395,6 +694,77 @@ mod tests {
         let dataset = DatasetConfig::tiny(97).illumina(100);
         let read = dataset.reads[0].seq.clone();
         vec![read; count]
+    }
+
+    #[test]
+    fn work_queue_depth_high_water_never_exceeds_capacity() {
+        // Slow workers behind a 3-slot input queue: the producer runs
+        // ahead until the queue is full, and never past it.
+        let mapper = SlowMapper::with_delay(Duration::from_millis(1));
+        let reads = slow_engine_reads(20);
+        let config = EngineOptions::new().threads(1).batch_size(1).queue_depth(3);
+        let (_, report) = MapEngine::new(&mapper, config).map_batch(&reads);
+        assert_eq!(report.reads, 20);
+        assert!(report.queue.max_depth >= 1);
+        assert!(
+            report.queue.max_depth <= 3,
+            "high-water {} exceeds capacity 3",
+            report.queue.max_depth
+        );
+        assert_eq!(report.pools[0].queue.max_depth, report.queue.max_depth);
+    }
+
+    #[test]
+    fn queue_wait_counters_are_consistent() {
+        // A slow worker behind a one-slot queue must block the producer;
+        // every recorded wait carries recorded blocked time, and vice
+        // versa, on every side.
+        let mapper = SlowMapper::with_delay(Duration::from_millis(2));
+        let reads = slow_engine_reads(5);
+        let config = EngineOptions::new().threads(1).batch_size(1).queue_depth(1);
+        let (_, report) = MapEngine::new(&mapper, config).map_batch(&reads);
+        let queue = report.queue;
+        assert!(
+            queue.producer_waits >= 1,
+            "slow consumer on a 1-slot queue must block the producer: {queue:?}"
+        );
+        assert_eq!(
+            queue.producer_waits > 0,
+            queue.producer_wait > Duration::ZERO
+        );
+        assert_eq!(queue.worker_waits > 0, queue.worker_wait > Duration::ZERO);
+        assert_eq!(queue.writer_waits > 0, queue.writer_wait > Duration::ZERO);
+        assert_eq!(
+            queue.output_stall_waits > 0,
+            queue.output_stall_wait > Duration::ZERO
+        );
+        assert_eq!(queue.max_depth, 1);
+    }
+
+    #[test]
+    fn worker_wait_is_counted_only_for_real_starvation() {
+        // A producer slower than the worker starves it: every gap between
+        // reads is one counted wait with its blocked time.
+        let (dataset, mapper) = setup();
+        let read = dataset.reads[0].seq.clone();
+        let trickle = (0..4).map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            read.clone()
+        });
+        let config = EngineOptions::new().threads(1).batch_size(1);
+        let report = MapEngine::new(&mapper, config).map_stream(trickle, |r| r, |_, _| {});
+        assert!(report.queue.worker_waits >= 1, "{:?}", report.queue);
+        assert!(report.queue.worker_wait >= Duration::from_millis(10));
+
+        // End of stream is not starvation: workers that only ever wait
+        // for the run to end record nothing.
+        let empty = MapEngine::new(&mapper, EngineOptions::new().threads(2)).map_stream(
+            std::iter::empty::<DnaSeq>(),
+            |r| r,
+            |_, _| {},
+        );
+        assert_eq!(empty.queue.worker_waits, 0);
+        assert_eq!(empty.queue.worker_wait, Duration::ZERO);
     }
 
     #[test]
@@ -1450,6 +820,8 @@ mod tests {
 
     #[test]
     fn decode_failure_cancels_the_run() {
+        // The producer decodes (as `segram map` does): a malformed record
+        // records its error out of band, cancels, and ends the stream.
         let mapper = SlowMapper::with_delay(Duration::from_millis(2));
         let reads = slow_engine_reads(60);
         let cancel = CancelToken::new();
@@ -1460,26 +832,59 @@ mod tests {
             .queue_depth(2);
         let engine = MapEngine::new(&mapper, config);
         let decode_failures = AtomicUsize::new(0);
-        let report = engine.map_raw_stream(
-            reads.iter().enumerate(),
-            |(i, read)| {
-                if i == 3 {
-                    // A real decoder records its error here.
-                    decode_failures.fetch_add(1, Ordering::Relaxed);
-                    None
-                } else {
-                    Some(read)
-                }
-            },
-            |read| *read,
-            |_, _| {},
-        );
+        let decoded = reads.iter().enumerate().map_while(|(i, read)| {
+            if i == 3 {
+                decode_failures.fetch_add(1, Ordering::Relaxed);
+                cancel.cancel();
+                return None;
+            }
+            Some(read)
+        });
+        let report = engine.map_stream(decoded, |read| *read, |_, _| {});
         assert_eq!(decode_failures.load(Ordering::Relaxed), 1);
         assert!(cancel.is_cancelled(), "decode failure must cancel the run");
         assert!(
             report.reads < reads.len(),
             "run must not map the whole stream: {report:?}"
         );
+    }
+
+    #[test]
+    fn decode_errors_settle_to_the_files_first_failure() {
+        // Two malformed records (stream indices 5 and 9) in a 16-record
+        // stream, two workers, batch_size 8. The engine pulls its input on
+        // the calling thread, in order, and never past a cancellation, so
+        // the first failure is the only one the decoder ever sees — the
+        // file's first malformed record, whatever the interleaving.
+        let (dataset, mapper) = setup();
+        let read = dataset.reads[0].seq.clone();
+        for attempt in 0..8 {
+            let cancel = CancelToken::new();
+            let config = EngineOptions::new()
+                .threads(2)
+                .cancel(cancel.clone())
+                .batch_size(8)
+                .queue_depth(4);
+            let engine = MapEngine::new(&mapper, config);
+            let mut errors = Vec::new();
+            let decoded = (0..16usize).map_while(|i| {
+                if cancel.is_cancelled() {
+                    return None;
+                }
+                if i == 5 || i == 9 {
+                    errors.push(i);
+                    cancel.cancel();
+                    return None;
+                }
+                Some(read.clone())
+            });
+            engine.map_stream(decoded, |r| r, |_, _| {});
+            assert_eq!(
+                errors,
+                vec![5],
+                "attempt {attempt}: the decode error must be the file's first malformed record"
+            );
+        }
     }
 
     #[test]
@@ -1517,6 +922,31 @@ mod tests {
     }
 
     #[test]
+    fn a_mapper_panic_surfaces_its_message() {
+        // The worker loop turns a mapping panic into the request's failure;
+        // the one-shot driver re-raises its message once the run is down.
+        let mapper = SlowMapper::with_delay(Duration::ZERO);
+        let reads = slow_engine_reads(6);
+        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2).batch_size(2));
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            engine.map_stream(
+                reads.iter(),
+                |read| {
+                    assert!(read.len() > 1_000, "mapper exploded");
+                    *read
+                },
+                |_, _| {},
+            );
+        }));
+        let payload = result.expect_err("the mapping panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.contains("mapper exploded"), "{message:?}");
+    }
+
+    #[test]
     fn sink_runs_on_one_dedicated_thread_in_input_order() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
@@ -1546,58 +976,28 @@ mod tests {
     }
 
     #[test]
-    fn worker_decode_is_timed_into_stats() {
-        let (dataset, mapper) = setup();
-        let texts: Vec<(String, String)> = dataset
-            .reads
-            .iter()
-            .map(|r| (format!("read{}", r.id), r.seq.to_string()))
-            .collect();
-        let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
-        let report = engine.map_raw_stream(
-            texts.iter(),
-            |(_, text)| text.parse::<DnaSeq>().ok(),
-            |read| read,
-            |_, _| {},
-        );
-        assert_eq!(report.reads, texts.len());
-        assert!(
-            report.stats.decode > Duration::ZERO,
-            "decode stage must be timed: {:?}",
-            report.stats
-        );
-        // Transport time is excluded from the mapping-stage total.
-        assert_eq!(
-            report.stats.total_time(),
-            report.stats.seeding + report.stats.filtering + report.stats.alignment
-        );
-    }
-
-    #[test]
     fn writer_channel_stats_observe_depth_and_stalls() {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        // output channel capacity follows
+        // At most queue_depth released batches wait for the writer.
         let config = EngineOptions::new().threads(2).batch_size(1).queue_depth(1);
         let engine = MapEngine::new(&mapper, config);
-        let (_, report) = {
-            let mut outcomes = Vec::new();
-            let report = engine.map_stream(
-                reads.iter(),
-                |r| *r,
-                |_, outcome| {
-                    // A deliberately slow sink: the bounded channel must fill
-                    // and stall the workers, never the other way around.
-                    std::thread::sleep(Duration::from_millis(2));
-                    outcomes.push(outcome);
-                },
-            );
-            (outcomes, report)
-        };
+        let mut outcomes = Vec::new();
+        let report = engine.map_stream(
+            reads.iter(),
+            |r| *r,
+            |_, outcome| {
+                // A deliberately slow sink: the bound must hold back and
+                // stall the workers, never grow the output.
+                std::thread::sleep(Duration::from_millis(2));
+                outcomes.push(outcome);
+            },
+        );
+        assert_eq!(outcomes.len(), reads.len());
         assert!(report.queue.output_max_depth >= 1);
         assert!(
             report.queue.output_max_depth <= 1,
-            "bounded channel must bound depth: {:?}",
+            "the bound must cap the released batches: {:?}",
             report.queue
         );
         assert!(
@@ -1616,66 +1016,33 @@ mod tests {
         );
     }
 
-    #[test]
-    fn decode_errors_settle_to_the_files_first_failure() {
-        // Two malformed records (stream indices 5 and 9) in a 16-record
-        // stream, two workers, batch_size 8: one worker is still inside
-        // batch 0 (records 0..8, held open by record 0) when the other
-        // worker's record 9 fails and cancels the run. Before the settle
-        // path, the first worker dropped records 1..8 undecoded on the
-        // cancellation check and the run reported record 9 — the racy
-        // behavior this test pins down.
-        let (dataset, mapper) = setup();
-        let read = dataset.reads[0].seq.clone();
-        for attempt in 0..8 {
-            let cancel = CancelToken::new();
-            let config = EngineOptions::new()
-                .threads(2)
-                .cancel(cancel.clone())
-                .batch_size(8)
-                .queue_depth(4);
-            let engine = MapEngine::new(&mapper, config);
-            let first_error: Mutex<Option<usize>> = Mutex::new(None);
-            let gate = cancel.clone();
-            engine.map_raw_stream(
-                0..16usize,
-                |i| {
-                    if i == 0 {
-                        // Hold batch 0 open until the cancellation fires
-                        // (bounded so a regression cannot hang the test).
-                        let waited = Instant::now();
-                        while !gate.is_cancelled() && waited.elapsed() < Duration::from_secs(2) {
-                            std::thread::yield_now();
-                        }
-                    }
-                    if i == 5 || i == 9 {
-                        // A real decoder keeps the smallest failing line,
-                        // exactly as the CLI's error slot does.
-                        let mut slot = relock(&first_error);
-                        *slot = Some(slot.map_or(i, |prev| prev.min(i)));
-                        return None;
-                    }
-                    Some(read.clone())
-                },
-                |r| r,
-                |_, _| {},
-            );
-            assert_eq!(
-                *relock(&first_error),
-                Some(5),
-                "attempt {attempt}: the settled decode error must be the \
-                 file's first malformed record"
-            );
-        }
-    }
-
-    /// A [`ReadMapper`] that sleeps only on one sentinel read — the tool
-    /// for making exactly one batch slow while the rest of the stream is
-    /// fast (reorder-park scenarios).
+    /// A [`ReadMapper`] that is slow only on one sentinel read: it waits
+    /// until `ahead` other reads have been mapped, then sleeps `delay` —
+    /// the tool for making exactly one batch slow while the others are
+    /// known to have run ahead of it.
     struct SelectiveSlowMapper {
         graph: segram_graph::GenomeGraph,
         slow: DnaSeq,
+        ahead: usize,
         delay: Duration,
+        fast_mapped: AtomicUsize,
+    }
+
+    impl SelectiveSlowMapper {
+        fn new(ahead: usize, delay: Duration) -> (Self, DnaSeq, DnaSeq) {
+            let dataset = DatasetConfig::tiny(97).illumina(100);
+            let slow = dataset.reads[0].seq.clone();
+            let fast = dataset.reads[1].seq.clone();
+            assert_ne!(slow, fast);
+            let mapper = Self {
+                graph: dataset.graph().clone(),
+                slow: slow.clone(),
+                ahead,
+                delay,
+                fast_mapped: AtomicUsize::new(0),
+            };
+            (mapper, slow, fast)
+        }
     }
 
     impl ReadMapper for SelectiveSlowMapper {
@@ -1685,7 +1052,15 @@ mod tests {
 
         fn map_read(&self, read: &DnaSeq) -> (Option<Mapping>, MapStats) {
             if *read == self.slow {
+                let waited = Instant::now();
+                while self.fast_mapped.load(Ordering::SeqCst) < self.ahead
+                    && waited.elapsed() < Duration::from_secs(10)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
                 std::thread::sleep(self.delay);
+            } else {
+                self.fast_mapped.fetch_add(1, Ordering::SeqCst);
             }
             (None, MapStats::default())
         }
@@ -1697,107 +1072,62 @@ mod tests {
     }
 
     #[test]
-    fn reorder_park_counts_one_stall_per_period_not_per_poll_wakeup() {
-        // Batch 0 maps for ~400 ms while everything else is instant, so
-        // with queue_depth 1 and 2 threads (max_ahead = 3) the second
-        // worker finishes batches 1 and 2 and then parks on batch 3 for
-        // the rest of the slow batch — a single genuine stall spanning
-        // many 50 ms cancellation-poll wakeups. Counting wakeups instead
-        // of periods would report ~8 stalls here and poison the
-        // admission-control signal.
-        let dataset = DatasetConfig::tiny(97).illumina(100);
-        let slow = dataset.reads[0].seq.clone();
-        let fast = dataset.reads[1].seq.clone();
-        assert_ne!(slow, fast);
-        let mapper = SelectiveSlowMapper {
-            graph: dataset.graph().clone(),
-            slow: slow.clone(),
-            delay: Duration::from_millis(400),
-        };
+    fn a_slow_batch_holds_back_the_workers_that_ran_ahead() {
+        // Batch 0 maps for 400 ms once batches 1 and 2 are mapped, so with
+        // queue_depth 1 and 2 threads (max_ahead = 3) the request is held
+        // back, its next batch queued, for the rest of the slow batch.
+        let (mapper, slow, fast) = SelectiveSlowMapper::new(2, Duration::from_millis(400));
         let config = EngineOptions::new().threads(2).batch_size(1).queue_depth(1);
         let engine = MapEngine::new(&mapper, config);
         let mut reads = vec![slow];
         reads.extend(std::iter::repeat_with(|| fast.clone()).take(7));
         let (_, report) = engine.map_batch(&reads);
+        let queue = report.queue;
         assert!(
-            report.queue.park_waits >= 1,
-            "the second worker must park behind the slow batch: {:?}",
-            report.queue
+            queue.output_stall_waits >= 1,
+            "the request must be held back behind the slow batch: {queue:?}"
         );
         assert!(
-            report.queue.park_wait >= Duration::from_millis(200),
-            "the park spans most of the slow batch: {:?}",
-            report.queue
+            queue.output_stall_wait >= Duration::from_millis(200),
+            "the hold spans most of the slow batch: {queue:?}"
         );
-        // The pinned bug: the parked period above spans at least four
-        // 50 ms poll wakeups; per-wakeup counting would report >= 4.
-        assert!(
-            report.queue.park_waits <= 2,
-            "one parked period must count once, not once per poll wakeup: {:?}",
-            report.queue
-        );
-        // A recorded park implies recorded parked time, and vice versa.
         assert_eq!(
-            report.queue.park_waits > 0,
-            report.queue.park_wait > Duration::ZERO
+            queue.output_stall_waits > 0,
+            queue.output_stall_wait > Duration::ZERO
         );
     }
 
     #[test]
-    fn a_full_pool_spills_instead_of_holding_the_producer() {
-        // Every batch is routed to pool 0, whose worker cannot finish its
-        // first batch until the route hook has been asked about the
-        // fourth. By then pool 0 holds a batch in its worker and two in
-        // its two-slot queue, so the fourth batch at the latest must go to
-        // pool 1 rather than keep the producer waiting on pool 0.
-        let (dataset, mapper) = setup();
-        let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        assert!(reads.len() >= 8);
-        let (base, _) = MapEngine::new(&mapper, EngineOptions::new().threads(1)).map_batch(&reads);
-        let asked = AtomicUsize::new(0);
-        let config = EngineOptions::new().threads(2).batch_size(1).queue_depth(2);
-        let mut outcomes = Vec::new();
-        let report = MapEngine::new(&mapper, config).map_routed_stream(
-            reads.iter(),
-            |read| {
-                while asked.load(Ordering::SeqCst) < 4 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Some(read)
-            },
-            |read| *read,
-            |_, outcome| outcomes.push(outcome),
-            2,
-            |_| {
-                asked.fetch_add(1, Ordering::SeqCst);
-                Some(0)
-            },
-        );
-        assert!(report.spilled() >= 1, "{:?}", report.pools);
-        assert_eq!(report.spilled(), report.pools[1].spilled);
+    fn a_lopsided_route_is_stolen_instead_of_idling_a_pool() {
+        // Every batch is tagged for pool 0, and batch 0 does not finish
+        // before the other five are mapped: the worker busy with it cannot
+        // have mapped them, so the other pool's worker stole at least one.
+        let (mapper, slow, fast) = SelectiveSlowMapper::new(5, Duration::ZERO);
+        let mut reads = vec![slow];
+        reads.extend(std::iter::repeat_with(|| fast.clone()).take(5));
+        let config = EngineOptions::new().threads(2).batch_size(1).queue_depth(8);
+        let all_to_zero: RouteHook<SelectiveSlowMapper> = Arc::new(|_, _| Some(0));
+        let (outcomes, report) = MapEngine::new(&mapper, config)
+            .with_routing(2, all_to_zero)
+            .map_batch(&reads);
+        assert_eq!(outcomes.len(), reads.len());
+        assert_eq!(report.routed(), reads.len() as u64, "{:?}", report.pools);
+        assert_eq!(report.pools[0].routed, reads.len() as u64);
         assert!(report.pools[1].batches >= 1, "{:?}", report.pools);
-        assert_eq!(report.routed() + report.spilled(), reads.len() as u64);
-        // Where a batch ran is not visible in what comes out, or in which
-        // order.
-        assert_eq!(outcomes.len(), base.len());
-        for (a, b) in base.iter().zip(&outcomes) {
-            assert_eq!(
-                a.mapping.as_ref().map(|m| m.linear_start),
-                b.mapping.as_ref().map(|m| m.linear_start)
-            );
-        }
+        assert_eq!(report.pools[1].stolen, report.pools[1].batches);
+        assert_eq!(report.stolen(), report.pools[1].batches);
     }
 
     #[test]
     fn unparked_runs_record_no_park_stalls() {
-        // Plenty of reorder headroom: nobody should ever park, so the
-        // counter must stay zero (no spurious counts from the poll loop).
+        // Plenty of headroom (two batches, queue_depth 4): no worker is
+        // ever held back, so the stall counter stays zero.
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let engine = MapEngine::new(&mapper, EngineOptions::new().threads(2));
         let (_, report) = engine.map_batch(&reads);
-        assert_eq!(report.queue.park_waits, 0, "{:?}", report.queue);
-        assert_eq!(report.queue.park_wait, Duration::ZERO);
+        assert_eq!(report.queue.output_stall_waits, 0, "{:?}", report.queue);
+        assert_eq!(report.queue.output_stall_wait, Duration::ZERO);
     }
 
     #[test]

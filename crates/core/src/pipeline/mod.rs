@@ -17,24 +17,20 @@
 //!   paper's default implementations ([`stages`]);
 //! * [`MapPipeline`] — the per-read driver: candidate clustering, region
 //!   extraction/widening, early exit, and per-stage time accounting;
-//! * [`MapEngine`] — the batched, multi-threaded, order-preserving driver
-//!   for read streams ([`engine`]), generic over any
-//!   [`ReadMapper`](crate::ReadMapper), with overlapped IO: raw-record
-//!   decode runs in the worker stage and the sink runs on a dedicated
-//!   writer thread, with a [`CancelToken`] stopping both ends promptly on
-//!   failure. It owns the one one-shot stream loop: one or more pool
-//!   queues, one reorder buffer, one writer;
+//! * the one scheduler (the `multi` module): a worker loop over per-request
+//!   queues, reorder buffers and ordered outputs, with QoS picks, pool
+//!   routing and stealing. [`MultiEngine`] runs it for the long-lived
+//!   daemon behind `segram serve`; [`MapEngine`] runs it for one stream
+//!   ([`engine`]) — the producer pushes batches, a scoped writer thread
+//!   runs the sink, a [`CancelToken`] stops both ends on failure;
 //! * [`ShardRouter`] — the runtime mapper's seeding stage, for any shard
 //!   count: per-shard index lookups merged into the single-index
 //!   candidate order before prefilter/alignment ([`router`]), plus
 //!   [`route_batch`], the elastic batch-to-pool policy;
-//! * [`ElasticScheduler`] — the per-shard-group pool schedule over a
-//!   sharded index ([`elastic`]): a routing shell over `MapEngine`'s loop,
-//!   with a live imbalance-driven [`Rebalancer`] migrating shard
-//!   ownership between pools — same bytes as the fanout schedule, because
-//!   it is the same loop;
-//! * [`MultiEngine`] — the long-lived many-requests engine behind
-//!   `segram serve` (the `multi` module);
+//! * [`elastic_route`] — the elastic schedule ([`elastic`]): the route
+//!   hook both engines use, over a live imbalance-driven [`Rebalancer`]
+//!   migrating shard ownership between pools — same bytes as the fanout
+//!   schedule, because it is the same scheduler;
 //! * [`sam_record_for`] / [`gaf_record_for`] — render one engine outcome
 //!   into the interchange formats, shared by the CLI and the test suite.
 //!
@@ -49,13 +45,12 @@ mod multi;
 mod router;
 mod stages;
 
-pub use elastic::{ElasticScheduler, RebalanceConfig, Rebalancer};
+pub use elastic::{elastic_route, RebalanceConfig, Rebalancer};
 pub use engine::{
     CancelToken, EngineOptions, EngineReport, MapEngine, PoolReport, QueueStats, ReadOutcome,
 };
 pub use multi::{
-    EngineBusy, MultiEngine, PoolCounters, Priority, QueueDelayStats, RequestHandle,
-    RequestPanicked, RouteHook,
+    EngineBusy, MultiEngine, Priority, QueueDelayStats, RequestHandle, RequestPanicked, RouteHook,
 };
 pub use router::{route_batch, ShardRouter};
 

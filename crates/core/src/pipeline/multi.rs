@@ -1,78 +1,59 @@
-//! The long-lived multi-request mapping engine behind `segram serve`.
+//! The workspace's one scheduler, and the long-lived multi-request engine
+//! behind `segram serve` that exposes it.
 //!
-//! [`MapEngine`](super::MapEngine) drives **one** stream to completion and
-//! returns. A mapping daemon has the opposite shape: the expensive state
-//! (graph + index, loaded once from a persistent `.sgi` file) lives for
-//! hours, while N short mapping requests arrive, run concurrently, and
-//! leave. [`MultiEngine`] is that daemon core: a fixed pool of worker
-//! threads multiplexes every open request over one shared
-//! [`ReadMapper`], with the properties a server needs:
+//! A fixed set of workers runs [`worker_loop`] over a table of open
+//! requests. Each request has its own input queue, [`CancelToken`],
+//! reorder buffer and ordered output; every batch is mapped outside the
+//! one scheduler lock. [`MultiEngine`] owns `'static` workers over an
+//! `Arc` mapper for a daemon's lifetime;
+//! [`MapEngine::map_stream`](super::MapEngine::map_stream) runs the same
+//! loop under `std::thread::scope` for one request over a borrowed mapper.
+//! The properties:
 //!
-//! * **Request isolation** — every batch is tagged with its request id;
-//!   each request has its own [`CancelToken`], reorder buffer, and ordered
-//!   output queue, so concurrent requests never interleave outputs and
-//!   cancelling one (say, a disconnected client) leaves the others
-//!   untouched. A panic inside one request's mapping is captured as *that
-//!   request's* failure; the engine keeps serving.
+//! * **Request isolation** — concurrent requests never interleave
+//!   outputs, and cancelling one (say, a disconnected client) leaves the
+//!   others untouched. A panic inside one request's mapping becomes *that
+//!   request's* [`RequestPanicked`]; the engine keeps serving.
 //! * **QoS scheduling** — every request carries a [`Priority`] class and
 //!   an optional deadline hint ([`MultiEngine::open_with`]). Workers pick
-//!   the most urgent runnable request: a request past its deadline first
-//!   (earliest in rotation among the late), then by priority class, with
-//!   round-robin rotation *within* a class so one huge request cannot
-//!   starve its peers. A request whose reorder buffer has run `max_ahead`
-//!   past its slowest in-flight batch is deprioritized rather than
-//!   parking a worker — the queued/in-flight depth bound that also caps
-//!   how many lower-priority batches can ever be picked ahead of a
-//!   runnable higher-priority one.
+//!   the most urgent runnable request: a request past its deadline first,
+//!   then by class, round-robin within a class so one huge request cannot
+//!   starve its peers.
+//! * **Bounded memory** — a request whose picked, pending and released but
+//!   not yet taken batches reach `max_ahead = queue_depth + threads` is
+//!   skipped until its reader catches up, and at most `queue_depth`
+//!   released batches wait for the reader. A slow sink therefore stalls
+//!   the workers instead of growing a buffer, and [`RequestHandle::push`]
+//!   blocks past `queue_depth` queued batches. The reader must drain while
+//!   the producer pushes.
 //! * **Queueing-delay accounting** — every batch records its enqueue →
-//!   worker-pickup delay; [`MultiEngine::queue_delays`] aggregates
-//!   p50/p95/p99 per priority class over the engine lifetime and
-//!   [`RequestHandle::queue_delay`] reports one request's own percentiles
-//!   (the daemon surfaces both).
-//! * **Admission control** — the live queued-batch depth (the same
-//!   backpressure signal [`QueueStats`] exposes for the single-stream
-//!   engine) gates [`MultiEngine::open`]: past `max_queued` the engine
-//!   answers [`EngineBusy`] instead of accepting work it would only
-//!   queue, including a retry hint derived from the observed drain rate.
-//! * **Hot mapper swap** — [`MultiEngine::swap_mapper`] replaces the
-//!   shared mapper between requests: every request captures its mapper
-//!   `Arc` at open, so in-flight requests finish (and render) against the
-//!   old index while new requests map against the new one — the
-//!   zero-downtime `RELOAD` hook of `segram serve`.
-//! * **Pool routing** (optional, [`MultiEngine::with_routing`]) — the
-//!   elastic-schedule analogue for the daemon: workers are partitioned
-//!   into pools (worker `w` → pool `w % pools`), a route hook tags each
-//!   pushed batch with a preferred pool (e.g. its dominant shard group
-//!   via [`ShardRouter::route_hits`](super::ShardRouter::route_hits)),
-//!   and workers prefer batches tagged for their own pool, *stealing*
-//!   cross-pool only when nothing of their own is runnable — so locality
-//!   never costs liveness, and per-request ordering (hence output bytes)
-//!   is untouched by where a batch actually ran. [`PoolCounters`] reports
-//!   how many batches were routed, spilled, and stolen.
+//!   pickup delay; [`MultiEngine::queue_delays`] aggregates p50/p95/p99
+//!   per class and [`RequestHandle::queue_delay`] per request.
+//! * **Admission control** — past `max_queued` queued batches across
+//!   requests, [`MultiEngine::open`] answers [`EngineBusy`] with a retry
+//!   hint derived from the observed drain rate.
+//! * **Hot mapper swap** — every request captures its mapper at open, so
+//!   [`MultiEngine::swap_mapper`] changes only what later requests map
+//!   against: the zero-downtime `RELOAD` of `segram serve`.
+//! * **Pool routing** (optional) — workers are partitioned into pools
+//!   (worker `w` → pool `w % pools`), a [`RouteHook`] tags each pushed
+//!   batch with a preferred pool (the elastic schedule's is
+//!   [`elastic_route`](super::elastic_route)), and a worker prefers a
+//!   request whose next batch is tagged for its own pool, *stealing* when
+//!   nothing of its own is runnable. Per [`PoolReport`]: batches mapped,
+//!   routed, spilled and stolen.
 //!
-//! Ordering guarantee: within a request, outputs are released strictly in
-//! push order, so a request's output is byte-identical to running the same
-//! reads through a one-shot [`MapEngine`](super::MapEngine) — `ci.sh`
-//! enforces exactly that equivalence through `segram serve`.
-//!
-//! What this engine shares with the one-shot stream loop is what is
-//! actually the same: the tuning knobs ([`EngineOptions`]), the per-read
-//! strand policy (`map_one`), the in-order release (`Reorder::release`,
-//! one buffer per request here) and the elastic route policy
-//! ([`route_batch`](super::route_batch), through a [`RouteHook`]). It
-//! stays a separate scheduler on purpose: `'static` workers over an `Arc`
-//! mapper that can be swapped, admission, per-request cancellation and
-//! reorder, and a panic turned into one request's error message — against
-//! scoped borrows, worker-stage decode and the original payload re-raised.
-//! One loop serving both would branch on its caller at every one of those
-//! points.
+//! Within a request outputs are released strictly in push order, so its
+//! output is byte-identical to any other schedule of the same reads —
+//! `ci.sh` enforces that through `segram map` and `segram serve`.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -81,7 +62,7 @@ use segram_graph::DnaSeq;
 use crate::mapper::ReadMapper;
 
 use super::engine::{
-    map_one, relock, CancelToken, EngineOptions, EngineReport, ReadOutcome, Reorder,
+    map_one, relock, CancelToken, EngineOptions, EngineReport, PoolReport, ReadOutcome,
 };
 
 /// A request's priority class, ordered by urgency: workers always pick a
@@ -251,22 +232,6 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Route/spill/steal totals of a pool-routed [`MultiEngine`] (all zero
-/// without routing): `routed` batches carried a route-hook pool tag,
-/// `spilled` ones fell back to the least-loaded pool, and `stolen` ones
-/// were ultimately mapped by a worker from a *different* pool (the
-/// work-stealing that keeps routing from ever idling a worker).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolCounters {
-    /// Batches the route hook assigned to a specific pool.
-    pub routed: u64,
-    /// Batches the hook declined (straddling groups, or no signal),
-    /// tagged with the least-loaded pool instead.
-    pub spilled: u64,
-    /// Batches mapped by a worker outside their tagged pool.
-    pub stolen: u64,
-}
-
 /// One queued input batch of a request, in push order.
 struct QueuedBatch<T> {
     /// Position in the request's push order (the reorder key).
@@ -274,17 +239,19 @@ struct QueuedBatch<T> {
     items: Vec<T>,
     /// The pool this batch is tagged for.
     pool: usize,
-    /// When [`RequestHandle::push`] enqueued it — the queueing-delay
-    /// measurement starts here and ends at worker pickup.
+    /// When it was pushed — the queueing delay runs from here to pickup.
     enqueued: Instant,
 }
 
 /// Per-request scheduler state. Everything lives under the one scheduler
-/// lock; mapping itself always runs outside it.
-struct ReqState<M, T> {
+/// lock; mapping itself always runs outside it. `H` is how the request
+/// holds its mapper: an `Arc` in the daemon, a borrow in a one-shot run.
+struct ReqState<H, T> {
     /// Queued input batches, in push order.
     input: VecDeque<QueuedBatch<T>>,
     input_closed: bool,
+    /// Batches pushed so far (the next batch's reorder key).
+    pushed: usize,
     cancel: CancelToken,
     /// Scheduling class: workers pick the most urgent runnable request.
     priority: Priority,
@@ -293,53 +260,80 @@ struct ReqState<M, T> {
     deadline: Option<Instant>,
     /// The mapper captured at open: stable across
     /// [`MultiEngine::swap_mapper`], so one request never mixes indexes.
-    mapper: Arc<M>,
+    mapper: H,
     /// This request's own queueing-delay samples.
     delays: DelayWindow,
-    /// Batches popped by workers and not yet released or discarded.
+    /// Batches popped by workers and not yet pending or discarded.
     inflight: usize,
-    /// The per-request reorder buffer (releases into `out`) and the
-    /// request's running totals.
-    reorder: Reorder<T>,
-    /// Released batches, strictly in push order. Unbounded: a request's
-    /// outputs never exceed what its producer already pushed in, and
-    /// admission bounds the queued total across requests.
+    /// Index of the next batch to release into `out`.
+    next: usize,
+    /// Mapped batches waiting for an earlier one, or for room in `out`.
+    pending: BTreeMap<usize, Vec<(T, ReadOutcome)>>,
+    /// Released batches, strictly in push order, not yet taken; at most
+    /// `queue_depth` of them.
     out: VecDeque<Vec<(T, ReadOutcome)>>,
+    /// Totals over the released reads, plus this request's queue counters.
+    report: EngineReport,
     /// All work released or discarded; `next_output` returns `None` once
     /// `out` also drains.
     done: bool,
     /// Handle dropped without `finish`: discard outputs, remove when idle.
     detached: bool,
     failure: Option<String>,
+    /// Since when the request has been held back with input queued.
+    held_since: Option<Instant>,
 }
 
-impl<M, T> ReqState<M, T> {
-    fn new(
-        cancel: CancelToken,
-        priority: Priority,
-        deadline: Option<Instant>,
-        mapper: Arc<M>,
-    ) -> Self {
-        Self {
-            input: VecDeque::new(),
-            input_closed: false,
-            cancel,
-            priority,
-            deadline,
-            mapper,
-            delays: DelayWindow::default(),
-            inflight: 0,
-            reorder: Reorder::new(),
-            out: VecDeque::new(),
-            done: false,
-            detached: false,
-            failure: None,
+impl<H, T> ReqState<H, T> {
+    /// Whether the request holds `max_ahead` batches between pickup and
+    /// its reader: workers leave it alone until the reader catches up. A
+    /// cancelled request's batches are always poppable (cheap discard).
+    fn held(&self, max_ahead: usize) -> bool {
+        !self.cancel.is_cancelled()
+            && self.inflight + self.pending.len() + self.out.len() >= max_ahead
+    }
+
+    /// Times each period the request spends held back with input queued
+    /// into its `output_stall_*` counters; called after every change to
+    /// what [`held`](Self::held) reads.
+    fn track_hold(&mut self, max_ahead: usize) {
+        let held = !self.input.is_empty() && self.held(max_ahead);
+        match (held, self.held_since) {
+            (true, None) => self.held_since = Some(Instant::now()),
+            (false, Some(since)) => {
+                self.held_since = None;
+                self.report.queue.output_stall_waits += 1;
+                self.report.queue.output_stall_wait += since.elapsed();
+            }
+            _ => {}
         }
+    }
+
+    /// Moves the batches contiguous with the released prefix from
+    /// `pending` into `out` while `out` has fewer than `room`, folding
+    /// their reads into the report (a detached request's are dropped).
+    fn release(&mut self, room: usize) {
+        while self.detached || self.out.len() < room {
+            let Some(ready) = self.pending.remove(&self.next) else {
+                break;
+            };
+            self.next += 1;
+            for (_, outcome) in &ready {
+                self.report.reads += 1;
+                self.report.mapped += usize::from(outcome.mapping.is_some());
+                self.report.stats.merge(&outcome.stats);
+            }
+            if !self.detached {
+                self.out.push_back(ready);
+            }
+        }
+        let queue = &mut self.report.queue;
+        queue.output_max_depth = queue.output_max_depth.max(self.out.len());
     }
 }
 
-struct Sched<M, T> {
-    requests: BTreeMap<u64, ReqState<M, T>>,
+struct Sched<H, T> {
+    requests: BTreeMap<u64, ReqState<H, T>>,
     /// Rotation order *within* an urgency class: workers pick the most
     /// urgent runnable request (overdue deadline, then priority class)
     /// and break ties by this order; a worker that pops from a request
@@ -351,7 +345,11 @@ struct Sched<M, T> {
     queued_total: usize,
     /// Queued batches per pool tag — the least-loaded spill signal.
     queued_per_pool: Vec<usize>,
-    counters: PoolCounters,
+    /// Per-pool counters over the engine's lifetime.
+    pools: Vec<PoolReport>,
+    /// A request with this many batches picked, pending or released but not
+    /// yet taken is skipped until its reader catches up.
+    max_ahead: usize,
     /// Lifetime queueing-delay windows, indexed by [`Priority::index`].
     class_delays: [DelayWindow; 3],
     /// Timestamps of the most recent worker picks — the live drain-rate
@@ -363,7 +361,7 @@ struct Sched<M, T> {
 /// Picks kept for the drain-rate estimate.
 const RECENT_PICKS: usize = 64;
 
-impl<M, T> Sched<M, T> {
+impl<H, T> Sched<H, T> {
     /// Suggested back-off for a refused request: the time the current
     /// queue needs to drain at the recently observed pick rate.
     fn retry_hint(&self) -> Duration {
@@ -392,17 +390,18 @@ impl<M, T> Sched<M, T> {
                 self.queued_per_pool[batch.pool] -= 1;
             }
             req.input.clear();
-            req.reorder.pending.clear();
+            req.pending.clear();
             if req.inflight == 0 {
                 req.done = true;
             }
         } else if req.input_closed
             && req.input.is_empty()
             && req.inflight == 0
-            && req.reorder.pending.is_empty()
+            && req.pending.is_empty()
         {
             req.done = true;
         }
+        req.track_hold(self.max_ahead);
         if req.done && req.detached && req.inflight == 0 {
             self.requests.remove(&id);
             self.rr.retain(|&r| r != id);
@@ -410,48 +409,354 @@ impl<M, T> Sched<M, T> {
     }
 }
 
-/// The optional batch-routing hook of [`MultiEngine::with_routing`]:
-/// given the mapper the batch's request captured at open — not whichever
-/// one is active now, so the hook holds no mapper of its own and a swapped
-/// out one is freed with its last request — returns the preferred pool for
-/// the batch, or `None` to spill it to the least-loaded pool.
-pub type RouteHook<M, T> = Arc<dyn Fn(&M, &[T]) -> Option<usize> + Send + Sync>;
+/// The optional batch-routing hook of pool-routed engines: given the
+/// mapper the batch's request captured at open — not whichever one is
+/// active now, so the hook holds no mapper of its own and a swapped-out
+/// one is freed with its last request — and the batch's reads, returns
+/// the preferred pool, or `None` to spill the batch to the least-loaded
+/// pool.
+pub type RouteHook<M> = Arc<dyn Fn(&M, &[&DnaSeq]) -> Option<usize> + Send + Sync>;
 
-struct Shared<M, T> {
-    /// The mapper *new* requests capture at open. [`MultiEngine::swap_mapper`]
-    /// replaces it; requests already open keep the `Arc` they captured.
-    mapper: Mutex<Arc<M>>,
-    read_of: fn(&T) -> &DnaSeq,
-    threads: usize,
+/// The scheduler: request table, configuration and wakeups, shared by the
+/// workers, the producers and the readers of every open request. `H` is
+/// the per-request mapper handle, `R` projects a read out of an item.
+pub(crate) struct Shared<H: Deref, T, R> {
+    read_of: R,
+    pub(crate) threads: usize,
     /// Worker pools (1 = unrouted). Worker `w` serves pool `w % pools`.
-    pools: usize,
-    /// Routes a pushed batch to its preferred pool ([`RouteHook`]).
-    route: Option<RouteHook<M, T>>,
+    pub(crate) pools: usize,
+    route: Option<RouteHook<H::Target>>,
     queue_depth: usize,
-    /// A request with this many batches in flight + parked in its reorder
-    /// buffer is deprioritized until its slowest batch releases (the
-    /// single-stream engine's `max_ahead` bound, per request).
-    max_ahead: usize,
     max_queued: usize,
     both_strands: bool,
-    sched: Mutex<Sched<M, T>>,
+    sched: Mutex<Sched<H, T>>,
     /// Workers wait here for a runnable request.
     work_ready: Condvar,
     /// Producers wait here for per-request input space.
     space_ready: Condvar,
-    /// Consumers wait here for ordered output or completion.
+    /// Readers wait here for ordered output or completion.
     output_ready: Condvar,
 }
 
-/// The worker loop: pick the most urgent runnable request — past-deadline
-/// first, then by [`Priority`] class, preferring a front batch tagged for
-/// this worker's `pool` and breaking remaining ties in rotation order
-/// (the steal that keeps every worker busy whatever the routing skew) —
-/// then map one batch outside the lock, release in order, repeat. Note
-/// the steal ordering: lateness and class outrank pool affinity, so a
-/// worker abandons locality to serve a late or higher-class request.
-fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
-    let mut guard = relock(&shared.sched);
+impl<H, T, R> Shared<H, T, R>
+where
+    H: Deref + Clone,
+    H::Target: ReadMapper,
+    R: Fn(&T) -> &DnaSeq,
+{
+    /// A scheduler for `options` (zero fields derived: see
+    /// [`EngineOptions`]) with `pools` routing pools, clamped to
+    /// `1..=threads` so every pool has a worker.
+    pub(crate) fn new(
+        read_of: R,
+        options: &EngineOptions,
+        pools: usize,
+        route: Option<RouteHook<H::Target>>,
+    ) -> Self {
+        let threads = options.resolved_threads();
+        let pools = pools.clamp(1, threads);
+        let queue_depth = options.resolved_queue_depth(threads);
+        let max_queued = match options.max_queued {
+            0 => queue_depth * 4,
+            n => n,
+        };
+        let pool_reports = (0..pools)
+            .map(|pool| PoolReport {
+                workers: (0..threads).filter(|w| w % pools == pool).count(),
+                ..PoolReport::default()
+            })
+            .collect();
+        Shared {
+            read_of,
+            threads,
+            pools,
+            route,
+            queue_depth,
+            max_queued,
+            both_strands: options.both_strands,
+            sched: Mutex::new(Sched {
+                requests: BTreeMap::new(),
+                rr: VecDeque::new(),
+                next_id: 0,
+                queued_total: 0,
+                queued_per_pool: vec![0; pools],
+                pools: pool_reports,
+                max_ahead: queue_depth + threads,
+                class_delays: Default::default(),
+                recent_picks: VecDeque::new(),
+                shutdown: false,
+            }),
+            work_ready: Condvar::new(),
+            space_ready: Condvar::new(),
+            output_ready: Condvar::new(),
+        }
+    }
+
+    /// Opens a request over `mapper`, subject to admission control.
+    pub(crate) fn open(
+        &self,
+        mapper: H,
+        cancel: CancelToken,
+        priority: Priority,
+        deadline: Option<Duration>,
+    ) -> Result<u64, EngineBusy> {
+        let mut guard = self.lock();
+        if guard.shutdown || guard.queued_total >= self.max_queued {
+            return Err(EngineBusy {
+                queued: guard.queued_total,
+                capacity: self.max_queued,
+                retry_hint: guard.retry_hint(),
+            });
+        }
+        let id = guard.next_id;
+        guard.next_id += 1;
+        let state = ReqState {
+            input: VecDeque::new(),
+            input_closed: false,
+            pushed: 0,
+            cancel,
+            priority,
+            deadline: deadline.map(|d| Instant::now() + d),
+            mapper,
+            delays: DelayWindow::default(),
+            inflight: 0,
+            next: 0,
+            pending: BTreeMap::new(),
+            out: VecDeque::new(),
+            report: EngineReport::default(),
+            done: false,
+            detached: false,
+            failure: None,
+            held_since: None,
+        };
+        guard.requests.insert(id, state);
+        guard.rr.push_back(id);
+        Ok(id)
+    }
+
+    /// Pushes one input batch of request `id` (whose mapper is `mapper`),
+    /// blocking while its input queue is full. Returns `false` — and drops
+    /// the batch — once the request is cancelled or the engine stops.
+    pub(crate) fn push(&self, id: u64, mapper: &H::Target, items: Vec<T>) -> bool {
+        // The route hook runs on the producer thread, outside the lock:
+        // minimizer extraction must never block the workers.
+        let preferred = match &self.route {
+            Some(route) if self.pools > 1 && !items.is_empty() => {
+                let reads: Vec<&DnaSeq> = items.iter().map(&self.read_of).collect();
+                route(mapper, &reads).filter(|&pool| pool < self.pools)
+            }
+            _ => Some(0),
+        };
+        let mut guard = self.lock();
+        let mut blocked: Option<Instant> = None;
+        loop {
+            let shutdown = guard.shutdown;
+            let Some(req) = guard.requests.get_mut(&id) else {
+                return false;
+            };
+            if req.cancel.is_cancelled() || shutdown {
+                return false;
+            }
+            if items.is_empty() {
+                return true;
+            }
+            if req.input.len() < self.queue_depth {
+                if let Some(since) = blocked {
+                    req.report.queue.producer_waits += 1;
+                    req.report.queue.producer_wait += since.elapsed();
+                }
+                break;
+            }
+            blocked.get_or_insert_with(Instant::now);
+            guard = self
+                .space_ready
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let sched = &mut *guard;
+        let pool = match preferred {
+            Some(pool) => {
+                sched.pools[pool].routed += 1;
+                pool
+            }
+            None => {
+                let pool = (0..self.pools)
+                    .min_by_key(|&p| sched.queued_per_pool[p])
+                    .expect("at least one pool");
+                sched.pools[pool].spilled += 1;
+                pool
+            }
+        };
+        sched.queued_total += 1;
+        sched.queued_per_pool[pool] += 1;
+        let pool_depth = &mut sched.pools[pool].queue.max_depth;
+        *pool_depth = (*pool_depth).max(sched.queued_per_pool[pool]);
+        let req = sched.requests.get_mut(&id).expect("request checked above");
+        req.input.push_back(QueuedBatch {
+            index: req.pushed,
+            items,
+            pool,
+            enqueued: Instant::now(),
+        });
+        req.pushed += 1;
+        req.track_hold(sched.max_ahead);
+        let queue = &mut req.report.queue;
+        queue.max_depth = queue.max_depth.max(req.input.len());
+        drop(guard);
+        self.work_ready.notify_all();
+        true
+    }
+
+    /// Declares the end of request `id`'s input.
+    pub(crate) fn finish_input(&self, id: u64) {
+        let mut guard = self.lock();
+        if let Some(req) = guard.requests.get_mut(&id) {
+            req.input_closed = true;
+        }
+        guard.settle(id);
+        drop(guard);
+        self.notify_all();
+    }
+
+    /// Blocks for request `id`'s next output batch, strictly in push
+    /// order; `None` once it is complete and drained.
+    pub(crate) fn next_output(&self, id: u64) -> Option<Vec<(T, ReadOutcome)>> {
+        let mut guard = self.lock();
+        let mut blocked: Option<Instant> = None;
+        loop {
+            let (shutdown, max_ahead) = (guard.shutdown, guard.max_ahead);
+            let req = guard.requests.get_mut(&id)?;
+            let was_held = req.held(max_ahead);
+            if let Some(batch) = req.out.pop_front() {
+                if let Some(since) = blocked {
+                    req.report.queue.writer_waits += 1;
+                    req.report.queue.writer_wait += since.elapsed();
+                }
+                req.release(self.queue_depth);
+                // A cancellation raised on the token alone is settled
+                // here: it may free a producer blocked on a full queue.
+                guard.settle(id);
+                let settled = guard
+                    .requests
+                    .get(&id)
+                    .is_none_or(|req| req.done || req.cancel.is_cancelled());
+                drop(guard);
+                if was_held || settled {
+                    self.notify_all();
+                }
+                return Some(batch);
+            }
+            if req.done || shutdown {
+                return None;
+            }
+            blocked.get_or_insert_with(Instant::now);
+            guard = self
+                .output_ready
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Waits until request `id` is complete, removes it, and returns its
+    /// report.
+    pub(crate) fn finish(&self, id: u64) -> Result<EngineReport, RequestPanicked> {
+        self.finish_input(id);
+        let mut guard = self.lock();
+        loop {
+            let Some(req) = guard.requests.get(&id) else {
+                // Already removed (shutdown raced us): report what we know.
+                return Ok(EngineReport {
+                    threads: self.threads,
+                    ..EngineReport::default()
+                });
+            };
+            if req.done || guard.shutdown {
+                break;
+            }
+            guard = self
+                .output_ready
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let state = guard.requests.remove(&id).expect("checked above");
+        guard.rr.retain(|&r| r != id);
+        drop(guard);
+        let mut report = state.report;
+        report.backend = state.mapper.backend_name();
+        report.threads = self.threads;
+        match state.failure {
+            Some(message) => Err(RequestPanicked { message }),
+            None => Ok(report),
+        }
+    }
+
+    /// Cancels request `id`: queued input and pending outputs are dropped,
+    /// in-flight batches wind down; `detach` also discards its outputs and
+    /// removes it once idle.
+    pub(crate) fn cancel(&self, id: u64, detach: bool) {
+        let mut guard = self.lock();
+        if let Some(req) = guard.requests.get_mut(&id) {
+            req.cancel.cancel();
+            if detach {
+                req.detached = true;
+                req.out.clear();
+            }
+        }
+        guard.settle(id);
+        drop(guard);
+        self.notify_all();
+    }
+}
+
+impl<H: Deref, T, R> Shared<H, T, R> {
+    fn lock(&self) -> MutexGuard<'_, Sched<H, T>> {
+        relock(&self.sched)
+    }
+
+    fn notify_all(&self) {
+        self.work_ready.notify_all();
+        self.space_ready.notify_all();
+        self.output_ready.notify_all();
+    }
+
+    /// Stops the workers: cancels every open request and wakes everyone.
+    pub(crate) fn shutdown(&self) {
+        let mut guard = self.lock();
+        guard.shutdown = true;
+        let ids: Vec<u64> = guard.requests.keys().copied().collect();
+        for id in ids {
+            if let Some(req) = guard.requests.get(&id) {
+                req.cancel.cancel();
+            }
+            guard.settle(id);
+        }
+        drop(guard);
+        self.notify_all();
+    }
+
+    /// The per-pool counters so far.
+    pub(crate) fn pool_reports(&self) -> Vec<PoolReport> {
+        self.lock().pools.clone()
+    }
+}
+
+/// The worker loop — the only one in the workspace: pick the most urgent
+/// runnable request — past-deadline first, then by [`Priority`] class,
+/// then one whose next batch is tagged for this worker's `pool`, breaking
+/// remaining ties in rotation order (the steal that keeps every worker
+/// busy whatever the routing skew) — then map its next batch outside the
+/// lock, release in order, repeat until shutdown.
+pub(crate) fn worker_loop<H, T, R>(shared: &Shared<H, T, R>, pool: usize)
+where
+    H: Deref + Clone,
+    H::Target: ReadMapper,
+    R: Fn(&T) -> &DnaSeq,
+{
+    let mut guard = shared.lock();
+    // Since when this worker has found nothing it may pick; recorded when
+    // the wait ends in a pick (one cut short by shutdown is the end of the
+    // stream, not a wait).
+    let mut idle: Option<Instant> = None;
     loop {
         if guard.shutdown {
             return;
@@ -470,14 +775,7 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
             let Some(front) = req.input.front() else {
                 continue;
             };
-            // A cancelled request's batches are always poppable (cheap
-            // discard); a live one is skipped while its reorder buffer is
-            // full — the pick then favors the requests that can make
-            // release progress, and bounds how many lower-priority
-            // batches can ever overtake a higher-priority request.
-            if !req.cancel.is_cancelled()
-                && req.inflight + req.reorder.pending.len() >= shared.max_ahead
-            {
+            if req.held(guard.max_ahead) {
                 continue;
             }
             let key = (
@@ -490,15 +788,22 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
             }
         }
         let Some((slot, id, _)) = best else {
+            idle.get_or_insert(now);
             guard = shared
                 .work_ready
                 .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
             continue;
         };
-        guard.rr.remove(slot);
-        guard.rr.push_back(id);
-        let req = guard.requests.get_mut(&id).expect("picked request exists");
+        let sched = &mut *guard;
+        let counters = &mut sched.pools[pool];
+        if let Some(since) = idle.take() {
+            counters.queue.worker_waits += 1;
+            counters.queue.worker_wait += since.elapsed();
+        }
+        sched.rr.remove(slot);
+        sched.rr.push_back(id);
+        let req = sched.requests.get_mut(&id).expect("picked request exists");
         let QueuedBatch {
             index,
             items,
@@ -506,27 +811,25 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
             enqueued,
         } = req.input.pop_front().expect("picked request has input");
         req.inflight += 1;
+        req.track_hold(sched.max_ahead);
         let cancel = req.cancel.clone();
-        let mapper = Arc::clone(&req.mapper);
+        let mapper = req.mapper.clone();
         // Queueing delay = enqueue → this pickup. Cancelled requests'
         // batches are discards, not service, and are left out.
         let live = !cancel.is_cancelled();
         let waited = now.saturating_duration_since(enqueued);
-        let class = req.priority.index();
         if live {
             req.delays.record(waited);
-        }
-        guard.queued_total -= 1;
-        guard.queued_per_pool[batch_pool] -= 1;
-        if live {
-            guard.class_delays[class].record(waited);
-        }
-        guard.recent_picks.push_back(now);
-        if guard.recent_picks.len() > RECENT_PICKS {
-            guard.recent_picks.pop_front();
+            sched.class_delays[req.priority.index()].record(waited);
         }
         if batch_pool != pool {
-            guard.counters.stolen += 1;
+            counters.stolen += 1;
+        }
+        sched.queued_total -= 1;
+        sched.queued_per_pool[batch_pool] -= 1;
+        sched.recent_picks.push_back(now);
+        if sched.recent_picks.len() > RECENT_PICKS {
+            sched.recent_picks.pop_front();
         }
         drop(guard);
         shared.space_ready.notify_all();
@@ -539,15 +842,16 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
                 if cancel.is_cancelled() {
                     return false;
                 }
-                let read = (shared.read_of)(&item);
-                let outcome = map_one(mapper.as_ref(), shared.both_strands, read);
+                let outcome = map_one(&*mapper, shared.both_strands, (shared.read_of)(&item));
                 outcomes.push((item, outcome));
             }
             true
         }));
+        drop(mapper);
 
-        guard = relock(&shared.sched);
-        if let Some(req) = guard.requests.get_mut(&id) {
+        guard = shared.lock();
+        let sched = &mut *guard;
+        if let Some(req) = sched.requests.get_mut(&id) {
             req.inflight -= 1;
             match result {
                 Err(payload) => {
@@ -557,29 +861,24 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
                     req.cancel.cancel();
                 }
                 Ok(true) if !req.cancel.is_cancelled() => {
-                    req.reorder.report.batches += 1;
-                    // Strictly in push order; a detached request's outputs
-                    // have no reader left.
-                    let (out, detached) = (&mut req.out, req.detached);
-                    req.reorder
-                        .release(index, std::mem::take(&mut outcomes), |ready| {
-                            if !detached {
-                                out.push_back(ready);
-                            }
-                        });
+                    req.report.batches += 1;
+                    sched.pools[pool].batches += 1;
+                    req.pending.insert(index, outcomes);
+                    req.release(shared.queue_depth);
                 }
                 // Cancelled mid-batch or just after: outputs are dropped.
                 Ok(_) => {}
             }
-            guard.settle(id);
+            sched.settle(id);
         }
         drop(guard);
-        shared.output_ready.notify_all();
-        shared.work_ready.notify_all();
-        shared.space_ready.notify_all();
-        guard = relock(&shared.sched);
+        shared.notify_all();
+        guard = shared.lock();
     }
 }
+
+/// The mapper handle and read projection of a daemon's scheduler.
+type DaemonShared<M, T> = Shared<Arc<M>, T, fn(&T) -> &DnaSeq>;
 
 /// The long-lived multi-request engine: a worker pool multiplexing
 /// concurrent mapping requests over one shared mapper (see the module
@@ -601,7 +900,7 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
 /// let mapper = SegramMapper::new(dataset.graph().clone(), SegramConfig::short_reads());
 /// let engine = MultiEngine::new(Arc::new(mapper), seq_of, EngineOptions::new().threads(2));
 ///
-/// let mut request = engine.open().expect("engine accepts");
+/// let request = engine.open().expect("engine accepts");
 /// let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
 /// request.push(reads.clone());
 /// request.finish_input();
@@ -615,7 +914,9 @@ fn worker_loop<M: ReadMapper, T>(shared: &Shared<M, T>, pool: usize) {
 /// engine.shutdown();
 /// ```
 pub struct MultiEngine<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> {
-    shared: Arc<Shared<M, T>>,
+    shared: Arc<DaemonShared<M, T>>,
+    /// The mapper *new* requests capture at open.
+    mapper: Mutex<Arc<M>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -624,18 +925,10 @@ pub struct MultiEngine<M: ReadMapper + Send + Sync + 'static, T: Send + 'static>
 impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> fmt::Debug for MultiEngine<M, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MultiEngine")
-            .field("shared", &self.shared)
-            .field("workers", &self.workers.len())
-            .finish()
-    }
-}
-
-impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> fmt::Debug for Shared<M, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Shared")
-            .field("threads", &self.threads)
-            .field("queue_depth", &self.queue_depth)
-            .field("max_queued", &self.max_queued)
+            .field("threads", &self.shared.threads)
+            .field("pools", &self.shared.pools)
+            .field("queue_depth", &self.shared.queue_depth)
+            .field("max_queued", &self.shared.max_queued)
             .finish_non_exhaustive()
     }
 }
@@ -659,54 +952,23 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
         read_of: fn(&T) -> &DnaSeq,
         options: EngineOptions,
         pools: usize,
-        route: Option<RouteHook<M, T>>,
+        route: Option<RouteHook<M>>,
     ) -> Self {
-        let threads = options.resolved_threads();
-        let pools = pools.clamp(1, threads);
-        // Per request: `RequestHandle::push` blocks past this, so one
-        // producer cannot buffer its whole stream into the engine.
-        let queue_depth = options.resolved_queue_depth(threads);
-        // Past this many queued batches across all open requests,
-        // `open` refuses with `EngineBusy`.
-        let max_queued = match options.max_queued {
-            0 => queue_depth * 4,
-            n => n,
-        };
-        let shared = Arc::new(Shared {
-            mapper: Mutex::new(mapper),
-            read_of,
-            threads,
-            pools,
-            route,
-            queue_depth,
-            max_ahead: queue_depth + threads,
-            max_queued,
-            both_strands: options.both_strands,
-            sched: Mutex::new(Sched {
-                requests: BTreeMap::new(),
-                rr: VecDeque::new(),
-                next_id: 0,
-                queued_total: 0,
-                queued_per_pool: vec![0; pools],
-                counters: PoolCounters::default(),
-                class_delays: Default::default(),
-                recent_picks: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            space_ready: Condvar::new(),
-            output_ready: Condvar::new(),
-        });
-        let workers = (0..threads)
+        let shared = Arc::new(Shared::new(read_of, &options, pools, route));
+        let workers = (0..shared.threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("segram-serve-{i}"))
-                    .spawn(move || worker_loop(shared.as_ref(), i % pools))
+                    .spawn(move || worker_loop(shared.as_ref(), i % shared.pools))
                     .expect("spawn worker thread")
             })
             .collect();
-        Self { shared, workers }
+        Self {
+            shared,
+            mapper: Mutex::new(mapper),
+            workers,
+        }
     }
 
     /// Opens a new request at [`Priority::Normal`] with no deadline,
@@ -738,30 +1000,16 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<RequestHandle<M, T>, EngineBusy> {
-        let mapper = Arc::clone(&relock(&self.shared.mapper));
-        let mut guard = relock(&self.shared.sched);
-        if guard.shutdown || guard.queued_total >= self.shared.max_queued {
-            return Err(EngineBusy {
-                queued: guard.queued_total,
-                capacity: self.shared.max_queued,
-                retry_hint: guard.retry_hint(),
-            });
-        }
-        let id = guard.next_id;
-        guard.next_id += 1;
+        let mapper = self.active_mapper();
         let cancel = CancelToken::new();
-        let deadline = deadline.map(|d| Instant::now() + d);
-        guard.requests.insert(
-            id,
-            ReqState::new(cancel.clone(), priority, deadline, Arc::clone(&mapper)),
-        );
-        guard.rr.push_back(id);
+        let id = self
+            .shared
+            .open(Arc::clone(&mapper), cancel.clone(), priority, deadline)?;
         Ok(RequestHandle {
             shared: Arc::clone(&self.shared),
             mapper,
             id,
             cancel,
-            produced: 0,
             finished: false,
         })
     }
@@ -771,18 +1019,18 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
     /// the zero-downtime half of `RELOAD`: build the new index off-thread,
     /// then swap between requests.
     pub fn swap_mapper(&self, mapper: Arc<M>) {
-        *relock(&self.shared.mapper) = mapper;
+        *relock(&self.mapper) = mapper;
     }
 
     /// The mapper new requests would currently capture.
     pub fn active_mapper(&self) -> Arc<M> {
-        Arc::clone(&relock(&self.shared.mapper))
+        Arc::clone(&relock(&self.mapper))
     }
 
     /// Lifetime queueing-delay percentiles per priority class (classes
     /// that never queued a batch are omitted), most urgent first.
     pub fn queue_delays(&self) -> Vec<(Priority, QueueDelayStats)> {
-        let guard = relock(&self.shared.sched);
+        let guard = self.shared.lock();
         Priority::ALL
             .iter()
             .filter_map(|&p| guard.class_delays[p.index()].stats().map(|s| (p, s)))
@@ -793,12 +1041,12 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
     /// admission/backpressure signal (`BUSY <depth>` in the serve
     /// protocol).
     pub fn queued_batches(&self) -> usize {
-        relock(&self.shared.sched).queued_total
+        self.shared.lock().queued_total
     }
 
     /// Open (not yet finished or removed) requests.
     pub fn open_requests(&self) -> usize {
-        relock(&self.shared.sched).requests.len()
+        self.shared.lock().requests.len()
     }
 
     /// Worker threads in the pool.
@@ -811,9 +1059,9 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
         self.shared.pools
     }
 
-    /// Route/spill/steal totals since the engine started.
-    pub fn pool_counters(&self) -> PoolCounters {
-        relock(&self.shared.sched).counters
+    /// Per-pool batch and wait counters since the engine started.
+    pub fn pool_reports(&self) -> Vec<PoolReport> {
+        self.shared.pool_reports()
     }
 
     /// Stops the pool: cancels every open request and joins the workers.
@@ -822,20 +1070,7 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> MultiEngine<M, T>
     }
 
     fn stop(&mut self) {
-        {
-            let mut guard = relock(&self.shared.sched);
-            guard.shutdown = true;
-            for req in guard.requests.values() {
-                req.cancel.cancel();
-            }
-            let ids: Vec<u64> = guard.requests.keys().copied().collect();
-            for id in ids {
-                guard.settle(id);
-            }
-        }
-        self.shared.work_ready.notify_all();
-        self.shared.space_ready.notify_all();
-        self.shared.output_ready.notify_all();
+        self.shared.shutdown();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -851,15 +1086,15 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> Drop for MultiEng
 }
 
 /// One open mapping request on a [`MultiEngine`]: push input batches, read
-/// ordered output batches, then [`finish`](Self::finish) for the report.
-/// Dropping the handle without finishing cancels the request and discards
-/// its outputs.
+/// ordered output batches — from another thread than the pushes, unless
+/// the whole input fits under the engine's bound — then
+/// [`finish`](Self::finish) for the report. Dropping the handle without
+/// finishing cancels the request and discards its outputs.
 pub struct RequestHandle<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> {
-    shared: Arc<Shared<M, T>>,
+    shared: Arc<DaemonShared<M, T>>,
     mapper: Arc<M>,
     id: u64,
     cancel: CancelToken,
-    produced: usize,
     finished: bool,
 }
 
@@ -867,7 +1102,6 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> fmt::Debug for Re
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RequestHandle")
             .field("id", &self.id)
-            .field("produced", &self.produced)
             .field("finished", &self.finished)
             .finish()
     }
@@ -889,7 +1123,8 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
     /// Queueing-delay percentiles over this request's picked batches so
     /// far (`None` before the first pick).
     pub fn queue_delay(&self) -> Option<QueueDelayStats> {
-        relock(&self.shared.sched)
+        self.shared
+            .lock()
             .requests
             .get(&self.id)
             .and_then(|req| req.delays.stats())
@@ -904,127 +1139,28 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
     /// Cancels this request now: queued input and parked outputs are
     /// dropped, in-flight batches wind down, other requests are untouched.
     pub fn cancel(&self) {
-        self.cancel.cancel();
-        let mut guard = relock(&self.shared.sched);
-        guard.settle(self.id);
-        drop(guard);
-        self.shared.work_ready.notify_all();
-        self.shared.space_ready.notify_all();
-        self.shared.output_ready.notify_all();
+        self.shared.cancel(self.id, false);
     }
 
     /// Pushes one input batch, blocking while this request's input queue
     /// is full. Returns `false` — and discards the batch — once the
     /// request is cancelled or the engine is shutting down.
-    pub fn push(&mut self, items: Vec<T>) -> bool {
-        if items.is_empty() {
-            return !self.cancel.is_cancelled();
-        }
-        let shared = self.shared.as_ref();
-        // The pre-route pass runs on the producer (connection) thread,
-        // outside the scheduler lock — minimizer extraction must never
-        // block the worker pool.
-        let preferred = if shared.pools > 1 {
-            shared
-                .route
-                .as_ref()
-                .and_then(|route| route(&self.mapper, &items))
-                .filter(|&pool| pool < shared.pools)
-        } else {
-            Some(0)
-        };
-        let mut guard = relock(&shared.sched);
-        let mut blocked: Option<Instant> = None;
-        loop {
-            if self.cancel.is_cancelled() || guard.shutdown {
-                return false;
-            }
-            let Some(req) = guard.requests.get_mut(&self.id) else {
-                return false;
-            };
-            if req.input.len() < shared.queue_depth {
-                if let Some(since) = blocked {
-                    req.reorder.report.queue.producer_waits += 1;
-                    req.reorder.report.queue.producer_wait += since.elapsed();
-                }
-                break;
-            }
-            blocked.get_or_insert_with(Instant::now);
-            guard = shared
-                .space_ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        // The spill decision needs the live per-pool depths, so it waits
-        // for the lock (routed batches already know their pool).
-        let pool = match preferred {
-            Some(pool) => {
-                if shared.pools > 1 {
-                    guard.counters.routed += 1;
-                }
-                pool
-            }
-            None => {
-                guard.counters.spilled += 1;
-                (0..shared.pools)
-                    .min_by_key(|&p| guard.queued_per_pool[p])
-                    .expect("at least one pool")
-            }
-        };
-        let req = guard
-            .requests
-            .get_mut(&self.id)
-            .expect("request checked above");
-        req.input.push_back(QueuedBatch {
-            index: self.produced,
-            items,
-            pool,
-            enqueued: Instant::now(),
-        });
-        let depth = req.input.len();
-        let queue = &mut req.reorder.report.queue;
-        queue.max_depth = queue.max_depth.max(depth);
-        self.produced += 1;
-        guard.queued_total += 1;
-        guard.queued_per_pool[pool] += 1;
-        drop(guard);
-        shared.work_ready.notify_all();
-        true
+    pub fn push(&self, items: Vec<T>) -> bool {
+        self.shared.push(self.id, &self.mapper, items)
     }
 
     /// Declares end of input: once every pushed batch is released the
     /// request completes and [`next_output`](Self::next_output) returns
     /// `None` after draining.
-    pub fn finish_input(&mut self) {
-        let mut guard = relock(&self.shared.sched);
-        if let Some(req) = guard.requests.get_mut(&self.id) {
-            req.input_closed = true;
-        }
-        guard.settle(self.id);
-        drop(guard);
-        self.shared.work_ready.notify_all();
-        self.shared.output_ready.notify_all();
+    pub fn finish_input(&self) {
+        self.shared.finish_input(self.id);
     }
 
     /// Blocks for the next output batch, **strictly in push order**.
     /// Returns `None` once the request is complete (all input released, or
     /// cancelled) and every released batch has been taken.
-    pub fn next_output(&mut self) -> Option<Vec<(T, ReadOutcome)>> {
-        let mut guard = relock(&self.shared.sched);
-        loop {
-            let req = guard.requests.get_mut(&self.id)?;
-            if let Some(batch) = req.out.pop_front() {
-                return Some(batch);
-            }
-            if req.done || guard.shutdown {
-                return None;
-            }
-            guard = self
-                .shared
-                .output_ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+    pub fn next_output(&self) -> Option<Vec<(T, ReadOutcome)>> {
+        self.shared.next_output(self.id)
     }
 
     /// Completes the request: closes input if still open, waits for every
@@ -1036,56 +1172,16 @@ impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> RequestHandle<M, 
     /// [`RequestPanicked`] when mapping panicked inside this request (the
     /// engine itself keeps serving).
     pub fn finish(mut self) -> Result<EngineReport, RequestPanicked> {
-        self.finish_input();
-        let shared = Arc::clone(&self.shared);
-        let mut guard = relock(&shared.sched);
-        loop {
-            let Some(req) = guard.requests.get(&self.id) else {
-                // Already removed (shutdown raced us): report what we know.
-                self.finished = true;
-                return Ok(EngineReport {
-                    threads: shared.threads,
-                    ..EngineReport::default()
-                });
-            };
-            if req.done || guard.shutdown {
-                break;
-            }
-            guard = shared
-                .output_ready
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let state = guard.requests.remove(&self.id).expect("checked above");
-        guard.rr.retain(|&r| r != self.id);
-        drop(guard);
         self.finished = true;
-        let mut report = state.reorder.report;
-        report.backend = state.mapper.backend_name();
-        report.threads = shared.threads;
-        match state.failure {
-            Some(message) => Err(RequestPanicked { message }),
-            None => Ok(report),
-        }
+        self.shared.finish(self.id)
     }
 }
 
 impl<M: ReadMapper + Send + Sync + 'static, T: Send + 'static> Drop for RequestHandle<M, T> {
     fn drop(&mut self) {
-        if self.finished {
-            return;
+        if !self.finished {
+            self.shared.cancel(self.id, true);
         }
-        self.cancel.cancel();
-        let mut guard = relock(&self.shared.sched);
-        if let Some(req) = guard.requests.get_mut(&self.id) {
-            req.detached = true;
-            req.out.clear();
-        }
-        guard.settle(self.id);
-        drop(guard);
-        self.shared.work_ready.notify_all();
-        self.shared.space_ready.notify_all();
-        self.shared.output_ready.notify_all();
     }
 }
 
@@ -1117,25 +1213,28 @@ mod tests {
     }
 
     /// Drives one request end to end: push every read in `chunk`-sized
-    /// batches, then drain, returning flattened outcomes + the report.
-    fn run_request(
-        engine: &MultiEngine<SegramMapper, DnaSeq>,
+    /// batches while another thread drains, returning flattened outcomes +
+    /// the report.
+    fn run_request<M: ReadMapper + Send + Sync + 'static>(
+        engine: &MultiEngine<M, DnaSeq>,
         reads: &[DnaSeq],
         chunk: usize,
     ) -> (Vec<ReadOutcome>, EngineReport) {
-        let mut request = engine.open().expect("admission");
-        for batch in reads.chunks(chunk) {
-            assert!(request.push(batch.to_vec()));
-        }
-        request.finish_input();
-        let mut outcomes = Vec::new();
-        let mut echoed: Vec<DnaSeq> = Vec::new();
-        while let Some(batch) = request.next_output() {
-            for (read, outcome) in batch {
-                echoed.push(read);
-                outcomes.push(outcome);
+        let request = engine.open().expect("admission");
+        let (echoed, outcomes): (Vec<DnaSeq>, Vec<ReadOutcome>) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut released = Vec::new();
+                while let Some(batch) = request.next_output() {
+                    released.extend(batch);
+                }
+                released.into_iter().unzip()
+            });
+            for batch in reads.chunks(chunk) {
+                assert!(request.push(batch.to_vec()));
             }
-        }
+            request.finish_input();
+            reader.join().expect("reader thread")
+        });
         assert_eq!(echoed, reads, "outputs echo inputs in push order");
         let report = request.finish().expect("no panic");
         (outcomes, report)
@@ -1216,7 +1315,7 @@ mod tests {
         );
         std::thread::scope(|scope| {
             let victim = scope.spawn(|| {
-                let mut request = engine.open().expect("admission");
+                let request = engine.open().expect("admission");
                 for _ in 0..8 {
                     assert!(request.push(vec![read.clone()]));
                 }
@@ -1227,7 +1326,7 @@ mod tests {
                 while request.next_output().is_some() {}
                 (first.is_some(), request.finish())
             });
-            let survivor = scope.spawn(|| run_request_slow(&engine, &read, 10));
+            let survivor = scope.spawn(|| run_request(&engine, &vec![read.clone(); 10], 1).0.len());
             let (saw_output, report) = victim.join().expect("victim thread");
             assert!(saw_output, "victim produced output before cancellation");
             let report = report.expect("cancellation is not a panic");
@@ -1236,25 +1335,6 @@ mod tests {
             assert_eq!(survivor_reads, 10, "survivor completed every read");
         });
         engine.shutdown();
-    }
-
-    /// `run_request` for the SlowMapper engine: returns released reads.
-    fn run_request_slow(
-        engine: &MultiEngine<SlowMapper, DnaSeq>,
-        read: &DnaSeq,
-        count: usize,
-    ) -> usize {
-        let mut request = engine.open().expect("admission");
-        for _ in 0..count {
-            assert!(request.push(vec![read.clone()]));
-        }
-        request.finish_input();
-        let mut released = 0;
-        while let Some(batch) = request.next_output() {
-            released += batch.len();
-        }
-        assert_eq!(request.finish().expect("no panic").reads, released);
-        released
     }
 
     /// A mapper that blocks until released — admission tests need the
@@ -1296,7 +1376,7 @@ mod tests {
             seq_of,
             EngineOptions::new().threads(1).queue_depth(2).max_queued(1),
         );
-        let mut request = engine.open().expect("empty engine admits");
+        let request = engine.open().expect("empty engine admits");
         // Two batches: the worker blocks inside the first (gated), the
         // second stays queued, so the depth sits at the limit.
         assert!(request.push(vec![read.clone()]));
@@ -1342,7 +1422,7 @@ mod tests {
         );
         std::thread::scope(|scope| {
             let big = scope.spawn(|| {
-                let mut request = engine.open().expect("admission");
+                let request = engine.open().expect("admission");
                 for _ in 0..8 {
                     assert!(request.push(vec![read.clone()]));
                 }
@@ -1355,7 +1435,7 @@ mod tests {
             // Give the big request a head start so its batches are queued.
             std::thread::sleep(delay);
             let small = scope.spawn(|| {
-                let mut request = engine.open().expect("admission");
+                let request = engine.open().expect("admission");
                 assert!(request.push(vec![read.clone()]));
                 request.finish_input();
                 while request.next_output().is_some() {}
@@ -1398,38 +1478,43 @@ mod tests {
         let (dataset, mapper) = setup();
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let poison = reads[3].clone();
-        let engine = MultiEngine::new(
-            Arc::new(FaultyMapper {
-                inner: mapper,
-                poison: poison.clone(),
-            }),
-            seq_of,
-            EngineOptions::new().threads(2),
-        );
-
-        let mut doomed = engine.open().expect("admission");
-        assert!(doomed.push(vec![reads[0].clone(), poison.clone()]));
-        doomed.finish_input();
-        while doomed.next_output().is_some() {}
-        let failure = doomed.finish().expect_err("the poison read panics");
-        assert!(
-            failure.message.contains("poisoned read"),
-            "failure carries the panic message, got: {}",
-            failure.message
-        );
-
-        // The engine survives: a clean request still completes fully.
+        let mapper = Arc::new(FaultyMapper {
+            inner: mapper,
+            poison: poison.clone(),
+        });
         let clean: Vec<DnaSeq> = reads.iter().filter(|r| **r != poison).cloned().collect();
-        let mut request = engine.open().expect("engine still admits");
-        assert!(request.push(clean.clone()));
-        request.finish_input();
-        let mut released = 0;
-        while let Some(batch) = request.next_output() {
-            released += batch.len();
+        // Unrouted, and over two pools with every other batch tagged for
+        // the other pool, so the failing batch can be a stolen one.
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let route: RouteHook<FaultyMapper> =
+            Arc::new(move |_, _| Some(calls.fetch_add(1, Ordering::SeqCst) % 2));
+        for (pools, route) in [(1, None), (2, Some(route))] {
+            let engine = MultiEngine::with_routing(
+                Arc::clone(&mapper),
+                seq_of,
+                EngineOptions::new().threads(2),
+                pools,
+                route,
+            );
+            let doomed = engine.open().expect("admission");
+            for batch in [&reads[..3], &reads[3..5]] {
+                assert!(doomed.push(batch.to_vec()));
+            }
+            doomed.finish_input();
+            while doomed.next_output().is_some() {}
+            let failure = doomed.finish().expect_err("the poison read panics");
+            assert!(
+                failure.message.contains("poisoned read"),
+                "failure carries the panic message, got: {}",
+                failure.message
+            );
+
+            // The engine survives: a clean request still completes fully.
+            let (outcomes, report) = run_request(&engine, &clean, 3);
+            assert_eq!(outcomes.len(), clean.len(), "pools {pools}");
+            assert_eq!(report.reads, clean.len(), "pools {pools}");
+            engine.shutdown();
         }
-        assert_eq!(released, clean.len());
-        assert_eq!(request.finish().expect("no panic").reads, clean.len());
-        engine.shutdown();
     }
 
     #[test]
@@ -1440,7 +1525,7 @@ mod tests {
         // Alternate pool tags, declining every third batch so the spill
         // path (least-loaded fallback) is exercised too.
         let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let route: RouteHook<SegramMapper, DnaSeq> = {
+        let route: RouteHook<SegramMapper> = {
             let calls = Arc::clone(&calls);
             Arc::new(move |_mapper, _batch| {
                 let n = calls.fetch_add(1, Ordering::SeqCst);
@@ -1464,17 +1549,19 @@ mod tests {
         for (a, b) in base.iter().zip(&outcomes) {
             assert_eq!(key(a), key(b), "routing must not change outcomes");
         }
-        let counters = engine.pool_counters();
+        let pools = engine.pool_reports();
+        let sum = |field: fn(&PoolReport) -> u64| pools.iter().map(field).sum::<u64>();
         let batches = reads.len().div_ceil(2) as u64;
         assert_eq!(
-            counters.routed + counters.spilled,
+            sum(|p| p.routed) + sum(|p| p.spilled),
             batches,
-            "every batch is either routed or spilled: {counters:?}"
+            "every batch is either routed or spilled: {pools:?}"
         );
-        assert!(counters.spilled > 0, "the declining hook must spill");
+        assert!(sum(|p| p.spilled) > 0, "the declining hook must spill");
+        assert_eq!(sum(|p| p.batches), batches, "{pools:?}");
         assert!(
-            counters.stolen <= batches,
-            "steals are a subset of batches: {counters:?}"
+            sum(|p| p.stolen) <= batches,
+            "steals are a subset of batches: {pools:?}"
         );
         engine.shutdown();
     }
@@ -1485,7 +1572,7 @@ mod tests {
         let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let engine = MultiEngine::new(Arc::new(mapper), seq_of, EngineOptions::new().threads(2));
         {
-            let mut request = engine.open().expect("admission");
+            let request = engine.open().expect("admission");
             assert!(request.push(reads.clone()));
             // Dropped without finish: cancelled + detached.
         }
@@ -1570,14 +1657,14 @@ mod tests {
         let fast_read = reads[1].clone();
         assert_ne!(bulk_read, fast_read, "reads must be distinguishable");
 
-        let mut bulk = engine.open_with(Priority::Bulk, None).expect("admission");
+        let bulk = engine.open_with(Priority::Bulk, None).expect("admission");
         for _ in 0..4 {
             assert!(bulk.push(vec![bulk_read.clone()]));
         }
         // The single worker is now inside (at most) one bulk batch; the
         // rest sit queued.
         await_log(&log, 1);
-        let mut fast = engine
+        let fast = engine
             .open_with(Priority::Interactive, None)
             .expect("admission");
         assert!(fast.push(vec![fast_read.clone()]));
@@ -1611,23 +1698,23 @@ mod tests {
         let late_read = reads[2].clone();
 
         // Park the single worker inside a filler batch.
-        let mut filler = engine.open().expect("admission");
+        let filler = engine.open().expect("admission");
         assert!(filler.push(vec![filler_read.clone()]));
         await_log(&log, 1);
 
         // Queue an on-time interactive batch first, then a bulk batch
         // whose deadline has already passed: lateness must win.
-        let mut fast = engine
+        let fast = engine
             .open_with(Priority::Interactive, None)
             .expect("admission");
         assert!(fast.push(vec![fast_read.clone()]));
-        let mut late = engine
+        let late = engine
             .open_with(Priority::Bulk, Some(Duration::ZERO))
             .expect("admission");
         assert!(late.push(vec![late_read.clone()]));
         gate.store(true, Ordering::SeqCst);
 
-        for request in [&mut filler, &mut fast, &mut late] {
+        for request in [&filler, &fast, &late] {
             request.finish_input();
         }
         while filler.next_output().is_some() {}
@@ -1668,7 +1755,7 @@ mod tests {
             "no class has samples before the first pick"
         );
 
-        let mut request = engine
+        let request = engine
             .open_with(Priority::Interactive, None)
             .expect("admission");
         let mut batches = 0u64;
@@ -1745,18 +1832,18 @@ mod tests {
 
         // Open before the swap, but push (and map) everything after it:
         // the capture at open time is what pins the index.
-        let mut before = engine.open().expect("admission");
+        let before = engine.open().expect("admission");
         engine.swap_mapper(Arc::clone(&new));
         assert!(Arc::ptr_eq(&engine.active_mapper(), &new));
-        let mut after = engine.open().expect("admission");
+        let after = engine.open().expect("admission");
         assert!(Arc::ptr_eq(&after.mapper(), &new));
         assert!(Arc::ptr_eq(&before.mapper(), &old));
 
-        for request in [&mut before, &mut after] {
+        for request in [&before, &after] {
             assert!(request.push(vec![read.clone(), read.clone()]));
             request.finish_input();
         }
-        let marks_of = |request: &mut RequestHandle<MarkedMapper, DnaSeq>| {
+        let marks_of = |request: &RequestHandle<MarkedMapper, DnaSeq>| {
             let mut marks = Vec::new();
             while let Some(batch) = request.next_output() {
                 marks.extend(batch.iter().map(|(_, o)| o.stats.minimizers));
@@ -1764,12 +1851,12 @@ mod tests {
             marks
         };
         assert_eq!(
-            marks_of(&mut before),
+            marks_of(&before),
             vec![1, 1],
             "the in-flight request keeps mapping on the pre-swap index"
         );
         assert_eq!(
-            marks_of(&mut after),
+            marks_of(&after),
             vec![2, 2],
             "requests opened after the swap map on the new index"
         );

@@ -23,8 +23,9 @@
 //!
 //! The same module holds the elastic schedule's *batch* routing policy
 //! ([`route_batch`]): which worker pool a batch of reads belongs to, given
-//! who owns which shard. `segram map --schedule elastic` and the `segram
-//! serve` route hook both call it, so the two cannot drift.
+//! who owns which shard, behind the one elastic route hook
+//! ([`elastic_route`](super::elastic_route)) that `segram map` and `segram
+//! serve` share.
 
 use segram_graph::{DnaSeq, GenomeGraph};
 use segram_index::{

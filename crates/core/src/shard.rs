@@ -23,8 +23,9 @@
 //! chromosomes over memory channels ([`balance_loads`], shared with
 //! [`Pangenome::channel_placement`](crate::Pangenome::channel_placement))
 //! also places shards on the elastic schedule's worker pools
-//! ([`ElasticScheduler`](crate::pipeline::ElasticScheduler)), which then
-//! migrates ownership live as the observed seeding load drifts. The
+//! ([`Rebalancer`](crate::Rebalancer), behind
+//! [`elastic_route`](crate::elastic_route)), which then migrates ownership
+//! live as the observed seeding load drifts. The
 //! fanout schedule has no placement: every worker serves every shard.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -13,9 +13,7 @@ use segram_core::{
     ReadMapper, ReadOutcome, SegramConfig, SegramMapper,
 };
 use segram_graph::DnaSeq;
-use segram_io::{
-    write_fastq, Ambiguity, FastqFramer, FastqRecord, GafWriter, RawFastqRecord, SamWriter,
-};
+use segram_io::{write_fastq, Ambiguity, FastqFramer, FastqRecord, GafWriter, SamWriter};
 use segram_sim::{DatasetConfig, Strand};
 use segram_testkit::prelude::*;
 
@@ -85,9 +83,9 @@ fn render_engine<M: ReadMapper>(
 }
 
 /// Renders both output documents through the *overlapped* path: the
-/// reads serialized to FASTQ bytes, framed by [`FastqFramer`], decoded in
-/// the worker stage (`map_raw_stream`), rendered from the decoded
-/// records — the exact pipeline `segram map` runs.
+/// reads serialized to FASTQ bytes, framed by [`FastqFramer`] and decoded
+/// on the producer, mapped by the workers, rendered from the decoded
+/// records on the writer thread — the exact pipeline `segram map` runs.
 fn render_engine_overlapped<M: ReadMapper>(
     mapper: &M,
     reads: &[(String, DnaSeq)],
@@ -106,14 +104,13 @@ fn render_engine_overlapped<M: ReadMapper>(
     // A tiny block size forces records to straddle block boundaries even
     // on the small documents the strategy generates.
     let mut framer = FastqFramer::with_block_size(bytes.as_slice(), 7);
-    let raws = std::iter::from_fn(|| match framer.next() {
-        Some(Ok(raw)) => Some(raw),
+    let records = std::iter::from_fn(|| match framer.next() {
+        Some(Ok(raw)) => Some(raw.decode(Ambiguity::Reject).expect("well-formed FASTQ")),
         Some(Err(err)) => panic!("in-memory framing cannot fail: {err}"),
         None => None,
     });
-    engine.map_raw_stream(
-        raws,
-        |raw: RawFastqRecord| Some(raw.decode(Ambiguity::Reject).expect("well-formed FASTQ")),
+    engine.map_stream(
+        records,
         |record| &record.seq,
         |record, outcome| {
             let rec = sam_record_for(&record.id, &record.seq, &outcome);

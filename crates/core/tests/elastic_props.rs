@@ -9,12 +9,15 @@
 //! * across pool counts {1, 2, 4} x thread counts {1, 4} under routes
 //!   nobody would choose — everything to pool 0, round-robin, always
 //!   spill, seeded random including out-of-range answers — because the
-//!   route only picks a queue: every pool releases through the one
-//!   reorder buffer.
+//!   route only tags a batch: it is released through its request's one
+//!   reorder buffer whichever worker maps it.
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use segram_core::{
-    gaf_record_for, sam_record_for, ElasticScheduler, EngineOptions, MapEngine, ReadMapper,
-    ReadOutcome, RebalanceConfig, SegramConfig, SegramMapper, ShardedIndex,
+    elastic_route, gaf_record_for, sam_record_for, Backend, BackendKind, EngineOptions, MapEngine,
+    ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer, RouteHook, SegramConfig, SegramMapper,
 };
 use segram_graph::DnaSeq;
 use segram_io::{GafWriter, SamWriter};
@@ -100,17 +103,24 @@ proptest! {
         let (sam_base, gaf_base) = fanout_documents(&mapper, &reads, both_strands);
 
         for shards in [1usize, 2, 4] {
-            let sharded = ShardedIndex::build(dataset.graph().clone(), config, shards);
+            let graph = dataset.graph().clone();
+            let backend = Backend::build(BackendKind::Segram, graph, config, shards);
+            let index = backend.sharded().expect("native backend");
             for threads in [1usize, 4] {
                 // A hair-trigger rebalancer (threshold just above 1.0,
-                // one-observation cooldown) so ownership migrates mid-run.
-                let scheduler = ElasticScheduler::new(&sharded, options(threads, both_strands))
-                    .with_rebalance(RebalanceConfig {
-                        threshold: 1.05,
-                        cooldown: 1,
-                    });
-                let (sam, gaf) = documents(&sharded, |sink| {
-                    scheduler.map_stream(reads.iter(), |(_, seq)| seq, sink);
+                // one-observation cooldown) so ownership migrates mid-run,
+                // behind the route hook `segram map` and `segram serve` use.
+                let trigger = RebalanceConfig {
+                    threshold: 1.05,
+                    cooldown: 1,
+                };
+                let rebalancer = Rebalancer::for_index(index, threads, trigger);
+                let pools = rebalancer.pools();
+                let hook = elastic_route(Arc::new(Mutex::new(rebalancer)));
+                let engine = MapEngine::new(&backend, options(threads, both_strands))
+                    .with_routing(pools, hook);
+                let (sam, gaf) = documents(&backend, |sink| {
+                    engine.map_stream(reads.iter(), |(_, seq)| seq, sink);
                 });
                 prop_assert_eq!(
                     &sam, &sam_base,
@@ -137,36 +147,32 @@ proptest! {
         for pools in [1usize, 2, 4] {
             for threads in [1usize, 4] {
                 for route_name in ["all-to-pool-0", "round-robin", "always-spill", "random"] {
-                    let mut calls = 0usize;
-                    let mut state = seed;
-                    let route = |_: &[&Read]| {
-                        calls += 1;
+                    let calls = AtomicUsize::new(0);
+                    let state = AtomicU64::new(seed);
+                    let route: RouteHook<SegramMapper> = Arc::new(move |_, _| {
+                        let call = calls.fetch_add(1, Ordering::SeqCst) + 1;
                         match route_name {
                             "all-to-pool-0" => Some(0),
-                            "round-robin" => Some(calls % pools),
+                            "round-robin" => Some(call % pools),
                             "always-spill" => None,
                             _ => {
                                 // A 64-bit LCG; one answer in five is out
                                 // of range, which must spill, not panic.
-                                state = state
+                                let next = state
+                                    .load(Ordering::SeqCst)
                                     .wrapping_mul(6364136223846793005)
                                     .wrapping_add(1442695040888963407);
-                                Some((state >> 33) as usize % (pools + pools / 4 + 1))
+                                state.store(next, Ordering::SeqCst);
+                                Some((next >> 33) as usize % (pools + pools / 4 + 1))
                             }
                         }
-                    };
+                    });
                     let mut run = None;
                     let (sam, gaf) = documents(&mapper, |sink| {
                         run = Some(
                             MapEngine::new(&mapper, options(threads, both_strands))
-                                .map_routed_stream(
-                                    reads.iter(),
-                                    Some,
-                                    |(_, seq)| seq,
-                                    sink,
-                                    pools,
-                                    route,
-                                ),
+                                .with_routing(pools, route)
+                                .map_stream(reads.iter(), |(_, seq)| seq, sink),
                         );
                     });
                     let what = format!("pools={pools} threads={threads} route={route_name}");

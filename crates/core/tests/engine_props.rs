@@ -8,9 +8,11 @@
 //! whatever carried it: records framed out of a few large BGZF members
 //! batch, map and spread over workers exactly as the plain records do.
 
+use std::sync::{Arc, Mutex};
+
 use segram_core::{
-    gaf_record_for, sam_record_for, ElasticScheduler, EngineOptions, EngineReport, MapEngine,
-    ReadMapper, ReadOutcome, RebalanceConfig, SegramConfig, SegramMapper, ShardedIndex,
+    elastic_route, gaf_record_for, sam_record_for, Backend, EngineOptions, EngineReport, MapEngine,
+    ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_filter::FilterSpec;
 use segram_graph::DnaSeq;
@@ -102,18 +104,19 @@ fn bgzf_sourced_records_batch_and_spread_like_plain_ones() {
     // Three members for 25 reads: with the member as the work item this
     // was one batch on one worker.
     let compressed = bgzf_compress(&plain, plain.len().div_ceil(3), BgzfMode::Fixed);
-    let plain_source = || FastqFramer::new(&plain[..]).map(|raw| raw.expect("in memory"));
-    let bgzf_source = || BgzfFastqFramer::new(&compressed[..]).map(|raw| raw.expect("intact"));
-    let decode = |raw: RawFastqRecord| raw.decode(Ambiguity::Reject).ok();
+    // The transport stage, then decode on the producer, as `segram map`.
+    let decode = |raw: RawFastqRecord| raw.decode(Ambiguity::Reject).expect("well-formed");
+    let plain_source = || FastqFramer::new(&plain[..]).map(|raw| decode(raw.expect("in memory")));
+    let bgzf_source =
+        || BgzfFastqFramer::new(&compressed[..]).map(|raw| decode(raw.expect("intact")));
     let options = || EngineOptions::new().threads(2).batch_size(BATCH);
     let batches = records.len().div_ceil(BATCH);
 
     let index = ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), 4);
-    let fanout = |source: &mut dyn Iterator<Item = RawFastqRecord>| {
+    let fanout = |source: &mut dyn Iterator<Item = FastqRecord>| {
         let mut outcomes = Vec::new();
-        let report = MapEngine::new(&index, options()).map_raw_stream(
+        let report = MapEngine::new(&index, options()).map_stream(
             source,
-            decode,
             |record| &record.seq,
             |record, outcome| outcomes.push((record.id, outcome)),
         );
@@ -132,23 +135,31 @@ fn bgzf_sourced_records_batch_and_spread_like_plain_ones() {
         threshold: f64::INFINITY,
         cooldown: 0,
     };
+    let rebalancer = Rebalancer::for_index(&index, 2, still);
+    let pools = rebalancer.pools();
+    let backend = Backend::Segram(index);
     let mut outcomes = Vec::new();
-    let report = ElasticScheduler::new(&index, options())
-        .with_rebalance(still)
-        .map_raw_stream(
+    let report = MapEngine::new(&backend, options())
+        .with_routing(pools, elastic_route(Arc::new(Mutex::new(rebalancer))))
+        .map_stream(
             bgzf_source(),
-            decode,
             |record| &record.seq,
             |record, outcome| outcomes.push((record.id, outcome)),
         );
     assert_eq!(report.batches, batches);
     assert_eq!(placements(&outcomes), placements(&plain_outcomes));
-    let credited = report.pools.iter().filter(|pool| pool.batches > 0).count();
+    let tagged = report
+        .pools
+        .iter()
+        .filter(|pool| pool.routed + pool.spilled > 0)
+        .count();
     assert!(
-        credited > 1,
-        "one pool took every batch: {:?}",
+        tagged > 1,
+        "one pool was tagged every batch: {:?}",
         report.pools
     );
+    let per_pool: u64 = report.pools.iter().map(|pool| pool.batches).sum();
+    assert_eq!(per_pool, batches as u64);
 }
 
 proptest! {

@@ -78,7 +78,7 @@ proptest! {
 
         // Park the lone worker inside a filler batch, then stack bulk
         // batches behind it, then enqueue the interactive batch last.
-        let mut filler = engine.open().expect("admission");
+        let filler = engine.open().expect("admission");
         prop_assert!(filler.push(vec![filler_read.clone()]));
         let wait = Instant::now();
         while log.lock().unwrap_or_else(PoisonError::into_inner).is_empty()
@@ -86,9 +86,9 @@ proptest! {
         {
             std::thread::yield_now();
         }
-        let mut bulk: Vec<_> = (0..bulk_requests)
+        let bulk: Vec<_> = (0..bulk_requests)
             .map(|i| {
-                let mut request = engine
+                let request = engine
                     .open_with(Priority::Bulk, None)
                     .expect("admission");
                 // Capped at the per-request queue depth so pushes cannot
@@ -99,7 +99,7 @@ proptest! {
                 request
             })
             .collect();
-        let mut fast = engine
+        let fast = engine
             .open_with(Priority::Interactive, None)
             .expect("admission");
         prop_assert!(fast.push(vec![fast_read.clone()]));
@@ -107,12 +107,12 @@ proptest! {
 
         filler.finish_input();
         fast.finish_input();
-        for request in &mut bulk {
+        for request in &bulk {
             request.finish_input();
         }
         while fast.next_output().is_some() {}
         while filler.next_output().is_some() {}
-        for request in &mut bulk {
+        for request in &bulk {
             while request.next_output().is_some() {}
         }
         filler.finish().expect("no panic");
