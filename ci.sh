@@ -31,18 +31,22 @@
 #                       crossed with --threads 1 vs 4; then an elastic
 #                       daemon booted with more --shards than its reference
 #                       has bases, one reply diffed against the one-shot run
-#  10. backend-matrix   all four backends (segram/graphaligner/vg/hga)
-#                       through the engine, each diffed across
-#                       --threads 1 vs 4
-#  11. overlapped-io    the framer -> worker-decode -> writer-thread path:
-#                       all four backends diffed across --threads 1 vs 8
-#                       (SAM and GAF), the high-thread-count stress of the
-#                       overlapped pipeline's ordering guarantee
+#  10. backend-matrix   segram map SAM and GAF diffed across --threads 1
+#                       vs 4; then all four mappers (segram/graphaligner/
+#                       vg/hga) through `eval compare --json` at both
+#                       thread counts, per-backend counts diffed (the
+#                       binary writes documents for the native index only)
+#  11. overlapped-io    the framer -> producer-decode -> writer-thread
+#                       path: the same sweep at --threads 1 vs 8, the
+#                       high-thread-count stress of the overlapped
+#                       pipeline's ordering guarantee
 #  12. compressed-io   BGZF input end to end: the FASTQ is re-compressed
 #                      with `segram bgzip` (the in-tree DEFLATE encoder,
-#                      both fixed and stored modes) and mapped through all
-#                      four backends x sam/gaf x --threads 1/8, each run
-#                      diffed byte-for-byte against its plain-input twin;
+#                      both fixed and stored modes) and mapped x sam/gaf x
+#                      --threads 1/8, each run diffed byte-for-byte
+#                      against its plain-input twin; `eval compare` over
+#                      both files must count what it counts on the plain
+#                      one;
 #                      then 400 reads in >= 64 members at --threads 2,
 #                      fanout and --shards 4 --schedule elastic, cmp'd
 #                      against the plain one-thread document with the
@@ -287,30 +291,46 @@ tier shard-determinism determinism_shards
 tier elastic-shards elastic_shards
 
 # ---------------------------------------------------------------------------
-# Backend matrix: every pluggable backend rides the same engine, so each
-# backend's output must be byte-identical across thread counts too (the
-# end-to-end half of the differential test in
-# crates/core/tests/backend_props.rs). Small dataset: the hga backend runs
-# whole-graph DP per read.
+# Backend matrix: `segram map` runs one mapper, the native index, and its
+# output must be byte-identical across thread counts. The baselines run
+# only behind `eval compare`, through the same engine: their per-backend
+# counts must be thread-invariant too (their byte-level property is
+# crates/core/tests/backend_props.rs's). Small dataset: the hga baseline
+# runs whole-graph DP per read.
 # ---------------------------------------------------------------------------
-# Shared sweep: maps dataset prefix $1 through all four backends x
-# sam/gaf at thread counts $2 and $3, diffing each pair — used by both
-# the backend-matrix and overlapped-io tiers so the two stay in sync.
+# Prints the per-backend `backend`, `mapped`, `correct` and
+# `regions_aligned` lines of `eval compare --json` over all four mappers
+# for graph $1 and reads $2 at --threads $3: the counts that depend on
+# neither the thread count nor the input's container.
+compare_counts() {
+    "$SEGRAM" eval compare --graph "$1" --reads "$2" --threads "$3" \
+        --json "$2.t$3.json" > /dev/null || return 1
+    grep -E '^ *"(backend|mapped|correct|regions_aligned)":' "$2.t$3.json"
+}
+
+# Shared sweep over dataset prefix $1 at thread counts $2 and $3: `map`
+# SAM and GAF diffed across the two, then the `eval compare` counts —
+# used by both the backend-matrix and overlapped-io tiers so the two stay
+# in sync.
 backend_sweep() {
     local data="$1" lo="$2" hi="$3"
-    local backend fmt threads
-    for backend in segram graphaligner vg hga; do
-        for fmt in sam gaf; do
-            for threads in "$lo" "$hi"; do
-                "$SEGRAM" map --graph "$data.gfa" --reads "$data.fq" \
-                    --backend "$backend" --format "$fmt" --threads "$threads" \
-                    --output "$data-$backend-t$threads.$fmt" > /dev/null || return 1
-            done
-            diff "$data-$backend-t$lo.$fmt" "$data-$backend-t$hi.$fmt" \
-                || { echo "backend $backend $fmt differs between --threads $lo and $hi"; return 1; }
+    local fmt threads
+    for fmt in sam gaf; do
+        for threads in "$lo" "$hi"; do
+            "$SEGRAM" map --graph "$data.gfa" --reads "$data.fq" \
+                --format "$fmt" --threads "$threads" \
+                --output "$data-t$threads.$fmt" > /dev/null || return 1
         done
-        echo "  $backend: sam+gaf identical across --threads $lo/$hi"
+        diff "$data-t$lo.$fmt" "$data-t$hi.$fmt" \
+            || { echo "map $fmt differs between --threads $lo and $hi"; return 1; }
     done
+    echo "  map: sam+gaf identical across --threads $lo/$hi"
+    for threads in "$lo" "$hi"; do
+        compare_counts "$data.gfa" "$data.fq" "$threads" > "$data-cmp-t$threads" || return 1
+    done
+    diff "$data-cmp-t$lo" "$data-cmp-t$hi" \
+        || { echo "eval compare counts differ between --threads $lo and $hi"; return 1; }
+    echo "  eval compare: segram/graphaligner/vg/hga counts identical across --threads $lo/$hi"
 }
 
 backend_matrix() {
@@ -325,7 +345,7 @@ tier backend-matrix backend_matrix
 # Overlapped-IO gate: `segram map` frames and decodes FASTQ on the
 # producer, maps on the workers, and renders+writes on a dedicated writer
 # thread fed by the request's ordered, bounded output. None of that may
-# change a single output byte, at any thread count, for any backend — 8
+# change a single output byte, at any thread count — 8
 # threads (more workers than this dataset has batches on small runs) is
 # the stress case for the reorder -> writer handoff.
 # ---------------------------------------------------------------------------
@@ -343,37 +363,43 @@ tier overlapped-io overlapped_io
 # both fixed-Huffman and stored modes, with small blocks so records
 # straddle member boundaries — and `segram map` auto-detects the magic
 # bytes and inflates in the producer-side transport stage, which hands the
-# engine the records the plain framer would. Every backend x format x
-# thread-count run must produce bytes identical to its plain-input twin;
-# a corrupted stream must fail with a named error and remove its output.
+# engine the records the plain framer would. Every format x thread-count
+# run must produce bytes identical to its plain-input twin, `eval compare`
+# must count the same on either, and a corrupted stream must fail with a
+# named error and remove its output.
 # ---------------------------------------------------------------------------
 compressed_io() {
     local d="$GATE_DIR/cz"
     "$SEGRAM" simulate --out-prefix "$d" \
         --length 20000 --reads 12 --read-len 100 --seed 37 > /dev/null || return 1
-    local mode backend fmt threads
+    local mode fmt threads
     for mode in fixed stored; do
         "$SEGRAM" bgzip --input "$d.fq" --output "$d-$mode.fq.gz" \
             --block-bytes 512 --mode "$mode" > /dev/null || return 1
     done
-    for backend in segram graphaligner vg hga; do
-        for fmt in sam gaf; do
-            for threads in 1 8; do
-                "$SEGRAM" map --graph "$d.gfa" --reads "$d.fq" \
-                    --backend "$backend" --format "$fmt" --threads "$threads" \
-                    --output "$d-plain.$fmt" > /dev/null || return 1
-                for mode in fixed stored; do
-                    "$SEGRAM" map --graph "$d.gfa" --reads "$d-$mode.fq.gz" \
-                        --backend "$backend" --format "$fmt" --threads "$threads" \
-                        --output "$d-$mode.$fmt" > /dev/null || return 1
-                    diff "$d-plain.$fmt" "$d-$mode.$fmt" \
-                        || { echo "backend $backend $fmt differs: BGZF($mode) vs plain at --threads $threads"
-                             return 1; }
-                done
+    for fmt in sam gaf; do
+        for threads in 1 8; do
+            "$SEGRAM" map --graph "$d.gfa" --reads "$d.fq" \
+                --format "$fmt" --threads "$threads" \
+                --output "$d-plain.$fmt" > /dev/null || return 1
+            for mode in fixed stored; do
+                "$SEGRAM" map --graph "$d.gfa" --reads "$d-$mode.fq.gz" \
+                    --format "$fmt" --threads "$threads" \
+                    --output "$d-$mode.$fmt" > /dev/null || return 1
+                diff "$d-plain.$fmt" "$d-$mode.$fmt" \
+                    || { echo "map $fmt differs: BGZF($mode) vs plain at --threads $threads"
+                         return 1; }
             done
         done
-        echo "  $backend: BGZF(fixed+stored) identical to plain, sam+gaf x --threads 1/8"
     done
+    echo "  map: BGZF(fixed+stored) identical to plain, sam+gaf x --threads 1/8"
+    compare_counts "$d.gfa" "$d.fq" 2 > "$d-plain.cmp" || return 1
+    for mode in fixed stored; do
+        compare_counts "$d.gfa" "$d-$mode.fq.gz" 2 > "$d-$mode.cmp" || return 1
+        diff "$d-plain.cmp" "$d-$mode.cmp" \
+            || { echo "eval compare counts differ: BGZF($mode) vs plain"; return 1; }
+    done
+    echo "  eval compare: BGZF(fixed+stored) counts identical to plain, all four backends"
 
     # Batch leg: the runs above map 12 reads, always one batch. Here 400
     # reads arrive in >= 64 members, so a run is 25 sixteen-read batches

@@ -1,14 +1,15 @@
 //! Criterion benchmarks of the batched multi-threaded `MapEngine`: batch
 //! throughput at 1/2/4 worker threads (the baseline perf trajectory for
 //! the scaling PRs — async IO, region batching) plus the backend matrix
-//! (every pluggable backend × thread count through the same engine, the
-//! apples-to-apples throughput comparison the paper's evaluation rests
-//! on). Sharded-index throughput and load-balance live in
+//! (the native index and every baseline × thread count through the same
+//! engine, the apples-to-apples throughput comparison the paper's
+//! evaluation rests on). Sharded-index throughput and load-balance live in
 //! `benches/sharding.rs`; these benches run in CI's bench-smoke tier
 //! (`SEGRAM_BENCH_SAMPLES`/`SEGRAM_BENCH_JSON`).
 
 use segram_core::{
-    sam_record_for, Backend, BackendKind, EngineOptions, MapEngine, SegramConfig, SegramMapper,
+    sam_record_for, BaselineAdapter, EngineOptions, GraphAlignerLike, HgaLike, MapEngine,
+    ReadMapper, SegramConfig, SegramMapper, ShardedIndex, VgLike,
 };
 use segram_graph::DnaSeq;
 use segram_io::{
@@ -17,7 +18,7 @@ use segram_io::{
 };
 use segram_sim::DatasetConfig;
 use segram_testkit::bench::{
-    black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput,
+    black_box, criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
 };
 
 fn bench_engine_batch(c: &mut Criterion) {
@@ -68,19 +69,37 @@ fn bench_backend_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_matrix_100bp");
     group.sample_size(10);
     group.throughput(Throughput::Elements(reads.len() as u64));
-    for kind in BackendKind::ALL {
-        let backend = Backend::build(kind, dataset.graph().clone(), config, 1);
-        for threads in [1usize, 4] {
-            let engine = MapEngine::new(&backend, EngineOptions::new().threads(threads));
-            group.bench_function(BenchmarkId::new(kind.name(), format!("t{threads}")), |b| {
-                b.iter(|| {
-                    let (outcomes, report) = engine.map_batch(black_box(&reads));
-                    black_box((outcomes.len(), report.mapped))
-                })
-            });
-        }
-    }
+    let graph = || dataset.graph().clone();
+    bench_mapper(&mut group, &ShardedIndex::build(graph(), config, 1), &reads);
+    let graphaligner = GraphAlignerLike::new(graph(), config);
+    bench_mapper(
+        &mut group,
+        &BaselineAdapter::new(graphaligner, config, "graphaligner"),
+        &reads,
+    );
+    let vg = VgLike::new(graph(), config);
+    bench_mapper(&mut group, &BaselineAdapter::new(vg, config, "vg"), &reads);
+    let hga = HgaLike::new(graph());
+    bench_mapper(
+        &mut group,
+        &BaselineAdapter::new(hga, config, "hga"),
+        &reads,
+    );
     group.finish();
+}
+
+/// One mapper's row of the backend matrix: `<name>/t1` and `<name>/t4`.
+fn bench_mapper<M: ReadMapper>(group: &mut BenchmarkGroup<'_>, mapper: &M, reads: &[DnaSeq]) {
+    for threads in [1usize, 4] {
+        let engine = MapEngine::new(mapper, EngineOptions::new().threads(threads));
+        let id = BenchmarkId::new(mapper.backend_name(), format!("t{threads}"));
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let (outcomes, report) = engine.map_batch(black_box(reads));
+                black_box((outcomes.len(), report.mapped))
+            })
+        });
+    }
 }
 
 fn bench_engine_stream_io(c: &mut Criterion) {

@@ -9,8 +9,8 @@
 use std::sync::{Arc, Mutex};
 
 use segram_core::{
-    elastic_route, Backend, EngineOptions, MapEngine, ReadMapper, RebalanceConfig, Rebalancer,
-    Seeder, SegramConfig, SegramMapper, ShardedIndex,
+    elastic_route, EngineOptions, MapEngine, ReadMapper, RebalanceConfig, Rebalancer, Seeder,
+    SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_hw::{simulate_sharded_pipeline, uniform_jobs};
@@ -114,26 +114,24 @@ fn bench_router_seeding(c: &mut Criterion) {
 }
 
 /// The elastic schedule as `segram map --schedule elastic` runs it: the
-/// shared route hook over a fresh placement of `backend`'s shards.
+/// shared route hook over a fresh placement of `index`'s shards.
 fn elastic_engine(
-    backend: &Backend,
+    index: &ShardedIndex,
     options: EngineOptions,
     threads: usize,
     rebalance: RebalanceConfig,
-) -> (MapEngine<'_, Backend>, Arc<Mutex<Rebalancer>>) {
-    let index = backend.sharded().expect("native backend");
+) -> (MapEngine<'_, ShardedIndex>, Arc<Mutex<Rebalancer>>) {
     let placement = Rebalancer::for_index(index, threads, rebalance);
     let pools = placement.pools();
     let rebalancer = Arc::new(Mutex::new(placement));
     let hook = elastic_route(Arc::clone(&rebalancer));
-    let engine = MapEngine::new(backend, options.threads(threads)).with_routing(pools, hook);
+    let engine = MapEngine::new(index, options.threads(threads)).with_routing(pools, hook);
     (engine, rebalancer)
 }
 
 fn bench_elastic_sched(c: &mut Criterion) {
     let (reads, config, dataset) = setup();
-    let backend = Backend::Segram(ShardedIndex::build(dataset.graph().clone(), config, 4));
-    let sharded = backend.sharded().expect("native backend");
+    let sharded = ShardedIndex::build(dataset.graph().clone(), config, 4);
 
     // Uniform mix: every simulated read once, landing across the whole
     // coordinate range. Skewed mix: two reads repeated to fill the same
@@ -153,7 +151,7 @@ fn bench_elastic_sched(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("mix", label), |b| {
             b.iter(|| {
                 let (engine, _) =
-                    elastic_engine(&backend, engine_config.clone(), 4, Default::default());
+                    elastic_engine(&sharded, engine_config.clone(), 4, Default::default());
                 let (outcomes, report) = engine.map_batch(black_box(mix));
                 black_box((outcomes.len(), report.routed(), report.spilled()))
             })
@@ -172,7 +170,7 @@ fn bench_elastic_sched(c: &mut Criterion) {
             threshold: 1.2,
             cooldown: 2,
         };
-        let (engine, rebalancer) = elastic_engine(&backend, engine_config.clone(), 2, trigger);
+        let (engine, rebalancer) = elastic_engine(&sharded, engine_config.clone(), 2, trigger);
         // Warm pass: the rebalancer reads live per-shard seed-hit
         // counters, which only accumulate as workers map. A first pass
         // populates them so the reported pass observes the mix's true

@@ -1,20 +1,29 @@
 //! `segram eval` and its `compare` subcommand: one materialized read set
-//! through several mapping backends, every one of them driven by the same
-//! engine and the same measurement path, rendered as one table (and,
-//! with `--json`, one artifact).
+//! through several mappers — the native index and the software baselines,
+//! the paper's comparison instruments, which the binary runs nowhere
+//! else — every one of them driven by the same engine and the same
+//! measurement path, rendered as one table (and, with `--json`, one
+//! artifact).
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io::BufReader;
 use std::time::Duration;
 
-use segram_core::{run_backend_eval, Backend, BackendEval, BackendKind, EvalRead};
-use segram_io::{Ambiguity, FastqReader};
+use segram_core::{
+    run_backend_eval, BackendEval, BaselineAdapter, EvalRead, GraphAlignerLike, HgaLike,
+    ShardedIndex, VgLike,
+};
+use segram_io::{Ambiguity, RawFastqRecord};
 use segram_testkit::Serialize;
 
 use crate::args::Options;
-use crate::commands::{ambiguity, load_graph, preset, shard_count, thread_count, write_file};
+use crate::commands::{
+    ambiguity, load_graph, preset, shard_count, thread_count, warn_clamped_shards, write_file,
+};
 use crate::error::CliError;
+use crate::map::open_reads;
+
+/// The mappers `eval compare` knows, by name, in the evaluation's order.
+const BACKENDS: [&str; 4] = ["segram", "graphaligner", "vg", "hga"];
 
 const EVAL_HELP: &str = "\
 segram eval — evaluation harnesses
@@ -37,7 +46,8 @@ through the same batched engine and the same measurement path)
 
 OPTIONS:
     --graph <graph.gfa>    input graph (required)
-    --reads <reads.fq>     input FASTQ (required); records carrying
+    --reads <reads.fq>     input FASTQ, plain or BGZF-compressed (required,
+                           read as `segram map` reads it); records carrying
                            `truth:linear=` descriptions (as written by
                            `segram simulate`) also get per-backend accuracy
     --backends <list>      comma-separated backends to run, in order
@@ -54,25 +64,25 @@ OPTIONS:
 ";
 
 /// Parses the `--backends` list, preserving order and dropping duplicates.
-fn parse_backends(list: &str) -> Result<Vec<BackendKind>, CliError> {
-    let mut kinds = Vec::new();
+fn parse_backends(list: &str) -> Result<Vec<&'static str>, CliError> {
+    let mut names = Vec::new();
     for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-        let kind = BackendKind::parse(name).ok_or_else(|| {
-            CliError::usage(format!(
+        let Some(known) = BACKENDS.into_iter().find(|&known| known == name) else {
+            return Err(CliError::usage(format!(
                 "unknown backend {name:?} in --backends (expected a comma-separated \
                  subset of segram,graphaligner,vg,hga)"
-            ))
-        })?;
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
+            )));
+        };
+        if !names.contains(&known) {
+            names.push(known);
         }
     }
-    if kinds.is_empty() {
+    if names.is_empty() {
         return Err(CliError::usage(
             "--backends names no backends (expected e.g. segram,vg)",
         ));
     }
-    Ok(kinds)
+    Ok(names)
 }
 
 /// The simulated truth location embedded in a FASTQ description by
@@ -85,17 +95,20 @@ fn truth_linear(description: &str) -> Option<u64> {
 
 /// Reads the whole FASTQ into [`EvalRead`]s (compare runs the same
 /// materialized read set through every backend, unlike `map`'s streaming).
+/// The file is opened, framed and decoded as `segram map` does it, so
+/// plain and BGZF input give the same reads.
 fn load_eval_reads(reads_path: &str, ambiguity: Ambiguity) -> Result<Vec<EvalRead>, CliError> {
-    let reads_file = fs::File::open(reads_path).map_err(|e| CliError::io(reads_path, e))?;
-    let mut reads = Vec::new();
-    for record in FastqReader::new(BufReader::new(reads_file), ambiguity) {
-        let record = record.map_err(|e| CliError::stream(e, reads_path, reads_path))?;
-        reads.push(EvalRead {
+    let decode = |raw: Result<RawFastqRecord, CliError>| {
+        let record = raw?
+            .decode(ambiguity)
+            .map_err(|err| CliError::stream(err, reads_path, reads_path))?;
+        Ok(EvalRead {
             truth_linear: truth_linear(&record.description),
             seq: record.seq,
-        });
-    }
-    Ok(reads)
+        })
+    };
+    let (reads, _) = open_reads(reads_path)?.frame(reads_path, |raws| raws.map(decode).collect());
+    reads
 }
 
 /// One JSON row of the `--json` artifact (testkit's offline serializer).
@@ -167,7 +180,7 @@ fn compare(options: &Options) -> Result<String, CliError> {
     ])?;
     let graph_path = options.require("graph")?;
     let reads_path = options.require("reads")?;
-    let kinds = parse_backends(
+    let names = parse_backends(
         options
             .get("backends")
             .unwrap_or("segram,graphaligner,vg,hga"),
@@ -175,8 +188,8 @@ fn compare(options: &Options) -> Result<String, CliError> {
     let threads = thread_count(options)?;
     let shards = shard_count(options)?;
     // `--shards` configures the segram backend only; with none in the
-    // list the flag would be a silent no-op, so reject it like `map` does.
-    if options.get("shards").is_some() && !kinds.iter().any(|k| k.supports_shards()) {
+    // list the flag would be a silent no-op, so reject it.
+    if options.get("shards").is_some() && !names.contains(&"segram") {
         return Err(CliError::usage(
             "--shards only applies to the segram backend, and --backends does not \
              include segram; drop --shards or add segram to the list",
@@ -194,11 +207,33 @@ fn compare(options: &Options) -> Result<String, CliError> {
         )));
     }
 
+    // Each name builds its own mapper over a copy of the graph; the native
+    // one is the index `segram map` runs, at `--shards`.
     let mut evals = Vec::new();
-    for kind in kinds {
-        let backend_shards = if kind.supports_shards() { shards } else { 1 };
-        let backend = Backend::build(kind, graph.clone(), config, backend_shards);
-        evals.push(run_backend_eval(&backend, &reads, threads, both, tolerance));
+    for name in names {
+        let graph = graph.clone();
+        let eval = match name {
+            "segram" => {
+                let index = ShardedIndex::build(graph, config, shards);
+                warn_clamped_shards(shards, &index);
+                run_backend_eval(&index, &reads, threads, both, tolerance)
+            }
+            "graphaligner" => {
+                let adapter =
+                    BaselineAdapter::new(GraphAlignerLike::new(graph, config), config, name);
+                run_backend_eval(&adapter, &reads, threads, both, tolerance)
+            }
+            "vg" => {
+                let adapter = BaselineAdapter::new(VgLike::new(graph, config), config, name);
+                run_backend_eval(&adapter, &reads, threads, both, tolerance)
+            }
+            // "hga", the last name `parse_backends` admits.
+            _ => {
+                let adapter = BaselineAdapter::new(HgaLike::new(graph), config, name);
+                run_backend_eval(&adapter, &reads, threads, both, tolerance)
+            }
+        };
+        evals.push(eval);
     }
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;

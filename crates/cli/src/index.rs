@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 use std::fs;
 
-use segram_core::{Backend, SegramConfig, ShardedIndex};
+use segram_core::{SegramConfig, ShardedIndex};
 use segram_graph::{build_graph, gfa, ConstructedGraph, DnaSeq, VariantSet};
 use segram_index::{
     decode_index, frequency_threshold, initial_changelog, read_index_file, section_table,
@@ -555,9 +555,9 @@ pub(crate) fn backend_from_store(
     loaded: PersistedIndex,
     mut config: SegramConfig,
     shards: usize,
-) -> Backend {
+) -> ShardedIndex {
     config.scheme = *loaded.index.scheme();
     config.bucket_bits = loaded.index.bucket_bits();
     config.discard_frac = loaded.discard_frac;
-    Backend::Segram(ShardedIndex::from_persisted(loaded, config, shards))
+    ShardedIndex::from_persisted(loaded, config, shards)
 }

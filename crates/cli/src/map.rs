@@ -20,9 +20,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use segram_core::{
-    elastic_route, gaf_record_for, sam_record_for, Backend, BackendKind, CancelToken,
-    EngineOptions, EngineReport, MapEngine, ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer,
-    ShardedIndex,
+    elastic_route, gaf_record_for, sam_record_for, CancelToken, EngineOptions, EngineReport,
+    MapEngine, ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer, ShardedIndex,
 };
 use segram_filter::FilterSpec;
 use segram_graph::GenomeGraph;
@@ -51,8 +50,7 @@ OPTIONS:
     --index <ref.sgi>      persistent index from `segram index build`:
                            skips construction + indexing entirely (the
                            file records the scheme, buckets, and discard
-                           fraction; --backend segram only — --shards
-                           splits the loaded store)
+                           fraction; --shards splits the loaded store)
     --reads <reads.fq>     input FASTQ, plain or BGZF-compressed (required;
                            the container is auto-detected by its gzip
                            magic — the producer-side transport stage
@@ -67,29 +65,24 @@ OPTIONS:
     --output-gaf <path>    split emission: the GAF half (see --output-sam)
     --batch-size <n>       reads per engine batch (default 16); output
                            bytes do not depend on it
-    --backend <segram|graphaligner|vg|hga>
-                           mapping backend (default segram); the software
-                           baselines run through the same engine for
-                           apples-to-apples comparison (`segram eval
-                           compare` runs several at once)
     --threads <int>        worker threads (default: all available cores)
     --shards <int>         split the index into N coordinate-range shards
                            behind the seeding router (default 1 = the
                            whole index in one shard; the software analogue
                            of the paper's per-HBM-channel accelerator
-                           instances; --backend segram only)
+                           instances)
     --schedule <fanout|elastic>
                            worker schedule (default fanout: every worker
                            serves every batch). elastic gives each shard
                            group a worker pool, tags batches with their
                            dominant shard group (idle pools steal), and
                            rebalances shard ownership live; output bytes are
-                           identical either way (--backend segram only)
+                           identical either way
     --preset <short|long5|long10>
                            mapper preset (default short)
     --filter <none|base-count|qgram|shd|snake|cascade>
                            pre-alignment filter (default none, as in the
-                           paper; --backend segram only)
+                           paper)
     --both-strands         also try each read's reverse complement
     --compress-output      BGZF-compress the output document(s), each on a
                            deflate thread of its own (requires a file
@@ -112,63 +105,49 @@ fn filter_spec(name: &str) -> Result<Option<FilterSpec>, CliError> {
     }
 }
 
-/// Mapping backend for `segram map` / `segram eval compare`:
-/// `--backend name` (default the native SeGraM pipeline).
-fn backend_kind(options: &Options) -> Result<BackendKind, CliError> {
-    match options.get("backend") {
-        None => Ok(BackendKind::Segram),
-        Some(name) => BackendKind::parse(name).ok_or_else(|| {
-            CliError::usage(format!(
-                "unknown backend {name:?} (expected segram|graphaligner|vg|hga)"
-            ))
-        }),
-    }
-}
-
-/// Rejects `--shards` for backends without a sharded index, pointing at
-/// the fix instead of silently ignoring the flag.
-fn reject_foreign_shards(backend: BackendKind, options: &Options) -> Result<(), CliError> {
-    if !backend.supports_shards() && options.get("shards").is_some() {
-        return Err(CliError::usage(format!(
-            "--shards only applies to --backend segram (the coordinate-range sharded \
-             index is SeGraM's per-HBM-channel split); drop --shards or use \
-             --backend segram to shard, got --backend {}",
-            backend.name()
-        )));
-    }
-    Ok(())
-}
-
-/// Rejects `--filter` for the baseline backends, which run their own
-/// fixed filtering surrogates (chaining, region truncation) and never
-/// consult the SeGraM prefilter stage — silently ignoring the flag would
-/// make a filtered-vs-filtered comparison apples-to-oranges.
-fn reject_foreign_filter(backend: BackendKind, options: &Options) -> Result<(), CliError> {
-    if backend != BackendKind::Segram && options.get("filter").is_some() {
-        return Err(CliError::usage(format!(
-            "--filter only applies to --backend segram (the baselines have fixed \
-             filtering of their own); drop --filter for --backend {}",
-            backend.name()
-        )));
-    }
-    Ok(())
-}
-
 /// The opened reads file with its sniffed head re-attached, so the plain
 /// and the BGZF framer alike see the stream from byte zero.
 type ReadsSource = std::io::Chain<Cursor<Vec<u8>>, fs::File>;
 
 /// An opened `--reads` file, classified by its leading magic bytes.
-struct MapReads {
+pub(crate) struct MapReads {
     source: ReadsSource,
     /// The file starts with the gzip magic: BGZF path.
     compressed: bool,
 }
 
+impl MapReads {
+    /// Hands `consume` the file's raw records from the transport stage —
+    /// the plain framer or the BGZF one, the only place the input encoding
+    /// shows — and returns what it returns with the time spent inflating
+    /// (zero for plain input).
+    pub(crate) fn frame<T>(
+        self,
+        reads_path: &str,
+        consume: impl FnOnce(&mut dyn Iterator<Item = Result<RawFastqRecord, CliError>>) -> T,
+    ) -> (T, Duration) {
+        if self.compressed {
+            let mut framer = BgzfFastqFramer::new(self.source);
+            let consumed = consume(
+                &mut framer
+                    .by_ref()
+                    .map(|record| record.map_err(|err| CliError::bgzf(reads_path, err))),
+            );
+            (consumed, framer.inflate_time())
+        } else {
+            let consumed =
+                consume(&mut FastqFramer::new(self.source).map(|record| {
+                    record.map_err(|err| CliError::stream(err, reads_path, reads_path))
+                }));
+            (consumed, Duration::ZERO)
+        }
+    }
+}
+
 /// Opens the reads file and sniffs the first two bytes for the gzip
 /// magic (BGZF members are gzip members). The consumed head is chained
 /// back in front of the file handle.
-fn open_reads(reads_path: &str) -> Result<MapReads, CliError> {
+pub(crate) fn open_reads(reads_path: &str) -> Result<MapReads, CliError> {
     let mut file = fs::File::open(reads_path).map_err(|e| CliError::io(reads_path, e))?;
     let mut head = Vec::with_capacity(2);
     let mut byte = [0u8; 1];
@@ -477,7 +456,7 @@ fn create_output<'a>(
 /// The input side of one `segram map` run, bundled: what to map with,
 /// how to drive the engine, and the reads to stream through it.
 struct MapJob<'a> {
-    mapper: &'a Backend,
+    mapper: &'a ShardedIndex,
     /// The elastic schedule's shard placement (`None` under fanout).
     rebalancer: Option<Arc<Mutex<Rebalancer>>>,
     /// Threads, strands and batch size; carries a clone of `cancel`.
@@ -491,10 +470,9 @@ struct MapJob<'a> {
 
 /// Runs the engine pass of `job` with the given writer-thread sink,
 /// returning the engine report. The calling thread is the producer: it
-/// runs the transport stage — the plain framer or the BGZF one, the only
-/// place the input encoding shows, so every schedule and `--batch-size`
-/// mean the same thing on either — and decodes each record right behind
-/// it, timed into `MapStats::decode`. The first failure in file order, a
+/// runs the transport stage ([`MapReads::frame`], so every schedule and
+/// `--batch-size` mean the same thing on plain and BGZF input) and decodes
+/// each record right behind it, timed into `MapStats::decode`. The first failure in file order, a
 /// transport error or a malformed record alike, ends the stream, lands in
 /// `input_error` and cancels the run: the reported error is the file's
 /// first defect whatever the thread count or schedule.
@@ -537,17 +515,8 @@ where
         });
         engine.map_stream(records, |record| &record.seq, sink)
     };
-    let mut report = if reads.compressed {
-        let mut framer = BgzfFastqFramer::new(reads.source);
-        let mut report = run(&mut framer
-            .by_ref()
-            .map(|record| record.map_err(|err| CliError::bgzf(reads_path, err))));
-        report.stats.inflate = framer.inflate_time();
-        report
-    } else {
-        run(&mut FastqFramer::new(reads.source)
-            .map(|record| record.map_err(|err| CliError::stream(err, reads_path, reads_path))))
-    };
+    let (mut report, inflate) = reads.frame(reads_path, run);
+    report.stats.inflate = inflate;
     report.stats.decode = decode_time;
     report
 }
@@ -708,7 +677,6 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
         "format",
         "output-sam",
         "output-gaf",
-        "backend",
         "threads",
         "shards",
         "schedule",
@@ -736,20 +704,9 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
         .ok_or_else(|| CliError::usage(format!("unknown format {format:?} (expected sam|gaf)")))?;
     // Validate the cheap options before touching the filesystem, so usage
     // errors win over I/O errors.
-    let backend = backend_kind(options)?;
-    reject_foreign_shards(backend, options)?;
-    reject_foreign_filter(backend, options)?;
     let threads = thread_count(options)?;
     let shards = shard_count(options)?;
     let schedule = schedule_kind(options)?;
-    if schedule == Schedule::Elastic && backend != BackendKind::Segram {
-        return Err(CliError::usage(format!(
-            "--schedule elastic only applies to --backend segram (the pool \
-             schedule routes by the sharded index); drop --schedule or use \
-             --backend segram, got --backend {}",
-            backend.name()
-        )));
-    }
     // Absent = 0 = the engine's default.
     let batch_size = positive_count(options, "batch-size")?.unwrap_or(0);
     let mut config = preset(options.get("preset").unwrap_or("short"))?;
@@ -789,29 +746,14 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
         ));
     }
 
-    // A persistent index is native-only: the baseline backends rebuild
-    // their own structures from the GFA. (--shards and --schedule elastic
-    // are fine: the loaded store is split the same way `segram serve
-    // --shards` does it.)
-    if let MapSource::Index(_) = source {
-        if backend != BackendKind::Segram {
-            return Err(CliError::usage(format!(
-                "--index only applies to --backend segram (the .sgi file \
-                 holds the SeGraM index); use --graph for --backend {}",
-                backend.name()
-            )));
-        }
-    }
-
     // Open the reads file last, after every cheap option check, so usage
     // errors win over I/O errors.
     let reads = open_reads(reads_path)?;
     let compressed = reads.compressed;
 
-    // Every mapper is a `Backend`, so one engine pass serves them all; the
-    // native one is the coordinate-range index at whatever shard count was
-    // asked for, built from the GFA or split off the loaded store the way
-    // `segram serve` does it, so the bytes do not depend on which.
+    // The one mapper: the coordinate-range index at whatever shard count
+    // was asked for, built from the GFA or split off the loaded store the
+    // way `segram serve` does it, so the bytes do not depend on which.
     let (mapper, source_note) = match source {
         MapSource::Index(index_path) => {
             let (loaded, label) = load_store(index_path)?;
@@ -820,24 +762,16 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
         }
         MapSource::Graph(graph_path) => {
             let graph = load_graph(graph_path)?;
-            (
-                Backend::build(backend, graph, config, shards),
-                String::new(),
-            )
+            (ShardedIndex::build(graph, config, shards), String::new())
         }
     };
-    if let Some(sharded) = mapper.sharded() {
-        warn_clamped_shards(shards, sharded);
-    }
+    warn_clamped_shards(shards, &mapper);
     // The elastic schedule is the fanout one plus a route hook over a
     // placement sized for the index, the same hook `segram serve` uses.
-    let rebalancer = mapper
-        .sharded()
-        .filter(|_| schedule == Schedule::Elastic)
-        .map(|index| {
-            let placement = Rebalancer::for_index(index, threads, RebalanceConfig::default());
-            Arc::new(Mutex::new(placement))
-        });
+    let rebalancer = (schedule == Schedule::Elastic).then(|| {
+        let placement = Rebalancer::for_index(&mapper, threads, RebalanceConfig::default());
+        Arc::new(Mutex::new(placement))
+    });
     let cancel = CancelToken::new();
     let job = MapJob {
         mapper: &mapper,
@@ -862,7 +796,6 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
         "mapped {}/{} reads ({} regions aligned, {} filtered)",
         stats.mapped, stats.reads, stats.stats.regions_aligned, stats.stats.regions_filtered
     );
-    let _ = writeln!(report, "backend: {}", stats.backend);
     let _ = writeln!(
         report,
         "threads: {threads} ({} batches of up to {} reads)",
@@ -905,11 +838,11 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
     );
     // One shard under the default schedule has nothing to break down.
     let breakdown = shards > 1 || schedule == Schedule::Elastic;
-    if let Some(sharded) = mapper.sharded().filter(|_| breakdown) {
+    if breakdown {
         let placement = rebalancer
             .as_ref()
             .map(|r| r.lock().unwrap_or_else(PoisonError::into_inner));
-        report.push_str(&shard_report(sharded, &stats, placement.as_deref()));
+        report.push_str(&shard_report(&mapper, &stats, placement.as_deref()));
     }
     report.push_str(&run.output);
     Ok(report)

@@ -11,8 +11,8 @@
 //! requests; in-flight requests finish on the index they opened against).
 //!
 //! There is one daemon body. The store is loaded into the same
-//! [`Backend`] a one-shot `segram map --index` maps with (the
-//! coordinate-range index, one shard unless `--shards` asks for more),
+//! [`ShardedIndex`] a one-shot `segram map --index` maps with (one shard
+//! unless `--shards` asks for more),
 //! every reply is rendered by the [`DocWriter`] `map` writes its files
 //! with, and `RELOAD` is one closure that takes the dirty-shard delta route
 //! whenever the active index has more than one shard and the new store is
@@ -53,8 +53,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use segram_core::{
-    elastic_route, Backend, DeltaSwapReport, EngineOptions, MultiEngine, PoolReport, Priority,
-    QueueDelayStats, ReadMapper, RebalanceConfig, Rebalancer, RequestHandle,
+    elastic_route, DeltaSwapReport, EngineOptions, MultiEngine, PoolReport, Priority,
+    QueueDelayStats, ReadMapper, RebalanceConfig, Rebalancer, RequestHandle, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{Ambiguity, FastqReader, FastqRecord};
@@ -333,7 +333,7 @@ enum ReloadKind {
 /// What the reload hook hands back: the replacement mapper, how it was
 /// built, and the store's provenance label for the daemon report.
 struct ReloadOutcome {
-    mapper: Arc<Backend>,
+    mapper: Arc<ShardedIndex>,
     kind: ReloadKind,
     label: String,
 }
@@ -416,27 +416,22 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
         .max_queued(options.number("max-queued", 0)?)
         .both_strands(options.switch("both-strands"));
 
-    // The store becomes the same `Backend` a one-shot `map --index` run
-    // maps with (same graph, same shard count, same frequency threshold),
-    // so replies stay byte-identical to it.
+    // The store becomes the same index a one-shot `map --index` run maps
+    // with (same graph, same shard count, same frequency threshold), so
+    // replies stay byte-identical to it.
     let (loaded, boot_label) = load_store(index_path)?;
-    let backend = Arc::new(backend_from_store(loaded, config, shards));
-    if let Some(sharded) = backend.sharded() {
-        warn_clamped_shards(shards, sharded);
-    }
+    let index = Arc::new(backend_from_store(loaded, config, shards));
+    warn_clamped_shards(shards, &index);
     // A RELOAD whose store is the direct child of the active one (parent
     // checksum matches) takes the delta route when the active index has
     // more than one shard — only dirty shards are rebuilt, clean shards
     // keep sharing the active Arcs; anything else, and every reload of a
     // one-shard index, builds the new file's index from scratch.
-    let reload = move |path: &str, current: &Backend| {
+    let reload = move |path: &str, current: &ShardedIndex| {
         let (loaded, label) = load_store(path)?;
-        let delta = current
-            .sharded()
-            .filter(|active| active.shards().len() > 1)
-            .map(|active| active.apply_delta(&loaded));
+        let delta = (current.shards().len() > 1).then(|| current.apply_delta(&loaded));
         let (mapper, kind) = match delta {
-            Some(Ok((next, report))) => (Backend::Segram(next), ReloadKind::Delta(report)),
+            Some(Ok((next, report))) => (next, ReloadKind::Delta(report)),
             declined => {
                 let fallback = declined.and_then(Result::err).map(|why| why.to_string());
                 let mapper = backend_from_store(loaded, config, shards);
@@ -451,14 +446,12 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
     };
     // The elastic schedule is the same engine plus a route hook over a
     // placement sized for the boot index.
-    let rebalancer = backend
-        .sharded()
-        .filter(|_| schedule == Schedule::Elastic)
-        .map(|sharded| Rebalancer::for_index(sharded, threads, RebalanceConfig::default()));
+    let rebalancer = (schedule == Schedule::Elastic)
+        .then(|| Rebalancer::for_index(&index, threads, RebalanceConfig::default()));
     let pools = rebalancer.as_ref().map_or(1, Rebalancer::pools);
     let rebalancer = rebalancer.map(|boot| Arc::new(Mutex::new(boot)));
     let route = rebalancer.as_ref().map(|r| elastic_route(Arc::clone(r)));
-    let engine = MultiEngine::with_routing(backend, seq_of, engine_options, pools, route);
+    let engine = MultiEngine::with_routing(index, seq_of, engine_options, pools, route);
     run_daemon(
         options,
         engine,
@@ -472,13 +465,14 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
 
 /// The index-reload hook a daemon runs on `RELOAD <path>`: given the
 /// path and the active mapper, produce the replacement (delta or full).
-type ReloadFn<'a> = dyn Fn(&str, &Backend) -> Result<ReloadOutcome, CliError> + Send + Sync + 'a;
+type ReloadFn<'a> =
+    dyn Fn(&str, &ShardedIndex) -> Result<ReloadOutcome, CliError> + Send + Sync + 'a;
 
 /// Per-daemon context the connection handlers share: the engine, the
 /// index-reload hook, and the lifetime counters.
 #[derive(Clone, Copy)]
 struct Daemon<'a> {
-    engine: &'a MultiEngine<Backend, FastqRecord>,
+    engine: &'a MultiEngine<ShardedIndex, FastqRecord>,
     reload: &'a ReloadFn<'a>,
     /// Path and provenance label (epoch, build preset) of the index new
     /// requests currently map against (updated by each successful `RELOAD`).
@@ -496,10 +490,10 @@ struct Daemon<'a> {
 /// and the active one (the `RELOAD` hook).
 fn run_daemon(
     options: &Options,
-    engine: MultiEngine<Backend, FastqRecord>,
+    engine: MultiEngine<ShardedIndex, FastqRecord>,
     index_path: &str,
     boot_label: String,
-    reload: impl Fn(&str, &Backend) -> Result<ReloadOutcome, CliError> + Send + Sync,
+    reload: impl Fn(&str, &ShardedIndex) -> Result<ReloadOutcome, CliError> + Send + Sync,
     rebalancer: Option<Arc<Mutex<Rebalancer>>>,
     client_timeout: Duration,
 ) -> Result<String, CliError> {
@@ -894,7 +888,7 @@ fn handle_map(
 /// concurrent `RELOAD` must not change what an in-flight request renders).
 /// A render failure cancels the request.
 fn render_document(
-    handle: &RequestHandle<Backend, FastqRecord>,
+    handle: &RequestHandle<ShardedIndex, FastqRecord>,
     format: DocFormat,
 ) -> Result<Vec<u8>, String> {
     let mapper = handle.mapper();
@@ -1123,13 +1117,9 @@ mod tests {
         parse_request_header(header)
     }
 
-    fn native_backend(graph: &segram_graph::GenomeGraph, shards: usize) -> Arc<Backend> {
-        Arc::new(Backend::build(
-            segram_core::BackendKind::Segram,
-            graph.clone(),
-            segram_core::SegramConfig::short_reads(),
-            shards,
-        ))
+    fn native_index(graph: &segram_graph::GenomeGraph, shards: usize) -> Arc<ShardedIndex> {
+        let config = segram_core::SegramConfig::short_reads();
+        Arc::new(ShardedIndex::build(graph.clone(), config, shards))
     }
 
     fn record_of(id: usize, seq: DnaSeq) -> FastqRecord {
@@ -1142,9 +1132,8 @@ mod tests {
         // `segram map` and the daemon route by it) must decide exactly as
         // the policy it wraps, batch after batch, as ownership evolves.
         let dataset = segram_sim::DatasetConfig::tiny(61).illumina(100);
-        let backend = native_backend(dataset.graph(), 4);
-        let index = backend.sharded().expect("native backend");
-        let boot = || Rebalancer::for_index(index, 4, RebalanceConfig::default());
+        let index = native_index(dataset.graph(), 4);
+        let boot = || Rebalancer::for_index(&index, 4, RebalanceConfig::default());
         let hook = elastic_route(Arc::new(Mutex::new(boot())));
         let mut map_side = boot();
         let records: Vec<FastqRecord> = dataset
@@ -1155,13 +1144,13 @@ mod tests {
         let reads: Vec<&DnaSeq> = records.iter().map(|r| &r.seq).collect();
         let mut routed = 0;
         for batch in reads.chunks(3) {
-            let expected = route_batch(index, &mut map_side, batch.iter().copied());
-            assert_eq!(hook(&backend, batch), expected);
+            let expected = route_batch(&index, &mut map_side, batch.iter().copied());
+            assert_eq!(hook(&index, batch), expected);
             routed += usize::from(expected.is_some());
         }
         assert!(routed > 0, "no batch had a dominant pool");
         // A mapper whose index the placement was not sized for spills.
-        let other = native_backend(dataset.graph(), 3);
+        let other = native_index(dataset.graph(), 3);
         assert_eq!(hook(&other, &reads[..3]), None);
     }
 
@@ -1183,15 +1172,14 @@ mod tests {
                 .map(|at| record_of(at, reference.slice(at, at + 100)))
                 .collect()
         };
-        let boot = native_backend(&graph, 4);
+        let boot = native_index(&graph, 4);
         let boot_weak = Arc::downgrade(&boot);
         // A hair-trigger rebalancer: any skew it gets to see migrates.
         let trigger = RebalanceConfig {
             threshold: 1.2,
             cooldown: 0,
         };
-        let index = boot.sharded().expect("native backend");
-        let rebalancer = Arc::new(Mutex::new(Rebalancer::for_index(index, 2, trigger)));
+        let rebalancer = Arc::new(Mutex::new(Rebalancer::for_index(&boot, 2, trigger)));
         let engine = MultiEngine::with_routing(
             boot,
             seq_of,
@@ -1206,7 +1194,7 @@ mod tests {
             }
             request
         };
-        let complete = |request: RequestHandle<Backend, FastqRecord>| {
+        let complete = |request: RequestHandle<ShardedIndex, FastqRecord>| {
             request.finish_input();
             while request.next_output().is_some() {}
             request.finish().expect("no panic");
@@ -1215,7 +1203,7 @@ mod tests {
         // the only thing that may keep it alive. Its reads are spread over
         // the reference: the counters it leaves there show no skew.
         let in_flight = push_all(&reads_from(0..7_900, 1_000));
-        let next = native_backend(&graph, 4);
+        let next = native_index(&graph, 4);
         engine.swap_mapper(Arc::clone(&next));
         assert!(boot_weak.upgrade().is_some(), "the open request maps on it");
         complete(in_flight);
@@ -1226,14 +1214,14 @@ mod tests {
         }
         assert!(
             boot_weak.upgrade().is_none(),
-            "with its last request finished, nothing may keep the boot backend alive"
+            "with its last request finished, nothing may keep the boot index alive"
         );
         // Every read from shard 0's quarter: the new index's counters
         // skew, and the next batch boundary has to show the rebalancer that.
         let skewed = reads_from(0..1_800, 100);
         complete(push_all(&skewed));
         complete(push_all(&skewed));
-        let stats = next.sharded().expect("native backend").shard_stats();
+        let stats = next.shard_stats();
         let elsewhere: u64 = stats[1..].iter().map(|shard| shard.seed_hits).sum();
         assert!(
             stats[0].seed_hits > 4 * elsewhere.max(1),

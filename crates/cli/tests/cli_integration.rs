@@ -780,131 +780,50 @@ fn batches_are_counted_in_reads_on_plain_and_bgzf_input_alike() {
     assert_eq!(idle_pools, 0, "{report}");
 }
 
-/// Backend usage errors through the *built binary* (exit codes + stderr),
-/// not just the in-process dispatch: unknown names and invalid flag
-/// combinations must fail fast with actionable messages.
+/// Usage errors of the backend choice through the *built binary* (exit
+/// codes + stderr), not just the in-process dispatch: `map` runs one mapper
+/// and takes no `--backend`, and `eval compare`'s `--backends` list fails
+/// fast with actionable messages.
 #[test]
 fn backend_errors_are_actionable_via_the_binary() {
-    use std::process::Command;
+    // Exit code and stderr of the built binary. The input paths do not
+    // exist: every case must fail as a usage error before any I/O.
+    let segram = |args: &[&str]| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_segram"))
+            .args(args)
+            .output()
+            .expect("run segram");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        (output.status.code(), stderr)
+    };
+    let files = ["--graph", "x.gfa", "--reads", "y.fq"];
 
-    let binary = env!("CARGO_BIN_EXE_segram");
-    // Unknown backend: usage error naming the valid choices, before I/O
-    // (the input paths do not exist).
-    let unknown = Command::new(binary)
-        .args([
-            "map",
-            "--graph",
-            "x.gfa",
-            "--reads",
-            "y.fq",
-            "--backend",
-            "bowtie",
-        ])
-        .output()
-        .expect("run segram map");
-    assert_eq!(unknown.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&unknown.stderr);
-    assert!(stderr.contains("unknown backend \"bowtie\""), "{stderr}");
-    assert!(stderr.contains("graphaligner"), "lists choices: {stderr}");
-
-    // --shards with a baseline backend: usage error pointing at the fix.
-    let foreign = Command::new(binary)
-        .args([
-            "map",
-            "--graph",
-            "x.gfa",
-            "--reads",
-            "y.fq",
-            "--backend",
-            "vg",
-            "--shards",
-            "4",
-        ])
-        .output()
-        .expect("run segram map");
-    assert_eq!(foreign.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&foreign.stderr);
-    assert!(
-        stderr.contains("--shards only applies to --backend segram"),
-        "{stderr}"
-    );
-    assert!(
-        stderr.contains("--backend vg"),
-        "names the culprit: {stderr}"
-    );
-
-    // --filter with a baseline backend: same treatment as --shards (the
-    // baselines never consult the SeGraM prefilter stage).
-    let filtered = Command::new(binary)
-        .args([
-            "map",
-            "--graph",
-            "x.gfa",
-            "--reads",
-            "y.fq",
-            "--backend",
-            "hga",
-            "--filter",
-            "cascade",
-        ])
-        .output()
-        .expect("run segram map");
-    assert_eq!(filtered.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&filtered.stderr);
-    assert!(
-        stderr.contains("--filter only applies to --backend segram"),
-        "{stderr}"
-    );
+    // `map --backend` is an unknown option like any other.
+    let (code, stderr) = segram(&[&["map"], &files[..], &["--backend", "vg"]].concat());
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option --backend"), "{stderr}");
 
     // eval compare: --shards without a segram backend in the list is a
     // usage error, not a silent no-op.
-    let no_segram = Command::new(binary)
-        .args([
-            "eval",
-            "compare",
-            "--graph",
-            "x.gfa",
-            "--reads",
-            "y.fq",
-            "--backends",
-            "vg,hga",
-            "--shards",
-            "4",
-        ])
-        .output()
-        .expect("run segram eval compare");
-    assert_eq!(no_segram.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&no_segram.stderr);
+    let compare = [&["eval", "compare"], &files[..]].concat();
+    let (code, stderr) =
+        segram(&[&compare[..], &["--backends", "vg,hga", "--shards", "4"]].concat());
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(
         stderr.contains("--backends does not include segram"),
         "{stderr}"
     );
 
-    // The same rejections in eval compare's --backends list.
-    let compare = Command::new(binary)
-        .args([
-            "eval",
-            "compare",
-            "--graph",
-            "x.gfa",
-            "--reads",
-            "y.fq",
-            "--backends",
-            "segram,nope",
-        ])
-        .output()
-        .expect("run segram eval compare");
-    assert_eq!(compare.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&compare.stderr);
+    // An unknown name in the --backends list names the valid choices.
+    let (code, stderr) = segram(&[&compare[..], &["--backends", "segram,nope"]].concat());
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("unknown backend \"nope\""), "{stderr}");
+    assert!(stderr.contains("graphaligner"), "lists choices: {stderr}");
 }
 
-/// Acceptance path: `map --backend graphaligner --threads 4` and
-/// `eval compare --backends segram,vg` run end-to-end on a simulated
-/// dataset, and a baseline backend's output is thread-invariant.
-#[test]
-fn baseline_backends_map_and_compare_end_to_end() {
-    let dir = TempDir::new("backends");
+/// Simulates the 8-read, 20 kbp data set the `eval compare` tests share
+/// and returns its path prefix.
+fn simulate_compare_set(dir: &TempDir) -> String {
     let prefix = dir.path("b");
     run(&[
         "simulate",
@@ -920,73 +839,136 @@ fn baseline_backends_map_and_compare_end_to_end() {
         "19",
     ])
     .expect("simulate");
+    prefix
+}
 
-    let map_backend = |backend: &str, threads: &str, out: &str| {
-        run(&[
-            "map",
-            "--graph",
-            &format!("{prefix}.gfa"),
-            "--reads",
-            &format!("{prefix}.fq"),
-            "--backend",
-            backend,
-            "--threads",
-            threads,
-            "--output",
-            &dir.path(out),
-        ])
-        .expect("map with backend")
-    };
-
-    let report = map_backend("graphaligner", "4", "ga4.sam");
-    assert!(report.contains("backend: graphaligner"), "{report}");
-    assert!(report.contains("threads: 4"), "{report}");
-    let sam = fs::read_to_string(dir.path("ga4.sam")).unwrap();
-    assert_eq!(
-        sam.lines().filter(|l| !l.starts_with('@')).count(),
-        8,
-        "one record per read:\n{sam}"
-    );
-
-    // Thread invariance holds for baseline backends exactly as for the
-    // native one (ci.sh runs the full backend matrix).
-    map_backend("graphaligner", "1", "ga1.sam");
-    assert_eq!(
-        fs::read(dir.path("ga1.sam")).unwrap(),
-        fs::read(dir.path("ga4.sam")).unwrap(),
-        "graphaligner output differs across threads"
-    );
-
-    // eval compare: table + JSON artifact over two backends.
-    let json_path = dir.path("cmp.json");
-    let report = run(&[
+/// Runs `eval compare` over all four backends and returns its report.
+fn compare_all(prefix: &str, reads: &str, threads: &str, json_path: &str) -> String {
+    run(&[
         "eval",
         "compare",
         "--graph",
         &format!("{prefix}.gfa"),
         "--reads",
-        &format!("{prefix}.fq"),
-        "--backends",
-        "segram,vg",
+        reads,
         "--threads",
-        "2",
+        threads,
         "--json",
-        &json_path,
+        json_path,
     ])
-    .expect("eval compare");
+    .expect("eval compare")
+}
+
+/// The per-backend `backend`, `mapped`, `correct` and `regions_aligned`
+/// lines of an `eval compare --json` artifact: the counts that depend on
+/// neither the thread count nor the input's container.
+fn compare_counts(json_path: &str) -> Vec<String> {
+    let keys = [
+        "\"backend\"",
+        "\"mapped\"",
+        "\"correct\"",
+        "\"regions_aligned\"",
+    ];
+    fs::read_to_string(json_path)
+        .expect("compare JSON")
+        .lines()
+        .map(str::trim)
+        .filter(|line| keys.iter().any(|key| line.starts_with(key)))
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Acceptance path: the baselines run only behind `eval compare`. Over
+/// all four backends it prints the table and writes the JSON artifact,
+/// and every backend's counts are thread-invariant (the byte-level
+/// property is `backend_props.rs`'s).
+#[test]
+fn baseline_backends_map_and_compare_end_to_end() {
+    let dir = TempDir::new("backends");
+    let prefix = simulate_compare_set(&dir);
+    let reads = format!("{prefix}.fq");
+
+    let json_path = dir.path("cmp4.json");
+    let report = compare_all(&prefix, &reads, "4", &json_path);
     assert!(
-        report.contains("compared 2 backends on 8 reads"),
+        report.contains("compared 4 backends on 8 reads"),
         "{report}"
     );
     assert!(report.contains("8 with truth labels"), "{report}");
     for column in ["backend", "accuracy", "reads/s", "hw-makespan-us"] {
         assert!(report.contains(column), "missing column {column}: {report}");
     }
-    assert!(report.contains("segram"), "{report}");
     let json = fs::read_to_string(&json_path).unwrap();
-    assert!(json.contains("\"backend\": \"segram\""), "{json}");
-    assert!(json.contains("\"backend\": \"vg\""), "{json}");
+    for backend in ["segram", "graphaligner", "vg", "hga"] {
+        assert!(
+            json.contains(&format!("\"backend\": \"{backend}\"")),
+            "{json}"
+        );
+    }
     assert!(json.contains("\"modeled_makespan_ns\""), "{json}");
+
+    // Thread invariance holds for the baselines exactly as for the native
+    // index (ci.sh's backend-matrix tier runs the same comparison).
+    let serial_path = dir.path("cmp1.json");
+    compare_all(&prefix, &reads, "1", &serial_path);
+    let counts = compare_counts(&json_path);
+    assert_eq!(counts.len(), 4 * 4, "{counts:?}");
+    assert_eq!(compare_counts(&serial_path), counts);
+
+    // A subset of the backends, in the order given.
+    let report = run(&[
+        "eval",
+        "compare",
+        "--graph",
+        &format!("{prefix}.gfa"),
+        "--reads",
+        &reads,
+        "--backends",
+        "vg,segram",
+        "--threads",
+        "2",
+    ])
+    .expect("eval compare");
+    assert!(
+        report.contains("compared 2 backends on 8 reads"),
+        "{report}"
+    );
+    let vg = report.find("  vg ").expect("vg row");
+    assert!(
+        vg < report.find("  segram ").expect("segram row"),
+        "{report}"
+    );
+}
+
+/// `eval compare` reads the BGZF FASTQ `map` accepts, fixed- and
+/// stored-mode alike, into the same reads as the plain file.
+#[test]
+fn eval_compare_reads_bgzf_input_as_map_does() {
+    let dir = TempDir::new("compare-bgzf");
+    let prefix = simulate_compare_set(&dir);
+    let plain_json = dir.path("plain.json");
+    compare_all(&prefix, &format!("{prefix}.fq"), "2", &plain_json);
+    let plain = compare_counts(&plain_json);
+    assert_eq!(plain.len(), 4 * 4, "{plain:?}");
+    for (mode, block) in [("fixed", "512"), ("stored", "97")] {
+        let gz = dir.path(&format!("b-{mode}.fq.gz"));
+        run(&[
+            "bgzip",
+            "--input",
+            &format!("{prefix}.fq"),
+            "--output",
+            &gz,
+            "--block-bytes",
+            block,
+            "--mode",
+            mode,
+        ])
+        .expect("bgzip");
+        let json = dir.path(&format!("{mode}.json"));
+        let report = compare_all(&prefix, &gz, "2", &json);
+        assert!(report.contains("8 with truth labels"), "{mode}: {report}");
+        assert_eq!(compare_counts(&json), plain, "{mode}");
+    }
 }
 
 #[test]

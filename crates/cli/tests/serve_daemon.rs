@@ -161,10 +161,6 @@ fn map_index_flag_conflicts_are_usage_errors() {
             ],
             "--compress-output requires a file output",
         ),
-        (
-            &["map", "--index", &sgi, "--reads", &reads, "--backend", "vg"],
-            "--index only applies to --backend segram",
-        ),
     ];
     for (args, needle) in cases {
         let err = run(args).expect_err("conflict must be rejected");

@@ -1,33 +1,29 @@
-//! Pluggable mapping backends behind one engine: SeGraM itself and the
-//! software baselines as first-class [`ReadMapper`]s, selected by name
-//! through one factory.
+//! The evaluation's comparison instrument: the software baselines as
+//! [`ReadMapper`]s, and the one measurement path every mapper of `segram
+//! eval compare` runs through.
 //!
 //! The paper's evaluation hinges on apples-to-apples comparison: the same
 //! read stream driven through SeGraM and through the software baselines
 //! (GraphAligner-like, vg-like, HGA-like), measured under one
-//! methodology. This module makes that structural instead of incidental:
+//! methodology. The baselines are measuring instruments, not runtime
+//! modes — `segram map` and `segram serve` run only the native
+//! [`ShardedIndex`](crate::ShardedIndex):
 //!
 //! * [`BaselineAdapter`] lifts any [`BaselineMapper`] into the
-//!   [`ReadMapper`] interface the [`MapEngine`](crate::MapEngine) drives,
-//!   adapting [`BaselineMapping`]/[`StepTimes`] into
-//!   [`Mapping`]/[`MapStats`] (the located window is re-aligned with
-//!   BitAlign so every backend emits the same SAM/GAF record shape);
-//! * [`BackendKind`] + [`Backend`] name the four backends and build them
-//!   from one graph + configuration (`segram map --backend ...`). The
-//!   native one is always the coordinate-range [`ShardedIndex`] — of one
-//!   shard unless asked for more — so the binary runs one native mapper,
-//!   not a monolithic and a sharded one;
-//! * [`run_backend_eval`] drives one backend over one read set through
+//!   [`ReadMapper`] interface the [`MapEngine`] drives, adapting
+//!   [`BaselineMapping`]/[`StepTimes`] into [`Mapping`]/[`MapStats`] (the
+//!   located window is re-aligned with BitAlign so every mapper emits the
+//!   same SAM/GAF record shape);
+//! * [`run_backend_eval`] drives any one mapper over one read set through
 //!   the engine and distills the comparison row `eval compare` prints —
 //!   throughput, per-stage times, truth accuracy, and the accelerator
-//!   occupancy the backend's candidate-region stream implies in the
+//!   occupancy the mapper's candidate-region stream implies in the
 //!   `segram-hw` pipeline simulator.
 //!
-//! Because every backend runs through the same engine (same batching,
-//! same order-preserving output, same queue accounting), each backend's
-//! output is byte-identical across thread counts; the differential
-//! property test (`tests/backend_props.rs`) and the `ci.sh`
-//! backend-matrix tier enforce this end to end.
+//! Because every mapper runs through the same engine (same batching, same
+//! order-preserving output, same queue accounting), each one's output is
+//! byte-identical across thread counts; the differential property test
+//! (`tests/backend_props.rs`) enforces this for all four.
 
 use std::time::Instant;
 
@@ -36,13 +32,10 @@ use segram_hw::{simulate_pipeline, SeedJob};
 use segram_index::SeedRegion;
 use segram_sim::Strand;
 
-use crate::baseline::{
-    BaselineMapper, BaselineMapping, GraphAlignerLike, HgaLike, StepTimes, VgLike,
-};
+use crate::baseline::{BaselineMapper, BaselineMapping, StepTimes};
 use crate::config::SegramConfig;
 use crate::mapper::{MapStats, Mapping, ReadMapper};
 use crate::pipeline::{Aligner, BitAlignStage, EngineOptions, EngineReport, MapEngine};
-use crate::shard::ShardedIndex;
 
 /// Modeled MinSeed time per candidate region when a backend's region
 /// stream is fed into the hardware pipeline simulator (the Section 8.3
@@ -60,52 +53,6 @@ pub const MODELED_BITALIGN_NS: f64 = 34.0;
 /// HGA's single whole-graph candidate costs what whole-graph DP costs,
 /// not what one short window costs.
 pub const MODELED_REGION_CHARS: f64 = 128.0;
-
-/// The four mapping backends the evaluation compares, by CLI name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The native SeGraM pipeline (MinSeed + BitAlign) over a
-    /// coordinate-range index of one or more shards.
-    Segram,
-    /// [`GraphAlignerLike`]: seeding + chaining + bit-parallel alignment.
-    GraphAligner,
-    /// [`VgLike`]: seeding + chunked DP alignment.
-    Vg,
-    /// [`HgaLike`]: whole-graph DP, no seeding.
-    Hga,
-}
-
-impl BackendKind {
-    /// Every backend, in the evaluation's canonical order.
-    pub const ALL: [BackendKind; 4] = [Self::Segram, Self::GraphAligner, Self::Vg, Self::Hga];
-
-    /// The CLI name (`segram|graphaligner|vg|hga`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Segram => "segram",
-            Self::GraphAligner => "graphaligner",
-            Self::Vg => "vg",
-            Self::Hga => "hga",
-        }
-    }
-
-    /// Parses a CLI name; `None` for anything unknown.
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|kind| kind.name() == name)
-    }
-
-    /// Whether `--shards` applies: only the native backend has the
-    /// coordinate-range sharded index (the per-HBM-channel split).
-    pub fn supports_shards(self) -> bool {
-        matches!(self, Self::Segram)
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Lifts a [`BaselineMapper`] into the [`ReadMapper`] interface the
 /// engine drives.
@@ -132,11 +79,6 @@ impl<B: BaselineMapper> BaselineAdapter<B> {
             config,
             backend,
         }
-    }
-
-    /// The wrapped baseline.
-    pub fn inner(&self) -> &B {
-        &self.inner
     }
 
     /// Turns a located window into a full [`Mapping`]: extract a padded
@@ -217,110 +159,6 @@ impl<B: BaselineMapper> ReadMapper for BaselineAdapter<B> {
     }
 }
 
-/// One engine backend, built by [`Backend::build`]: the native SeGraM
-/// mapper or one of the software baselines behind a [`BaselineAdapter`].
-/// Implements [`ReadMapper`] by delegation, so a `MapEngine<'_, Backend>`
-/// drives any of the four through the identical batched, order-preserving
-/// path.
-#[derive(Debug)]
-pub enum Backend {
-    /// The native pipeline over a coordinate-range index of `N ≥ 1` shards.
-    Segram(ShardedIndex),
-    /// The GraphAligner-like baseline.
-    GraphAligner(BaselineAdapter<GraphAlignerLike>),
-    /// The vg-like baseline.
-    Vg(BaselineAdapter<VgLike>),
-    /// The HGA-like baseline.
-    Hga(BaselineAdapter<HgaLike>),
-}
-
-impl Backend {
-    /// Builds a backend over one reference graph. `shards` is the native
-    /// backend's shard count (1 = the whole index in one shard) and is
-    /// ignored for the baselines (the CLI rejects the combination up
-    /// front).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the graph is empty (the HGA baseline linearizes the
-    /// whole graph at construction) or `shards` is zero for the native
-    /// backend.
-    pub fn build(
-        kind: BackendKind,
-        graph: GenomeGraph,
-        config: SegramConfig,
-        shards: usize,
-    ) -> Self {
-        match kind {
-            BackendKind::Segram => Self::Segram(ShardedIndex::build(graph, config, shards)),
-            BackendKind::GraphAligner => Self::GraphAligner(BaselineAdapter::new(
-                GraphAlignerLike::new(graph, config),
-                config,
-                BackendKind::GraphAligner.name(),
-            )),
-            BackendKind::Vg => Self::Vg(BaselineAdapter::new(
-                VgLike::new(graph, config),
-                config,
-                BackendKind::Vg.name(),
-            )),
-            BackendKind::Hga => Self::Hga(BaselineAdapter::new(
-                HgaLike::new(graph),
-                config,
-                BackendKind::Hga.name(),
-            )),
-        }
-    }
-
-    /// Which backend this is.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            Self::Segram(_) => BackendKind::Segram,
-            Self::GraphAligner(_) => BackendKind::GraphAligner,
-            Self::Vg(_) => BackendKind::Vg,
-            Self::Hga(_) => BackendKind::Hga,
-        }
-    }
-
-    /// The coordinate-range index, when this is the native backend (for
-    /// per-shard reporting, elastic routing and delta reloads).
-    pub fn sharded(&self) -> Option<&ShardedIndex> {
-        match self {
-            Self::Segram(index) => Some(index),
-            _ => None,
-        }
-    }
-
-    /// The wrapped mapper as a trait object: the single delegation point
-    /// every [`ReadMapper`] method routes through, so adding a variant or
-    /// a trait method means touching one match, not four.
-    fn mapper(&self) -> &dyn ReadMapper {
-        match self {
-            Self::Segram(m) => m,
-            Self::GraphAligner(m) => m,
-            Self::Vg(m) => m,
-            Self::Hga(m) => m,
-        }
-    }
-}
-
-impl ReadMapper for Backend {
-    fn graph(&self) -> &GenomeGraph {
-        self.mapper().graph()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        self.mapper().backend_name()
-    }
-
-    fn map_read(&self, read: &DnaSeq) -> (Option<Mapping>, MapStats) {
-        self.mapper().map_read(read)
-    }
-
-    fn map_read_both(&self, read: &DnaSeq) -> (Option<(Mapping, Strand)>, MapStats) {
-        self.mapper().map_read_both(read)
-    }
-}
-
 /// One read of an `eval compare` input: the sequence plus, when the FASTQ
 /// came from `segram simulate`, the simulated truth location parsed from
 /// its description.
@@ -337,7 +175,7 @@ pub struct EvalRead {
 /// candidate-region stream implies.
 #[derive(Clone, Debug)]
 pub struct BackendEval {
-    /// Backend identifier (from [`ReadMapper::backend_name`]).
+    /// Mapper identifier (from [`ReadMapper::backend_name`]).
     pub backend: &'static str,
     /// The engine's aggregate report for this run.
     pub report: EngineReport,
@@ -376,25 +214,25 @@ impl BackendEval {
     }
 }
 
-/// Drives one backend over one read set through the engine and distills
+/// Drives one mapper over one read set through the engine and distills
 /// the comparison row: throughput, per-stage times (in
 /// [`BackendEval::report`]), truth accuracy, and the modeled accelerator
-/// occupancy of the backend's candidate-region stream. Each aligned
+/// occupancy of the mapper's candidate-region stream. Each aligned
 /// region becomes one MinSeed+BitAlign job in the `segram-hw` pipeline
 /// simulator — preserving the per-read burstiness the averaged analytic
 /// model hides — with BitAlign time scaled by the read's average region
 /// length, so a backend that aligns few huge candidates (HGA) and one
 /// that aligns many small ones (SeGraM) are charged their real relative
 /// workloads.
-pub fn run_backend_eval(
-    backend: &Backend,
+pub fn run_backend_eval<M: ReadMapper>(
+    mapper: &M,
     reads: &[EvalRead],
     threads: usize,
     both_strands: bool,
     tolerance: u64,
 ) -> BackendEval {
     let engine = MapEngine::new(
-        backend,
+        mapper,
         EngineOptions::new()
             .threads(threads)
             .both_strands(both_strands),
@@ -444,7 +282,7 @@ pub fn run_backend_eval(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SegramMapper;
+    use crate::{GraphAlignerLike, HgaLike, SegramMapper, ShardedIndex, VgLike};
     use segram_sim::DatasetConfig;
 
     fn dataset() -> segram_sim::Dataset {
@@ -457,88 +295,81 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_round_trip() {
-        for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(BackendKind::parse("nope"), None);
-        assert_eq!(BackendKind::parse("GraphAligner"), None); // CLI names are lowercase
-        assert!(BackendKind::Segram.supports_shards());
-        assert!(!BackendKind::Vg.supports_shards());
-    }
-
-    #[test]
-    fn factory_builds_every_kind_with_matching_identity() {
-        let dataset = dataset();
-        let config = SegramConfig::short_reads();
-        for kind in BackendKind::ALL {
-            let backend = Backend::build(kind, dataset.graph().clone(), config, 1);
-            assert_eq!(backend.kind(), kind);
-            assert_eq!(backend.backend_name(), kind.name());
-            assert_eq!(backend.graph().total_chars(), dataset.graph().total_chars());
-            // One native mapper: the coordinate-range index, one shard
-            // unless asked for more; the baselines have none.
-            let shards = backend.sharded().map(|index| index.shards().len());
-            assert_eq!(shards, (kind == BackendKind::Segram).then_some(1));
-        }
-        let sharded = Backend::build(BackendKind::Segram, dataset.graph().clone(), config, 3);
-        assert_eq!(sharded.kind(), BackendKind::Segram);
-        assert_eq!(sharded.backend_name(), "segram");
-        assert_eq!(sharded.sharded().expect("native").shards().len(), 3);
-    }
-
-    #[test]
     fn segram_backend_is_identical_to_the_direct_mapper() {
         let dataset = dataset();
         let config = SegramConfig::short_reads();
         let direct = SegramMapper::new(dataset.graph().clone(), config);
-        let backend = Backend::build(BackendKind::Segram, dataset.graph().clone(), config, 1);
+        let index = ShardedIndex::build(dataset.graph().clone(), config, 1);
+        assert_eq!(index.backend_name(), "segram");
         for read in &dataset.reads {
             let (a, a_stats) = direct.map_read(&read.seq);
-            let (b, b_stats) = backend.map_read(&read.seq);
+            let (b, b_stats) = index.map_read(&read.seq);
             assert_eq!(a, b);
             assert_eq!(a_stats.regions_aligned, b_stats.regions_aligned);
         }
+    }
+
+    /// At least 70 % of `dataset`'s reads map near their origin through
+    /// `adapter`, each as a complete mapping.
+    fn assert_maps_near_truth<B: BaselineMapper>(
+        adapter: &BaselineAdapter<B>,
+        dataset: &segram_sim::Dataset,
+    ) {
+        let name = adapter.backend_name();
+        assert_eq!(adapter.graph().total_chars(), dataset.graph().total_chars());
+        let mut near = 0usize;
+        for read in &dataset.reads {
+            let (mapping, stats) = adapter.map_read(&read.seq);
+            if let Some(m) = mapping {
+                // The adapter produces a *complete* mapping: a CIGAR, a
+                // graph path, and a region — everything SAM/GAF needs.
+                assert!(!m.path.is_empty(), "{name}: empty graph path");
+                assert!(!m.alignment.cigar.is_empty(), "{name}: empty CIGAR");
+                assert!(m.region.start <= m.linear_start);
+                assert!(stats.regions_aligned >= 1);
+                if m.linear_start.abs_diff(read.true_start_linear) < 150 {
+                    near += 1;
+                }
+            }
+        }
+        assert!(
+            near * 10 >= dataset.reads.len() * 7,
+            "{name}: only {near}/{} near truth",
+            dataset.reads.len()
+        );
     }
 
     #[test]
     fn baseline_backends_map_near_truth_with_full_mappings() {
         let dataset = dataset();
         let config = SegramConfig::short_reads();
-        for kind in [BackendKind::GraphAligner, BackendKind::Vg, BackendKind::Hga] {
-            let backend = Backend::build(kind, dataset.graph().clone(), config, 1);
-            let mut near = 0usize;
-            for read in &dataset.reads {
-                let (mapping, stats) = backend.map_read(&read.seq);
-                if let Some(m) = mapping {
-                    // The adapter produces a *complete* mapping: a CIGAR, a
-                    // graph path, and a region — everything SAM/GAF needs.
-                    assert!(!m.path.is_empty(), "{kind}: empty graph path");
-                    assert!(!m.alignment.cigar.is_empty(), "{kind}: empty CIGAR");
-                    assert!(m.region.start <= m.linear_start);
-                    assert!(stats.regions_aligned >= 1);
-                    if m.linear_start.abs_diff(read.true_start_linear) < 150 {
-                        near += 1;
-                    }
-                }
-            }
-            assert!(
-                near * 10 >= dataset.reads.len() * 7,
-                "{kind}: only {near}/{} near truth",
-                dataset.reads.len()
-            );
-        }
+        let graph = || dataset.graph().clone();
+        assert_maps_near_truth(
+            &BaselineAdapter::new(
+                GraphAlignerLike::new(graph(), config),
+                config,
+                "graphaligner",
+            ),
+            &dataset,
+        );
+        assert_maps_near_truth(
+            &BaselineAdapter::new(VgLike::new(graph(), config), config, "vg"),
+            &dataset,
+        );
+        assert_maps_near_truth(
+            &BaselineAdapter::new(HgaLike::new(graph()), config, "hga"),
+            &dataset,
+        );
     }
 
     #[test]
     fn adapter_both_strand_mapping_recovers_reverse_reads() {
         let dataset = dataset();
         let config = SegramConfig::short_reads();
-        let backend = Backend::build(
-            BackendKind::GraphAligner,
-            dataset.graph().clone(),
+        let adapter = BaselineAdapter::new(
+            GraphAlignerLike::new(dataset.graph().clone(), config),
             config,
-            1,
+            "graphaligner",
         );
         let stranded = segram_sim::simulate_stranded_reads(
             dataset.graph(),
@@ -547,7 +378,7 @@ mod tests {
         );
         let mut reverse_hits = 0usize;
         for read in &stranded {
-            if let (Some((m, strand)), _) = backend.map_read_both(&read.seq) {
+            if let (Some((m, strand)), _) = adapter.map_read_both(&read.seq) {
                 if m.linear_start.abs_diff(read.true_start_linear) < 150 {
                     assert_eq!(strand, Strand::Reverse);
                     reverse_hits += 1;
@@ -569,8 +400,8 @@ mod tests {
                 truth_linear: Some(r.true_start_linear),
             })
             .collect();
-        let backend = Backend::build(BackendKind::Segram, dataset.graph().clone(), config, 1);
-        let eval = run_backend_eval(&backend, &reads, 2, false, 150);
+        let index = ShardedIndex::build(dataset.graph().clone(), config, 1);
+        let eval = run_backend_eval(&index, &reads, 2, false, 150);
         assert_eq!(eval.backend, "segram");
         assert_eq!(eval.report.reads, reads.len());
         assert_eq!(eval.with_truth, reads.len());
@@ -588,7 +419,7 @@ mod tests {
                 truth_linear: None,
             })
             .collect();
-        let eval = run_backend_eval(&backend, &blind, 1, false, 150);
+        let eval = run_backend_eval(&index, &blind, 1, false, 150);
         assert_eq!(eval.with_truth, 0);
         assert!(eval.accuracy().is_none());
     }

@@ -27,10 +27,10 @@
 //! It also hosts the software baseline mappers used by the evaluation
 //! ([`GraphAlignerLike`], [`VgLike`], [`HgaLike`]) and the workload
 //! measurement that parameterizes the `segram-hw` performance model
-//! ([`measure_workload`]). Every mapper the binary runs — that index and
-//! the baselines — is an engine [`Backend`] selected by [`BackendKind`], so the
-//! same read stream drives all of them under one methodology (`segram map
-//! --backend ...`, `segram eval compare`, [`run_backend_eval`]).
+//! ([`measure_workload`]). The baselines are measuring instruments, not
+//! runtime modes: [`BaselineAdapter`] lifts each into a [`ReadMapper`] so
+//! `segram eval compare` ([`run_backend_eval`]) drives it and the native
+//! index through the same engine under one methodology.
 //!
 //! ## Example
 //!
@@ -53,21 +53,19 @@ mod baseline;
 mod config;
 mod eval;
 mod mapper;
-mod pangenome;
 pub mod pipeline;
 mod sam;
 mod shard;
 mod workload;
 
 pub use backend::{
-    run_backend_eval, Backend, BackendEval, BackendKind, BaselineAdapter, EvalRead,
-    MODELED_BITALIGN_NS, MODELED_MINSEED_NS, MODELED_REGION_CHARS,
+    run_backend_eval, BackendEval, BaselineAdapter, EvalRead, MODELED_BITALIGN_NS,
+    MODELED_MINSEED_NS, MODELED_REGION_CHARS,
 };
 pub use baseline::{BaselineMapper, BaselineMapping, GraphAlignerLike, HgaLike, StepTimes, VgLike};
 pub use config::SegramConfig;
 pub use eval::{evaluate, seeding_sensitivity, Evaluation};
 pub use mapper::{MapStats, Mapping, ReadMapper, SegramMapper};
-pub use pangenome::{Chromosome, Pangenome, PangenomeMapping};
 pub use pipeline::{
     elastic_route, gaf_record_for, route_batch, sam_record_for, Aligner, BitAlignStage,
     CancelToken, EngineBusy, EngineOptions, EngineReport, MapEngine, MapPipeline, MinSeedStage,
@@ -80,4 +78,4 @@ pub use shard::{
     balance_loads, load_imbalance, DeltaSwapReport, IndexShard, ShardStats, ShardedIndex,
     StoreLineage,
 };
-pub use workload::{map_with_threads, measure_sequences, measure_workload, WorkloadMeasurement};
+pub use workload::{map_with_threads, measure_workload, WorkloadMeasurement};

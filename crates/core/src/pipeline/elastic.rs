@@ -26,7 +26,8 @@
 //! one-shot stream). This module adds only what is elastic:
 //!
 //! * **Route** — [`elastic_route`], the hook `segram map --schedule
-//!   elastic` and `segram serve --schedule elastic` share:
+//!   elastic` and `segram serve --schedule elastic` share over the one
+//!   mapper both hold, the request's own [`ShardedIndex`]:
 //!   [`route_batch`]'s strict majority of the batch's seed hits names a
 //!   pool; a batch that straddles groups (or hits nothing) spills to the
 //!   least-loaded pool.
@@ -41,7 +42,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::backend::Backend;
 use crate::pipeline::multi::RouteHook;
 use crate::pipeline::router::route_batch;
 use crate::shard::{balance_loads, load_imbalance, ShardedIndex};
@@ -260,80 +260,75 @@ impl Rebalancer {
 /// routes by the index of the request's own mapper, whose seed-hit
 /// counters that request's workers fill in: after a `RELOAD` the hook
 /// neither keeps the old index alive nor feeds the rebalancer frozen
-/// counters. A backend without a sharded index, or a poisoned rebalancer,
-/// spills.
+/// counters. A poisoned rebalancer spills.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::{Arc, Mutex};
-/// use segram_core::{elastic_route, Backend, BackendKind, EngineOptions, MapEngine};
-/// use segram_core::{RebalanceConfig, Rebalancer, SegramConfig};
+/// use segram_core::{elastic_route, EngineOptions, MapEngine};
+/// use segram_core::{RebalanceConfig, Rebalancer, SegramConfig, ShardedIndex};
 /// use segram_sim::DatasetConfig;
 ///
 /// let dataset = DatasetConfig::tiny(3).illumina(100);
 /// let graph = dataset.graph().clone();
-/// let backend = Backend::build(BackendKind::Segram, graph, SegramConfig::short_reads(), 2);
-/// let index = backend.sharded().expect("the native backend is sharded");
-/// let rebalancer = Rebalancer::for_index(index, 2, RebalanceConfig::default());
+/// let index = ShardedIndex::build(graph, SegramConfig::short_reads(), 2);
+/// let rebalancer = Rebalancer::for_index(&index, 2, RebalanceConfig::default());
 /// let pools = rebalancer.pools();
 /// let hook = elastic_route(Arc::new(Mutex::new(rebalancer)));
-/// let engine = MapEngine::new(&backend, EngineOptions::new().threads(2)).with_routing(pools, hook);
+/// let engine = MapEngine::new(&index, EngineOptions::new().threads(2)).with_routing(pools, hook);
 /// let reads: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
 /// let (outcomes, report) = engine.map_batch(&reads);
 /// assert_eq!(outcomes.len(), reads.len());
 /// assert_eq!(report.routed() + report.spilled(), report.batches as u64);
 /// ```
-pub fn elastic_route(rebalancer: Arc<Mutex<Rebalancer>>) -> RouteHook<Backend> {
-    Arc::new(move |mapper, reads| {
+pub fn elastic_route(rebalancer: Arc<Mutex<Rebalancer>>) -> RouteHook<ShardedIndex> {
+    Arc::new(move |index, reads| {
         let mut rebalancer = rebalancer.lock().ok()?;
-        route_batch(mapper.sharded()?, &mut rebalancer, reads.iter().copied())
+        route_batch(index, &mut rebalancer, reads.iter().copied())
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        BackendKind, CancelToken, EngineOptions, EngineReport, MapEngine, ReadOutcome, SegramConfig,
-    };
+    use crate::{CancelToken, EngineOptions, EngineReport, MapEngine, ReadOutcome, SegramConfig};
     use segram_graph::DnaSeq;
     use segram_sim::DatasetConfig;
     use std::panic::AssertUnwindSafe;
 
-    fn sharded(shards: usize) -> (Vec<DnaSeq>, Backend) {
+    fn sharded(shards: usize) -> (Vec<DnaSeq>, ShardedIndex) {
         let dataset = DatasetConfig::tiny(61).illumina(100);
         let reads = dataset.reads.iter().map(|r| r.seq.clone()).collect();
         let config = SegramConfig::short_reads();
-        let backend = Backend::build(BackendKind::Segram, dataset.graph().clone(), config, shards);
-        (reads, backend)
+        let index = ShardedIndex::build(dataset.graph().clone(), config, shards);
+        (reads, index)
     }
 
-    /// The elastic schedule over `backend`: a fresh rebalancer, its pools,
+    /// The elastic schedule over `index`: a fresh rebalancer, its pools,
     /// the shared route hook. Returns the rebalancer for ownership checks.
     fn elastic(
-        backend: &Backend,
+        index: &ShardedIndex,
         options: EngineOptions,
-    ) -> (MapEngine<'_, Backend>, Arc<Mutex<Rebalancer>>) {
-        let index = backend.sharded().expect("native backend");
+    ) -> (MapEngine<'_, ShardedIndex>, Arc<Mutex<Rebalancer>>) {
         let boot = Rebalancer::for_index(index, options.resolved_threads(), Default::default());
         let pools = boot.pools();
         let rebalancer = Arc::new(Mutex::new(boot));
         let hook = elastic_route(Arc::clone(&rebalancer));
         (
-            MapEngine::new(backend, options).with_routing(pools, hook),
+            MapEngine::new(index, options).with_routing(pools, hook),
             rebalancer,
         )
     }
 
     /// batch_size 3: interleave batches across pools.
     fn run(
-        backend: &Backend,
+        index: &ShardedIndex,
         reads: &[DnaSeq],
         threads: usize,
     ) -> (Vec<ReadOutcome>, EngineReport, Vec<Vec<usize>>) {
         let options = EngineOptions::new().threads(threads).batch_size(3);
-        let (engine, rebalancer) = elastic(backend, options);
+        let (engine, rebalancer) = elastic(index, options);
         let (outcomes, report) = engine.map_batch(reads);
         let groups = rebalancer.lock().expect("not poisoned").groups();
         (outcomes, report, groups)
@@ -342,11 +337,11 @@ mod tests {
     #[test]
     fn elastic_outcomes_match_fanout_across_pool_counts() {
         for shards in [1usize, 2, 4] {
-            let (reads, backend) = sharded(shards);
-            let fanout = MapEngine::new(&backend, EngineOptions::new().threads(1));
+            let (reads, index) = sharded(shards);
+            let fanout = MapEngine::new(&index, EngineOptions::new().threads(1));
             let (base, base_report) = fanout.map_batch(&reads);
             for threads in [1usize, 4] {
-                let (outcomes, report, _) = run(&backend, &reads, threads);
+                let (outcomes, report, _) = run(&index, &reads, threads);
                 assert_eq!(report.reads, reads.len(), "shards {shards}");
                 assert_eq!(report.mapped, base_report.mapped, "shards {shards}");
                 for (a, b) in base.iter().zip(&outcomes) {
@@ -362,8 +357,8 @@ mod tests {
 
     #[test]
     fn every_batch_is_either_routed_or_spilled() {
-        let (reads, backend) = sharded(4);
-        let (_, report, groups) = run(&backend, &reads, 4);
+        let (reads, index) = sharded(4);
+        let (_, report, groups) = run(&index, &reads, 4);
         assert_eq!(report.pools.len(), 4);
         assert_eq!(
             report.routed() + report.spilled(),
@@ -385,8 +380,8 @@ mod tests {
     fn elastic_runs_report_their_batch_trajectory() {
         // The batch size is the one-shot driver's, so an elastic run fills
         // it exactly as a fanout run does.
-        let (reads, backend) = sharded(2);
-        let (_, report, _) = run(&backend, &reads, 2);
+        let (reads, index) = sharded(2);
+        let (_, report, _) = run(&index, &reads, 2);
         assert_eq!(report.batch_size, 3);
         assert_eq!(report.batches, reads.len().div_ceil(3));
     }
@@ -413,9 +408,8 @@ mod tests {
         assert_eq!(owned, (0..kept).collect::<Vec<_>>());
         // More workers than shards: one pool per shard.
         let (_, two) = sharded(2);
-        let two = two.sharded().expect("native backend");
         assert_eq!(
-            Rebalancer::for_index(two, 8, RebalanceConfig::default()).pools(),
+            Rebalancer::for_index(&two, 8, RebalanceConfig::default()).pools(),
             2
         );
     }
@@ -514,13 +508,13 @@ mod tests {
 
     #[test]
     fn elastic_cancellation_winds_all_pools_down() {
-        let (reads, backend) = sharded(2);
+        let (reads, index) = sharded(2);
         let cancel = CancelToken::new();
         let options = EngineOptions::new()
             .threads(2)
             .cancel(cancel.clone())
             .batch_size(1);
-        let (engine, _) = elastic(&backend, options);
+        let (engine, _) = elastic(&index, options);
         let mut sunk = 0usize;
         let report = engine.map_stream(
             reads.iter(),
@@ -539,8 +533,8 @@ mod tests {
 
     #[test]
     fn elastic_sink_panic_surfaces_original_payload() {
-        let (reads, backend) = sharded(2);
-        let (engine, _) = elastic(&backend, EngineOptions::new().threads(2).batch_size(3));
+        let (reads, index) = sharded(2);
+        let (engine, _) = elastic(&index, EngineOptions::new().threads(2).batch_size(3));
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             engine.map_stream(reads.iter(), |r| *r, |_, _| panic!("elastic sink exploded"));
         }));
@@ -558,13 +552,13 @@ mod tests {
     fn elastic_decode_failure_cancels_the_run() {
         // The producer decodes: a malformed record (here: index 5) records
         // its error, cancels, and ends the stream at that record.
-        let (reads, backend) = sharded(2);
+        let (reads, index) = sharded(2);
         let cancel = CancelToken::new();
         let options = EngineOptions::new()
             .threads(2)
             .cancel(cancel.clone())
             .batch_size(2);
-        let (engine, _) = elastic(&backend, options);
+        let (engine, _) = elastic(&index, options);
         let mut failures = 0;
         let decoded = reads.iter().enumerate().map_while(|(i, read)| {
             if i == 5 {

@@ -3,14 +3,14 @@
 //! where each channel owns a private slice of the graph and index so
 //! seeding never crosses channels.
 //!
-//! [`ShardedIndex`] is the native mapper every run uses. It splits one
-//! reference graph's coordinate space into `N ≥ 1` contiguous ranges and
-//! owns one index slice per range: all shards share the graph (via
-//! `Arc`), and each shard's minimizer index holds exactly the seed
-//! locations whose linear coordinate falls in its range. The shard count
-//! is a provisioning number, not a second design: `N = 1` (no `--shards`)
-//! is the whole index, moved in without a split pass, behind the same
-//! router. The seeding-stage router
+//! [`ShardedIndex`] is the one mapper `segram map` and `segram serve`
+//! hold. It splits one reference graph's coordinate space into `N ≥ 1`
+//! contiguous ranges and owns one index slice per range: all shards share
+//! the graph (via `Arc`), and each shard's minimizer index holds exactly
+//! the seed locations whose linear coordinate falls in its range. The
+//! shard count is a provisioning number, not a second design: `N = 1` (no
+//! `--shards`) is the whole index, moved in without a split pass, behind
+//! the same router. The seeding-stage router
 //! ([`ShardRouter`](crate::pipeline::ShardRouter)) dispatches each read's
 //! minimizers to the shard(s) whose index can answer them and merges the
 //! per-shard hits **before** prefilter/alignment, so SAM/GAF output is
@@ -20,13 +20,11 @@
 //! replay against it.
 //!
 //! The same greedy size-balanced placement the paper uses to distribute
-//! chromosomes over memory channels ([`balance_loads`], shared with
-//! [`Pangenome::channel_placement`](crate::Pangenome::channel_placement))
-//! also places shards on the elastic schedule's worker pools
-//! ([`Rebalancer`](crate::Rebalancer), behind
-//! [`elastic_route`](crate::elastic_route)), which then migrates ownership
-//! live as the observed seeding load drifts. The
-//! fanout schedule has no placement: every worker serves every shard.
+//! chromosomes over memory channels ([`balance_loads`]) places shards on
+//! the elastic schedule's worker pools ([`Rebalancer`](crate::Rebalancer),
+//! behind [`elastic_route`](crate::elastic_route)), which then migrates
+//! ownership live as the observed seeding load drifts. The fanout schedule
+//! has no placement: every worker serves every shard.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,10 +46,9 @@ use crate::pipeline::{BitAlignStage, MapPipeline, ShardRouter, SpecPrefilter};
 /// lightest bin. Returns, per bin, the item indices assigned to it (every
 /// item exactly once; bins beyond the item count stay empty).
 ///
-/// This is the paper's Section 8.3 placement rule, shared by
-/// [`Pangenome::channel_placement`](crate::Pangenome::channel_placement)
-/// (chromosomes → memory channels) and
-/// [`Rebalancer`](crate::pipeline::Rebalancer) (shards → worker pools).
+/// This is the paper's Section 8.3 placement rule (chromosomes → memory
+/// channels); here it places shards on the elastic schedule's worker
+/// pools ([`Rebalancer`](crate::pipeline::Rebalancer)).
 ///
 /// # Panics
 ///

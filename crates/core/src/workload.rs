@@ -3,7 +3,6 @@
 //! parameterize the hardware performance model — the same
 //! "measure-then-model" methodology the paper uses (Section 10).
 
-use segram_graph::DnaSeq;
 use segram_hw::SeedWorkload;
 use segram_sim::SimulatedRead;
 
@@ -106,41 +105,6 @@ pub fn map_with_threads(
     (start.elapsed().as_secs_f64(), report.mapped)
 }
 
-/// Convenience: measure a workload straight from plain sequences with no
-/// truth tracking (for external read sets).
-pub fn measure_sequences(mapper: &SegramMapper, reads: &[DnaSeq]) -> SeedWorkload {
-    if reads.is_empty() {
-        return SeedWorkload::default();
-    }
-    let mut minimizers = 0usize;
-    let mut filtered = 0usize;
-    let mut seeds = 0usize;
-    let mut region_len = 0u64;
-    let mut regions = 0usize;
-    let mut read_len = 0usize;
-    for read in reads {
-        read_len += read.len();
-        let result = mapper.seed(read);
-        minimizers += result.stats.minimizers;
-        filtered += result.stats.filtered_minimizers;
-        seeds += result.stats.seed_locations;
-        regions += result.regions.len();
-        region_len += result.regions.iter().map(|r| r.len()).sum::<u64>();
-    }
-    let n = reads.len() as f64;
-    SeedWorkload {
-        read_len: read_len / reads.len(),
-        minimizers_per_read: minimizers as f64 / n,
-        surviving_minimizers: (minimizers - filtered) as f64 / n,
-        seeds_per_read: (seeds as f64 / n).max(1.0),
-        avg_region_len: if regions == 0 {
-            0.0
-        } else {
-            region_len as f64 / regions as f64
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,18 +139,5 @@ mod tests {
         let mapper = SegramMapper::new(dataset.graph().clone(), SegramConfig::short_reads());
         let m = measure_workload(&mapper, &[], 10);
         assert_eq!(m.reads, 0);
-        let w = measure_sequences(&mapper, &[]);
-        assert_eq!(w.read_len, 0);
-    }
-
-    #[test]
-    fn sequence_measurement_agrees_with_read_measurement() {
-        let dataset = DatasetConfig::tiny(87).illumina(100);
-        let mapper = SegramMapper::new(dataset.graph().clone(), SegramConfig::short_reads());
-        let seqs: Vec<_> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-        let a = measure_workload(&mapper, &dataset.reads, 100).workload;
-        let b = measure_sequences(&mapper, &seqs);
-        assert_eq!(a.read_len, b.read_len);
-        assert!((a.minimizers_per_read - b.minimizers_per_read).abs() < 1e-9);
     }
 }

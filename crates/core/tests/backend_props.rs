@@ -1,21 +1,23 @@
-//! Differential property tests for the pluggable mapping backends: on
-//! random simulated datasets, **every** backend driven through the
+//! Differential property tests for the four mappers `segram eval compare`
+//! runs: on random simulated datasets, **every** one driven through the
 //! [`MapEngine`] produces SAM and GAF documents byte-identical to its own
 //! serial path (direct `map_read` calls, no engine) at every thread
-//! count — and the segram backend (the one-shard coordinate-range index
-//! the binary runs) agrees with the single-index reference
-//! [`SegramMapper`] on every document, mapping and seeding count. `ci.sh`'s
-//! backend-matrix tier checks the same property end to end through the
-//! built binary.
+//! count — and the native one (the one-shard coordinate-range index the
+//! binary runs) agrees with the single-index reference [`SegramMapper`] on
+//! every document, mapping and seeding count. The binary writes documents
+//! for the native index only, so this is where the baselines' bytes are
+//! pinned; `ci.sh`'s backend-matrix tier checks their `eval compare` counts
+//! across thread counts.
 
 use segram_core::{
-    gaf_record_for, sam_record_for, Backend, BackendKind, EngineOptions, MapEngine, MapStats,
-    ReadMapper, ReadOutcome, SegramConfig, SegramMapper,
+    gaf_record_for, sam_record_for, BaselineAdapter, EngineOptions, GraphAlignerLike, HgaLike,
+    MapEngine, MapStats, ReadMapper, ReadOutcome, SegramConfig, SegramMapper, ShardedIndex, VgLike,
 };
 use segram_graph::DnaSeq;
 use segram_io::{write_fastq, Ambiguity, FastqFramer, FastqRecord, GafWriter, SamWriter};
 use segram_sim::{DatasetConfig, Strand};
 use segram_testkit::prelude::*;
+use segram_testkit::prop::TestCaseError;
 
 type Documents = (Vec<u8>, Vec<u8>);
 
@@ -129,6 +131,25 @@ fn render_engine_overlapped<M: ReadMapper>(
     )
 }
 
+/// The engine is invisible in `mapper`'s documents: through the engine at
+/// 1 and 4 threads, and through the overlapped path (FASTQ bytes -> framer
+/// -> producer decode -> writer thread), they equal the serial path's.
+/// Returns the serial documents.
+fn engine_invariant<M: ReadMapper>(
+    mapper: &M,
+    reads: &[(String, DnaSeq)],
+) -> Result<Documents, TestCaseError> {
+    let name = mapper.backend_name();
+    let serial = render_serial(mapper, reads);
+    for threads in [1usize, 4] {
+        let engine = render_engine(mapper, reads, threads);
+        prop_assert_eq!(&engine, &serial, "{} at {} threads", name, threads);
+    }
+    let overlapped = render_engine_overlapped(mapper, reads, 4);
+    prop_assert_eq!(&overlapped, &serial, "{} overlapped", name);
+    Ok(serial)
+}
+
 /// The seeding and alignment work counts of one read.
 fn counts(stats: &MapStats) -> [usize; 4] {
     [
@@ -146,9 +167,9 @@ proptest! {
         read_count in 3usize..6,
         read_len in prop::sample::select(vec![80usize, 100]),
     ) {
-        // A smaller reference than `tiny()`'s 30 kb: the HGA backend runs
-        // whole-graph DP per read, and this test maps every read 7 times
-        // per backend (serial + engine at 2 thread counts, x4 backends).
+        // A smaller reference than `tiny()`'s 30 kb: the HGA baseline runs
+        // whole-graph DP per read, and this test maps every read 4 times
+        // per mapper (serial, engine at 2 thread counts, overlapped).
         let mut dataset_config = DatasetConfig::tiny(seed);
         dataset_config.reference_len = 8_000;
         dataset_config.read_count = read_count;
@@ -159,47 +180,37 @@ proptest! {
             .iter()
             .map(|r| (format!("read{}", r.id), r.seq.clone()))
             .collect();
+        let graph = || dataset.graph().clone();
 
-        // The single-index reference implementation, no Backend layer.
-        let native = SegramMapper::new(dataset.graph().clone(), config);
-        let (sam_native, gaf_native) = render_serial(&native, &reads);
-        // One SAM record per read, whatever the backend emits later.
-        let records = sam_native.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count();
+        // The single-index reference implementation.
+        let native = SegramMapper::new(graph(), config);
+        let reference = render_serial(&native, &reads);
+        // One SAM record per read, whatever the mapper emits later.
+        let records = reference.0.split(|&b| b == b'\n').filter(|l| !l.is_empty()).count();
         prop_assert_eq!(records, reads.len() + 3); // 3 header lines
 
-        for kind in BackendKind::ALL {
-            let backend = Backend::build(kind, dataset.graph().clone(), config, 1);
-            let (sam_serial, gaf_serial) = render_serial(&backend, &reads);
-            for threads in [1usize, 4] {
-                let (sam, gaf) = render_engine(&backend, &reads, threads);
-                prop_assert_eq!(&sam, &sam_serial);
-                prop_assert_eq!(&gaf, &gaf_serial);
-            }
-            // The overlapped path (FASTQ bytes -> framer -> worker decode
-            // -> writer thread) emits the same bytes as the serial path.
-            let (sam, gaf) = render_engine_overlapped(&backend, &reads, 4);
-            prop_assert_eq!(&sam, &sam_serial);
-            prop_assert_eq!(&gaf, &gaf_serial);
-            if kind == BackendKind::Segram {
-                // The one-shard runtime mapper is the reference, read for
-                // read: same documents, same mappings, same seeding work.
-                prop_assert_eq!(&sam_serial, &sam_native);
-                prop_assert_eq!(&gaf_serial, &gaf_native);
-                for (id, seq) in &reads {
-                    let (expected, reference_stats) = native.map_read(seq);
-                    let (mapping, stats) = backend.map_read(seq);
-                    prop_assert_eq!(&mapping, &expected, "{}", id);
-                    prop_assert_eq!(counts(&stats), counts(&reference_stats), "{}", id);
-                }
-            }
+        // The one-shard runtime mapper is the reference, read for read:
+        // same documents, same mappings, same seeding work.
+        let index = ShardedIndex::build(graph(), config, 1);
+        prop_assert_eq!(&engine_invariant(&index, &reads)?, &reference);
+        for (id, seq) in &reads {
+            let (expected, reference_stats) = native.map_read(seq);
+            let (mapping, stats) = index.map_read(seq);
+            prop_assert_eq!(&mapping, &expected, "{}", id);
+            prop_assert_eq!(counts(&stats), counts(&reference_stats), "{}", id);
         }
+
+        let graphaligner = GraphAlignerLike::new(graph(), config);
+        engine_invariant(&BaselineAdapter::new(graphaligner, config, "graphaligner"), &reads)?;
+        engine_invariant(&BaselineAdapter::new(VgLike::new(graph(), config), config, "vg"), &reads)?;
+        engine_invariant(&BaselineAdapter::new(HgaLike::new(graph()), config, "hga"), &reads)?;
     }
 }
 
 /// Deterministic (non-property) spot check that the adapter layer maps
-/// MapStats stage times into the engine's aggregate: a baseline backend's
-/// engine report accounts seeding and alignment separately, exactly as
-/// the serial [`segram_core::StepTimes`] did.
+/// MapStats stage times into the engine's aggregate: a baseline's engine
+/// report accounts seeding and alignment separately, exactly as the
+/// serial [`segram_core::StepTimes`] did.
 #[test]
 fn baseline_engine_report_carries_stage_times() {
     let mut dataset_config = DatasetConfig::tiny(777);
@@ -207,14 +218,13 @@ fn baseline_engine_report_carries_stage_times() {
     dataset_config.read_count = 4;
     let dataset = dataset_config.illumina(100);
     let config = SegramConfig::short_reads();
-    let backend = Backend::build(
-        BackendKind::GraphAligner,
-        dataset.graph().clone(),
+    let adapter = BaselineAdapter::new(
+        GraphAlignerLike::new(dataset.graph().clone(), config),
         config,
-        1,
+        "graphaligner",
     );
     let reads: Vec<DnaSeq> = dataset.reads.iter().map(|r| r.seq.clone()).collect();
-    let engine = MapEngine::new(&backend, EngineOptions::new().threads(2));
+    let engine = MapEngine::new(&adapter, EngineOptions::new().threads(2));
     let (outcomes, report) = engine.map_batch(&reads);
     assert_eq!(report.backend, "graphaligner");
     assert!(report.stats.seeding > std::time::Duration::ZERO);

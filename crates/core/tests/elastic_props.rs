@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use segram_core::{
-    elastic_route, gaf_record_for, sam_record_for, Backend, BackendKind, EngineOptions, MapEngine,
-    ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer, RouteHook, SegramConfig, SegramMapper,
+    elastic_route, gaf_record_for, sam_record_for, EngineOptions, MapEngine, ReadMapper,
+    ReadOutcome, RebalanceConfig, Rebalancer, RouteHook, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{GafWriter, SamWriter};
@@ -104,8 +104,7 @@ proptest! {
 
         for shards in [1usize, 2, 4] {
             let graph = dataset.graph().clone();
-            let backend = Backend::build(BackendKind::Segram, graph, config, shards);
-            let index = backend.sharded().expect("native backend");
+            let index = ShardedIndex::build(graph, config, shards);
             for threads in [1usize, 4] {
                 // A hair-trigger rebalancer (threshold just above 1.0,
                 // one-observation cooldown) so ownership migrates mid-run,
@@ -114,12 +113,12 @@ proptest! {
                     threshold: 1.05,
                     cooldown: 1,
                 };
-                let rebalancer = Rebalancer::for_index(index, threads, trigger);
+                let rebalancer = Rebalancer::for_index(&index, threads, trigger);
                 let pools = rebalancer.pools();
                 let hook = elastic_route(Arc::new(Mutex::new(rebalancer)));
-                let engine = MapEngine::new(&backend, options(threads, both_strands))
+                let engine = MapEngine::new(&index, options(threads, both_strands))
                     .with_routing(pools, hook);
-                let (sam, gaf) = documents(&backend, |sink| {
+                let (sam, gaf) = documents(&index, |sink| {
                     engine.map_stream(reads.iter(), |(_, seq)| seq, sink);
                 });
                 prop_assert_eq!(

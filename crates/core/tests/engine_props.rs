@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex};
 
 use segram_core::{
-    elastic_route, gaf_record_for, sam_record_for, Backend, EngineOptions, EngineReport, MapEngine,
+    elastic_route, gaf_record_for, sam_record_for, EngineOptions, EngineReport, MapEngine,
     ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_filter::FilterSpec;
@@ -137,9 +137,8 @@ fn bgzf_sourced_records_batch_and_spread_like_plain_ones() {
     };
     let rebalancer = Rebalancer::for_index(&index, 2, still);
     let pools = rebalancer.pools();
-    let backend = Backend::Segram(index);
     let mut outcomes = Vec::new();
-    let report = MapEngine::new(&backend, options())
+    let report = MapEngine::new(&index, options())
         .with_routing(pools, elastic_route(Arc::new(Mutex::new(rebalancer))))
         .map_stream(
             bgzf_source(),

@@ -1,4 +1,5 @@
-//! Pangenome mapping: the paper's motivating scenario (Section 1).
+//! Mapping a population's reads to its genome graph: the paper's
+//! motivating scenario (Section 1).
 //!
 //! Reads are sequenced from individuals whose genomes carry population
 //! variants. Mapping them to a single linear reference suffers *reference

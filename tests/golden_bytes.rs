@@ -9,8 +9,8 @@
 //! bytes; a performance change must leave this file untouched.
 
 use segram_core::{
-    gaf_record_for, sam_document, sam_record_for, Backend, BackendKind, EngineOptions, MapEngine,
-    ReadMapper, ReadOutcome, SegramConfig, SegramMapper,
+    gaf_record_for, sam_document, sam_record_for, EngineOptions, MapEngine, ReadMapper,
+    ReadOutcome, SegramConfig, SegramMapper, ShardedIndex,
 };
 use segram_graph::{DnaSeq, GenomeGraph};
 use segram_io::{fnv1a64, write_gaf};
@@ -36,7 +36,7 @@ fn with_every_native_mapper(
     let reference = SegramMapper::new(graph.clone(), config);
     check("reference mapper", &seqs, &outcomes(&reference, &seqs));
     for shards in [1usize, 3] {
-        let runtime = Backend::build(BackendKind::Segram, graph.clone(), config, shards);
+        let runtime = ShardedIndex::build(graph.clone(), config, shards);
         let what = format!("runtime backend, {shards} shard(s)");
         check(&what, &seqs, &outcomes(&runtime, &seqs));
     }

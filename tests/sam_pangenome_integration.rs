@@ -1,8 +1,8 @@
 //! Integration: the full downstream-consumer path — map a stranded read
-//! set against a multi-chromosome pangenome and emit a valid SAM document.
+//! set against a population graph and emit a valid SAM document.
 
 use segram_align::Cigar;
-use segram_core::{mapq_estimate, sam_document, Pangenome, SamRecord, SegramConfig, SegramMapper};
+use segram_core::{mapq_estimate, sam_document, SamRecord, SegramConfig, SegramMapper};
 use segram_graph::build_graph;
 use segram_sim::{
     generate_reference, simulate_stranded_reads, simulate_variants, GenomeConfig, ReadConfig,
@@ -61,36 +61,4 @@ fn stranded_mapping_to_sam_document() {
             assert_eq!(cigar.read_len() as usize, fields[9].len(), "line {line}");
         }
     }
-}
-
-#[test]
-fn pangenome_sam_uses_winning_chromosome() {
-    let chroms: Vec<(String, segram_graph::GenomeGraph)> = (0..2)
-        .map(|i| {
-            let reference = generate_reference(&GenomeConfig::human_like(15_000, 500 + i));
-            let variants = simulate_variants(&reference, &VariantConfig::human_like(600 + i));
-            (
-                format!("chr{}", i + 1),
-                build_graph(&reference, variants).unwrap().graph,
-            )
-        })
-        .collect();
-    let pangenome = Pangenome::new(chroms, SegramConfig::short_reads());
-    // A read walking an actual path of chromosome 2 (bases of a raw
-    // linearization window would interleave bubble alleles).
-    let chr2 = pangenome.chromosomes()[1].mapper().graph();
-    let start = chr2.graph_pos(3_000).unwrap();
-    let read = segram_sim::path_fragment(chr2, start, 120, 77).unwrap();
-    let (hit, stats) = pangenome.map_read(&read);
-    let hit = hit.expect("read maps");
-    assert_eq!(hit.chromosome, "chr2");
-    let rec = SamRecord::from_mapping(
-        "r0",
-        &hit.chromosome,
-        &read,
-        &hit.mapping,
-        mapq_estimate(stats.regions_aligned, 0, read.len()),
-    );
-    assert_eq!(rec.rname, "chr2");
-    assert!(rec.to_sam_line().contains("NM:i:0"));
 }
