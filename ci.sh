@@ -25,12 +25,14 @@
 #                       and `--shards 1 --schedule elastic` cmp'd against
 #                       the flagless document, from the GFA and from a
 #                       persistent store (no --shards *is* one shard)
-#   9. elastic-shards   `--schedule elastic` (per-shard-group worker pools,
-#                       routed batches, live rebalancing) diffed against
-#                       the default fanout schedule across --shards 1 vs 4
-#                       crossed with --threads 1 vs 4; then an elastic
-#                       daemon booted with more --shards than its reference
-#                       has bases, one reply diffed against the one-shot run
+#   9. elastic-shards   `--schedule elastic` (per-shard-group worker pools
+#                       over a boot-time placement, routed batches) diffed
+#                       against the default fanout schedule across --shards
+#                       1 vs 4 crossed with --threads 1 vs 4; the stealing
+#                       leg run twice, its pool placement diffed; then an
+#                       elastic daemon booted with more --shards than its
+#                       reference has bases, one reply diffed against the
+#                       one-shot run
 #  10. backend-matrix   segram map SAM and GAF diffed across --threads 1
 #                       vs 4; then all four mappers (segram/graphaligner/
 #                       vg/hga) through `eval compare --json` at both
@@ -208,9 +210,9 @@ determinism_shards() {
 
 elastic_shards() {
     # Same 60 kb dataset as shard-determinism. The elastic schedule — a
-    # routing policy on the same loop: per-shard-group worker pools,
-    # batches routed by dominant shard group, shard ownership rebalanced
-    # live from seed-hit counters — must produce bytes identical to the
+    # routing policy on the same loop: per-shard-group worker pools over a
+    # shard placement fixed at boot, batches routed by dominant shard
+    # group — must produce bytes identical to the
     # default fanout schedule for every shards x threads combination, in
     # both output formats.
     "$SEGRAM" simulate --out-prefix "$GATE_DIR/ds" \
@@ -233,18 +235,27 @@ elastic_shards() {
 
     # Stealing: a worker with nothing tagged for its own pool maps another
     # pool's batch, so no pool sits idle. 25 batches over four one-worker
-    # pools; the report counts the steals.
-    local r="$GATE_DIR/el-steal"
+    # pools; the report counts the steals. Run twice: which pool owns
+    # which shards is fixed at boot, so the `pool … -> shards` groups must
+    # not depend on how the workers were timed.
+    local r="$GATE_DIR/el-steal" run
     "$SEGRAM" simulate --out-prefix "$r" \
         --length 60000 --reads 400 --read-len 120 --seed 11 > /dev/null || return 1
-    "$SEGRAM" map --graph "$r.gfa" --reads "$r.fq" --threads 4 --shards 4 \
-        --schedule elastic --output "$r.sam" > "$r.report" || return 1
-    grep -q "stolen" "$r.report" \
-        || { echo "elastic report prints no stolen count:"; cat "$r.report"; return 1; }
-    if grep -Eq '^  pool [0-9]+ .*\): 0 batches' "$r.report"; then
-        echo "an elastic pool mapped no batch:"; grep "pool" "$r.report"; return 1
-    fi
-    echo "  stealing: every pool mapped batches, steals reported"
+    for run in 1 2; do
+        "$SEGRAM" map --graph "$r.gfa" --reads "$r.fq" --threads 4 --shards 4 \
+            --schedule elastic --output "$r.sam" > "$r.report$run" || return 1
+        grep -q "stolen" "$r.report$run" \
+            || { echo "elastic report prints no stolen count:"; cat "$r.report$run"; return 1; }
+        if grep -Eq '^  pool [0-9]+ .*\): 0 batches' "$r.report$run"; then
+            echo "an elastic pool mapped no batch:"; grep "pool" "$r.report$run"; return 1
+        fi
+        grep -Eo '^  pool [0-9]+ -> shards \[[0-9, ]*\]' "$r.report$run" > "$r.groups$run"
+    done
+    [ -s "$r.groups1" ] \
+        || { echo "elastic report prints no pool placement:"; cat "$r.report1"; return 1; }
+    diff "$r.groups1" "$r.groups2" \
+        || { echo "the pool placement changed between two identical runs"; return 1; }
+    echo "  stealing: every pool mapped batches, steals reported, placement stable"
 
     # An elastic daemon asked for more shards than its reference has
     # bases: the index clamps to its non-empty coordinate ranges, and the

@@ -6,11 +6,9 @@
 //! and the modeled per-HBM-channel accelerator occupancy those shard
 //! streams imply (`segram_hw::simulate_sharded_pipeline`).
 
-use std::sync::{Arc, Mutex};
-
 use segram_core::{
-    elastic_route, EngineOptions, MapEngine, ReadMapper, RebalanceConfig, Rebalancer, Seeder,
-    SegramConfig, SegramMapper, ShardedIndex,
+    elastic_route, EngineOptions, MapEngine, ReadMapper, Seeder, SegramConfig, SegramMapper,
+    ShardPlacement, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_hw::{simulate_sharded_pipeline, uniform_jobs};
@@ -114,19 +112,15 @@ fn bench_router_seeding(c: &mut Criterion) {
 }
 
 /// The elastic schedule as `segram map --schedule elastic` runs it: the
-/// shared route hook over a fresh placement of `index`'s shards.
+/// shared route hook over the boot placement of `index`'s shards.
 fn elastic_engine(
     index: &ShardedIndex,
     options: EngineOptions,
     threads: usize,
-    rebalance: RebalanceConfig,
-) -> (MapEngine<'_, ShardedIndex>, Arc<Mutex<Rebalancer>>) {
-    let placement = Rebalancer::for_index(index, threads, rebalance);
+) -> MapEngine<'_, ShardedIndex> {
+    let placement = ShardPlacement::for_index(index, threads);
     let pools = placement.pools();
-    let rebalancer = Arc::new(Mutex::new(placement));
-    let hook = elastic_route(Arc::clone(&rebalancer));
-    let engine = MapEngine::new(index, options.threads(threads)).with_routing(pools, hook);
-    (engine, rebalancer)
+    MapEngine::new(index, options.threads(threads)).with_routing(pools, elastic_route(placement))
 }
 
 fn bench_elastic_sched(c: &mut Criterion) {
@@ -136,12 +130,12 @@ fn bench_elastic_sched(c: &mut Criterion) {
     // Uniform mix: every simulated read once, landing across the whole
     // coordinate range. Skewed mix: two reads repeated to fill the same
     // volume — nearly every batch routes to one shard group, the case
-    // elastic scheduling (and its rebalancer) exists for.
+    // elastic scheduling exists for.
     let uniform = reads.clone();
     let skewed: Vec<DnaSeq> = (0..reads.len()).map(|i| reads[i % 2].clone()).collect();
 
-    // Small batches so one pass produces enough routing decisions (and
-    // rebalance observations) to be representative.
+    // Small batches so one pass produces enough routing decisions to be
+    // representative.
     let engine_config = EngineOptions::new().batch_size(4);
 
     let mut group = c.benchmark_group("elastic_sched_150bp");
@@ -150,8 +144,7 @@ fn bench_elastic_sched(c: &mut Criterion) {
     for (label, mix) in [("uniform", &uniform), ("skewed", &skewed)] {
         group.bench_function(BenchmarkId::new("mix", label), |b| {
             b.iter(|| {
-                let (engine, _) =
-                    elastic_engine(&sharded, engine_config.clone(), 4, Default::default());
+                let engine = elastic_engine(&sharded, engine_config.clone(), 4);
                 let (outcomes, report) = engine.map_batch(black_box(mix));
                 black_box((outcomes.len(), report.routed(), report.spilled()))
             })
@@ -161,31 +154,17 @@ fn bench_elastic_sched(c: &mut Criterion) {
 
     // Scheduling observability: single-core CI judges the elastic path by
     // these counters rather than wall-clock scaling — the routed/spilled/
-    // stolen split per mix, and whether skew provokes shard migrations
-    // under a hair-trigger rebalancer. Two workers make two pools over four shards,
-    // so each pool owns a multi-shard group and ownership has somewhere to
-    // move.
+    // stolen split per mix. Two workers make two pools over four shards,
+    // so each pool owns a multi-shard group.
     for (label, mix) in [("uniform", &uniform), ("skewed", &skewed)] {
-        let trigger = RebalanceConfig {
-            threshold: 1.2,
-            cooldown: 2,
-        };
-        let (engine, rebalancer) = elastic_engine(&sharded, engine_config.clone(), 2, trigger);
-        // Warm pass: the rebalancer reads live per-shard seed-hit
-        // counters, which only accumulate as workers map. A first pass
-        // populates them so the reported pass observes the mix's true
-        // skew from its first batch boundary.
-        sharded.reset_shard_stats();
-        let _ = engine.map_batch(mix);
-        let (_, report) = engine.map_batch(mix);
+        let (_, report) = elastic_engine(&sharded, engine_config.clone(), 2).map_batch(mix);
         println!(
-            "  info: {} mix -> {} pools, {} routed, {} spilled, {} stolen, {} migrations",
+            "  info: {} mix -> {} pools, {} routed, {} spilled, {} stolen",
             label,
             report.pools.len(),
             report.routed(),
             report.spilled(),
-            report.stolen(),
-            rebalancer.lock().expect("not poisoned").migrations()
+            report.stolen()
         );
     }
 }

@@ -83,12 +83,21 @@ impl Options {
     ///
     /// Returns [`CliError::Usage`] when the value does not parse.
     pub fn number<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(text) => text
-                .parse()
-                .map_err(|_| CliError::usage(format!("--{key}: unparsable value {text:?}"))),
-        }
+        Ok(self.optional_number(key)?.unwrap_or(default))
+    }
+
+    /// Parses `--key` as a number, if present.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::Usage`] when the value does not parse.
+    pub fn optional_number<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        self.get(key)
+            .map(|text| {
+                text.parse()
+                    .map_err(|_| CliError::usage(format!("--{key}: unparsable value {text:?}")))
+            })
+            .transpose()
     }
 
     /// Keys that were provided but never consumed by the command — used to

@@ -121,8 +121,8 @@ pub(crate) fn shard_count(options: &Options) -> Result<usize, CliError> {
 pub(crate) enum Schedule {
     /// Every worker serves every batch, in push order.
     Fanout,
-    /// Per-shard-group worker pools with routed batches, stealing and
-    /// live rebalancing (`segram_core::elastic_route`).
+    /// Per-shard-group worker pools over a boot-time shard placement,
+    /// with routed batches and stealing (`segram_core::elastic_route`).
     Elastic,
 }
 

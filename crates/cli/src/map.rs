@@ -15,13 +15,12 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufWriter, Cursor, Read, Write};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use segram_core::{
     elastic_route, gaf_record_for, sam_record_for, CancelToken, EngineOptions, EngineReport,
-    MapEngine, ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer, ShardedIndex,
+    MapEngine, ReadMapper, ReadOutcome, ShardPlacement, ShardedIndex,
 };
 use segram_filter::FilterSpec;
 use segram_graph::GenomeGraph;
@@ -75,8 +74,8 @@ OPTIONS:
                            worker schedule (default fanout: every worker
                            serves every batch). elastic gives each shard
                            group a worker pool, tags batches with their
-                           dominant shard group (idle pools steal), and
-                           rebalances shard ownership live; output bytes are
+                           dominant shard group (idle pools steal) over a
+                           placement fixed at start; output bytes are
                            identical either way
     --preset <short|long5|long10>
                            mapper preset (default short)
@@ -410,7 +409,7 @@ impl DocSpec<'_> {
 /// Everything one engine pass produces that the report needs.
 struct EngineRun {
     /// The engine's totals, with the per-pool depth/stall/batch counters
-    /// and the migration count whatever the schedule.
+    /// whatever the schedule.
     report: EngineReport,
     /// The report's closing lines: where each document went, or the
     /// rendered document itself when no `--output` path was given.
@@ -458,7 +457,7 @@ fn create_output<'a>(
 struct MapJob<'a> {
     mapper: &'a ShardedIndex,
     /// The elastic schedule's shard placement (`None` under fanout).
-    rebalancer: Option<Arc<Mutex<Rebalancer>>>,
+    placement: Option<ShardPlacement>,
     /// Threads, strands and batch size; carries a clone of `cancel`.
     engine: EngineOptions,
     /// The run's stop flag: any failing stage pulls it.
@@ -482,7 +481,7 @@ where
 {
     let MapJob {
         mapper,
-        rebalancer,
+        placement,
         engine,
         cancel,
         reads,
@@ -490,9 +489,8 @@ where
         decode_ambiguity,
     } = job;
     let mut engine = MapEngine::new(mapper, engine);
-    if let Some(rebalancer) = rebalancer {
-        let pools = rebalancer.lock().map_or(1, |placement| placement.pools());
-        engine = engine.with_routing(pools, elastic_route(rebalancer));
+    if let Some(placement) = placement {
+        engine = engine.with_routing(placement.pools(), elastic_route(placement));
     }
     let mut decode_time = Duration::ZERO;
     let run = |raws: &mut dyn Iterator<Item = Result<RawFastqRecord, CliError>>| {
@@ -611,12 +609,12 @@ fn run_map_stream(
 }
 
 /// The per-shard section of a run's report: occupancy counters,
-/// seeding-load imbalance, and under the elastic schedule (`rebalancer`)
-/// the per-pool batch, steal and wait counters with the final placement.
+/// seeding-load imbalance, and under the elastic schedule (`placement`)
+/// the per-pool batch, steal and wait counters with each pool's shards.
 fn shard_report(
     sharded: &ShardedIndex,
     report: &EngineReport,
-    rebalancer: Option<&Rebalancer>,
+    placement: Option<&ShardPlacement>,
 ) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let mut section = String::new();
@@ -633,18 +631,16 @@ fn shard_report(
             stats.shard, stats.start, stats.end, stats.seed_hits, stats.regions, stats.wins
         );
     }
-    if let Some(rebalancer) = rebalancer {
+    if let Some(placement) = placement {
         let _ = writeln!(
             section,
-            "schedule: elastic — {} pools, {} batches routed, {} spilled, {} stolen, \
-             {} shard migrations",
+            "schedule: elastic — {} pools, {} batches routed, {} spilled, {} stolen",
             report.pools.len(),
             report.routed(),
             report.spilled(),
-            report.stolen(),
-            rebalancer.migrations()
+            report.stolen()
         );
-        for ((p, pool), shards) in report.pools.iter().enumerate().zip(rebalancer.groups()) {
+        for ((p, pool), shards) in report.pools.iter().enumerate().zip(placement.groups()) {
             let _ = writeln!(
                 section,
                 "  pool {p} -> shards {shards:?} ({} workers): {} batches \
@@ -768,14 +764,12 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
     warn_clamped_shards(shards, &mapper);
     // The elastic schedule is the fanout one plus a route hook over a
     // placement sized for the index, the same hook `segram serve` uses.
-    let rebalancer = (schedule == Schedule::Elastic).then(|| {
-        let placement = Rebalancer::for_index(&mapper, threads, RebalanceConfig::default());
-        Arc::new(Mutex::new(placement))
-    });
+    let placement =
+        (schedule == Schedule::Elastic).then(|| ShardPlacement::for_index(&mapper, threads));
     let cancel = CancelToken::new();
     let job = MapJob {
         mapper: &mapper,
-        rebalancer: rebalancer.clone(),
+        placement: placement.clone(),
         engine: EngineOptions::new()
             .threads(threads)
             .both_strands(options.switch("both-strands"))
@@ -839,10 +833,7 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
     // One shard under the default schedule has nothing to break down.
     let breakdown = shards > 1 || schedule == Schedule::Elastic;
     if breakdown {
-        let placement = rebalancer
-            .as_ref()
-            .map(|r| r.lock().unwrap_or_else(PoisonError::into_inner));
-        report.push_str(&shard_report(&mapper, &stats, placement.as_deref()));
+        report.push_str(&shard_report(&mapper, &stats, placement.as_ref()));
     }
     report.push_str(&run.output);
     Ok(report)
@@ -853,6 +844,7 @@ mod tests {
     use super::*;
     use segram_io::{bgzf_compress, bgzf_member, BGZF_EOF};
     use segram_testkit::prelude::*;
+    use std::sync::{Arc, Mutex};
 
     /// A sink the test can still read once the writer that owned it is
     /// gone, and that reports a full disk after `ok_writes` writes.

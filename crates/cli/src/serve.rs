@@ -54,7 +54,7 @@ use std::time::Duration;
 
 use segram_core::{
     elastic_route, DeltaSwapReport, EngineOptions, MultiEngine, PoolReport, Priority,
-    QueueDelayStats, ReadMapper, RebalanceConfig, Rebalancer, RequestHandle, ShardedIndex,
+    QueueDelayStats, ReadMapper, RequestHandle, ShardPlacement, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{Ambiguity, FastqReader, FastqRecord};
@@ -108,8 +108,8 @@ OPTIONS:
                            serve every request batch). elastic splits the
                            workers into per-shard-group pools, routes each
                            request batch to the pool owning its dominant
-                           shard group (idle pools steal), and rebalances
-                           shard ownership from live seed-hit counters
+                           shard group (idle pools steal) over a placement
+                           fixed at boot
     --queue-depth <int>    per-request input-queue capacity in batches
                            (default 2 x threads)
     --max-queued <int>     total queued batches before new requests are
@@ -446,11 +446,10 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
     };
     // The elastic schedule is the same engine plus a route hook over a
     // placement sized for the boot index.
-    let rebalancer = (schedule == Schedule::Elastic)
-        .then(|| Rebalancer::for_index(&index, threads, RebalanceConfig::default()));
-    let pools = rebalancer.as_ref().map_or(1, Rebalancer::pools);
-    let rebalancer = rebalancer.map(|boot| Arc::new(Mutex::new(boot)));
-    let route = rebalancer.as_ref().map(|r| elastic_route(Arc::clone(r)));
+    let placement =
+        (schedule == Schedule::Elastic).then(|| ShardPlacement::for_index(&index, threads));
+    let pools = placement.as_ref().map_or(1, ShardPlacement::pools);
+    let route = placement.map(elastic_route);
     let engine = MultiEngine::with_routing(index, seq_of, engine_options, pools, route);
     run_daemon(
         options,
@@ -458,7 +457,6 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
         index_path,
         boot_label,
         reload,
-        rebalancer,
         client_timeout,
     )
 }
@@ -494,7 +492,6 @@ fn run_daemon(
     index_path: &str,
     boot_label: String,
     reload: impl Fn(&str, &ShardedIndex) -> Result<ReloadOutcome, CliError> + Send + Sync,
-    rebalancer: Option<Arc<Mutex<Rebalancer>>>,
     client_timeout: Duration,
 ) -> Result<String, CliError> {
     let quiet = options.switch("quiet");
@@ -572,15 +569,10 @@ fn run_daemon(
         stats.clean_shards.load(Ordering::Relaxed)
     );
     if pools.len() > 1 {
-        let migrations = rebalancer
-            .as_ref()
-            .and_then(|r| r.lock().ok().map(|r| r.migrations()))
-            .unwrap_or(0);
         let sum = |count: fn(&PoolReport) -> u64| pools.iter().map(count).sum::<u64>();
         let _ = writeln!(
             report,
-            "elastic schedule: {} pools, {} batches routed, {} spilled, {} stolen, \
-             {migrations} shard migrations",
+            "elastic schedule: {} pools, {} batches routed, {} spilled, {} stolen",
             pools.len(),
             sum(|p| p.routed),
             sum(|p| p.spilled),
@@ -979,13 +971,8 @@ pub fn request(options: &Options) -> Result<String, CliError> {
             "unknown priority {priority:?} (expected interactive|normal|bulk)"
         )));
     }
-    let deadline_ms: Option<u64> =
-        match options.get("deadline-ms") {
-            Some(text) => Some(text.parse().map_err(|_| {
-                CliError::usage(format!("--deadline-ms: unparsable value {text:?}"))
-            })?),
-            None => None,
-        };
+    let deadline_ms: Option<u64> = options.optional_number("deadline-ms")?;
+    let cancel_after: Option<usize> = options.optional_number("cancel-after")?;
     let payload = std::fs::read(reads_path).map_err(|e| CliError::io(reads_path, e))?;
 
     // QoS fields need the v2 header; plain requests stay on the v1 form so
@@ -1010,10 +997,7 @@ pub fn request(options: &Options) -> Result<String, CliError> {
             .write_all(header.as_bytes())
             .map_err(|e| CliError::io(addr, e))?;
 
-        if let Some(text) = options.get("cancel-after") {
-            let cut: usize = text.parse().map_err(|_| {
-                CliError::usage(format!("--cancel-after: unparsable value {text:?}"))
-            })?;
+        if let Some(cut) = cancel_after {
             let cut = cut.min(payload.len());
             writer
                 .write_all(&payload[..cut])
@@ -1128,14 +1112,13 @@ mod tests {
 
     #[test]
     fn the_route_hook_decides_exactly_as_the_map_schedule_does() {
-        // Same batch, same rebalancer state: the one elastic hook (both
-        // `segram map` and the daemon route by it) must decide exactly as
-        // the policy it wraps, batch after batch, as ownership evolves.
+        // Same batch, same placement: the one elastic hook (both `segram
+        // map` and the daemon route by it) must decide exactly as the
+        // policy it wraps, batch after batch.
         let dataset = segram_sim::DatasetConfig::tiny(61).illumina(100);
         let index = native_index(dataset.graph(), 4);
-        let boot = || Rebalancer::for_index(&index, 4, RebalanceConfig::default());
-        let hook = elastic_route(Arc::new(Mutex::new(boot())));
-        let mut map_side = boot();
+        let placement = ShardPlacement::for_index(&index, 4);
+        let hook = elastic_route(placement.clone());
         let records: Vec<FastqRecord> = dataset
             .reads
             .iter()
@@ -1144,7 +1127,7 @@ mod tests {
         let reads: Vec<&DnaSeq> = records.iter().map(|r| &r.seq).collect();
         let mut routed = 0;
         for batch in reads.chunks(3) {
-            let expected = route_batch(&index, &mut map_side, batch.iter().copied());
+            let expected = route_batch(&index, &placement, batch.iter().copied());
             assert_eq!(hook(&index, batch), expected);
             routed += usize::from(expected.is_some());
         }
@@ -1155,37 +1138,22 @@ mod tests {
     }
 
     #[test]
-    fn after_a_reload_the_route_hook_lets_the_boot_index_go_and_observes_the_new_one() {
-        // A repeat-free reference, so a read's seed hits sit where it came
-        // from and nowhere else.
-        let reference = segram_sim::generate_reference(&segram_sim::GenomeConfig {
-            len: 8_000,
-            gc_content: 0.5,
-            repeat_count: 0,
-            repeat_len: 0,
-            seed: 61,
-        });
-        let graph = segram_graph::linear_graph(&reference, 64).expect("non-empty reference");
-        let reads_from = |starts: std::ops::Range<usize>, stride: usize| -> Vec<FastqRecord> {
-            starts
-                .step_by(stride)
-                .map(|at| record_of(at, reference.slice(at, at + 100)))
-                .collect()
-        };
-        let boot = native_index(&graph, 4);
+    fn after_a_reload_the_route_hook_lets_the_boot_index_go() {
+        let dataset = segram_sim::DatasetConfig::tiny(61).illumina(100);
+        let records: Vec<FastqRecord> = dataset
+            .reads
+            .iter()
+            .map(|read| record_of(read.id as usize, read.seq.clone()))
+            .collect();
+        let boot = native_index(dataset.graph(), 4);
         let boot_weak = Arc::downgrade(&boot);
-        // A hair-trigger rebalancer: any skew it gets to see migrates.
-        let trigger = RebalanceConfig {
-            threshold: 1.2,
-            cooldown: 0,
-        };
-        let rebalancer = Arc::new(Mutex::new(Rebalancer::for_index(&boot, 2, trigger)));
+        let placement = ShardPlacement::for_index(&boot, 2);
         let engine = MultiEngine::with_routing(
             boot,
             seq_of,
             EngineOptions::new().threads(2),
             2,
-            Some(elastic_route(Arc::clone(&rebalancer))),
+            Some(elastic_route(placement)),
         );
         let push_all = |records: &[FastqRecord]| {
             let request = engine.open().expect("engine admits");
@@ -1200,10 +1168,9 @@ mod tests {
             request.finish().expect("no panic");
         };
         // A request in flight across the swap finishes on the boot index,
-        // the only thing that may keep it alive. Its reads are spread over
-        // the reference: the counters it leaves there show no skew.
-        let in_flight = push_all(&reads_from(0..7_900, 1_000));
-        let next = native_index(&graph, 4);
+        // the only thing that may keep it alive.
+        let in_flight = push_all(&records);
+        let next = native_index(dataset.graph(), 4);
         engine.swap_mapper(Arc::clone(&next));
         assert!(boot_weak.upgrade().is_some(), "the open request maps on it");
         complete(in_flight);
@@ -1216,19 +1183,10 @@ mod tests {
             boot_weak.upgrade().is_none(),
             "with its last request finished, nothing may keep the boot index alive"
         );
-        // Every read from shard 0's quarter: the new index's counters
-        // skew, and the next batch boundary has to show the rebalancer that.
-        let skewed = reads_from(0..1_800, 100);
-        complete(push_all(&skewed));
-        complete(push_all(&skewed));
-        let stats = next.shard_stats();
-        let elsewhere: u64 = stats[1..].iter().map(|shard| shard.seed_hits).sum();
-        assert!(
-            stats[0].seed_hits > 4 * elsewhere.max(1),
-            "workers count on the request's own index: {stats:?}"
-        );
-        let migrations = rebalancer.lock().expect("not poisoned").migrations();
-        assert!(migrations > 0, "the rebalancer never saw the live counters");
+        // Requests after the swap map on, and are counted by, the new index.
+        complete(push_all(&records));
+        let hits: u64 = next.shard_stats().iter().map(|shard| shard.seed_hits).sum();
+        assert!(hits > 0, "workers count on the request's own index");
         engine.shutdown();
     }
 

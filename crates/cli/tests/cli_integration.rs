@@ -277,6 +277,29 @@ fn usage_errors_are_reported_with_exit_code_2() {
     assert_eq!(err.exit_code(), 2);
 }
 
+#[test]
+fn request_values_are_checked_before_the_payload_or_the_socket_is_touched() {
+    // The reads file does not exist and nothing listens on the address:
+    // an unparsable value must still be the error the caller sees.
+    let dir = TempDir::new("request-usage");
+    let reads = dir.path("missing.fq");
+    for flag in ["--cancel-after", "--deadline-ms"] {
+        let args = [
+            "request",
+            "--addr",
+            "127.0.0.1:9",
+            "--reads",
+            &reads,
+            flag,
+            "abc",
+        ];
+        let err = run(&args).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{flag}: {err}");
+        let expected = format!("{flag}: unparsable value");
+        assert!(err.to_string().contains(&expected), "{flag}: {err}");
+    }
+}
+
 /// Runs `construct` and `index build` over `two.fa` with the given VCF
 /// and `--chrom`, returning both outcomes.
 fn construct_and_build(
@@ -778,6 +801,44 @@ fn batches_are_counted_in_reads_on_plain_and_bgzf_input_alike() {
         .count();
     assert!(report.contains("schedule: elastic — 2 pools"), "{report}");
     assert_eq!(idle_pools, 0, "{report}");
+}
+
+#[test]
+fn elastic_pools_own_the_boot_placement_of_the_index() {
+    // The placement is the paper's greedy size-balanced rule over the
+    // shards' memory bytes, computed once: the report's groups are that
+    // rule's answer for the same graph, whatever the workers did. One-read
+    // batches make 200 route decisions, each a chance to move a shard.
+    let dir = TempDir::new("placement");
+    let prefix = dir.path("p");
+    let args = "--length 100000 --reads 200 --read-len 100 --seed 3";
+    let mut simulate = vec!["simulate", "--out-prefix", &prefix];
+    simulate.extend(args.split(' '));
+    run(&simulate).expect("simulate");
+    let (gfa, fq) = (format!("{prefix}.gfa"), format!("{prefix}.fq"));
+    let out = dir.path("out.sam");
+    let elastic = "--schedule elastic --shards 4 --threads 2 --batch-size 1 --both-strands";
+    let mut map = vec!["map", "--graph", &gfa, "--reads", &fq, "--output", &out];
+    map.extend(elastic.split(' '));
+    let report = run(&map).expect("map");
+    let reported: Vec<&str> = report
+        .lines()
+        .filter_map(|line| line.trim_start().strip_prefix("pool "))
+        .filter_map(|line| line.split_once(" -> shards ")?.1.split_once(" ("))
+        .map(|(shards, _)| shards)
+        .collect();
+
+    let graph = segram_graph::gfa::from_gfa(&fs::read_to_string(&gfa).unwrap()).unwrap();
+    let config = segram_core::SegramConfig::short_reads();
+    let index = segram_core::ShardedIndex::build(graph, config, 4);
+    let expected: Vec<String> = segram_core::balance_loads(&index.shard_loads(), 2)
+        .into_iter()
+        .map(|mut group| {
+            group.sort_unstable();
+            format!("{group:?}")
+        })
+        .collect();
+    assert_eq!(reported, expected, "{report}");
 }
 
 /// Usage errors of the backend choice through the *built binary* (exit

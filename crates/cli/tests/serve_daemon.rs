@@ -490,7 +490,6 @@ fn elastic_daemon_replies_match_one_shot_and_reports_pools() {
     let (prefix, sgi) = build_bundle(&dir);
     let report = elastic_daemon_round_trip(&dir, &sgi, &format!("{prefix}.fq"), "4");
     assert!(report.contains("elastic schedule: 4 pools"), "{report}");
-    assert!(report.contains("shard migrations"), "{report}");
 }
 
 #[test]

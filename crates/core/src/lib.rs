@@ -70,8 +70,7 @@ pub use pipeline::{
     elastic_route, gaf_record_for, route_batch, sam_record_for, Aligner, BitAlignStage,
     CancelToken, EngineBusy, EngineOptions, EngineReport, MapEngine, MapPipeline, MinSeedStage,
     MultiEngine, PoolReport, Prefilter, Priority, QueueDelayStats, QueueStats, ReadOutcome,
-    RebalanceConfig, Rebalancer, RequestHandle, RequestPanicked, RouteHook, Seeder, ShardRouter,
-    SpecPrefilter,
+    RequestHandle, RequestPanicked, RouteHook, Seeder, ShardPlacement, ShardRouter, SpecPrefilter,
 };
 pub use sam::{mapq_estimate, sam_document, SamRecord};
 pub use shard::{

@@ -28,9 +28,9 @@
 //!   candidate order before prefilter/alignment ([`router`]), plus
 //!   [`route_batch`], the elastic batch-to-pool policy;
 //! * [`elastic_route`] — the elastic schedule ([`elastic`]): the route
-//!   hook both engines use, over a live imbalance-driven [`Rebalancer`]
-//!   migrating shard ownership between pools — same bytes as the fanout
-//!   schedule, because it is the same scheduler;
+//!   hook both engines use, over a [`ShardPlacement`] of shards on pools
+//!   fixed at boot — same bytes as the fanout schedule, because it is the
+//!   same scheduler;
 //! * [`sam_record_for`] / [`gaf_record_for`] — render one engine outcome
 //!   into the interchange formats, shared by the CLI and the test suite.
 //!
@@ -45,7 +45,7 @@ mod multi;
 mod router;
 mod stages;
 
-pub use elastic::{elastic_route, RebalanceConfig, Rebalancer};
+pub use elastic::{elastic_route, ShardPlacement};
 pub use engine::{
     CancelToken, EngineOptions, EngineReport, MapEngine, PoolReport, QueueStats, ReadOutcome,
 };

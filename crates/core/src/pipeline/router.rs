@@ -33,7 +33,7 @@ use segram_index::{
     SeedingResult, SeedingStats,
 };
 
-use crate::pipeline::{Rebalancer, Seeder};
+use crate::pipeline::{Seeder, ShardPlacement};
 use crate::shard::{IndexShard, ShardedIndex};
 
 /// The sharded [`Seeder`]: minimizer extraction once per read, a global
@@ -109,40 +109,31 @@ fn dominant_pool(pool_hits: &[u64]) -> Option<usize> {
 
 /// The elastic route policy for one batch: sums the reads' per-shard seed
 /// hits ([`ShardRouter::route_hits`] — one minimizer extraction per read,
-/// no occupancy counter touched), folds them onto the pools that currently
-/// own those shards, and returns the pool with a strict majority — or
-/// `None` to spill a batch that straddles groups or hits nothing.
+/// no occupancy counter touched), folds them onto the pools that own
+/// those shards, and returns the pool with a strict majority — or `None`
+/// to spill a batch that straddles groups or hits nothing. A pure
+/// function of the placement and the batch.
 ///
-/// Each call is a batch boundary, so after deciding it feeds the live
-/// per-shard seed-hit counters the mapping workers are filling in to
-/// [`Rebalancer::observe`]; ownership follows the observed load. `index`
-/// is the one the batch will be mapped against — in a daemon, the
+/// `index` is the one the batch will be mapped against — in a daemon, the
 /// request's own, which a `RELOAD` may have made a different one than the
 /// placement was sized for: if its shard count differs, the placement says
-/// nothing about it and the batch spills, unobserved.
+/// nothing about it and the batch spills.
 pub fn route_batch<'r>(
     index: &ShardedIndex,
-    rebalancer: &mut Rebalancer,
+    placement: &ShardPlacement,
     reads: impl IntoIterator<Item = &'r DnaSeq>,
 ) -> Option<usize> {
-    if index.shards().len() != rebalancer.shards() {
+    if index.shards().len() != placement.shards() {
         return None;
     }
     let router = index.router();
-    let mut pool_hits = vec![0u64; rebalancer.pools()];
+    let mut pool_hits = vec![0u64; placement.pools()];
     for read in reads {
         for (shard, hits) in router.route_hits(read).into_iter().enumerate() {
-            pool_hits[rebalancer.pool_of(shard)] += hits;
+            pool_hits[placement.pool_of(shard)] += hits;
         }
     }
-    let target = dominant_pool(&pool_hits);
-    let live: Vec<u64> = index
-        .shard_stats()
-        .iter()
-        .map(|stats| stats.seed_hits)
-        .collect();
-    rebalancer.observe(&live);
-    target
+    dominant_pool(&pool_hits)
 }
 
 impl Seeder for ShardRouter<'_> {
@@ -182,7 +173,6 @@ impl Seeder for ShardRouter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::RebalanceConfig;
     use crate::SegramConfig;
     use segram_sim::DatasetConfig;
 
@@ -209,14 +199,7 @@ mod tests {
         let dataset = DatasetConfig::tiny(61).illumina(100);
         let index = ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), 4);
         let reads: Vec<&DnaSeq> = dataset.reads.iter().map(|r| &r.seq).collect();
-        // A threshold nothing reaches: ownership stays at the boot
-        // placement, so decisions depend on the batch alone.
-        let still = RebalanceConfig {
-            threshold: f64::INFINITY,
-            cooldown: 0,
-        };
-        let mut a = Rebalancer::for_index(&index, 4, still);
-        let mut b = Rebalancer::for_index(&index, 4, still);
+        let placement = ShardPlacement::for_index(&index, 4);
         let router = index.router();
         for read in &reads {
             // One read's hits sit (almost always) in one shard: the batch
@@ -226,20 +209,18 @@ mod tests {
             let expected = hits
                 .iter()
                 .position(|&h| 2 * h > total)
-                .map(|shard| a.pool_of(shard));
-            let routed = route_batch(&index, &mut a, [*read]);
+                .map(|shard| placement.pool_of(shard));
+            let routed = route_batch(&index, &placement, [*read]);
             assert_eq!(routed, expected, "hits {hits:?}");
-            // Same batch, same rebalancer state: same decision — what the
-            // `map` shell and the `serve` hook rely on by both calling
-            // this routine.
-            assert_eq!(route_batch(&index, &mut b, [*read]), routed);
+            // Same batch, same placement: same decision, however often.
+            assert_eq!(route_batch(&index, &placement, [*read]), routed);
         }
         // An empty batch has no hits: spill.
-        assert_eq!(route_batch(&index, &mut a, []), None);
+        assert_eq!(route_batch(&index, &placement, []), None);
         // An index the placement was not sized for spills too, whatever
-        // the batch holds, and is not observed.
+        // the batch holds.
         let other = ShardedIndex::build(dataset.graph().clone(), SegramConfig::short_reads(), 3);
-        assert_eq!(route_batch(&other, &mut a, reads.iter().copied()), None);
+        assert_eq!(route_batch(&other, &placement, reads.iter().copied()), None);
         // The pre-route pass records nothing into the occupancy counters.
         assert!(index.shard_stats().iter().all(|s| s.seed_hits == 0));
     }

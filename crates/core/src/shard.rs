@@ -21,10 +21,11 @@
 //!
 //! The same greedy size-balanced placement the paper uses to distribute
 //! chromosomes over memory channels ([`balance_loads`]) places shards on
-//! the elastic schedule's worker pools ([`Rebalancer`](crate::Rebalancer),
-//! behind [`elastic_route`](crate::elastic_route)), which then migrates
-//! ownership live as the observed seeding load drifts. The fanout schedule
-//! has no placement: every worker serves every shard.
+//! the elastic schedule's worker pools once, at boot
+//! ([`ShardPlacement`](crate::ShardPlacement), behind
+//! [`elastic_route`](crate::elastic_route)); idle pools steal rather than
+//! shards moving. The fanout schedule has no placement: every worker
+//! serves every shard.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,7 +49,7 @@ use crate::pipeline::{BitAlignStage, MapPipeline, ShardRouter, SpecPrefilter};
 ///
 /// This is the paper's Section 8.3 placement rule (chromosomes → memory
 /// channels); here it places shards on the elastic schedule's worker
-/// pools ([`Rebalancer`](crate::pipeline::Rebalancer)).
+/// pools ([`ShardPlacement`](crate::pipeline::ShardPlacement)).
 ///
 /// # Panics
 ///

@@ -2,10 +2,8 @@
 //! the SAM and GAF documents produced through per-shard-group pools are
 //! byte-identical to the single-threaded fanout documents —
 //!
-//! * across shard counts {1, 2, 4} x thread counts {1, 4} with an
-//!   aggressive rebalancer configuration, so shard migrations happen
-//!   *during* the runs being compared (migrations move shard ownership
-//!   between pools; they must never move bytes in the output), and
+//! * across shard counts {1, 2, 4} x thread counts {1, 4} over the boot
+//!   placement `segram map` and `segram serve` route by, and
 //! * across pool counts {1, 2, 4} x thread counts {1, 4} under routes
 //!   nobody would choose — everything to pool 0, round-robin, always
 //!   spill, seeded random including out-of-range answers — because the
@@ -13,11 +11,11 @@
 //!   reorder buffer whichever worker maps it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use segram_core::{
     elastic_route, gaf_record_for, sam_record_for, EngineOptions, MapEngine, ReadMapper,
-    ReadOutcome, RebalanceConfig, Rebalancer, RouteHook, SegramConfig, SegramMapper, ShardedIndex,
+    ReadOutcome, RouteHook, SegramConfig, SegramMapper, ShardPlacement, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{GafWriter, SamWriter};
@@ -106,16 +104,10 @@ proptest! {
             let graph = dataset.graph().clone();
             let index = ShardedIndex::build(graph, config, shards);
             for threads in [1usize, 4] {
-                // A hair-trigger rebalancer (threshold just above 1.0,
-                // one-observation cooldown) so ownership migrates mid-run,
-                // behind the route hook `segram map` and `segram serve` use.
-                let trigger = RebalanceConfig {
-                    threshold: 1.05,
-                    cooldown: 1,
-                };
-                let rebalancer = Rebalancer::for_index(&index, threads, trigger);
-                let pools = rebalancer.pools();
-                let hook = elastic_route(Arc::new(Mutex::new(rebalancer)));
+                // The route hook `segram map` and `segram serve` use.
+                let placement = ShardPlacement::for_index(&index, threads);
+                let pools = placement.pools();
+                let hook = elastic_route(placement);
                 let engine = MapEngine::new(&index, options(threads, both_strands))
                     .with_routing(pools, hook);
                 let (sam, gaf) = documents(&index, |sink| {

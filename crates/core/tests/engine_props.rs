@@ -8,11 +8,9 @@
 //! whatever carried it: records framed out of a few large BGZF members
 //! batch, map and spread over workers exactly as the plain records do.
 
-use std::sync::{Arc, Mutex};
-
 use segram_core::{
     elastic_route, gaf_record_for, sam_record_for, EngineOptions, EngineReport, MapEngine,
-    ReadMapper, ReadOutcome, RebalanceConfig, Rebalancer, SegramConfig, SegramMapper, ShardedIndex,
+    ReadMapper, ReadOutcome, SegramConfig, SegramMapper, ShardPlacement, ShardedIndex,
 };
 use segram_filter::FilterSpec;
 use segram_graph::DnaSeq;
@@ -129,17 +127,13 @@ fn bgzf_sourced_records_batch_and_spread_like_plain_ones() {
     assert_eq!(bgzf_report.reads, records.len());
     assert_eq!(placements(&bgzf_outcomes), placements(&plain_outcomes));
 
-    // Elastic, with a rebalancer that never moves a shard, so which pool a
-    // majority batch routes to depends on the batch alone.
-    let still = RebalanceConfig {
-        threshold: f64::INFINITY,
-        cooldown: 0,
-    };
-    let rebalancer = Rebalancer::for_index(&index, 2, still);
-    let pools = rebalancer.pools();
+    // Elastic: the placement is fixed, so which pool a majority batch
+    // routes to depends on the batch alone.
+    let placement = ShardPlacement::for_index(&index, 2);
+    let pools = placement.pools();
     let mut outcomes = Vec::new();
     let report = MapEngine::new(&index, options())
-        .with_routing(pools, elastic_route(Arc::new(Mutex::new(rebalancer))))
+        .with_routing(pools, elastic_route(placement))
         .map_stream(
             bgzf_source(),
             |record| &record.seq,
