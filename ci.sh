@@ -801,8 +801,9 @@ incremental_index() {
     echo "  $(grep 'touched' "$d.update.log")"
 
     # Payload identity against the scratch build over the combined VCF:
-    # the changelog identity is the fnv1a64 of the encoded GRAPH + INDEX
-    # payloads, so equal identities mean byte-equal mapping state.
+    # the changelog identity is FNV-1a over the two section checksums the
+    # table records for the GRAPH and INDEX payloads, so equal identities
+    # mean byte-equal mapping state.
     "$SEGRAM" index build --reference "$d.fa" --vcf "$d.vcf" \
         --output "$d-scratch.sgi" > /dev/null || return 1
     local id_v2 id_scratch

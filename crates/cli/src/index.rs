@@ -12,8 +12,8 @@ use std::fs;
 use segram_core::{SegramConfig, ShardedIndex};
 use segram_graph::{build_graph, gfa, ConstructedGraph, DnaSeq, VariantSet};
 use segram_index::{
-    decode_index, frequency_threshold, initial_changelog, read_index_file, section_table,
-    update_store, write_index_file, GraphIndex, IndexProvenance, MinimizerScheme, PersistedIndex,
+    frequency_threshold, initial_changelog, read_index_file, read_section_table, update_store,
+    write_index_file, GraphIndex, IndexProvenance, MinimizerScheme, PersistedIndex,
     INDEX_FORMAT_VERSION,
 };
 use segram_io::{read_fasta, read_vcf, VcfOptions};
@@ -428,18 +428,17 @@ pub(crate) fn index_inspect(options: &Options) -> Result<String, CliError> {
     }
     options.reject_unknown(&["index"])?;
     let path = options.require("index")?;
-    // One read, one decode: the section table and the loaded store both
-    // come from this buffer, through the parser that owns the layout.
-    let bytes = fs::read(path).map_err(|e| CliError::io(path, e))?;
-    let table = section_table(&bytes).map_err(|e| CliError::index(path, e))?;
-    let loaded = decode_index(&bytes).map_err(|e| CliError::index(path, e))?;
+    // The header alone for the table, then the streaming load: the store
+    // is never held as one buffer.
+    let table = read_section_table(path).map_err(|e| CliError::index(path, e))?;
+    let loaded = read_index_file(path).map_err(|e| CliError::index(path, e))?;
+    let file_len = fs::metadata(path).map_err(|e| CliError::io(path, e))?.len();
 
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "{path}: format v{}, {} bytes",
-        table.version,
-        bytes.len()
+        "{path}: format v{}, {file_len} bytes",
+        table.version
     );
     for section in &table.sections {
         let _ = writeln!(

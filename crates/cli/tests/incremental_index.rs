@@ -78,8 +78,8 @@ fn simulate_and_split(dir: &TempDir) -> String {
 }
 
 /// Extracts the stamped changelog identity from an `index inspect`
-/// report — the fnv1a64 over the encoded GRAPH + INDEX payloads, i.e.
-/// byte-identity of everything mapping consumes.
+/// report — FNV-1a over the recorded GRAPH and INDEX section checksums,
+/// i.e. byte-identity of everything mapping consumes.
 fn inspect_identity(report: &str) -> String {
     let line = report
         .lines()

@@ -3,6 +3,7 @@
 //! Figure 5 and for memory-footprint accounting).
 
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 
 use crate::{Base, GraphError};
@@ -128,9 +129,21 @@ impl DnaSeq {
     /// representation (Section 5), shared by [`PackedSeq`] and the `.sgi`
     /// store.
     pub fn pack_into(&self, out: &mut Vec<u8>) {
-        let quads = self.bases.chunks_exact(4);
+        self.pack_range_into(0..self.len(), out);
+    }
+
+    /// Appends the packed form of the bases in `range` alone. Ranges that
+    /// start at multiples of four concatenate to [`Self::pack_into`]'s
+    /// bytes, so a long sequence can be packed a piece at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds.
+    pub fn pack_range_into(&self, range: Range<usize>, out: &mut Vec<u8>) {
+        let bases = &self.bases[range];
+        let quads = bases.chunks_exact(4);
         let tail = quads.remainder();
-        out.reserve(self.bases.len().div_ceil(4));
+        out.reserve(bases.len().div_ceil(4));
         out.extend(
             quads.map(|q| q[0].code() | q[1].code() << 2 | q[2].code() << 4 | q[3].code() << 6),
         );
@@ -144,20 +157,37 @@ impl DnaSeq {
     }
 
     /// Unpacks the first `len` bases of a 2-bit packed buffer (the inverse
-    /// of [`Self::pack_into`]), a byte — four bases — per table lookup.
+    /// of [`Self::pack_into`]) into an exactly-sized sequence.
     ///
     /// # Panics
     ///
     /// Panics when `packed` holds fewer than `len` bases.
     pub fn from_packed(packed: &[u8], len: usize) -> DnaSeq {
+        let mut seq = Self::with_capacity(len);
+        seq.extend_from_packed(packed, len);
+        seq
+    }
+
+    /// Appends the first `len` bases of a 2-bit packed buffer, a byte —
+    /// four bases — per table lookup. A sequence that arrives in packed
+    /// pieces, each but the last a whole number of bytes, is rebuilt by
+    /// one call per piece.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `packed` holds fewer than `len` bases.
+    pub fn extend_from_packed(&mut self, packed: &[u8], len: usize) {
         assert!(len <= packed.len() * 4, "packed buffer shorter than len");
-        let packed = &packed[..len.div_ceil(4)];
-        let mut bases = vec![Base::A; packed.len() * 4];
-        for (quad, &byte) in bases.chunks_exact_mut(4).zip(packed) {
+        let (whole, tail) = (len / 4, len % 4);
+        let start = self.bases.len();
+        self.bases.resize(start + whole * 4, Base::A);
+        for (quad, &byte) in self.bases[start..].chunks_exact_mut(4).zip(packed) {
             quad.copy_from_slice(&UNPACKED[byte as usize]);
         }
-        bases.truncate(len);
-        DnaSeq { bases }
+        if tail > 0 {
+            self.bases
+                .extend_from_slice(&UNPACKED[packed[whole] as usize][..tail]);
+        }
     }
 }
 

@@ -99,18 +99,24 @@ impl GraphIndex {
             run.sort_unstable_by_key(|&(hash, pos)| (hash.rotate_right(bucket_bits), pos));
         }
         let pairs = runs.iter().map(Vec::len).sum();
-        Self::from_sorted(scheme, bucket_bits, pairs, runs.into_iter().flatten())
+        Self::from_sorted(
+            scheme,
+            bucket_bits,
+            (pairs, pairs),
+            runs.into_iter().flatten(),
+        )
     }
 
-    /// Assembles the three levels from a stream of about `expected` `(hash,
-    /// location)` pairs in `(bucket, hash, location)` order.
+    /// Assembles the three levels from a stream of `(hash, location)` pairs
+    /// in `(bucket, hash, location)` order, into second and third levels
+    /// of about `capacity` = `(minimizers, locations)` entries.
     fn from_sorted(
         scheme: MinimizerScheme,
         bucket_bits: u32,
-        expected: usize,
+        capacity: (usize, usize),
         seeds: impl Iterator<Item = (u64, GraphPos)>,
     ) -> Self {
-        let mut index = Self::unsealed(scheme, bucket_bits, expected);
+        let mut index = Self::unsealed(scheme, bucket_bits, capacity);
         seeds.for_each(|seed| index.push_seed(seed));
         index.sealed()
     }
@@ -119,13 +125,14 @@ impl GraphIndex {
     /// [`Self::build`], [`Self::apply_delta`] and the splits:
     /// [`Self::push_seed`] fills the second and third level and the first up
     /// to the latest minimizer's bucket, [`Self::sealed`] the rest of it.
-    fn unsealed(scheme: MinimizerScheme, bucket_bits: u32, expected: usize) -> Self {
+    /// `capacity` is `(minimizers, locations)`.
+    fn unsealed(scheme: MinimizerScheme, bucket_bits: u32, capacity: (usize, usize)) -> Self {
         Self {
             scheme,
             bucket_bits,
             bucket_starts: Vec::with_capacity((1usize << bucket_bits) + 1),
-            minimizers: Vec::with_capacity(expected),
-            locations: Vec::with_capacity(expected),
+            minimizers: Vec::with_capacity(capacity.0),
+            locations: Vec::with_capacity(capacity.1),
         }
     }
 
@@ -232,9 +239,10 @@ impl GraphIndex {
     /// (i.e. `graph` is not the graph this index was built from).
     pub fn split_by_ranges(&self, graph: &GenomeGraph, boundaries: &[u64]) -> Vec<GraphIndex> {
         let owner = shard_owner(graph, boundaries);
-        let share = self.locations.len() / (boundaries.len() - 1);
-        let mut shards: Vec<GraphIndex> = (1..boundaries.len())
-            .map(|_| Self::unsealed(self.scheme, self.bucket_bits, share))
+        let mut shards: Vec<GraphIndex> = self
+            .shard_sizes(boundaries.len() - 1, &owner)
+            .into_iter()
+            .map(|capacity| Self::unsealed(self.scheme, self.bucket_bits, capacity))
             .collect();
         // A filter of the `(bucket, hash, location)`-ordered walk keeps
         // that order: no shard needs a re-sort.
@@ -263,9 +271,29 @@ impl GraphIndex {
         let owner = shard_owner(graph, boundaries);
         let shards = boundaries.len() - 1;
         assert!(shard < shards, "shard {shard} out of {shards}");
+        let capacity = self.shard_sizes(shards, &owner)[shard];
         let kept = self.seeds().filter(|&(_, loc)| owner(loc) == shard);
-        let share = self.locations.len() / shards;
-        Self::from_sorted(self.scheme, self.bucket_bits, share, kept)
+        Self::from_sorted(self.scheme, self.bucket_bits, capacity, kept)
+    }
+
+    /// Every shard's exact level sizes under `owner`, `(minimizers,
+    /// locations)`, from one counting walk — so a split allocates each
+    /// level once, at its final size, instead of growing it by pushes.
+    fn shard_sizes(&self, shards: usize, owner: impl Fn(GraphPos) -> usize) -> Vec<(usize, usize)> {
+        let mut sizes = vec![(0, 0); shards];
+        // The last minimizer each shard counted an entry for.
+        let mut counted = vec![usize::MAX; shards];
+        for (m, entry) in self.minimizers.iter().enumerate() {
+            for &loc in &self.locations[entry.loc_start as usize..][..entry.loc_count as usize] {
+                let shard = owner(loc);
+                sizes[shard].1 += 1;
+                if counted[shard] != m {
+                    counted[shard] = m;
+                    sizes[shard].0 += 1;
+                }
+            }
+        }
+        sizes
     }
 
     /// Every `(hash, location)` pair in `(bucket, hash, location)` order.
@@ -318,7 +346,7 @@ impl GraphIndex {
         // pairs merged in. Monotone carried maps preserve the order; the
         // debug assert in `push_seed` guards it.
         let expected = self.locations.len() + fresh.len();
-        let mut index = Self::unsealed(self.scheme, self.bucket_bits, expected);
+        let mut index = Self::unsealed(self.scheme, self.bucket_bits, (expected, expected));
         let mut fresh = fresh.into_iter().peekable();
         for (hash, loc) in self.seeds() {
             let Some(node) = carried_map[loc.node.index()] else {
@@ -650,7 +678,7 @@ mod tests {
         // Bucket order first: with four buckets hash 5 files before hash 2.
         let at = |offset| GraphPos::new(NodeId(0), offset);
         let seeds = [(5, at(0)), (2, at(1)), (6, at(2)), (6, at(1))];
-        GraphIndex::from_sorted(MinimizerScheme::new(5, 11), 2, 4, seeds.into_iter());
+        GraphIndex::from_sorted(MinimizerScheme::new(5, 11), 2, (4, 4), seeds.into_iter());
     }
 
     fn test_graph() -> GenomeGraph {
@@ -886,6 +914,9 @@ mod tests {
                     );
                     assert_eq!(got.minimizers, want.minimizers, "{bounds:?} shard {i}");
                     assert_eq!(got.locations, want.locations, "{bounds:?} shard {i}");
+                    // The counting walk sized both levels exactly.
+                    assert_eq!(got.minimizers.capacity(), got.minimizers.len());
+                    assert_eq!(got.locations.capacity(), got.locations.len());
                 }
             }
         }

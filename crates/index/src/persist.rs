@@ -14,23 +14,39 @@
 //! payloads. The version names the section checksum and nothing else:
 //! version 2 (what this build writes) records XXH64, version 1 recorded
 //! FNV-1a, and every payload byte is the same under both — one decoder
-//! reads either. Everything is little-endian via the bounds-checked
-//! [`segram_io::ByteReader`] primitives, so **loading never panics** on
-//! truncated or corrupt input — every failure mode maps to a named
-//! [`PersistError`] variant, and a loaded index additionally passes the
-//! same structural invariants [`GraphIndex::build`] guarantees (validated
-//! here so a tampered file cannot crash a later lookup).
+//! reads either. Everything is little-endian.
+//!
+//! One streaming section codec moves a store in both directions, through
+//! one 64 KiB chunk buffer. Writing, each section is encoded into the
+//! chunk, hashed and written a chunk at a time, and the header's table is
+//! filled in last. Loading reads the header and table, checks every
+//! section's extent against the file's length, then streams the sections
+//! in logical order — graph, index, meta, changelog — hashing each chunk
+//! as it arrives and decoding it straight into exactly-sized arrays. So a
+//! load peaks at the decoded store plus one chunk, and a write at the
+//! store plus one chunk: never a file-sized buffer. [`encode_index`] and
+//! [`decode_index`] run the same codec over memory.
+//!
+//! **Loading never panics** on truncated or corrupt input: every count is
+//! checked against the bytes left in its section before anything is
+//! allocated for it, every failure maps to a named [`PersistError`]
+//! variant, and a loaded index additionally passes the same structural
+//! invariants [`GraphIndex::build`] guarantees (validated here so a
+//! tampered file cannot crash a later lookup). A checksum mismatch takes
+//! precedence over any structural error: when a decode fails, the
+//! sections not yet verified are hashed to their end first, and the first
+//! one in table order whose checksum fails is what the load reports.
 
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Cursor, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use segram_graph::{
     Base, DnaSeq, GenomeGraph, GraphBuilder, GraphPos, NodeId, Variant, VariantKind, VariantSet,
 };
-use segram_io::{fnv1a64, xxh64, BinError, ByteReader, ByteWriter};
+use segram_io::{fnv1a64, BinError, ByteReader, ByteWriter, Checksum, Fnv1a64, Xxh64};
 
 use crate::index::{bucket_of, GraphIndex, MinimizerEntry};
 use crate::minimizer::{KmerOrdering, MinimizerScheme};
@@ -57,6 +73,13 @@ const TABLE_ENTRY_BYTES: usize = 4 + 8 + 8 + 8;
 /// Upper bound on the section count — far above the three we write, low
 /// enough that a corrupt count cannot drive a large allocation.
 const MAX_SECTIONS: u32 = 64;
+/// The longest header a readable store can have: magic, version, count
+/// and a full table.
+const MAX_HEADER_BYTES: usize = 8 + 4 + 4 + MAX_SECTIONS as usize * TABLE_ENTRY_BYTES;
+/// Bytes the codec reads or writes at a time, in its one chunk buffer.
+/// Below glibc's 128 KiB mmap threshold, so the buffer comes from the
+/// heap, and freeing it leaves the allocator's dynamic threshold alone.
+const CHUNK: usize = 64 * 1024;
 
 /// Everything `segram index build` persists and `segram serve` loads: the
 /// graph, its index, and the seeding metadata needed to reconstruct a
@@ -89,16 +112,19 @@ impl PersistedIndex {
     /// that names this exact store in the epoch chain. Taken from the
     /// verified changelog when it has been stamped; a store that has not
     /// been through [`encode_index`] yet (or predates the changelog) pays
-    /// an encode of both payloads for it — [`write_index_file`] returns
-    /// the identity it stamped so a caller about to write never has to.
+    /// an encode of both payloads for it, streamed into a sink —
+    /// [`write_index_file`] returns the identity it stamped so a caller
+    /// about to write never has to.
     pub fn identity(&self) -> u64 {
         match &self.changelog {
             Some(log) if log.identity != 0 => log.identity,
             _ => {
-                let checksum = |encode: &dyn Fn(&mut ByteWriter)| {
-                    let mut w = ByteWriter::new();
+                let mut sink = io::sink();
+                let mut chunk = Vec::with_capacity(CHUNK);
+                let mut checksum = |encode: &dyn Fn(&mut ByteWriter<'_>)| {
+                    let mut w = ByteWriter::new(&mut sink, &mut chunk);
                     encode(&mut w);
-                    xxh64(&w.into_bytes())
+                    w.finish().expect("the sink never fails").1
                 };
                 store_identity(
                     checksum(&|w| encode_graph(w, &self.graph)),
@@ -174,10 +200,10 @@ pub struct EpochEntry {
 /// it describes, from the two payloads' recorded section checksums (a
 /// loader has just verified them, so it hashes no payload twice).
 fn store_identity(graph_checksum: u64, index_checksum: u64) -> u64 {
-    let mut w = ByteWriter::new();
-    w.put_u64(graph_checksum);
-    w.put_u64(index_checksum);
-    fnv1a64(&w.into_bytes())
+    let mut bytes = [0u8; 16];
+    bytes[..8].copy_from_slice(&graph_checksum.to_le_bytes());
+    bytes[8..].copy_from_slice(&index_checksum.to_le_bytes());
+    fnv1a64(&bytes)
 }
 
 /// A named reason an index file could not be loaded. Loading never
@@ -285,18 +311,6 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// Maps a primitive decode error into the file-level vocabulary, tagging
-/// it with the section it happened in.
-fn from_bin(section: &'static str, err: BinError) -> PersistError {
-    match err {
-        BinError::UnexpectedEnd { offset, .. } => PersistError::Truncated { offset },
-        BinError::ImplausibleLength { offset, claimed } => PersistError::Corrupt {
-            section,
-            detail: format!("implausible element count {claimed} at byte {offset}"),
-        },
-    }
-}
-
 fn corrupt(section: &'static str, detail: impl Into<String>) -> PersistError {
     PersistError::Corrupt {
         section,
@@ -304,7 +318,38 @@ fn corrupt(section: &'static str, detail: impl Into<String>) -> PersistError {
     }
 }
 
-/// Serializes a persisted index to `.sgi` bytes.
+impl From<BinError> for PersistError {
+    /// The file-level name of a payload decode error; an implausible count
+    /// is structural corruption of the section the reader was reading.
+    fn from(err: BinError) -> Self {
+        match err {
+            BinError::UnexpectedEnd { offset, .. } => Self::Truncated { offset },
+            BinError::ImplausibleLength {
+                name,
+                offset,
+                claimed,
+            } => corrupt(
+                name,
+                format!("implausible element count {claimed} at byte {offset}"),
+            ),
+            BinError::SourceEnded { offset } => Self::Truncated {
+                offset: offset as usize,
+            },
+            BinError::Io(err) => Self::Io(err),
+        }
+    }
+}
+
+/// Fails on payload bytes the decoder did not consume.
+fn expect_end(r: &ByteReader<'_>) -> Result<(), PersistError> {
+    match r.remaining() {
+        0 => Ok(()),
+        trailing => Err(corrupt(r.name(), format!("{trailing} trailing bytes"))),
+    }
+}
+
+/// Serializes a persisted index to `.sgi` bytes — [`write_index_file`]'s
+/// codec, writing into memory.
 ///
 /// # Examples
 ///
@@ -335,53 +380,56 @@ fn corrupt(section: &'static str, detail: impl Into<String>) -> PersistError {
 /// # Ok::<(), segram_graph::GraphError>(())
 /// ```
 pub fn encode_index(persisted: &PersistedIndex) -> Vec<u8> {
-    encode_stamped(persisted).0
+    let mut out = Cursor::new(Vec::new());
+    encode_to(&mut out, persisted).expect("writing to memory never fails");
+    out.into_inner()
 }
 
-/// [`encode_index`] plus the store identity it stamped. Every payload is
-/// encoded once, straight into the file's one buffer, and hashed once: the
-/// identity is derived from the same two checksums the section table
-/// records.
-fn encode_stamped(persisted: &PersistedIndex) -> (Vec<u8>, u64) {
+/// Streams a store to `out`, which must be positioned at its start: a
+/// zeroed header, then every section encoded through one chunk buffer and
+/// hashed a chunk at a time, then the real header over the zeros. Returns
+/// the store's size and the identity stamped into its changelog, derived
+/// from the same two checksums the section table records.
+fn encode_to<W: Write + Seek>(out: &mut W, persisted: &PersistedIndex) -> io::Result<(u64, u64)> {
     let section_count = 3 + usize::from(persisted.changelog.is_some());
     let header_len = 8 + 4 + 4 + section_count * TABLE_ENTRY_BYTES;
-    let mut w = ByteWriter::new();
-    w.put_bytes(&vec![0; header_len]);
-    let mut header = ByteWriter::new();
-    header.put_bytes(&INDEX_MAGIC);
-    header.put_u32(INDEX_FORMAT_VERSION);
-    header.put_u32(section_count as u32);
-    // Appends one section's payload, files its table row, and returns
-    // its checksum.
-    let mut section = |w: &mut ByteWriter, id: u32, encode: &dyn Fn(&mut ByteWriter)| {
-        let offset = w.len();
-        encode(w);
-        let checksum = xxh64(&w.bytes_mut()[offset..]);
-        header.put_u32(id);
-        header.put_u64(offset as u64);
-        header.put_u64((w.len() - offset) as u64);
-        header.put_u64(checksum);
-        checksum
+    out.write_all(&vec![0; header_len])?;
+    let mut header = Vec::with_capacity(header_len);
+    header.extend_from_slice(&INDEX_MAGIC);
+    header.extend_from_slice(&INDEX_FORMAT_VERSION.to_le_bytes());
+    header.extend_from_slice(&(section_count as u32).to_le_bytes());
+    let mut chunk = Vec::with_capacity(CHUNK);
+    let mut offset = header_len as u64;
+    // Streams one section's payload, files its table row, and returns its
+    // checksum.
+    let mut section = |out: &mut W, id: u32, encode: &dyn Fn(&mut ByteWriter<'_>)| {
+        let mut w = ByteWriter::new(out, &mut chunk);
+        encode(&mut w);
+        let (len, checksum) = w.finish()?;
+        header.extend_from_slice(&id.to_le_bytes());
+        for field in [offset, len, checksum] {
+            header.extend_from_slice(&field.to_le_bytes());
+        }
+        offset += len;
+        io::Result::Ok(checksum)
     };
-    let graph_checksum = section(&mut w, SECTION_GRAPH, &|w| {
-        encode_graph(w, &persisted.graph)
-    });
-    let index_checksum = section(&mut w, SECTION_INDEX, &|w| {
+    let graph_checksum = section(out, SECTION_GRAPH, &|w| encode_graph(w, &persisted.graph))?;
+    let index_checksum = section(out, SECTION_INDEX, &|w| {
         encode_hash_index(w, &persisted.index)
-    });
-    section(&mut w, SECTION_META, &|w| encode_meta(w, persisted));
+    })?;
+    section(out, SECTION_META, &|w| encode_meta(w, persisted))?;
     // The identity names the payloads the changelog travels with, so it is
     // stamped here from the actual encoded bytes — callers leave
     // `identity` fields 0 on the entry they append.
     let identity = store_identity(graph_checksum, index_checksum);
     if let Some(log) = &persisted.changelog {
-        section(&mut w, SECTION_CHANGELOG, &|w| {
+        section(out, SECTION_CHANGELOG, &|w| {
             encode_changelog(w, log, identity)
-        });
+        })?;
     }
-    let mut bytes = w.into_bytes();
-    bytes[..header_len].copy_from_slice(&header.into_bytes());
-    (bytes, identity)
+    out.seek(SeekFrom::Start(0))?;
+    out.write_all(&header)?;
+    Ok((offset, identity))
 }
 
 /// One row of a store's section table, as [`section_table`] reads it.
@@ -396,7 +444,7 @@ pub struct SectionEntry {
     pub offset: u64,
     /// Payload length in bytes.
     pub len: u64,
-    /// The payload's recorded checksum ([`SectionTable::checksum`]).
+    /// The payload's recorded checksum ([`SectionTable::checksum_name`]).
     pub checksum: u64,
 }
 
@@ -408,15 +456,21 @@ pub struct SectionTable {
     /// Name of the section checksum that version records (`xxh64` for
     /// version 2, `fnv1a64` for version 1).
     pub checksum_name: &'static str,
-    /// The checksum itself.
-    pub checksum: fn(&[u8]) -> u64,
     /// One row per section, in file order.
     pub sections: Vec<SectionEntry>,
 }
 
+/// A fresh hasher for the section checksum format `version` records.
+fn checksum_of(version: u32) -> Checksum {
+    match version {
+        1 => Checksum::Fnv1a64(Fnv1a64::new()),
+        _ => Checksum::Xxh64(Xxh64::new()),
+    }
+}
+
 /// Reads the header of `.sgi` bytes — magic, format version, section
-/// table — without touching a payload. [`decode_index`] starts here, and
-/// `segram index inspect` prints the same rows.
+/// table — without touching a payload. `segram index inspect` prints the
+/// same rows from a file through [`read_section_table`].
 ///
 /// # Errors
 ///
@@ -424,28 +478,61 @@ pub struct SectionTable {
 /// [`PersistError::Truncated`] when the header itself is cut short, or
 /// [`PersistError::Corrupt`] for an implausible section count.
 pub fn section_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
-    let header = |e| from_bin("header", e);
-    let mut reader = ByteReader::new(bytes);
-    if reader.take_bytes(8).map_err(header)? != INDEX_MAGIC {
+    let mut chunk = [0; MAX_HEADER_BYTES];
+    read_table(&mut Cursor::new(bytes), bytes.len() as u64, &mut chunk)
+}
+
+/// [`section_table`] of the store at `path`, reading the header alone.
+///
+/// # Errors
+///
+/// As [`section_table`], plus [`PersistError::Io`] when the file cannot
+/// be read.
+pub fn read_section_table(path: impl AsRef<Path>) -> Result<SectionTable, PersistError> {
+    let mut file = fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    read_table(&mut file, len, &mut [0; MAX_HEADER_BYTES])
+}
+
+/// Parses the header of a store of `file_len` bytes from `src`, which must
+/// be positioned at its start — as a section of its own, so a short
+/// header is `Truncated` at the byte it ran out, like any payload.
+fn read_table(
+    src: &mut dyn Read,
+    file_len: u64,
+    chunk: &mut [u8],
+) -> Result<SectionTable, PersistError> {
+    const SECTION: &str = "header";
+    let len = file_len.min(MAX_HEADER_BYTES as u64) as usize;
+    // The header is not checksummed: the hasher only keeps the reader whole.
+    let mut r = ByteReader::new(
+        src,
+        chunk,
+        SECTION,
+        0,
+        len,
+        checksum_of(INDEX_FORMAT_VERSION),
+    );
+    if r.take::<8>()? != INDEX_MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = reader.take_u32().map_err(header)?;
+    let version = r.take_u32()?;
     // The one place the two readable versions differ.
-    let (checksum_name, checksum): (_, fn(&[u8]) -> u64) = match version {
-        1 => ("fnv1a64", fnv1a64),
-        INDEX_FORMAT_VERSION => ("xxh64", xxh64),
+    let checksum_name = match version {
+        1 => "fnv1a64",
+        INDEX_FORMAT_VERSION => "xxh64",
         found => return Err(PersistError::UnsupportedVersion { found }),
     };
-    let section_count = reader.take_u32().map_err(header)?;
+    let section_count = r.take_u32()?;
     if section_count > MAX_SECTIONS {
         return Err(corrupt(
-            "header",
+            SECTION,
             format!("section count {section_count} exceeds the maximum {MAX_SECTIONS}"),
         ));
     }
     let mut sections = Vec::with_capacity(section_count as usize);
     for _ in 0..section_count {
-        let id = reader.take_u32().map_err(header)?;
+        let id = r.take_u32()?;
         sections.push(SectionEntry {
             id,
             name: match id {
@@ -455,20 +542,20 @@ pub fn section_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
                 SECTION_CHANGELOG => "changelog",
                 _ => "unknown",
             },
-            offset: reader.take_u64().map_err(header)?,
-            len: reader.take_u64().map_err(header)?,
-            checksum: reader.take_u64().map_err(header)?,
+            offset: r.take_u64()?,
+            len: r.take_u64()?,
+            checksum: r.take_u64()?,
         });
     }
     Ok(SectionTable {
         version,
         checksum_name,
-        checksum,
         sections,
     })
 }
 
-/// Deserializes `.sgi` bytes (see [`encode_index`] for an example).
+/// Deserializes `.sgi` bytes (see [`encode_index`] for an example) —
+/// [`read_index_file`]'s codec, reading from memory.
 ///
 /// # Errors
 ///
@@ -477,70 +564,178 @@ pub fn section_table(bytes: &[u8]) -> Result<SectionTable, PersistError> {
 /// [`PersistError::ChecksumMismatch`], or [`PersistError::Corrupt`]
 /// depending on what the bytes got wrong.
 pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
-    // Each slot: the payload and its checksum, once verified.
-    let mut graph_payload: Option<(&[u8], u64)> = None;
-    let mut index_payload: Option<(&[u8], u64)> = None;
-    let mut meta_payload: Option<(&[u8], u64)> = None;
-    let mut changelog_payload: Option<(&[u8], u64)> = None;
-    let table = section_table(bytes)?;
-    for entry in table.sections {
-        let payload = section_slice(bytes, entry.offset as usize, entry.len as usize)?;
+    load(&mut Cursor::new(bytes))
+}
+
+/// Loads a persisted index from `path`, streaming it: the peak is the
+/// loaded store plus one 64 KiB chunk.
+///
+/// # Errors
+///
+/// Filesystem failures surface as [`PersistError::Io`]; malformed content
+/// surfaces as the named [`decode_index`] errors, never a panic. A file
+/// that shrinks while it is read is [`PersistError::Truncated`] at the
+/// byte it ran out.
+pub fn read_index_file(path: impl AsRef<Path>) -> Result<PersistedIndex, PersistError> {
+    load(&mut fs::File::open(path)?)
+}
+
+/// The one loader behind [`decode_index`] and [`read_index_file`].
+fn load<R: Read + Seek>(src: &mut R) -> Result<PersistedIndex, PersistError> {
+    let file_len = src.seek(SeekFrom::End(0))?;
+    src.seek(SeekFrom::Start(0))?;
+    let mut chunk = vec![0; CHUNK];
+    let table = read_table(src, file_len, &mut chunk)?;
+    let mut loader = Loader {
+        src,
+        chunk,
+        verified: vec![false; table.sections.len()],
+        table,
+    };
+    // Row of each section this build reads: graph, index, meta, changelog.
+    let mut rows = [None; 4];
+    for (row, entry) in loader.table.sections.iter().enumerate() {
+        if entry
+            .offset
+            .checked_add(entry.len)
+            .is_none_or(|end| end > file_len)
+        {
+            let err = PersistError::Truncated {
+                offset: file_len as usize,
+            };
+            return Err(loader.first_mismatch(0..row, err));
+        }
         let slot = match entry.id {
-            SECTION_GRAPH => &mut graph_payload,
-            SECTION_INDEX => &mut index_payload,
-            SECTION_META => &mut meta_payload,
-            SECTION_CHANGELOG => &mut changelog_payload,
+            SECTION_GRAPH => 0,
+            SECTION_INDEX => 1,
+            SECTION_META => 2,
+            SECTION_CHANGELOG => 3,
             // Unknown sections are skipped (bounds still verified), so a
             // future minor revision can append data old readers ignore.
             _ => continue,
         };
-        if (table.checksum)(payload) != entry.checksum {
+        if rows[slot].replace(row).is_some() {
+            let err = corrupt("header", format!("duplicate section {:?}", entry.name));
+            return Err(loader.first_mismatch(0..=row, err));
+        }
+    }
+    let every_row = 0..loader.table.sections.len();
+    let [Some(graph_row), Some(index_row), Some(meta_row), changelog_row] = rows else {
+        let missing = ["graph", "index", "meta"][rows
+            .iter()
+            .position(Option::is_none)
+            .expect("a missing section")];
+        let err = corrupt("header", format!("missing {missing} section"));
+        return Err(loader.first_mismatch(every_row, err));
+    };
+    let identity = store_identity(
+        loader.table.sections[graph_row].checksum,
+        loader.table.sections[index_row].checksum,
+    );
+    let loaded = (|| {
+        let graph = loader.decode(graph_row, decode_graph)?;
+        let index = loader.decode(index_row, |r| decode_hash_index(r, &graph))?;
+        let (discard_frac, freq_threshold, provenance) = loader.decode(meta_row, decode_meta)?;
+        let changelog = match changelog_row {
+            Some(row) => Some(loader.decode(row, |r| decode_changelog(r, identity))?),
+            None => None,
+        };
+        Ok(PersistedIndex {
+            graph,
+            index,
+            discard_frac,
+            freq_threshold,
+            changelog,
+            provenance,
+        })
+    })();
+    loaded.map_err(|err| loader.first_mismatch(every_row, err))
+}
+
+/// A load in progress: the source, its one chunk buffer, and which table
+/// rows have been verified against their checksums so far.
+struct Loader<'a, R> {
+    src: &'a mut R,
+    chunk: Vec<u8>,
+    table: SectionTable,
+    verified: Vec<bool>,
+}
+
+impl<R: Read + Seek> Loader<'_, R> {
+    fn open(&mut self, row: usize) -> Result<ByteReader<'_>, PersistError> {
+        let entry = self.table.sections[row];
+        self.src.seek(SeekFrom::Start(entry.offset))?;
+        let checksum = checksum_of(self.table.version);
+        Ok(ByteReader::new(
+            self.src,
+            &mut self.chunk,
+            entry.name,
+            entry.offset,
+            entry.len as usize,
+            checksum,
+        ))
+    }
+
+    /// Decodes table row `row` with `decode`, then checks the checksum the
+    /// read folded in on the way.
+    fn decode<T>(
+        &mut self,
+        row: usize,
+        decode: impl FnOnce(&mut ByteReader<'_>) -> Result<T, PersistError>,
+    ) -> Result<T, PersistError> {
+        let entry = self.table.sections[row];
+        let mut r = self.open(row)?;
+        let value = decode(&mut r)?;
+        if r.finish()? != entry.checksum {
             return Err(PersistError::ChecksumMismatch {
                 section: entry.name,
             });
         }
-        if slot.replace((payload, entry.checksum)).is_some() {
-            return Err(corrupt(
-                "header",
-                format!("duplicate section {:?}", entry.name),
-            ));
-        }
+        self.verified[row] = true;
+        Ok(value)
     }
-    let (graph_payload, graph_checksum) =
-        graph_payload.ok_or_else(|| corrupt("header", "missing graph section"))?;
-    let (index_payload, index_checksum) =
-        index_payload.ok_or_else(|| corrupt("header", "missing index section"))?;
-    let (meta_payload, _) =
-        meta_payload.ok_or_else(|| corrupt("header", "missing meta section"))?;
 
-    let graph = decode_graph(graph_payload)?;
-    let index = decode_hash_index(index_payload, &graph)?;
-    let (discard_frac, freq_threshold, provenance) = decode_meta(meta_payload)?;
-    let changelog = match changelog_payload {
-        Some((payload, _)) => {
-            let identity = store_identity(graph_checksum, index_checksum);
-            Some(decode_changelog(payload, identity)?)
+    /// What a load that failed with `err` reports: checksums come first, as
+    /// if every section had been verified before any was decoded. Each
+    /// known section among `rows` not yet verified is hashed to its end,
+    /// and the first in table order whose checksum fails is the error;
+    /// `err` only when all of them hold.
+    fn first_mismatch(
+        &mut self,
+        rows: impl Iterator<Item = usize>,
+        err: PersistError,
+    ) -> PersistError {
+        for row in rows {
+            let entry = self.table.sections[row];
+            if self.verified[row] || entry.name == "unknown" {
+                continue;
+            }
+            match self
+                .open(row)
+                .and_then(|r| r.finish().map_err(PersistError::from))
+            {
+                Ok(checksum) if checksum == entry.checksum => self.verified[row] = true,
+                Ok(_) => {
+                    return PersistError::ChecksumMismatch {
+                        section: entry.name,
+                    }
+                }
+                Err(read_err) => return read_err,
+            }
         }
-        None => None,
-    };
-    Ok(PersistedIndex {
-        graph,
-        index,
-        discard_frac,
-        freq_threshold,
-        changelog,
-        provenance,
-    })
+        err
+    }
 }
 
 /// Writes a persisted index to `path`, returning the file size in bytes
 /// and the store identity stamped into its changelog.
 ///
-/// The write is atomic with respect to concurrent readers: the bytes go
-/// to a same-directory temporary file that is fsynced and then renamed
-/// over `path`, so a serve daemon re-reading the file mid-write sees
-/// either the old store or the new one, never a torn prefix. On failure
-/// the temporary file is removed and `path` is left untouched.
+/// The store streams through the codec's one chunk buffer into a
+/// same-directory temporary file, which is fsynced and then renamed over
+/// `path`; the directory is fsynced after the rename, so a crash cannot
+/// lose the rename either. A serve daemon re-reading the file mid-write
+/// sees the old store or the new one, never a torn prefix. On failure the
+/// temporary file is removed and `path` is left untouched.
 ///
 /// # Errors
 ///
@@ -550,7 +745,6 @@ pub fn write_index_file(
     path: impl AsRef<Path>,
 ) -> Result<(u64, u64), PersistError> {
     let path = path.as_ref();
-    let (bytes, identity) = encode_stamped(persisted);
     let mut tmp_name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -559,40 +753,20 @@ pub fn write_index_file(
     let tmp = path.with_file_name(tmp_name);
     let staged = (|| {
         let mut file = fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        let stamped = encode_to(&mut file, persisted)?;
         file.sync_all()?;
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(stamped)
     })();
-    if let Err(err) = staged {
+    staged.map_err(|err: io::Error| {
         let _ = fs::remove_file(&tmp);
-        return Err(err.into());
-    }
-    Ok((bytes.len() as u64, identity))
+        err.into()
+    })
 }
 
-/// Loads a persisted index from `path`.
-///
-/// # Errors
-///
-/// Filesystem failures surface as [`PersistError::Io`]; malformed content
-/// surfaces as the named [`decode_index`] errors, never a panic.
-pub fn read_index_file(path: impl AsRef<Path>) -> Result<PersistedIndex, PersistError> {
-    let bytes = fs::read(path)?;
-    decode_index(&bytes)
-}
-
-/// Bounds-checks one section's extent against the whole file.
-fn section_slice(bytes: &[u8], offset: usize, len: usize) -> Result<&[u8], PersistError> {
-    let end = offset
-        .checked_add(len)
-        .filter(|&end| end <= bytes.len())
-        .ok_or(PersistError::Truncated {
-            offset: bytes.len(),
-        })?;
-    Ok(&bytes[offset..end])
-}
-
-fn encode_graph(w: &mut ByteWriter, graph: &GenomeGraph) {
+fn encode_graph(w: &mut ByteWriter<'_>, graph: &GenomeGraph) {
     w.put_u64(graph.node_count() as u64);
     for node in graph.node_ids() {
         put_seq(w, graph.seq(node));
@@ -604,38 +778,31 @@ fn encode_graph(w: &mut ByteWriter, graph: &GenomeGraph) {
     }
 }
 
-fn decode_graph(payload: &[u8]) -> Result<GenomeGraph, PersistError> {
+fn decode_graph(r: &mut ByteReader<'_>) -> Result<GenomeGraph, PersistError> {
     const SECTION: &str = "graph";
-    let bin = |e| from_bin(SECTION, e);
-    let mut r = ByteReader::new(payload);
     // A node costs at least 9 bytes (length prefix + one packed byte).
-    let node_count = r.take_count(9).map_err(bin)?;
+    let node_count = r.take_count(9)?;
     let mut builder = GraphBuilder::new();
     for n in 0..node_count {
         builder
-            .add_node(take_seq(SECTION, &mut r)?)
+            .add_node(take_seq(r)?)
             .map_err(|e| corrupt(SECTION, format!("node {n}: {e}")))?;
     }
-    let edge_count = r.take_count(8).map_err(bin)?;
+    let edge_count = r.take_count(8)?;
     for e in 0..edge_count {
-        let from = NodeId(r.take_u32().map_err(bin)?);
-        let to = NodeId(r.take_u32().map_err(bin)?);
+        let from = NodeId(r.take_u32()?);
+        let to = NodeId(r.take_u32()?);
         builder
             .add_edge(from, to)
             .map_err(|err| corrupt(SECTION, format!("edge {e} ({from} -> {to}): {err}")))?;
     }
-    if !r.is_empty() {
-        return Err(corrupt(
-            SECTION,
-            format!("{} trailing bytes", r.remaining()),
-        ));
-    }
+    expect_end(r)?;
     builder
         .finish()
         .map_err(|e| corrupt(SECTION, e.to_string()))
 }
 
-fn encode_hash_index(w: &mut ByteWriter, index: &GraphIndex) {
+fn encode_hash_index(w: &mut ByteWriter<'_>, index: &GraphIndex) {
     w.put_u64(index.scheme.w as u64);
     w.put_u64(index.scheme.k as u64);
     w.put_u8(match index.scheme.ordering {
@@ -666,26 +833,27 @@ fn encode_hash_index(w: &mut ByteWriter, index: &GraphIndex) {
 /// invariant [`GraphIndex::build`] guarantees — bucket ranges, sorted
 /// hashes, contiguous location runs, in-graph positions — so a loaded
 /// index can never panic (or silently mis-answer) a later lookup. Each
-/// level is converted in bulk into an exactly-sized array, then checked in
+/// level is decoded in bulk into an exactly-sized array, then checked in
 /// one linear pass over it.
-fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, PersistError> {
+fn decode_hash_index(
+    r: &mut ByteReader<'_>,
+    graph: &GenomeGraph,
+) -> Result<GraphIndex, PersistError> {
     const SECTION: &str = "index";
-    let bin = |e| from_bin(SECTION, e);
-    let mut r = ByteReader::new(payload);
-    let w = usize::try_from(r.take_u64().map_err(bin)?)
-        .map_err(|_| corrupt(SECTION, "scheme w overflows usize"))?;
-    let k = usize::try_from(r.take_u64().map_err(bin)?)
-        .map_err(|_| corrupt(SECTION, "scheme k overflows usize"))?;
+    let w =
+        usize::try_from(r.take_u64()?).map_err(|_| corrupt(SECTION, "scheme w overflows usize"))?;
+    let k =
+        usize::try_from(r.take_u64()?).map_err(|_| corrupt(SECTION, "scheme k overflows usize"))?;
     if w == 0 || k == 0 || k > 31 {
         return Err(corrupt(SECTION, format!("invalid scheme <w={w}, k={k}>")));
     }
-    let ordering = match r.take_u8().map_err(bin)? {
+    let ordering = match r.take_u8()? {
         0 => KmerOrdering::Hash,
         1 => KmerOrdering::Lexicographic,
         other => return Err(corrupt(SECTION, format!("unknown k-mer ordering {other}"))),
     };
     let scheme = MinimizerScheme { w, k, ordering };
-    let bucket_bits = r.take_u32().map_err(bin)?;
+    let bucket_bits = r.take_u32()?;
     if !(1..=32).contains(&bucket_bits) {
         return Err(corrupt(
             SECTION,
@@ -694,18 +862,15 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
     }
     let bucket_count = 1u64 << bucket_bits;
 
-    let starts_len = r.take_count(4).map_err(bin)?;
+    let starts_len = r.take_count(4)?;
     if starts_len as u64 != bucket_count + 1 {
         return Err(corrupt(
             SECTION,
             format!("{starts_len} bucket starts for 2^{bucket_bits} buckets"),
         ));
     }
-    let bucket_starts: Vec<u32> = r
-        .take_records(starts_len)
-        .map_err(bin)?
-        .map(|record| u32::from_le_bytes(*record))
-        .collect();
+    let bucket_starts: Vec<u32> =
+        r.take_records(starts_len, |record| u32::from_le_bytes(*record))?;
     if bucket_starts[0] != 0 {
         return Err(corrupt(SECTION, "first bucket start is not 0"));
     }
@@ -713,22 +878,19 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
         return Err(corrupt(SECTION, "bucket starts are not non-decreasing"));
     }
 
-    let minimizer_count = r.take_count(16).map_err(bin)?;
+    let minimizer_count = r.take_count(16)?;
     if *bucket_starts.last().expect("non-empty") as usize != minimizer_count {
         return Err(corrupt(
             SECTION,
             "last bucket start does not equal the minimizer count",
         ));
     }
-    let minimizers: Vec<MinimizerEntry> = r
-        .take_records::<16>(minimizer_count)
-        .map_err(bin)?
-        .map(|record| MinimizerEntry {
+    let minimizers: Vec<MinimizerEntry> =
+        r.take_records(minimizer_count, |record: &[u8; 16]| MinimizerEntry {
             hash: u64::from_le_bytes(record[..8].try_into().expect("8 bytes")),
             loc_start: u32::from_le_bytes(record[8..12].try_into().expect("4 bytes")),
             loc_count: u32::from_le_bytes(record[12..].try_into().expect("4 bytes")),
-        })
-        .collect();
+        })?;
     // Location runs must tile the third level exactly, in order.
     let mut next_loc_start = 0u64;
     for (m, entry) in minimizers.iter().enumerate() {
@@ -763,21 +925,17 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
         }
     }
 
-    let location_count = r.take_count(8).map_err(bin)?;
+    let location_count = r.take_count(8)?;
     if location_count as u64 != next_loc_start {
         return Err(corrupt(
             SECTION,
             "location count does not match the minimizer runs",
         ));
     }
-    let locations: Vec<GraphPos> = r
-        .take_records::<8>(location_count)
-        .map_err(bin)?
-        .map(|record| GraphPos {
-            node: NodeId(u32::from_le_bytes(record[..4].try_into().expect("4 bytes"))),
-            offset: u32::from_le_bytes(record[4..].try_into().expect("4 bytes")),
-        })
-        .collect();
+    let locations: Vec<GraphPos> = r.take_records(location_count, |record: &[u8; 8]| GraphPos {
+        node: NodeId(u32::from_le_bytes(record[..4].try_into().expect("4 bytes"))),
+        offset: u32::from_le_bytes(record[4..].try_into().expect("4 bytes")),
+    })?;
     for (l, &GraphPos { node, offset }) in locations.iter().enumerate() {
         if node.index() >= graph.node_count() || offset as usize >= graph.node_len(node) {
             return Err(corrupt(
@@ -786,12 +944,7 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
             ));
         }
     }
-    if !r.is_empty() {
-        return Err(corrupt(
-            SECTION,
-            format!("{} trailing bytes", r.remaining()),
-        ));
-    }
+    expect_end(r)?;
     Ok(GraphIndex {
         scheme,
         bucket_bits,
@@ -801,7 +954,7 @@ fn decode_hash_index(payload: &[u8], graph: &GenomeGraph) -> Result<GraphIndex, 
     })
 }
 
-fn encode_meta(w: &mut ByteWriter, persisted: &PersistedIndex) {
+fn encode_meta(w: &mut ByteWriter<'_>, persisted: &PersistedIndex) {
     w.put_u64(persisted.discard_frac.to_bits());
     w.put_u32(persisted.freq_threshold);
     // Provenance rides as an optional tail: pre-provenance readers saw
@@ -819,36 +972,36 @@ fn encode_meta(w: &mut ByteWriter, persisted: &PersistedIndex) {
     }
 }
 
-fn decode_meta(payload: &[u8]) -> Result<(f64, u32, Option<IndexProvenance>), PersistError> {
+fn decode_meta(
+    r: &mut ByteReader<'_>,
+) -> Result<(f64, u32, Option<IndexProvenance>), PersistError> {
     const SECTION: &str = "meta";
-    let bin = |e| from_bin(SECTION, e);
-    let mut r = ByteReader::new(payload);
-    let discard_frac = f64::from_bits(r.take_u64().map_err(bin)?);
+    let discard_frac = f64::from_bits(r.take_u64()?);
     if !(0.0..=1.0).contains(&discard_frac) {
         return Err(corrupt(
             SECTION,
             format!("discard fraction {discard_frac} not in 0..=1"),
         ));
     }
-    let freq_threshold = r.take_u32().map_err(bin)?;
-    let provenance = if r.is_empty() {
+    let freq_threshold = r.take_u32()?;
+    let provenance = if r.remaining() == 0 {
         None
     } else {
-        let version = r.take_u32().map_err(bin)?;
+        let version = r.take_u32()?;
         if version != PROVENANCE_VERSION {
             return Err(corrupt(
                 SECTION,
                 format!("unknown provenance version {version}"),
             ));
         }
-        let reference_path = take_string(SECTION, &mut r)?;
-        let vcf_count = r.take_count(8).map_err(bin)?;
+        let reference_path = take_string(r)?;
+        let vcf_count = r.take_count(8)?;
         let mut vcf_paths = Vec::with_capacity(vcf_count);
         for _ in 0..vcf_count {
-            vcf_paths.push(take_string(SECTION, &mut r)?);
+            vcf_paths.push(take_string(r)?);
         }
-        let preset = take_string(SECTION, &mut r)?;
-        let epoch = r.take_u64().map_err(bin)?;
+        let preset = take_string(r)?;
+        let epoch = r.take_u64()?;
         Some(IndexProvenance {
             reference_path,
             vcf_paths,
@@ -856,44 +1009,54 @@ fn decode_meta(payload: &[u8]) -> Result<(f64, u32, Option<IndexProvenance>), Pe
             epoch,
         })
     };
-    if !r.is_empty() {
-        return Err(corrupt(
-            SECTION,
-            format!("{} trailing bytes", r.remaining()),
-        ));
-    }
+    expect_end(r)?;
     Ok((discard_frac, freq_threshold, provenance))
 }
 
-fn put_string(w: &mut ByteWriter, s: &str) {
+fn put_string(w: &mut ByteWriter<'_>, s: &str) {
     w.put_u64(s.len() as u64);
     w.put_bytes(s.as_bytes());
 }
 
-fn take_string(section: &'static str, r: &mut ByteReader<'_>) -> Result<String, PersistError> {
-    let len = r.take_count(1).map_err(|e| from_bin(section, e))?;
-    let bytes = r.take_bytes(len).map_err(|e| from_bin(section, e))?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(section, "string is not UTF-8"))
+fn take_string(r: &mut ByteReader<'_>) -> Result<String, PersistError> {
+    let len = r.take_count(1)?;
+    let mut bytes = Vec::with_capacity(len);
+    r.take_bytes(len, |piece| bytes.extend_from_slice(piece))?;
+    String::from_utf8(bytes).map_err(|_| corrupt(r.name(), "string is not UTF-8"))
 }
 
 /// 2-bit packed sequence (graph nodes, the changelog's reference and
 /// alleles): length prefix, then low-bits-first packed bases — the
-/// paper's reference representation (Section 5).
-fn put_seq(w: &mut ByteWriter, seq: &DnaSeq) {
+/// paper's reference representation (Section 5) — packed half a chunk at
+/// a time.
+fn put_seq(w: &mut ByteWriter<'_>, seq: &DnaSeq) {
+    const PIECE_BASES: usize = 4 * (CHUNK / 2);
     w.put_u64(seq.len() as u64);
-    seq.pack_into(w.bytes_mut());
+    for start in (0..seq.len()).step_by(PIECE_BASES) {
+        let end = (start + PIECE_BASES).min(seq.len());
+        seq.pack_range_into(start..end, w.room((end - start).div_ceil(4)));
+    }
 }
 
-fn take_seq(section: &'static str, r: &mut ByteReader<'_>) -> Result<DnaSeq, PersistError> {
-    let len = usize::try_from(r.take_u64().map_err(|e| from_bin(section, e))?)
-        .map_err(|_| corrupt(section, "sequence length overflows usize"))?;
-    let packed = r
-        .take_bytes(len.div_ceil(4))
-        .map_err(|e| from_bin(section, e))?;
-    Ok(DnaSeq::from_packed(packed, len))
+/// The inverse of [`put_seq`], unpacked piece by piece into an
+/// exactly-sized sequence.
+fn take_seq(r: &mut ByteReader<'_>) -> Result<DnaSeq, PersistError> {
+    let len = usize::try_from(r.take_u64()?)
+        .map_err(|_| corrupt(r.name(), "sequence length overflows usize"))?;
+    let packed = len.div_ceil(4);
+    // Room only for a length the payload can hold: a longer one fails in
+    // `take_bytes` before anything is unpacked.
+    let mut seq = DnaSeq::with_capacity(if packed <= r.remaining() { len } else { 0 });
+    let mut left = len;
+    r.take_bytes(packed, |piece| {
+        let bases = left.min(piece.len() * 4);
+        seq.extend_from_packed(piece, bases);
+        left -= bases;
+    })?;
+    Ok(seq)
 }
 
-fn put_variant(w: &mut ByteWriter, v: &Variant) {
+fn put_variant(w: &mut ByteWriter<'_>, v: &Variant) {
     match &v.kind {
         VariantKind::Snp { alt } => {
             w.put_u8(0);
@@ -919,31 +1082,31 @@ fn put_variant(w: &mut ByteWriter, v: &Variant) {
     }
 }
 
-fn take_variant(section: &'static str, r: &mut ByteReader<'_>) -> Result<Variant, PersistError> {
-    let bin = |e| from_bin(section, e);
-    let tag = r.take_u8().map_err(bin)?;
-    let pos = r.take_u64().map_err(bin)?;
+fn take_variant(r: &mut ByteReader<'_>) -> Result<Variant, PersistError> {
+    let section = r.name();
+    let tag = r.take_u8()?;
+    let pos = r.take_u64()?;
     let kind = match tag {
         0 => VariantKind::Snp {
-            alt: Base::from_code_masked(r.take_u8().map_err(bin)?),
+            alt: Base::from_code_masked(r.take_u8()?),
         },
         1 => {
-            let seq = take_seq(section, r)?;
+            let seq = take_seq(r)?;
             if seq.is_empty() {
                 return Err(corrupt(section, "empty insertion sequence"));
             }
             VariantKind::Insertion { seq }
         }
         2 => {
-            let len = r.take_u64().map_err(bin)?;
+            let len = r.take_u64()?;
             if len == 0 {
                 return Err(corrupt(section, "zero-length deletion"));
             }
             VariantKind::Deletion { len }
         }
         3 => {
-            let ref_len = r.take_u64().map_err(bin)?;
-            let alt = take_seq(section, r)?;
+            let ref_len = r.take_u64()?;
+            let alt = take_seq(r)?;
             if ref_len == 0 || alt.is_empty() {
                 return Err(corrupt(section, "degenerate replacement"));
             }
@@ -957,7 +1120,7 @@ fn take_variant(section: &'static str, r: &mut ByteReader<'_>) -> Result<Variant
 /// Encodes the changelog with `identity` — the store's, from the payload
 /// bytes just written — in place of the recorded value on the changelog
 /// itself and on its last history entry.
-fn encode_changelog(w: &mut ByteWriter, log: &StoreChangelog, identity: u64) {
+fn encode_changelog(w: &mut ByteWriter<'_>, log: &StoreChangelog, identity: u64) {
     w.put_u32(CHANGELOG_VERSION);
     w.put_u64(log.epoch);
     w.put_u64(log.parent);
@@ -993,27 +1156,25 @@ fn encode_changelog(w: &mut ByteWriter, log: &StoreChangelog, identity: u64) {
 /// [`PersistError::ParentMismatch`] / [`PersistError::EpochSkew`] instead
 /// of silently seeding a bad delta chain.
 fn decode_changelog(
-    payload: &[u8],
+    r: &mut ByteReader<'_>,
     computed_identity: u64,
 ) -> Result<StoreChangelog, PersistError> {
     const SECTION: &str = "changelog";
-    let bin = |e| from_bin(SECTION, e);
-    let mut r = ByteReader::new(payload);
-    let version = r.take_u32().map_err(bin)?;
+    let version = r.take_u32()?;
     if version != CHANGELOG_VERSION {
         return Err(corrupt(
             SECTION,
             format!("unknown changelog version {version}"),
         ));
     }
-    let epoch = r.take_u64().map_err(bin)?;
-    let parent = r.take_u64().map_err(bin)?;
-    let identity = r.take_u64().map_err(bin)?;
-    let reference = take_seq(SECTION, &mut r)?;
-    let applied_count = r.take_count(9).map_err(bin)?;
+    let epoch = r.take_u64()?;
+    let parent = r.take_u64()?;
+    let identity = r.take_u64()?;
+    let reference = take_seq(r)?;
+    let applied_count = r.take_count(9)?;
     let mut applied = VariantSet::new();
     for _ in 0..applied_count {
-        let variant = take_variant(SECTION, &mut r)?;
+        let variant = take_variant(r)?;
         let (_, end) = variant.ref_interval();
         if end > reference.len() as u64 {
             return Err(corrupt(
@@ -1023,20 +1184,20 @@ fn decode_changelog(
         }
         applied.push(variant);
     }
-    let history_count = r.take_count(8 * 6).map_err(bin)?;
+    let history_count = r.take_count(8 * 6)?;
     let mut history = Vec::with_capacity(history_count);
     for _ in 0..history_count {
-        let entry_epoch = r.take_u64().map_err(bin)?;
-        let entry_parent = r.take_u64().map_err(bin)?;
-        let entry_identity = r.take_u64().map_err(bin)?;
-        let source = take_string(SECTION, &mut r)?;
-        let added_variants = r.take_u64().map_err(bin)?;
-        let dropped_variants = r.take_u64().map_err(bin)?;
-        let touched_count = r.take_count(16).map_err(bin)?;
+        let entry_epoch = r.take_u64()?;
+        let entry_parent = r.take_u64()?;
+        let entry_identity = r.take_u64()?;
+        let source = take_string(r)?;
+        let added_variants = r.take_u64()?;
+        let dropped_variants = r.take_u64()?;
+        let touched_count = r.take_count(16)?;
         let mut touched = Vec::with_capacity(touched_count);
         for _ in 0..touched_count {
-            let start = r.take_u64().map_err(bin)?;
-            let end = r.take_u64().map_err(bin)?;
+            let start = r.take_u64()?;
+            let end = r.take_u64()?;
             touched.push((start, end));
         }
         history.push(EpochEntry {
@@ -1049,12 +1210,7 @@ fn decode_changelog(
             touched,
         });
     }
-    if !r.is_empty() {
-        return Err(corrupt(
-            SECTION,
-            format!("{} trailing bytes", r.remaining()),
-        ));
-    }
+    expect_end(r)?;
 
     if history.is_empty() {
         return Err(corrupt(SECTION, "empty epoch history"));
@@ -1109,4 +1265,76 @@ fn decode_changelog(
         applied,
         history,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::update::initial_changelog;
+    use segram_graph::build_graph;
+
+    /// A store whose file shrank to its first `len` bytes after the loader
+    /// took its length: seeking still sees the whole store, reads stop at
+    /// `len`.
+    struct Shrunk<'a> {
+        store: &'a [u8],
+        len: usize,
+        pos: u64,
+    }
+
+    impl Read for Shrunk<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let start = (self.pos as usize).min(self.len);
+            let n = buf.len().min(self.len - start);
+            buf[..n].copy_from_slice(&self.store[start..][..n]);
+            self.pos += n as u64;
+            Ok(n)
+        }
+    }
+
+    impl Seek for Shrunk<'_> {
+        fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+            self.pos = match to {
+                SeekFrom::Start(pos) => pos,
+                SeekFrom::End(delta) => self.store.len() as u64 + delta as u64,
+                SeekFrom::Current(delta) => self.pos + delta as u64,
+            };
+            Ok(self.pos)
+        }
+    }
+
+    #[test]
+    fn a_store_that_shrinks_while_it_is_read_is_truncated_where_it_ran_out() {
+        let reference: DnaSeq = "ACGTTGCAGTCATGCAACGGTTAC".repeat(60).parse().unwrap();
+        let variants = [Variant::snp(40, Base::C), Variant::deletion(700, 3)];
+        let built = build_graph(&reference, variants.into_iter().collect()).unwrap();
+        let index = GraphIndex::build(&built.graph, MinimizerScheme::new(5, 11), 6);
+        let store = encode_index(&PersistedIndex {
+            changelog: Some(initial_changelog(reference, &built, "build")),
+            graph: built.graph,
+            index,
+            discard_frac: 0.01,
+            freq_threshold: 10,
+            provenance: None,
+        });
+        assert_eq!(section_table(&store).unwrap().sections.len(), 4);
+        let whole = Shrunk {
+            store: &store,
+            len: store.len(),
+            pos: 0,
+        };
+        assert!(load(&mut { whole }).is_ok());
+        for len in 0..store.len() {
+            let mut shrunk = Shrunk {
+                store: &store,
+                len,
+                pos: 0,
+            };
+            match load(&mut shrunk) {
+                Err(PersistError::Truncated { offset }) => assert_eq!(offset, len),
+                Err(other) => panic!("shrunk to {len} bytes: {other}"),
+                Ok(_) => panic!("shrunk to {len} bytes: a partial store loaded"),
+            }
+        }
+    }
 }

@@ -19,9 +19,10 @@
 //!   explicit node paths.
 //!
 //! The `segram index build` persistent-index format additionally builds on
-//! the bounds-checked binary primitives here ([`ByteWriter`] /
-//! [`ByteReader`] / [`fnv1a64`]): reading never panics on truncated or
-//! corrupt input.
+//! the streaming binary primitives here ([`ByteWriter`] / [`ByteReader`],
+//! checksummed chunk by chunk through [`xxh64`] or [`fnv1a64`]): a store
+//! never needs a file-sized buffer, and reading never panics on
+//! truncated or corrupt input.
 //!
 //! All parsers take `&str` input and report 1-based line numbers in
 //! [`FormatError`]; callers own file handling (`std::fs::read_to_string`),
@@ -65,7 +66,7 @@ pub use bgzf::{
     bgzf_compress, bgzf_member, crc32, inflate, looks_like_gzip, BgzfBlock, BgzfBlocks, BgzfMode,
     BgzfWriter, BGZF_EOF, BGZF_MAX_PLAIN, GZIP_MAGIC,
 };
-pub use binary::{fnv1a64, xxh64, BinError, ByteReader, ByteWriter};
+pub use binary::{fnv1a64, xxh64, BinError, ByteReader, ByteWriter, Checksum, Fnv1a64, Xxh64};
 pub use error::{BgzfError, FormatError};
 pub use fasta::{read_fasta, write_fasta, Ambiguity, FastaRecord};
 pub use fastq::{

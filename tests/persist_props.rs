@@ -3,19 +3,25 @@
 //! that corrupt, truncated, or incompatible files produce a named
 //! [`PersistError`] — never a panic. The corruption matrix runs against
 //! both readable format versions: a v2 store this build encodes and the
-//! committed v1 store the parent of format v2 wrote.
+//! committed v1 store the parent of format v2 wrote; and through both
+//! entry points of the one streaming codec, [`decode_index`] over memory
+//! and [`read_index_file`] over a file, which must fail identically.
 
 use segram_core::SegramConfig;
 use segram_graph::{
     build_graph, linear_graph, Base, DnaSeq, GenomeGraph, GraphBuilder, NodeId, PackedSeq,
 };
 use segram_index::{
-    decode_index, encode_index, frequency_threshold, section_table, GraphIndex, IndexProvenance,
-    MinimizerScheme, PersistError, PersistedIndex, INDEX_FORMAT_VERSION, INDEX_MAGIC,
+    decode_index, encode_index, frequency_threshold, read_index_file, section_table,
+    write_index_file, GraphIndex, IndexProvenance, MinimizerScheme, PersistError, PersistedIndex,
+    INDEX_FORMAT_VERSION, INDEX_MAGIC,
 };
 use segram_io::{read_fasta, read_vcf, xxh64, Ambiguity, VcfOptions};
 use segram_sim::DatasetConfig;
 use segram_testkit::prelude::*;
+use std::fs;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// `index build` of `fixtures/sgi_v1/{ref.fa, base.vcf}` (`--buckets 8`)
@@ -27,6 +33,41 @@ const V1_STORE: &[u8] = include_bytes!("fixtures/sgi_v1/v1.sgi");
 /// checksummed payload.
 fn header_bytes(store: &[u8]) -> usize {
     8 + 4 + 4 + section_table(store).expect("valid header").sections.len() * 28
+}
+
+/// A store written to a file of its own (removed on drop), for the
+/// [`read_index_file`] half of the corruption matrix.
+struct StoreFile(PathBuf);
+
+impl StoreFile {
+    fn new(bytes: &[u8]) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let name = format!(
+            "segram-persist-props-{}-{}.sgi",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        );
+        let path = std::env::temp_dir().join(name);
+        fs::write(&path, bytes).expect("write store file");
+        Self(path)
+    }
+
+    /// Cuts the file to its first `len` bytes.
+    fn truncate(&self, len: usize) {
+        let file = fs::OpenOptions::new().write(true).open(&self.0);
+        file.and_then(|f| f.set_len(len as u64))
+            .expect("truncate store file");
+    }
+
+    fn load(&self) -> Result<PersistedIndex, PersistError> {
+        read_index_file(&self.0)
+    }
+}
+
+impl Drop for StoreFile {
+    fn drop(&mut self) {
+        let _ = fs::remove_file(&self.0);
+    }
 }
 
 /// The stores the corruption matrix runs over: `(format version, bytes)`.
@@ -146,6 +187,14 @@ proptest! {
             let mut flipped = bytes.clone();
             flipped[pos] ^= mask;
             let err = decode_index(&flipped).expect_err("flip must be detected");
+            let file_err = StoreFile::new(&flipped).load().expect_err("flip must be detected");
+            prop_assert_eq!(
+                file_err.to_string(),
+                err.to_string(),
+                "v{} flip at {}: file and memory loads disagree",
+                version,
+                pos
+            );
             let declared = u32::from_le_bytes(flipped[8..12].try_into().unwrap());
             match pos {
                 0..=7 => prop_assert!(matches!(err, PersistError::BadMagic)),
@@ -261,8 +310,16 @@ fn every_tail_length_of_the_checksum_block_verifies_and_detects_a_flip() {
 fn every_truncation_point_errors_instead_of_panicking() {
     for (version, bytes) in stores() {
         assert!(bytes.len() > header_bytes(&bytes));
-        for cut in 0..bytes.len() {
+        let file = StoreFile::new(&bytes);
+        for cut in (0..bytes.len()).rev() {
             let err = decode_index(&bytes[..cut]).expect_err("truncated file must not load");
+            file.truncate(cut);
+            let file_err = file.load().expect_err("truncated file must not load");
+            assert_eq!(
+                file_err.to_string(),
+                err.to_string(),
+                "v{version} cut at {cut}: file and memory loads disagree"
+            );
             match err {
                 PersistError::BadMagic
                 | PersistError::Truncated { .. }
@@ -310,6 +367,44 @@ fn a_v1_store_loads_and_re_encodes_as_v2_with_the_same_payloads() {
         assert_ne!(old.checksum, new.checksum);
     }
     assert!(decode_index(&rewritten).is_ok());
+}
+
+/// `write_index_file` streams exactly the bytes `encode_index` returns,
+/// and reports their length and the identity it stamped — the identity
+/// [`PersistedIndex::identity`] computes for a store not yet stamped, and
+/// the one the reloaded changelog records.
+#[test]
+fn the_file_writer_streams_the_encoded_bytes_and_stamps_the_identity() {
+    let stamped = decode_index(V1_STORE).expect("v1 store must load");
+    for store in [fixture(), stamped] {
+        let file = StoreFile::new(&[]);
+        let (len, identity) = write_index_file(&store, &file.0).expect("write store");
+        let written = fs::read(&file.0).expect("read store back");
+        assert_eq!(written, encode_index(&store));
+        assert_eq!(len, written.len() as u64);
+        let reloaded = file.load().expect("own file must load");
+        match &reloaded.changelog {
+            Some(log) => assert_eq!(log.identity, identity),
+            None => assert_eq!(store.identity(), identity),
+        }
+        assert_eq!(reloaded.identity(), identity);
+    }
+}
+
+/// A write that fails at the rename — the target is a directory — removes
+/// its temporary file and leaves the target as it was.
+#[test]
+fn a_failed_write_removes_its_temporary_file() {
+    let target =
+        std::env::temp_dir().join(format!("segram-persist-props-dir-{}", std::process::id()));
+    fs::create_dir_all(&target).expect("create target directory");
+    let err = write_index_file(&fixture(), &target).expect_err("a directory cannot be replaced");
+    assert!(matches!(err, PersistError::Io(_)), "{err}");
+    let mut tmp = target.clone().into_os_string();
+    tmp.push(".tmp");
+    assert!(!PathBuf::from(tmp).exists(), "temporary file left behind");
+    assert!(target.is_dir());
+    fs::remove_dir(&target).expect("remove target directory");
 }
 
 /// The store golden: what `index build --buckets 8` does in the library —
