@@ -122,3 +122,59 @@ fn long10_gaf_document_is_pinned() {
         },
     );
 }
+
+/// The `.sgi` store `index build --buckets 8` writes for the committed
+/// `fixtures/sgi_v1/{ref.fa, base.vcf}` (FASTA and VCF decode, graph
+/// construction, index build, epoch-0 changelog), and the store `index
+/// update` writes from it for `delta.vcf`: every section's bytes, the
+/// changelog's packed reference included. Provenance is left out, so the
+/// digest names no path.
+#[test]
+fn fixture_store_bytes_are_pinned() {
+    use segram_graph::build_graph;
+    use segram_index::{
+        encode_index, frequency_threshold, initial_changelog, update_store, GraphIndex,
+        PersistedIndex,
+    };
+    use segram_io::{read_fasta, read_vcf, Ambiguity, VcfOptions};
+
+    let vcf = |text: &str| {
+        read_vcf(text, VcfOptions::default())
+            .expect("fixture VCF parses")
+            .into_single_chrom()
+            .expect("one CHROM")
+            .1
+    };
+    let records = read_fasta(include_str!("fixtures/sgi_v1/ref.fa"), Ambiguity::Reject)
+        .expect("fixture FASTA parses");
+    let reference = records[0].seq.clone();
+    let built = build_graph(
+        &reference,
+        vcf(include_str!("fixtures/sgi_v1/base.vcf")).into_sorted(),
+    )
+    .expect("variants apply");
+    let config = SegramConfig::short_reads();
+    let index = GraphIndex::build(&built.graph, config.scheme, 8);
+    let built_store = PersistedIndex {
+        changelog: Some(initial_changelog(reference, &built, "base.vcf")),
+        freq_threshold: frequency_threshold(&index, config.discard_frac),
+        graph: built.graph,
+        index,
+        discard_frac: config.discard_frac,
+        provenance: None,
+    };
+    let delta = vcf(include_str!("fixtures/sgi_v1/delta.vcf"));
+    let updated = update_store(&built_store, &delta, "delta.vcf")
+        .expect("delta applies")
+        .persisted;
+    for (what, store, golden) in [
+        ("built store", &built_store, 0x3943_0315_ed0a_f4b0),
+        ("updated store", &updated, 0x8f83_40fe_d440_0dc2),
+    ] {
+        let digest = fnv1a64(&encode_index(store));
+        assert_eq!(
+            digest, golden,
+            "{what}: digest is {digest:#018x}, golden is {golden:#018x} — store bytes changed"
+        );
+    }
+}
