@@ -1,8 +1,8 @@
 //! Criterion benchmarks of the graph substrate: construction (the paper's
 //! pre-processing step 0.1), topological sorting, linearization, and the
-//! hardware table layout.
+//! structural diff behind `index update`.
 
-use segram_graph::{build_graph, GraphTables, LinearizedGraph};
+use segram_graph::{apply_variants, build_graph, diff_graphs, LinearizedGraph, VariantSet};
 use segram_sim::{generate_reference, simulate_variants, GenomeConfig, VariantConfig};
 use segram_testkit::bench::{criterion_group, criterion_main, Criterion};
 
@@ -23,8 +23,14 @@ fn bench_graph_substrate(c: &mut Criterion) {
     group.bench_function("linearize_full_graph", |b| {
         b.iter(|| LinearizedGraph::extract(&built.graph, 0, built.graph.total_chars()))
     });
-    group.bench_function("graph_tables_layout", |b| {
-        b.iter(|| GraphTables::from_graph(&built.graph))
+    let delta: VariantSet = simulate_variants(&reference, &VariantConfig::human_like(23))
+        .iter()
+        .step_by(50)
+        .cloned()
+        .collect();
+    let update = apply_variants(&reference, &built.applied, &delta, 0).expect("delta applies");
+    group.bench_function("diff_graphs_delta", |b| {
+        b.iter(|| diff_graphs(&update.old, &update.new))
     });
     group.bench_function("extract_1kbp_region", |b| {
         b.iter(|| LinearizedGraph::extract(&built.graph, 50_000, 51_000))

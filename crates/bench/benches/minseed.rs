@@ -1,9 +1,10 @@
 //! Criterion microbenchmarks of the seeding path: minimizer extraction
 //! (the O(m) single-loop algorithm), index construction and its phases,
-//! and full MinSeed seeding per read.
+//! index lookups, and full MinSeed seeding per read.
 
 use segram_index::{
-    extract_minimizers, frequency_threshold, GraphIndex, MinSeed, MinSeedConfig, MinimizerScheme,
+    extract_minimizers, extract_minimizers_from, frequency_threshold, GraphIndex, MinSeed,
+    MinSeedConfig, MinimizerScheme,
 };
 use segram_io::{read_fasta, write_fasta, Ambiguity, FastaRecord};
 use segram_sim::{
@@ -63,6 +64,11 @@ fn bench_index_and_seeding(c: &mut Criterion) {
     .map(|r| r.seq)
     .collect();
 
+    let minimizers: Vec<_> = reads
+        .iter()
+        .flat_map(|read| extract_minimizers(read, &scheme))
+        .collect();
+
     let mut group = c.benchmark_group("seeding");
     group.sample_size(30);
     group.bench_function("minseed_150bp_read", |b| {
@@ -70,6 +76,16 @@ fn bench_index_and_seeding(c: &mut Criterion) {
             for read in &reads {
                 let _ = minseed.seed(read);
             }
+        })
+    });
+    // The index half of seeding alone: every minimizer of the eight reads
+    // looked up (frequency and locations).
+    group.bench_function("lookup_150bp_read", |b| {
+        b.iter(|| {
+            minimizers
+                .iter()
+                .map(|m| index.frequency(m.rank) as usize + index.lookup(m).len())
+                .sum::<usize>()
         })
     });
     group.finish();
@@ -102,7 +118,7 @@ fn bench_index_build_phases(c: &mut Criterion) {
         b.iter(|| {
             graph
                 .node_ids()
-                .map(|node| extract_minimizers(graph.seq(node), &scheme).len())
+                .map(|node| extract_minimizers_from(graph.seq(node), &scheme).len())
                 .sum::<usize>()
         })
     });

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use segram_graph::{
     build_graph, diff_graphs, graphs_identical, merge_ranges, ranges_intersect, ChangeLog, DnaSeq,
-    GenomeGraph, VariantSet,
+    GenomeGraph, PackedSeq, VariantSet,
 };
 use segram_index::{
     frequency_threshold, shard_boundaries, GraphIndex, PersistError, PersistedIndex,
@@ -223,8 +223,8 @@ pub struct StoreLineage {
     pub epoch: u64,
     /// The store's identity checksum (what a child's `parent` must name).
     pub identity: u64,
-    /// The linear reference the graph was constructed from.
-    pub reference: DnaSeq,
+    /// The linear reference the graph was constructed from, packed.
+    pub reference: PackedSeq,
     /// The embedded (sorted, non-overlapping) variant set.
     pub applied: VariantSet,
 }
@@ -409,15 +409,17 @@ impl ShardedIndex {
         }
         // Replay both constructions to recover the coordinate metadata the
         // diff needs, verifying each replay against the graph actually
-        // loaded — a delta is only trusted against proven lineage.
-        let built_old = build_graph(&lineage.reference, lineage.applied.clone())
+        // loaded — a delta is only trusted against proven lineage. The two
+        // references are equal: one unpacking serves both.
+        let reference = lineage.reference.unpack();
+        let built_old = build_graph(&reference, lineage.applied.clone())
             .map_err(|e| corrupt(format!("lineage does not rebuild: {e}")))?;
         if !graphs_identical(&built_old.graph, &self.graph) {
             return Err(corrupt(
                 "lineage does not reconstruct the active graph".into(),
             ));
         }
-        let built_new = build_graph(&new_log.reference, new_log.applied.clone())
+        let built_new = build_graph(&reference, new_log.applied.clone())
             .map_err(|e| corrupt(format!("child changelog does not rebuild: {e}")))?;
         if !graphs_identical(&built_new.graph, &new.graph) {
             return Err(corrupt(

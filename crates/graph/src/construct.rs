@@ -125,7 +125,9 @@ pub fn build_graph(
     // rank 2: alternative-allele nodes whose interval starts here
     #[derive(Debug)]
     struct Planned {
-        seq: DnaSeq,
+        /// An allele's sequence; `None` for a backbone segment, which is
+        /// the reference's `start..end`.
+        seq: Option<DnaSeq>,
         start: u64,
         end: u64,
         backbone: bool,
@@ -141,7 +143,7 @@ pub fn build_graph(
         }
         keyed.push((start, 1, planned.len()));
         planned.push(Planned {
-            seq: reference.slice(start as usize, end as usize),
+            seq: None,
             start,
             end,
             backbone: true,
@@ -158,7 +160,7 @@ pub fn build_graph(
         let insertion = start == end;
         keyed.push((start, if insertion { 0 } else { 2 }, planned.len()));
         planned.push(Planned {
-            seq: alt,
+            seq: Some(alt),
             start,
             end,
             backbone: false,
@@ -169,6 +171,11 @@ pub fn build_graph(
 
     // ---- create nodes ----
     let mut builder = GraphBuilder::new();
+    let chars = planned.iter().map(|p| match &p.seq {
+        Some(alt) => alt.len(),
+        None => (p.end - p.start) as usize,
+    });
+    builder.reserve(planned.len(), chars.sum());
     let mut ids: Vec<NodeId> = vec![NodeId(0); planned.len()];
     let mut ref_starts = Vec::with_capacity(planned.len());
     let mut is_backbone = Vec::with_capacity(planned.len());
@@ -176,7 +183,10 @@ pub fn build_graph(
     for &(_, _, idx) in &keyed {
         // The wiring below needs only the coordinates of a planned node.
         let p = &mut planned[idx];
-        let id = builder.add_node(std::mem::take(&mut p.seq))?;
+        let id = match p.seq.take() {
+            Some(alt) => builder.add_node(alt)?,
+            None => builder.push_node(&reference.as_slice()[p.start as usize..p.end as usize]),
+        };
         ids[idx] = id;
         ref_starts.push(p.start);
         is_backbone.push(p.backbone);
@@ -272,7 +282,7 @@ mod tests {
         built
             .graph
             .node_ids()
-            .map(|id| built.graph.seq(id).to_string())
+            .map(|id| DnaSeq::from(built.graph.seq(id).to_vec()).to_string())
             .collect()
     }
 
@@ -284,7 +294,7 @@ mod tests {
             .filter(|&n| graph.predecessors(n).is_empty())
             .collect();
         fn rec(graph: &GenomeGraph, node: NodeId, mut prefix: String, out: &mut Vec<String>) {
-            prefix.push_str(&graph.seq(node).to_string());
+            prefix.push_str(&DnaSeq::from(graph.seq(node).to_vec()).to_string());
             if graph.successors(node).is_empty() {
                 out.push(prefix);
                 return;
@@ -305,7 +315,10 @@ mod tests {
     fn no_variants_gives_single_node() {
         let built = build_graph(&"ACGTACGT".parse().unwrap(), VariantSet::new()).unwrap();
         assert_eq!(built.graph.node_count(), 1);
-        assert_eq!(built.graph.seq(NodeId(0)).to_string(), "ACGTACGT");
+        assert_eq!(
+            DnaSeq::from(built.graph.seq(NodeId(0)).to_vec()).to_string(),
+            "ACGTACGT"
+        );
         assert_eq!(built.backbone_head, Some(NodeId(0)));
     }
 

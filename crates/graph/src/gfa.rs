@@ -28,7 +28,9 @@ use crate::{DnaSeq, GenomeGraph, GraphBuilder, GraphError, NodeId};
 pub fn to_gfa(graph: &GenomeGraph) -> String {
     let mut out = String::from("H\tVN:Z:1.0\n");
     for node in graph.node_ids() {
-        out.push_str(&format!("S\t{}\t{}\n", node.0 + 1, graph.seq(node)));
+        out.push_str(&format!("S\t{}\t", node.0 + 1));
+        out.extend(graph.seq(node).iter().map(|base| base.to_ascii() as char));
+        out.push('\n');
     }
     for (from, to) in graph.edges() {
         out.push_str(&format!("L\t{}\t+\t{}\t+\t0M\n", from.0 + 1, to.0 + 1));
@@ -155,8 +157,14 @@ mod tests {
         let text = "S\tb\tTT\nS\ta\tAC\nL\ta\t+\tb\t+\t0M\n";
         let graph = from_gfa(text).unwrap();
         assert!(graph.is_topologically_sorted());
-        assert_eq!(graph.seq(NodeId(0)).to_string(), "AC");
-        assert_eq!(graph.seq(NodeId(1)).to_string(), "TT");
+        assert_eq!(
+            DnaSeq::from(graph.seq(NodeId(0)).to_vec()).to_string(),
+            "AC"
+        );
+        assert_eq!(
+            DnaSeq::from(graph.seq(NodeId(1)).to_vec()).to_string(),
+            "TT"
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! carries one or more base pairs and multiple outgoing edges capture genetic
 //! variation (Figure 1 of the paper).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use crate::{Base, DnaSeq, GraphError};
@@ -74,7 +75,38 @@ pub struct GraphStats {
     pub total_chars: u64,
 }
 
-/// A directed acyclic genome graph.
+/// Bytes per node-table entry (Figure 5: "each entry in the node table
+/// requires 32 B").
+pub const NODE_ENTRY_BYTES: u64 = 32;
+
+/// Bytes per edge-table entry (Figure 5: "each entry in the edge table
+/// requires 4 B").
+pub const EDGE_ENTRY_BYTES: u64 = 4;
+
+/// Byte footprint of a graph in the accelerator's main-memory layout, per
+/// the paper's formulas (Figure 5: `#nodes * 32 B`, `total sequence length
+/// * 2 bits`, `#edges * 4 B`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GraphFootprint {
+    /// Bytes of the node table.
+    pub node_table_bytes: u64,
+    /// Bytes of the character table.
+    pub char_table_bytes: u64,
+    /// Bytes of the edge table.
+    pub edge_table_bytes: u64,
+}
+
+impl GraphFootprint {
+    /// Total bytes across the three tables.
+    pub fn total_bytes(&self) -> u64 {
+        self.node_table_bytes + self.char_table_bytes + self.edge_table_bytes
+    }
+}
+
+/// A directed acyclic genome graph, held as the paper's flat tables
+/// (Figure 5): one character table with every node's bases in id order,
+/// each node's start in it, and the edges as compressed sparse rows —
+/// out-edges and, derived from them, in-edges.
 ///
 /// Built through [`GraphBuilder`] or
 /// [`build_graph`](crate::construct::build_graph); most pipeline stages
@@ -103,32 +135,174 @@ pub struct GraphStats {
 /// assert!(graph.is_topologically_sorted());
 /// # Ok::<(), segram_graph::GraphError>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GenomeGraph {
-    seqs: Vec<DnaSeq>,
-    out_edges: Vec<Vec<NodeId>>,
-    in_edges: Vec<Vec<NodeId>>,
-    /// Prefix sums of node sequence lengths; `char_starts[i]` is the linear
-    /// coordinate of node `i`'s first character (valid in topological order).
+    /// The character table, one byte per base.
+    chars: Vec<Base>,
+    /// `char_starts[i]` is node `i`'s first character in `chars` — its
+    /// linear coordinate — and the last of the `node_count + 1` entries is
+    /// `chars.len()`.
     char_starts: Vec<u64>,
-    total_chars: u64,
-    edge_count: usize,
+    /// Node `i`'s successors are `out_targets[out_starts[i]..out_starts[i + 1]]`,
+    /// ascending.
+    out_starts: Vec<u32>,
+    out_targets: Vec<NodeId>,
+    /// Node `i`'s predecessors are `in_sources[in_starts[i]..in_starts[i + 1]]`,
+    /// ascending.
+    in_starts: Vec<u32>,
+    in_sources: Vec<NodeId>,
+}
+
+impl Default for GenomeGraph {
+    fn default() -> Self {
+        Self {
+            chars: Vec::new(),
+            char_starts: vec![0],
+            out_starts: vec![0],
+            out_targets: Vec::new(),
+            in_starts: vec![0],
+            in_sources: Vec::new(),
+        }
+    }
 }
 
 impl GenomeGraph {
+    /// Assembles a graph from its tables: the character table, each node's
+    /// start in it, and the out-edge table in source order — node `i`'s
+    /// successors are `out_targets[out_starts[i]..out_starts[i + 1]]`, in
+    /// any order. The successor runs are sorted and the in-edge table is
+    /// derived here.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::EmptyNode`] when two node starts are equal;
+    /// [`GraphError::NodeOutOfBounds`], [`GraphError::SelfLoop`] or
+    /// [`GraphError::DuplicateEdge`] for a bad edge; and
+    /// [`GraphError::CyclicGraph`] when the edges form a cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `char_starts` runs from 0 to `chars.len()` without
+    /// descending and `out_starts` holds one entry more than `char_starts`
+    /// has nodes, running from 0 to `out_targets.len()` without descending.
+    pub fn from_tables(
+        chars: Vec<Base>,
+        char_starts: Vec<u64>,
+        out_starts: Vec<u32>,
+        mut out_targets: Vec<NodeId>,
+    ) -> Result<Self, GraphError> {
+        let n = char_starts.len() - 1;
+        assert!(
+            char_starts[0] == 0 && char_starts[n] == chars.len() as u64,
+            "node starts must span the character table"
+        );
+        assert!(
+            out_starts.len() == n + 1
+                && out_starts[0] == 0
+                && out_starts[n] as usize == out_targets.len()
+                && out_starts.windows(2).all(|w| w[0] <= w[1]),
+            "edge starts must span the edge table"
+        );
+        if char_starts.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(GraphError::EmptyNode);
+        }
+        let mut sorted = true;
+        for from in 0..n {
+            let run = &mut out_targets[out_starts[from] as usize..out_starts[from + 1] as usize];
+            run.sort_unstable();
+            for (i, &to) in run.iter().enumerate() {
+                if to.index() >= n {
+                    return Err(GraphError::NodeOutOfBounds {
+                        node: to.0,
+                        node_count: n,
+                    });
+                }
+                if to.index() == from {
+                    return Err(GraphError::SelfLoop { node: to.0 });
+                }
+                if i > 0 && run[i - 1] == to {
+                    return Err(GraphError::DuplicateEdge {
+                        from: from as u32,
+                        to: to.0,
+                    });
+                }
+                sorted &= to.index() > from;
+            }
+        }
+        // In-edges by counting: walking the sources in order leaves every
+        // predecessor run ascending.
+        let mut in_starts = vec![0u32; n + 1];
+        for &to in &out_targets {
+            in_starts[to.index() + 1] += 1;
+        }
+        for i in 1..=n {
+            in_starts[i] += in_starts[i - 1];
+        }
+        let mut in_sources = vec![NodeId(0); out_targets.len()];
+        for from in 0..n {
+            for &to in &out_targets[out_starts[from] as usize..out_starts[from + 1] as usize] {
+                let slot = &mut in_starts[to.index()];
+                in_sources[*slot as usize] = NodeId(from as u32);
+                *slot += 1;
+            }
+        }
+        // Each cursor now sits at the next node's start: shift them back.
+        in_starts.copy_within(0..n, 1);
+        in_starts[0] = 0;
+        let graph = Self {
+            chars,
+            char_starts,
+            out_starts,
+            out_targets,
+            in_starts,
+            in_sources,
+        };
+        // A graph whose edges all point to larger ids is acyclic; any
+        // other is checked by Kahn's algorithm.
+        if !sorted && graph.kahn_order().len() != n {
+            return Err(GraphError::CyclicGraph);
+        }
+        Ok(graph)
+    }
+
+    /// Node ids in Kahn order, smallest ready id first; shorter than the
+    /// node count when the graph has a cycle.
+    fn kahn_order(&self) -> Vec<NodeId> {
+        let mut in_deg: Vec<usize> = self
+            .node_ids()
+            .map(|v| self.predecessors(v).len())
+            .collect();
+        let mut ready: BinaryHeap<Reverse<NodeId>> = self
+            .node_ids()
+            .filter(|v| in_deg[v.index()] == 0)
+            .map(Reverse)
+            .collect();
+        let mut order = Vec::with_capacity(self.node_count());
+        while let Some(Reverse(v)) = ready.pop() {
+            order.push(v);
+            for &u in self.successors(v) {
+                in_deg[u.index()] -= 1;
+                if in_deg[u.index()] == 0 {
+                    ready.push(Reverse(u));
+                }
+            }
+        }
+        order
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.seqs.len()
+        self.char_starts.len() - 1
     }
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.out_targets.len()
     }
 
     /// Total number of characters stored across all node sequences.
     pub fn total_chars(&self) -> u64 {
-        self.total_chars
+        self.chars.len() as u64
     }
 
     /// Summary statistics.
@@ -140,33 +314,63 @@ impl GenomeGraph {
         }
     }
 
-    /// Sequence of a node.
+    /// Byte footprint of the graph in the paper's main-memory layout
+    /// (Figure 5), whose character table packs 2 bits per base; this
+    /// in-memory table holds a byte per base.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use segram_graph::{build_graph, Base, Variant};
+    ///
+    /// let built = build_graph(
+    ///     &"ACGTACGT".parse()?,
+    ///     [Variant::snp(3, Base::G)].into_iter().collect(),
+    /// )?;
+    /// assert_eq!(built.graph.node_count(), 4);
+    /// // 4 nodes * 32 B + ceil(9 chars / 4) B + 4 edges * 4 B
+    /// assert_eq!(built.graph.footprint().total_bytes(), 4 * 32 + 3 + 4 * 4);
+    /// # Ok::<(), segram_graph::GraphError>(())
+    /// ```
+    pub fn footprint(&self) -> GraphFootprint {
+        GraphFootprint {
+            node_table_bytes: self.node_count() as u64 * NODE_ENTRY_BYTES,
+            char_table_bytes: self.total_chars().div_ceil(4),
+            edge_table_bytes: self.edge_count() as u64 * EDGE_ENTRY_BYTES,
+        }
+    }
+
+    /// Sequence of a node: its run of the character table.
     ///
     /// # Panics
     ///
     /// Panics when `node` is out of bounds.
-    pub fn seq(&self, node: NodeId) -> &DnaSeq {
-        &self.seqs[node.index()]
+    pub fn seq(&self, node: NodeId) -> &[Base] {
+        let i = node.index();
+        &self.chars[self.char_starts[i] as usize..self.char_starts[i + 1] as usize]
     }
 
     /// Length (in characters) of a node's sequence.
     pub fn node_len(&self, node: NodeId) -> usize {
-        self.seqs[node.index()].len()
+        let i = node.index();
+        (self.char_starts[i + 1] - self.char_starts[i]) as usize
     }
 
     /// Outgoing edges of a node, sorted by destination id.
     pub fn successors(&self, node: NodeId) -> &[NodeId] {
-        &self.out_edges[node.index()]
+        let i = node.index();
+        &self.out_targets[self.out_starts[i] as usize..self.out_starts[i + 1] as usize]
     }
 
     /// Incoming edges of a node, sorted by source id.
     pub fn predecessors(&self, node: NodeId) -> &[NodeId] {
-        &self.in_edges[node.index()]
+        let i = node.index();
+        &self.in_sources[self.in_starts[i] as usize..self.in_starts[i + 1] as usize]
     }
 
     /// Iterates over all node ids in id order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.seqs.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 
     /// Iterates over all edges as `(from, to)` pairs.
@@ -192,34 +396,18 @@ impl GenomeGraph {
     ///
     /// Returns [`GraphError::CyclicGraph`] when the graph has a cycle.
     pub fn topological_sort(&self) -> Result<(GenomeGraph, Vec<NodeId>), GraphError> {
-        let n = self.node_count();
-        let mut in_deg: Vec<usize> = self.in_edges.iter().map(|v| v.len()).collect();
-        // Min-heap behaviour via sorted queue: use BinaryHeap of Reverse.
-        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<u32>> = (0..n as u32)
-            .filter(|&i| in_deg[i as usize] == 0)
-            .map(std::cmp::Reverse)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(std::cmp::Reverse(v)) = ready.pop() {
-            order.push(NodeId(v));
-            for &u in &self.out_edges[v as usize] {
-                in_deg[u.index()] -= 1;
-                if in_deg[u.index()] == 0 {
-                    ready.push(std::cmp::Reverse(u.0));
-                }
-            }
-        }
-        if order.len() != n {
+        let order = self.kahn_order();
+        if order.len() != self.node_count() {
             return Err(GraphError::CyclicGraph);
         }
         // old -> new mapping
-        let mut mapping = vec![NodeId(0); n];
+        let mut mapping = vec![NodeId(0); order.len()];
         for (new, &old) in order.iter().enumerate() {
             mapping[old.index()] = NodeId(new as u32);
         }
         let mut builder = GraphBuilder::new();
         for &old in &order {
-            builder.add_node(self.seqs[old.index()].clone())?;
+            builder.push_node(self.seq(old));
         }
         for (from, to) in self.edges() {
             builder.add_edge(mapping[from.index()], mapping[to.index()])?;
@@ -230,8 +418,8 @@ impl GenomeGraph {
     /// Linear coordinate of a node's first character.
     ///
     /// Linear coordinates index the concatenation of all node sequences in
-    /// id order; they are the coordinate system in which MinSeed computes
-    /// candidate regions (Figure 9).
+    /// id order — the character table itself; they are the coordinate
+    /// system in which MinSeed computes candidate regions (Figure 9).
     pub fn char_start(&self, node: NodeId) -> u64 {
         self.char_starts[node.index()]
     }
@@ -242,14 +430,7 @@ impl GenomeGraph {
     ///
     /// Returns an error when the node or the offset is out of bounds.
     pub fn linear_pos(&self, pos: GraphPos) -> Result<u64, GraphError> {
-        let idx = pos.node.index();
-        if idx >= self.node_count() {
-            return Err(GraphError::NodeOutOfBounds {
-                node: pos.node.0,
-                node_count: self.node_count(),
-            });
-        }
-        let node_len = self.seqs[idx].len();
+        let node_len = self.checked_node_len(pos.node)?;
         if pos.offset as usize >= node_len {
             return Err(GraphError::OffsetOutOfBounds {
                 node: pos.node.0,
@@ -257,7 +438,17 @@ impl GenomeGraph {
                 node_len,
             });
         }
-        Ok(self.char_starts[idx] + pos.offset as u64)
+        Ok(self.char_start(pos.node) + pos.offset as u64)
+    }
+
+    fn checked_node_len(&self, node: NodeId) -> Result<usize, GraphError> {
+        if node.index() >= self.node_count() {
+            return Err(GraphError::NodeOutOfBounds {
+                node: node.0,
+                node_count: self.node_count(),
+            });
+        }
+        Ok(self.node_len(node))
     }
 
     /// Converts a linear coordinate back to a graph position.
@@ -267,17 +458,14 @@ impl GenomeGraph {
     /// Returns [`GraphError::LinearPosOutOfBounds`] when `pos` is at or past
     /// [`total_chars`](Self::total_chars).
     pub fn graph_pos(&self, pos: u64) -> Result<GraphPos, GraphError> {
-        if pos >= self.total_chars {
+        if pos >= self.total_chars() {
             return Err(GraphError::LinearPosOutOfBounds {
                 pos,
-                total: self.total_chars,
+                total: self.total_chars(),
             });
         }
-        // char_starts is sorted; find the last node whose start is <= pos.
-        let idx = match self.char_starts.binary_search(&pos) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
+        // The last node whose start is <= pos.
+        let idx = self.char_starts.partition_point(|&start| start <= pos) - 1;
         Ok(GraphPos::new(
             NodeId(idx as u32),
             (pos - self.char_starts[idx]) as u32,
@@ -290,20 +478,8 @@ impl GenomeGraph {
     ///
     /// Returns an error when the position is out of bounds.
     pub fn base_at(&self, pos: GraphPos) -> Result<Base, GraphError> {
-        let idx = pos.node.index();
-        if idx >= self.node_count() {
-            return Err(GraphError::NodeOutOfBounds {
-                node: pos.node.0,
-                node_count: self.node_count(),
-            });
-        }
-        self.seqs[idx]
-            .get(pos.offset as usize)
-            .ok_or(GraphError::OffsetOutOfBounds {
-                node: pos.node.0,
-                offset: pos.offset,
-                node_len: self.seqs[idx].len(),
-            })
+        let linear = self.linear_pos(pos)?;
+        Ok(self.chars[linear as usize])
     }
 
     /// Walks a path of node ids and concatenates their sequences.
@@ -315,12 +491,7 @@ impl GenomeGraph {
     pub fn path_seq(&self, path: &[NodeId]) -> Result<DnaSeq, GraphError> {
         let mut seq = DnaSeq::new();
         for (i, &node) in path.iter().enumerate() {
-            if node.index() >= self.node_count() {
-                return Err(GraphError::NodeOutOfBounds {
-                    node: node.0,
-                    node_count: self.node_count(),
-                });
-            }
+            self.checked_node_len(node)?;
             if i > 0 {
                 let prev = path[i - 1];
                 if !self.successors(prev).contains(&node) {
@@ -330,7 +501,7 @@ impl GenomeGraph {
                     });
                 }
             }
-            seq.extend_from_seq(&self.seqs[node.index()]);
+            seq.extend(self.seq(node).iter().copied());
         }
         Ok(seq)
     }
@@ -359,13 +530,15 @@ impl GenomeGraph {
 }
 
 /// Incremental builder for [`GenomeGraph`] (see [`GenomeGraph`] docs for an
-/// example).
+/// example): node sequences are appended to the character table as they
+/// arrive, edges are collected per node and laid out as rows at
+/// [`Self::finish`].
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
-    seqs: Vec<DnaSeq>,
-    out_edges: Vec<Vec<NodeId>>,
-    in_edges: Vec<Vec<NodeId>>,
-    edge_count: usize,
+    chars: Vec<Base>,
+    char_starts: Vec<u64>,
+    /// Each node's successors, in the order they were added.
+    successors: Vec<Vec<NodeId>>,
 }
 
 impl GraphBuilder {
@@ -376,7 +549,7 @@ impl GraphBuilder {
 
     /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
-        self.seqs.len()
+        self.char_starts.len()
     }
 
     /// Adds a node carrying `seq` and returns its id.
@@ -389,11 +562,23 @@ impl GraphBuilder {
         if seq.is_empty() {
             return Err(GraphError::EmptyNode);
         }
-        let id = NodeId(self.seqs.len() as u32);
-        self.seqs.push(seq);
-        self.out_edges.push(Vec::new());
-        self.in_edges.push(Vec::new());
-        Ok(id)
+        Ok(self.push_node(seq.as_slice()))
+    }
+
+    /// Room for `nodes` more nodes of `chars` characters in all.
+    pub(crate) fn reserve(&mut self, nodes: usize, chars: usize) {
+        self.chars.reserve_exact(chars);
+        self.char_starts.reserve_exact(nodes);
+        self.successors.reserve_exact(nodes);
+    }
+
+    /// Appends a non-empty node sequence to the character table.
+    pub(crate) fn push_node(&mut self, seq: &[Base]) -> NodeId {
+        let id = NodeId(self.char_starts.len() as u32);
+        self.char_starts.push(self.chars.len() as u64);
+        self.chars.extend_from_slice(seq);
+        self.successors.push(Vec::new());
+        id
     }
 
     /// Adds a directed edge `from -> to`.
@@ -403,7 +588,7 @@ impl GraphBuilder {
     /// Returns an error when either endpoint is unknown, when the edge is a
     /// self loop, or when the edge already exists.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> Result<(), GraphError> {
-        let n = self.seqs.len();
+        let n = self.node_count();
         for node in [from, to] {
             if node.index() >= n {
                 return Err(GraphError::NodeOutOfBounds {
@@ -415,68 +600,39 @@ impl GraphBuilder {
         if from == to {
             return Err(GraphError::SelfLoop { node: from.0 });
         }
-        if self.out_edges[from.index()].contains(&to) {
+        if self.has_edge(from, to) {
             return Err(GraphError::DuplicateEdge {
                 from: from.0,
                 to: to.0,
             });
         }
-        self.out_edges[from.index()].push(to);
-        self.in_edges[to.index()].push(from);
-        self.edge_count += 1;
+        self.successors[from.index()].push(to);
         Ok(())
     }
 
     /// Returns `true` if the edge already exists.
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        self.out_edges
+        self.successors
             .get(from.index())
-            .is_some_and(|v| v.contains(&to))
+            .is_some_and(|next| next.contains(&to))
     }
 
-    /// Finalizes the graph, sorting adjacency lists and computing linear
-    /// coordinates.
+    /// Finalizes the graph: lays the edges out as sorted rows
+    /// ([`GenomeGraph::from_tables`]) and derives the in-edges.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::CyclicGraph`] when the edges form a cycle.
     pub fn finish(mut self) -> Result<GenomeGraph, GraphError> {
-        for edges in self.out_edges.iter_mut().chain(self.in_edges.iter_mut()) {
-            edges.sort_unstable();
+        let mut out_starts = Vec::with_capacity(self.successors.len() + 1);
+        out_starts.push(0);
+        let mut out_targets = Vec::new();
+        for next in &self.successors {
+            out_targets.extend_from_slice(next);
+            out_starts.push(out_targets.len() as u32);
         }
-        let mut char_starts = Vec::with_capacity(self.seqs.len());
-        let mut total = 0u64;
-        for seq in &self.seqs {
-            char_starts.push(total);
-            total += seq.len() as u64;
-        }
-        let graph = GenomeGraph {
-            seqs: self.seqs,
-            out_edges: self.out_edges,
-            in_edges: self.in_edges,
-            char_starts,
-            total_chars: total,
-            edge_count: self.edge_count,
-        };
-        // Cycle check: Kahn over the finished graph.
-        let mut in_deg: Vec<usize> = graph.in_edges.iter().map(|v| v.len()).collect();
-        let mut queue: VecDeque<usize> = (0..graph.node_count())
-            .filter(|&i| in_deg[i] == 0)
-            .collect();
-        let mut visited = 0usize;
-        while let Some(v) = queue.pop_front() {
-            visited += 1;
-            for &u in &graph.out_edges[v] {
-                in_deg[u.index()] -= 1;
-                if in_deg[u.index()] == 0 {
-                    queue.push_back(u.index());
-                }
-            }
-        }
-        if visited != graph.node_count() {
-            return Err(GraphError::CyclicGraph);
-        }
-        Ok(graph)
+        self.char_starts.push(self.chars.len() as u64);
+        GenomeGraph::from_tables(self.chars, self.char_starts, out_starts, out_targets)
     }
 }
 
@@ -510,7 +666,7 @@ pub fn linear_graph(seq: &DnaSeq, node_len: usize) -> Result<GenomeGraph, GraphE
     let mut start = 0;
     while start < seq.len() {
         let end = (start + node_len).min(seq.len());
-        let id = builder.add_node(seq.slice(start, end))?;
+        let id = builder.push_node(&seq.as_slice()[start..end]);
         if let Some(p) = prev {
             builder.add_edge(p, id)?;
         }
@@ -635,15 +791,21 @@ mod tests {
         assert_eq!(mapping[first.index()], NodeId(0));
         assert_eq!(mapping[mid.index()], NodeId(1));
         assert_eq!(mapping[last.index()], NodeId(2));
-        assert_eq!(sorted.seq(NodeId(0)).to_string(), "A");
-        assert_eq!(sorted.seq(NodeId(2)).to_string(), "T");
+        assert_eq!(
+            DnaSeq::from(sorted.seq(NodeId(0)).to_vec()).to_string(),
+            "A"
+        );
+        assert_eq!(
+            DnaSeq::from(sorted.seq(NodeId(2)).to_vec()).to_string(),
+            "T"
+        );
     }
 
     #[test]
     fn linear_graph_chains_nodes() {
         let g = linear_graph(&"ACGTACGTAC".parse().unwrap(), 4).unwrap();
         assert_eq!(g.node_count(), 3);
-        assert_eq!(g.seq(NodeId(2)).to_string(), "AC");
+        assert_eq!(DnaSeq::from(g.seq(NodeId(2)).to_vec()).to_string(), "AC");
         // Every node except the last has exactly one successor.
         for node in g.node_ids() {
             let expected = usize::from(node.index() + 1 < g.node_count());
@@ -658,5 +820,98 @@ mod tests {
         assert_eq!(all.len(), 5);
         let capped = g.reachable_from(NodeId(0), 2);
         assert_eq!(capped.len(), 2);
+    }
+    #[test]
+    fn tables_hold_every_node_and_edge() {
+        let g = figure1_graph();
+        // The character table is the node sequences in id order, so a
+        // node's run starts at its linear coordinate.
+        let text: DnaSeq = "ACGTGTTACGT".parse().unwrap();
+        assert_eq!(g.chars, text.as_slice());
+        assert_eq!(g.char_starts, [0, 3, 4, 5, 7, 11]);
+        for node in g.node_ids() {
+            let start = g.char_start(node) as usize;
+            assert_eq!(
+                g.seq(node),
+                &text.as_slice()[start..start + g.node_len(node)]
+            );
+        }
+        // Out-edge rows in source order; the in-edge rows are their
+        // transpose.
+        assert_eq!(g.out_starts, [0, 4, 5, 6, 7, 7]);
+        let ids = |ids: &[u32]| ids.iter().copied().map(NodeId).collect::<Vec<_>>();
+        assert_eq!(g.out_targets, ids(&[1, 2, 3, 4, 4, 4, 4]));
+        assert_eq!(g.in_starts, [0, 0, 1, 2, 3, 7]);
+        assert_eq!(g.in_sources, ids(&[0, 0, 0, 0, 1, 2, 3]));
+        for (from, to) in g.edges() {
+            assert!(g.predecessors(to).contains(&from));
+        }
+    }
+
+    #[test]
+    fn from_tables_rejects_what_the_builder_rejects() {
+        let tables = |targets: &[u32]| {
+            let chars: DnaSeq = "ACG".parse().unwrap();
+            let out_starts = vec![
+                0,
+                targets.len() as u32,
+                targets.len() as u32,
+                targets.len() as u32,
+            ];
+            let targets = targets.iter().copied().map(NodeId).collect();
+            GenomeGraph::from_tables(chars.into_bases(), vec![0, 1, 2, 3], out_starts, targets)
+        };
+        // Node 0's row may arrive in any order.
+        let g = tables(&[2, 1]).unwrap();
+        assert_eq!(g.successors(NodeId(0)), [NodeId(1), NodeId(2)]);
+        assert_eq!(g.predecessors(NodeId(2)), [NodeId(0)]);
+        assert!(matches!(
+            tables(&[3]),
+            Err(GraphError::NodeOutOfBounds { node: 3, .. })
+        ));
+        assert_eq!(tables(&[0]).unwrap_err(), GraphError::SelfLoop { node: 0 });
+        assert_eq!(
+            tables(&[1, 1]).unwrap_err(),
+            GraphError::DuplicateEdge { from: 0, to: 1 }
+        );
+        let empty = GenomeGraph::from_tables(vec![Base::A], vec![0, 0, 1], vec![0, 0, 0], vec![]);
+        assert_eq!(empty.unwrap_err(), GraphError::EmptyNode);
+        // Edges 1 -> 0 and 0 -> 1: a cycle.
+        let cyclic = GenomeGraph::from_tables(
+            vec![Base::A, Base::C],
+            vec![0, 1, 2],
+            vec![0, 1, 2],
+            vec![NodeId(1), NodeId(0)],
+        );
+        assert_eq!(cyclic.unwrap_err(), GraphError::CyclicGraph);
+    }
+
+    #[test]
+    fn unknown_node_is_an_error() {
+        let g = figure1_graph();
+        assert!(matches!(
+            g.linear_pos(GraphPos::new(NodeId(99), 0)),
+            Err(GraphError::NodeOutOfBounds { node: 99, .. })
+        ));
+        assert!(g.path_seq(&[NodeId(0), NodeId(99)]).is_err());
+    }
+
+    #[test]
+    fn footprint_formulas_match_paper() {
+        let g = figure1_graph();
+        let fp = g.footprint();
+        assert_eq!(fp.node_table_bytes, g.node_count() as u64 * 32);
+        assert_eq!(fp.char_table_bytes, g.total_chars().div_ceil(4));
+        assert_eq!(fp.edge_table_bytes, g.edge_count() as u64 * 4);
+    }
+
+    #[test]
+    fn human_scale_footprint_extrapolation() {
+        // The paper: 20.4 M nodes, 27.9 M edges, 3.1 B chars -> 1.4 GB.
+        let bytes = 20_400_000u64 * NODE_ENTRY_BYTES
+            + 3_100_000_000u64 / 4
+            + 27_900_000u64 * EDGE_ENTRY_BYTES;
+        let gib = bytes as f64 / (1 << 30) as f64;
+        assert!((1.2..1.6).contains(&gib), "got {gib} GiB");
     }
 }

@@ -11,11 +11,12 @@
 //!
 //! * the 2-bit DNA alphabet ([`Base`]) and sequences ([`DnaSeq`],
 //!   [`PackedSeq`]);
-//! * the graph itself ([`GenomeGraph`], [`GraphBuilder`]) with topological
+//! * the graph itself ([`GenomeGraph`], [`GraphBuilder`]) in the paper's
+//!   flat memory layout (Figure 5: a character table and edge tables,
+//!   [`GenomeGraph::footprint`] for the byte accounting) with topological
 //!   sorting (the paper's `vg ids -s` step);
 //! * graph construction from a linear reference plus variants
 //!   ([`build_graph`], the paper's `vg construct` step);
-//! * the hardware-facing flat memory layout ([`GraphTables`], Figure 5);
 //! * subgraph extraction and linearization for alignment
 //!   ([`LinearizedGraph`], Figure 12), including hop statistics
 //!   ([`hop_coverage`], Figure 13);
@@ -50,18 +51,19 @@ mod graph;
 mod ops;
 mod region;
 mod seq;
-mod tables;
 mod variants;
 
 pub use base::{Base, ALPHABET_SIZE, BASES};
 pub use construct::{build_graph, ConstructedGraph};
 pub use error::GraphError;
-pub use graph::{linear_graph, GenomeGraph, GraphBuilder, GraphPos, GraphStats, NodeId};
+pub use graph::{
+    linear_graph, GenomeGraph, GraphBuilder, GraphFootprint, GraphPos, GraphStats, NodeId,
+    EDGE_ENTRY_BYTES, NODE_ENTRY_BYTES,
+};
 pub use ops::{
     apply_variants, diff_graphs, graphs_identical, merge_ranges, ranges_intersect, ChangeLog,
     DeltaBuild, GraphOp,
 };
 pub use region::{hop_coverage, LinearizedGraph};
-pub use seq::{DnaSeq, PackedSeq};
-pub use tables::{GraphFootprint, GraphTables, NodeEntry, EDGE_ENTRY_BYTES, NODE_ENTRY_BYTES};
+pub use seq::{pack_bases, DnaSeq, PackedSeq};
 pub use variants::{Variant, VariantKind, VariantSet};

@@ -26,6 +26,7 @@
 //! which epoch introduced them. A delta variant overlapping an embedded
 //! one is counted in [`ChangeLog::dropped_variants`].
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::{build_graph, ConstructedGraph, DnaSeq, GenomeGraph, GraphError, NodeId, VariantSet};
@@ -140,22 +141,25 @@ pub struct DeltaBuild {
 /// `applied` must be the embedded (sorted, non-overlapping) set of the
 /// parent build — exactly what [`ConstructedGraph::applied`] reports and
 /// the `.sgi` changelog section persists. `parent_epoch` stamps the log;
-/// the new graph is epoch `parent_epoch + 1`.
+/// the new graph is epoch `parent_epoch + 1`. `reference` is a
+/// [`DnaSeq`] or a [`PackedSeq`](crate::PackedSeq), which is unpacked once
+/// for both builds.
 ///
 /// # Errors
 ///
 /// Fails like [`build_graph`] does: variants out of bounds or an empty
 /// reference.
-pub fn apply_variants(
-    reference: &DnaSeq,
+pub fn apply_variants<'a>(
+    reference: impl Into<Cow<'a, DnaSeq>>,
     applied: &VariantSet,
     delta: &VariantSet,
     parent_epoch: u64,
 ) -> Result<DeltaBuild, GraphError> {
-    let old = build_graph(reference, applied.clone())?;
+    let reference = reference.into();
+    let old = build_graph(&reference, applied.clone())?;
     let mut combined = applied.clone();
     combined.extend(delta.iter().cloned());
-    let new = build_graph(reference, combined)?;
+    let new = build_graph(&reference, combined)?;
     // Every drop in the combined build beyond the parent's own is caused
     // by the delta (either a delta variant lost to the embedded set, or —
     // rarely — an embedded variant displaced by an earlier-sorting delta
@@ -179,31 +183,29 @@ pub fn apply_variants(
 /// monotone in both graphs' node ids — unmatched nodes fall back to
 /// fresh/dropped, which downstream consumers handle by re-extracting.
 pub fn diff_graphs(old: &ConstructedGraph, new: &ConstructedGraph) -> ChangeLog {
-    type Key = (u64, bool, Vec<u8>);
-    let descriptor = |built: &ConstructedGraph, node: NodeId| -> Key {
+    // Old nodes queued by (reference start, backbone role), lowest id
+    // first; a new node takes the first queued one with its sequence.
+    let key = |built: &ConstructedGraph, node: NodeId| {
         (
             built.ref_starts[node.index()],
             built.is_backbone[node.index()],
-            built
-                .graph
-                .seq(node)
-                .iter()
-                .map(|b| b.code())
-                .collect::<Vec<u8>>(),
         )
     };
-    let mut pool: HashMap<Key, Vec<NodeId>> = HashMap::new();
+    let mut pool: HashMap<(u64, bool), Vec<NodeId>> = HashMap::new();
     for node in old.graph.node_ids() {
-        pool.entry(descriptor(old, node)).or_default().push(node);
+        pool.entry(key(old, node)).or_default().push(node);
     }
-    for queue in pool.values_mut() {
-        queue.reverse(); // pop() then yields lowest old id first
-    }
+    let mut take = |node: NodeId| {
+        let queue = pool.get_mut(&key(new, node))?;
+        let seq = new.graph.seq(node);
+        let at = queue.iter().position(|&o| old.graph.seq(o) == seq)?;
+        Some(queue.remove(at))
+    };
 
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
     let mut fresh: Vec<NodeId> = Vec::new();
     for node in new.graph.node_ids() {
-        match pool.get_mut(&descriptor(new, node)).and_then(Vec::pop) {
+        match take(node) {
             Some(old_node) => pairs.push((old_node, node)),
             None => fresh.push(node),
         }
@@ -314,13 +316,11 @@ pub fn diff_graphs(old: &ConstructedGraph, new: &ConstructedGraph) -> ChangeLog 
 }
 
 /// Full content equality of two graphs: node sequences in id order plus
-/// the edge list. Used to verify that a replayed construction reproduces
-/// a stored graph before trusting a delta derived from it.
+/// the edge list — their tables. Used to verify that a replayed
+/// construction reproduces a stored graph before trusting a delta derived
+/// from it.
 pub fn graphs_identical(a: &GenomeGraph, b: &GenomeGraph) -> bool {
-    a.node_count() == b.node_count()
-        && a.edge_count() == b.edge_count()
-        && a.node_ids().all(|n| a.seq(n) == b.seq(n))
-        && a.edges().eq(b.edges())
+    a == b
 }
 
 /// Sorts and merges overlapping or adjacent half-open ranges.

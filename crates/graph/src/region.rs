@@ -75,7 +75,7 @@ impl LinearizedGraph {
         let mut node = first.node;
         let mut offset = first.offset as usize;
         while bases.len() < len {
-            let seq = graph.seq(node).as_slice();
+            let seq = graph.seq(node);
             let take = (seq.len() - offset).min(len - bases.len());
             let first_local = bases.len() as u32;
             bases.extend_from_slice(&seq[offset..offset + take]);

@@ -1,9 +1,10 @@
 //! DNA sequences: an ergonomic unpacked form ([`DnaSeq`]) and the paper's
-//! 2-bit packed storage form ([`PackedSeq`], used for the character table of
-//! Figure 5 and for memory-footprint accounting).
+//! 2-bit packed storage form ([`PackedSeq`], four bases per byte: how the
+//! `.sgi` store writes every sequence, and how a loaded store keeps the
+//! reference it replays deltas against).
 
+use std::borrow::Cow;
 use std::fmt;
-use std::ops::Range;
 use std::str::FromStr;
 
 use crate::{Base, GraphError};
@@ -124,36 +125,9 @@ impl DnaSeq {
         self.bases
     }
 
-    /// Appends the 2-bit packed form to `out`: four bases per byte, low
-    /// bits first, the last byte zero-padded — the paper's reference
-    /// representation (Section 5), shared by [`PackedSeq`] and the `.sgi`
-    /// store.
+    /// Appends the 2-bit packed form to `out` ([`pack_bases`]).
     pub fn pack_into(&self, out: &mut Vec<u8>) {
-        self.pack_range_into(0..self.len(), out);
-    }
-
-    /// Appends the packed form of the bases in `range` alone. Ranges that
-    /// start at multiples of four concatenate to [`Self::pack_into`]'s
-    /// bytes, so a long sequence can be packed a piece at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    pub fn pack_range_into(&self, range: Range<usize>, out: &mut Vec<u8>) {
-        let bases = &self.bases[range];
-        let quads = bases.chunks_exact(4);
-        let tail = quads.remainder();
-        out.reserve(bases.len().div_ceil(4));
-        out.extend(
-            quads.map(|q| q[0].code() | q[1].code() << 2 | q[2].code() << 4 | q[3].code() << 6),
-        );
-        if !tail.is_empty() {
-            out.push(
-                tail.iter()
-                    .enumerate()
-                    .fold(0, |byte, (i, base)| byte | base.code() << (2 * i)),
-            );
-        }
+        pack_bases(&self.bases, out);
     }
 
     /// Unpacks the first `len` bases of a 2-bit packed buffer (the inverse
@@ -191,6 +165,26 @@ impl DnaSeq {
     }
 }
 
+/// Appends the 2-bit packed form of `bases` to `out`: four bases per byte,
+/// low bits first, the last byte zero-padded — the paper's reference
+/// representation (Section 5), shared by [`PackedSeq`] and the `.sgi`
+/// store. Runs whose lengths are multiples of four concatenate to the
+/// packed form of their concatenation, so a long sequence can be packed a
+/// piece at a time.
+pub fn pack_bases(bases: &[Base], out: &mut Vec<u8>) {
+    let quads = bases.chunks_exact(4);
+    let tail = quads.remainder();
+    out.reserve(bases.len().div_ceil(4));
+    out.extend(quads.map(|q| q[0].code() | q[1].code() << 2 | q[2].code() << 4 | q[3].code() << 6));
+    if !tail.is_empty() {
+        out.push(
+            tail.iter()
+                .enumerate()
+                .fold(0, |byte, (i, base)| byte | base.code() << (2 * i)),
+        );
+    }
+}
+
 /// The four bases each packed byte value holds, low bits first.
 const UNPACKED: [[Base; 4]; 256] = {
     let mut table = [[Base::A; 4]; 256];
@@ -209,6 +203,19 @@ const UNPACKED: [[Base; 4]; 256] = {
 impl From<Vec<Base>> for DnaSeq {
     fn from(bases: Vec<Base>) -> Self {
         Self { bases }
+    }
+}
+
+impl<'a> From<&'a DnaSeq> for Cow<'a, DnaSeq> {
+    fn from(seq: &'a DnaSeq) -> Self {
+        Cow::Borrowed(seq)
+    }
+}
+
+/// A packed sequence unpacks into an owned one.
+impl<'a> From<&'a PackedSeq> for Cow<'a, DnaSeq> {
+    fn from(packed: &'a PackedSeq) -> Self {
+        Cow::Owned(packed.unpack())
     }
 }
 
@@ -275,9 +282,10 @@ impl FromStr for DnaSeq {
     }
 }
 
-/// A 2-bit packed DNA sequence, the storage layout of the paper's character
-/// table (Figure 5: "we can store characters in the character table using a
-/// 2-bit representation").
+/// A 2-bit packed DNA sequence, the paper's storage layout for reference
+/// characters (Figure 5: "we can store characters in the character table
+/// using a 2-bit representation"). Bits past the last base are always
+/// zero, so equal sequences have equal bytes.
 ///
 /// # Examples
 ///
@@ -311,6 +319,26 @@ impl PackedSeq {
             words,
             len: seq.len(),
         }
+    }
+
+    /// Takes `len` bases in the packed form [`pack_bases`] writes, zeroing
+    /// whatever bits the last byte holds past them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bytes` is exactly `len.div_ceil(4)` bytes long.
+    pub fn from_packed(mut bytes: Vec<u8>, len: usize) -> Self {
+        assert_eq!(bytes.len(), len.div_ceil(4), "packed length of {len} bases");
+        if let Some(last) = bytes.last_mut() {
+            let used = len - 4 * (len.div_ceil(4) - 1);
+            *last &= ((1u16 << (2 * used)) - 1) as u8;
+        }
+        Self { words: bytes, len }
+    }
+
+    /// The packed bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.words
     }
 
     /// Number of bases stored.
@@ -460,6 +488,23 @@ mod tests {
         let pushed: PackedSeq = seq.iter().collect();
         assert_eq!(pushed, PackedSeq::from_seq(&seq));
         assert_eq!(pushed.to_string(), "TGCATGCATG");
+    }
+
+    #[test]
+    fn from_packed_zeroes_the_bits_past_the_last_base() {
+        for len in 1..=12 {
+            let seq: DnaSeq = (0..len)
+                .map(|i| Base::from_code_masked(3 + i as u8))
+                .collect();
+            let mut bytes = PackedSeq::from_seq(&seq).as_bytes().to_vec();
+            let used = (len - 1) % 4 + 1;
+            if used < 4 {
+                *bytes.last_mut().unwrap() |= 0xff << (2 * used);
+            }
+            let packed = PackedSeq::from_packed(bytes, len);
+            assert_eq!(packed, PackedSeq::from_seq(&seq), "len {len}");
+            assert_eq!(packed.unpack(), seq);
+        }
     }
 
     #[test]

@@ -25,19 +25,6 @@ pub(crate) fn bucket_of(hash: u64, bucket_bits: u32) -> usize {
     (hash & ((1u64 << bucket_bits) - 1)) as usize
 }
 
-/// One second-level entry: a distinct minimizer and its seed locations.
-/// Crate-visible so the `persist` module can stream entries to and from
-/// the on-disk format without re-sorting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct MinimizerEntry {
-    /// Hash value of the minimizer.
-    pub(crate) hash: u64,
-    /// Start of this minimizer's locations in the third level.
-    pub(crate) loc_start: u32,
-    /// Number of locations.
-    pub(crate) loc_count: u32,
-}
-
 /// The three-level hash-table index over a genome graph's nodes.
 ///
 /// # Examples
@@ -58,8 +45,12 @@ pub struct GraphIndex {
     pub(crate) bucket_bits: u32,
     /// First level: per bucket, the range of second-level entries.
     pub(crate) bucket_starts: Vec<u32>,
-    /// Second level, sorted by (bucket, hash).
-    pub(crate) minimizers: Vec<MinimizerEntry>,
+    /// Second level, sorted by (bucket, hash): the distinct minimizer
+    /// hashes, and beside them where each one's locations start in the
+    /// third level, plus a sentinel — 12 B per entry, as in Figure 6.
+    /// Minimizer `m`'s locations are `locations[starts[m]..starts[m + 1]]`.
+    pub(crate) hashes: Vec<u64>,
+    pub(crate) starts: Vec<u32>,
     /// Third level, grouped per minimizer, sorted by (node, offset).
     pub(crate) locations: Vec<GraphPos>,
 }
@@ -87,8 +78,7 @@ impl GraphIndex {
             .map(|_| Vec::with_capacity(expected >> run_bits))
             .collect();
         for node in graph.node_ids() {
-            let seq = graph.seq(node);
-            for m in extract_minimizers_from(seq.as_slice(), &scheme) {
+            for m in extract_minimizers_from(graph.seq(node), &scheme) {
                 let run = bucket_of(m.rank, bucket_bits) >> (bucket_bits - run_bits);
                 runs[run].push((m.rank, GraphPos::new(node, m.pos)));
             }
@@ -127,11 +117,14 @@ impl GraphIndex {
     /// to the latest minimizer's bucket, [`Self::sealed`] the rest of it.
     /// `capacity` is `(minimizers, locations)`.
     fn unsealed(scheme: MinimizerScheme, bucket_bits: u32, capacity: (usize, usize)) -> Self {
+        let mut starts = Vec::with_capacity(capacity.0 + 1);
+        starts.push(0);
         Self {
             scheme,
             bucket_bits,
             bucket_starts: Vec::with_capacity((1usize << bucket_bits) + 1),
-            minimizers: Vec::with_capacity(capacity.0),
+            hashes: Vec::with_capacity(capacity.0),
+            starts,
             locations: Vec::with_capacity(capacity.1),
         }
     }
@@ -139,34 +132,36 @@ impl GraphIndex {
     fn push_seed(&mut self, (hash, pos): (u64, GraphPos)) {
         let bucket = bucket_of(hash, self.bucket_bits);
         debug_assert!(
-            self.minimizers.last().is_none_or(|last| {
-                let last = (bucket_of(last.hash, self.bucket_bits), last.hash);
+            self.hashes.last().is_none_or(|&last| {
+                let last = (bucket_of(last, self.bucket_bits), last);
                 (last, self.locations.last()) <= ((bucket, hash), Some(&pos))
             }),
             "seeds must arrive in (bucket, hash, location) order"
         );
-        match self.minimizers.last_mut() {
-            Some(last) if last.hash == hash => last.loc_count += 1,
-            _ => {
-                // Every bucket up to this one starts at or before this entry.
-                let entries = self.minimizers.len() as u32;
-                if self.bucket_starts.len() <= bucket {
-                    self.bucket_starts.resize(bucket + 1, entries);
-                }
-                self.minimizers.push(MinimizerEntry {
-                    hash,
-                    loc_start: self.locations.len() as u32,
-                    loc_count: 1,
-                });
+        if self.hashes.last() != Some(&hash) {
+            // Every bucket up to this one starts at or before this entry.
+            let entries = self.hashes.len() as u32;
+            if self.bucket_starts.len() <= bucket {
+                self.bucket_starts.resize(bucket + 1, entries);
             }
+            self.hashes.push(hash);
+            self.starts.push(0);
         }
         self.locations.push(pos);
+        // The sentinel: where the latest minimizer's locations end.
+        *self.starts.last_mut().expect("a sentinel") = self.locations.len() as u32;
     }
 
+    /// Completes the first level and gives back whatever capacity the
+    /// estimate left over, so the levels hold what
+    /// [`Self::footprint`] counts.
     fn sealed(mut self) -> Self {
-        let entries = self.minimizers.len() as u32;
+        let entries = self.hashes.len() as u32;
         self.bucket_starts
             .resize((1usize << self.bucket_bits) + 1, entries);
+        self.hashes.shrink_to_fit();
+        self.starts.shrink_to_fit();
+        self.locations.shrink_to_fit();
         self
     }
 
@@ -182,7 +177,7 @@ impl GraphIndex {
 
     /// Number of distinct minimizers (second-level entries).
     pub fn distinct_minimizers(&self) -> usize {
-        self.minimizers.len()
+        self.hashes.len()
     }
 
     /// Total number of seed locations (third-level entries).
@@ -193,26 +188,31 @@ impl GraphIndex {
     /// Occurrence frequency of a minimizer hash (the value MinSeed fetches
     /// first, step 3 in Figure 4). Zero when absent.
     pub fn frequency(&self, hash: u64) -> u32 {
-        self.entry(hash).map_or(0, |e| e.loc_count)
+        self.entry(hash)
+            .map_or(0, |m| self.starts[m + 1] - self.starts[m])
     }
 
     /// All seed locations of a minimizer hash (step 5 in Figure 4).
     pub fn locations(&self, hash: u64) -> &[GraphPos] {
         match self.entry(hash) {
-            Some(e) => &self.locations[e.loc_start as usize..][..e.loc_count as usize],
+            Some(m) => self.locations_of(m),
             None => &[],
         }
     }
 
-    fn entry(&self, hash: u64) -> Option<MinimizerEntry> {
+    /// The second-level entry of `hash`: a binary search of its bucket's
+    /// run of the hash array.
+    fn entry(&self, hash: u64) -> Option<usize> {
         let bucket = bucket_of(hash, self.bucket_bits);
         let start = self.bucket_starts[bucket] as usize;
         let end = self.bucket_starts[bucket + 1] as usize;
-        let slice = &self.minimizers[start..end];
-        slice
-            .binary_search_by_key(&hash, |e| e.hash)
-            .ok()
-            .map(|i| slice[i])
+        let at = self.hashes[start..end].binary_search(&hash).ok()?;
+        Some(start + at)
+    }
+
+    /// The third-level run of second-level entry `m`.
+    fn locations_of(&self, m: usize) -> &[GraphPos] {
+        &self.locations[self.starts[m] as usize..self.starts[m + 1] as usize]
     }
 
     /// Queries a [`Minimizer`] extracted from a read.
@@ -283,8 +283,8 @@ impl GraphIndex {
         let mut sizes = vec![(0, 0); shards];
         // The last minimizer each shard counted an entry for.
         let mut counted = vec![usize::MAX; shards];
-        for (m, entry) in self.minimizers.iter().enumerate() {
-            for &loc in &self.locations[entry.loc_start as usize..][..entry.loc_count as usize] {
+        for m in 0..self.hashes.len() {
+            for &loc in self.locations_of(m) {
                 let shard = owner(loc);
                 sizes[shard].1 += 1;
                 if counted[shard] != m {
@@ -298,11 +298,10 @@ impl GraphIndex {
 
     /// Every `(hash, location)` pair in `(bucket, hash, location)` order.
     fn seeds(&self) -> impl Iterator<Item = (u64, GraphPos)> + '_ {
-        self.minimizers.iter().flat_map(|entry| {
-            self.locations[entry.loc_start as usize..][..entry.loc_count as usize]
-                .iter()
-                .map(|&loc| (entry.hash, loc))
-        })
+        self.hashes
+            .iter()
+            .enumerate()
+            .flat_map(|(m, &hash)| self.locations_of(m).iter().map(move |&loc| (hash, loc)))
     }
 
     /// Incrementally maintains the index across a graph delta: carried
@@ -332,7 +331,7 @@ impl GraphIndex {
         for &node in &log.fresh {
             let seq = new_graph.seq(node);
             stats.extracted_chars += seq.len() as u64;
-            for m in extract_minimizers_from(seq.as_slice(), &self.scheme) {
+            for m in extract_minimizers_from(seq, &self.scheme) {
                 fresh.push((m.rank, GraphPos::new(node, m.pos)));
             }
         }
@@ -368,7 +367,7 @@ impl GraphIndex {
     /// The per-minimizer occurrence counts (used to derive the frequency
     /// filter threshold).
     pub fn frequencies(&self) -> impl Iterator<Item = u32> + '_ {
-        self.minimizers.iter().map(|e| e.loc_count)
+        self.starts.windows(2).map(|run| run[1] - run[0])
     }
 
     /// Translates every location's node id through `map`, preserving the
@@ -382,10 +381,9 @@ impl GraphIndex {
     /// (no re-extraction, no re-sort, no re-partition).
     pub fn remap_nodes(&self, map: &[Option<NodeId>]) -> Option<GraphIndex> {
         let mut locations = Vec::with_capacity(self.locations.len());
-        for entry in &self.minimizers {
-            let slice = &self.locations[entry.loc_start as usize..][..entry.loc_count as usize];
+        for m in 0..self.hashes.len() {
             let start = locations.len();
-            for loc in slice {
+            for loc in self.locations_of(m) {
                 let new_node = *map.get(loc.node.index())?;
                 locations.push(GraphPos::new(new_node?, loc.offset));
             }
@@ -397,7 +395,8 @@ impl GraphIndex {
             scheme: self.scheme,
             bucket_bits: self.bucket_bits,
             bucket_starts: self.bucket_starts.clone(),
-            minimizers: self.minimizers.clone(),
+            hashes: self.hashes.clone(),
+            starts: self.starts.clone(),
             locations,
         })
     }
@@ -422,7 +421,7 @@ impl GraphIndex {
         IndexFootprint {
             bucket_bits,
             bucket_bytes: (1u64 << bucket_bits) * BUCKET_ENTRY_BYTES,
-            minimizer_bytes: self.minimizers.len() as u64 * MINIMIZER_ENTRY_BYTES,
+            minimizer_bytes: self.hashes.len() as u64 * MINIMIZER_ENTRY_BYTES,
             location_bytes: self.locations.len() as u64 * LOCATION_ENTRY_BYTES,
             max_minimizers_per_bucket: self.max_bucket_load(bucket_bits),
         }
@@ -432,8 +431,8 @@ impl GraphIndex {
     /// hypothetical bucket count (right axis of Figure 7).
     fn max_bucket_load(&self, bucket_bits: u32) -> usize {
         let mut loads: HashMap<usize, usize> = HashMap::new();
-        for e in &self.minimizers {
-            *loads.entry(bucket_of(e.hash, bucket_bits)).or_insert(0) += 1;
+        for &hash in &self.hashes {
+            *loads.entry(bucket_of(hash, bucket_bits)).or_insert(0) += 1;
         }
         loads.values().copied().max().unwrap_or(0)
     }
@@ -521,7 +520,9 @@ pub struct DeltaStats {
 }
 
 /// Byte footprint of the index (Figure 7's left axis) plus the bucket-load
-/// metric (right axis).
+/// metric (right axis). At the index's own bucket count it is also the
+/// heap its three levels hold, but for the two sentinel entries (the first
+/// level's last bucket start, the second level's last location start).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IndexFootprint {
     /// `log2` bucket count this footprint was computed for.
@@ -546,7 +547,7 @@ impl IndexFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimizer::extract_minimizers;
+    use crate::minimizer::extract_minimizers_from;
     use segram_graph::{build_graph, linear_graph, Variant};
     use segram_graph::{DnaSeq, GenomeGraph, NodeId};
 
@@ -573,22 +574,18 @@ mod tests {
         let bucket_of = |hash: u64| -> usize { (hash % bucket_count as u64) as usize };
         raw.sort_by_key(|&(hash, pos)| (bucket_of(hash), hash, pos));
         let mut bucket_starts = vec![0u32; bucket_count + 1];
-        let mut minimizers: Vec<MinimizerEntry> = Vec::new();
+        let mut hashes: Vec<u64> = Vec::new();
+        let mut starts: Vec<u32> = Vec::new();
         let mut locations: Vec<GraphPos> = Vec::with_capacity(raw.len());
         for (hash, pos) in raw {
-            let same = minimizers.last().is_some_and(|last| last.hash == hash);
-            if same {
-                minimizers.last_mut().expect("non-empty").loc_count += 1;
-            } else {
-                minimizers.push(MinimizerEntry {
-                    hash,
-                    loc_start: locations.len() as u32,
-                    loc_count: 1,
-                });
+            if hashes.last() != Some(&hash) {
+                hashes.push(hash);
+                starts.push(locations.len() as u32);
                 bucket_starts[bucket_of(hash) + 1] += 1;
             }
             locations.push(pos);
         }
+        starts.push(locations.len() as u32);
         for b in 1..=bucket_count {
             bucket_starts[b] += bucket_starts[b - 1];
         }
@@ -596,7 +593,8 @@ mod tests {
             scheme,
             bucket_bits,
             bucket_starts,
-            minimizers,
+            hashes,
+            starts,
             locations,
         }
     }
@@ -604,7 +602,7 @@ mod tests {
     fn raw_seeds(graph: &GenomeGraph, scheme: &MinimizerScheme) -> Vec<(u64, GraphPos)> {
         let mut raw = Vec::new();
         for node in graph.node_ids() {
-            for m in extract_minimizers(graph.seq(node), scheme) {
+            for m in extract_minimizers_from(graph.seq(node), scheme) {
                 raw.push((m.rank, GraphPos::new(node, m.pos)));
             }
         }
@@ -613,7 +611,8 @@ mod tests {
 
     fn assert_same_levels(got: &GraphIndex, want: &GraphIndex, what: &str) {
         assert_eq!(got.bucket_starts, want.bucket_starts, "{what}: level 1");
-        assert_eq!(got.minimizers, want.minimizers, "{what}: level 2");
+        assert_eq!(got.hashes, want.hashes, "{what}: level 2 hashes");
+        assert_eq!(got.starts, want.starts, "{what}: level 2 starts");
         assert_eq!(got.locations, want.locations, "{what}: level 3");
     }
 
@@ -699,7 +698,7 @@ mod tests {
         let scheme = MinimizerScheme::new(5, 11);
         let index = GraphIndex::build(&graph, scheme, 12);
         for node in graph.node_ids() {
-            for m in extract_minimizers(graph.seq(node), &scheme) {
+            for m in extract_minimizers_from(graph.seq(node), &scheme) {
                 let locs = index.lookup(&m);
                 assert!(
                     locs.contains(&GraphPos::new(node, m.pos)),
@@ -719,7 +718,7 @@ mod tests {
         // Brute-force collection of all (hash -> positions).
         let mut expected: HashMap<u64, Vec<GraphPos>> = HashMap::new();
         for node in graph.node_ids() {
-            for m in extract_minimizers(graph.seq(node), &scheme) {
+            for m in extract_minimizers_from(graph.seq(node), &scheme) {
                 expected
                     .entry(m.rank)
                     .or_default()
@@ -756,6 +755,21 @@ mod tests {
             fp.total_bytes(),
             fp.bucket_bytes + fp.minimizer_bytes + fp.location_bytes
         );
+    }
+
+    #[test]
+    fn footprint_is_the_heap_of_the_level_arrays_but_the_sentinels() {
+        let graph = test_graph();
+        for bucket_bits in [4, 12] {
+            let index = GraphIndex::build(&graph, MinimizerScheme::new(5, 11), bucket_bits);
+            let bytes = |len: usize, size: usize| (len * size) as u64;
+            let levels = bytes(index.bucket_starts.capacity(), 4)
+                + bytes(index.hashes.capacity(), 8)
+                + bytes(index.starts.capacity(), 4)
+                + bytes(index.locations.capacity(), std::mem::size_of::<GraphPos>());
+            let sentinels = 2 * 4;
+            assert_eq!(index.footprint().total_bytes() + sentinels, levels);
+        }
     }
 
     #[test]
@@ -834,9 +848,8 @@ mod tests {
             // Every shard location sits inside its coordinate range, and
             // per-minimizer shard frequencies sum to the global frequency.
             for (s, shard) in shards.iter().enumerate() {
-                for e in &shard.minimizers {
-                    let locs = &shard.locations[e.loc_start as usize..][..e.loc_count as usize];
-                    for &loc in locs {
+                for m in 0..shard.hashes.len() {
+                    for &loc in shard.locations_of(m) {
                         let linear = graph.linear_pos(loc).unwrap();
                         assert!(
                             bounds[s] <= linear && linear < bounds[s + 1].max(bounds[s] + 1),
@@ -846,15 +859,15 @@ mod tests {
                     }
                 }
             }
-            for e in &index.minimizers {
-                let summed: u32 = shards.iter().map(|s| s.frequency(e.hash)).sum();
-                assert_eq!(summed, index.frequency(e.hash), "hash {}", e.hash);
+            for &hash in &index.hashes {
+                let summed: u32 = shards.iter().map(|s| s.frequency(hash)).sum();
+                assert_eq!(summed, index.frequency(hash), "hash {hash}");
                 let mut merged: Vec<GraphPos> = shards
                     .iter()
-                    .flat_map(|s| s.locations(e.hash).iter().copied())
+                    .flat_map(|s| s.locations(hash).iter().copied())
                     .collect();
                 merged.sort();
-                let mut expected = index.locations(e.hash).to_vec();
+                let mut expected = index.locations(hash).to_vec();
                 expected.sort();
                 assert_eq!(merged, expected);
             }
@@ -866,14 +879,13 @@ mod tests {
     fn split_reference(index: &GraphIndex, graph: &GenomeGraph, bounds: &[u64]) -> Vec<GraphIndex> {
         let shards = bounds.len() - 1;
         let mut raw: Vec<Vec<(u64, GraphPos)>> = vec![Vec::new(); shards];
-        for entry in &index.minimizers {
-            let locs = &index.locations[entry.loc_start as usize..][..entry.loc_count as usize];
-            for &loc in locs {
+        for (m, &hash) in index.hashes.iter().enumerate() {
+            for &loc in index.locations_of(m) {
                 let linear = graph.linear_pos(loc).unwrap();
                 let shard = bounds[1..shards]
                     .partition_point(|&b| b <= linear)
                     .min(shards - 1);
-                raw[shard].push((entry.hash, loc));
+                raw[shard].push((hash, loc));
             }
         }
         raw.into_iter()
@@ -912,10 +924,12 @@ mod tests {
                         got.bucket_starts, want.bucket_starts,
                         "{bounds:?} shard {i}"
                     );
-                    assert_eq!(got.minimizers, want.minimizers, "{bounds:?} shard {i}");
+                    assert_eq!(got.hashes, want.hashes, "{bounds:?} shard {i}");
+                    assert_eq!(got.starts, want.starts, "{bounds:?} shard {i}");
                     assert_eq!(got.locations, want.locations, "{bounds:?} shard {i}");
                     // The counting walk sized both levels exactly.
-                    assert_eq!(got.minimizers.capacity(), got.minimizers.len());
+                    assert_eq!(got.hashes.capacity(), got.hashes.len());
+                    assert_eq!(got.starts.capacity(), got.starts.len());
                     assert_eq!(got.locations.capacity(), got.locations.len());
                 }
             }
@@ -932,8 +946,8 @@ mod tests {
         let index = GraphIndex::build(&graph, scheme, 8);
         let repeated: Vec<u32> = index.frequencies().filter(|&f| f >= 2).collect();
         assert!(!repeated.is_empty(), "repeat should duplicate minimizers");
-        for e in &index.minimizers {
-            let locs = &index.locations[e.loc_start as usize..][..e.loc_count as usize];
+        for m in 0..index.hashes.len() {
+            let locs = index.locations_of(m);
             assert!(locs.windows(2).all(|w| w[0] <= w[1]), "locations sorted");
         }
     }

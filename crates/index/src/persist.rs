@@ -44,11 +44,12 @@ use std::io::{self, Cursor, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use segram_graph::{
-    Base, DnaSeq, GenomeGraph, GraphBuilder, GraphPos, NodeId, Variant, VariantKind, VariantSet,
+    pack_bases, Base, DnaSeq, GenomeGraph, GraphError, GraphPos, NodeId, PackedSeq, Variant,
+    VariantKind, VariantSet,
 };
 use segram_io::{fnv1a64, BinError, ByteReader, ByteWriter, Checksum, Fnv1a64, Xxh64};
 
-use crate::index::{bucket_of, GraphIndex, MinimizerEntry};
+use crate::index::{bucket_of, GraphIndex};
 use crate::minimizer::{KmerOrdering, MinimizerScheme};
 
 /// The 8-byte magic at the start of every `.sgi` file.
@@ -167,8 +168,9 @@ pub struct StoreChangelog {
     /// Identity of **this** store (filled in by [`encode_index`] from the
     /// actual graph/index payloads; verified by [`decode_index`]).
     pub identity: u64,
-    /// The linear reference the graph was constructed from.
-    pub reference: DnaSeq,
+    /// The linear reference the graph was constructed from, kept packed
+    /// as the store holds it: only a replay unpacks it.
+    pub reference: PackedSeq,
     /// The embedded variant set (sorted, overlap-dropped) — the parent
     /// set a future `apply_variants` call needs.
     pub applied: VariantSet,
@@ -778,27 +780,65 @@ fn encode_graph(w: &mut ByteWriter<'_>, graph: &GenomeGraph) {
     }
 }
 
+/// Decodes the graph section straight into the graph's tables: node
+/// sequences into one character table, edges — which the encoder writes in
+/// source order — into its out-edge rows.
 fn decode_graph(r: &mut ByteReader<'_>) -> Result<GenomeGraph, PersistError> {
     const SECTION: &str = "graph";
     // A node costs at least 9 bytes (length prefix + one packed byte).
     let node_count = r.take_count(9)?;
-    let mut builder = GraphBuilder::new();
+    if node_count > u32::MAX as usize {
+        return Err(corrupt(SECTION, format!("{node_count} nodes")));
+    }
+    // What is left beyond the length prefixes and the edge count packs at
+    // most four bases a byte: room for every base, given back at the end.
+    let packed_bound = r.remaining().saturating_sub(8 * node_count + 8);
+    let mut chars = DnaSeq::with_capacity(4 * packed_bound);
+    let mut char_starts = Vec::with_capacity(node_count + 1);
+    char_starts.push(0);
     for n in 0..node_count {
-        builder
-            .add_node(take_seq(r)?)
-            .map_err(|e| corrupt(SECTION, format!("node {n}: {e}")))?;
+        let len = take_seq_len(r)?;
+        if len == 0 {
+            return Err(corrupt(
+                SECTION,
+                format!("node {n}: {}", GraphError::EmptyNode),
+            ));
+        }
+        take_bases(r, len, &mut chars)?;
+        char_starts.push(chars.len() as u64);
     }
+    let mut chars = chars.into_bases();
+    chars.shrink_to_fit();
+
     let edge_count = r.take_count(8)?;
-    for e in 0..edge_count {
-        let from = NodeId(r.take_u32()?);
-        let to = NodeId(r.take_u32()?);
-        builder
-            .add_edge(from, to)
-            .map_err(|err| corrupt(SECTION, format!("edge {e} ({from} -> {to}): {err}")))?;
+    if edge_count > u32::MAX as usize {
+        return Err(corrupt(SECTION, format!("{edge_count} edges")));
     }
+    let mut out_starts = Vec::with_capacity(node_count + 1);
+    out_starts.push(0);
+    let mut out_targets = Vec::with_capacity(edge_count);
+    for e in 0..edge_count {
+        let from = r.take_u32()?;
+        let to = NodeId(r.take_u32()?);
+        let edge = |detail: &dyn fmt::Display| {
+            corrupt(SECTION, format!("edge {e} (n{from} -> {to}): {detail}"))
+        };
+        if from as usize >= node_count {
+            return Err(edge(&GraphError::NodeOutOfBounds {
+                node: from,
+                node_count,
+            }));
+        }
+        // `out_starts` has a row for every source up to the current one.
+        if (from as usize) + 1 < out_starts.len() {
+            return Err(edge(&"edges out of source order"));
+        }
+        out_starts.resize(from as usize + 1, out_targets.len() as u32);
+        out_targets.push(to);
+    }
+    out_starts.resize(node_count + 1, out_targets.len() as u32);
     expect_end(r)?;
-    builder
-        .finish()
+    GenomeGraph::from_tables(chars, char_starts, out_starts, out_targets)
         .map_err(|e| corrupt(SECTION, e.to_string()))
 }
 
@@ -812,12 +852,14 @@ fn encode_hash_index(w: &mut ByteWriter<'_>, index: &GraphIndex) {
     w.put_u32(index.bucket_bits);
     w.put_u64(index.bucket_starts.len() as u64);
     w.put_records(&index.bucket_starts, |start| start.to_le_bytes());
-    w.put_u64(index.minimizers.len() as u64);
-    w.put_records(&index.minimizers, |entry| {
+    // One 16-byte record per minimizer: hash, location start, count.
+    w.put_u64(index.hashes.len() as u64);
+    let runs = index.starts.windows(2);
+    w.put_records(index.hashes.iter().zip(runs), |(hash, run)| {
         let mut record = [0u8; 16];
-        record[..8].copy_from_slice(&entry.hash.to_le_bytes());
-        record[8..12].copy_from_slice(&entry.loc_start.to_le_bytes());
-        record[12..].copy_from_slice(&entry.loc_count.to_le_bytes());
+        record[..8].copy_from_slice(&hash.to_le_bytes());
+        record[8..12].copy_from_slice(&run[0].to_le_bytes());
+        record[12..].copy_from_slice(&(run[1] - run[0]).to_le_bytes());
         record
     });
     w.put_u64(index.locations.len() as u64);
@@ -885,48 +927,54 @@ fn decode_hash_index(
             "last bucket start does not equal the minimizer count",
         ));
     }
-    let minimizers: Vec<MinimizerEntry> =
-        r.take_records(minimizer_count, |record: &[u8; 16]| MinimizerEntry {
-            hash: u64::from_le_bytes(record[..8].try_into().expect("8 bytes")),
-            loc_start: u32::from_le_bytes(record[8..12].try_into().expect("4 bytes")),
-            loc_count: u32::from_le_bytes(record[12..].try_into().expect("4 bytes")),
-        })?;
-    // Location runs must tile the third level exactly, in order.
-    let mut next_loc_start = 0u64;
-    for (m, entry) in minimizers.iter().enumerate() {
-        if u64::from(entry.loc_start) != next_loc_start || entry.loc_count == 0 {
-            return Err(corrupt(
-                SECTION,
-                format!("minimizer {m}: non-contiguous location run"),
-            ));
+    // Each record's run must start where the previous one ended: the runs
+    // tile the third level exactly, in order, so their ends are the
+    // second level's location starts.
+    let mut hashes = Vec::with_capacity(minimizer_count);
+    let mut starts = Vec::with_capacity(minimizer_count + 1);
+    starts.push(0u32);
+    let mut gap = None;
+    r.take_each(minimizer_count, |record: &[u8; 16]| {
+        let word = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
+        let (loc_start, loc_count) = (word(8), word(12));
+        let end = loc_start.checked_add(loc_count);
+        if gap.is_none() && (Some(&loc_start) != starts.last() || loc_count == 0 || end.is_none()) {
+            gap = Some(hashes.len());
         }
-        next_loc_start += u64::from(entry.loc_count);
+        hashes.push(u64::from_le_bytes(record[..8].try_into().expect("8 bytes")));
+        starts.push(end.unwrap_or(loc_start));
+    })?;
+    if let Some(m) = gap {
+        return Err(corrupt(
+            SECTION,
+            format!("minimizer {m}: non-contiguous location run"),
+        ));
     }
     // Per-bucket invariants: every entry hashes into its bucket and
     // hashes are strictly increasing within it (binary-search order).
     for bucket in 0..bucket_count as usize {
         let range = bucket_starts[bucket] as usize..bucket_starts[bucket + 1] as usize;
-        let entries = &minimizers[range];
+        let entries = &hashes[range];
         for pair in entries.windows(2) {
-            if pair[0].hash >= pair[1].hash {
+            if pair[0] >= pair[1] {
                 return Err(corrupt(
                     SECTION,
                     format!("bucket {bucket}: hashes not strictly increasing"),
                 ));
             }
         }
-        for entry in entries {
-            if bucket_of(entry.hash, bucket_bits) != bucket {
+        for &hash in entries {
+            if bucket_of(hash, bucket_bits) != bucket {
                 return Err(corrupt(
                     SECTION,
-                    format!("hash {:#x} filed under bucket {bucket}", entry.hash),
+                    format!("hash {hash:#x} filed under bucket {bucket}"),
                 ));
             }
         }
     }
 
     let location_count = r.take_count(8)?;
-    if location_count as u64 != next_loc_start {
+    if location_count != *starts.last().expect("a sentinel") as usize {
         return Err(corrupt(
             SECTION,
             "location count does not match the minimizer runs",
@@ -949,7 +997,8 @@ fn decode_hash_index(
         scheme,
         bucket_bits,
         bucket_starts,
-        minimizers,
+        hashes,
+        starts,
         locations,
     })
 }
@@ -1029,31 +1078,58 @@ fn take_string(r: &mut ByteReader<'_>) -> Result<String, PersistError> {
 /// alleles): length prefix, then low-bits-first packed bases — the
 /// paper's reference representation (Section 5) — packed half a chunk at
 /// a time.
-fn put_seq(w: &mut ByteWriter<'_>, seq: &DnaSeq) {
+fn put_seq(w: &mut ByteWriter<'_>, seq: &[Base]) {
     const PIECE_BASES: usize = 4 * (CHUNK / 2);
     w.put_u64(seq.len() as u64);
-    for start in (0..seq.len()).step_by(PIECE_BASES) {
-        let end = (start + PIECE_BASES).min(seq.len());
-        seq.pack_range_into(start..end, w.room((end - start).div_ceil(4)));
+    for piece in seq.chunks(PIECE_BASES) {
+        pack_bases(piece, w.room(piece.len().div_ceil(4)));
     }
+}
+
+/// A sequence that is already packed, in [`put_seq`]'s form.
+fn put_packed(w: &mut ByteWriter<'_>, seq: &PackedSeq) {
+    w.put_u64(seq.len() as u64);
+    w.put_bytes(seq.as_bytes());
+}
+
+/// The length prefix of a [`put_seq`] sequence.
+fn take_seq_len(r: &mut ByteReader<'_>) -> Result<usize, PersistError> {
+    usize::try_from(r.take_u64()?).map_err(|_| corrupt(r.name(), "sequence length overflows usize"))
 }
 
 /// The inverse of [`put_seq`], unpacked piece by piece into an
 /// exactly-sized sequence.
 fn take_seq(r: &mut ByteReader<'_>) -> Result<DnaSeq, PersistError> {
-    let len = usize::try_from(r.take_u64()?)
-        .map_err(|_| corrupt(r.name(), "sequence length overflows usize"))?;
-    let packed = len.div_ceil(4);
+    let len = take_seq_len(r)?;
     // Room only for a length the payload can hold: a longer one fails in
     // `take_bytes` before anything is unpacked.
-    let mut seq = DnaSeq::with_capacity(if packed <= r.remaining() { len } else { 0 });
+    let mut seq = DnaSeq::with_capacity(if len.div_ceil(4) <= r.remaining() {
+        len
+    } else {
+        0
+    });
+    take_bases(r, len, &mut seq)?;
+    Ok(seq)
+}
+
+/// Appends the `len` packed bases that follow to `seq`.
+fn take_bases(r: &mut ByteReader<'_>, len: usize, seq: &mut DnaSeq) -> Result<(), PersistError> {
     let mut left = len;
-    r.take_bytes(packed, |piece| {
+    r.take_bytes(len.div_ceil(4), |piece| {
         let bases = left.min(piece.len() * 4);
         seq.extend_from_packed(piece, bases);
         left -= bases;
     })?;
-    Ok(seq)
+    Ok(())
+}
+
+/// The inverse of [`put_packed`]: a [`put_seq`] sequence kept packed.
+fn take_packed(r: &mut ByteReader<'_>) -> Result<PackedSeq, PersistError> {
+    let len = take_seq_len(r)?;
+    let packed = len.div_ceil(4);
+    let mut bytes = Vec::with_capacity(if packed <= r.remaining() { packed } else { 0 });
+    r.take_bytes(packed, |piece| bytes.extend_from_slice(piece))?;
+    Ok(PackedSeq::from_packed(bytes, len))
 }
 
 fn put_variant(w: &mut ByteWriter<'_>, v: &Variant) {
@@ -1066,7 +1142,7 @@ fn put_variant(w: &mut ByteWriter<'_>, v: &Variant) {
         VariantKind::Insertion { seq } => {
             w.put_u8(1);
             w.put_u64(v.pos);
-            put_seq(w, seq);
+            put_seq(w, seq.as_slice());
         }
         VariantKind::Deletion { len } => {
             w.put_u8(2);
@@ -1077,7 +1153,7 @@ fn put_variant(w: &mut ByteWriter<'_>, v: &Variant) {
             w.put_u8(3);
             w.put_u64(v.pos);
             w.put_u64(*ref_len);
-            put_seq(w, alt);
+            put_seq(w, alt.as_slice());
         }
     }
 }
@@ -1125,7 +1201,7 @@ fn encode_changelog(w: &mut ByteWriter<'_>, log: &StoreChangelog, identity: u64)
     w.put_u64(log.epoch);
     w.put_u64(log.parent);
     w.put_u64(identity);
-    put_seq(w, &log.reference);
+    put_packed(w, &log.reference);
     w.put_u64(log.applied.len() as u64);
     for variant in log.applied.iter() {
         put_variant(w, variant);
@@ -1170,7 +1246,7 @@ fn decode_changelog(
     let epoch = r.take_u64()?;
     let parent = r.take_u64()?;
     let identity = r.take_u64()?;
-    let reference = take_seq(r)?;
+    let reference = take_packed(r)?;
     let applied_count = r.take_count(9)?;
     let mut applied = VariantSet::new();
     for _ in 0..applied_count {

@@ -12,7 +12,7 @@
 //! over the combined VCFs while doing work proportional to the delta.
 
 use segram_graph::{
-    apply_variants, graphs_identical, ChangeLog, ConstructedGraph, DnaSeq, VariantSet,
+    apply_variants, graphs_identical, ChangeLog, ConstructedGraph, DnaSeq, PackedSeq, VariantSet,
 };
 
 use crate::index::DeltaStats;
@@ -33,7 +33,8 @@ pub struct UpdateOutcome {
     pub log: ChangeLog,
 }
 
-/// The epoch-0 changelog for a fresh `index build`.
+/// The epoch-0 changelog for a fresh `index build`, which keeps
+/// `reference` packed.
 ///
 /// Identity fields are left 0; [`encode_index`](crate::encode_index)
 /// stamps them from the actual payload bytes at write time.
@@ -47,7 +48,7 @@ pub fn initial_changelog(
         epoch: 0,
         parent: 0,
         identity: 0,
-        reference,
+        reference: PackedSeq::from_seq(&reference),
         applied: built.applied.clone(),
         history: vec![EpochEntry {
             epoch: 0,

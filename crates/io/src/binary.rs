@@ -401,7 +401,7 @@ impl<'a> ByteWriter<'a> {
 
     /// The chunk, with room for `n` more bytes (at most its capacity) —
     /// for an encoder that appends a run of bytes itself (e.g.
-    /// `DnaSeq::pack_range_into`).
+    /// `segram_graph::pack_bases`).
     pub fn room(&mut self, n: usize) -> &mut Vec<u8> {
         if self.chunk.len() + n > self.chunk.capacity() {
             self.flush();
@@ -434,10 +434,16 @@ impl<'a> ByteWriter<'a> {
     /// Appends one fixed-width `N`-byte record per item, a chunk's worth
     /// at a time — the bulk counterpart of a `put_*` call per field, for
     /// the index format's million-element arrays.
-    pub fn put_records<T, const N: usize>(&mut self, items: &[T], encode: impl Fn(&T) -> [u8; N]) {
-        for batch in items.chunks(self.chunk.capacity() / N) {
-            let chunk = self.room(batch.len() * N);
-            for item in batch {
+    pub fn put_records<T, const N: usize>(
+        &mut self,
+        items: impl IntoIterator<Item = T, IntoIter: ExactSizeIterator>,
+        encode: impl Fn(T) -> [u8; N],
+    ) {
+        let mut items = items.into_iter();
+        while items.len() > 0 {
+            let batch = items.len().min(self.chunk.capacity() / N);
+            let chunk = self.room(batch * N);
+            for item in items.by_ref().take(batch) {
                 chunk.extend_from_slice(&encode(item));
             }
         }
@@ -669,9 +675,39 @@ impl<'a> ByteReader<'a> {
         Ok(())
     }
 
+    /// Hands `count` fixed-width `N`-byte records to `visit`, in bulk:
+    /// every whole record in the chunk per pass — the counterpart of
+    /// [`ByteWriter::put_records`].
+    ///
+    /// # Errors
+    ///
+    /// [`BinError::UnexpectedEnd`], before `visit` sees a record, when
+    /// fewer than `count × N` bytes remain; or the source's failure.
+    pub fn take_each<const N: usize>(
+        &mut self,
+        count: usize,
+        mut visit: impl FnMut(&[u8; N]),
+    ) -> Result<(), BinError> {
+        let needed = count.saturating_mul(N);
+        if needed > self.remaining() {
+            return Err(self.unexpected_end(needed));
+        }
+        let mut left = count;
+        while left > 0 {
+            self.fill(N)?;
+            let n = ((self.hi - self.lo) / N).min(left);
+            for record in self.chunk[self.lo..][..n * N].chunks_exact(N) {
+                visit(record.try_into().expect("N-byte record"));
+            }
+            self.lo += n * N;
+            self.pos += n * N;
+            left -= n;
+        }
+        Ok(())
+    }
+
     /// Decodes `count` fixed-width `N`-byte records into an exactly-sized
-    /// array, in bulk: every whole record in the chunk per pass — the
-    /// counterpart of [`ByteWriter::put_records`].
+    /// array ([`Self::take_each`]).
     ///
     /// # Errors
     ///
@@ -687,18 +723,7 @@ impl<'a> ByteReader<'a> {
             return Err(self.unexpected_end(needed));
         }
         let mut records = Vec::with_capacity(count);
-        while records.len() < count {
-            self.fill(N)?;
-            let n = ((self.hi - self.lo) / N).min(count - records.len());
-            let bytes = &self.chunk[self.lo..][..n * N];
-            records.extend(
-                bytes
-                    .chunks_exact(N)
-                    .map(|record| decode(record.try_into().expect("N-byte record"))),
-            );
-            self.lo += n * N;
-            self.pos += n * N;
-        }
+        self.take_each(count, |record| records.push(decode(record)))?;
         Ok(records)
     }
 

@@ -5,7 +5,11 @@
 //! returned store keeps (a loader holding the file in one buffer sits
 //! near 2×), and no single allocation reaches the index section's length
 //! — the decoded level arrays, each smaller than their section, are the
-//! largest.
+//! largest. The store itself keeps within 1.15× the file's bytes: the
+//! graph's one character table at a byte per base, its edges as rows, a
+//! 12-byte second-level entry per minimizer and the changelog's reference
+//! kept packed (a graph of a sequence and two edge lists per node, 16-byte
+//! entries and an unpacked reference kept about 1.4×).
 //!
 //! A counting global allocator measures both. It counts every allocation
 //! in the process, so this binary holds this one test alone.
@@ -116,6 +120,12 @@ fn loading_a_store_holds_little_beyond_the_store_it_returns() {
 
     let loaded = loaded.expect("own store loads");
     assert!(loaded.graph.total_chars() >= 1_000_000);
+    let file_len = table.sections.iter().map(|s| s.offset + s.len).max();
+    let file_len = file_len.expect("sections") as usize;
+    assert!(
+        kept as f64 <= 1.15 * file_len as f64,
+        "the loaded store keeps {kept} live bytes for a {file_len}-byte file"
+    );
     assert!(
         peak as f64 <= 1.15 * kept as f64,
         "load peaked at {peak} live bytes for a store of {kept}"
@@ -125,8 +135,9 @@ fn loading_a_store_holds_little_beyond_the_store_it_returns() {
         "a {largest}-byte allocation during the load; the index section is {index_len} bytes"
     );
     eprintln!(
-        "store {kept} B, load peak {peak} B ({:.3}x), largest allocation {largest} B, \
-         index section {index_len} B",
+        "file {file_len} B, store {kept} B ({:.3}x), load peak {peak} B ({:.3}x), \
+         largest allocation {largest} B, index section {index_len} B",
+        kept as f64 / file_len as f64,
         peak as f64 / kept as f64
     );
 }

@@ -3,8 +3,8 @@
 
 use segram_graph::{linear_graph, Base, DnaSeq, GraphPos};
 use segram_index::{
-    extract_minimizers, frequency_threshold, pack_kmer, GraphIndex, MinSeed, MinSeedConfig,
-    Minimizer, MinimizerScheme,
+    extract_minimizers, extract_minimizers_from, frequency_threshold, pack_kmer, GraphIndex,
+    MinSeed, MinSeedConfig, Minimizer, MinimizerScheme,
 };
 use segram_testkit::prelude::*;
 
@@ -115,7 +115,7 @@ proptest! {
         let index = GraphIndex::build(&graph, scheme, bucket_bits);
         let mut expected: std::collections::HashMap<u64, Vec<GraphPos>> = Default::default();
         for node in graph.node_ids() {
-            for m in extract_minimizers(graph.seq(node), &scheme) {
+            for m in extract_minimizers_from(graph.seq(node), &scheme) {
                 expected.entry(m.rank).or_default().push(GraphPos::new(node, m.pos));
             }
         }

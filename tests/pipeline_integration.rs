@@ -4,7 +4,7 @@
 use segram_core::{
     measure_workload, BaselineMapper, GraphAlignerLike, HgaLike, SegramConfig, SegramMapper,
 };
-use segram_graph::{gfa, hop_coverage, GraphTables};
+use segram_graph::{gfa, hop_coverage};
 use segram_hw::{system_cost, BitAlignStorage, HbmConfig, MinSeedScratchpads, SegramSystem};
 use segram_sim::{DatasetConfig, ErrorProfile, ReadConfig};
 
@@ -219,18 +219,17 @@ fn s2s_special_case_reads_map_like_s2g() {
 #[test]
 fn graph_tables_round_trip_a_dataset_graph() {
     let dataset = DatasetConfig::tiny(121).illumina(100);
-    let tables = GraphTables::from_graph(dataset.graph());
-    assert_eq!(tables.node_count(), dataset.graph().node_count());
-    let fp = tables.footprint();
-    assert_eq!(
-        fp.node_table_bytes,
-        dataset.graph().node_count() as u64 * 32
-    );
-    for node in dataset.graph().node_ids().take(50) {
-        assert_eq!(
-            tables.node_edges(node).unwrap(),
-            dataset.graph().successors(node)
-        );
+    let graph = dataset.graph();
+    let fp = graph.footprint();
+    assert_eq!(fp.node_table_bytes, graph.node_count() as u64 * 32);
+    assert_eq!(fp.char_table_bytes, graph.total_chars().div_ceil(4));
+    assert_eq!(fp.edge_table_bytes, graph.edge_count() as u64 * 4);
+    // Rebuilt node by node and edge by edge, the graph is the same tables.
+    assert_eq!(&gfa::from_gfa(&gfa::to_gfa(graph)).unwrap(), graph);
+    for node in graph.node_ids().take(50) {
+        for &next in graph.successors(node) {
+            assert!(graph.predecessors(next).contains(&node));
+        }
     }
 }
 
