@@ -117,14 +117,12 @@ impl GraphIndex {
     /// to the latest minimizer's bucket, [`Self::sealed`] the rest of it.
     /// `capacity` is `(minimizers, locations)`.
     fn unsealed(scheme: MinimizerScheme, bucket_bits: u32, capacity: (usize, usize)) -> Self {
-        let mut starts = Vec::with_capacity(capacity.0 + 1);
-        starts.push(0);
         Self {
             scheme,
             bucket_bits,
             bucket_starts: Vec::with_capacity((1usize << bucket_bits) + 1),
             hashes: Vec::with_capacity(capacity.0),
-            starts,
+            starts: Vec::with_capacity(capacity.0 + 1),
             locations: Vec::with_capacity(capacity.1),
         }
     }
@@ -145,20 +143,19 @@ impl GraphIndex {
                 self.bucket_starts.resize(bucket + 1, entries);
             }
             self.hashes.push(hash);
-            self.starts.push(0);
+            self.starts.push(self.locations.len() as u32);
         }
         self.locations.push(pos);
-        // The sentinel: where the latest minimizer's locations end.
-        *self.starts.last_mut().expect("a sentinel") = self.locations.len() as u32;
     }
 
-    /// Completes the first level and gives back whatever capacity the
-    /// estimate left over, so the levels hold what
-    /// [`Self::footprint`] counts.
+    /// Completes the first level and the second level's sentinel, and
+    /// gives back whatever capacity the estimate left over, so the levels
+    /// hold what [`Self::footprint`] counts.
     fn sealed(mut self) -> Self {
         let entries = self.hashes.len() as u32;
         self.bucket_starts
             .resize((1usize << self.bucket_bits) + 1, entries);
+        self.starts.push(self.locations.len() as u32);
         self.hashes.shrink_to_fit();
         self.starts.shrink_to_fit();
         self.locations.shrink_to_fit();
@@ -213,6 +210,11 @@ impl GraphIndex {
     /// The third-level run of second-level entry `m`.
     fn locations_of(&self, m: usize) -> &[GraphPos] {
         &self.locations[self.starts[m] as usize..self.starts[m + 1] as usize]
+    }
+
+    /// Every second-level entry's third-level run, in order.
+    fn runs(&self) -> impl Iterator<Item = &[GraphPos]> + '_ {
+        (self.starts.windows(2)).map(|run| &self.locations[run[0] as usize..run[1] as usize])
     }
 
     /// Queries a [`Minimizer`] extracted from a read.
@@ -283,8 +285,8 @@ impl GraphIndex {
         let mut sizes = vec![(0, 0); shards];
         // The last minimizer each shard counted an entry for.
         let mut counted = vec![usize::MAX; shards];
-        for m in 0..self.hashes.len() {
-            for &loc in self.locations_of(m) {
+        for (m, run) in self.runs().enumerate() {
+            for &loc in run {
                 let shard = owner(loc);
                 sizes[shard].1 += 1;
                 if counted[shard] != m {
@@ -298,10 +300,8 @@ impl GraphIndex {
 
     /// Every `(hash, location)` pair in `(bucket, hash, location)` order.
     fn seeds(&self) -> impl Iterator<Item = (u64, GraphPos)> + '_ {
-        self.hashes
-            .iter()
-            .enumerate()
-            .flat_map(|(m, &hash)| self.locations_of(m).iter().map(move |&loc| (hash, loc)))
+        (self.hashes.iter().zip(self.runs()))
+            .flat_map(|(&hash, run)| run.iter().map(move |&loc| (hash, loc)))
     }
 
     /// Incrementally maintains the index across a graph delta: carried
@@ -381,9 +381,9 @@ impl GraphIndex {
     /// (no re-extraction, no re-sort, no re-partition).
     pub fn remap_nodes(&self, map: &[Option<NodeId>]) -> Option<GraphIndex> {
         let mut locations = Vec::with_capacity(self.locations.len());
-        for m in 0..self.hashes.len() {
+        for run in self.runs() {
             let start = locations.len();
-            for loc in self.locations_of(m) {
+            for loc in run {
                 let new_node = *map.get(loc.node.index())?;
                 locations.push(GraphPos::new(new_node?, loc.offset));
             }
