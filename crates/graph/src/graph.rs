@@ -175,16 +175,17 @@ impl GenomeGraph {
     ///
     /// # Errors
     ///
-    /// [`GraphError::EmptyNode`] when two node starts are equal;
+    /// [`GraphError::EmptyNode`] when a node's start is not below the
+    /// next one's;
     /// [`GraphError::NodeOutOfBounds`], [`GraphError::SelfLoop`] or
     /// [`GraphError::DuplicateEdge`] for a bad edge; and
     /// [`GraphError::CyclicGraph`] when the edges form a cycle.
     ///
     /// # Panics
     ///
-    /// Panics unless `char_starts` runs from 0 to `chars.len()` without
-    /// descending and `out_starts` holds one entry more than `char_starts`
-    /// has nodes, running from 0 to `out_targets.len()` without descending.
+    /// Panics unless `char_starts` runs from 0 to `chars.len()` and
+    /// `out_starts` holds one entry per node plus one, running from 0 to
+    /// `out_targets.len()` without descending.
     pub fn from_tables(
         chars: Vec<Base>,
         char_starts: Vec<u64>,
