@@ -21,10 +21,12 @@
 #                       emitting the (gitignored) BENCH_smoke.json artifact
 #   7. determinism      segram map output diffed across --threads 1 vs 4
 #   8. shard-determinism  segram map output diffed across --shards 1 vs 4,
-#                       crossed with --threads 1 vs 4; then `--shards 1`
-#                       and `--shards 1 --schedule elastic` cmp'd against
-#                       the flagless document, from the GFA and from a
-#                       persistent store (no --shards *is* one shard)
+#                       crossed with --threads 1 vs 4; then `--shards 1`,
+#                       `--shards 1 --schedule elastic`, `--shards 3` and
+#                       `--shards 4` cmp'd against the flagless document,
+#                       from the GFA and from a persistent store (no
+#                       --shards *is* one shard; a store loads already
+#                       split)
 #   9. elastic-shards   `--schedule elastic` (per-shard-group worker pools
 #                       over a boot-time placement, routed batches) diffed
 #                       against the default fanout schedule across --shards
@@ -185,7 +187,9 @@ determinism_shards() {
     # No --shards is the one-shard index, not another mapper: spelling the
     # count out, and running it under the elastic schedule (one pool),
     # must write the flagless document — from the GFA and from a
-    # persistent store alike.
+    # persistent store alike. So must 3 and 4 shards, which a store loads
+    # already split (two passes over its index section) and a GFA splits
+    # in memory.
     "$SEGRAM" index build --reference "$GATE_DIR/ds.fa" --vcf "$GATE_DIR/ds.vcf" \
         --output "$GATE_DIR/ds.sgi" > /dev/null || return 1
     local src file leg
@@ -195,7 +199,7 @@ determinism_shards() {
             [ "$src" = index ] && file="$GATE_DIR/ds.sgi"
             map_from "--$src" "$file" "$GATE_DIR/flagless.$fmt" \
                 --format "$fmt" --threads 2 || return 1
-            for leg in "--shards 1" "--shards 1 --schedule elastic"; do
+            for leg in "--shards 1" "--shards 1 --schedule elastic" "--shards 3" "--shards 4"; do
                 # shellcheck disable=SC2086 # $leg is a flag list
                 map_from "--$src" "$file" "$GATE_DIR/one.$fmt" \
                     --format "$fmt" --threads 2 $leg || return 1
@@ -204,7 +208,7 @@ determinism_shards() {
                          return 1; }
             done
         done
-        echo "  $fmt: --shards 1 and --shards 1 --schedule elastic identical to flagless (--graph, --index)"
+        echo "  $fmt: --shards 1, 3, 4 and --shards 1 --schedule elastic identical to flagless (--graph, --index)"
     done
 }
 

@@ -111,6 +111,7 @@ fn bench_shard_swap(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("shard_swap_200kb");
     group.sample_size(10);
+    // Both arms consume a copy of the child store, so both pay its clone.
     group.bench_function("reshard_scratch", |b| {
         b.iter(|| {
             let sharded = ShardedIndex::from_persisted(v2.clone(), config, SHARDS);
@@ -119,13 +120,15 @@ fn bench_shard_swap(c: &mut Criterion) {
     });
     group.bench_function("apply_delta", |b| {
         b.iter(|| {
-            let (swapped, report) = base.apply_delta(black_box(&v2)).expect("parent matches");
+            let (swapped, report) = base
+                .apply_delta(black_box(v2.clone()))
+                .expect("parent matches");
             black_box((swapped.shards().len(), report.dirty))
         })
     });
     group.finish();
 
-    let (_, report) = base.apply_delta(&v2).expect("parent matches");
+    let (_, report) = base.apply_delta(v2).expect("parent matches");
     println!(
         "  info: delta swap rebuilt {} of {} shards ({} kept clean)",
         report.dirty,

@@ -8,7 +8,10 @@ use std::sync::Arc;
 
 use segram_core::{EngineOptions, MultiEngine, SegramConfig, SegramMapper};
 use segram_graph::DnaSeq;
-use segram_index::{decode_index, encode_index, frequency_threshold, GraphIndex, PersistedIndex};
+use segram_index::{
+    decode_index, decode_index_sharded, encode_index, frequency_threshold, GraphIndex,
+    PersistedIndex,
+};
 use segram_io::{fnv1a64, xxh64};
 use segram_sim::DatasetConfig;
 use segram_testkit::bench::{
@@ -83,6 +86,14 @@ fn persist_group(c: &mut Criterion, name: &str, reference_len: usize) {
         b.iter(|| {
             let loaded = decode_index(black_box(&bytes)).expect("decode");
             black_box(loaded.index.footprint().total_bytes())
+        })
+    });
+    // The load `map --index --shards 4` runs: the index section read
+    // twice, every location filed straight into its shard.
+    group.bench_function("decode_shards4", |b| {
+        b.iter(|| {
+            let loaded = decode_index_sharded(black_box(&bytes), 4).expect("decode");
+            black_box(loaded.shards.len())
         })
     });
     // The v2 section checksum beside the v1 one it replaced.

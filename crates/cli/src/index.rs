@@ -2,9 +2,11 @@
 //! construct`, the `segram index` footprint report, and the persistent
 //! `.sgi` store's `index build` / `update` / `inspect`. The store's byte
 //! layout lives in `segram_index::persist` and nowhere else — `inspect`
-//! prints the section table that module hands out — and [`load_store`] +
-//! [`backend_from_store`] are the one store-to-mapper path `segram map
-//! --index` and `segram serve` (boot and `RELOAD`) share.
+//! prints the section table that module hands out. [`load_backend`] is
+//! the store-to-mapper path `segram map --index` and the `segram serve`
+//! boot share, loading the index already split into its shards;
+//! [`load_store`] + [`backend_from_store`] are `RELOAD`'s, whose delta
+//! route reads the child's whole index.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -12,9 +14,9 @@ use std::fs;
 use segram_core::{SegramConfig, ShardedIndex};
 use segram_graph::{build_graph, gfa, ConstructedGraph, DnaSeq, VariantSet};
 use segram_index::{
-    frequency_threshold, initial_changelog, read_index_file, read_section_table, update_store,
-    write_index_file, GraphIndex, IndexProvenance, MinimizerScheme, PersistedIndex,
-    INDEX_FORMAT_VERSION,
+    frequency_threshold, initial_changelog, read_index_file, read_index_file_sharded,
+    read_section_table, update_store, write_index_file, GraphIndex, IndexProvenance,
+    MinimizerScheme, PersistedIndex, StoreChangelog, INDEX_FORMAT_VERSION,
 };
 use segram_io::{read_fasta, read_vcf, VcfOptions};
 
@@ -528,35 +530,62 @@ pub(crate) fn index_inspect(options: &Options) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// Loads a persistent `.sgi` store, mapping persistence errors into the
-/// CLI error shape. The second half is its one-line provenance summary
-/// for reports (`map`'s `loaded persistent index` line, `serve`'s `active
-/// index:` line and reload logs): epoch plus build preset when the store
-/// records them.
+/// Loads a persistent `.sgi` store whole, mapping persistence errors into
+/// the CLI error shape — what a RELOAD needs, since the delta route reads
+/// the child's whole index. The second half is the store's label
+/// ([`store_label`]).
 pub(crate) fn load_store(path: &str) -> Result<(PersistedIndex, String), CliError> {
     let loaded = read_index_file(path).map_err(|e| CliError::index(path, e))?;
-    let label = match (&loaded.provenance, &loaded.changelog) {
-        (Some(p), _) => format!("epoch {}, preset {}", p.epoch, p.preset),
-        (None, Some(log)) => format!("epoch {}", log.epoch),
-        (None, None) => "unversioned".to_owned(),
-    };
+    let label = store_label(&loaded.provenance, &loaded.changelog);
     Ok((loaded, label))
 }
 
-/// Turns a loaded store into the mapper `map --index` and `serve` run:
-/// the store's index split into `shards` coordinate ranges — or, for one
-/// shard, moved in whole. The scheme, bucket count, and discard fraction
-/// recorded in the file override the preset's (seeding reads the scheme
-/// from the index itself; overriding keeps reports and derived knobs
-/// coherent with it). `from_persisted` keeps the store's changelog lineage
-/// wherever a later RELOAD can take the dirty-shard delta route.
+/// A store's one-line provenance summary for reports (`map`'s `loaded
+/// persistent index` line, `serve`'s `active index:` line and reload
+/// logs): epoch plus build preset when the store records them.
+fn store_label(provenance: &Option<IndexProvenance>, changelog: &Option<StoreChangelog>) -> String {
+    match (provenance, changelog) {
+        (Some(p), _) => format!("epoch {}, preset {}", p.epoch, p.preset),
+        (None, Some(log)) => format!("epoch {}", log.epoch),
+        (None, None) => "unversioned".to_owned(),
+    }
+}
+
+/// Loads the store at `path` as the mapper `map --index` and `serve` boot
+/// with: its index filed into `shards` coordinate ranges as it is read,
+/// so the whole index is never held beside its shards. The scheme, bucket
+/// count, and discard fraction recorded in the file override the preset's
+/// (seeding reads the scheme from the index itself; overriding keeps
+/// reports and derived knobs coherent with it). The mapper keeps the
+/// store's changelog lineage wherever a later RELOAD can take the
+/// dirty-shard delta route. The second half is the store's label.
+pub(crate) fn load_backend(
+    path: &str,
+    config: SegramConfig,
+    shards: usize,
+) -> Result<(ShardedIndex, String), CliError> {
+    let store = read_index_file_sharded(path, shards).map_err(|e| CliError::index(path, e))?;
+    let label = store_label(&store.provenance, &store.changelog);
+    let config = store_config(config, &store.shards[0], store.discard_frac);
+    Ok((ShardedIndex::from_store(store, config), label))
+}
+
+/// [`load_backend`] for a store already loaded whole — a RELOAD's child
+/// that the delta route declined, split in memory.
 pub(crate) fn backend_from_store(
     loaded: PersistedIndex,
-    mut config: SegramConfig,
+    config: SegramConfig,
     shards: usize,
 ) -> ShardedIndex {
-    config.scheme = *loaded.index.scheme();
-    config.bucket_bits = loaded.index.bucket_bits();
-    config.discard_frac = loaded.discard_frac;
+    let config = store_config(config, &loaded.index, loaded.discard_frac);
     ShardedIndex::from_persisted(loaded, config, shards)
+}
+
+/// `config` with the scheme and bucket count of a store's `index` and the
+/// discard fraction it records.
+fn store_config(mut config: SegramConfig, index: &GraphIndex, discard_frac: f64) -> SegramConfig {
+    config.scheme = *index.scheme();
+    config.bucket_bits = index.bucket_bits();
+    config.discard_frac = discard_frac;
+    config
 }

@@ -35,7 +35,7 @@ use crate::commands::{
     thread_count, warn_clamped_shards, Schedule,
 };
 use crate::error::CliError;
-use crate::index::{backend_from_store, load_store};
+use crate::index::load_backend;
 
 const MAP_HELP: &str = "\
 segram map — map FASTQ reads to a genome graph (MinSeed + BitAlign)
@@ -748,13 +748,13 @@ pub(crate) fn map(options: &Options) -> Result<String, CliError> {
     let compressed = reads.compressed;
 
     // The one mapper: the coordinate-range index at whatever shard count
-    // was asked for, built from the GFA or split off the loaded store the
-    // way `segram serve` does it, so the bytes do not depend on which.
+    // was asked for, built from the GFA or loaded already split the way
+    // `segram serve` boots, so the bytes do not depend on which.
     let (mapper, source_note) = match source {
         MapSource::Index(index_path) => {
-            let (loaded, label) = load_store(index_path)?;
+            let (mapper, label) = load_backend(index_path, config, shards)?;
             let note = format!("loaded persistent index {index_path} ({label})\n");
-            (backend_from_store(loaded, config, shards), note)
+            (mapper, note)
         }
         MapSource::Graph(graph_path) => {
             let graph = load_graph(graph_path)?;

@@ -53,8 +53,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use segram_core::{
-    elastic_route, DeltaSwapReport, EngineOptions, MultiEngine, PoolReport, Priority,
-    QueueDelayStats, ReadMapper, RequestHandle, ShardPlacement, ShardedIndex,
+    elastic_route, DeclinedDelta, DeltaSwapReport, EngineOptions, MultiEngine, PoolReport,
+    Priority, QueueDelayStats, ReadMapper, RequestHandle, ShardPlacement, ShardedIndex,
 };
 use segram_graph::DnaSeq;
 use segram_io::{Ambiguity, FastqReader, FastqRecord};
@@ -64,7 +64,7 @@ use crate::commands::{
     preset, schedule_kind, shard_count, thread_count, warn_clamped_shards, write_file, Schedule,
 };
 use crate::error::CliError;
-use crate::index::{backend_from_store, load_store};
+use crate::index::{backend_from_store, load_backend, load_store};
 use crate::map::{DocFormat, DocWriter};
 
 /// Reads per engine batch: small enough that a request's first outputs
@@ -419,8 +419,8 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
     // The store becomes the same index a one-shot `map --index` run maps
     // with (same graph, same shard count, same frequency threshold), so
     // replies stay byte-identical to it.
-    let (loaded, boot_label) = load_store(index_path)?;
-    let index = Arc::new(backend_from_store(loaded, config, shards));
+    let (index, boot_label) = load_backend(index_path, config, shards)?;
+    let index = Arc::new(index);
     warn_clamped_shards(shards, &index);
     // A RELOAD whose store is the direct child of the active one (parent
     // checksum matches) takes the delta route when the active index has
@@ -429,14 +429,19 @@ pub fn serve_with_timeout(options: &Options, client_timeout: Duration) -> Result
     // one-shard index, builds the new file's index from scratch.
     let reload = move |path: &str, current: &ShardedIndex| {
         let (loaded, label) = load_store(path)?;
-        let delta = (current.shards().len() > 1).then(|| current.apply_delta(&loaded));
-        let (mapper, kind) = match delta {
-            Some(Ok((next, report))) => (next, ReloadKind::Delta(report)),
-            declined => {
-                let fallback = declined.and_then(Result::err).map(|why| why.to_string());
-                let mapper = backend_from_store(loaded, config, shards);
-                (mapper, ReloadKind::Full { fallback })
+        let (mapper, kind) = if current.shards().len() > 1 {
+            match current.apply_delta(loaded) {
+                Ok((next, report)) => (next, ReloadKind::Delta(report)),
+                Err(declined) => {
+                    let DeclinedDelta { store, reason } = *declined;
+                    let fallback = Some(reason.to_string());
+                    let mapper = backend_from_store(store, config, shards);
+                    (mapper, ReloadKind::Full { fallback })
+                }
             }
+        } else {
+            let mapper = backend_from_store(loaded, config, shards);
+            (mapper, ReloadKind::Full { fallback: None })
         };
         Ok(ReloadOutcome {
             mapper: Arc::new(mapper),

@@ -74,7 +74,7 @@ pub use pipeline::{
 };
 pub use sam::{mapq_estimate, sam_document, SamRecord};
 pub use shard::{
-    balance_loads, load_imbalance, DeltaSwapReport, IndexShard, ShardStats, ShardedIndex,
-    StoreLineage,
+    balance_loads, load_imbalance, DeclinedDelta, DeltaSwapReport, IndexShard, ShardStats,
+    ShardedIndex, StoreLineage,
 };
 pub use workload::{map_with_threads, measure_workload, WorkloadMeasurement};

@@ -35,7 +35,8 @@ use segram_graph::{
     GenomeGraph, PackedSeq, VariantSet,
 };
 use segram_index::{
-    frequency_threshold, shard_boundaries, GraphIndex, PersistError, PersistedIndex,
+    frequency_threshold, shard_boundaries, GraphIndex, PersistError, PersistedIndex, ShardedStore,
+    StoreChangelog,
 };
 
 use crate::config::SegramConfig;
@@ -254,6 +255,16 @@ impl DeltaSwapReport {
     }
 }
 
+/// A child store [`ShardedIndex::apply_delta`] declined, handed back
+/// with the reason so the caller can still shard it whole.
+#[derive(Debug)]
+pub struct DeclinedDelta {
+    /// The child store, untouched.
+    pub store: PersistedIndex,
+    /// Why the delta route does not apply.
+    pub reason: PersistError,
+}
+
 impl ShardedIndex {
     /// Builds the sharded index: one whole-graph index pass (so the
     /// frequency threshold is derived from *global* minimizer counts,
@@ -275,14 +286,15 @@ impl ShardedIndex {
         Self::from_parts(graph, index, config, freq_threshold, shards)
     }
 
-    /// Shards an already-built whole-graph index (e.g. one loaded from a
-    /// persisted `.sgi` file) without re-running the index pass.
-    /// `freq_threshold` must be the global threshold that accompanied
-    /// `index` — the persisted value, or
+    /// Shards an already-built whole-graph index without re-running the
+    /// index pass. `freq_threshold` must be the global threshold that
+    /// accompanied `index` — a store's recorded value, or
     /// [`frequency_threshold`](segram_index::frequency_threshold) over the
     /// whole index. One shard takes `index` as it is: the partition of an
     /// index into one range is that index, so there is no split pass and
-    /// no second copy of its locations.
+    /// no second copy of its locations. More shards are split off `index`
+    /// while it is held whole; a store on disk loads already split
+    /// ([`Self::from_store`]).
     ///
     /// # Panics
     ///
@@ -301,6 +313,19 @@ impl ShardedIndex {
         } else {
             index.split_by_ranges(&graph, &boundaries)
         };
+        Self::from_slices(graph, boundaries, slices, config, freq_threshold)
+    }
+
+    /// The index over `slices`, one per range `boundaries` cut, with no
+    /// lineage.
+    fn from_slices(
+        graph: Arc<GenomeGraph>,
+        boundaries: Vec<u64>,
+        slices: Vec<GraphIndex>,
+        config: SegramConfig,
+        freq_threshold: u32,
+    ) -> Self {
+        assert_eq!(slices.len() + 1, boundaries.len(), "one slice per range");
         let shards = slices
             .into_iter()
             .enumerate()
@@ -318,11 +343,9 @@ impl ShardedIndex {
         }
     }
 
-    /// Shards a persisted store. With more than one shard it keeps the
-    /// store's changelog lineage, so later [`Self::apply_delta`] calls can
-    /// verify parentage and swap only the dirty shards; a one-shard index
-    /// has no clean shard a delta could carry over, so it drops the lineage
-    /// (the reference and variant set) instead of holding it for nothing.
+    /// Shards a store held whole in memory — a RELOAD's child store the
+    /// delta route declined, or one fresh from `index update` — splitting
+    /// its index with [`Self::from_parts`]. Lineage as [`Self::from_store`].
     ///
     /// # Panics
     ///
@@ -331,26 +354,49 @@ impl ShardedIndex {
         // Read before the graph and index move out; a store without a
         // changelog has no lineage to name, and is not checksummed for one.
         let identity = persisted.changelog.is_some().then(|| persisted.identity());
-        let mut sharded = Self::from_parts(
+        Self::from_parts(
             Arc::new(persisted.graph),
             persisted.index,
             config,
             persisted.freq_threshold,
             shards,
-        );
-        if sharded.shards.len() > 1 {
-            sharded.lineage =
-                persisted
-                    .changelog
-                    .zip(identity)
-                    .map(|(log, identity)| StoreLineage {
-                        epoch: log.epoch,
-                        identity,
-                        reference: log.reference,
-                        applied: log.applied,
-                    });
+        )
+        .with_lineage(persisted.changelog, identity)
+    }
+
+    /// The index over a store the loader split as it read it
+    /// ([`read_index_file_sharded`](segram_index::read_index_file_sharded)),
+    /// so the whole index was never built. With more than one shard it
+    /// keeps the store's changelog lineage, so later [`Self::apply_delta`]
+    /// calls can verify parentage and swap only the dirty shards; a
+    /// one-shard index has no clean shard a delta could carry over, so it
+    /// drops the lineage (the reference and variant set) instead of
+    /// holding it for nothing.
+    pub fn from_store(store: ShardedStore, config: SegramConfig) -> Self {
+        // A loaded changelog's identity is verified against its payloads.
+        let identity = store.changelog.as_ref().map(|log| log.identity);
+        Self::from_slices(
+            Arc::new(store.graph),
+            store.boundaries,
+            store.shards,
+            config,
+            store.freq_threshold,
+        )
+        .with_lineage(store.changelog, identity)
+    }
+
+    /// Keeps the lineage of a store whose identity is `identity`, where a
+    /// delta could use it: more than one shard.
+    fn with_lineage(mut self, changelog: Option<StoreChangelog>, identity: Option<u64>) -> Self {
+        if self.shards.len() > 1 {
+            self.lineage = changelog.zip(identity).map(|(log, identity)| StoreLineage {
+                epoch: log.epoch,
+                identity,
+                reference: log.reference,
+                applied: log.applied,
+            });
         }
-        sharded
+        self
     }
 
     /// The lineage carried from the persisted store, when there is one.
@@ -364,8 +410,9 @@ impl ShardedIndex {
     /// `new` must be the direct child of the store this index was loaded
     /// from: its changelog's `parent` must name this lineage's identity
     /// (else [`PersistError::ParentMismatch`]) and its epoch must be
-    /// exactly one ahead (else [`PersistError::EpochSkew`]). The caller
-    /// (the serve RELOAD path) falls back to a full re-shard on any error.
+    /// exactly one ahead (else [`PersistError::EpochSkew`]). A declined
+    /// delta hands `new` back beside the reason, so the caller (the serve
+    /// RELOAD path) can fall back to a full re-shard of it.
     ///
     /// The old shard boundaries are translated into the new coordinate
     /// space *through the carried nodes*, so a clean shard's location set
@@ -373,14 +420,23 @@ impl ShardedIndex {
     /// shifted them) and no location is ever duplicated into — or lost
     /// between — a clean and a rebuilt shard. Untouched shards with an
     /// identity translation share the predecessor's index allocation
-    /// outright; the router's merged output is byte-identical to a full
-    /// re-shard either way. A one-shard index carries no lineage
-    /// ([`Self::from_persisted`]) and answers
-    /// [`PersistError::NoChangelog`].
+    /// outright, and the successor maps against `new`'s own graph; the
+    /// router's merged output is byte-identical to a full re-shard either
+    /// way. A one-shard index carries no lineage ([`Self::from_store`])
+    /// and answers [`PersistError::NoChangelog`].
     pub fn apply_delta(
         &self,
-        new: &PersistedIndex,
-    ) -> Result<(Self, DeltaSwapReport), PersistError> {
+        new: PersistedIndex,
+    ) -> Result<(Self, DeltaSwapReport), Box<DeclinedDelta>> {
+        match self.child_changes(&new) {
+            Ok(log) => Ok(self.swap_in(new, &log)),
+            Err(reason) => Err(Box::new(DeclinedDelta { store: new, reason })),
+        }
+    }
+
+    /// Verifies that `new` is this store's direct child and diffs the two
+    /// graphs.
+    fn child_changes(&self, new: &PersistedIndex) -> Result<ChangeLog, PersistError> {
         let lineage = self.lineage.as_ref().ok_or(PersistError::NoChangelog)?;
         let new_log = new.changelog.as_ref().ok_or(PersistError::NoChangelog)?;
         if new_log.parent != lineage.identity {
@@ -426,10 +482,18 @@ impl ShardedIndex {
                 "child changelog does not reconstruct its graph".into(),
             ));
         }
-        let log = diff_graphs(&built_old, &built_new);
-        let new_graph = Arc::new(new.graph.clone());
+        Ok(diff_graphs(&built_old, &built_new))
+    }
 
-        let new_boundaries = self.translate_boundaries(&log, &new_graph);
+    /// The successor over `new`, a verified child whose graph differs from
+    /// this one by `log`: `new`'s graph moves in, and its index is read
+    /// only for the dirty shards.
+    fn swap_in(&self, new: PersistedIndex, log: &ChangeLog) -> (Self, DeltaSwapReport) {
+        let identity = new.identity();
+        let new_log = new.changelog.expect("a verified child has a changelog");
+        let new_graph = Arc::new(new.graph);
+
+        let new_boundaries = self.translate_boundaries(log, &new_graph);
         let fresh_new = log.fresh_linear(&new_graph);
         let dropped_old = merge_ranges(
             log.dropped
@@ -479,6 +543,7 @@ impl ShardedIndex {
                 _ => None,
             })
             .collect();
+        drop(new.index);
 
         let mut report = DeltaSwapReport {
             epoch: new_log.epoch,
@@ -506,7 +571,7 @@ impl ShardedIndex {
             })
             .collect();
 
-        Ok((
+        (
             Self {
                 graph: new_graph,
                 config: self.config,
@@ -515,13 +580,13 @@ impl ShardedIndex {
                 shards,
                 lineage: Some(StoreLineage {
                     epoch: new_log.epoch,
-                    identity: new.identity(),
-                    reference: new_log.reference.clone(),
-                    applied: new_log.applied.clone(),
+                    identity,
+                    reference: new_log.reference,
+                    applied: new_log.applied,
                 }),
             },
             report,
-        ))
+        )
     }
 
     /// Maps the old shard boundaries into the new graph's coordinate

@@ -39,7 +39,7 @@ pub(crate) fn bucket_of(hash: u64, bucket_bits: u32) -> usize {
 /// // Every indexed minimizer can be queried back.
 /// # Ok::<(), segram_graph::GraphError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GraphIndex {
     pub(crate) scheme: MinimizerScheme,
     pub(crate) bucket_bits: u32,
@@ -112,11 +112,15 @@ impl GraphIndex {
     }
 
     /// An index under assembly — the one level builder behind
-    /// [`Self::build`], [`Self::apply_delta`] and the splits:
-    /// [`Self::push_seed`] fills the second and third level and the first up
-    /// to the latest minimizer's bucket, [`Self::sealed`] the rest of it.
-    /// `capacity` is `(minimizers, locations)`.
-    fn unsealed(scheme: MinimizerScheme, bucket_bits: u32, capacity: (usize, usize)) -> Self {
+    /// [`Self::build`], [`Self::apply_delta`], the splits and the sharded
+    /// `.sgi` load: [`Self::push_seed`] fills the second and third level and
+    /// the first up to the latest minimizer's bucket, [`Self::sealed`] the
+    /// rest of it. `capacity` is `(minimizers, locations)`.
+    pub(crate) fn unsealed(
+        scheme: MinimizerScheme,
+        bucket_bits: u32,
+        capacity: (usize, usize),
+    ) -> Self {
         Self {
             scheme,
             bucket_bits,
@@ -127,7 +131,8 @@ impl GraphIndex {
         }
     }
 
-    fn push_seed(&mut self, (hash, pos): (u64, GraphPos)) {
+    #[inline]
+    pub(crate) fn push_seed(&mut self, (hash, pos): (u64, GraphPos)) {
         let bucket = bucket_of(hash, self.bucket_bits);
         debug_assert!(
             self.hashes.last().is_none_or(|&last| {
@@ -151,7 +156,7 @@ impl GraphIndex {
     /// Completes the first level and the second level's sentinel, and
     /// gives back whatever capacity the estimate left over, so the levels
     /// hold what [`Self::footprint`] counts.
-    fn sealed(mut self) -> Self {
+    pub(crate) fn sealed(mut self) -> Self {
         let entries = self.hashes.len() as u32;
         self.bucket_starts
             .resize((1usize << self.bucket_bits) + 1, entries);
@@ -282,20 +287,13 @@ impl GraphIndex {
     /// locations)`, from one counting walk — so a split allocates each
     /// level once, at its final size, instead of growing it by pushes.
     fn shard_sizes(&self, shards: usize, owner: impl Fn(GraphPos) -> usize) -> Vec<(usize, usize)> {
-        let mut sizes = vec![(0, 0); shards];
-        // The last minimizer each shard counted an entry for.
-        let mut counted = vec![usize::MAX; shards];
+        let mut sizes = ShardSizes::new(shards);
         for (m, run) in self.runs().enumerate() {
             for &loc in run {
-                let shard = owner(loc);
-                sizes[shard].1 += 1;
-                if counted[shard] != m {
-                    counted[shard] = m;
-                    sizes[shard].0 += 1;
-                }
+                sizes.count(m, owner(loc));
             }
         }
-        sizes
+        sizes.into_sizes()
     }
 
     /// Every `(hash, location)` pair in `(bucket, hash, location)` order.
@@ -443,10 +441,21 @@ impl GraphIndex {
 /// coordinate falls in, coordinates past the last cut staying in the final
 /// shard. The owner is resolved once per *node*; only a location on a node
 /// that straddles a cut pays the per-location search.
-fn shard_owner<'a>(
+pub(crate) fn shard_owner<'a>(
     graph: &'a GenomeGraph,
     boundaries: &'a [u64],
 ) -> impl Fn(GraphPos) -> usize + 'a {
+    let owner = checked_shard_owner(graph, boundaries);
+    move |loc| owner(loc).expect("index location must resolve against its own graph")
+}
+
+/// [`shard_owner`] for locations not yet known to be in `graph`: `None`
+/// for a node the graph does not have, or an offset past the end of a node
+/// that straddles a cut (the offset on any other node goes unchecked).
+pub(crate) fn checked_shard_owner<'a>(
+    graph: &'a GenomeGraph,
+    boundaries: &'a [u64],
+) -> impl Fn(GraphPos) -> Option<usize> + 'a {
     assert!(boundaries.len() >= 2, "need at least one shard range");
     assert!(
         boundaries.windows(2).all(|w| w[0] <= w[1]),
@@ -463,13 +472,40 @@ fn shard_owner<'a>(
             (of_linear(last) == owner).then_some(owner as u32)
         })
         .collect();
-    move |loc| match of_node[loc.node.index()] {
-        Some(owner) => owner as usize,
-        None => of_linear(
-            graph
-                .linear_pos(loc)
-                .expect("index location must resolve against its own graph"),
-        ),
+    move |loc| match *of_node.get(loc.node.index())? {
+        Some(owner) => Some(owner as usize),
+        None => graph.linear_pos(loc).ok().map(of_linear),
+    }
+}
+
+/// A counting walk's tally of every shard's level sizes, `(minimizers,
+/// locations)`, fed the locations of a partition in second-level order.
+pub(crate) struct ShardSizes {
+    sizes: Vec<(usize, usize)>,
+    /// The last second-level entry each shard counted an entry for.
+    counted: Vec<usize>,
+}
+
+impl ShardSizes {
+    pub(crate) fn new(shards: usize) -> Self {
+        Self {
+            sizes: vec![(0, 0); shards],
+            counted: vec![usize::MAX; shards],
+        }
+    }
+
+    /// Counts a location of second-level entry `m` that `shard` owns.
+    #[inline]
+    pub(crate) fn count(&mut self, m: usize, shard: usize) {
+        self.sizes[shard].1 += 1;
+        if self.counted[shard] != m {
+            self.counted[shard] = m;
+            self.sizes[shard].0 += 1;
+        }
+    }
+
+    pub(crate) fn into_sizes(self) -> Vec<(usize, usize)> {
+        self.sizes
     }
 }
 

@@ -50,9 +50,9 @@ pub use minseed::{
     SeedingResult, SeedingStats,
 };
 pub use persist::{
-    decode_index, encode_index, read_index_file, read_section_table, section_table,
-    write_index_file, EpochEntry, IndexProvenance, PersistError, PersistedIndex, SectionEntry,
-    SectionTable, StoreChangelog, CHANGELOG_VERSION, INDEX_FORMAT_VERSION, INDEX_MAGIC,
-    PROVENANCE_VERSION,
+    decode_index, decode_index_sharded, encode_index, read_index_file, read_index_file_sharded,
+    read_section_table, section_table, write_index_file, EpochEntry, IndexProvenance, PersistError,
+    PersistedIndex, SectionEntry, SectionTable, ShardedStore, StoreChangelog, CHANGELOG_VERSION,
+    INDEX_FORMAT_VERSION, INDEX_MAGIC, PROVENANCE_VERSION,
 };
 pub use update::{initial_changelog, update_store, UpdateOutcome};

@@ -27,6 +27,14 @@
 //! store plus one chunk: never a file-sized buffer. [`encode_index`] and
 //! [`decode_index`] run the same codec over memory.
 //!
+//! A load for a mapper of `N > 1` coordinate-range shards
+//! ([`read_index_file_sharded`]) never builds the whole index either: the
+//! graph section comes first, so every location's owner is known before
+//! the index section is read, and two passes over that section — check
+//! and count, then fill — file each location straight into its shard's
+//! exactly-sized levels. Both passes run the same structural checks as
+//! the whole load, so a store names the same error through either.
+//!
 //! **Loading never panics** on truncated or corrupt input: every count is
 //! checked against the bytes left in its section before anything is
 //! allocated for it, every failure maps to a named [`PersistError`]
@@ -37,6 +45,7 @@
 //! sections not yet verified are hashed to their end first, and the first
 //! one in table order whose checksum fails is what the load reports.
 
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -49,7 +58,7 @@ use segram_graph::{
 };
 use segram_io::{fnv1a64, BinError, ByteReader, ByteWriter, Checksum, Fnv1a64, Xxh64};
 
-use crate::index::{bucket_of, GraphIndex};
+use crate::index::{bucket_of, checked_shard_owner, shard_boundaries, GraphIndex, ShardSizes};
 use crate::minimizer::{KmerOrdering, MinimizerScheme};
 
 /// The 8-byte magic at the start of every `.sgi` file.
@@ -566,7 +575,7 @@ fn read_table(
 /// [`PersistError::ChecksumMismatch`], or [`PersistError::Corrupt`]
 /// depending on what the bytes got wrong.
 pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
-    load(&mut Cursor::new(bytes))
+    load(&mut Cursor::new(bytes), 1).map(ShardedStore::into_whole)
 }
 
 /// Loads a persisted index from `path`, streaming it: the peak is the
@@ -579,11 +588,89 @@ pub fn decode_index(bytes: &[u8]) -> Result<PersistedIndex, PersistError> {
 /// that shrinks while it is read is [`PersistError::Truncated`] at the
 /// byte it ran out.
 pub fn read_index_file(path: impl AsRef<Path>) -> Result<PersistedIndex, PersistError> {
-    load(&mut fs::File::open(path)?)
+    load(&mut fs::File::open(path)?, 1).map(ShardedStore::into_whole)
 }
 
-/// The one loader behind [`decode_index`] and [`read_index_file`].
-fn load<R: Read + Seek>(src: &mut R) -> Result<PersistedIndex, PersistError> {
+/// [`decode_index`] with the index split into `shards` coordinate ranges
+/// as it is read ([`read_index_file_sharded`]).
+///
+/// # Errors
+///
+/// As [`decode_index`], and the same error for the same bytes.
+///
+/// # Panics
+///
+/// Panics when `shards` is zero.
+pub fn decode_index_sharded(bytes: &[u8], shards: usize) -> Result<ShardedStore, PersistError> {
+    load(&mut Cursor::new(bytes), shards)
+}
+
+/// Loads the store at `path` for a mapper of `shards` coordinate-range
+/// shards, filing every location straight into the shard that owns it:
+/// the whole index is never built, so the peak is the graph, the shards
+/// and a few 64 KiB buffers. The shards equal
+/// [`GraphIndex::split_by_ranges`] of the whole index at
+/// [`shard_boundaries`] of the graph, level for level; one shard is
+/// [`read_index_file`]'s single-pass decode.
+///
+/// # Errors
+///
+/// As [`read_index_file`], and the same error for the same file. A store
+/// that changes between the two reads of its index section fails with
+/// [`PersistError::ChecksumMismatch`] (or [`PersistError::Truncated`]
+/// where it shrank).
+///
+/// # Panics
+///
+/// Panics when `shards` is zero.
+pub fn read_index_file_sharded(
+    path: impl AsRef<Path>,
+    shards: usize,
+) -> Result<ShardedStore, PersistError> {
+    load(&mut fs::File::open(path)?, shards)
+}
+
+/// A store loaded for a mapper of coordinate-range shards: everything a
+/// [`PersistedIndex`] holds, but the index arrives split at `boundaries`.
+#[derive(Debug)]
+pub struct ShardedStore {
+    /// The genome graph the index was built over.
+    pub graph: GenomeGraph,
+    /// The `shards.len() + 1` linear-coordinate cut points,
+    /// [`shard_boundaries`] of the graph.
+    pub boundaries: Vec<u64>,
+    /// One index per coordinate range, in coordinate order.
+    pub shards: Vec<GraphIndex>,
+    /// As [`PersistedIndex::discard_frac`].
+    pub discard_frac: f64,
+    /// As [`PersistedIndex::freq_threshold`]: the whole index's.
+    pub freq_threshold: u32,
+    /// As [`PersistedIndex::changelog`], its identity verified.
+    pub changelog: Option<StoreChangelog>,
+    /// As [`PersistedIndex::provenance`].
+    pub provenance: Option<IndexProvenance>,
+}
+
+impl ShardedStore {
+    /// A one-shard load as the whole store.
+    fn into_whole(mut self) -> PersistedIndex {
+        debug_assert_eq!(self.shards.len(), 1, "a whole load is one shard");
+        PersistedIndex {
+            index: self.shards.pop().expect("one shard"),
+            graph: self.graph,
+            discard_frac: self.discard_frac,
+            freq_threshold: self.freq_threshold,
+            changelog: self.changelog,
+            provenance: self.provenance,
+        }
+    }
+}
+
+/// The one loader behind [`decode_index`], [`read_index_file`] and their
+/// sharded forms: the index section decodes into the `shards` coordinate
+/// ranges of the graph section, which is decoded first.
+fn load<R: Read + Seek>(src: &mut R, shards: usize) -> Result<ShardedStore, PersistError> {
+    assert!(shards > 0, "at least one shard");
     let file_len = src.seek(SeekFrom::End(0))?;
     src.seek(SeekFrom::Start(0))?;
     let mut chunk = vec![0; CHUNK];
@@ -636,15 +723,17 @@ fn load<R: Read + Seek>(src: &mut R) -> Result<PersistedIndex, PersistError> {
     );
     let loaded = (|| {
         let graph = loader.decode(graph_row, decode_graph)?;
-        let index = loader.decode(index_row, |r| decode_hash_index(r, &graph))?;
+        let boundaries = shard_boundaries(graph.total_chars(), shards);
+        let shards = loader.decode_shards(index_row, &graph, &boundaries)?;
         let (discard_frac, freq_threshold, provenance) = loader.decode(meta_row, decode_meta)?;
         let changelog = match changelog_row {
             Some(row) => Some(loader.decode(row, |r| decode_changelog(r, identity))?),
             None => None,
         };
-        Ok(PersistedIndex {
+        Ok(ShardedStore {
             graph,
-            index,
+            boundaries,
+            shards,
             discard_frac,
             freq_threshold,
             changelog,
@@ -697,6 +786,138 @@ impl<R: Read + Seek> Loader<'_, R> {
         Ok(value)
     }
 
+    /// Decodes index row `row` into the shards `boundaries` cut `graph`
+    /// into. One shard is the single-pass [`decode_hash_index`]; more take
+    /// two passes, so no level of the whole index is ever held:
+    ///
+    /// 1. *Check and count.* The section streams through the checks the
+    ///    single-pass decode runs and is verified against its checksum.
+    ///    The second level marks where each run ends, a bit per location,
+    ///    so the third level's walk counts every location for the shard
+    ///    that owns it; the two levels' bytes are also hashed apart.
+    /// 2. *Fill.* The two levels are read again side by side, a block at a
+    ///    time, every location filed into its owner's exactly-sized levels.
+    ///    Both are hashed again and must equal pass 1, so a store that
+    ///    changed between the passes fails instead of loading a location
+    ///    no check saw.
+    fn decode_shards(
+        &mut self,
+        row: usize,
+        graph: &GenomeGraph,
+        boundaries: &[u64],
+    ) -> Result<Vec<GraphIndex>, PersistError> {
+        if boundaries.len() == 2 {
+            return Ok(vec![self.decode(row, |r| decode_hash_index(r, graph))?]);
+        }
+        let entry = self.table.sections[row];
+        let owner = checked_shard_owner(graph, boundaries);
+
+        // Pass 1: check and count. The records mark where each run ends
+        // in a bit per location, so the walk of the third level, which
+        // follows the second, knows each location's record.
+        let mut r = self.open(row)?;
+        let head = take_index_head(&mut r)?;
+        let minimizers = head.minimizer_count;
+        let records_at = entry.offset + r.position() as u64;
+        // What follows the records is a count and the locations: room for
+        // every run end of a store whose records add up.
+        let location_bound = (r.remaining() - 16 * minimizers).saturating_sub(8) / 8;
+        let mut run_ends = vec![0u64; location_bound.div_ceil(64)];
+        // The two levels' own digests, whatever the section checksum, for
+        // pass 2 to match.
+        let mut records_hash = Checksum::Xxh64(Xxh64::new());
+        let mut checks = RecordChecks::new(&head);
+        r.take_blocks::<16>(minimizers, |block| {
+            records_hash.update(block);
+            for record in block.chunks_exact(16) {
+                let (hash, loc_start, loc_count) =
+                    record_fields(record.try_into().expect("16 bytes"));
+                checks.hash(hash);
+                let end = checks.run(loc_start, loc_count);
+                if let Some(last) = (end as usize).checked_sub(1) {
+                    if last < location_bound {
+                        run_ends[last / 64] |= 1 << (last % 64);
+                    }
+                }
+            }
+        })?;
+        let location_count = checks.finish(&mut r)?;
+        let locations_at = entry.offset + r.position() as u64;
+        let mut locations_hash = Checksum::Xxh64(Xxh64::new());
+        let mut sizes = ShardSizes::new(boundaries.len() - 1);
+        let mut locations = LocationChecks::new(graph);
+        let (mut l, mut m) = (0, 0);
+        r.take_blocks::<8>(location_count, |block| {
+            locations_hash.update(block);
+            for record in block.chunks_exact(8) {
+                let pos = location_of(record.try_into().expect("8 bytes"));
+                if locations.check(m, pos) {
+                    sizes.count(m, owner(pos).expect("a location in the graph has an owner"));
+                }
+                m += (run_ends[l / 64] >> (l % 64) & 1) as usize;
+                l += 1;
+            }
+        })?;
+        // Pass 1's own arrays go before the shards are allocated.
+        drop(run_ends);
+        locations.finish()?;
+        expect_end(&r)?;
+        if r.finish()? != entry.checksum {
+            return Err(PersistError::ChecksumMismatch {
+                section: entry.name,
+            });
+        }
+        self.verified[row] = true;
+        let (scheme, bucket_bits) = (head.scheme, head.bucket_bits);
+        drop(head);
+
+        // Pass 2: fill, reading the records again beside the locations.
+        let mut shards: Vec<GraphIndex> = (sizes.into_sizes().into_iter())
+            .map(|capacity| GraphIndex::unsealed(scheme, bucket_bits, capacity))
+            .collect();
+        let src = RefCell::new(&mut *self.src);
+        let mut spare = vec![0; CHUNK];
+        let mut runs_src = At::new(&src, records_at);
+        let mut runs = Runs::new(ByteReader::new(
+            &mut runs_src,
+            &mut spare,
+            entry.name,
+            records_at,
+            16 * minimizers,
+            Checksum::Xxh64(Xxh64::new()),
+        ));
+        let mut locations_src = At::new(&src, locations_at);
+        let mut r = ByteReader::new(
+            &mut locations_src,
+            &mut self.chunk,
+            entry.name,
+            locations_at,
+            8 * location_count,
+            Checksum::Xxh64(Xxh64::new()),
+        );
+        let filled = fill_shards(
+            &mut shards,
+            &mut r,
+            location_count,
+            &mut runs,
+            owner,
+            bucket_bits,
+        );
+        let changed = PersistError::ChecksumMismatch {
+            section: entry.name,
+        };
+        match filled {
+            Ok(true) => {}
+            // The store shrank, or the source failed.
+            Err(err @ (BinError::SourceEnded { .. } | BinError::Io(_))) => return Err(err.into()),
+            Ok(false) | Err(_) => return Err(changed),
+        }
+        if runs.finish()? != records_hash.digest() || r.finish()? != locations_hash.digest() {
+            return Err(changed);
+        }
+        Ok(shards.into_iter().map(GraphIndex::sealed).collect())
+    }
+
     /// What a load that failed with `err` reports: checksums come first, as
     /// if every section had been verified before any was decoded. Each
     /// known section among `rows` not yet verified is hashed to its end,
@@ -726,6 +947,29 @@ impl<R: Read + Seek> Loader<'_, R> {
             }
         }
         err
+    }
+}
+
+/// A reader of a store at a position of its own, so several can walk one
+/// source side by side: each read seeks to where its last one stopped.
+struct At<'a, S> {
+    src: &'a RefCell<S>,
+    pos: u64,
+}
+
+impl<'a, S> At<'a, S> {
+    fn new(src: &'a RefCell<S>, pos: u64) -> Self {
+        Self { src, pos }
+    }
+}
+
+impl<S: Read + Seek> Read for At<'_, S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut src = self.src.borrow_mut();
+        src.seek(SeekFrom::Start(self.pos))?;
+        let got = src.read(buf)?;
+        self.pos += got as u64;
+        Ok(got)
     }
 }
 
@@ -873,32 +1117,80 @@ fn encode_hash_index(w: &mut ByteWriter<'_>, index: &GraphIndex) {
 
 /// Decodes the hash-index section and re-validates every structural
 /// invariant [`GraphIndex::build`] guarantees — bucket ranges, sorted
-/// hashes, contiguous location runs, in-graph positions — so a loaded
-/// index can never panic (or silently mis-answer) a later lookup. Each
-/// level is decoded in bulk into an exactly-sized array, then checked in
-/// one linear pass over it.
+/// hashes, contiguous location runs each in location order, in-graph
+/// positions — so a loaded index can never panic (or silently
+/// mis-answer) a later lookup. Each level is decoded in bulk into an
+/// exactly-sized array and checked — the second as it streams, the third
+/// in one pass after — by the checks the sharded load runs.
 fn decode_hash_index(
     r: &mut ByteReader<'_>,
     graph: &GenomeGraph,
 ) -> Result<GraphIndex, PersistError> {
-    const SECTION: &str = "index";
+    let head = take_index_head(r)?;
+    let mut checks = RecordChecks::new(&head);
+    let mut hashes = Vec::with_capacity(head.minimizer_count);
+    let mut starts = Vec::with_capacity(head.minimizer_count + 1);
+    starts.push(0u32);
+    r.take_each(head.minimizer_count, |record| {
+        let (hash, loc_start, loc_count) = record_fields(record);
+        checks.hash(hash);
+        hashes.push(hash);
+        starts.push(checks.run(loc_start, loc_count));
+    })?;
+    let location_count = checks.finish(r)?;
+    let locations: Vec<GraphPos> = r.take_records(location_count, location_of)?;
+    // The runs were checked to tile the level, none of them empty.
+    let mut checks = LocationChecks::new(graph);
+    let (mut m, mut run_end) = (0, starts.get(1).copied().unwrap_or(0));
+    for (l, &pos) in locations.iter().enumerate() {
+        if l as u32 == run_end {
+            m += 1;
+            run_end = starts[m + 1];
+        }
+        checks.check(m, pos);
+    }
+    checks.finish()?;
+    expect_end(r)?;
+    Ok(GraphIndex {
+        scheme: head.scheme,
+        bucket_bits: head.bucket_bits,
+        bucket_starts: head.bucket_starts,
+        hashes,
+        starts,
+        locations,
+    })
+}
+
+const INDEX: &str = "index";
+
+/// The hash-index section up to its second level: the scheme, the
+/// bucket count, the first level and the minimizer count.
+struct IndexHead {
+    scheme: MinimizerScheme,
+    bucket_bits: u32,
+    bucket_starts: Vec<u32>,
+    minimizer_count: usize,
+}
+
+/// Reads and checks the hash-index section's [`IndexHead`].
+fn take_index_head(r: &mut ByteReader<'_>) -> Result<IndexHead, PersistError> {
     let w =
-        usize::try_from(r.take_u64()?).map_err(|_| corrupt(SECTION, "scheme w overflows usize"))?;
+        usize::try_from(r.take_u64()?).map_err(|_| corrupt(INDEX, "scheme w overflows usize"))?;
     let k =
-        usize::try_from(r.take_u64()?).map_err(|_| corrupt(SECTION, "scheme k overflows usize"))?;
+        usize::try_from(r.take_u64()?).map_err(|_| corrupt(INDEX, "scheme k overflows usize"))?;
     if w == 0 || k == 0 || k > 31 {
-        return Err(corrupt(SECTION, format!("invalid scheme <w={w}, k={k}>")));
+        return Err(corrupt(INDEX, format!("invalid scheme <w={w}, k={k}>")));
     }
     let ordering = match r.take_u8()? {
         0 => KmerOrdering::Hash,
         1 => KmerOrdering::Lexicographic,
-        other => return Err(corrupt(SECTION, format!("unknown k-mer ordering {other}"))),
+        other => return Err(corrupt(INDEX, format!("unknown k-mer ordering {other}"))),
     };
     let scheme = MinimizerScheme { w, k, ordering };
     let bucket_bits = r.take_u32()?;
     if !(1..=32).contains(&bucket_bits) {
         return Err(corrupt(
-            SECTION,
+            INDEX,
             format!("bucket_bits {bucket_bits} not in 1..=32"),
         ));
     }
@@ -907,100 +1199,335 @@ fn decode_hash_index(
     let starts_len = r.take_count(4)?;
     if starts_len as u64 != bucket_count + 1 {
         return Err(corrupt(
-            SECTION,
+            INDEX,
             format!("{starts_len} bucket starts for 2^{bucket_bits} buckets"),
         ));
     }
     let bucket_starts: Vec<u32> =
         r.take_records(starts_len, |record| u32::from_le_bytes(*record))?;
     if bucket_starts[0] != 0 {
-        return Err(corrupt(SECTION, "first bucket start is not 0"));
+        return Err(corrupt(INDEX, "first bucket start is not 0"));
     }
     if bucket_starts.windows(2).any(|p| p[0] > p[1]) {
-        return Err(corrupt(SECTION, "bucket starts are not non-decreasing"));
+        return Err(corrupt(INDEX, "bucket starts are not non-decreasing"));
     }
 
     let minimizer_count = r.take_count(16)?;
     if *bucket_starts.last().expect("non-empty") as usize != minimizer_count {
         return Err(corrupt(
-            SECTION,
+            INDEX,
             "last bucket start does not equal the minimizer count",
         ));
     }
-    // Each record's run must start where the previous one ended: the runs
-    // tile the third level exactly, in order, so their ends are the
-    // second level's location starts.
-    let mut hashes = Vec::with_capacity(minimizer_count);
-    let mut starts = Vec::with_capacity(minimizer_count + 1);
-    starts.push(0u32);
-    let mut gap = None;
-    r.take_each(minimizer_count, |record: &[u8; 16]| {
-        let word = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
-        let (loc_start, loc_count) = (word(8), word(12));
-        let end = loc_start.checked_add(loc_count);
-        if gap.is_none() && (Some(&loc_start) != starts.last() || loc_count == 0 || end.is_none()) {
-            gap = Some(hashes.len());
-        }
-        hashes.push(u64::from_le_bytes(record[..8].try_into().expect("8 bytes")));
-        starts.push(end.unwrap_or(loc_start));
-    })?;
-    if let Some(m) = gap {
-        return Err(corrupt(
-            SECTION,
-            format!("minimizer {m}: non-contiguous location run"),
-        ));
-    }
-    // Per-bucket invariants: every entry hashes into its bucket and
-    // hashes are strictly increasing within it (binary-search order).
-    for bucket in 0..bucket_count as usize {
-        let range = bucket_starts[bucket] as usize..bucket_starts[bucket + 1] as usize;
-        let entries = &hashes[range];
-        for pair in entries.windows(2) {
-            if pair[0] >= pair[1] {
-                return Err(corrupt(
-                    SECTION,
-                    format!("bucket {bucket}: hashes not strictly increasing"),
-                ));
-            }
-        }
-        for &hash in entries {
-            if bucket_of(hash, bucket_bits) != bucket {
-                return Err(corrupt(
-                    SECTION,
-                    format!("hash {hash:#x} filed under bucket {bucket}"),
-                ));
-            }
-        }
-    }
-
-    let location_count = r.take_count(8)?;
-    if location_count != *starts.last().expect("a sentinel") as usize {
-        return Err(corrupt(
-            SECTION,
-            "location count does not match the minimizer runs",
-        ));
-    }
-    let locations: Vec<GraphPos> = r.take_records(location_count, |record: &[u8; 8]| GraphPos {
-        node: NodeId(u32::from_le_bytes(record[..4].try_into().expect("4 bytes"))),
-        offset: u32::from_le_bytes(record[4..].try_into().expect("4 bytes")),
-    })?;
-    for (l, &GraphPos { node, offset }) in locations.iter().enumerate() {
-        if node.index() >= graph.node_count() || offset as usize >= graph.node_len(node) {
-            return Err(corrupt(
-                SECTION,
-                format!("location {l} ({node}:{offset}) is outside the graph"),
-            ));
-        }
-    }
-    expect_end(r)?;
-    Ok(GraphIndex {
+    Ok(IndexHead {
         scheme,
         bucket_bits,
         bucket_starts,
-        hashes,
-        starts,
-        locations,
+        minimizer_count,
     })
+}
+
+/// A second-level record's hash, location start and location count.
+fn record_fields(record: &[u8; 16]) -> (u64, u32, u32) {
+    let word = |at: usize| u32::from_le_bytes(record[at..at + 4].try_into().expect("4 bytes"));
+    let hash = u64::from_le_bytes(record[..8].try_into().expect("8 bytes"));
+    (hash, word(8), word(12))
+}
+
+/// A third-level record's location.
+fn location_of(record: &[u8; 8]) -> GraphPos {
+    GraphPos {
+        node: NodeId(u32::from_le_bytes(record[..4].try_into().expect("4 bytes"))),
+        offset: u32::from_le_bytes(record[4..].try_into().expect("4 bytes")),
+    }
+}
+
+/// How a first-level bucket's run of the second level is at fault.
+enum BucketFault {
+    Unordered,
+    Misfiled(u64),
+}
+
+/// The second level's checks, a record at a time: each record's run
+/// starts where the one before it ended and is not empty ([`Self::run`]),
+/// and within each bucket's range of the first level the hashes belong to
+/// the bucket and strictly increase ([`Self::hash`]). A fault waits until
+/// the level is read, and faults are reported in one order — a broken run
+/// first, then the first bucket at fault, its disorder before a misfiled
+/// hash — so a store names the same fault whichever loader reads it, and
+/// in whatever order the two checks see the records.
+struct RecordChecks<'a> {
+    /// Where the next run must start: the end of the runs so far.
+    next_start: u32,
+    /// Runs checked so far, and the first that broke.
+    runs: usize,
+    gap: Option<usize>,
+    bucket_starts: &'a [u32],
+    bucket_bits: u32,
+    /// Hashes checked so far.
+    hashes: usize,
+    /// The bucket whose range holds the next hash, where the range after
+    /// it starts, and the hash before in the same bucket.
+    bucket: usize,
+    next_bucket: usize,
+    previous: Option<u64>,
+    fault: Option<(usize, BucketFault)>,
+}
+
+impl<'a> RecordChecks<'a> {
+    fn new(head: &'a IndexHead) -> Self {
+        Self {
+            next_start: 0,
+            runs: 0,
+            gap: None,
+            bucket_starts: &head.bucket_starts,
+            bucket_bits: head.bucket_bits,
+            hashes: 0,
+            bucket: 0,
+            next_bucket: head.bucket_starts[1] as usize,
+            previous: None,
+            fault: None,
+        }
+    }
+
+    /// Checks the next record's run; returns where it ends, the second
+    /// level's next location start.
+    fn run(&mut self, loc_start: u32, loc_count: u32) -> u32 {
+        let end = loc_start.checked_add(loc_count);
+        if self.gap.is_none() && (loc_start != self.next_start || loc_count == 0 || end.is_none()) {
+            self.gap = Some(self.runs);
+        }
+        self.runs += 1;
+        self.next_start = end.unwrap_or(loc_start);
+        self.next_start
+    }
+
+    /// Checks the next record's hash.
+    fn hash(&mut self, hash: u64) {
+        // The head checked that the ranges tile the records, so a bucket
+        // whose range holds this record exists.
+        while self.next_bucket <= self.hashes {
+            self.bucket += 1;
+            self.next_bucket = self.bucket_starts[self.bucket + 1] as usize;
+            self.previous = None;
+        }
+        self.hashes += 1;
+        let unordered = self.previous.is_some_and(|previous| previous >= hash);
+        self.previous = Some(hash);
+        if unordered || bucket_of(hash, self.bucket_bits) != self.bucket {
+            self.bucket_fault(hash, unordered);
+        }
+    }
+
+    #[cold]
+    fn bucket_fault(&mut self, hash: u64, unordered: bool) {
+        let bucket = self.bucket;
+        if unordered {
+            // Disorder outranks a misfiled hash found earlier in the bucket.
+            let outranks = match self.fault {
+                None => true,
+                Some((b, BucketFault::Misfiled(_))) => b == bucket,
+                Some((_, BucketFault::Unordered)) => false,
+            };
+            if outranks {
+                self.fault = Some((bucket, BucketFault::Unordered));
+            }
+        } else if self.fault.is_none() {
+            self.fault = Some((bucket, BucketFault::Misfiled(hash)));
+        }
+    }
+
+    /// Reports a held fault, else reads the third level's count, which
+    /// must be where the runs end.
+    fn finish(self, r: &mut ByteReader<'_>) -> Result<usize, PersistError> {
+        if let Some(m) = self.gap {
+            return Err(corrupt(
+                INDEX,
+                format!("minimizer {m}: non-contiguous location run"),
+            ));
+        }
+        match self.fault {
+            Some((bucket, BucketFault::Unordered)) => {
+                return Err(corrupt(
+                    INDEX,
+                    format!("bucket {bucket}: hashes not strictly increasing"),
+                ))
+            }
+            Some((bucket, BucketFault::Misfiled(hash))) => {
+                return Err(corrupt(
+                    INDEX,
+                    format!("hash {hash:#x} filed under bucket {bucket}"),
+                ))
+            }
+            None => {}
+        }
+        let location_count = r.take_count(8)?;
+        if location_count != self.next_start as usize {
+            return Err(corrupt(
+                INDEX,
+                "location count does not match the minimizer runs",
+            ));
+        }
+        Ok(location_count)
+    }
+}
+
+/// The third level's checks, a location at a time: each names a base of
+/// the graph, and each run lists its locations in order. The first
+/// location at fault is reported once the level is read.
+struct LocationChecks<'a> {
+    graph: &'a GenomeGraph,
+    nodes: usize,
+    seen: usize,
+    /// The run of the location before, and that location packed in
+    /// [`packed`] order.
+    last_run: usize,
+    last: u64,
+    fault: Option<(usize, GraphPos, &'static str)>,
+}
+
+/// A location as one integer in `(node, offset)` order.
+fn packed(pos: GraphPos) -> u64 {
+    (u64::from(pos.node.0) << 32) | u64::from(pos.offset)
+}
+
+impl<'a> LocationChecks<'a> {
+    fn new(graph: &'a GenomeGraph) -> Self {
+        Self {
+            graph,
+            nodes: graph.node_count(),
+            seen: 0,
+            last_run: usize::MAX,
+            last: 0,
+            fault: None,
+        }
+    }
+
+    /// Checks the next location, `pos` in the run of second-level record
+    /// `run`; returns whether it is inside the graph and in order.
+    fn check(&mut self, run: usize, pos: GraphPos) -> bool {
+        let at = packed(pos);
+        let ordered = run != self.last_run || at >= self.last;
+        (self.last_run, self.last) = (run, at);
+        self.seen += 1;
+        let inside =
+            pos.node.index() < self.nodes && (pos.offset as usize) < self.graph.node_len(pos.node);
+        if !(inside && ordered) {
+            self.fault(pos, inside);
+        }
+        inside && ordered
+    }
+
+    #[cold]
+    fn fault(&mut self, pos: GraphPos, inside: bool) {
+        let what = if inside {
+            "is out of order in its run"
+        } else {
+            "is outside the graph"
+        };
+        self.fault.get_or_insert((self.seen - 1, pos, what));
+    }
+
+    fn finish(self) -> Result<(), PersistError> {
+        match self.fault {
+            Some((l, GraphPos { node, offset }, what)) => Err(corrupt(
+                INDEX,
+                format!("location {l} ({node}:{offset}) {what}"),
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Second-level records a [`Runs`] block holds: one chunk's worth.
+const RUN_BLOCK: usize = CHUNK / 16;
+
+/// The second level read again, from a reader of its own, a block of
+/// records at a time: each record's hash and location count.
+struct Runs<'a> {
+    r: ByteReader<'a>,
+    block: Vec<(u64, u32)>,
+    next: usize,
+}
+
+impl<'a> Runs<'a> {
+    fn new(r: ByteReader<'a>) -> Self {
+        Self {
+            r,
+            block: Vec::with_capacity(RUN_BLOCK),
+            next: 0,
+        }
+    }
+
+    /// The next record's hash and location count. Past the last record it
+    /// takes one that is not there, which fails.
+    fn next(&mut self) -> Result<(u64, u32), BinError> {
+        if self.next == self.block.len() {
+            self.block.clear();
+            self.next = 0;
+            let n = (self.r.remaining() / 16).clamp(1, RUN_BLOCK);
+            let block = &mut self.block;
+            self.r.take_each(n, |record| {
+                let (hash, _, count) = record_fields(record);
+                block.push((hash, count));
+            })?;
+        }
+        self.next += 1;
+        Ok(self.block[self.next - 1])
+    }
+
+    /// Reads the records not yet read, and returns the checksum of all.
+    fn finish(self) -> Result<u64, BinError> {
+        self.r.finish()
+    }
+}
+
+/// Pass 2's walk of a sharded load: files each of the `count` locations
+/// `locations` reads into the shard `owner` names, beside the hash of the
+/// second-level record whose run it belongs to, which `runs` reads — the
+/// runs tile the third level in order. The locations are decoded a chunk's
+/// worth at a time. Stops with `false` at a seed only a store changed since
+/// pass 1 can hold, and the level builder cannot take: one `owner` does
+/// not place, or one out of `(bucket, hash, location)` order.
+fn fill_shards(
+    shards: &mut [GraphIndex],
+    locations: &mut ByteReader<'_>,
+    count: usize,
+    runs: &mut Runs<'_>,
+    owner: impl Fn(GraphPos) -> Option<usize>,
+    bucket_bits: u32,
+) -> Result<bool, BinError> {
+    let mut block = Vec::with_capacity(CHUNK / 8);
+    // The run's hash, its locations not yet filed, its place in `(bucket,
+    // hash)` order, and the last location filed.
+    let (mut hash, mut left, mut key, mut last) = (0, 0, 0, 0);
+    for first in (0..count).step_by(CHUNK / 8) {
+        block.clear();
+        let n = (count - first).min(CHUNK / 8);
+        locations.take_each(n, |record| block.push(location_of(record)))?;
+        for &pos in &block {
+            while left == 0 {
+                let (next, n) = runs.next()?;
+                let next_key = next.rotate_right(bucket_bits);
+                if next_key < key {
+                    return Ok(false);
+                }
+                if next_key > key {
+                    last = 0;
+                }
+                (hash, left, key) = (next, n, next_key);
+            }
+            left -= 1;
+            match owner(pos) {
+                Some(shard) if packed(pos) >= last => {
+                    last = packed(pos);
+                    shards[shard].push_seed((hash, pos));
+                }
+                _ => return Ok(false),
+            }
+        }
+    }
+    Ok(true)
 }
 
 fn encode_meta(w: &mut ByteWriter<'_>, persisted: &PersistedIndex) {
@@ -1379,37 +1906,232 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_store_that_shrinks_while_it_is_read_is_truncated_where_it_ran_out() {
+    /// A store with a changelog over a graph of a few nodes.
+    fn store() -> Vec<u8> {
         let reference: DnaSeq = "ACGTTGCAGTCATGCAACGGTTAC".repeat(60).parse().unwrap();
         let variants = [Variant::snp(40, Base::C), Variant::deletion(700, 3)];
         let built = build_graph(&reference, variants.into_iter().collect()).unwrap();
         let index = GraphIndex::build(&built.graph, MinimizerScheme::new(5, 11), 6);
-        let store = encode_index(&PersistedIndex {
+        encode_index(&PersistedIndex {
             changelog: Some(initial_changelog(reference, &built, "build")),
             graph: built.graph,
             index,
             discard_frac: 0.01,
             freq_threshold: 10,
             provenance: None,
-        });
-        assert_eq!(section_table(&store).unwrap().sections.len(), 4);
-        let whole = Shrunk {
-            store: &store,
-            len: store.len(),
-            pos: 0,
-        };
-        assert!(load(&mut { whole }).is_ok());
-        for len in 0..store.len() {
-            let mut shrunk = Shrunk {
+        })
+    }
+
+    /// A store whose byte `at` reads flipped from the `from`-th read that
+    /// covers it on: a file rewritten while it is loaded.
+    struct Changing<'a> {
+        store: &'a [u8],
+        at: usize,
+        from: usize,
+        reads: usize,
+        pos: u64,
+    }
+
+    impl Read for Changing<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let start = (self.pos as usize).min(self.store.len());
+            let n = buf.len().min(self.store.len() - start);
+            buf[..n].copy_from_slice(&self.store[start..][..n]);
+            if (start..start + n).contains(&self.at) {
+                self.reads += 1;
+                if self.reads >= self.from {
+                    buf[self.at - start] ^= 0x40;
+                }
+            }
+            self.pos += n as u64;
+            Ok(n)
+        }
+    }
+
+    impl Seek for Changing<'_> {
+        fn seek(&mut self, to: SeekFrom) -> io::Result<u64> {
+            self.pos = match to {
+                SeekFrom::Start(pos) => pos,
+                SeekFrom::End(delta) => self.store.len() as u64 + delta as u64,
+                SeekFrom::Current(delta) => self.pos + delta as u64,
+            };
+            Ok(self.pos)
+        }
+    }
+
+    #[test]
+    fn a_store_that_changes_between_the_passes_of_a_sharded_load_fails() {
+        let store = store();
+        let table = section_table(&store).unwrap();
+        let index = table.sections.iter().find(|s| s.name == "index").unwrap();
+        let end = (index.offset + index.len) as usize;
+        // Scheme, bucket count, the 2^6 + 1 bucket starts, the minimizer
+        // count: the first record's hash follows.
+        let records = index.offset as usize + 8 + 8 + 1 + 4 + 8 + 4 * 65 + 8;
+        // A hash byte of the first record, read by pass 1 twice and by pass
+        // 2 once; the node of the last location, read once by each pass.
+        for (at, from) in [
+            (records + 3, 1),
+            (records + 3, 2),
+            (records + 3, 3),
+            (end - 8, 2),
+        ] {
+            let mut changing = Changing {
                 store: &store,
-                len,
+                at,
+                from,
+                reads: 0,
                 pos: 0,
             };
-            match load(&mut shrunk) {
-                Err(PersistError::Truncated { offset }) => assert_eq!(offset, len),
-                Err(other) => panic!("shrunk to {len} bytes: {other}"),
-                Ok(_) => panic!("shrunk to {len} bytes: a partial store loaded"),
+            match load(&mut changing, 3) {
+                Err(PersistError::ChecksumMismatch { section: "index" }) => {}
+                Err(other) => panic!("byte {at} changed from read {from}: {other}"),
+                Ok(_) => panic!("byte {at} changed from read {from}: the store loaded"),
+            }
+            assert!(
+                changing.reads >= from,
+                "byte {at} read {} times",
+                changing.reads
+            );
+        }
+        // The whole load reads each byte once.
+        let mut changing = Changing {
+            store: &store,
+            at: end - 8,
+            from: 2,
+            reads: 0,
+            pos: 0,
+        };
+        assert!(load(&mut changing, 1).is_ok());
+    }
+
+    /// `store` with byte `at` XORed by `mask` and, when it lies in a
+    /// section, that section's recorded checksum made to match again:
+    /// corruption only the structural checks can catch.
+    fn tampered(store: &[u8], at: usize, mask: u8) -> Vec<u8> {
+        let mut bytes = store.to_vec();
+        bytes[at] ^= mask;
+        let table = section_table(store).unwrap();
+        for (row, entry) in table.sections.iter().enumerate() {
+            let payload = entry.offset as usize..(entry.offset + entry.len) as usize;
+            if payload.contains(&at) {
+                let checksum = segram_io::xxh64(&bytes[payload]);
+                let field = 16 + row * TABLE_ENTRY_BYTES + 20;
+                bytes[field..field + 8].copy_from_slice(&checksum.to_le_bytes());
+            }
+        }
+        bytes
+    }
+
+    /// Every single-bit change of the index section that keeps its
+    /// checksum fails the sharded load with the error the whole load
+    /// names, or loads the whole load's split.
+    #[test]
+    fn structural_faults_name_the_same_error_through_both_loaders() {
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let random: DnaSeq = (0..900)
+            .map(|_| Base::from_code_masked(next() as u8))
+            .collect();
+        // Repeats give minimizers runs of several locations to disorder.
+        let mut reference = random.clone();
+        reference.extend_from_seq(&random.slice(0, 400));
+        reference.extend_from_seq(&random.slice(200, 700));
+        let variants = [Variant::snp(90, Base::C), Variant::deletion(1300, 3)];
+        let built = build_graph(&reference, variants.into_iter().collect()).unwrap();
+        let index = GraphIndex::build(&built.graph, MinimizerScheme::new(5, 11), 6);
+        let store = encode_index(&PersistedIndex {
+            changelog: None,
+            graph: built.graph,
+            index,
+            discard_frac: 0.01,
+            freq_threshold: 10,
+            provenance: None,
+        });
+        let table = section_table(&store).unwrap();
+        let index = table.sections.iter().find(|s| s.name == "index").unwrap();
+        let (mut loaded, mut corrupt) = (0, Vec::new());
+        for _ in 0..3000 {
+            let at = index.offset as usize + next() % index.len as usize;
+            let bytes = tampered(&store, at, 1 << (next() % 8));
+            let whole = load(&mut Cursor::new(&bytes), 1);
+            for shards in [2, 3] {
+                match (&whole, load(&mut Cursor::new(&bytes), shards)) {
+                    (Ok(whole), Ok(sharded)) => {
+                        let split =
+                            whole.shards[0].split_by_ranges(&whole.graph, &sharded.boundaries);
+                        assert_eq!(sharded.shards, split, "byte {at}");
+                        loaded += 1;
+                    }
+                    (Err(whole), Err(sharded)) => {
+                        assert_eq!(sharded.to_string(), whole.to_string(), "byte {at}");
+                        if let PersistError::Corrupt { detail, .. } = whole {
+                            corrupt.push(detail.clone());
+                        }
+                    }
+                    (whole, sharded) => panic!("byte {at}: {whole:?} against {sharded:?}"),
+                }
+            }
+        }
+        // Both outcomes, and the structural faults of both levels, occur.
+        assert!(loaded > 0);
+        for fault in [
+            "non-contiguous location run",
+            "hashes not strictly increasing",
+            "is outside the graph",
+            "is out of order in its run",
+        ] {
+            assert!(
+                corrupt.iter().any(|kind| kind.contains(fault)),
+                "{fault}: {corrupt:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_sharded_load_sizes_every_level_exactly() {
+        let store = store();
+        for shards in [2, 3, 5] {
+            let loaded = load(&mut Cursor::new(&store), shards).unwrap();
+            for shard in &loaded.shards {
+                assert_eq!(shard.hashes.capacity(), shard.hashes.len());
+                assert_eq!(shard.starts.capacity(), shard.starts.len());
+                assert_eq!(shard.locations.capacity(), shard.locations.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_store_that_shrinks_while_it_is_read_is_truncated_where_it_ran_out() {
+        let store = store();
+        assert_eq!(section_table(&store).unwrap().sections.len(), 4);
+        // The whole load, and the sharded one that reads the index section
+        // twice: either stops where the store ran out.
+        for shards in [1, 3] {
+            let whole = Shrunk {
+                store: &store,
+                len: store.len(),
+                pos: 0,
+            };
+            assert!(load(&mut { whole }, shards).is_ok());
+            for len in 0..store.len() {
+                let mut shrunk = Shrunk {
+                    store: &store,
+                    len,
+                    pos: 0,
+                };
+                match load(&mut shrunk, shards) {
+                    Err(PersistError::Truncated { offset }) => assert_eq!(offset, len),
+                    Err(other) => panic!("{shards} shards, shrunk to {len} bytes: {other}"),
+                    Ok(_) => {
+                        panic!("{shards} shards, shrunk to {len} bytes: a partial store loaded")
+                    }
+                }
             }
         }
     }

@@ -99,6 +99,9 @@ pub fn update_store(
             detail: "changelog does not reconstruct the stored graph".into(),
         });
     }
+    // Accepted, the replay has served its purpose: the diff is in
+    // `built.log`, and the index delta reads the stored graph.
+    drop(built.old);
 
     let (index, stats) = parent
         .index

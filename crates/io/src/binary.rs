@@ -688,6 +688,25 @@ impl<'a> ByteReader<'a> {
         count: usize,
         mut visit: impl FnMut(&[u8; N]),
     ) -> Result<(), BinError> {
+        self.take_blocks::<N>(count, |block| {
+            for record in block.chunks_exact(N) {
+                visit(record.try_into().expect("N-byte record"));
+            }
+        })
+    }
+
+    /// Hands `count` fixed-width `N`-byte records to `visit` as blocks of
+    /// whole records, every whole record in the chunk per block — for a
+    /// caller that also hashes the bytes it decodes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::take_each`].
+    pub fn take_blocks<const N: usize>(
+        &mut self,
+        count: usize,
+        mut visit: impl FnMut(&[u8]),
+    ) -> Result<(), BinError> {
         let needed = count.saturating_mul(N);
         if needed > self.remaining() {
             return Err(self.unexpected_end(needed));
@@ -696,9 +715,7 @@ impl<'a> ByteReader<'a> {
         while left > 0 {
             self.fill(N)?;
             let n = ((self.hi - self.lo) / N).min(left);
-            for record in self.chunk[self.lo..][..n * N].chunks_exact(N) {
-                visit(record.try_into().expect("N-byte record"));
-            }
+            visit(&self.chunk[self.lo..][..n * N]);
             self.lo += n * N;
             self.pos += n * N;
             left -= n;

@@ -8,7 +8,7 @@ use segram_core::{
     gaf_record_for, sam_record_for, EngineOptions, MapEngine, ReadMapper, SegramConfig,
     ShardedIndex,
 };
-use segram_graph::{build_graph, Base, DnaSeq, Variant, VariantSet};
+use segram_graph::{build_graph, Base, DnaSeq, NodeId, Variant, VariantSet};
 use segram_index::{
     frequency_threshold, initial_changelog, update_store, GraphIndex, MinimizerScheme,
     PersistError, PersistedIndex,
@@ -116,7 +116,7 @@ fn delta_swap_maps_byte_identically_to_a_fresh_reshard() {
     for shards in [2usize, 4] {
         let scratch = ShardedIndex::from_persisted(v2.clone(), config, shards);
         let base = ShardedIndex::from_persisted(v1.clone(), config, shards);
-        let (swapped, report) = base.apply_delta(&v2).expect("parent matches");
+        let (swapped, report) = base.apply_delta(v2.clone()).expect("parent matches");
 
         assert_eq!(report.epoch, 1);
         assert_eq!(swapped.shards().len(), base.shards().len());
@@ -169,8 +169,8 @@ fn chained_delta_swaps_track_scratch_resharding() {
     let reads = simulate_reads(&v3.graph, &ReadConfig::short_reads(40, 60, 11));
 
     let base = ShardedIndex::from_persisted(v1, config, 4);
-    let (step1, r1) = base.apply_delta(&v2).expect("epoch 0 -> 1");
-    let (step2, r2) = step1.apply_delta(&v3).expect("epoch 1 -> 2");
+    let (step1, r1) = base.apply_delta(v2).expect("epoch 0 -> 1");
+    let (step2, r2) = step1.apply_delta(v3.clone()).expect("epoch 1 -> 2");
     assert_eq!((r1.epoch, r2.epoch), (1, 2));
 
     let scratch = ShardedIndex::from_persisted(v3, config, 4);
@@ -181,6 +181,28 @@ fn chained_delta_swaps_track_scratch_resharding() {
 }
 
 #[test]
+fn a_delta_swap_maps_against_the_child_graph_it_was_handed() {
+    let (v1, v2) = stores();
+    let config = config_for(&v2);
+    let base = ShardedIndex::from_persisted(v1, config, 4);
+    // The child's character table: the graph moves into the swapped
+    // index rather than being copied.
+    let chars = v2.graph.seq(NodeId(0)).as_ptr();
+    let (swapped, _) = base.apply_delta(v2).expect("parent matches");
+    assert_eq!(swapped.graph().seq(NodeId(0)).as_ptr(), chars);
+}
+
+/// Why `on` declined `child` as a delta, after checking that the store it
+/// handed back is `child`.
+fn declined(on: &ShardedIndex, child: &PersistedIndex) -> PersistError {
+    let declined = on
+        .apply_delta(child.clone())
+        .expect_err("the delta must be declined");
+    assert_eq!(declined.store.identity(), child.identity());
+    declined.reason
+}
+
+#[test]
 fn delta_swap_preconditions_fail_with_named_errors() {
     let (v1, v2) = stores();
     let config = config_for(&v2);
@@ -188,8 +210,8 @@ fn delta_swap_preconditions_fail_with_named_errors() {
     // Wrong parent: v2's parent is v1, not v2 itself.
     let on_v2 = ShardedIndex::from_persisted(v2.clone(), config, 2);
     assert!(matches!(
-        on_v2.apply_delta(&v2),
-        Err(PersistError::ParentMismatch { .. })
+        declined(&on_v2, &v2),
+        PersistError::ParentMismatch { .. }
     ));
 
     // Right parent, forged epoch: the chain must advance by exactly one.
@@ -197,8 +219,8 @@ fn delta_swap_preconditions_fail_with_named_errors() {
     let mut skewed = v2.clone();
     skewed.changelog.as_mut().expect("versioned").epoch = 5;
     assert!(matches!(
-        on_v1.apply_delta(&skewed),
-        Err(PersistError::EpochSkew { .. })
+        declined(&on_v1, &skewed),
+        PersistError::EpochSkew { .. }
     ));
 
     // Legacy stores on either side refuse by name.
@@ -208,12 +230,12 @@ fn delta_swap_preconditions_fail_with_named_errors() {
     };
     let on_legacy = ShardedIndex::from_persisted(legacy.clone(), config, 2);
     assert!(matches!(
-        on_legacy.apply_delta(&v2),
-        Err(PersistError::NoChangelog)
+        declined(&on_legacy, &v2),
+        PersistError::NoChangelog
     ));
     assert!(matches!(
-        on_v1.apply_delta(&legacy),
-        Err(PersistError::NoChangelog)
+        declined(&on_v1, &legacy),
+        PersistError::NoChangelog
     ));
 
     // One shard has no clean shard a delta could carry over: it keeps no
@@ -221,8 +243,5 @@ fn delta_swap_preconditions_fail_with_named_errors() {
     // and declines the delta route by the same name.
     let one = ShardedIndex::from_persisted(v1, config, 1);
     assert!(one.lineage().is_none() && on_v1.lineage().is_some());
-    assert!(matches!(
-        one.apply_delta(&v2),
-        Err(PersistError::NoChangelog)
-    ));
+    assert!(matches!(declined(&one, &v2), PersistError::NoChangelog));
 }

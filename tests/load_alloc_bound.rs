@@ -11,6 +11,11 @@
 //! kept packed (a graph of a sequence and two edge lists per node, 16-byte
 //! entries and an unpacked reference kept about 1.4×).
 //!
+//! A four-shard [`read_index_file_sharded`] of the same store keeps the
+//! same bound against the graph and shards it returns: it files every
+//! location straight into its shard, where a whole load split in memory
+//! holds the whole index beside its shards (about 1.7×).
+//!
 //! A counting global allocator measures both. It counts every allocation
 //! in the process, so this binary holds this one test alone.
 
@@ -20,8 +25,8 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use segram_core::SegramConfig;
 use segram_graph::build_graph;
 use segram_index::{
-    frequency_threshold, initial_changelog, read_index_file, read_section_table, write_index_file,
-    GraphIndex, PersistedIndex,
+    frequency_threshold, initial_changelog, read_index_file, read_index_file_sharded,
+    read_section_table, write_index_file, GraphIndex, PersistedIndex,
 };
 use segram_sim::{generate_reference, simulate_variants, GenomeConfig, VariantConfig};
 
@@ -109,35 +114,75 @@ fn loading_a_store_holds_little_beyond_the_store_it_returns() {
         .expect("index section")
         .len as usize;
 
+    let file_len = table.sections.iter().map(|s| s.offset + s.len).max();
+    let file_len = file_len.expect("sections") as usize;
+
+    let (loaded, load) = measured(|| read_index_file(&path));
+    let loaded = loaded.expect("own store loads");
+    assert!(loaded.graph.total_chars() >= 1_000_000);
+    assert!(
+        load.kept as f64 <= 1.15 * file_len as f64,
+        "the loaded store keeps {} live bytes for a {file_len}-byte file",
+        load.kept
+    );
+    load.check("load", index_len);
+    drop(loaded);
+
+    let (sharded, shards) = measured(|| read_index_file_sharded(&path, 4));
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(sharded.expect("own store loads").shards.len(), 4);
+    shards.check("4-shard load", index_len);
+    eprintln!(
+        "file {file_len} B, store {} B ({:.3}x), index section {index_len} B",
+        load.kept,
+        load.kept as f64 / file_len as f64,
+    );
+}
+
+/// What a load did to the live heap.
+struct Measured {
+    /// The most the live heap rose above where it started.
+    peak: usize,
+    /// The largest single allocation.
+    largest: usize,
+    /// What the returned value keeps.
+    kept: usize,
+}
+
+impl Measured {
+    /// The load peaked within 1.15× what it keeps, and allocated nothing
+    /// as long as the index section.
+    fn check(&self, what: &str, index_len: usize) {
+        let Self {
+            peak,
+            largest,
+            kept,
+        } = *self;
+        assert!(
+            peak as f64 <= 1.15 * kept as f64,
+            "{what} peaked at {peak} live bytes for a store of {kept}"
+        );
+        assert!(
+            largest < index_len,
+            "a {largest}-byte allocation during the {what}; the index section is {index_len} bytes"
+        );
+        eprintln!(
+            "{what}: keeps {kept} B, peak {peak} B ({:.3}x), largest allocation {largest} B",
+            peak as f64 / kept as f64
+        );
+    }
+}
+
+/// Runs `load` with the counters reset, and what it did to the heap.
+fn measured<T>(load: impl FnOnce() -> T) -> (T, Measured) {
     let before = LIVE.load(Relaxed);
     PEAK.store(before, Relaxed);
     LARGEST.store(0, Relaxed);
-    let loaded = read_index_file(&path);
-    let peak = PEAK.load(Relaxed) - before;
-    let largest = LARGEST.load(Relaxed);
-    let kept = LIVE.load(Relaxed) - before;
-    let _ = std::fs::remove_file(&path);
-
-    let loaded = loaded.expect("own store loads");
-    assert!(loaded.graph.total_chars() >= 1_000_000);
-    let file_len = table.sections.iter().map(|s| s.offset + s.len).max();
-    let file_len = file_len.expect("sections") as usize;
-    assert!(
-        kept as f64 <= 1.15 * file_len as f64,
-        "the loaded store keeps {kept} live bytes for a {file_len}-byte file"
-    );
-    assert!(
-        peak as f64 <= 1.15 * kept as f64,
-        "load peaked at {peak} live bytes for a store of {kept}"
-    );
-    assert!(
-        largest < index_len,
-        "a {largest}-byte allocation during the load; the index section is {index_len} bytes"
-    );
-    eprintln!(
-        "file {file_len} B, store {kept} B ({:.3}x), load peak {peak} B ({:.3}x), \
-         largest allocation {largest} B, index section {index_len} B",
-        kept as f64 / file_len as f64,
-        peak as f64 / kept as f64
-    );
+    let loaded = load();
+    let measured = Measured {
+        peak: PEAK.load(Relaxed) - before,
+        largest: LARGEST.load(Relaxed),
+        kept: LIVE.load(Relaxed) - before,
+    };
+    (loaded, measured)
 }

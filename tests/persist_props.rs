@@ -3,18 +3,23 @@
 //! that corrupt, truncated, or incompatible files produce a named
 //! [`PersistError`] — never a panic. The corruption matrix runs against
 //! both readable format versions: a v2 store this build encodes and the
-//! committed v1 store the parent of format v2 wrote; and through both
-//! entry points of the one streaming codec, [`decode_index`] over memory
-//! and [`read_index_file`] over a file, which must fail identically.
+//! committed v1 store the parent of format v2 wrote; and through every
+//! entry point of the one streaming codec, [`decode_index`] over memory,
+//! [`read_index_file`] over a file, and both of their sharded forms, which
+//! decode the index section in two passes — all of which must fail
+//! identically. A sharded load that succeeds holds the in-memory split of
+//! the whole index, level for level.
 
 use segram_core::SegramConfig;
 use segram_graph::{
-    build_graph, linear_graph, Base, DnaSeq, GenomeGraph, GraphBuilder, NodeId, PackedSeq,
+    build_graph, graphs_identical, linear_graph, Base, DnaSeq, GenomeGraph, GraphBuilder, NodeId,
+    PackedSeq,
 };
 use segram_index::{
-    decode_index, encode_index, frequency_threshold, read_index_file, section_table,
-    write_index_file, GraphIndex, IndexProvenance, MinimizerScheme, PersistError, PersistedIndex,
-    INDEX_FORMAT_VERSION, INDEX_MAGIC,
+    decode_index, decode_index_sharded, encode_index, frequency_threshold, read_index_file,
+    read_index_file_sharded, section_table, shard_boundaries, write_index_file, GraphIndex,
+    IndexProvenance, MinimizerScheme, PersistError, PersistedIndex, INDEX_FORMAT_VERSION,
+    INDEX_MAGIC,
 };
 use segram_io::{read_fasta, read_vcf, xxh64, Ambiguity, VcfOptions};
 use segram_sim::DatasetConfig;
@@ -62,6 +67,29 @@ impl StoreFile {
     fn load(&self) -> Result<PersistedIndex, PersistError> {
         read_index_file(&self.0)
     }
+}
+
+/// The shard count the corruption matrix loads at beside the whole load.
+const SHARDS: usize = 3;
+
+/// The error every other loader gives for `bytes`, which must be the one
+/// [`decode_index`] gives: the file loader, and the sharded load from
+/// memory and from `file`, which holds `bytes`.
+fn loaders_disagree(bytes: &[u8], file: &StoreFile) -> Option<String> {
+    let err = decode_index(bytes).err()?.to_string();
+    let others = [
+        file.load().err(),
+        decode_index_sharded(bytes, SHARDS).err(),
+        read_index_file_sharded(&file.0, SHARDS).err(),
+    ];
+    let names = ["file", "sharded memory", "sharded file"];
+    names
+        .into_iter()
+        .zip(others)
+        .find_map(|(name, other)| match other {
+            Some(other) if other.to_string() == err => None,
+            other => Some(format!("{name} load gave {other:?}, memory load {err}")),
+        })
 }
 
 impl Drop for StoreFile {
@@ -166,6 +194,9 @@ proptest! {
         );
         prop_assert_eq!(loaded.freq_threshold, persisted.freq_threshold);
         prop_assert_eq!(loaded.discard_frac.to_bits(), persisted.discard_frac.to_bits());
+        for shards in [2, 3, 4] {
+            prop_assert_eq!(sharded_load_differs(&bytes, shards), None);
+        }
     }
 
     /// Flipping any single byte outside the section-count field makes the
@@ -187,14 +218,8 @@ proptest! {
             let mut flipped = bytes.clone();
             flipped[pos] ^= mask;
             let err = decode_index(&flipped).expect_err("flip must be detected");
-            let file_err = StoreFile::new(&flipped).load().expect_err("flip must be detected");
-            prop_assert_eq!(
-                file_err.to_string(),
-                err.to_string(),
-                "v{} flip at {}: file and memory loads disagree",
-                version,
-                pos
-            );
+            let disagree = loaders_disagree(&flipped, &StoreFile::new(&flipped));
+            prop_assert!(disagree.is_none(), "v{} flip at {}: {:?}", version, pos, disagree);
             let declared = u32::from_le_bytes(flipped[8..12].try_into().unwrap());
             match pos {
                 0..=7 => prop_assert!(matches!(err, PersistError::BadMagic)),
@@ -259,6 +284,47 @@ proptest! {
     }
 }
 
+/// Where the sharded load of `bytes` at `shards` shards differs from the
+/// whole load split in memory at the same cuts, if anywhere.
+fn sharded_load_differs(bytes: &[u8], shards: usize) -> Option<String> {
+    let whole = decode_index(bytes).expect("own encoding must load");
+    let store = decode_index_sharded(bytes, shards).expect("own encoding must load");
+    let boundaries = shard_boundaries(whole.graph.total_chars(), shards);
+    if store.boundaries != boundaries {
+        return Some(format!("cuts {:?}, not {boundaries:?}", store.boundaries));
+    }
+    let split = whole.index.split_by_ranges(&whole.graph, &boundaries);
+    if let Some(s) = (0..split.len()).find(|&s| store.shards.get(s) != Some(&split[s])) {
+        return Some(format!("shard {s} of {shards} differs from the split"));
+    }
+    let same_rest = graphs_identical(&store.graph, &whole.graph)
+        && store.freq_threshold == whole.freq_threshold
+        && store.discard_frac.to_bits() == whole.discard_frac.to_bits()
+        && store.changelog == whole.changelog
+        && store.provenance == whole.provenance;
+    (!same_rest || store.shards.len() != split.len())
+        .then(|| format!("{shards} shards: the rest of the store differs"))
+}
+
+/// The sharded load of both fixture stores equals the in-memory split of
+/// the whole load at 2, 3 and 4 shards, with cuts inside nodes among
+/// them.
+#[test]
+fn sharded_loads_equal_the_split_of_the_whole_load() {
+    for (version, bytes) in stores() {
+        let graph = decode_index(&bytes).expect("own store loads").graph;
+        let mut inside_a_node = 0;
+        for shards in [2, 3, 4] {
+            assert_eq!(sharded_load_differs(&bytes, shards), None, "v{version}");
+            let boundaries = shard_boundaries(graph.total_chars(), shards);
+            inside_a_node += (boundaries[1..shards].iter())
+                .filter(|&&cut| graph.graph_pos(cut).expect("a base").offset > 0)
+                .count();
+        }
+        assert!(inside_a_node > 0, "v{version}: no cut inside a node");
+    }
+}
+
 /// Every payload length modulo the checksum's 32-byte stripe verifies and
 /// detects a flipped last byte — on raw buffers (which also cover the
 /// sub-stripe lengths no section is short enough for) and on a stored
@@ -314,12 +380,9 @@ fn every_truncation_point_errors_instead_of_panicking() {
         for cut in (0..bytes.len()).rev() {
             let err = decode_index(&bytes[..cut]).expect_err("truncated file must not load");
             file.truncate(cut);
-            let file_err = file.load().expect_err("truncated file must not load");
-            assert_eq!(
-                file_err.to_string(),
-                err.to_string(),
-                "v{version} cut at {cut}: file and memory loads disagree"
-            );
+            if let Some(disagree) = loaders_disagree(&bytes[..cut], &file) {
+                panic!("v{version} cut at {cut}: {disagree}");
+            }
             match err {
                 PersistError::BadMagic
                 | PersistError::Truncated { .. }
