@@ -71,7 +71,8 @@
 #                       swaps the index mid-run with zero failed requests,
 #                       and every reply byte-diffs against its one-shot
 #  15. incremental-index the versioned store lifecycle: `index build` v1 ->
-#                       `index update` with a delta VCF -> payload identity
+#                       `index update` with a delta VCF (also in place,
+#                       `cmp`-equal to the new-path child) -> payload identity
 #                       against a scratch build over the combined VCF
 #                       (inspect checksums + map byte-diff, flat and
 #                       sharded; the identity again at --buckets 4 and
@@ -803,6 +804,16 @@ incremental_index() {
     grep -q "locations carried" "$d.update.log" \
         || { echo "update report lost its delta counters:"; cat "$d.update.log"; return 1; }
     echo "  $(grep 'touched' "$d.update.log")"
+
+    # In place (--output equal to --index): the update reads the parent's
+    # index section off the file it replaces, so the child must be the
+    # out-of-place child byte for byte.
+    cp "$d-v1.sgi" "$d-inplace.sgi" || return 1
+    "$SEGRAM" index update --index "$d-inplace.sgi" --vcf "$d-delta.vcf" \
+        --output "$d-inplace.sgi" > /dev/null || return 1
+    cmp "$d-inplace.sgi" "$d-v2.sgi" \
+        || { echo "the in-place update differs from the out-of-place one"; return 1; }
+    echo "  in-place update == out-of-place update"
 
     # Payload identity against the scratch build over the combined VCF:
     # the changelog identity is FNV-1a over the two section checksums the

@@ -6,7 +6,8 @@
 use segram_core::{SegramConfig, ShardedIndex};
 use segram_graph::{build_graph, DnaSeq, Variant, VariantSet};
 use segram_index::{
-    frequency_threshold, initial_changelog, update_store, GraphIndex, PersistedIndex,
+    frequency_threshold, initial_changelog, update_index_file, update_store, write_index_file,
+    GraphIndex, PersistedIndex,
 };
 use segram_sim::{generate_reference, simulate_variants, GenomeConfig, VariantConfig};
 use segram_testkit::bench::{black_box, criterion_group, criterion_main, Criterion};
@@ -49,7 +50,7 @@ fn setup() -> (DnaSeq, PersistedIndex, VariantSet) {
     (reference, v1, delta)
 }
 
-/// The headline trade of the versioned store: `update_store` replays the
+/// The headline trade of the versioned store: an update replays the
 /// graph delta and re-extracts minimizers only inside the touched
 /// coordinate ranges, where the scratch path re-runs graph construction
 /// and full index extraction over all 200 kb.
@@ -76,15 +77,32 @@ fn bench_update_vs_scratch(c: &mut Criterion) {
             black_box(index.footprint().total_bytes())
         })
     });
+    // The in-memory update consumes its parent, so each sample pays a
+    // clone of it; the file update streams the parent's index section off
+    // disk into the merge, the path `segram index update` takes.
     group.bench_function("update_store", |b| {
         b.iter(|| {
-            let out = update_store(black_box(&v1), &delta, "delta.vcf").expect("delta applies");
+            let out =
+                update_store(black_box(v1.clone()), &delta, "delta.vcf").expect("delta applies");
+            black_box(out.persisted.index.footprint().total_bytes())
+        })
+    });
+    let parent = std::env::temp_dir().join(format!(
+        "segram-bench-index-update-{}.sgi",
+        std::process::id()
+    ));
+    write_index_file(&v1, &parent).expect("write the parent store");
+    group.bench_function("update_index_file", |b| {
+        b.iter(|| {
+            let out =
+                update_index_file(black_box(&parent), &delta, "delta.vcf").expect("delta applies");
             black_box(out.persisted.index.footprint().total_bytes())
         })
     });
     group.finish();
+    let _ = std::fs::remove_file(&parent);
 
-    let out = update_store(&v1, &delta, "delta.vcf").expect("delta applies");
+    let out = update_store(v1, &delta, "delta.vcf").expect("delta applies");
     println!(
         "  info: delta re-extracted {} of {} chars across {} fresh nodes \
          ({} locations carried, {} extracted)",
@@ -100,7 +118,7 @@ fn bench_update_vs_scratch(c: &mut Criterion) {
 /// the delta touched vs. re-sharding the whole new store.
 fn bench_shard_swap(c: &mut Criterion) {
     let (_, v1, delta) = setup();
-    let v2 = update_store(&v1, &delta, "delta.vcf")
+    let v2 = update_store(v1.clone(), &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
     let mut config = SegramConfig::short_reads();

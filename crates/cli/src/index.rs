@@ -15,7 +15,7 @@ use segram_core::{SegramConfig, ShardedIndex};
 use segram_graph::{build_graph, gfa, ConstructedGraph, DnaSeq, VariantSet};
 use segram_index::{
     frequency_threshold, initial_changelog, read_index_file, read_index_file_sharded,
-    read_section_table, update_store, write_index_file, GraphIndex, IndexProvenance,
+    read_section_table, update_index_file, write_index_file, GraphIndex, IndexProvenance,
     MinimizerScheme, PersistedIndex, StoreChangelog, INDEX_FORMAT_VERSION,
 };
 use segram_io::{read_fasta, read_vcf, VcfOptions};
@@ -348,7 +348,6 @@ pub(crate) fn index_update(options: &Options) -> Result<String, CliError> {
     let vcf_path = options.require("vcf")?;
     let out_path = options.require("output")?;
 
-    let (parent, _) = load_store(index_path)?;
     let vcf_options = if options.switch("lenient") {
         VcfOptions::lenient()
     } else {
@@ -366,8 +365,8 @@ pub(crate) fn index_update(options: &Options) -> Result<String, CliError> {
     };
     let delta_count = delta.len();
 
-    let outcome =
-        update_store(&parent, &delta, vcf_path).map_err(|e| CliError::index(index_path, e))?;
+    let outcome = update_index_file(index_path, &delta, vcf_path)
+        .map_err(|e| CliError::index(index_path, e))?;
     let (bytes, identity) =
         write_index_file(&outcome.persisted, out_path).map_err(|e| CliError::index(out_path, e))?;
 

@@ -201,6 +201,45 @@ fn index_update_matches_a_scratch_build_over_the_combined_vcf() {
     );
 }
 
+/// `--output` equal to `--index` replaces the parent with its child: the
+/// update walks the parent's index section off the file it is about to
+/// replace, and the write lands only once the child is whole.
+#[test]
+fn an_in_place_update_equals_an_out_of_place_one() {
+    let dir = TempDir::new("in-place");
+    let prefix = simulate_and_split(&dir);
+    let v1 = dir.path("v1.sgi");
+    run(&[
+        "index",
+        "build",
+        "--reference",
+        &format!("{prefix}.fa"),
+        "--vcf",
+        &dir.path("base.vcf"),
+        "--output",
+        &v1,
+    ])
+    .expect("index build v1");
+    let in_place = dir.path("in-place.sgi");
+    fs::copy(&v1, &in_place).expect("copy v1");
+
+    let delta = dir.path("delta.vcf");
+    let v2 = dir.path("v2.sgi");
+    for (index, output) in [(&v1, &v2), (&in_place, &in_place)] {
+        let report = run(&[
+            "index", "update", "--index", index, "--vcf", &delta, "--output", output,
+        ])
+        .expect("index update");
+        assert!(report.contains("epoch 1"), "{report}");
+    }
+    assert_eq!(
+        fs::read(&in_place).unwrap(),
+        fs::read(&v2).unwrap(),
+        "the in-place update differs from the out-of-place one"
+    );
+    assert!(fs::metadata(dir.path("in-place.sgi.tmp")).is_err());
+}
+
 #[test]
 fn corrupted_stores_error_cleanly_at_the_cli() {
     let dir = TempDir::new("corrupt");

@@ -61,8 +61,8 @@ pub use graph::{
     EDGE_ENTRY_BYTES, NODE_ENTRY_BYTES,
 };
 pub use ops::{
-    apply_variants, diff_graphs, graphs_identical, merge_ranges, ranges_intersect, ChangeLog,
-    DeltaBuild, GraphOp,
+    apply_variants, diff_graphs, extend_graph, graphs_identical, merge_ranges, ranges_intersect,
+    ChangeLog, DeltaBuild, GraphOp,
 };
 pub use region::{hop_coverage, LinearizedGraph};
 pub use seq::{pack_bases, DnaSeq, PackedSeq};

@@ -27,7 +27,6 @@
 //! one is counted in [`ChangeLog::dropped_variants`].
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use crate::{build_graph, ConstructedGraph, DnaSeq, GenomeGraph, GraphError, NodeId, VariantSet};
 
@@ -157,21 +156,40 @@ pub fn apply_variants<'a>(
 ) -> Result<DeltaBuild, GraphError> {
     let reference = reference.into();
     let old = build_graph(&reference, applied.clone())?;
+    let (new, log) = extend_graph(&reference, &old, applied, delta, parent_epoch)?;
+    Ok(DeltaBuild { old, new, log })
+}
+
+/// The second step of [`apply_variants`], for a caller that builds (and
+/// checks) the parent graph `old` itself, from `(reference, applied)`:
+/// the child graph over `applied ∪ delta` and the log from `old` to it.
+/// The caller can drop `old` as soon as this returns.
+///
+/// # Errors
+///
+/// As [`apply_variants`].
+pub fn extend_graph(
+    reference: &DnaSeq,
+    old: &ConstructedGraph,
+    applied: &VariantSet,
+    delta: &VariantSet,
+    parent_epoch: u64,
+) -> Result<(ConstructedGraph, ChangeLog), GraphError> {
     let mut combined = applied.clone();
     combined.extend(delta.iter().cloned());
-    let new = build_graph(&reference, combined)?;
+    let new = build_graph(reference, combined)?;
     // Every drop in the combined build beyond the parent's own is caused
     // by the delta (either a delta variant lost to the embedded set, or —
     // rarely — an embedded variant displaced by an earlier-sorting delta
     // variant; both count as delta conflicts).
     let dropped_variants = (applied.len() + delta.len()) - new.applied.len();
     let added_variants = delta.len() - dropped_variants.min(delta.len());
-    let mut log = diff_graphs(&old, &new);
+    let mut log = diff_graphs(old, &new);
     log.parent_epoch = parent_epoch;
     log.epoch = parent_epoch + 1;
     log.added_variants = added_variants;
     log.dropped_variants = dropped_variants;
-    Ok(DeltaBuild { old, new, log })
+    Ok((new, log))
 }
 
 /// Structural diff between two constructed graphs: matches
@@ -183,23 +201,31 @@ pub fn apply_variants<'a>(
 /// monotone in both graphs' node ids — unmatched nodes fall back to
 /// fresh/dropped, which downstream consumers handle by re-extracting.
 pub fn diff_graphs(old: &ConstructedGraph, new: &ConstructedGraph) -> ChangeLog {
-    // Old nodes queued by (reference start, backbone role), lowest id
-    // first; a new node takes the first queued one with its sequence.
+    // Old nodes in (reference start, backbone role, id) order; a new node
+    // takes the first one not yet taken with its key and its sequence.
     let key = |built: &ConstructedGraph, node: NodeId| {
         (
             built.ref_starts[node.index()],
             built.is_backbone[node.index()],
         )
     };
-    let mut pool: HashMap<(u64, bool), Vec<NodeId>> = HashMap::new();
-    for node in old.graph.node_ids() {
-        pool.entry(key(old, node)).or_default().push(node);
-    }
+    let mut pool: Vec<((u64, bool), NodeId)> = old
+        .graph
+        .node_ids()
+        .map(|node| (key(old, node), node))
+        .collect();
+    pool.sort_unstable();
+    let mut taken = vec![false; old.graph.node_count()];
     let mut take = |node: NodeId| {
-        let queue = pool.get_mut(&key(new, node))?;
+        let want = key(new, node);
         let seq = new.graph.seq(node);
-        let at = queue.iter().position(|&o| old.graph.seq(o) == seq)?;
-        Some(queue.remove(at))
+        let first = pool.partition_point(|&(k, _)| k < want);
+        let (_, old_node) = *pool[first..]
+            .iter()
+            .take_while(|&&(k, _)| k == want)
+            .find(|&&(_, o)| !taken[o.index()] && old.graph.seq(o) == seq)?;
+        taken[old_node.index()] = true;
+        Some(old_node)
     };
 
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();

@@ -245,18 +245,10 @@ impl GraphIndex {
     /// ascending, or when a location does not resolve against `graph`
     /// (i.e. `graph` is not the graph this index was built from).
     pub fn split_by_ranges(&self, graph: &GenomeGraph, boundaries: &[u64]) -> Vec<GraphIndex> {
-        let owner = shard_owner(graph, boundaries);
-        let mut shards: Vec<GraphIndex> = self
-            .shard_sizes(boundaries.len() - 1, &owner)
-            .into_iter()
-            .map(|capacity| Self::unsealed(self.scheme, self.bucket_bits, capacity))
-            .collect();
-        // A filter of the `(bucket, hash, location)`-ordered walk keeps
-        // that order: no shard needs a re-sort.
-        for seed in self.seeds() {
-            shards[owner(seed.1)].push_seed(seed);
-        }
-        shards.into_iter().map(Self::sealed).collect()
+        let owner = checked_shard_owner(graph, boundaries);
+        let mut filing = ShardFiling::new(boundaries.len() - 1, owner);
+        self.walk_into(&mut filing);
+        filing.into_shards()
     }
 
     /// Extracts the single shard `shard` of the [`Self::split_by_ranges`]
@@ -302,6 +294,29 @@ impl GraphIndex {
             .flat_map(|(&hash, run)| run.iter().map(move |&loc| (hash, loc)))
     }
 
+    /// Walks this index into `filing` as a store's index section is walked
+    /// (`persist`'s checked walk): every location counted with its
+    /// second-level entry, then every `(hash, location)` pair filed in
+    /// `(bucket, hash, location)` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `filing` has no place for a location of this index.
+    pub(crate) fn walk_into(&self, filing: &mut impl SeedFiling) {
+        for (m, run) in self.runs().enumerate() {
+            for &pos in run {
+                filing.count(m, pos);
+            }
+        }
+        filing.begin(self.scheme, self.bucket_bits);
+        for seed in self.seeds() {
+            assert!(
+                filing.file(seed),
+                "index location must resolve against its own graph"
+            );
+        }
+    }
+
     /// Incrementally maintains the index across a graph delta: carried
     /// nodes keep their already-extracted minimizers (only the node id is
     /// translated), fresh nodes are re-extracted, dropped nodes' entries
@@ -313,53 +328,18 @@ impl GraphIndex {
     /// minimizers never cross node boundaries (a content-identical node
     /// yields the identical minimizer set) and the carried-node mapping is
     /// monotone (the carried entry stream stays sorted, so the merge with
-    /// the freshly extracted stream needs no global re-sort).
+    /// the freshly extracted stream needs no global re-sort). This index
+    /// is walked into the same merge a streamed `segram index update`
+    /// walks its parent's index section into.
     pub fn apply_delta(
         &self,
         old_graph: &GenomeGraph,
         new_graph: &GenomeGraph,
         log: &ChangeLog,
     ) -> (GraphIndex, DeltaStats) {
-        let key = |(hash, pos): (u64, GraphPos)| (bucket_of(hash, self.bucket_bits), hash, pos);
-        let carried_map = log.carried_map(old_graph.node_count());
-
-        // Fresh stream: extract only the nodes the delta created.
-        let mut stats = DeltaStats::default();
-        let mut fresh: Vec<(u64, GraphPos)> = Vec::new();
-        for &node in &log.fresh {
-            let seq = new_graph.seq(node);
-            stats.extracted_chars += seq.len() as u64;
-            for m in extract_minimizers_from(seq, &self.scheme) {
-                fresh.push((m.rank, GraphPos::new(node, m.pos)));
-            }
-        }
-        stats.extracted_locations = fresh.len();
-        stats.carried_nodes = log.carried.len();
-        stats.fresh_nodes = log.fresh.len();
-        fresh.sort_unstable_by_key(|&seed| key(seed));
-
-        // Carried stream: the old index walked in its own (bucket, hash,
-        // location) order, node ids translated on the way, the sorted fresh
-        // pairs merged in. Monotone carried maps preserve the order; the
-        // debug assert in `push_seed` guards it.
-        let expected = self.locations.len() + fresh.len();
-        let mut index = Self::unsealed(self.scheme, self.bucket_bits, (expected, expected));
-        let mut fresh = fresh.into_iter().peekable();
-        for (hash, loc) in self.seeds() {
-            let Some(node) = carried_map[loc.node.index()] else {
-                continue;
-            };
-            let carried = (hash, GraphPos::new(node, loc.offset));
-            while let Some(seed) = fresh.next_if(|&seed| key(seed) < key(carried)) {
-                index.push_seed(seed);
-            }
-            index.push_seed(carried);
-        }
-        fresh.for_each(|seed| index.push_seed(seed));
-        let index = index.sealed();
-        stats.carried_locations = index.locations.len() - stats.extracted_locations;
-        stats.dropped_locations = self.locations.len() - stats.carried_locations;
-        (index, stats)
+        let mut merge = DeltaMerge::new(old_graph.node_count(), new_graph, log);
+        self.walk_into(&mut merge);
+        merge.finish()
     }
 
     /// The per-minimizer occurrence counts (used to derive the frequency
@@ -475,6 +455,187 @@ pub(crate) fn checked_shard_owner<'a>(
     move |loc| match *of_node.get(loc.node.index())? {
         Some(owner) => Some(owner as usize),
         None => graph.linear_pos(loc).ok().map(of_linear),
+    }
+}
+
+/// Where a two-pass walk of an index's seeds files them: the destination
+/// of the one checked walk of a store's index section, and of
+/// [`GraphIndex::walk_into`] over an index in memory.
+pub(crate) trait SeedFiling {
+    /// Pass 1: location `pos` of second-level entry `m`, every location in
+    /// level order, so the destination can size its levels.
+    fn count(&mut self, m: usize, pos: GraphPos);
+    /// Between the passes: the walked index's scheme and bucket count.
+    fn begin(&mut self, scheme: MinimizerScheme, bucket_bits: u32);
+    /// Pass 2: files one seed, the seeds in `(bucket, hash, location)`
+    /// order; `false` for a location pass 1 could not have counted.
+    fn file(&mut self, seed: (u64, GraphPos)) -> bool;
+}
+
+/// Files each seed into the coordinate-range shard `owner` names, into
+/// levels sized exactly by the count: [`GraphIndex::split_by_ranges`] and
+/// the sharded `.sgi` load. A filter of the ordered walk keeps its order,
+/// so no shard needs a re-sort.
+pub(crate) struct ShardFiling<O> {
+    owner: O,
+    sizes: ShardSizes,
+    shards: Vec<GraphIndex>,
+}
+
+impl<O: Fn(GraphPos) -> Option<usize>> ShardFiling<O> {
+    pub(crate) fn new(shards: usize, owner: O) -> Self {
+        Self {
+            owner,
+            sizes: ShardSizes::new(shards),
+            shards: Vec::new(),
+        }
+    }
+
+    pub(crate) fn into_shards(self) -> Vec<GraphIndex> {
+        self.shards.into_iter().map(GraphIndex::sealed).collect()
+    }
+}
+
+impl<O: Fn(GraphPos) -> Option<usize>> SeedFiling for ShardFiling<O> {
+    #[inline]
+    fn count(&mut self, m: usize, pos: GraphPos) {
+        let shard = (self.owner)(pos).expect("index location must resolve against its own graph");
+        self.sizes.count(m, shard);
+    }
+
+    fn begin(&mut self, scheme: MinimizerScheme, bucket_bits: u32) {
+        self.shards = (self.sizes.sizes.iter())
+            .map(|&capacity| GraphIndex::unsealed(scheme, bucket_bits, capacity))
+            .collect();
+    }
+
+    #[inline]
+    fn file(&mut self, seed: (u64, GraphPos)) -> bool {
+        match (self.owner)(seed.1) {
+            Some(shard) => {
+                self.shards[shard].push_seed(seed);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// The child index of a graph delta, merged from its parent index's seeds:
+/// a carried location's node id translated, a dropped one left out, and
+/// the fresh nodes' seeds — extracted and sorted once the walk names the
+/// scheme — merged in. Monotone carried maps preserve the walk's order;
+/// the debug assert in `push_seed` guards it. The one merge behind
+/// [`GraphIndex::apply_delta`] and a streamed `segram index update`.
+pub(crate) struct DeltaMerge<'a> {
+    new_graph: &'a GenomeGraph,
+    log: &'a ChangeLog,
+    /// Parent node → child node, `None` for a dropped node.
+    carried_map: Vec<Option<NodeId>>,
+    /// Pass 1's tally of the carried entries and locations, and of every
+    /// parent location.
+    carried: ShardSizes,
+    parent_locations: usize,
+    /// The fresh seeds in `(bucket, hash, location)` order, and the next
+    /// one to merge.
+    fresh: Vec<(u64, GraphPos)>,
+    next_fresh: usize,
+    index: Option<GraphIndex>,
+    stats: DeltaStats,
+}
+
+impl<'a> DeltaMerge<'a> {
+    /// The merge of a parent index over `parent_nodes` nodes into the
+    /// index of `new_graph`, which `log` maps the parent graph to.
+    pub(crate) fn new(parent_nodes: usize, new_graph: &'a GenomeGraph, log: &'a ChangeLog) -> Self {
+        Self {
+            new_graph,
+            log,
+            carried_map: log.carried_map(parent_nodes),
+            carried: ShardSizes::new(1),
+            parent_locations: 0,
+            fresh: Vec::new(),
+            next_fresh: 0,
+            index: None,
+            stats: DeltaStats {
+                carried_nodes: log.carried.len(),
+                fresh_nodes: log.fresh.len(),
+                ..DeltaStats::default()
+            },
+        }
+    }
+
+    /// Merges the fresh seeds past the last carried one and seals the
+    /// child index.
+    pub(crate) fn finish(mut self) -> (GraphIndex, DeltaStats) {
+        let mut index = self
+            .index
+            .take()
+            .expect("the merge begins before it finishes");
+        for &seed in &self.fresh[self.next_fresh..] {
+            index.push_seed(seed);
+        }
+        let index = index.sealed();
+        let mut stats = self.stats;
+        stats.carried_locations = index.locations.len() - stats.extracted_locations;
+        stats.dropped_locations = self.parent_locations - stats.carried_locations;
+        (index, stats)
+    }
+}
+
+impl SeedFiling for DeltaMerge<'_> {
+    #[inline]
+    fn count(&mut self, m: usize, pos: GraphPos) {
+        self.parent_locations += 1;
+        if let Some(Some(_)) = self.carried_map.get(pos.node.index()) {
+            self.carried.count(m, 0);
+        }
+    }
+
+    fn begin(&mut self, scheme: MinimizerScheme, bucket_bits: u32) {
+        for &node in &self.log.fresh {
+            let seq = self.new_graph.seq(node);
+            self.stats.extracted_chars += seq.len() as u64;
+            for m in extract_minimizers_from(seq, &scheme) {
+                self.fresh.push((m.rank, GraphPos::new(node, m.pos)));
+            }
+        }
+        self.fresh
+            .sort_unstable_by_key(|&(hash, pos)| (hash.rotate_right(bucket_bits), pos));
+        self.stats.extracted_locations = self.fresh.len();
+        // Room for every carried entry and every fresh hash; a fresh hash
+        // that is also carried leaves its entry unused.
+        let fresh_entries = self.fresh.chunk_by(|a, b| a.0 == b.0).count();
+        let (entries, locations) = self.carried.sizes[0];
+        self.index = Some(GraphIndex::unsealed(
+            scheme,
+            bucket_bits,
+            (entries + fresh_entries, locations + self.fresh.len()),
+        ));
+    }
+
+    #[inline]
+    fn file(&mut self, (hash, pos): (u64, GraphPos)) -> bool {
+        let node = match self.carried_map.get(pos.node.index()) {
+            None => return false,
+            Some(None) => return true,
+            Some(&Some(node)) => node,
+        };
+        let index = self
+            .index
+            .as_mut()
+            .expect("the merge begins before it files");
+        let bits = index.bucket_bits;
+        let key = |(hash, pos): (u64, GraphPos)| (hash.rotate_right(bits), pos);
+        let carried = (hash, GraphPos::new(node, pos.offset));
+        while let Some(&seed) =
+            (self.fresh.get(self.next_fresh)).filter(|&&s| key(s) < key(carried))
+        {
+            index.push_seed(seed);
+            self.next_fresh += 1;
+        }
+        index.push_seed(carried);
+        true
     }
 }
 

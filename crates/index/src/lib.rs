@@ -55,4 +55,4 @@ pub use persist::{
     PersistedIndex, SectionEntry, SectionTable, ShardedStore, StoreChangelog, CHANGELOG_VERSION,
     INDEX_FORMAT_VERSION, INDEX_MAGIC, PROVENANCE_VERSION,
 };
-pub use update::{initial_changelog, update_store, UpdateOutcome};
+pub use update::{initial_changelog, update_index_file, update_store, UpdateOutcome};

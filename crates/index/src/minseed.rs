@@ -43,13 +43,13 @@ pub fn frequency_threshold(index: &GraphIndex, discard_frac: f64) -> u32 {
     if freqs.is_empty() {
         return u32::MAX;
     }
-    freqs.sort_unstable();
     let discard = ((freqs.len() as f64) * discard_frac).ceil() as usize;
     if discard == 0 {
         return u32::MAX;
     }
+    // The frequency a sort would put at `idx`, without the sort.
     let idx = freqs.len().saturating_sub(discard + 1);
-    freqs[idx].max(1)
+    (*freqs.select_nth_unstable(idx).1).max(1)
 }
 
 /// Figure 9's candidate-region arithmetic as a free function, shared by

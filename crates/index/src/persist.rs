@@ -33,7 +33,11 @@
 //! the index section is read, and two passes over that section — check
 //! and count, then fill — file each location straight into its shard's
 //! exactly-sized levels. Both passes run the same structural checks as
-//! the whole load, so a store names the same error through either.
+//! the whole load, so a store names the same error through either. A
+//! streamed `segram index update`
+//! ([`update_index_file`](crate::update_index_file)) walks its
+//! parent's index section the same way, each seed filed into the child's
+//! index instead of a shard, so the parent's index is never held.
 //!
 //! **Loading never panics** on truncated or corrupt input: every count is
 //! checked against the bytes left in its section before anything is
@@ -58,8 +62,11 @@ use segram_graph::{
 };
 use segram_io::{fnv1a64, BinError, ByteReader, ByteWriter, Checksum, Fnv1a64, Xxh64};
 
-use crate::index::{bucket_of, checked_shard_owner, shard_boundaries, GraphIndex, ShardSizes};
+use crate::index::{
+    bucket_of, checked_shard_owner, shard_boundaries, GraphIndex, SeedFiling, ShardFiling,
+};
 use crate::minimizer::{KmerOrdering, MinimizerScheme};
+use crate::update::Parent;
 
 /// The 8-byte magic at the start of every `.sgi` file.
 pub const INDEX_MAGIC: [u8; 8] = *b"SGRMIDX\0";
@@ -671,65 +678,13 @@ impl ShardedStore {
 /// ranges of the graph section, which is decoded first.
 fn load<R: Read + Seek>(src: &mut R, shards: usize) -> Result<ShardedStore, PersistError> {
     assert!(shards > 0, "at least one shard");
-    let file_len = src.seek(SeekFrom::End(0))?;
-    src.seek(SeekFrom::Start(0))?;
-    let mut chunk = vec![0; CHUNK];
-    let table = read_table(src, file_len, &mut chunk)?;
-    let mut loader = Loader {
-        src,
-        chunk,
-        verified: vec![false; table.sections.len()],
-        table,
-    };
-    // Row of each section this build reads: graph, index, meta, changelog.
-    let mut rows = [None; 4];
-    for (row, entry) in loader.table.sections.iter().enumerate() {
-        if entry
-            .offset
-            .checked_add(entry.len)
-            .is_none_or(|end| end > file_len)
-        {
-            let err = PersistError::Truncated {
-                offset: file_len as usize,
-            };
-            return Err(loader.first_mismatch(0..row, err));
-        }
-        let slot = match entry.id {
-            SECTION_GRAPH => 0,
-            SECTION_INDEX => 1,
-            SECTION_META => 2,
-            SECTION_CHANGELOG => 3,
-            // Unknown sections are skipped (bounds still verified), so a
-            // future minor revision can append data old readers ignore.
-            _ => continue,
-        };
-        if rows[slot].replace(row).is_some() {
-            let err = corrupt("header", format!("duplicate section {:?}", entry.name));
-            return Err(loader.first_mismatch(0..=row, err));
-        }
-    }
-    let every_row = 0..loader.table.sections.len();
-    let [Some(graph_row), Some(index_row), Some(meta_row), changelog_row] = rows else {
-        let missing = ["graph", "index", "meta"][rows
-            .iter()
-            .position(Option::is_none)
-            .expect("a missing section")];
-        let err = corrupt("header", format!("missing {missing} section"));
-        return Err(loader.first_mismatch(every_row, err));
-    };
-    let identity = store_identity(
-        loader.table.sections[graph_row].checksum,
-        loader.table.sections[index_row].checksum,
-    );
+    let (mut loader, rows) = Loader::new(src)?;
     let loaded = (|| {
-        let graph = loader.decode(graph_row, decode_graph)?;
+        let graph = loader.decode(rows.graph, decode_graph)?;
         let boundaries = shard_boundaries(graph.total_chars(), shards);
-        let shards = loader.decode_shards(index_row, &graph, &boundaries)?;
-        let (discard_frac, freq_threshold, provenance) = loader.decode(meta_row, decode_meta)?;
-        let changelog = match changelog_row {
-            Some(row) => Some(loader.decode(row, |r| decode_changelog(r, identity))?),
-            None => None,
-        };
+        let shards = loader.decode_shards(rows.index, &graph, &boundaries)?;
+        let (discard_frac, freq_threshold, provenance) = loader.decode(rows.meta, decode_meta)?;
+        let changelog = loader.decode_changelog(&rows)?;
         Ok(ShardedStore {
             graph,
             boundaries,
@@ -740,7 +695,67 @@ fn load<R: Read + Seek>(src: &mut R, shards: usize) -> Result<ShardedStore, Pers
             provenance,
         })
     })();
-    loaded.map_err(|err| loader.first_mismatch(every_row, err))
+    loaded.map_err(|err| loader.fail(err))
+}
+
+/// Reads the parent store `src` holds for a streamed update: every section
+/// but the index decoded and verified, as a load decodes them, then handed
+/// to `update` beside the index section, which it walks when it is ready
+/// to ([`ParentIndex::walk`]) — so the parent's index is never held. What
+/// fails, `update` included, is reported as a load reports it: the first
+/// section in table order whose checksum fails, else the error itself.
+pub(crate) fn read_parent<R: Read + Seek, T>(
+    src: &mut R,
+    update: impl FnOnce(Parent, ParentIndex<'_, '_, R>) -> Result<T, PersistError>,
+) -> Result<T, PersistError> {
+    let (mut loader, rows) = Loader::new(src)?;
+    let updated = (|| {
+        let graph = loader.decode(rows.graph, decode_graph)?;
+        let (discard_frac, _, provenance) = loader.decode(rows.meta, decode_meta)?;
+        let changelog = loader.decode_changelog(&rows)?;
+        let parent = Parent {
+            graph,
+            changelog,
+            identity: rows.identity,
+            discard_frac,
+            provenance,
+        };
+        let index = ParentIndex {
+            loader: &mut loader,
+            row: rows.index,
+        };
+        update(parent, index)
+    })();
+    updated.map_err(|err| loader.fail(err))
+}
+
+/// The index section of a parent store [`read_parent`] reads, not yet
+/// walked.
+pub(crate) struct ParentIndex<'l, 'a, R> {
+    loader: &'l mut Loader<'a, R>,
+    row: usize,
+}
+
+impl<R: Read + Seek> ParentIndex<'_, '_, R> {
+    /// The checked walk of the section into `filing`, against a graph
+    /// whose node lengths `node_len` gives.
+    pub(crate) fn walk(
+        self,
+        node_len: impl Fn(NodeId) -> Option<usize>,
+        filing: &mut impl SeedFiling,
+    ) -> Result<(), PersistError> {
+        self.loader.walk_index(self.row, node_len, filing)
+    }
+}
+
+/// The table rows of the sections a load reads, and the identity their
+/// recorded checksums give the store.
+struct Rows {
+    graph: usize,
+    index: usize,
+    meta: usize,
+    changelog: Option<usize>,
+    identity: u64,
 }
 
 /// A load in progress: the source, its one chunk buffer, and which table
@@ -752,7 +767,87 @@ struct Loader<'a, R> {
     verified: Vec<bool>,
 }
 
-impl<R: Read + Seek> Loader<'_, R> {
+impl<'a, R: Read + Seek> Loader<'a, R> {
+    /// Reads the header and table of the store `src` holds, checks every
+    /// section's extent against the file's length, and finds the rows of
+    /// the sections this build reads.
+    fn new(src: &'a mut R) -> Result<(Self, Rows), PersistError> {
+        let file_len = src.seek(SeekFrom::End(0))?;
+        src.seek(SeekFrom::Start(0))?;
+        let mut chunk = vec![0; CHUNK];
+        let table = read_table(src, file_len, &mut chunk)?;
+        let mut loader = Loader {
+            src,
+            chunk,
+            verified: vec![false; table.sections.len()],
+            table,
+        };
+        // Row of each section this build reads: graph, index, meta, changelog.
+        let mut rows = [None; 4];
+        for (row, entry) in loader.table.sections.iter().enumerate() {
+            if entry
+                .offset
+                .checked_add(entry.len)
+                .is_none_or(|end| end > file_len)
+            {
+                let err = PersistError::Truncated {
+                    offset: file_len as usize,
+                };
+                return Err(loader.first_mismatch(0..row, err));
+            }
+            let slot = match entry.id {
+                SECTION_GRAPH => 0,
+                SECTION_INDEX => 1,
+                SECTION_META => 2,
+                SECTION_CHANGELOG => 3,
+                // Unknown sections are skipped (bounds still verified), so a
+                // future minor revision can append data old readers ignore.
+                _ => continue,
+            };
+            if rows[slot].replace(row).is_some() {
+                let err = corrupt("header", format!("duplicate section {:?}", entry.name));
+                return Err(loader.first_mismatch(0..=row, err));
+            }
+        }
+        let [Some(graph), Some(index), Some(meta), changelog] = rows else {
+            let missing = ["graph", "index", "meta"][rows
+                .iter()
+                .position(Option::is_none)
+                .expect("a missing section")];
+            let err = corrupt("header", format!("missing {missing} section"));
+            return Err(loader.fail(err));
+        };
+        let identity = store_identity(
+            loader.table.sections[graph].checksum,
+            loader.table.sections[index].checksum,
+        );
+        let rows = Rows {
+            graph,
+            index,
+            meta,
+            changelog,
+            identity,
+        };
+        Ok((loader, rows))
+    }
+
+    /// Decodes the changelog section, if the store has one, verified
+    /// against the store's identity.
+    fn decode_changelog(&mut self, rows: &Rows) -> Result<Option<StoreChangelog>, PersistError> {
+        match rows.changelog {
+            Some(row) => Ok(Some(
+                self.decode(row, |r| decode_changelog(r, rows.identity))?,
+            )),
+            None => Ok(None),
+        }
+    }
+
+    /// What a load that failed with `err` reports, every section
+    /// considered.
+    fn fail(&mut self, err: PersistError) -> PersistError {
+        self.first_mismatch(0..self.table.sections.len(), err)
+    }
+
     fn open(&mut self, row: usize) -> Result<ByteReader<'_>, PersistError> {
         let entry = self.table.sections[row];
         self.src.seek(SeekFrom::Start(entry.offset))?;
@@ -787,19 +882,10 @@ impl<R: Read + Seek> Loader<'_, R> {
     }
 
     /// Decodes index row `row` into the shards `boundaries` cut `graph`
-    /// into. One shard is the single-pass [`decode_hash_index`]; more take
-    /// two passes, so no level of the whole index is ever held:
-    ///
-    /// 1. *Check and count.* The section streams through the checks the
-    ///    single-pass decode runs and is verified against its checksum.
-    ///    The second level marks where each run ends, a bit per location,
-    ///    so the third level's walk counts every location for the shard
-    ///    that owns it; the two levels' bytes are also hashed apart.
-    /// 2. *Fill.* The two levels are read again side by side, a block at a
-    ///    time, every location filed into its owner's exactly-sized levels.
-    ///    Both are hashed again and must equal pass 1, so a store that
-    ///    changed between the passes fails instead of loading a location
-    ///    no check saw.
+    /// into. One shard is the single-pass [`decode_hash_index`]; more are
+    /// the checked walk ([`Self::walk_index`]), each location filed into
+    /// its owner's exactly-sized levels, so no level of the whole index is
+    /// ever held.
     fn decode_shards(
         &mut self,
         row: usize,
@@ -809,8 +895,32 @@ impl<R: Read + Seek> Loader<'_, R> {
         if boundaries.len() == 2 {
             return Ok(vec![self.decode(row, |r| decode_hash_index(r, graph))?]);
         }
-        let entry = self.table.sections[row];
         let owner = checked_shard_owner(graph, boundaries);
+        let mut filing = ShardFiling::new(boundaries.len() - 1, owner);
+        self.walk_index(row, node_lens(graph), &mut filing)?;
+        Ok(filing.into_shards())
+    }
+
+    /// The one checked walk of index row `row` into `filing` — a sharded
+    /// load's shards, or a streamed update's merge — in two passes, for a
+    /// store whose graph has the node lengths `node_len` gives:
+    ///
+    /// 1. *Check and count.* The section streams through the checks the
+    ///    single-pass decode runs and is verified against its checksum.
+    ///    The second level marks where each run ends, a bit per location,
+    ///    so the third level's walk hands `filing` every location with its
+    ///    record; the two levels' bytes are also hashed apart.
+    /// 2. *File.* The two levels are read again side by side, a block at a
+    ///    time, every seed filed in order. Both are hashed again and must
+    ///    equal pass 1, so a store that changed between the passes fails
+    ///    instead of filing a location no check saw.
+    fn walk_index(
+        &mut self,
+        row: usize,
+        node_len: impl Fn(NodeId) -> Option<usize>,
+        filing: &mut impl SeedFiling,
+    ) -> Result<(), PersistError> {
+        let entry = self.table.sections[row];
 
         // Pass 1: check and count. The records mark where each run ends
         // in a bit per location, so the walk of the third level, which
@@ -844,21 +954,20 @@ impl<R: Read + Seek> Loader<'_, R> {
         let location_count = checks.finish(&mut r)?;
         let locations_at = entry.offset + r.position() as u64;
         let mut locations_hash = Checksum::Xxh64(Xxh64::new());
-        let mut sizes = ShardSizes::new(boundaries.len() - 1);
-        let mut locations = LocationChecks::new(graph);
+        let mut locations = LocationChecks::new(node_len);
         let (mut l, mut m) = (0, 0);
         r.take_blocks::<8>(location_count, |block| {
             locations_hash.update(block);
             for record in block.chunks_exact(8) {
                 let pos = location_of(record.try_into().expect("8 bytes"));
                 if locations.check(m, pos) {
-                    sizes.count(m, owner(pos).expect("a location in the graph has an owner"));
+                    filing.count(m, pos);
                 }
                 m += (run_ends[l / 64] >> (l % 64) & 1) as usize;
                 l += 1;
             }
         })?;
-        // Pass 1's own arrays go before the shards are allocated.
+        // Pass 1's own arrays go before the destination's are allocated.
         drop(run_ends);
         locations.finish()?;
         expect_end(&r)?;
@@ -870,11 +979,9 @@ impl<R: Read + Seek> Loader<'_, R> {
         self.verified[row] = true;
         let (scheme, bucket_bits) = (head.scheme, head.bucket_bits);
         drop(head);
+        filing.begin(scheme, bucket_bits);
 
-        // Pass 2: fill, reading the records again beside the locations.
-        let mut shards: Vec<GraphIndex> = (sizes.into_sizes().into_iter())
-            .map(|capacity| GraphIndex::unsealed(scheme, bucket_bits, capacity))
-            .collect();
+        // Pass 2: file, reading the records again beside the locations.
         let src = RefCell::new(&mut *self.src);
         let mut spare = vec![0; CHUNK];
         let mut runs_src = At::new(&src, records_at);
@@ -895,18 +1002,11 @@ impl<R: Read + Seek> Loader<'_, R> {
             8 * location_count,
             Checksum::Xxh64(Xxh64::new()),
         );
-        let filled = fill_shards(
-            &mut shards,
-            &mut r,
-            location_count,
-            &mut runs,
-            owner,
-            bucket_bits,
-        );
+        let filed = file_seeds(&mut r, location_count, &mut runs, bucket_bits, filing);
         let changed = PersistError::ChecksumMismatch {
             section: entry.name,
         };
-        match filled {
+        match filed {
             Ok(true) => {}
             // The store shrank, or the source failed.
             Err(err @ (BinError::SourceEnded { .. } | BinError::Io(_))) => return Err(err.into()),
@@ -915,7 +1015,7 @@ impl<R: Read + Seek> Loader<'_, R> {
         if runs.finish()? != records_hash.digest() || r.finish()? != locations_hash.digest() {
             return Err(changed);
         }
-        Ok(shards.into_iter().map(GraphIndex::sealed).collect())
+        Ok(())
     }
 
     /// What a load that failed with `err` reports: checksums come first, as
@@ -1140,7 +1240,7 @@ fn decode_hash_index(
     let location_count = checks.finish(r)?;
     let locations: Vec<GraphPos> = r.take_records(location_count, location_of)?;
     // The runs were checked to tile the level, none of them empty.
-    let mut checks = LocationChecks::new(graph);
+    let mut checks = LocationChecks::new(node_lens(graph));
     let (mut m, mut run_end) = (0, starts.get(1).copied().unwrap_or(0));
     for (l, &pos) in locations.iter().enumerate() {
         if l as u32 == run_end {
@@ -1375,9 +1475,8 @@ impl<'a> RecordChecks<'a> {
 /// The third level's checks, a location at a time: each names a base of
 /// the graph, and each run lists its locations in order. The first
 /// location at fault is reported once the level is read.
-struct LocationChecks<'a> {
-    graph: &'a GenomeGraph,
-    nodes: usize,
+struct LocationChecks<L> {
+    node_len: L,
     seen: usize,
     /// The run of the location before, and that location packed in
     /// [`packed`] order.
@@ -1391,11 +1490,18 @@ fn packed(pos: GraphPos) -> u64 {
     (u64::from(pos.node.0) << 32) | u64::from(pos.offset)
 }
 
-impl<'a> LocationChecks<'a> {
-    fn new(graph: &'a GenomeGraph) -> Self {
+/// The length of each node of `graph`, `None` past its last node: what
+/// [`LocationChecks`] reads of a graph.
+fn node_lens(graph: &GenomeGraph) -> impl Fn(NodeId) -> Option<usize> + '_ {
+    let nodes = graph.node_count();
+    move |node| (node.index() < nodes).then(|| graph.node_len(node))
+}
+
+impl<L: Fn(NodeId) -> Option<usize>> LocationChecks<L> {
+    /// Checks against the graph whose node lengths `node_len` gives.
+    fn new(node_len: L) -> Self {
         Self {
-            graph,
-            nodes: graph.node_count(),
+            node_len,
             seen: 0,
             last_run: usize::MAX,
             last: 0,
@@ -1410,8 +1516,7 @@ impl<'a> LocationChecks<'a> {
         let ordered = run != self.last_run || at >= self.last;
         (self.last_run, self.last) = (run, at);
         self.seen += 1;
-        let inside =
-            pos.node.index() < self.nodes && (pos.offset as usize) < self.graph.node_len(pos.node);
+        let inside = (self.node_len)(pos.node).is_some_and(|len| (pos.offset as usize) < len);
         if !(inside && ordered) {
             self.fault(pos, inside);
         }
@@ -1482,20 +1587,19 @@ impl<'a> Runs<'a> {
     }
 }
 
-/// Pass 2's walk of a sharded load: files each of the `count` locations
-/// `locations` reads into the shard `owner` names, beside the hash of the
-/// second-level record whose run it belongs to, which `runs` reads — the
-/// runs tile the third level in order. The locations are decoded a chunk's
-/// worth at a time. Stops with `false` at a seed only a store changed since
-/// pass 1 can hold, and the level builder cannot take: one `owner` does
-/// not place, or one out of `(bucket, hash, location)` order.
-fn fill_shards(
-    shards: &mut [GraphIndex],
+/// Pass 2 of the checked walk: files each of the `count` locations
+/// `locations` reads into `filing`, beside the hash of the second-level
+/// record whose run it belongs to, which `runs` reads — the runs tile the
+/// third level in order. The locations are decoded a chunk's worth at a
+/// time. Stops with `false` at a seed only a store changed since pass 1
+/// can hold: one `filing` has no place for, or one out of `(bucket, hash,
+/// location)` order, which the level builder cannot take.
+fn file_seeds(
     locations: &mut ByteReader<'_>,
     count: usize,
     runs: &mut Runs<'_>,
-    owner: impl Fn(GraphPos) -> Option<usize>,
     bucket_bits: u32,
+    filing: &mut impl SeedFiling,
 ) -> Result<bool, BinError> {
     let mut block = Vec::with_capacity(CHUNK / 8);
     // The run's hash, its locations not yet filed, its place in `(bucket,
@@ -1518,13 +1622,10 @@ fn fill_shards(
                 (hash, left, key) = (next, n, next_key);
             }
             left -= 1;
-            match owner(pos) {
-                Some(shard) if packed(pos) >= last => {
-                    last = packed(pos);
-                    shards[shard].push_seed((hash, pos));
-                }
-                _ => return Ok(false),
+            if packed(pos) < last || !filing.file((hash, pos)) {
+                return Ok(false);
             }
+            last = packed(pos);
         }
     }
     Ok(true)
@@ -1873,7 +1974,7 @@ fn decode_changelog(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::initial_changelog;
+    use crate::update::{initial_changelog, update_from};
     use segram_graph::build_graph;
 
     /// A store whose file shrank to its first `len` bytes after the loader
@@ -1920,6 +2021,11 @@ mod tests {
             freq_threshold: 10,
             provenance: None,
         })
+    }
+
+    /// A delta that applies to [`store`].
+    fn delta() -> VariantSet {
+        [Variant::snp(1000, Base::G)].into_iter().collect()
     }
 
     /// A store whose byte `at` reads flipped from the `from`-th read that
@@ -1993,6 +2099,20 @@ mod tests {
                 "byte {at} read {} times",
                 changing.reads
             );
+            // A streamed update walks the index section as the sharded
+            // load does.
+            let mut changing = Changing {
+                store: &store,
+                at,
+                from,
+                reads: 0,
+                pos: 0,
+            };
+            match update_from(&mut changing, &delta(), "delta.vcf") {
+                Err(PersistError::ChecksumMismatch { section: "index" }) => {}
+                Err(other) => panic!("byte {at} changed from read {from}: {other}"),
+                Ok(_) => panic!("byte {at} changed from read {from}: the store updated"),
+            }
         }
         // The whole load reads each byte once.
         let mut changing = Changing {
@@ -2132,6 +2252,19 @@ mod tests {
                         panic!("{shards} shards, shrunk to {len} bytes: a partial store loaded")
                     }
                 }
+            }
+        }
+        // And a streamed update, which reads the index section last.
+        for len in 0..store.len() {
+            let mut shrunk = Shrunk {
+                store: &store,
+                len,
+                pos: 0,
+            };
+            match update_from(&mut shrunk, &delta(), "delta.vcf") {
+                Err(PersistError::Truncated { offset }) => assert_eq!(offset, len),
+                Err(other) => panic!("update, shrunk to {len} bytes: {other}"),
+                Ok(_) => panic!("update, shrunk to {len} bytes: a partial store updated"),
             }
         }
     }

@@ -164,7 +164,7 @@ fn fixture_store_bytes_are_pinned() {
         provenance: None,
     };
     let delta = vcf(include_str!("fixtures/sgi_v1/delta.vcf"));
-    let updated = update_store(&built_store, &delta, "delta.vcf")
+    let updated = update_store(built_store.clone(), &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
     for (what, store, golden) in [

@@ -60,7 +60,7 @@ fn stores() -> (PersistedIndex, PersistedIndex) {
     .into_iter()
     .collect();
     let v1 = build_store(&reference, base, "base.vcf");
-    let v2 = update_store(&v1, &delta, "delta.vcf")
+    let v2 = update_store(v1.clone(), &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
     (v1, v2)
@@ -162,7 +162,7 @@ fn chained_delta_swaps_track_scratch_resharding() {
     let delta2: VariantSet = vec![Variant::snp(150, Base::G), Variant::deletion(180, 2)]
         .into_iter()
         .collect();
-    let v3 = update_store(&v2, &delta2, "d2.vcf")
+    let v3 = update_store(v2.clone(), &delta2, "d2.vcf")
         .expect("second delta applies")
         .persisted;
     let config = config_for(&v3);

@@ -2,17 +2,18 @@
 //! store.
 //!
 //! The core contract: [`update_store`] applied to a persisted epoch-N
-//! store plus a variant delta must produce exactly the graph and index
-//! payloads a from-scratch build over the combined variant set would —
-//! while provably re-extracting only the touched coordinate ranges. And
+//! store plus a variant delta — or [`update_index_file`] to its file —
+//! must produce exactly the graph and index payloads a from-scratch build
+//! over the combined variant set would — while provably re-extracting
+//! only the touched coordinate ranges. And
 //! every CHANGELOG corruption class (truncation, epoch skew,
 //! parent-checksum mismatch, missing changelog, non-reconstructing
 //! history) must surface as a named [`PersistError`], never a panic.
 
 use segram_graph::{build_graph, graphs_identical, Base, DnaSeq, Variant, VariantSet};
 use segram_index::{
-    decode_index, encode_index, frequency_threshold, initial_changelog, update_store, GraphIndex,
-    MinimizerScheme, PersistError, PersistedIndex,
+    decode_index, encode_index, frequency_threshold, initial_changelog, update_index_file,
+    update_store, write_index_file, GraphIndex, MinimizerScheme, PersistError, PersistedIndex,
 };
 
 const DISCARD: f64 = 0.02;
@@ -107,7 +108,7 @@ fn combined(parent: &PersistedIndex, delta: &VariantSet) -> VariantSet {
 #[test]
 fn update_store_equals_scratch_build_over_combined_variants() {
     let (v1, delta) = store_and_delta();
-    let out = update_store(&v1, &delta, "delta.vcf").expect("delta applies");
+    let out = update_store(v1.clone(), &delta, "delta.vcf").expect("delta applies");
 
     let scratch = build_store(&reference(), combined(&v1, &delta), "combined.vcf");
     assert!(
@@ -169,7 +170,7 @@ fn streamed_apply_delta_equals_build_with_the_order_assert_armed() {
         for (delta, source) in [(delta_variants(), "d1.vcf"), (second_delta(), "d2.vcf")] {
             let delta: VariantSet = delta.into_iter().collect();
             let all = combined(&store, &delta);
-            store = update_store(&store, &delta, source)
+            store = update_store(store, &delta, source)
                 .expect("delta applies")
                 .persisted;
             let scratch = build_store_at(&reference, all, "all.vcf", bucket_bits);
@@ -189,10 +190,10 @@ fn chained_updates_equal_one_scratch_build_in_memory_and_through_disk() {
     let delta2: VariantSet = second_delta().into_iter().collect();
 
     // In-memory chain: v1 -> v2 -> v3 without touching disk.
-    let v2 = update_store(&v1, &delta1, "d1.vcf")
+    let v2 = update_store(v1, &delta1, "d1.vcf")
         .expect("d1 applies")
         .persisted;
-    let v3 = update_store(&v2, &delta2, "d2.vcf")
+    let v3 = update_store(v2.clone(), &delta2, "d2.vcf")
         .expect("d2 applies")
         .persisted;
 
@@ -206,7 +207,7 @@ fn chained_updates_equal_one_scratch_build_in_memory_and_through_disk() {
     // the CHANGELOG section alone must be enough to continue the chain.
     let reloaded = decode_index(&encode_index(&v2)).expect("own encoding loads");
     assert_eq!(reloaded.identity(), v2.identity());
-    let v3_from_disk = update_store(&reloaded, &delta2, "d2.vcf")
+    let v3_from_disk = update_store(reloaded, &delta2, "d2.vcf")
         .expect("reloaded store updates")
         .persisted;
     assert_eq!(v3_from_disk.identity(), v3.identity());
@@ -216,12 +217,23 @@ fn chained_updates_equal_one_scratch_build_in_memory_and_through_disk() {
         log.history.iter().map(|e| e.epoch).collect::<Vec<_>>(),
         vec![0, 1, 2]
     );
+
+    // File chain: write v2 and update the file, which streams v2's index
+    // section into the merge instead of loading it — the same store,
+    // byte for byte, as the reloaded copy's in-memory update.
+    let path =
+        std::env::temp_dir().join(format!("segram-chained-updates-{}.sgi", std::process::id()));
+    write_index_file(&v2, &path).expect("write v2");
+    let from_file = update_index_file(&path, &delta2, "d2.vcf");
+    let _ = std::fs::remove_file(&path);
+    let v3_from_file = from_file.expect("v2's file updates").persisted;
+    assert_eq!(encode_index(&v3_from_file), encode_index(&v3_from_disk));
 }
 
 #[test]
 fn updated_store_round_trips_byte_identically() {
     let (v1, delta) = store_and_delta();
-    let out = update_store(&v1, &delta, "delta.vcf").expect("delta applies");
+    let out = update_store(v1, &delta, "delta.vcf").expect("delta applies");
     let bytes = encode_index(&out.persisted);
     let loaded = decode_index(&bytes).expect("own encoding loads");
     assert_eq!(encode_index(&loaded), bytes);
@@ -239,7 +251,7 @@ fn legacy_store_without_changelog_is_refused_by_name() {
         ..v1
     };
     assert!(matches!(
-        update_store(&legacy, &delta, "delta.vcf"),
+        update_store(legacy, &delta, "delta.vcf"),
         Err(PersistError::NoChangelog)
     ));
 }
@@ -247,7 +259,7 @@ fn legacy_store_without_changelog_is_refused_by_name() {
 #[test]
 fn epoch_skew_in_the_persisted_chain_is_detected() {
     let (v1, delta) = store_and_delta();
-    let mut v2 = update_store(&v1, &delta, "delta.vcf")
+    let mut v2 = update_store(v1, &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
 
@@ -269,7 +281,7 @@ fn epoch_skew_in_the_persisted_chain_is_detected() {
 
     // Tamper an *inner* history epoch: entries must count 0..n.
     let (v1, delta) = store_and_delta();
-    let mut v2 = update_store(&v1, &delta, "delta.vcf")
+    let mut v2 = update_store(v1, &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
     v2.changelog.as_mut().expect("versioned").history[0].epoch = 3;
@@ -280,7 +292,7 @@ fn epoch_skew_in_the_persisted_chain_is_detected() {
 #[test]
 fn parent_checksum_mismatch_in_the_chain_is_detected() {
     let (v1, delta) = store_and_delta();
-    let mut v2 = update_store(&v1, &delta, "delta.vcf")
+    let mut v2 = update_store(v1, &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
 
@@ -295,7 +307,7 @@ fn parent_checksum_mismatch_in_the_chain_is_detected() {
 
     // Break the top-level parent against the history tail.
     let (v1, delta) = store_and_delta();
-    let mut v2 = update_store(&v1, &delta, "delta.vcf")
+    let mut v2 = update_store(v1, &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
     v2.changelog.as_mut().expect("versioned").parent ^= 1;
@@ -313,7 +325,7 @@ fn non_reconstructing_changelog_is_refused_before_any_delta_math() {
     let (v1, delta) = store_and_delta();
     let mut forged = v1.clone();
     forged.changelog.as_mut().expect("versioned").applied = std::iter::empty::<Variant>().collect();
-    match update_store(&forged, &delta, "delta.vcf") {
+    match update_store(forged, &delta, "delta.vcf") {
         Err(PersistError::Corrupt { section, .. }) => assert_eq!(section, "changelog"),
         other => panic!("forged applied set gave {other:?}"),
     }
@@ -322,7 +334,7 @@ fn non_reconstructing_changelog_is_refused_before_any_delta_math() {
 #[test]
 fn every_truncation_point_of_a_versioned_store_errors_cleanly() {
     let (v1, delta) = store_and_delta();
-    let v2 = update_store(&v1, &delta, "delta.vcf")
+    let v2 = update_store(v1, &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
     let bytes = encode_index(&v2);
@@ -341,7 +353,7 @@ fn every_truncation_point_of_a_versioned_store_errors_cleanly() {
 #[test]
 fn changelog_payload_flips_are_caught_by_the_section_checksum() {
     let (v1, delta) = store_and_delta();
-    let v2 = update_store(&v1, &delta, "delta.vcf")
+    let v2 = update_store(v1, &delta, "delta.vcf")
         .expect("delta applies")
         .persisted;
     let bytes = encode_index(&v2);

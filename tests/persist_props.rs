@@ -67,14 +67,42 @@ impl StoreFile {
     fn load(&self) -> Result<PersistedIndex, PersistError> {
         read_index_file(&self.0)
     }
+
+    /// Runs `segram index update` of the store with the committed delta
+    /// VCF, which must fail with the load's error `err`, under the store's
+    /// path as the CLI names it, and write nothing.
+    fn update_disagrees(&self, err: &str) -> Option<String> {
+        const DELTA: &str = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/sgi_v1/delta.vcf"
+        );
+        let path = self.0.to_string_lossy();
+        let output = self.0.with_extension("child.sgi");
+        let args = [
+            "index", "update", "--index", &path, "--vcf", DELTA, "--output",
+        ];
+        let mut args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+        args.push(output.to_string_lossy().into_owned());
+        let updated = segram_cli::dispatch(&args);
+        let staged = output.with_extension("sgi.tmp");
+        if output.exists() || staged.exists() {
+            let _ = fs::remove_file(&output);
+            return Some(format!("the update left output behind: {updated:?}"));
+        }
+        match updated {
+            Err(update) if update.to_string() == format!("{path}: {err}") => None,
+            update => Some(format!("update gave {update:?}, memory load {err}")),
+        }
+    }
 }
 
 /// The shard count the corruption matrix loads at beside the whole load.
 const SHARDS: usize = 3;
 
 /// The error every other loader gives for `bytes`, which must be the one
-/// [`decode_index`] gives: the file loader, and the sharded load from
-/// memory and from `file`, which holds `bytes`.
+/// [`decode_index`] gives: the file loader, the sharded load from memory
+/// and from `file`, which holds `bytes`, and `segram index update` of
+/// `file`, which must leave no output behind.
 fn loaders_disagree(bytes: &[u8], file: &StoreFile) -> Option<String> {
     let err = decode_index(bytes).err()?.to_string();
     let others = [
@@ -83,13 +111,14 @@ fn loaders_disagree(bytes: &[u8], file: &StoreFile) -> Option<String> {
         read_index_file_sharded(&file.0, SHARDS).err(),
     ];
     let names = ["file", "sharded memory", "sharded file"];
-    names
+    let disagree = names
         .into_iter()
         .zip(others)
         .find_map(|(name, other)| match other {
             Some(other) if other.to_string() == err => None,
             other => Some(format!("{name} load gave {other:?}, memory load {err}")),
-        })
+        });
+    disagree.or_else(|| file.update_disagrees(&err))
 }
 
 impl Drop for StoreFile {
