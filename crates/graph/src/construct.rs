@@ -199,45 +199,61 @@ pub fn build_graph(
     // For every reference coordinate p: nodes whose interval *ends* at p
     // connect to nodes whose interval *starts* at p. Insertion nodes are
     // spliced between the two sides (ends -> ins -> starts) and are mutually
-    // parallel.
-    use std::collections::BTreeMap;
-    let mut ends: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut starts: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut inserts: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    // parallel. Each side lists `(coordinate, planned idx)` in coordinate
+    // order, so a coordinate's nodes are one run of it.
+    let mut ends = Vec::with_capacity(planned.len());
+    let mut starts = Vec::with_capacity(planned.len());
+    let mut inserts = Vec::new();
     for (idx, p) in planned.iter().enumerate() {
         if p.insertion {
-            inserts.entry(p.start).or_default().push(idx);
+            inserts.push((p.start, idx));
         } else {
-            ends.entry(p.end).or_default().push(idx);
-            starts.entry(p.start).or_default().push(idx);
+            ends.push((p.end, idx));
+            starts.push((p.start, idx));
         }
     }
-    let empty: Vec<usize> = Vec::new();
+    for side in [&mut ends, &mut starts, &mut inserts] {
+        side.sort_unstable();
+    }
+    /// The run of `side` at coordinate `p`, from `from` on, which it leaves
+    /// at the run: coordinates asked in ascending order walk each side once.
+    fn run_at<'a>(side: &'a [(u64, usize)], from: &mut usize, p: u64) -> &'a [(u64, usize)] {
+        while side.get(*from).is_some_and(|&(q, _)| q < p) {
+            *from += 1;
+        }
+        let len = side[*from..].iter().take_while(|&&(q, _)| q == p).count();
+        &side[*from..*from + len]
+    }
+    /// The run of `side` at coordinate `p`, searched for.
+    fn run_of(side: &[(u64, usize)], p: u64) -> &[(u64, usize)] {
+        let from = side.partition_point(|&(q, _)| q < p);
+        let len = side[from..].partition_point(|&(q, _)| q == p);
+        &side[from..from + len]
+    }
+    let mut link = |a: usize, b: usize| {
+        if builder.has_edge(ids[a], ids[b]) {
+            Ok(())
+        } else {
+            builder.add_edge(ids[a], ids[b])
+        }
+    };
     let mut junctions: Vec<u64> = breakpoints.clone();
-    junctions.extend(inserts.keys().copied());
+    junctions.extend(inserts.iter().map(|&(p, _)| p));
     junctions.sort_unstable();
     junctions.dedup();
+    let mut from = [0; 3];
     for &p in &junctions {
-        let left = ends.get(&p).unwrap_or(&empty);
-        let right = starts.get(&p).unwrap_or(&empty);
-        let mid = inserts.get(&p).unwrap_or(&empty);
-        for &a in left {
-            for &b in right {
-                if !builder.has_edge(ids[a], ids[b]) {
-                    builder.add_edge(ids[a], ids[b])?;
-                }
-            }
-            for &m in mid {
-                if !builder.has_edge(ids[a], ids[m]) {
-                    builder.add_edge(ids[a], ids[m])?;
-                }
+        let left = run_at(&ends, &mut from[0], p);
+        let right = run_at(&starts, &mut from[1], p);
+        let mid = run_at(&inserts, &mut from[2], p);
+        for &(_, a) in left {
+            for &(_, b) in right.iter().chain(mid) {
+                link(a, b)?;
             }
         }
-        for &m in mid {
-            for &b in right {
-                if !builder.has_edge(ids[m], ids[b]) {
-                    builder.add_edge(ids[m], ids[b])?;
-                }
+        for &(_, m) in mid {
+            for &(_, b) in right {
+                link(m, b)?;
             }
         }
     }
@@ -248,13 +264,9 @@ pub fn build_graph(
         if !v.alt_seq().is_empty() || start == end {
             continue;
         }
-        let left = ends.get(&start).unwrap_or(&empty);
-        let right = starts.get(&end).unwrap_or(&empty);
-        for &a in left {
-            for &b in right {
-                if !builder.has_edge(ids[a], ids[b]) {
-                    builder.add_edge(ids[a], ids[b])?;
-                }
+        for &(_, a) in run_of(&ends, start) {
+            for &(_, b) in run_of(&starts, end) {
+                link(a, b)?;
             }
         }
     }
